@@ -33,7 +33,6 @@ from .embeddings import (
     in_image,
     perturb_into_image,
     preimage,
-    straddle_witnesses,
 )
 from .evaluate import Truth, Verdict, evaluate, neg_rphi_normalize, rphi_holds
 from .formulas import classify_prefix, parse_formula, parse_term, print_formula

@@ -28,6 +28,21 @@ def _construction(text: str) -> Construction:
         ) from None
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oagw",
@@ -39,8 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("suite", choices=sorted(SUITES), metavar="suite")
     check.add_argument("--construction", type=_construction, default=LAMBDA)
     check.add_argument("--seed", type=int, default=42)
-    check.add_argument("--samples", type=int, default=None)
-    check.add_argument("--coeff-bound", type=int, default=None)
+    check.add_argument("--samples", type=_int_at_least(1), default=None)
+    check.add_argument("--coeff-bound", type=_int_at_least(0), default=None)
     check.add_argument("--json", dest="json_path", default=None, metavar="PATH")
 
     demo = sub.add_parser("demo", help="run a named demonstration")
@@ -59,8 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="free-variable binding, repeatable",
     )
     ev.add_argument("--seed", type=int, default=42)
-    ev.add_argument("--coeff-bound", type=int, default=2)
-    ev.add_argument("--size-cap", type=int, default=600)
+    ev.add_argument("--coeff-bound", type=_int_at_least(0), default=2)
+    ev.add_argument("--size-cap", type=_int_at_least(1), default=600)
     ev.add_argument(
         "--pool",
         action="append",

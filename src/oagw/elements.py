@@ -258,6 +258,8 @@ class GroupElement:
     def scale(self, k: int) -> "GroupElement":
         if not isinstance(k, int):
             raise TypeError("only integer scaling is defined")
+        if k == 1:
+            return self
         if k == 0:
             return zero(self.construction)
         out = []
@@ -404,8 +406,12 @@ def cmp(a: GroupElement, b: GroupElement) -> int:
     return a.cmp(b)
 
 
+# one immutable zero per construction, shared by every caller
+_ZEROS = {c: GroupElement(c, ()) for c in Construction}
+
+
 def zero(construction: Construction) -> GroupElement:
-    return GroupElement(construction, ())
+    return _ZEROS[construction]
 
 
 def element(

@@ -208,6 +208,3 @@ def descriptor_window(
     lo = element(LAMBDA, {d.position: {**trunc, d.inner_slot + 1: -spread}})
     hi = element(LAMBDA, {d.position: {**trunc, d.inner_slot + 1: spread}})
     return lo, hi
-
-
-straddle_witnesses = descriptor_window

@@ -71,39 +71,20 @@ class Verdict:
         raise TypeError("Verdict is three-valued; inspect .truth explicitly")
 
 
-def _true(witness: Optional[dict[str, GroupElement]] = None) -> Verdict:
-    return Verdict(Truth.TRUE, witness)
-
-
-def _false(witness: Optional[dict[str, GroupElement]] = None, reason: str = "") -> Verdict:
-    return Verdict(Truth.FALSE, witness, reason)
-
-
+# Verdicts without a witness are immutable and shared.
+_TRUE = Verdict(Truth.TRUE)
+_FALSE = Verdict(Truth.FALSE)
 _UNKNOWN = Verdict(Truth.UNKNOWN, None, "fragment bounds exhausted")
 
 
-# -- exact atom evaluation ---------------------------------------------------
-
-
-def _eval_atom(
-    construction: Construction, a, env: Mapping[str, GroupElement]
-) -> bool:
-    if isinstance(a, Lt):
-        return a.lhs.evaluate(construction, env) < a.rhs.evaluate(construction, env)
-    if isinstance(a, Eq):
-        return a.lhs.evaluate(construction, env) == a.rhs.evaluate(construction, env)
-    if isinstance(a, Cong):
-        d = a.rhs.evaluate(construction, env) - a.lhs.evaluate(construction, env)
-        return d.is_divisible(a.modulus)
-    if isinstance(a, DescLt):
-        return cong_free_below(
-            a.modulus,
-            a.lhs.evaluate(construction, env),
-            a.rhs.evaluate(construction, env),
-        )
-    if isinstance(a, Rphi):
-        return rphi_holds(construction, a, env)
-    raise TypeError(f"not an atom: {a!r}")
+def _negate(v: Verdict) -> Verdict:
+    if v is _TRUE:
+        return _FALSE
+    if v is _FALSE:
+        return _TRUE
+    if v is _UNKNOWN:
+        return v
+    return Verdict(v.truth.negate(), v.witness, v.reason)
 
 
 # -- the bounded congruence system -------------------------------------------
@@ -203,6 +184,12 @@ def neg_rphi_normalize(
 
 # -- three-valued evaluation --------------------------------------------------
 
+# A formula is compiled once per evaluate() call into nested closures
+# that take the variable environment and return a Verdict.  Quantifier
+# closures hold their constants; the environment is one dict, extended
+# by each quantifier while its body runs.
+_Compiled = Callable[[dict[str, GroupElement]], Verdict]
+
 
 def evaluate(
     construction: Construction,
@@ -223,60 +210,117 @@ def evaluate(
     for v, e in env.items():
         if e.construction is not construction:
             raise ValueError(f"binding {v!r} is not a {construction} element")
-    return _eval(construction, f, dict(env), cfg, candidate_filter)
+    return _compile(construction, f, cfg, candidate_filter)(dict(env))
 
 
-def _eval(
+def _compile(
     construction: Construction,
     f: Formula,
-    env: dict[str, GroupElement],
     cfg: FragmentConfig,
     flt: Optional[Callable[[GroupElement], bool]],
-) -> Verdict:
+) -> _Compiled:
     if isinstance(f, BoolC):
-        return _true() if f.value else _false()
+        verdict = _TRUE if f.value else _FALSE
+        return lambda env: verdict
     if isinstance(f, AtomF):
-        return _true() if _eval_atom(construction, f.atom, env) else _false()
+        holds = _compile_atom(construction, f.atom)
+        return lambda env: _TRUE if holds(env) else _FALSE
     if isinstance(f, Not):
-        v = _eval(construction, f.body, env, cfg, flt)
-        return Verdict(v.truth.negate(), v.witness, v.reason)
+        body = _compile(construction, f.body, cfg, flt)
+        return lambda env: _negate(body(env))
     if isinstance(f, And):
-        left = _eval(construction, f.lhs, env, cfg, flt)
+        return _compile_and(
+            _compile(construction, f.lhs, cfg, flt), _compile(construction, f.rhs, cfg, flt)
+        )
+    if isinstance(f, (Or, Implies)):
+        # a -> b is ~a | b
+        lhs = Not(f.lhs) if isinstance(f, Implies) else f.lhs
+        return _compile_or(
+            _compile(construction, lhs, cfg, flt), _compile(construction, f.rhs, cfg, flt)
+        )
+    if isinstance(f, (Exists, Forall)):
+        return _compile_quantifier(construction, f, cfg, flt)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _compile_and(lhs: _Compiled, rhs: _Compiled) -> _Compiled:
+    def run(env: dict[str, GroupElement]) -> Verdict:
+        left = lhs(env)
         if left.truth is Truth.FALSE:
             return left
-        right = _eval(construction, f.rhs, env, cfg, flt)
+        right = rhs(env)
         if right.truth is Truth.FALSE:
             return right
         if left.truth is Truth.TRUE and right.truth is Truth.TRUE:
-            return _true()
+            return _TRUE
         return _UNKNOWN
-    if isinstance(f, Or):
-        left = _eval(construction, f.lhs, env, cfg, flt)
+
+    return run
+
+
+def _compile_or(lhs: _Compiled, rhs: _Compiled) -> _Compiled:
+    def run(env: dict[str, GroupElement]) -> Verdict:
+        left = lhs(env)
         if left.truth is Truth.TRUE:
             return left
-        right = _eval(construction, f.rhs, env, cfg, flt)
+        right = rhs(env)
         if right.truth is Truth.TRUE:
             return right
         if left.truth is Truth.FALSE and right.truth is Truth.FALSE:
-            return _false()
+            return _FALSE
         return _UNKNOWN
-    if isinstance(f, Implies):
-        return _eval(construction, Or(Not(f.lhs), f.rhs), env, cfg, flt)
-    if isinstance(f, (Exists, Forall)):
-        params = list(env.values()) + constants(f)
+
+    return run
+
+
+def _compile_quantifier(
+    construction: Construction,
+    f: Exists | Forall,
+    cfg: FragmentConfig,
+    flt: Optional[Callable[[GroupElement], bool]],
+) -> _Compiled:
+    var = f.var
+    consts = constants(f)
+    body = _compile(construction, f.body, cfg, flt)
+    # an existential stops on a witness, a universal on a counterexample
+    stop, reason = (Truth.TRUE, "") if isinstance(f, Exists) else (Truth.FALSE, "counterexample")
+
+    def run(env: dict[str, GroupElement]) -> Verdict:
+        params = list(env.values()) + consts
+        shadowed = env.get(var)
+        found = None
         for cand in iter_fragment(params, cfg, construction):
             if flt is not None and not flt(cand):
                 continue
-            env[f.var] = cand
-            sub = _eval(construction, f.body, env, cfg, flt)
-            del env[f.var]
-            if isinstance(f, Exists) and sub.truth is Truth.TRUE:
-                return _true({f.var: cand, **(sub.witness or {})})
-            if isinstance(f, Forall) and sub.truth is Truth.FALSE:
-                return _false({f.var: cand, **(sub.witness or {})}, "counterexample")
+            env[var] = cand
+            sub = body(env)
+            if sub.truth is stop:
+                found = Verdict(stop, {var: cand, **(sub.witness or {})}, reason)
+                break
+        if shadowed is None:
+            env.pop(var, None)
+        else:
+            env[var] = shadowed
         # the fragment cannot exhaust the infinite structure
-        return _UNKNOWN
-    raise TypeError(f"not a formula: {f!r}")
+        return _UNKNOWN if found is None else found
+
+    return run
+
+
+def _compile_atom(construction: Construction, a) -> Callable[[dict[str, GroupElement]], bool]:
+    if isinstance(a, Rphi):
+        return lambda env: rphi_holds(construction, a, env)
+    lhs, rhs = a.lhs.evaluate, a.rhs.evaluate
+    if isinstance(a, Lt):
+        return lambda env: lhs(construction, env) < rhs(construction, env)
+    if isinstance(a, Eq):
+        return lambda env: lhs(construction, env) == rhs(construction, env)
+    n = a.modulus
+    if isinstance(a, Cong):
+        return lambda env: (rhs(construction, env) - lhs(construction, env)).is_divisible(n)
+    if isinstance(a, DescLt):
+        return lambda env: cong_free_below(n, lhs(construction, env), rhs(construction, env))
+    raise TypeError(f"not an atom: {a!r}")
 
 
 def find_witnesses(
@@ -291,13 +335,12 @@ def find_witnesses(
     out: list[GroupElement] = []
     base = dict(env)
     params = list(base.values()) + constants(f)
+    body = _compile(construction, f.body, cfg, candidate_filter)
     for cand in iter_fragment(params, cfg, construction):
         if candidate_filter is not None and not candidate_filter(cand):
             continue
         base[f.var] = cand
-        v = _eval(construction, f.body, base, cfg, candidate_filter)
-        del base[f.var]
-        if v.truth is Truth.TRUE:
+        if body(base).truth is Truth.TRUE:
             out.append(cand)
             if limit is not None and len(out) >= limit:
                 break

@@ -21,6 +21,7 @@ from typing import Iterable, Mapping, Optional, Union
 
 from .elements import (
     Construction,
+    ConstructionMismatch,
     GroupElement,
     LAMBDA,
     ParseError,
@@ -43,14 +44,18 @@ class Term:
         return frozenset(v for v, _ in self.coeffs)
 
     def evaluate(self, construction: Construction, env: Mapping[str, GroupElement]) -> GroupElement:
-        acc = zero(construction)
+        # The sum starts from its first summand; addition checks that the
+        # later summands share its construction.
+        acc: Optional[GroupElement] = None
         for v, k in self.coeffs:
             if v not in env:
                 raise KeyError(f"unbound variable {v!r}")
-            acc = acc + env[v].scale(k)
+            e = env[v] if k == 1 else env[v].scale(k)
+            acc = _first_summand(construction, e) if acc is None else acc + e
         if self.const is not None:
-            acc = acc + self.const
-        return acc
+            c = self.const
+            acc = _first_summand(construction, c) if acc is None else acc + c
+        return zero(construction) if acc is None else acc
 
     def is_single_var(self) -> Optional[str]:
         if self.const is None and len(self.coeffs) == 1 and self.coeffs[0][1] == 1:
@@ -69,6 +74,12 @@ class Term:
             lit = format_element(self.const)
             parts.append(lit if not parts else f"+ {lit}")
         return " ".join(parts) if parts else "0"
+
+
+def _first_summand(construction: Construction, e: GroupElement) -> GroupElement:
+    if e.construction is not construction:
+        raise ConstructionMismatch(f"cannot mix {construction} and {e.construction} elements")
+    return e
 
 
 def term_var(name: str, coeff: int = 1) -> Term:

@@ -79,18 +79,28 @@ def iter_fragment(
             seen.add(p)
             emitted += 1
             yield p
-    # k * g is scaled once, on first use, and shared by every later vector
+    # k * g is scaled once, on first use, and shared by every later vector;
+    # sums[i] is the sum of the first i terms of the previous vector, so a
+    # vector that shares a prefix with it adds only the terms after it
     multiples: list[dict[int, GroupElement]] = [{} for _ in gens]
+    sums = [z] * (len(gens) + 1)
+    prev: tuple = (None,) * len(gens)
     for vec in _coeff_vectors(len(gens), cfg.coeff_bound):
         if emitted >= cfg.size_cap:
             return
-        acc = z
-        for k, g, mult in zip(vec, gens, multiples):
+        i = 0
+        while vec[i] == prev[i]:  # consecutive vectors differ somewhere
+            i += 1
+        acc = sums[i]
+        for j in range(i, len(gens)):
+            k = vec[j]
             if k:
-                kg = mult.get(k)
+                kg = multiples[j].get(k)
                 if kg is None:
-                    kg = mult[k] = g.scale(k)
+                    kg = multiples[j][k] = gens[j].scale(k)
                 acc = acc + kg
+            sums[j + 1] = acc
+        prev = vec
         if acc not in seen:
             seen.add(acc)
             emitted += 1

@@ -95,6 +95,10 @@ class SuiteOptions:
     samples: Optional[int] = None
     coeff_bound: Optional[int] = None
 
+    def samples_or(self, default: int) -> int:
+        """The requested sample count, or the suite's default when none was given."""
+        return default if self.samples is None else self.samples
+
 
 @dataclass
 class CaseRecord:
@@ -180,8 +184,8 @@ def suite_psi_vs_search(opts: SuiteOptions) -> SuiteReport:
     report = SuiteReport("psi-vs-search", str(opts.construction), opts.seed)
 
     def run(rep: SuiteReport) -> None:
-        samples = opts.samples or 2000
-        bound = opts.coeff_bound or 3
+        samples = opts.samples_or(2000)
+        bound = 3 if opts.coeff_bound is None else opts.coeff_bound
         construction = opts.construction
         for i in range(samples):
             rng = case_rng(opts.seed, i)
@@ -272,7 +276,7 @@ def suite_hprime_descriptor(opts: SuiteOptions) -> SuiteReport:
     report = SuiteReport("hprime-descriptor", str(opts.construction), opts.seed)
 
     def run(rep: SuiteReport) -> None:
-        samples = opts.samples or 500
+        samples = opts.samples_or(500)
         construction = opts.construction
         for i in range(samples):
             rng = case_rng(opts.seed, i)
@@ -308,7 +312,7 @@ def suite_hprime_locality(opts: SuiteOptions) -> SuiteReport:
     report = SuiteReport("hprime-locality", str(opts.construction), opts.seed)
 
     def run(rep: SuiteReport) -> None:
-        samples = opts.samples or 500
+        samples = opts.samples_or(500)
         construction = opts.construction
         for i in range(samples):
             rng = case_rng(opts.seed, i)
@@ -383,7 +387,7 @@ def suite_lambda1_formula(opts: SuiteOptions) -> SuiteReport:
     report = SuiteReport("lambda1-formula", "lambda", opts.seed)
 
     def run(rep: SuiteReport) -> None:
-        samples = opts.samples or 1000
+        samples = opts.samples_or(1000)
         for i in range(samples):
             rng = case_rng(opts.seed, i)
             a = random_element(rng, LAMBDA)
@@ -404,7 +408,7 @@ def suite_embedding_laws(opts: SuiteOptions) -> SuiteReport:
     report = SuiteReport("embedding-laws", str(opts.construction), opts.seed)
 
     def run(rep: SuiteReport) -> None:
-        samples = opts.samples or 10_000
+        samples = opts.samples_or(10_000)
         construction = opts.construction
         for emb in (Embedding.F1, Embedding.F2):
             for i in range(samples):
@@ -540,7 +544,7 @@ def suite_f1_exists_closure(opts: SuiteOptions) -> SuiteReport:
     report = SuiteReport("f1-exists-closure", str(opts.construction), opts.seed)
 
     def run(rep: SuiteReport) -> None:
-        samples = opts.samples or 100
+        samples = opts.samples_or(100)
         construction = opts.construction
         flt = _image_filter(Embedding.F1)
         for i in range(samples):
@@ -576,7 +580,7 @@ def suite_f1_ea_closure(opts: SuiteOptions) -> SuiteReport:
     report = SuiteReport("f1-ea-closure", "lambda", opts.seed)
 
     def run(rep: SuiteReport) -> None:
-        samples = opts.samples or 100
+        samples = opts.samples_or(100)
         for i in range(samples):
             rng = case_rng(opts.seed, i)
             w = emb_apply(Embedding.F1, random_element(rng, LAMBDA, 2))
@@ -620,7 +624,7 @@ def suite_f2_interval(opts: SuiteOptions) -> SuiteReport:
     report = SuiteReport("f2-interval", "lambda", opts.seed)
 
     def run(rep: SuiteReport) -> None:
-        samples = opts.samples or 200
+        samples = opts.samples_or(200)
         produced = 0
         i = 0
         while produced < samples and i < samples * 30:
@@ -830,7 +834,7 @@ def suite_hahn_ring(opts: SuiteOptions) -> SuiteReport:
     report = SuiteReport("hahn-ring", str(opts.construction), opts.seed)
 
     def run(rep: SuiteReport) -> None:
-        samples = opts.samples or 1000
+        samples = opts.samples_or(1000)
         construction = opts.construction
         for i in range(samples):
             rng = case_rng(opts.seed, i)
@@ -869,7 +873,7 @@ def suite_a_membership(opts: SuiteOptions) -> SuiteReport:
     report = SuiteReport("a-membership", "lambda", opts.seed)
 
     def run(rep: SuiteReport) -> None:
-        pairs = opts.samples or 1000
+        pairs = opts.samples_or(1000)
         for i in range(pairs):
             rng = case_rng(opts.seed, i)
             f = random_series(rng, LAMBDA, QQ, exponents=random_a_cone_exponent)
@@ -908,7 +912,7 @@ def suite_translation_soundness(opts: SuiteOptions) -> SuiteReport:
     report = SuiteReport("translation-soundness", "lambda", opts.seed)
 
     def run(rep: SuiteReport) -> None:
-        samples = opts.samples or 300
+        samples = opts.samples_or(300)
         for i in range(samples):
             rng = case_rng(opts.seed, i)
             env = {
@@ -943,7 +947,7 @@ def suite_perturbation(opts: SuiteOptions) -> SuiteReport:
     report = SuiteReport("perturbation", "lambda", opts.seed)
 
     def run(rep: SuiteReport) -> None:
-        samples = opts.samples or 200
+        samples = opts.samples_or(200)
         for i in range(samples):
             rng = case_rng(opts.seed, i)
             t = emb_apply(Embedding.F1, random_element(rng, LAMBDA))
@@ -973,7 +977,7 @@ def suite_truncated_inverse(opts: SuiteOptions) -> SuiteReport:
     report = SuiteReport("truncated-inverse", "lambda", opts.seed)
 
     def run(rep: SuiteReport) -> None:
-        samples = opts.samples or 200
+        samples = opts.samples_or(200)
         for i in range(samples):
             rng = case_rng(opts.seed, i)
             f = random_series(rng, LAMBDA, QQ)

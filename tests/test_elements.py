@@ -175,6 +175,28 @@ class TestHashAndSign:
         assert raw.sign() == 0
 
 
+class TestIdentityFastPaths:
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+    def test_unit_scale_returns_self(self, construction):
+        a = element(construction, {g2_circle(0): Fraction(1, 5), S00: 2})
+        assert a.scale(1) is a
+        assert a * 1 is a
+        assert a.scale(2) == a + a  # other factors still build new elements
+
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+    def test_zero_is_shared(self, construction):
+        z = zero(construction)
+        assert z is zero(construction)
+        assert z == element(construction, {}) and hash(z) == hash(element(construction, {}))
+        assert z.is_zero() and z.construction is construction
+        a = element(construction, {S00: 3})
+        assert a.scale(0) is z
+        assert z.scale(1) is z
+
+    def test_zeros_of_the_two_constructions_differ(self):
+        assert zero(LAMBDA) != zero(GAMMA)
+
+
 class TestDivisibility:
     def test_lambda_square_even(self):
         assert element(LAMBDA, {S00: {0: 2, 1: 4}}).is_divisible(2)

@@ -4,21 +4,34 @@ from fractions import Fraction
 
 import pytest
 
-from oagw.elements import LAMBDA, element, lambda_c_unit, zero
+from oagw.elements import GAMMA, LAMBDA, element, lambda_c_unit, parse_element, zero
 from oagw.evaluate import (
     Truth,
+    Verdict,
     evaluate,
     find_witnesses,
     neg_rphi_normalize,
     rphi_holds,
 )
 from oagw.formulas import (
+    And,
     AtomF,
+    BoolC,
+    Cong,
+    DescLt,
+    Eq,
+    Exists,
+    Forall,
+    Implies,
+    Lt,
+    Not,
+    Or,
     Rphi,
+    constants,
     parse_formula,
     print_formula,
 )
-from oagw.fragments import FragmentConfig
+from oagw.fragments import FragmentConfig, iter_fragment
 from oagw.positions import g1_square, g2_circle, g2_square
 from oagw.predicates import cong_free_below
 from oagw.sampling import case_rng, random_element
@@ -136,6 +149,16 @@ class TestQuantifiers:
             flt=lambda g: g.value_at(g2_circle(0)) is None,
         )
         assert v.truth is Truth.UNKNOWN
+
+    def test_quantifier_restores_a_shadowed_binding(self):
+        a = element(LAMBDA, {S00: {0: 1}})
+        cfg = FragmentConfig(1, (a,), 20, 0)
+        # the outer x is bound again once the inner search is over
+        v = ev("(E x. x = a) & x < a", {"x": -a, "a": a}, cfg=cfg)
+        assert v.truth is Truth.TRUE
+        v = ev("E x. (E x. a < x) & x = a", {"a": a}, cfg=FragmentConfig(2, (a,), 20, 0))
+        assert v.truth is Truth.TRUE
+        assert v.witness == {"x": a}
 
     def test_find_witnesses(self):
         f = parse_formula("E x. 0 < x & x < {G1[0].s[0]: 3}")
@@ -302,3 +325,194 @@ class TestNegRphiNormalize:
             v = ev(text, env)
             want = cong_free_below(2, env["a"], env["b"])
             assert v.truth is (Truth.TRUE if want else Truth.FALSE)
+
+
+# -- the compiled evaluator against the recursive one it replaced -------------
+
+_REF_UNKNOWN = Verdict(Truth.UNKNOWN, None, "fragment bounds exhausted")
+
+
+def _reference_atom(construction, a, env):
+    if isinstance(a, Lt):
+        return a.lhs.evaluate(construction, env) < a.rhs.evaluate(construction, env)
+    if isinstance(a, Eq):
+        return a.lhs.evaluate(construction, env) == a.rhs.evaluate(construction, env)
+    if isinstance(a, Cong):
+        d = a.rhs.evaluate(construction, env) - a.lhs.evaluate(construction, env)
+        return d.is_divisible(a.modulus)
+    if isinstance(a, DescLt):
+        return cong_free_below(
+            a.modulus, a.lhs.evaluate(construction, env), a.rhs.evaluate(construction, env)
+        )
+    if isinstance(a, Rphi):
+        return rphi_holds(construction, a, env)
+    raise TypeError(f"not an atom: {a!r}")
+
+
+def _reference_eval(construction, f, env, cfg, flt):
+    """Recursive evaluation: dispatch on the node at every candidate."""
+    if isinstance(f, BoolC):
+        return Verdict(Truth.TRUE if f.value else Truth.FALSE)
+    if isinstance(f, AtomF):
+        return Verdict(Truth.TRUE if _reference_atom(construction, f.atom, env) else Truth.FALSE)
+    if isinstance(f, Not):
+        v = _reference_eval(construction, f.body, env, cfg, flt)
+        return Verdict(v.truth.negate(), v.witness, v.reason)
+    if isinstance(f, And):
+        left = _reference_eval(construction, f.lhs, env, cfg, flt)
+        if left.truth is Truth.FALSE:
+            return left
+        right = _reference_eval(construction, f.rhs, env, cfg, flt)
+        if right.truth is Truth.FALSE:
+            return right
+        if left.truth is Truth.TRUE and right.truth is Truth.TRUE:
+            return Verdict(Truth.TRUE)
+        return _REF_UNKNOWN
+    if isinstance(f, Or):
+        left = _reference_eval(construction, f.lhs, env, cfg, flt)
+        if left.truth is Truth.TRUE:
+            return left
+        right = _reference_eval(construction, f.rhs, env, cfg, flt)
+        if right.truth is Truth.TRUE:
+            return right
+        if left.truth is Truth.FALSE and right.truth is Truth.FALSE:
+            return Verdict(Truth.FALSE)
+        return _REF_UNKNOWN
+    if isinstance(f, Implies):
+        return _reference_eval(construction, Or(Not(f.lhs), f.rhs), env, cfg, flt)
+    if isinstance(f, (Exists, Forall)):
+        params = list(env.values()) + constants(f)
+        for cand in iter_fragment(params, cfg, construction):
+            if flt is not None and not flt(cand):
+                continue
+            env[f.var] = cand
+            sub = _reference_eval(construction, f.body, env, cfg, flt)
+            del env[f.var]
+            if isinstance(f, Exists) and sub.truth is Truth.TRUE:
+                return Verdict(Truth.TRUE, {f.var: cand, **(sub.witness or {})})
+            if isinstance(f, Forall) and sub.truth is Truth.FALSE:
+                return Verdict(Truth.FALSE, {f.var: cand, **(sub.witness or {})}, "counterexample")
+        return _REF_UNKNOWN
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _reference_witnesses(construction, f, env, cfg, flt, limit):
+    out = []
+    base = dict(env)
+    params = list(base.values()) + constants(f)
+    for cand in iter_fragment(params, cfg, construction):
+        if flt is not None and not flt(cand):
+            continue
+        base[f.var] = cand
+        v = _reference_eval(construction, f.body, base, cfg, flt)
+        del base[f.var]
+        if v.truth is Truth.TRUE:
+            out.append(cand)
+            if limit is not None and len(out) >= limit:
+                break
+    return out
+
+
+# One formula per quantifier prefix shape of the benchmark's eval workload;
+# P0, P1 and P2 stand for the three pool generators.
+PREFIX_SHAPES = [
+    "E x. 2*x = 2*P1",
+    "A x. x < P0 + 2*P2",
+    "E x. 0 < x & cong(2, x, P1 + P2)",
+    "E x. E y. x + y = P2 + 2*P0 & x < y",
+    "A x. A y. (x < y -> ~cong(3, x, y))",
+    "E x. A y. (0 < y & y < x -> ~cong(2, y, P0))",
+    "A x. E y. desc_lt(3, x, y)",
+    "A x. A y. x + y = y + x",
+    "E x. E y. E z. x + y + z = P0 + P1 & cong(2, x, y)",
+    "A x. A y. E z. x + y = z",
+    "A x. A y. A z. (x < y & y < z -> x < z)",
+]
+POOL_TEXTS = [
+    ("{G2[0].c: 1}", "{G2[1].s: 1}", "{G1[0].c: 1}"),
+    ("{G2[0].c: 1/5, G1[1].s[0]: 2}", "{G1[0].s[2]: -3}", "{G2[2].c: -2, G2[1].s: 3}"),
+]
+FILTERS = [
+    None,
+    lambda g: g.value_at(g2_circle(0)) is None,
+    lambda g: len(g.entries) != 2,
+]
+
+
+def _same_verdict(got, want):
+    assert got.truth is want.truth
+    assert got.reason == want.reason
+    if want.witness is None:
+        assert got.witness is None
+    else:
+        assert list(got.witness.items()) == list(want.witness.items())
+
+
+def _check_against_reference(construction, f, cfg, flt, env=None):
+    env = env or {}
+    got = evaluate(construction, f, env, cfg, flt)
+    _same_verdict(got, _reference_eval(construction, f, dict(env), cfg, flt))
+    if isinstance(f, Exists):
+        for limit in (None, 2):
+            want = _reference_witnesses(construction, f, env, cfg, flt, limit)
+            assert find_witnesses(construction, f, env, cfg, flt, limit) == want
+    return got
+
+
+class TestCompiledMatchesReference:
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+    @pytest.mark.parametrize("size_cap", [6, 13])
+    def test_prefix_shapes(self, construction, size_cap):
+        truths = set()
+        for pool_text in POOL_TEXTS:
+            pool = tuple(parse_element(t, construction) for t in pool_text)
+            cfg = FragmentConfig(2, pool, size_cap)
+            for shape in PREFIX_SHAPES:
+                text = shape
+                for i, lit in enumerate(pool_text):
+                    text = text.replace(f"P{i}", lit)
+                f = parse_formula(text, construction)
+                for flt in FILTERS:
+                    truths.add(_check_against_reference(construction, f, cfg, flt).truth)
+        assert truths == {Truth.TRUE, Truth.FALSE, Truth.UNKNOWN}
+
+    @pytest.mark.parametrize("kind", ["exists", "ea"])
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+    def test_closure_corpus(self, kind, construction):
+        from oagw.suites import gen_corpus
+
+        pool = tuple(parse_element(t, construction) for t in POOL_TEXTS[0])
+        for size_cap in (9, 25):
+            cfg = FragmentConfig(2, pool, size_cap)
+            for text in gen_corpus(kind, 10, 5, construction):
+                f = parse_formula(text, construction)
+                for flt in FILTERS:
+                    _check_against_reference(construction, f, cfg, flt)
+
+    def test_free_variables_and_rphi(self):
+        env = {
+            "a": element(LAMBDA, {S00: {0: 2}}),
+            "b": element(LAMBDA, {S00: {0: 1, 1: -1}}),
+        }
+        cfg = FragmentConfig(2, (lambda_c_unit(g1_square(3, 0), 0),), 30)
+        for text in (
+            "E y. 0 < y & y < a & ~rphi(2; z < y; ; z ~ b)",
+            "A y. (0 < y & y < a) -> ~cong(2, y, b)",
+            "E y. ~(y < b | ~desc_lt(2, y, a)) & true",
+            "E x. A y. (x = y -> false) | b < x",
+            # sibling quantifiers: the second must not see the first's variable
+            "E x. (A y. y < x | b < y) | (E z. z = x + b & cong(2, z, a))",
+            # a decided side next to an undecided one
+            "0 < a & A y. y = y",
+            "a < 0 | E y. y + y = b",
+            "~(A y. y = y)",
+        ):
+            for flt in FILTERS:
+                _check_against_reference(LAMBDA, parse_formula(text), cfg, flt, env)
+
+    def test_shared_verdicts_are_not_mutated(self):
+        before = evaluate(LAMBDA, parse_formula("0 < 0"), {}, CFG)
+        evaluate(LAMBDA, parse_formula("E x. ~(0 < x) & ~(x < 0)"), {}, CFG)
+        after = evaluate(LAMBDA, parse_formula("0 < 0"), {}, CFG)
+        assert before.truth is after.truth is Truth.FALSE
+        assert before.witness is None and after.witness is None

@@ -1,6 +1,6 @@
 import pytest
 
-from oagw.elements import GAMMA, LAMBDA, ParseError, element
+from oagw.elements import ConstructionMismatch, GAMMA, LAMBDA, ParseError, element, zero
 from oagw.formulas import (
     And,
     AtomF,
@@ -8,6 +8,7 @@ from oagw.formulas import (
     Forall,
     Implies,
     Not,
+    Term,
     classify_prefix,
     free_vars,
     parse_formula,
@@ -87,6 +88,32 @@ class TestTerms:
     def test_unbound(self):
         with pytest.raises(KeyError):
             parse_term("x").evaluate(LAMBDA, {})
+
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+    def test_empty_term_is_zero(self, construction):
+        assert Term().evaluate(construction, {}) is zero(construction)
+        assert parse_term("0", construction).evaluate(construction, {}) is zero(construction)
+
+    def test_constant_only_term(self):
+        c = element(LAMBDA, {S00: {0: 2, 1: -1}})
+        assert Term((), c).evaluate(LAMBDA, {"x": c}) is c
+        assert parse_term("{G1[0].s[0]: 2-c1}").evaluate(LAMBDA, {}) == c
+
+    def test_single_variable_term_returns_the_binding(self):
+        a = element(LAMBDA, {S00: {1: 4}})
+        assert parse_term("x").evaluate(LAMBDA, {"x": a}) is a
+        assert parse_term("-x").evaluate(LAMBDA, {"x": a}) == -a
+
+    def test_foreign_element_rejected(self):
+        gamma_one = element(GAMMA, {S00: 1})
+        for text in ("x", "2*x", "x + y", "x + {G1[0].s[0]: 1}"):
+            with pytest.raises(ConstructionMismatch):
+                parse_term(text).evaluate(LAMBDA, {"x": gamma_one, "y": gamma_one})
+        with pytest.raises(ConstructionMismatch):
+            Term((), gamma_one).evaluate(LAMBDA, {})
+        lam_one = element(LAMBDA, {S00: {0: 1}})
+        with pytest.raises(ConstructionMismatch):
+            parse_term("x + y").evaluate(LAMBDA, {"x": lam_one, "y": gamma_one})
 
     def test_free_vars(self):
         f = parse_formula("E x. x < y & cong(2, z, x)")

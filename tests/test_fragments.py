@@ -113,3 +113,17 @@ def test_matches_naive_reference(coeff_bound, size_cap):
     for params, pool in _pools():
         cfg = FragmentConfig(coeff_bound, pool, size_cap)
         assert fragment(params, cfg) == _reference_fragment(params, cfg)
+
+
+def test_matches_naive_reference_five_generators():
+    # five generators at coefficient bound 3 span 7**5 vectors; both caps
+    # truncate inside the layer of largest coefficient 2, after many
+    # vectors that share a prefix with the one before
+    for i, construction in enumerate((LAMBDA, GAMMA)):
+        rng = case_rng(41, i)
+        els = [random_element(rng, construction, 2) for _ in range(5)]
+        for size_cap in (300, 1200):
+            cfg = FragmentConfig(3, tuple(els[2:]), size_cap)
+            got = fragment(els[:2], cfg)
+            assert len(got) == size_cap
+            assert got == _reference_fragment(els[:2], cfg)

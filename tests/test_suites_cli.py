@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import oagw
 from oagw.cli import main
 from oagw.suites import SUITES, SuiteOptions, run_suite
 
@@ -142,10 +145,14 @@ def test_gen_corpus_ea(capsys):
 
 
 def test_entry_point_runs():
+    # the child imports the same oagw as this test, however pytest found it
+    src = str(Path(oagw.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "oagw.cli", "check", "truncated-inverse", "--samples", "10"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "truncated-inverse" in proc.stdout
@@ -157,3 +164,48 @@ def test_reports_reproducible_across_runs():
     assert a.to_json_dict() == b.to_json_dict()
     c = run_suite("hprime-locality", SuiteOptions(seed=6, samples=40))
     assert a.to_json_dict() != c.to_json_dict()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "lambda1-formula", "--samples", "0"],
+        ["check", "lambda1-formula", "--samples", "-3"],
+        ["check", "psi-vs-search", "--coeff-bound", "-1"],
+        ["eval", "--formula", "0 < 0", "--size-cap", "0"],
+        ["eval", "--formula", "0 < 0", "--coeff-bound", "-1"],
+    ],
+)
+def test_out_of_range_counts_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+
+
+def test_zero_samples_means_zero_not_the_default():
+    assert SuiteOptions(samples=0).samples_or(1000) == 0
+    assert SuiteOptions().samples_or(1000) == 1000
+    assert run_suite("hahn-ring", SuiteOptions(samples=0)).cases == []
+
+
+def test_zero_coeff_bound_is_honoured(monkeypatch):
+    import oagw.suites
+
+    bounds = []
+    real = oagw.suites.iter_fragment
+
+    def spy(params, cfg, construction=None):
+        bounds.append(cfg.coeff_bound)
+        return real(params, cfg, construction)
+
+    monkeypatch.setattr(oagw.suites, "iter_fragment", spy)
+    run_suite("psi-vs-search", SuiteOptions(samples=2, coeff_bound=0))
+    assert bounds and set(bounds) == {0}
+    bounds.clear()
+    run_suite("psi-vs-search", SuiteOptions(samples=2))
+    assert bounds and set(bounds) == {3}
+
+
+def test_coeff_bound_zero_accepted_on_the_command_line():
+    assert main(["check", "psi-vs-search", "--samples", "2", "--coeff-bound", "0"]) == 0
