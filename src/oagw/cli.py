@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="run a verification suite")
     check.add_argument("suite", choices=sorted(SUITES), metavar="suite")
-    check.add_argument("--construction", type=_construction, default=LAMBDA)
+    check.add_argument("--construction", type=_construction, default=None)
     check.add_argument("--seed", type=int, default=42)
     check.add_argument("--samples", type=_int_at_least(1), default=None)
     check.add_argument("--coeff-bound", type=_int_at_least(0), default=None)
@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     gensub = gen.add_subparsers(dest="what", required=True)
     corpus = gensub.add_parser("corpus", help="emit a formula corpus")
     corpus.add_argument("--kind", choices=("exists", "ea"), required=True)
-    corpus.add_argument("--count", type=int, default=20)
+    corpus.add_argument("--count", type=_int_at_least(1), default=20)
     corpus.add_argument("--seed", type=int, default=42)
     corpus.add_argument("--construction", type=_construction, default=LAMBDA)
     return parser
@@ -109,7 +109,8 @@ def _emit_report(report: SuiteReport, json_path: Optional[str]) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
 
     if args.command == "check":
         opts = SuiteOptions(
@@ -118,6 +119,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             samples=args.samples,
             coeff_bound=args.coeff_bound,
         )
+        try:
+            opts = SUITES[args.suite].options(opts)
+        except ValueError as exc:
+            parser.error(str(exc))
         report = run_suite(args.suite, opts)
         return _emit_report(report, args.json_path)
 

@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from .positions import (
+    G1,
     Position,
     g1_circle,
     g1_square,
@@ -384,6 +385,16 @@ def _same(a: GroupElement, b: GroupElement) -> None:
         raise ConstructionMismatch(
             f"cannot mix {a.construction} and {b.construction} elements"
         )
+
+
+def fresh_g1_block(*elems: GroupElement) -> int:
+    """Smallest G1 block index beyond every support position given."""
+    block = 0
+    for e in elems:
+        for pos, _ in e.entries:
+            if pos.area == G1:
+                block = max(block, pos.index + 1)
+    return block
 
 
 def _check_modulus(n: int) -> None:

@@ -29,6 +29,7 @@ from .elements import (
     GroupElement,
     LeadDescriptor,
     element,
+    fresh_g1_block,
     unit,
 )
 from .positions import (
@@ -152,15 +153,6 @@ def in_image(e: Embedding, a: GroupElement, experimental: bool = False) -> bool:
     )
 
 
-def _fresh_g1_block(elems: Sequence[GroupElement]) -> int:
-    block = 0
-    for e in elems:
-        for pos, _ in e.entries:
-            if pos.area == G1:
-                block = max(block, pos.index + 1)
-    return block
-
-
 def perturb_into_image(
     t: GroupElement,
     eps: GroupElement,
@@ -182,7 +174,7 @@ def perturb_into_image(
             raise ValueError("constraint moduli must be >= 2")
     if not in_image(Embedding.F1, t):
         raise ValueError("t must lie in the F1 image")
-    fresh = g1_square(_fresh_g1_block([t, eps, *(r for _, r in constraints)]), 0)
+    fresh = g1_square(fresh_g1_block(t, eps, *(r for _, r in constraints)), 0)
     return t + unit(LAMBDA, fresh, {0: 1})
 
 

@@ -244,13 +244,6 @@ def or_all(parts: Iterable[Formula]) -> Formula:
     return out if out is not None else BoolC(False)
 
 
-def and_all(parts: Iterable[Formula]) -> Formula:
-    out: Optional[Formula] = None
-    for p in parts:
-        out = p if out is None else And(out, p)
-    return out if out is not None else BoolC(True)
-
-
 def free_vars(f: Formula) -> frozenset[str]:
     if isinstance(f, AtomF):
         a = f.atom

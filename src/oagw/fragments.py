@@ -22,9 +22,6 @@ class FragmentConfig:
     size_cap: int = 2000
     seed: int = 0
 
-    def with_pool(self, pool: Sequence[GroupElement]) -> "FragmentConfig":
-        return FragmentConfig(self.coeff_bound, tuple(pool), self.size_cap, self.seed)
-
 
 def _coeff_vectors(n: int, bound: int) -> Iterator[tuple[int, ...]]:
     # Layered by max |coefficient| so small combinations come first;

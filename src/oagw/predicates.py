@@ -30,9 +30,10 @@ from .elements import (
     _gamma_divisible_by,
     _gamma_need,
     _local_prime,
+    _same,
     element,
+    fresh_g1_block,
     unit,
-    zero,
 )
 from .positions import G1, Position, g1_square
 
@@ -41,22 +42,6 @@ def _require(construction: Construction, *elems: GroupElement) -> None:
     for e in elems:
         if e.construction is not construction:
             raise ConstructionMismatch(f"expected a {construction} element")
-
-
-def _same(*elems: GroupElement) -> None:
-    for e in elems[1:]:
-        if e.construction is not elems[0].construction:
-            raise ConstructionMismatch("mixed constructions")
-
-
-def _fresh_g1_block(*elems: GroupElement) -> int:
-    """Smallest G1 block index beyond every support position given."""
-    block = 0
-    for e in elems:
-        for pos, _ in e.entries:
-            if pos.area == G1:
-                block = max(block, pos.index + 1)
-    return block
 
 
 def cong_free_below(n: int, a: GroupElement, b: GroupElement) -> bool:
@@ -113,8 +98,8 @@ def cong_witness_below(n: int, a: GroupElement, b: GroupElement) -> Optional[Gro
     construction = a.construction
     d = a.lead_mod(n)
     if d is None:
-        far = g1_square(_fresh_g1_block(a, b), 0)
-        return unit(construction, far, {0: 1} if construction is LAMBDA else 1).scale(n)
+        far = g1_square(fresh_g1_block(a, b), 0)
+        return unit(construction, far).scale(n)
 
     need = _gamma_need(n)
     # componentwise residue of a from slot d onward, zero before
@@ -205,13 +190,6 @@ class TailSet:
         assert d is not None
         return self.cut < d
 
-    def proper_subset_of(self, other: "TailSet") -> bool:
-        if self.cut is None:
-            return other.cut is not None
-        if other.cut is None:
-            return False
-        return other.cut < self.cut
-
 
 def tail_set(a: GroupElement) -> TailSet:
     """Cut descriptor of the union of congruence-free tails below ``a``.
@@ -265,7 +243,7 @@ def inner_anchor_below(a: GroupElement) -> Optional[GroupElement]:
             slot, coeff = v[0]
             if coeff >= 2:
                 return element(LAMBDA, {pos: {slot: 1}})
-            far = g1_square(_fresh_g1_block(m), 0)
+            far = g1_square(fresh_g1_block(m), 0)
             return m - unit(LAMBDA, far, {0: 1})
         return unit(LAMBDA, pos.successor(), {0: 1})
     assert isinstance(v, Fraction)

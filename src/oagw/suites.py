@@ -4,6 +4,10 @@ Each suite draws its cases from a per-case PRNG seeded by (suite seed,
 case index), records machine-readable case rows, and counts
 pass/fail/unknown.  A suite fails exactly when some case fails;
 unknown rows are tolerated unless the suite declares a budget.
+
+Suites and demos are registered with the :func:`suite` decorator, which
+declares each one's constructions and default counts; ``SUITES`` and
+``DEMOS`` are read off that one registry.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .elements import (
     LeadDescriptor,
     element,
     format_element,
+    fresh_g1_block,
     unit,
     zero,
 )
@@ -90,12 +95,17 @@ from .sampling import (
 
 @dataclass
 class SuiteOptions:
-    construction: Construction = LAMBDA
+    """What a caller asks of a suite; None means the suite's own default.
+
+    The default construction is the first one the suite declares.
+    """
+
+    construction: Optional[Construction] = None
     seed: int = 42
     samples: Optional[int] = None
     coeff_bound: Optional[int] = None
 
-    def samples_or(self, default: int) -> int:
+    def samples_or(self, default: Optional[int]) -> Optional[int]:
         """The requested sample count, or the suite's default when none was given."""
         return default if self.samples is None else self.samples
 
@@ -155,79 +165,117 @@ class SuiteReport:
         )
 
 
-def _timed(fn: Callable[[SuiteReport], None], report: SuiteReport) -> SuiteReport:
-    t0 = time.monotonic()
-    fn(report)
-    report.wall_ms = (time.monotonic() - t0) * 1000.0
-    return report
+@dataclass(frozen=True)
+class Suite:
+    """One registered suite or demo: its body and what it declares.
+
+    ``samples`` and ``coeff_bound`` are the defaults of the options the
+    body reads; None marks an option the body does not read.
+    ``catalogs`` names where the suite is listed: ``"check"`` for
+    ``SUITES``, ``"demo"`` for ``DEMOS``.
+    """
+
+    name: str
+    body: Callable[[SuiteReport, SuiteOptions], None]
+    constructions: tuple[Construction, ...]
+    samples: Optional[int]
+    coeff_bound: Optional[int]
+    catalogs: tuple[str, ...]
+
+    def options(self, opts: SuiteOptions) -> SuiteOptions:
+        """``opts`` with this suite's defaults filled in.
+
+        Raises ValueError for a construction the suite does not declare
+        and for a coefficient bound given to a suite that reads none.
+        """
+        construction = self.constructions[0] if opts.construction is None else opts.construction
+        if construction not in self.constructions:
+            declared = " or ".join(map(str, self.constructions))
+            raise ValueError(f"{self.name} runs on {declared}, not {construction}")
+        if opts.coeff_bound is not None and self.coeff_bound is None:
+            raise ValueError(f"{self.name} reads no coefficient bound")
+        coeff_bound = self.coeff_bound if opts.coeff_bound is None else opts.coeff_bound
+        return SuiteOptions(construction, opts.seed, opts.samples_or(self.samples), coeff_bound)
+
+    def __call__(self, opts: SuiteOptions) -> SuiteReport:
+        opts = self.options(opts)
+        report = SuiteReport(self.name, str(opts.construction), opts.seed)
+        t0 = time.monotonic()
+        self.body(report, opts)
+        report.wall_ms = (time.monotonic() - t0) * 1000.0
+        return report
 
 
-def _fresh_block(*elems: GroupElement) -> int:
-    b = 0
-    for e in elems:
-        for pos, _ in e.entries:
-            if pos.area == G1:
-                b = max(b, pos.index + 1)
-    return b
+_REGISTRY: list[Suite] = []
+
+
+def suite(
+    name: str,
+    *,
+    constructions: tuple[Construction, ...] = (LAMBDA,),
+    samples: Optional[int] = None,
+    coeff_bound: Optional[int] = None,
+    catalogs: tuple[str, ...] = ("check",),
+) -> Callable[[Callable[[SuiteReport, SuiteOptions], None]], Suite]:
+    """Register ``body(report, opts)`` as a suite; ``opts`` arrives with defaults filled in."""
+
+    def register(body: Callable[[SuiteReport, SuiteOptions], None]) -> Suite:
+        record = Suite(name, body, constructions, samples, coeff_bound, catalogs)
+        _REGISTRY.append(record)
+        return record
+
+    return register
 
 
 def _deep_unit(construction: Construction, *after: GroupElement) -> GroupElement:
-    pos = g1_square(_fresh_block(*after), 0)
-    return unit(construction, pos, {0: 1} if construction is LAMBDA else 1)
+    return unit(construction, g1_square(fresh_g1_block(*after), 0))
 
 
 # -- suite: psi-vs-search ----------------------------------------------------
 
 
-def suite_psi_vs_search(opts: SuiteOptions) -> SuiteReport:
+@suite("psi-vs-search", constructions=(LAMBDA, GAMMA), samples=2000, coeff_bound=3)
+def suite_psi_vs_search(rep: SuiteReport, opts: SuiteOptions) -> None:
     """Closed form of the congruence-gap predicate against witness search."""
-    report = SuiteReport("psi-vs-search", str(opts.construction), opts.seed)
-
-    def run(rep: SuiteReport) -> None:
-        samples = opts.samples_or(2000)
-        bound = 3 if opts.coeff_bound is None else opts.coeff_bound
-        construction = opts.construction
-        for i in range(samples):
-            rng = case_rng(opts.seed, i)
-            a = random_element(rng, construction)
-            b = random_element(rng, construction)
-            deep = _deep_unit(construction, a, b)
-            deep2 = (
-                element(LAMBDA, {g1_square(_fresh_block(a, b), 0): {1: 1}})
-                if construction is LAMBDA
-                else unit(GAMMA, g1_circle(_fresh_block(a, b)), 1)
-            )
-            cfg = FragmentConfig(bound, (deep, deep2), 300, opts.seed)
-            candidates: Optional[list[GroupElement]] = None
-            for n in (2, 3):
-                closed = cong_free_below(n, a, b)
-                found = None
-                if candidates is None:
-                    candidates = [
-                        y
-                        for y in iter_fragment([a, b], cfg, construction)
-                        if y.sign() > 0 and y < b
-                    ]
-                for y in candidates:
-                    if (y - a).is_divisible(n):
-                        found = y
-                        break
-                ok = True
-                detail = ""
-                if found is not None and closed:
+    for i in range(opts.samples):
+        rng = case_rng(opts.seed, i)
+        a = random_element(rng, opts.construction)
+        b = random_element(rng, opts.construction)
+        deep = _deep_unit(opts.construction, a, b)
+        deep2 = (
+            element(LAMBDA, {g1_square(fresh_g1_block(a, b), 0): {1: 1}})
+            if opts.construction is LAMBDA
+            else unit(GAMMA, g1_circle(fresh_g1_block(a, b)), 1)
+        )
+        cfg = FragmentConfig(opts.coeff_bound, (deep, deep2), 300, opts.seed)
+        candidates: Optional[list[GroupElement]] = None
+        for n in (2, 3):
+            closed = cong_free_below(n, a, b)
+            found = None
+            if candidates is None:
+                candidates = [
+                    y
+                    for y in iter_fragment([a, b], cfg, opts.construction)
+                    if y.sign() > 0 and y < b
+                ]
+            for y in candidates:
+                if (y - a).is_divisible(n):
+                    found = y
+                    break
+            ok = True
+            detail = ""
+            if found is not None and closed:
+                ok = False
+                detail = f"search witness {found} despite closed-form truth"
+            if not closed:
+                w = cong_witness_below(n, a, b)
+                if (
+                    w is None
+                    or not (w.sign() > 0 and w < b and (w - a).is_divisible(n))
+                ):
                     ok = False
-                    detail = f"search witness {found} despite closed-form truth"
-                if not closed:
-                    w = cong_witness_below(n, a, b)
-                    if (
-                        w is None
-                        or not (w.sign() > 0 and w < b and (w - a).is_divisible(n))
-                    ):
-                        ok = False
-                        detail = f"no verified certificate for closed-form falsity (got {w})"
-                rep.check(ok, detail, n=n, a=a, b=b)
-
-    return _timed(run, report)
+                    detail = f"no verified certificate for closed-form falsity (got {w})"
+            rep.check(ok, detail, n=n, a=a, b=b)
 
 
 # -- suites: tail sets -------------------------------------------------------
@@ -258,90 +306,71 @@ def _tail_probes(rng: random.Random, a: GroupElement) -> list[GroupElement]:
             probes.append(element(LAMBDA, {pos: {slot + 1: 2}}))  # just past: included
             probes.append(-element(LAMBDA, {pos: {slot + 1: 5}}))
         else:
-            probes.append(unit(construction, pos, 1 if construction is GAMMA else Fraction(1)))
-            nxt = pos.successor()
-            probes.append(
-                unit(
-                    construction,
-                    nxt,
-                    {0: 1} if construction is LAMBDA and nxt.is_square else 1,
-                )
-            )
+            probes.append(unit(construction, pos))
+            probes.append(unit(construction, pos.successor()))
     probes.append(_deep_unit(construction, a))
     return probes
 
 
-def suite_hprime_descriptor(opts: SuiteOptions) -> SuiteReport:
+@suite("hprime-descriptor", constructions=(LAMBDA, GAMMA), samples=500)
+def suite_hprime_descriptor(rep: SuiteReport, opts: SuiteOptions) -> None:
     """Cut-descriptor membership equals the union-definition search."""
-    report = SuiteReport("hprime-descriptor", str(opts.construction), opts.seed)
-
-    def run(rep: SuiteReport) -> None:
-        samples = opts.samples_or(500)
-        construction = opts.construction
-        for i in range(samples):
-            rng = case_rng(opts.seed, i)
-            a = random_element(rng, construction)
-            anchor = inner_anchor_below(a)
-            pool: list[GroupElement] = []
-            if anchor is not None:
-                pool.append(anchor)
-            pool.append(_deep_unit(construction, a))
-            cfg = FragmentConfig(2, tuple(pool), 150, opts.seed)
-            ts = tail_set(a)
-            ok = True
-            detail = ""
-            if anchor is not None:
-                m = a.abs()
-                if not (anchor.sign() > 0 and anchor < m):
-                    ok = False
-                    detail = f"anchor {anchor} not inside (0, |a|)"
-            for b in _tail_probes(rng, a):
-                want = _tail_reference_probe(a, b, cfg)
-                got = ts.contains(b)
-                if want != got:
-                    ok = False
-                    detail = f"probe {b}: descriptor {got} vs union search {want}"
-                    break
-            rep.check(ok, detail, a=a)
-
-    return _timed(run, report)
+    for i in range(opts.samples):
+        rng = case_rng(opts.seed, i)
+        a = random_element(rng, opts.construction)
+        anchor = inner_anchor_below(a)
+        pool: list[GroupElement] = []
+        if anchor is not None:
+            pool.append(anchor)
+        pool.append(_deep_unit(opts.construction, a))
+        cfg = FragmentConfig(2, tuple(pool), 150, opts.seed)
+        ts = tail_set(a)
+        ok = True
+        detail = ""
+        if anchor is not None:
+            m = a.abs()
+            if not (anchor.sign() > 0 and anchor < m):
+                ok = False
+                detail = f"anchor {anchor} not inside (0, |a|)"
+        for b in _tail_probes(rng, a):
+            want = _tail_reference_probe(a, b, cfg)
+            got = ts.contains(b)
+            if want != got:
+                ok = False
+                detail = f"probe {b}: descriptor {got} vs union search {want}"
+                break
+        rep.check(ok, detail, a=a)
 
 
-def suite_hprime_locality(opts: SuiteOptions) -> SuiteReport:
+@suite("hprime-locality", constructions=(LAMBDA, GAMMA), samples=500)
+def suite_hprime_locality(rep: SuiteReport, opts: SuiteOptions) -> None:
     """The swept tail depends only on the leading-position component."""
-    report = SuiteReport("hprime-locality", str(opts.construction), opts.seed)
-
-    def run(rep: SuiteReport) -> None:
-        samples = opts.samples_or(500)
-        construction = opts.construction
-        for i in range(samples):
-            rng = case_rng(opts.seed, i)
-            a = random_nonzero(rng, construction)
-            lead_pos = a.entries[0][0]
-            # perturbation supported strictly to the right of the lead position
-            comps = {}
-            for _ in range(rng.randrange(1, 4)):
+    for i in range(opts.samples):
+        rng = case_rng(opts.seed, i)
+        a = random_nonzero(rng, opts.construction)
+        lead_pos = a.entries[0][0]
+        # perturbation supported strictly to the right of the lead position
+        comps = {}
+        for _ in range(rng.randrange(1, 4)):
+            pos = random_position(rng)
+            tries = 0
+            while not lead_pos.sort_key() < pos.sort_key():
                 pos = random_position(rng)
-                tries = 0
-                while not lead_pos.sort_key() < pos.sort_key():
-                    pos = random_position(rng)
-                    tries += 1
-                    if tries > 40:
-                        pos = g1_square(_fresh_block(a), 0)
-                comps[pos] = random_value(rng, construction, pos)
-            p = element(construction, comps)
-            a2 = a + p
-            ok = tail_set(a) == tail_set(a2)
-            detail = "" if ok else f"cut moved: {tail_set(a)} vs {tail_set(a2)}"
-            if ok:
-                for b in _tail_probes(rng, a):
-                    if tail_set(a).contains(b) != tail_set(a2).contains(b):
-                        ok = False
-                        detail = f"membership of {b} changed"
-                        break
-            rep.check(ok, detail, a=a, perturbation=p)
-
-    return _timed(run, report)
+                tries += 1
+                if tries > 40:
+                    pos = g1_square(fresh_g1_block(a), 0)
+            comps[pos] = random_value(rng, opts.construction, pos)
+        p = element(opts.construction, comps)
+        a2 = a + p
+        ok = tail_set(a) == tail_set(a2)
+        detail = "" if ok else f"cut moved: {tail_set(a)} vs {tail_set(a2)}"
+        if ok:
+            for b in _tail_probes(rng, a):
+                if tail_set(a).contains(b) != tail_set(a2).contains(b):
+                    ok = False
+                    detail = f"membership of {b} changed"
+                    break
+        rep.check(ok, detail, a=a, perturbation=p)
 
 
 # -- suite: lambda1-formula --------------------------------------------------
@@ -382,70 +411,56 @@ def _lambda1_crafted() -> list[GroupElement]:
     return out
 
 
-def suite_lambda1_formula(opts: SuiteOptions) -> SuiteReport:
+@suite("lambda1-formula", samples=1000)
+def suite_lambda1_formula(rep: SuiteReport, opts: SuiteOptions) -> None:
     """Formula-route membership in the right block equals the support check."""
-    report = SuiteReport("lambda1-formula", "lambda", opts.seed)
-
-    def run(rep: SuiteReport) -> None:
-        samples = opts.samples_or(1000)
-        for i in range(samples):
-            rng = case_rng(opts.seed, i)
-            a = random_element(rng, LAMBDA)
-            ok = g1_part_by_formula(a) == in_g1_part(a)
-            rep.check(ok, "formula route disagrees with support check", a=a)
-        for a in _lambda1_crafted():
-            ok = g1_part_by_formula(a) == in_g1_part(a)
-            rep.check(ok, "crafted boundary case disagrees", a=a, crafted=True)
-
-    return _timed(run, report)
+    for i in range(opts.samples):
+        rng = case_rng(opts.seed, i)
+        a = random_element(rng, LAMBDA)
+        ok = g1_part_by_formula(a) == in_g1_part(a)
+        rep.check(ok, "formula route disagrees with support check", a=a)
+    for a in _lambda1_crafted():
+        ok = g1_part_by_formula(a) == in_g1_part(a)
+        rep.check(ok, "crafted boundary case disagrees", a=a, crafted=True)
 
 
 # -- suite: embedding-laws ---------------------------------------------------
 
 
-def suite_embedding_laws(opts: SuiteOptions) -> SuiteReport:
+@suite("embedding-laws", constructions=(LAMBDA, GAMMA), samples=10_000)
+def suite_embedding_laws(rep: SuiteReport, opts: SuiteOptions) -> None:
     """Additivity, order embedding, preimage inversion, image characterization."""
-    report = SuiteReport("embedding-laws", str(opts.construction), opts.seed)
-
-    def run(rep: SuiteReport) -> None:
-        samples = opts.samples_or(10_000)
-        construction = opts.construction
-        for emb in (Embedding.F1, Embedding.F2):
-            for i in range(samples):
-                rng = case_rng(opts.seed, i * 7 + (0 if emb is Embedding.F1 else 1))
-                a = random_element(rng, construction)
-                b = random_element(rng, construction)
-                fa = emb_apply(emb, a, experimental=True)
-                fb = emb_apply(emb, b, experimental=True)
-                ok = True
-                detail = ""
-                if emb_apply(emb, a + b, experimental=True) != fa + fb:
-                    ok, detail = False, "additivity failed"
-                elif (a < b) != (fa < fb) or (a == b) != (fa == fb):
-                    ok, detail = False, "order preservation failed"
-                elif preimage(emb, fa, experimental=True) != a:
-                    ok, detail = False, "preimage does not invert"
-                elif not in_image(emb, fa, experimental=True):
-                    ok, detail = False, "image member not recognized"
+    for emb in (Embedding.F1, Embedding.F2):
+        for i in range(opts.samples):
+            rng = case_rng(opts.seed, i * 7 + (0 if emb is Embedding.F1 else 1))
+            a = random_element(rng, opts.construction)
+            b = random_element(rng, opts.construction)
+            fa = emb_apply(emb, a, experimental=True)
+            fb = emb_apply(emb, b, experimental=True)
+            ok = True
+            detail = ""
+            if emb_apply(emb, a + b, experimental=True) != fa + fb:
+                ok, detail = False, "additivity failed"
+            elif (a < b) != (fa < fb) or (a == b) != (fa == fb):
+                ok, detail = False, "order preservation failed"
+            elif preimage(emb, fa, experimental=True) != a:
+                ok, detail = False, "preimage does not invert"
+            elif not in_image(emb, fa, experimental=True):
+                ok, detail = False, "image member not recognized"
+            else:
+                c = random_element(rng, opts.construction)
+                if emb is Embedding.F1:
+                    characterized = c.value_at(CRITICAL_CIRCLE) is None
                 else:
-                    c = random_element(rng, construction)
-                    if emb is Embedding.F1:
-                        characterized = c.value_at(CRITICAL_CIRCLE) is None
-                    else:
-                        characterized = not any(
-                            pos.area == G1 and pos.index == 0 and pos.is_square
-                            for pos, _ in c.entries
-                        )
-                    if in_image(emb, c, experimental=True) != characterized:
-                        ok, detail = False, f"image characterization failed on {c}"
-                    elif (preimage(emb, c, experimental=True) is not None) != characterized:
-                        ok, detail = False, f"preimage existence failed on {c}"
-                if not ok:
-                    rep.check(False, detail, embedding=emb, a=a, b=b)
-                else:
-                    rep.check(True, embedding=emb, a=a, b=b)
-
-    return _timed(run, report)
+                    characterized = not any(
+                        pos.area == G1 and pos.index == 0 and pos.is_square
+                        for pos, _ in c.entries
+                    )
+                if in_image(emb, c, experimental=True) != characterized:
+                    ok, detail = False, f"image characterization failed on {c}"
+                elif (preimage(emb, c, experimental=True) is not None) != characterized:
+                    ok, detail = False, f"preimage existence failed on {c}"
+            rep.check(ok, detail, embedding=emb, a=a, b=b)
 
 
 # -- closure suites ----------------------------------------------------------
@@ -523,11 +538,7 @@ def _closure_sentence(rng: random.Random, construction: Construction):
     n = rng.choice([2, 3])
     c = base
     if c.lead_mod(n) is None:
-        c = base + unit(
-            construction,
-            g2_square(1),
-            {0: 1} if construction is LAMBDA else 1,
-        )
+        c = base + unit(construction, g2_square(1))
     w = _deep_unit(construction, c)
     f = Exists(
         "x",
@@ -539,37 +550,30 @@ def _closure_sentence(rng: random.Random, construction: Construction):
     return f, [c, w]
 
 
-def suite_f1_exists_closure(opts: SuiteOptions) -> SuiteReport:
+@suite("f1-exists-closure", constructions=(LAMBDA, GAMMA), samples=100)
+def suite_f1_exists_closure(rep: SuiteReport, opts: SuiteOptions) -> None:
     """Existential sentences true with a fragment witness stay true inside the image."""
-    report = SuiteReport("f1-exists-closure", str(opts.construction), opts.seed)
-
-    def run(rep: SuiteReport) -> None:
-        samples = opts.samples_or(100)
-        construction = opts.construction
-        flt = _image_filter(Embedding.F1)
-        for i in range(samples):
-            rng = case_rng(opts.seed, i)
-            f, pool = _closure_sentence(rng, construction)
-            critical = unit(
-                construction, CRITICAL_CIRCLE, Fraction(1) if construction is LAMBDA else 1
-            )
-            full_cfg = FragmentConfig(2, tuple(pool) + (critical,), 400, opts.seed)
-            img_cfg = FragmentConfig(2, tuple(pool), 400, opts.seed)
-            full = evaluate(construction, f, {}, full_cfg)
-            if full.truth is not Truth.TRUE:
-                rep.record("unknown", "full-group witness not found", formula=print_formula(f))
-                continue
-            sub = evaluate(construction, f, {}, img_cfg, candidate_filter=flt)
-            rep.check(
-                sub.truth is Truth.TRUE,
-                "no image witness despite full-group truth",
-                formula=print_formula(f),
-            )
-
-    return _timed(run, report)
+    flt = _image_filter(Embedding.F1)
+    critical = unit(opts.construction, CRITICAL_CIRCLE)
+    for i in range(opts.samples):
+        rng = case_rng(opts.seed, i)
+        f, pool = _closure_sentence(rng, opts.construction)
+        full_cfg = FragmentConfig(2, tuple(pool) + (critical,), 400, opts.seed)
+        img_cfg = FragmentConfig(2, tuple(pool), 400, opts.seed)
+        full = evaluate(opts.construction, f, {}, full_cfg)
+        if full.truth is not Truth.TRUE:
+            rep.record("unknown", "full-group witness not found", formula=print_formula(f))
+            continue
+        sub = evaluate(opts.construction, f, {}, img_cfg, candidate_filter=flt)
+        rep.check(
+            sub.truth is Truth.TRUE,
+            "no image witness despite full-group truth",
+            formula=print_formula(f),
+        )
 
 
-def suite_f1_ea_closure(opts: SuiteOptions) -> SuiteReport:
+@suite("f1-ea-closure", samples=100)
+def suite_f1_ea_closure(rep: SuiteReport, opts: SuiteOptions) -> None:
     """Witness transfer for bound-and-noncongruence systems with image parameters.
 
     For each instance a full-group witness is replayed into the image by
@@ -577,99 +581,84 @@ def suite_f1_ea_closure(opts: SuiteOptions) -> SuiteReport:
     every requested noncongruence is broken by the fresh slot, and
     congruence-avoidance atoms only see the unchanged lead.
     """
-    report = SuiteReport("f1-ea-closure", "lambda", opts.seed)
-
-    def run(rep: SuiteReport) -> None:
-        samples = opts.samples_or(100)
-        for i in range(samples):
-            rng = case_rng(opts.seed, i)
-            w = emb_apply(Embedding.F1, random_element(rng, LAMBDA, 2))
-            ineqs: list[tuple[int, GroupElement, GroupElement]] = []
-            slacks: list[GroupElement] = []
-            for j in range(rng.randrange(1, 3)):
-                m = rng.choice([-2, -1, 1, 2, 3])
-                slack = unit(LAMBDA, g1_square(_fresh_block(w) + j, 0), {0: 1})
-                bound = w.scale(m) + slack
-                ineqs.append((m, bound, slack))
-                slacks.append(slack)
-            noncongs = [
-                (rng.choice([2, 3, 4]), random_element(rng, LAMBDA, 2))
-                for _ in range(rng.randrange(1, 3))
-            ]
-            guards = []
-            for n in (2,):
-                p = unit(LAMBDA, g2_square(2), {0: 1})
-                if cong_free_below(n, p, w):
-                    guards.append((n, p))
-            fresh = g1_square(_fresh_block(w, *slacks, *(r for _, r in noncongs)) + 4, 0)
-            w2 = w + unit(LAMBDA, fresh, {0: 1})
-            ok = in_image(Embedding.F1, w2)
-            detail = "" if ok else "transfer left the image"
-            for m, bound, _ in ineqs:
-                if not (w2.scale(m) < bound):
-                    ok, detail = False, "inequality slack lost"
-            for n, r in noncongs:
-                if (w2 - r).is_divisible(n):
-                    ok, detail = False, f"noncongruence mod {n} not broken"
-            for n, p in guards:
-                if not cong_free_below(n, p, w2):
-                    ok, detail = False, "avoidance atom flipped"
-            rep.check(ok, detail, witness=w, transferred=w2)
-
-    return _timed(run, report)
+    for i in range(opts.samples):
+        rng = case_rng(opts.seed, i)
+        w = emb_apply(Embedding.F1, random_element(rng, LAMBDA, 2))
+        ineqs: list[tuple[int, GroupElement, GroupElement]] = []
+        slacks: list[GroupElement] = []
+        for j in range(rng.randrange(1, 3)):
+            m = rng.choice([-2, -1, 1, 2, 3])
+            slack = unit(LAMBDA, g1_square(fresh_g1_block(w) + j, 0), {0: 1})
+            bound = w.scale(m) + slack
+            ineqs.append((m, bound, slack))
+            slacks.append(slack)
+        noncongs = [
+            (rng.choice([2, 3, 4]), random_element(rng, LAMBDA, 2))
+            for _ in range(rng.randrange(1, 3))
+        ]
+        guard = unit(LAMBDA, g2_square(2), {0: 1})
+        guarded = cong_free_below(2, guard, w)
+        fresh = g1_square(fresh_g1_block(w, *slacks, *(r for _, r in noncongs)) + 4, 0)
+        w2 = w + unit(LAMBDA, fresh, {0: 1})
+        ok = in_image(Embedding.F1, w2)
+        detail = "" if ok else "transfer left the image"
+        for m, bound, _ in ineqs:
+            if not (w2.scale(m) < bound):
+                ok, detail = False, "inequality slack lost"
+        for n, r in noncongs:
+            if (w2 - r).is_divisible(n):
+                ok, detail = False, f"noncongruence mod {n} not broken"
+        if guarded and not cong_free_below(2, guard, w2):
+            ok, detail = False, "avoidance atom flipped"
+        rep.check(ok, detail, witness=w, transferred=w2)
 
 
-def suite_f2_interval(opts: SuiteOptions) -> SuiteReport:
+@suite("f2-interval", samples=200)
+def suite_f2_interval(rep: SuiteReport, opts: SuiteOptions) -> None:
     """Descriptor windows between F2-image parameters keep image solutions."""
-    report = SuiteReport("f2-interval", "lambda", opts.seed)
-
-    def run(rep: SuiteReport) -> None:
-        samples = opts.samples_or(200)
-        produced = 0
-        i = 0
-        while produced < samples and i < samples * 30:
-            rng = case_rng(opts.seed, i)
-            i += 1
-            n = rng.choice([2, 3])
-            a = element(LAMBDA, {g2_square(rng.randrange(1, 3)): {rng.randrange(0, 2): 1}})
-            if rng.random() < 0.5:
-                a = a + emb_apply(Embedding.F2, random_g1_element(rng, LAMBDA, 1))
-            deep_block = rng.randrange(1, 3)
-            b = element(LAMBDA, {g1_square(deep_block, rng.randrange(0, 3)): {rng.randrange(0, 3): 1}})
-            da, db = a.lead_mod(n), b.lead_mod(n)
-            if da is None or db is None or not da < db:
-                continue
-            if not (in_image(Embedding.F2, a) and in_image(Embedding.F2, b)):
-                continue
-            pool = (
-                element(LAMBDA, {g1_square(0, 1): {0: 1}}),  # outside the F2 image
-                element(LAMBDA, {g2_square(0): {0: 1}}),
-                element(LAMBDA, {g1_square(1, 0): {1: 1}}),
-            )
-            cfg = FragmentConfig(2, pool, 200, opts.seed)
-            full = None
-            for x in iter_fragment([a, b], cfg, LAMBDA):
-                dx = x.lead_mod(n)
-                if dx is not None and da < dx and dx < db:
-                    full = x
-                    break
-            if full is None:
-                continue
-            produced += 1
-            succ = LeadDescriptor(da.position, da.inner_slot + 1)
-            x_img = element(LAMBDA, {succ.position: {succ.inner_slot: 1}})
-            dx = x_img.lead_mod(n)
-            ok = (
-                dx is not None
-                and da < dx
-                and dx < db
-                and in_image(Embedding.F2, x_img)
-            )
-            rep.check(ok, "no image solution in the window", n=n, a=a, b=b, x=x_img)
-        if produced < samples:
-            rep.record("unknown", f"only {produced} qualifying pairs generated")
-
-    return _timed(run, report)
+    produced = 0
+    i = 0
+    while produced < opts.samples and i < opts.samples * 30:
+        rng = case_rng(opts.seed, i)
+        i += 1
+        n = rng.choice([2, 3])
+        a = element(LAMBDA, {g2_square(rng.randrange(1, 3)): {rng.randrange(0, 2): 1}})
+        if rng.random() < 0.5:
+            a = a + emb_apply(Embedding.F2, random_g1_element(rng, LAMBDA, 1))
+        deep_block = rng.randrange(1, 3)
+        b = element(LAMBDA, {g1_square(deep_block, rng.randrange(0, 3)): {rng.randrange(0, 3): 1}})
+        da, db = a.lead_mod(n), b.lead_mod(n)
+        if da is None or db is None or not da < db:
+            continue
+        if not (in_image(Embedding.F2, a) and in_image(Embedding.F2, b)):
+            continue
+        pool = (
+            element(LAMBDA, {g1_square(0, 1): {0: 1}}),  # outside the F2 image
+            element(LAMBDA, {g2_square(0): {0: 1}}),
+            element(LAMBDA, {g1_square(1, 0): {1: 1}}),
+        )
+        cfg = FragmentConfig(2, pool, 200, opts.seed)
+        full = None
+        for x in iter_fragment([a, b], cfg, LAMBDA):
+            dx = x.lead_mod(n)
+            if dx is not None and da < dx and dx < db:
+                full = x
+                break
+        if full is None:
+            continue
+        produced += 1
+        succ = LeadDescriptor(da.position, da.inner_slot + 1)
+        x_img = element(LAMBDA, {succ.position: {succ.inner_slot: 1}})
+        dx = x_img.lead_mod(n)
+        ok = (
+            dx is not None
+            and da < dx
+            and dx < db
+            and in_image(Embedding.F2, x_img)
+        )
+        rep.check(ok, "no image solution in the window", n=n, a=a, b=b, x=x_img)
+    if produced < opts.samples:
+        rep.record("unknown", f"only {produced} qualifying pairs generated")
 
 
 # -- demos -------------------------------------------------------------------
@@ -709,7 +698,8 @@ def _exhaustive_hits(
     return hits
 
 
-def demo_gamma_counterexample(opts: SuiteOptions) -> SuiteReport:
+@suite("gamma-counterexample", constructions=(GAMMA,), catalogs=("check", "demo"))
+def demo_gamma_counterexample(rep: SuiteReport, opts: SuiteOptions) -> None:
     """Index-window sentence whose witnesses all need the critical circle.
 
     Parameters sit just left and just right of the critical circle;
@@ -717,283 +707,244 @@ def demo_gamma_counterexample(opts: SuiteOptions) -> SuiteReport:
     witness is nonzero at the critical circle, and the exhaustive
     image-restricted scans up to coefficient bound 4 stay empty.
     """
-    report = SuiteReport("gamma-counterexample", "gamma", opts.seed)
+    c = unit(GAMMA, g2_square(1), 1)
+    b = unit(GAMMA, g2_square(0), 1)
+    a = unit(GAMMA, CRITICAL_CIRCLE, 1)
+    rel = lambda x: _between_by_indices((2, 3), c, x, b)
 
-    def run(rep: SuiteReport) -> None:
-        c = unit(GAMMA, g2_square(1), 1)
-        b = unit(GAMMA, g2_square(0), 1)
-        a = unit(GAMMA, CRITICAL_CIRCLE, 1)
-        rel = lambda x: _between_by_indices((2, 3), c, x, b)
+    rep.check(rel(a), "the designated witness fails the sentence", witness=a)
 
-        rep.check(rel(a), "the designated witness fails the sentence", witness=a)
+    pool_full = (
+        a,
+        unit(GAMMA, g2_circle(1), 1),
+        unit(GAMMA, g2_square(2), 1),
+        unit(GAMMA, g1_square(0, 0), 1),
+    )
+    cfg_full = FragmentConfig(3, pool_full, 4000, opts.seed)
+    witnesses = [x for x in iter_fragment([c, b], cfg_full, GAMMA) if rel(x)]
+    rep.check(
+        a in witnesses,
+        "designated witness missing from the full-group scan",
+        count=len(witnesses),
+    )
+    bad = [x for x in witnesses if x.value_at(CRITICAL_CIRCLE) is None]
+    rep.check(
+        not bad,
+        f"witness without critical-circle entry: {bad[:1]}",
+        checked=len(witnesses),
+    )
 
-        pool_full = (
-            a,
-            unit(GAMMA, g2_circle(1), 1),
-            unit(GAMMA, g2_square(2), 1),
-            unit(GAMMA, g1_square(0, 0), 1),
-        )
-        cfg_full = FragmentConfig(3, pool_full, 4000, opts.seed)
-        witnesses = [x for x in iter_fragment([c, b], cfg_full, GAMMA) if rel(x)]
+    image_gens = (
+        c,
+        b,
+        unit(GAMMA, g2_circle(1), 1),
+        unit(GAMMA, g2_square(2), 1),
+        unit(GAMMA, g1_square(0, 0), 1),
+        unit(GAMMA, g1_circle(0), 1),
+    )
+    image_hits = _exhaustive_hits(image_gens, 4, GAMMA, rel)
+    for k in range(1, 5):
+        found = [x for x, mx in image_hits if mx <= k]
         rep.check(
-            a in witnesses,
-            "designated witness missing from the full-group scan",
-            count=len(witnesses),
-        )
-        bad = [x for x in witnesses if x.value_at(CRITICAL_CIRCLE) is None]
-        rep.check(
-            not bad,
-            f"witness without critical-circle entry: {bad[:1]}",
-            checked=len(witnesses),
+            not found,
+            f"image-restricted witness at bound {k}: {found[:1]}",
+            bound=k,
+            scanned="exhaustive",
         )
 
-        image_gens = (
-            c,
-            b,
-            unit(GAMMA, g2_circle(1), 1),
-            unit(GAMMA, g2_square(2), 1),
-            unit(GAMMA, g1_square(0, 0), 1),
-            unit(GAMMA, g1_circle(0), 1),
-        )
-        image_hits = _exhaustive_hits(image_gens, 4, GAMMA, rel)
-        for k in range(1, 5):
-            found = [x for x, mx in image_hits if mx <= k]
-            rep.check(
-                not found,
-                f"image-restricted witness at bound {k}: {found[:1]}",
-                bound=k,
-                scanned="exhaustive",
-            )
 
-    return _timed(run, report)
-
-
-def demo_lambda_repair(opts: SuiteOptions) -> SuiteReport:
+@suite("lambda-repair", catalogs=("check", "demo"))
+def demo_lambda_repair(rep: SuiteReport, opts: SuiteOptions) -> None:
     """The same index-window schema with inner square slots supplying witnesses."""
-    report = SuiteReport("lambda-repair", "lambda", opts.seed)
+    c = element(LAMBDA, {g2_square(1): {0: 1}})
+    b = element(LAMBDA, {g2_square(0): {2: 1}})
+    rel = lambda x: _between_by_indices((2, 3), c, x, b)
 
-    def run(rep: SuiteReport) -> None:
-        c = element(LAMBDA, {g2_square(1): {0: 1}})
-        b = element(LAMBDA, {g2_square(0): {2: 1}})
-        rel = lambda x: _between_by_indices((2, 3), c, x, b)
-
-        pool_image = (
-            element(LAMBDA, {g2_square(0): {0: 1}}),
-            element(LAMBDA, {g2_square(0): {1: 1}}),
-            element(LAMBDA, {g1_square(0, 0): {0: 1}}),
-        )
-        cfg = FragmentConfig(3, pool_image, 3000, opts.seed)
-        flt = _image_filter(Embedding.F1)
-        witnesses = [
-            x for x in iter_fragment([c, b], cfg, LAMBDA) if flt(x) and rel(x)
-        ]
-        rep.check(bool(witnesses), "no image-internal witness found", count=len(witnesses))
-        deep = [
-            x
-            for x in witnesses
-            if (d := x.lead_mod(2)) is not None and d.inner_slot >= 1
-        ]
-        rep.check(
-            bool(deep),
-            "no witness anchored at an inner slot",
-            example=deep[0] if deep else "-",
-        )
-        rep.check(
-            all(x.value_at(CRITICAL_CIRCLE) is None for x in witnesses),
-            "an image witness carries the critical circle",
-            count=len(witnesses),
-        )
-
-    return _timed(run, report)
+    pool_image = (
+        element(LAMBDA, {g2_square(0): {0: 1}}),
+        element(LAMBDA, {g2_square(0): {1: 1}}),
+        element(LAMBDA, {g1_square(0, 0): {0: 1}}),
+    )
+    cfg = FragmentConfig(3, pool_image, 3000, opts.seed)
+    flt = _image_filter(Embedding.F1)
+    witnesses = [
+        x for x in iter_fragment([c, b], cfg, LAMBDA) if flt(x) and rel(x)
+    ]
+    rep.check(bool(witnesses), "no image-internal witness found", count=len(witnesses))
+    deep = [
+        x
+        for x in witnesses
+        if (d := x.lead_mod(2)) is not None and d.inner_slot >= 1
+    ]
+    rep.check(
+        bool(deep),
+        "no witness anchored at an inner slot",
+        example=deep[0] if deep else "-",
+    )
+    rep.check(
+        all(x.value_at(CRITICAL_CIRCLE) is None for x in witnesses),
+        "an image witness carries the critical circle",
+        count=len(witnesses),
+    )
 
 
-def demo_ha_witness(opts: SuiteOptions) -> SuiteReport:
+@suite("ha-witness", catalogs=("demo",))
+def demo_ha_witness(rep: SuiteReport, opts: SuiteOptions) -> None:
     """The cone membership flip under the lifted left-shift embedding."""
-    report = SuiteReport("ha-witness", "lambda", opts.seed)
-
-    def run(rep: SuiteReport) -> None:
-        x, hx = subring_escape_witness()
-        mx, mhx = membership(x), membership(hx)
-        rep.check(mx.in_a, "x should lie in the cone", x=x)
-        rep.check(mx.in_k_lambda1, "x should lie in the right-block branch", x=x)
-        rep.check(not mx.in_val_ring, "x should escape the valuation ring", x=x)
-        rep.check(not mhx.in_a, "h(x) should leave the cone", hx=hx)
-        rep.check(
-            lift_embedding(Embedding.F1, x) == hx,
-            "witness pair inconsistent with the lifted embedding",
-        )
-
-    return _timed(run, report)
+    x, hx = subring_escape_witness()
+    mx, mhx = membership(x), membership(hx)
+    rep.check(mx.in_a, "x should lie in the cone", x=x)
+    rep.check(mx.in_k_lambda1, "x should lie in the right-block branch", x=x)
+    rep.check(not mx.in_val_ring, "x should escape the valuation ring", x=x)
+    rep.check(not mhx.in_a, "h(x) should leave the cone", hx=hx)
+    rep.check(
+        lift_embedding(Embedding.F1, x) == hx,
+        "witness pair inconsistent with the lifted embedding",
+    )
 
 
 # -- series suites -----------------------------------------------------------
 
 
-def suite_hahn_ring(opts: SuiteOptions) -> SuiteReport:
+@suite("hahn-ring", constructions=(LAMBDA, GAMMA), samples=1000)
+def suite_hahn_ring(rep: SuiteReport, opts: SuiteOptions) -> None:
     """Ring axioms and valuation laws on random series."""
-    report = SuiteReport("hahn-ring", str(opts.construction), opts.seed)
-
-    def run(rep: SuiteReport) -> None:
-        samples = opts.samples_or(1000)
-        construction = opts.construction
-        for i in range(samples):
-            rng = case_rng(opts.seed, i)
-            F = QQ if rng.random() < 0.8 else PrimeField(5)
-            f = random_series(rng, construction, F, allow_zero=True)
-            g = random_series(rng, construction, F)
-            h = random_series(rng, construction, F)
-            ok = True
-            detail = ""
-            if (f + g) + h != f + (g + h) or f + g != g + f:
-                ok, detail = False, "additive laws failed"
-            elif (f * g) * h != f * (g * h) or f * g != g * f:
-                ok, detail = False, "multiplicative laws failed"
-            elif f * (g + h) != f * g + f * h:
-                ok, detail = False, "distributivity failed"
-            elif f + (-f) != series(construction, {}, F):
-                ok, detail = False, "negation failed"
-            else:
-                if not f.is_zero():
-                    if (f * g).valuation() != f.valuation() + g.valuation():
-                        ok, detail = False, "valuation not additive"
-                    s = f + g
-                    if not s.is_zero():
-                        vmin = min(f.valuation(), g.valuation())
-                        if s.valuation() < vmin:
-                            ok, detail = False, "ultrametric inequality failed"
-                        elif f.valuation() != g.valuation() and s.valuation() != vmin:
-                            ok, detail = False, "ultrametric equality failed"
-            rep.check(ok, detail, f=f, g=g, h=h, field=F)
-
-    return _timed(run, report)
+    for i in range(opts.samples):
+        rng = case_rng(opts.seed, i)
+        F = QQ if rng.random() < 0.8 else PrimeField(5)
+        f = random_series(rng, opts.construction, F, allow_zero=True)
+        g = random_series(rng, opts.construction, F)
+        h = random_series(rng, opts.construction, F)
+        ok = True
+        detail = ""
+        if (f + g) + h != f + (g + h) or f + g != g + f:
+            ok, detail = False, "additive laws failed"
+        elif (f * g) * h != f * (g * h) or f * g != g * f:
+            ok, detail = False, "multiplicative laws failed"
+        elif f * (g + h) != f * g + f * h:
+            ok, detail = False, "distributivity failed"
+        elif f + (-f) != series(opts.construction, {}, F):
+            ok, detail = False, "negation failed"
+        else:
+            if not f.is_zero():
+                if (f * g).valuation() != f.valuation() + g.valuation():
+                    ok, detail = False, "valuation not additive"
+                s = f + g
+                if not s.is_zero():
+                    vmin = min(f.valuation(), g.valuation())
+                    if s.valuation() < vmin:
+                        ok, detail = False, "ultrametric inequality failed"
+                    elif f.valuation() != g.valuation() and s.valuation() != vmin:
+                        ok, detail = False, "ultrametric equality failed"
+        rep.check(ok, detail, f=f, g=g, h=h, field=F)
 
 
-def suite_a_membership(opts: SuiteOptions) -> SuiteReport:
+@suite("a-membership", samples=1000)
+def suite_a_membership(rep: SuiteReport, opts: SuiteOptions) -> None:
     """The cone is a subring; the lifted embedding maps the ring into it."""
-    report = SuiteReport("a-membership", "lambda", opts.seed)
+    for i in range(opts.samples):
+        rng = case_rng(opts.seed, i)
+        f = random_series(rng, LAMBDA, QQ, exponents=random_a_cone_exponent)
+        g = random_series(rng, LAMBDA, QQ, exponents=random_a_cone_exponent)
+        mf, mg = membership(f), membership(g)
+        ok = mf.in_a and mg.in_a
+        detail = "" if ok else "sampler left the cone"
+        if ok:
+            if not membership(f + g).in_a:
+                ok, detail = False, "cone not closed under addition"
+            elif not membership(f * g).in_a:
+                ok, detail = False, "cone not closed under multiplication"
+        rep.check(ok, detail, f=f, g=g)
+    lifts = 500
+    for i in range(lifts):
+        rng = case_rng(opts.seed, 10_000 + i)
+        f = random_series(rng, LAMBDA, QQ, exponents=random_valring_exponent)
+        ok = membership(f).in_val_ring
+        detail = "" if ok else "sampler left the valuation ring"
+        if ok and not membership(lift_embedding(Embedding.F1, f)).in_a:
+            ok, detail = False, "lift left the cone"
+        rep.check(ok, detail, f=f)
+    x, hx = subring_escape_witness()
+    rep.check(
+        membership(x).in_a and not membership(hx).in_a,
+        "escape witness not verified",
+        x=x,
+        hx=hx,
+    )
 
-    def run(rep: SuiteReport) -> None:
-        pairs = opts.samples_or(1000)
-        for i in range(pairs):
-            rng = case_rng(opts.seed, i)
-            f = random_series(rng, LAMBDA, QQ, exponents=random_a_cone_exponent)
-            g = random_series(rng, LAMBDA, QQ, exponents=random_a_cone_exponent)
-            mf, mg = membership(f), membership(g)
-            ok = mf.in_a and mg.in_a
-            detail = "" if ok else "sampler left the cone"
-            if ok:
-                if not membership(f + g).in_a:
-                    ok, detail = False, "cone not closed under addition"
-                elif not membership(f * g).in_a:
-                    ok, detail = False, "cone not closed under multiplication"
-            rep.check(ok, detail, f=f, g=g)
-        lifts = 500
-        for i in range(lifts):
-            rng = case_rng(opts.seed, 10_000 + i)
-            f = random_series(rng, LAMBDA, QQ, exponents=random_valring_exponent)
-            ok = membership(f).in_val_ring
-            detail = "" if ok else "sampler left the valuation ring"
-            if ok and not membership(lift_embedding(Embedding.F1, f)).in_a:
-                ok, detail = False, "lift left the cone"
-            rep.check(ok, detail, f=f)
-        x, hx = subring_escape_witness()
+
+@suite("translation-soundness", samples=300)
+def suite_translation_soundness(rep: SuiteReport, opts: SuiteOptions) -> None:
+    """Valuation statements agree with their ring translations."""
+    for i in range(opts.samples):
+        rng = case_rng(opts.seed, i)
+        env = {
+            "x": random_series(rng, LAMBDA, QQ, allow_zero=(rng.random() < 0.15)),
+            "y": random_series(rng, LAMBDA, QQ, allow_zero=(rng.random() < 0.15)),
+            "z": random_series(rng, LAMBDA, QQ),
+        }
+        if rng.random() < 0.25 and not env["y"].is_zero():
+            env["x"] = env["y"] * random_series(rng, LAMBDA, QQ, max_terms=1)
+        if rng.random() < 0.5:
+            stmt = VLt(svar("x"), svar("y"))
+        else:
+            if rng.random() < 0.3:
+                env["z"] = env["x"] * env["y"]
+            stmt = VSumEq(svar("x"), svar("y"), svar("z"))
+        want = eval_valuation(stmt, env)
+        got = eval_ring(translate_to_ring(stmt), env)
         rep.check(
-            membership(x).in_a and not membership(hx).in_a,
-            "escape witness not verified",
-            x=x,
-            hx=hx,
+            want == got,
+            f"group-side {want} vs ring-side {got}",
+            statement=type(stmt).__name__,
+            x=env["x"],
+            y=env["y"],
+            z=env["z"],
         )
 
-    return _timed(run, report)
 
-
-def suite_translation_soundness(opts: SuiteOptions) -> SuiteReport:
-    """Valuation statements agree with their ring translations."""
-    report = SuiteReport("translation-soundness", "lambda", opts.seed)
-
-    def run(rep: SuiteReport) -> None:
-        samples = opts.samples_or(300)
-        for i in range(samples):
-            rng = case_rng(opts.seed, i)
-            env = {
-                "x": random_series(rng, LAMBDA, QQ, allow_zero=(rng.random() < 0.15)),
-                "y": random_series(rng, LAMBDA, QQ, allow_zero=(rng.random() < 0.15)),
-                "z": random_series(rng, LAMBDA, QQ),
-            }
-            if rng.random() < 0.25 and not env["y"].is_zero():
-                env["x"] = env["y"] * random_series(rng, LAMBDA, QQ, max_terms=1)
-            if rng.random() < 0.5:
-                stmt = VLt(svar("x"), svar("y"))
-            else:
-                if rng.random() < 0.3:
-                    env["z"] = env["x"] * env["y"]
-                stmt = VSumEq(svar("x"), svar("y"), svar("z"))
-            want = eval_valuation(stmt, env)
-            got = eval_ring(translate_to_ring(stmt), env)
-            rep.check(
-                want == got,
-                f"group-side {want} vs ring-side {got}",
-                statement=type(stmt).__name__,
-                x=env["x"],
-                y=env["y"],
-                z=env["z"],
-            )
-
-    return _timed(run, report)
-
-
-def suite_perturbation(opts: SuiteOptions) -> SuiteReport:
+@suite("perturbation", samples=200)
+def suite_perturbation(rep: SuiteReport, opts: SuiteOptions) -> None:
     """Image perturbation stays within eps and breaks all congruences."""
-    report = SuiteReport("perturbation", "lambda", opts.seed)
-
-    def run(rep: SuiteReport) -> None:
-        samples = opts.samples_or(200)
-        for i in range(samples):
-            rng = case_rng(opts.seed, i)
-            t = emb_apply(Embedding.F1, random_element(rng, LAMBDA))
-            eps = random_positive(rng, LAMBDA)
-            constraints = [
-                (rng.choice([2, 3, 4, 5]), random_element(rng, LAMBDA, 2))
-                for _ in range(rng.randrange(0, 4))
-            ]
-            t2 = perturb_into_image(t, eps, constraints)
-            diff = t2 - t
-            ok = in_image(Embedding.F1, t2)
-            detail = "" if ok else "left the image"
-            if ok and not (diff.abs() < eps):
-                ok, detail = False, "moved by at least eps"
-            if ok:
-                for n, r in constraints:
-                    if (t2 - r).is_divisible(n):
-                        ok, detail = False, f"congruence mod {n} survived"
-                        break
-            rep.check(ok, detail, t=t, eps=eps, constraints=len(constraints))
-
-    return _timed(run, report)
+    for i in range(opts.samples):
+        rng = case_rng(opts.seed, i)
+        t = emb_apply(Embedding.F1, random_element(rng, LAMBDA))
+        eps = random_positive(rng, LAMBDA)
+        constraints = [
+            (rng.choice([2, 3, 4, 5]), random_element(rng, LAMBDA, 2))
+            for _ in range(rng.randrange(0, 4))
+        ]
+        t2 = perturb_into_image(t, eps, constraints)
+        diff = t2 - t
+        ok = in_image(Embedding.F1, t2)
+        detail = "" if ok else "left the image"
+        if ok and not (diff.abs() < eps):
+            ok, detail = False, "moved by at least eps"
+        if ok:
+            for n, r in constraints:
+                if (t2 - r).is_divisible(n):
+                    ok, detail = False, f"congruence mod {n} survived"
+                    break
+        rep.check(ok, detail, t=t, eps=eps, constraints=len(constraints))
 
 
-def suite_truncated_inverse(opts: SuiteOptions) -> SuiteReport:
+@suite("truncated-inverse", samples=200)
+def suite_truncated_inverse(rep: SuiteReport, opts: SuiteOptions) -> None:
     """v(f*g - 1) clears the requested precision."""
-    report = SuiteReport("truncated-inverse", "lambda", opts.seed)
-
-    def run(rep: SuiteReport) -> None:
-        samples = opts.samples_or(200)
-        for i in range(samples):
-            rng = case_rng(opts.seed, i)
-            f = random_series(rng, LAMBDA, QQ)
-            assert not f.is_zero()
-            lead_inv = monomial(-f.valuation(), QQ.inv(f.lead_coeff()))
-            u = lead_inv * f - monomial(zero(LAMBDA), 1)
-            if u.is_zero():
-                precision = random_nonzero(rng, LAMBDA)
-            else:
-                precision = u.valuation().scale(rng.randrange(1, 5))
-            g = truncated_inverse(f, precision)
-            err = f * g - monomial(zero(LAMBDA), 1)
-            ok = err.is_zero() or err.valuation() > precision
-            rep.check(ok, "residual valuation too small", f=f, precision=precision)
-
-    return _timed(run, report)
+    for i in range(opts.samples):
+        rng = case_rng(opts.seed, i)
+        f = random_series(rng, LAMBDA, QQ)
+        assert not f.is_zero()
+        lead_inv = monomial(-f.valuation(), QQ.inv(f.lead_coeff()))
+        u = lead_inv * f - monomial(zero(LAMBDA), 1)
+        if u.is_zero():
+            precision = random_nonzero(rng, LAMBDA)
+        else:
+            precision = u.valuation().scale(rng.randrange(1, 5))
+        g = truncated_inverse(f, precision)
+        err = f * g - monomial(zero(LAMBDA), 1)
+        ok = err.is_zero() or err.valuation() > precision
+        rep.check(ok, "residual valuation too small", f=f, precision=precision)
 
 
 # -- corpus generation --------------------------------------------------------
@@ -1019,29 +970,8 @@ def gen_corpus(kind: str, count: int, seed: int, construction: Construction = LA
     return out
 
 
-SUITES: dict[str, Callable[[SuiteOptions], SuiteReport]] = {
-    "psi-vs-search": suite_psi_vs_search,
-    "hprime-descriptor": suite_hprime_descriptor,
-    "hprime-locality": suite_hprime_locality,
-    "lambda1-formula": suite_lambda1_formula,
-    "embedding-laws": suite_embedding_laws,
-    "f1-exists-closure": suite_f1_exists_closure,
-    "f1-ea-closure": suite_f1_ea_closure,
-    "f2-interval": suite_f2_interval,
-    "gamma-counterexample": demo_gamma_counterexample,
-    "lambda-repair": demo_lambda_repair,
-    "hahn-ring": suite_hahn_ring,
-    "a-membership": suite_a_membership,
-    "translation-soundness": suite_translation_soundness,
-    "perturbation": suite_perturbation,
-    "truncated-inverse": suite_truncated_inverse,
-}
-
-DEMOS: dict[str, Callable[[SuiteOptions], SuiteReport]] = {
-    "gamma-counterexample": demo_gamma_counterexample,
-    "lambda-repair": demo_lambda_repair,
-    "ha-witness": demo_ha_witness,
-}
+SUITES: dict[str, Suite] = {s.name: s for s in _REGISTRY if "check" in s.catalogs}
+DEMOS: dict[str, Suite] = {s.name: s for s in _REGISTRY if "demo" in s.catalogs}
 
 
 def run_suite(name: str, opts: SuiteOptions) -> SuiteReport:

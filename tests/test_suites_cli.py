@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import oagw
-from oagw.cli import main
-from oagw.suites import SUITES, SuiteOptions, run_suite
+from oagw.cli import build_parser, main
+from oagw.elements import GAMMA, LAMBDA
+from oagw.suites import DEMOS, SUITES, SuiteOptions, run_suite
 
 
 def test_unknown_suite_rejected():
@@ -166,21 +167,27 @@ def test_reports_reproducible_across_runs():
     assert a.to_json_dict() != c.to_json_dict()
 
 
+_USAGE_ERRORS = [
+    (["check", "lambda1-formula", "--samples", "0"], "must be at least"),
+    (["check", "lambda1-formula", "--samples", "-3"], "must be at least"),
+    (["check", "psi-vs-search", "--coeff-bound", "-1"], "must be at least"),
+    (["eval", "--formula", "0 < 0", "--size-cap", "0"], "must be at least"),
+    (["eval", "--formula", "0 < 0", "--coeff-bound", "-1"], "must be at least"),
+    (["gen", "corpus", "--kind", "exists", "--count", "-3"], "must be at least"),
+    (["check", "a-membership", "--construction", "gamma", "--samples", "2"],
+     "a-membership runs on lambda, not gamma"),
+    (["check", "hahn-ring", "--coeff-bound", "9"], "hahn-ring reads no coefficient bound"),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["check", "lambda1-formula", "--samples", "0"],
-        ["check", "lambda1-formula", "--samples", "-3"],
-        ["check", "psi-vs-search", "--coeff-bound", "-1"],
-        ["eval", "--formula", "0 < 0", "--size-cap", "0"],
-        ["eval", "--formula", "0 < 0", "--coeff-bound", "-1"],
-    ],
+    "argv, message", _USAGE_ERRORS, ids=[f"argv{i}" for i in range(len(_USAGE_ERRORS))]
 )
-def test_out_of_range_counts_rejected(argv, capsys):
+def test_out_of_range_counts_rejected(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "must be at least" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_zero_samples_means_zero_not_the_default():
@@ -209,3 +216,54 @@ def test_zero_coeff_bound_is_honoured(monkeypatch):
 
 def test_coeff_bound_zero_accepted_on_the_command_line():
     assert main(["check", "psi-vs-search", "--samples", "2", "--coeff-bound", "0"]) == 0
+
+
+def _registered():
+    return sorted({**SUITES, **DEMOS}.items())
+
+
+@pytest.mark.parametrize(
+    "name, construction",
+    [
+        (name, c)
+        for name, record in _registered()
+        # ignores --samples and runs for about 12 s: criterion 5 runs it
+        if name != "gamma-counterexample"
+        for c in record.constructions
+    ],
+)
+def test_every_declared_construction_runs(name, construction):
+    report = {**SUITES, **DEMOS}[name](SuiteOptions(construction, seed=1, samples=1))
+    assert report.suite == name
+    assert report.construction == str(construction)
+    assert report.cases
+
+
+def test_declarations():
+    assert SUITES["gamma-counterexample"].constructions == (GAMMA,)
+    assert SUITES["psi-vs-search"].constructions == (LAMBDA, GAMMA)
+    assert SUITES["psi-vs-search"].coeff_bound == 3
+    assert [n for n, r in _registered() if r.coeff_bound is not None] == ["psi-vs-search"]
+    assert set(DEMOS) - set(SUITES) == {"ha-witness"}
+    assert SUITES["lambda-repair"] is DEMOS["lambda-repair"]
+
+
+def test_cli_choices_come_from_the_registry():
+    parser = build_parser()
+    subcommands = next(a for a in parser._actions if a.dest == "command").choices
+    suite_arg = next(a for a in subcommands["check"]._actions if a.dest == "suite")
+    demo_arg = next(a for a in subcommands["demo"]._actions if a.dest == "name")
+    assert suite_arg.choices == sorted(SUITES)
+    assert demo_arg.choices == sorted(DEMOS)
+
+
+def test_construction_defaults_to_the_first_declared():
+    assert SUITES["gamma-counterexample"].options(SuiteOptions(seed=3)).construction is GAMMA
+    assert SUITES["hahn-ring"].options(SuiteOptions()).construction is LAMBDA
+    assert run_suite("a-membership", SuiteOptions(samples=1)).construction == "lambda"
+    with pytest.raises(ValueError, match="runs on lambda, not gamma"):
+        run_suite("a-membership", SuiteOptions(GAMMA, samples=1))
+    with pytest.raises(ValueError, match="runs on gamma, not lambda"):
+        run_suite("gamma-counterexample", SuiteOptions(LAMBDA))
+    with pytest.raises(ValueError, match="reads no coefficient bound"):
+        run_suite("hahn-ring", SuiteOptions(samples=1, coeff_bound=2))
