@@ -113,6 +113,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "check":
+        if args.samples is not None and SUITES[args.suite].samples is None:
+            parser.error(f"{args.suite} runs a fixed scan and takes no --samples")
         opts = SuiteOptions(
             construction=args.construction,
             seed=args.seed,

@@ -14,16 +14,25 @@ Component values depend on the construction:
   slot 0 most significant.  Circles hold arbitrary rationals.
 
 All values are immutable and canonical: no zero components are stored,
-rationals are kept in lowest terms, polynomial maps drop zero
-coefficients.
+rationals are kept in lowest terms, polynomials are slot-sorted tuples
+of ``(slot, coeff)`` pairs with no zero coefficient.
+
+There are two constructors.  The public ``GroupElement(construction,
+entries)`` validates and raises ``ComponentError`` for any non-canonical
+entry; the private ``_from_canonical`` builds results that are canonical
+by construction (sums, multiples, ``element()``, the shared zeros,
+embedding images) unchecked.  Positions are interned, so merges test
+``pa is pb`` before comparing keys.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Mapping, Optional, Union
 
 from .positions import (
@@ -81,10 +90,16 @@ def _local_prime(pos: Position) -> int:
 
 
 def check_value(construction: Construction, pos: Position, value: Value) -> Value:
-    """Validate and canonicalize one component value; None-like zeros rejected."""
+    """Validate one canonical component value of the kind its position holds."""
     if uses_poly(construction, pos):
-        if isinstance(value, Fraction):
+        if not isinstance(value, tuple):
             raise ComponentError(f"{pos}: square components take integer polynomials")
+        try:
+            canonical = _canon_poly(dict(value))
+        except (TypeError, ValueError) as exc:
+            raise ComponentError(f"{pos}: bad polynomial {value!r}: {exc}") from None
+        if canonical != value:
+            raise ComponentError(f"{pos}: non-canonical polynomial {value!r}")
         return value
     if not isinstance(value, Fraction):
         raise ComponentError(f"{pos}: expected a rational value")
@@ -100,8 +115,8 @@ def check_value(construction: Construction, pos: Position, value: Value) -> Valu
 def _canon_poly(coeffs: Mapping[int, int]) -> Poly:
     items = []
     for slot, c in coeffs.items():
-        if slot < 0:
-            raise ComponentError("negative polynomial slot")
+        if not isinstance(slot, int) or slot < 0:
+            raise ComponentError("polynomial slots must be non-negative integers")
         if not isinstance(c, int):
             raise ComponentError("polynomial coefficients must be integers")
         if c:
@@ -110,43 +125,49 @@ def _canon_poly(coeffs: Mapping[int, int]) -> Poly:
 
 
 def _poly_add(x: Poly, y: Poly) -> Poly:
-    acc = dict(x)
-    for slot, c in y:
-        s = acc.get(slot, 0) + c
-        if s:
-            acc[slot] = s
+    # linear merge of the two slot-sorted tuples, zero sums dropped
+    out = []
+    i = j = 0
+    while i < len(x) and j < len(y):
+        sx, cx = x[i]
+        sy, cy = y[j]
+        if sx < sy:
+            out.append(x[i])
+            i += 1
+        elif sy < sx:
+            out.append(y[j])
+            j += 1
         else:
-            acc.pop(slot, None)
-    return tuple(sorted(acc.items()))
-
-
-def _poly_scale(x: Poly, k: int) -> Poly:
-    if k == 0:
-        return ()
-    return tuple((slot, c * k) for slot, c in x)
-
-
-def _poly_sign(x: Poly) -> int:
-    # lexicographic: the least slot present decides
-    if not x:
-        return 0
-    return 1 if x[0][1] > 0 else -1
+            c = cx + cy
+            if c:
+                out.append((sx, c))
+            i += 1
+            j += 1
+    return (*out, *x[i:], *y[j:])
 
 
 def _value_sign(v: Value) -> int:
-    if isinstance(v, tuple):
-        return _poly_sign(v)
-    return (v > 0) - (v < 0)
+    """Sign of a stored, hence nonzero, value: its least slot or numerator."""
+    lead = v[0][1] if v.__class__ is tuple else v.numerator  # type: ignore[union-attr]
+    return 1 if lead > 0 else -1
 
 
 def _value_sub_sign(a: Value, b: Value) -> int:
     """Sign of a - b for two values stored at the same position."""
-    if isinstance(a, tuple) or isinstance(b, tuple):
-        xa: Poly = a if isinstance(a, tuple) else ()
-        xb: Poly = b if isinstance(b, tuple) else ()
-        return _poly_sign(_poly_add(xa, _poly_scale(xb, -1)))
-    d = a - b
-    return (d > 0) - (d < 0)
+    if a.__class__ is tuple:
+        # the first slot where the coefficients differ decides; of two
+        # different slots the smaller is absent, i.e. 0, on the other side
+        for (sa, ca), (sb, cb) in zip_longest(a, b, fillvalue=(math.inf, 0)):  # type: ignore[misc]
+            if sa < sb:
+                cb = 0
+            elif sb < sa:
+                ca = 0
+            if ca != cb:
+                return 1 if ca > cb else -1
+        return 0
+    x = a.numerator * b.denominator  # type: ignore[union-attr]
+    y = b.numerator * a.denominator  # type: ignore[union-attr]
+    return (x > y) - (x < y)
 
 
 @dataclass(frozen=True)
@@ -160,40 +181,66 @@ class LeadDescriptor:
     position: Position
     inner_slot: int = 0
 
-    def sort_key(self) -> tuple:
-        return (*self.position.sort_key(), self.inner_slot)
-
     def __lt__(self, other: "LeadDescriptor") -> bool:
-        return self.sort_key() < other.sort_key()
+        return (self.position.key, self.inner_slot) < (other.position.key, other.inner_slot)
 
     def __le__(self, other: "LeadDescriptor") -> bool:
-        return self.sort_key() <= other.sort_key()
+        return (self.position.key, self.inner_slot) <= (other.position.key, other.inner_slot)
 
     def __str__(self) -> str:
         return f"({self.position}, {self.inner_slot})"
 
 
-@dataclass(frozen=True)
 class GroupElement:
+    """Immutable; the constructor validates, ``_from_canonical`` does not."""
+
+    __slots__ = ("construction", "entries", "_hash")
+
     construction: Construction
     entries: tuple[tuple[Position, Value], ...]
 
+    def __init__(self, construction: Construction, entries: tuple) -> None:
+        _set_construction(self, construction)
+        _set_entries(self, tuple((pos, value) for pos, value in entries))
+        self.__post_init__()
+
     def __post_init__(self) -> None:
+        if not isinstance(self.construction, Construction):
+            raise ComponentError(f"unknown construction {self.construction!r}")
         prev = None
-        for pos, _ in self.entries:
-            k = pos.sort_key()
-            if prev is not None and not prev < k:
+        for pos, value in self.entries:
+            if not isinstance(pos, Position):
+                raise ComponentError(f"expected a position, got {pos!r}")
+            if prev is not None and not prev.key < pos.key:
                 raise ComponentError("entries must be sorted by position and unique")
-            prev = k
+            if not check_value(self.construction, pos, value):
+                raise ComponentError(f"{pos}: zero components are not stored")
+            prev = pos
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"GroupElement is immutable: cannot set {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return (GroupElement, (self.construction, self.entries))
+
+    def __repr__(self) -> str:
+        return f"GroupElement(construction={self.construction!r}, entries={self.entries!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not GroupElement:
+            return NotImplemented
+        return self is other or (
+            self.construction is other.construction and self.entries == other.entries
+        )
 
     def __hash__(self) -> int:
         # Elements are immutable, so the hash is computed on first use
         # and kept; fragment search looks every candidate up in a set.
         try:
-            return self._hash  # type: ignore[attr-defined]
+            return self._hash
         except AttributeError:
             h = hash((self.construction, self.entries))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
             return h
 
     def is_zero(self) -> bool:
@@ -204,7 +251,7 @@ class GroupElement:
 
     def value_at(self, pos: Position) -> Optional[Value]:
         for p, v in self.entries:
-            if p == pos:
+            if p is pos:
                 return v
         return None
 
@@ -230,25 +277,23 @@ class GroupElement:
         # linear merge of the two position-sorted entry tuples
         out = []
         i = j = 0
-        while i < len(ea) and j < len(eb):
+        na, nb = len(ea), len(eb)
+        while i < na and j < nb:
             pa, va = ea[i]
             pb, vb = eb[j]
-            ka, kb = pa.sort_key(), pb.sort_key()
-            if ka < kb:
-                out.append(ea[i])
-                i += 1
-            elif kb < ka:
-                out.append(eb[j])
-                j += 1
-            else:
-                s = _poly_add(va, vb) if isinstance(vb, tuple) else va + vb  # type: ignore[arg-type, operator]
+            if pa is pb:
+                s = _poly_add(va, vb) if vb.__class__ is tuple else va + vb  # type: ignore[arg-type, operator]
                 if s:
                     out.append((pa, s))
                 i += 1
                 j += 1
-        out.extend(ea[i:])
-        out.extend(eb[j:])
-        return GroupElement(self.construction, tuple(out))
+            elif pa.key < pb.key:
+                out.append(ea[i])
+                i += 1
+            else:
+                out.append(eb[j])
+                j += 1
+        return _from_canonical(self.construction, (*out, *ea[i:], *eb[j:]))
 
     def __neg__(self) -> "GroupElement":
         return self.scale(-1)
@@ -263,13 +308,10 @@ class GroupElement:
             return self
         if k == 0:
             return zero(self.construction)
-        out = []
-        for pos, v in self.entries:
-            if isinstance(v, tuple):
-                out.append((pos, _poly_scale(v, k)))
-            else:
-                out.append((pos, v * k))
-        return GroupElement(self.construction, tuple(out))
+        return _from_canonical(self.construction, tuple([
+            (pos, tuple([(s, c * k) for s, c in v]) if v.__class__ is tuple else v * k)
+            for pos, v in self.entries
+        ]))
 
     def __mul__(self, k: int) -> "GroupElement":
         return self.scale(k)
@@ -280,27 +322,23 @@ class GroupElement:
 
     def cmp(self, other: "GroupElement") -> int:
         _same(self, other)
-        i = j = 0
-        ea, eb = self.entries, other.entries
-        while i < len(ea) or j < len(eb):
-            ka = ea[i][0].sort_key() if i < len(ea) else None
-            kb = eb[j][0].sort_key() if j < len(eb) else None
-            if kb is None or (ka is not None and ka < kb):
-                s = _value_sign(ea[i][1])
-                if s:
-                    return s
-                i += 1
-            elif ka is None or kb < ka:
-                s = -_value_sign(eb[j][1])
-                if s:
-                    return s
-                j += 1
+        # stored values are nonzero: the first position held by one side
+        # only decides by its sign, a shared position by the difference
+        for (pa, va), (pb, vb) in zip(self.entries, other.entries):
+            if pa is pb:
+                if va is not vb:
+                    s = _value_sub_sign(va, vb)
+                    if s:
+                        return s
+            elif pa.key < pb.key:
+                return _value_sign(va)
             else:
-                s = _value_sub_sign(ea[i][1], eb[j][1])
-                if s:
-                    return s
-                i += 1
-                j += 1
+                return -_value_sign(vb)
+        ea, eb = self.entries, other.entries
+        if len(ea) > len(eb):
+            return _value_sign(ea[len(eb)][1])
+        if len(eb) > len(ea):
+            return -_value_sign(eb[len(ea)][1])
         return 0
 
     def sign(self) -> int:
@@ -417,8 +455,23 @@ def cmp(a: GroupElement, b: GroupElement) -> int:
     return a.cmp(b)
 
 
+# the slot setters write past the immutable __setattr__ without a Python call
+_set_construction = GroupElement.construction.__set__  # type: ignore[attr-defined]
+_set_entries = GroupElement.entries.__set__  # type: ignore[attr-defined]
+_set_hash = GroupElement._hash.__set__  # type: ignore[attr-defined]
+_new_element = object.__new__
+
+
+def _from_canonical(construction: Construction, entries: tuple) -> GroupElement:
+    """Unchecked constructor for entries that are canonical by construction."""
+    e = _new_element(GroupElement)
+    _set_construction(e, construction)
+    _set_entries(e, entries)
+    return e
+
+
 # one immutable zero per construction, shared by every caller
-_ZEROS = {c: GroupElement(c, ()) for c in Construction}
+_ZEROS = {c: _from_canonical(c, ()) for c in Construction}
 
 
 def zero(construction: Construction) -> GroupElement:
@@ -432,24 +485,14 @@ def element(
     """Build an element from position -> raw value, canonicalizing."""
     entries = []
     for pos, raw in components.items():
-        if uses_poly(construction, pos):
-            if isinstance(raw, int):
-                raw = {0: raw}
-            if isinstance(raw, Fraction):
-                raise ComponentError(f"{pos}: square components take integer polynomials")
-            v: Value = _canon_poly(raw)
-            if not v:
-                continue
+        if isinstance(raw, Mapping) or (isinstance(raw, int) and uses_poly(construction, pos)):
+            v: Value = _canon_poly(raw if isinstance(raw, Mapping) else {0: raw})
         else:
-            if isinstance(raw, Mapping):
-                raise ComponentError(f"{pos}: expected a rational value")
-            q = Fraction(raw)
-            if not q:
-                continue
-            v = check_value(construction, pos, q)
-        entries.append((pos, v))
-    entries.sort(key=lambda e: e[0].sort_key())
-    return GroupElement(construction, tuple(entries))
+            v = Fraction(raw)
+        if check_value(construction, pos, v):
+            entries.append((pos, v))
+    entries.sort(key=lambda e: e[0].key)
+    return _from_canonical(construction, tuple(entries))
 
 
 def unit(

@@ -28,6 +28,7 @@ from .elements import (
     ConstructionMismatch,
     GroupElement,
     LeadDescriptor,
+    _from_canonical,
     element,
     fresh_g1_block,
     unit,
@@ -124,10 +125,8 @@ def apply(e: Embedding, a: GroupElement, experimental: bool = False) -> GroupEle
     """Image of ``a``; injective, additive, and order preserving."""
     _check_experimental(e, a.construction, experimental)
     fwd = _FORWARD[e]
-    entries = tuple(
-        sorted(((fwd(pos), v) for pos, v in a.entries), key=lambda it: it[0].sort_key())
-    )
-    return GroupElement(a.construction, entries)
+    entries = tuple(sorted(((fwd(pos), v) for pos, v in a.entries), key=lambda it: it[0].key))
+    return _from_canonical(a.construction, entries)
 
 
 def preimage(e: Embedding, a: GroupElement, experimental: bool = False) -> Optional[GroupElement]:
@@ -140,8 +139,8 @@ def preimage(e: Embedding, a: GroupElement, experimental: bool = False) -> Optio
         if q is None:
             return None
         out.append((q, v))
-    out.sort(key=lambda it: it[0].sort_key())
-    return GroupElement(a.construction, tuple(out))
+    out.sort(key=lambda it: it[0].key)
+    return _from_canonical(a.construction, tuple(out))
 
 
 def in_image(e: Embedding, a: GroupElement, experimental: bool = False) -> bool:

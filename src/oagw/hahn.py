@@ -265,7 +265,7 @@ def _g2_part_nonnegative(g: GroupElement) -> bool:
     pos, _ = g.entries[0]
     if pos.area != G2:
         return True
-    return GroupElement(g.construction, (g.entries[0],)).sign() > 0
+    return g.sign() > 0
 
 
 def membership(f: HahnSeries) -> Membership:

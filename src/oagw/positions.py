@@ -11,6 +11,12 @@ Positions further left are more significant for the lexicographic
 order.  ``sort_key`` realises the total order: every G2 position
 precedes every G1 position, G2 pairs descend with ``m``, and inside a
 G1 block every square precedes the block circle.
+
+Positions are interned: each ``(area, index, shape, slot)`` has exactly
+one ``Position`` object, created and validated on first use, so
+equality and hashing are by identity.  The sort key is the plain
+attribute ``key`` (``sort_key()`` returns it); pickle, ``copy`` and
+``deepcopy`` return the interned object.
 """
 
 from __future__ import annotations
@@ -22,13 +28,28 @@ G1 = "G1"
 CIRCLE = "c"
 SQUARE = "s"
 
+# (area, index, shape, slot) -> the one Position with those fields
+_INTERNED: dict[tuple, "Position"] = {}
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, init=False)
 class Position:
     area: str  # G2 | G1
     index: int  # pair m for G2, block b for G1
     shape: str  # CIRCLE | SQUARE
     slot: int = 0  # square number inside a G1 block; 0 elsewhere
+
+    def __new__(cls, area: str, index: int, shape: str, slot: int = 0) -> "Position":
+        fields = (area, index, shape, slot)
+        try:
+            return _INTERNED[fields]
+        except KeyError:
+            pass
+        self = object.__new__(cls)
+        for name, value in zip(("area", "index", "shape", "slot"), fields):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+        return _INTERNED.setdefault(fields, self)
 
     def __post_init__(self) -> None:
         if self.area not in (G2, G1):
@@ -47,14 +68,14 @@ class Position:
             key = (1, self.index, 0, self.slot)
         else:
             key = (1, self.index, 1, 0)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash((self.area, self.index, self.shape, self.slot)))
+        object.__setattr__(self, "key", key)  # read directly by hot code
 
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+    def __reduce__(self) -> tuple:
+        # pickle, copy and deepcopy go back through the intern table
+        return (Position, (self.area, self.index, self.shape, self.slot))
 
     def sort_key(self) -> tuple:
-        return self._key  # type: ignore[attr-defined]
+        return self.key
 
     @property
     def is_circle(self) -> bool:
@@ -79,14 +100,8 @@ class Position:
     def next_circle(self) -> "Position":
         """The first circle position strictly to the right."""
         if self.area == G2:
-            if self.shape == CIRCLE:
-                if self.index == 0:
-                    return g1_circle(0)
-                return g2_circle(self.index - 1)
-            # square of pair m: next circle is pair m-1's, or G1 block 0's
-            if self.index == 0:
-                return g1_circle(0)
-            return g2_circle(self.index - 1)
+            # from either member of pair m: pair m-1's circle, or G1 block 0's
+            return g2_circle(self.index - 1) if self.index else g1_circle(0)
         if self.shape == SQUARE:
             return g1_circle(self.index)
         return g1_circle(self.index + 1)
@@ -116,7 +131,7 @@ def g1_circle(b: int) -> Position:
 
 
 def pos_lt(a: Position, b: Position) -> bool:
-    return a.sort_key() < b.sort_key()
+    return a.key < b.key
 
 
 #: The one circle position that the left-shift embedding forces to zero.

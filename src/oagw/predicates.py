@@ -105,7 +105,7 @@ def cong_witness_below(n: int, a: GroupElement, b: GroupElement) -> Optional[Gro
     # componentwise residue of a from slot d onward, zero before
     comps: dict[Position, object] = {}
     for pos, v in a.entries:
-        if pos.sort_key() < d.position.sort_key():
+        if pos.key < d.position.key:
             continue
         if isinstance(v, tuple):
             if pos == d.position:

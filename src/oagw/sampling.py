@@ -112,8 +112,7 @@ def random_a_cone_exponent(rng: random.Random) -> GroupElement:
         e = element(LAMBDA, comps)
     if e.is_zero():
         return e
-    head = GroupElement(LAMBDA, (e.entries[0],))
-    if e.entries[0][0].area == G2 and head.sign() < 0:
+    if e.entries[0][0].area == G2 and e.sign() < 0:
         return -e
     return e
 

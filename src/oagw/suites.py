@@ -354,7 +354,7 @@ def suite_hprime_locality(rep: SuiteReport, opts: SuiteOptions) -> None:
         for _ in range(rng.randrange(1, 4)):
             pos = random_position(rng)
             tries = 0
-            while not lead_pos.sort_key() < pos.sort_key():
+            while not lead_pos.key < pos.key:
                 pos = random_position(rng)
                 tries += 1
                 if tries > 40:

@@ -1,7 +1,9 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from oagw.elements import (
     ComponentError,
@@ -169,10 +171,122 @@ class TestHashAndSign:
             assert a.sign() == (v > 0) - (v < 0)
         assert (-a).sign() == -a.sign()
 
-    def test_sign_of_raw_zero_component(self):
-        # a raw element may store a zero rational; its sign stays 0
-        raw = GroupElement(LAMBDA, ((g2_circle(0), Fraction(0)),))
-        assert raw.sign() == 0
+    def test_raw_zero_component_rejected(self):
+        # a stored zero rational would give an element unequal to zero
+        with pytest.raises(ComponentError):
+            GroupElement(LAMBDA, ((g2_circle(0), Fraction(0)),))
+
+
+class TestValidation:
+    """The public constructor rejects every non-canonical entry tuple."""
+
+    BAD = {
+        "unsorted positions": (LAMBDA, ((S00, ((0, 1),)), (g2_circle(0), Fraction(1))),),
+        "duplicate position": (GAMMA, ((S00, Fraction(1)), (S00, Fraction(2)))),
+        "stored zero rational": (GAMMA, ((S00, Fraction(0)),)),
+        "empty polynomial": (LAMBDA, ((S00, ()),)),
+        "unsorted slots": (LAMBDA, ((S00, ((1, 1), (0, -1))),)),
+        "duplicate slot": (LAMBDA, ((S00, ((0, 1), (0, 2))),)),
+        "zero coefficient": (LAMBDA, ((S00, ((0, 0),)),)),
+        "negative slot": (LAMBDA, ((S00, ((-1, 1),)),)),
+        "non-int coefficient": (LAMBDA, ((S00, ((0, Fraction(1, 2)),)),)),
+        "malformed term": (LAMBDA, ((S00, ((0,),)),)),
+        "fraction at a lambda square": (LAMBDA, ((S00, Fraction(1)),)),
+        "polynomial at a lambda circle": (LAMBDA, ((g2_circle(0), ((0, 1),)),)),
+        "polynomial at a gamma square": (GAMMA, ((S00, ((0, 1),)),)),
+        "int instead of a rational": (GAMMA, ((S00, 1),)),
+        "gamma circle denominator 2": (GAMMA, ((g2_circle(2), Fraction(1, 2)),)),
+        "gamma square denominator 3": (GAMMA, ((S00, Fraction(1, 3)),)),
+        "not a position": (GAMMA, ((("G2", 0, "c"), Fraction(1)),)),
+    }
+
+    @pytest.mark.parametrize("construction,entries", BAD.values(), ids=list(BAD))
+    def test_rejected(self, construction, entries):
+        with pytest.raises(ComponentError):
+            GroupElement(construction, entries)
+
+    def test_out_of_order_slots_cannot_flip_the_sign(self):
+        # 1*c1 - 1 stored out of order would read sign 1; canonical is -1 + c1
+        canonical = element(LAMBDA, {S00: {0: -1, 1: 1}})
+        assert canonical.sign() == -1
+        with pytest.raises(ComponentError):
+            GroupElement(LAMBDA, ((S00, ((1, 1), (0, -1))),))
+        assert GroupElement(LAMBDA, canonical.entries) == canonical
+
+    def test_stored_zero_coefficient_is_not_a_second_zero(self):
+        with pytest.raises(ComponentError):
+            GroupElement(LAMBDA, ((S00, ((0, 0),)),))
+        assert GroupElement(LAMBDA, ()) == zero(LAMBDA)
+
+    def test_canonical_entries_accepted(self):
+        a = element(GAMMA, {g2_circle(1): Fraction(1, 3), S00: Fraction(5, 2)})
+        b = GroupElement(GAMMA, list(a.entries))
+        assert b == a and hash(b) == hash(a) and b.entries == a.entries
+
+    def test_immutable(self):
+        a = element(LAMBDA, {S00: 1})
+        with pytest.raises(AttributeError):
+            a.entries = ()  # type: ignore[misc]
+
+    def test_pickle_and_copy_round_trip(self):
+        a = element(LAMBDA, {S00: {0: 2, 3: -1}, g2_circle(0): Fraction(1, 2)})
+        for b in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+            assert b == a and hash(b) == hash(a)
+            assert b.entries[0][0] is a.entries[0][0]
+
+
+def _revalidated(r):
+    """``r`` rebuilt through the validating public constructor."""
+    return GroupElement(r.construction, r.entries)
+
+
+class TestCanonicalResults:
+    """Every unchecked internal result passes the public validation."""
+
+    @staticmethod
+    def _check(results):
+        for r in results:
+            if r is None:
+                continue
+            v = _revalidated(r)
+            assert v == r and hash(v) == hash(r)
+
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(-4, 4))
+    def test_arithmetic_results(self, construction, rng, k):
+        from oagw.sampling import random_element
+
+        a = random_element(rng, construction, 4)
+        b = random_element(rng, construction, 4)
+        self._check([a, b, a + b, a - b, b - a, -a, a.scale(k), a + a, a - a, zero(construction)])
+
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_embedding_results(self, construction, rng):
+        from oagw.embeddings import Embedding, apply, preimage
+        from oagw.sampling import random_element
+
+        a = random_element(rng, construction, 4)
+        for emb in Embedding:
+            fa = apply(emb, a, experimental=True)
+            self._check([fa, preimage(emb, fa, experimental=True), preimage(emb, a, experimental=True)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from([LAMBDA, GAMMA]),
+        st.dictionaries(
+            st.sampled_from([g2_circle(1), g2_square(0), S00, g1_square(0, 2), g1_square(1, 0)]),
+            st.integers(-3, 3),
+            max_size=4,
+        ),
+        st.dictionaries(st.integers(0, 3), st.integers(-2, 2), max_size=3),
+    )
+    def test_element_results(self, construction, ints, poly):
+        self._check([element(construction, ints)])
+        if construction is LAMBDA:
+            self._check([element(LAMBDA, {S00: poly, g1_square(1, 0): poly})])
 
 
 class TestIdentityFastPaths:

@@ -1,9 +1,12 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 
 from oagw.positions import (
     CRITICAL_CIRCLE,
+    G1,
     Position,
     g1_circle,
     g1_square,
@@ -90,3 +93,45 @@ def test_validation():
 def test_critical_circle():
     assert CRITICAL_CIRCLE == g2_circle(0)
     assert pos_lt(CRITICAL_CIRCLE, g2_square(0))
+
+
+def test_positions_are_interned():
+    assert Position(G1, 0, "s", 2) is g1_square(0, 2)
+    assert Position("G2", 3, "c") is g2_circle(3)
+    assert Position(G1, 4, "c", slot=0) is g1_circle(4)
+    assert g2_square(1) is not g2_circle(1)
+    assert hash(g1_square(5, 1)) == hash(Position(G1, 5, "s", 1))
+    assert g1_square(0, 2).key == g1_square(0, 2).sort_key()
+
+
+def test_embedding_positions_are_the_factory_objects():
+    from oagw.elements import LAMBDA, element
+    from oagw.embeddings import Embedding, apply, preimage
+
+    a = element(LAMBDA, {g2_circle(1): 1, g2_square(0): 2, g1_square(0, 1): 3, g1_circle(2): 1})
+    factories = {
+        ("G2", "c"): lambda p: g2_circle(p.index),
+        ("G2", "s"): lambda p: g2_square(p.index),
+        ("G1", "s"): lambda p: g1_square(p.index, p.slot),
+        ("G1", "c"): lambda p: g1_circle(p.index),
+    }
+    for emb in Embedding:
+        image = apply(emb, a, experimental=True)
+        for e in (image, preimage(emb, image, experimental=True)):
+            for pos, _ in e.entries:
+                assert pos is factories[pos.area, pos.shape](pos)
+
+
+def test_pickle_and_copy_return_the_interned_object():
+    for p in sample_positions():
+        assert pickle.loads(pickle.dumps(p)) is p
+        assert copy.copy(p) is p
+        assert copy.deepcopy(p) is p
+        assert copy.deepcopy([p, p])[0] is p
+
+
+def test_positions_are_immutable():
+    p = g2_circle(0)
+    with pytest.raises(AttributeError):
+        p.index = 1  # type: ignore[misc]
+    assert p is CRITICAL_CIRCLE

@@ -177,6 +177,7 @@ _USAGE_ERRORS = [
     (["check", "a-membership", "--construction", "gamma", "--samples", "2"],
      "a-membership runs on lambda, not gamma"),
     (["check", "hahn-ring", "--coeff-bound", "9"], "hahn-ring reads no coefficient bound"),
+    (["check", "lambda-repair", "--samples", "5"], "lambda-repair runs a fixed scan"),
 ]
 
 
