@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .elements import Construction, LAMBDA, format_element, parse_element
 from .evaluate import Truth, evaluate
-from .formulas import parse_formula
+from .formulas import free_vars, parse_formula
 from .fragments import FragmentConfig
 from .suites import DEMOS, SUITES, SuiteOptions, SuiteReport, gen_corpus, run_suite
 
@@ -73,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="VAR=LITERAL",
         help="free-variable binding, repeatable",
     )
-    ev.add_argument("--seed", type=int, default=42)
     ev.add_argument("--coeff-bound", type=_int_at_least(0), default=2)
     ev.add_argument("--size-cap", type=_int_at_least(1), default=600)
     ev.add_argument(
@@ -139,15 +138,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             env = {}
             for binding in args.bind:
                 if "=" not in binding:
-                    print(f"bad binding {binding!r}, expected VAR=LITERAL", file=sys.stderr)
-                    return 2
-                var, lit = binding.split("=", 1)
-                env[var.strip()] = parse_element(lit.strip(), construction)
+                    raise ValueError(f"bad binding {binding!r}, expected VAR=LITERAL")
+                var, lit = (part.strip() for part in binding.split("=", 1))
+                if var in env:
+                    raise ValueError(f"variable {var!r} is bound more than once")
+                env[var] = parse_element(lit, construction)
+            unbound = free_vars(formula) - env.keys()
+            if unbound:
+                raise ValueError(
+                    f"unbound free variables {sorted(unbound)}; bind each with --bind VAR=LITERAL"
+                )
             pool = tuple(parse_element(lit, construction) for lit in args.pool)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        cfg = FragmentConfig(args.coeff_bound, pool, args.size_cap, args.seed)
+        cfg = FragmentConfig(
+            coeff_bound=args.coeff_bound, generator_pool=pool, size_cap=args.size_cap
+        )
         verdict = evaluate(construction, formula, env, cfg)
         print(f"verdict: {verdict.truth.value}")
         if verdict.witness:

@@ -246,9 +246,6 @@ class GroupElement:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def support(self) -> tuple[Position, ...]:
-        return tuple(pos for pos, _ in self.entries)
-
     def value_at(self, pos: Position) -> Optional[Value]:
         for p, v in self.entries:
             if p is pos:
@@ -451,10 +448,6 @@ def _gamma_divisible_by(pos: Position, value: Fraction, need: Mapping[int, int])
     return need[p] == 0 or _p_val(value.numerator, p) >= need[p]
 
 
-def cmp(a: GroupElement, b: GroupElement) -> int:
-    return a.cmp(b)
-
-
 # the slot setters write past the immutable __setattr__ without a Python call
 _set_construction = GroupElement.construction.__set__  # type: ignore[attr-defined]
 _set_entries = GroupElement.entries.__set__  # type: ignore[attr-defined]
@@ -501,11 +494,6 @@ def unit(
     value: Union[int, Fraction, Mapping[int, int]] = 1,
 ) -> GroupElement:
     return element(construction, {pos: value})
-
-
-def lambda_c_unit(pos: Position, slot: int, coeff: int = 1) -> GroupElement:
-    """LAMBDA square generator: ``coeff * c_slot`` (slot 0 is the unit 1)."""
-    return element(LAMBDA, {pos: {slot: coeff}})
 
 
 # -- text form ------------------------------------------------------------

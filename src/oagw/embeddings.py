@@ -12,8 +12,7 @@ component values carried unchanged:
   exactly what its image omits.
 
 Also here: the image-preserving perturbation used to break finitely
-many congruences at once, and the two-sided window that pins the
-``n``-lead descriptor of every element between its endpoints.
+many congruences at once.
 """
 
 from __future__ import annotations
@@ -22,14 +21,10 @@ import enum
 from typing import Optional, Sequence
 
 from .elements import (
-    GAMMA,
     LAMBDA,
-    Construction,
     ConstructionMismatch,
     GroupElement,
-    LeadDescriptor,
     _from_canonical,
-    element,
     fresh_g1_block,
     unit,
 )
@@ -51,18 +46,6 @@ class Embedding(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-class ExperimentalFeature(RuntimeError):
-    pass
-
-
-def _check_experimental(e: Embedding, construction: Construction, experimental: bool) -> None:
-    if e is Embedding.F2 and construction is GAMMA and not experimental:
-        raise ExperimentalFeature(
-            "F2 on the gamma construction shares the index bookkeeping but is "
-            "unvalidated; pass experimental=True to allow it"
-        )
 
 
 def _f1_pos(pos: Position) -> Position:
@@ -121,17 +104,15 @@ _FORWARD = {Embedding.F1: _f1_pos, Embedding.F2: _f2_pos}
 _INVERSE = {Embedding.F1: _f1_pos_inv, Embedding.F2: _f2_pos_inv}
 
 
-def apply(e: Embedding, a: GroupElement, experimental: bool = False) -> GroupElement:
+def apply(e: Embedding, a: GroupElement) -> GroupElement:
     """Image of ``a``; injective, additive, and order preserving."""
-    _check_experimental(e, a.construction, experimental)
     fwd = _FORWARD[e]
     entries = tuple(sorted(((fwd(pos), v) for pos, v in a.entries), key=lambda it: it[0].key))
     return _from_canonical(a.construction, entries)
 
 
-def preimage(e: Embedding, a: GroupElement, experimental: bool = False) -> Optional[GroupElement]:
+def preimage(e: Embedding, a: GroupElement) -> Optional[GroupElement]:
     """The unique b with apply(e, b) == a, or None outside the image."""
-    _check_experimental(e, a.construction, experimental)
     inv = _INVERSE[e]
     out = []
     for pos, v in a.entries:
@@ -143,8 +124,7 @@ def preimage(e: Embedding, a: GroupElement, experimental: bool = False) -> Optio
     return _from_canonical(a.construction, tuple(out))
 
 
-def in_image(e: Embedding, a: GroupElement, experimental: bool = False) -> bool:
-    _check_experimental(e, a.construction, experimental)
+def in_image(e: Embedding, a: GroupElement) -> bool:
     if e is Embedding.F1:
         return a.value_at(CRITICAL_CIRCLE) is None
     return not any(
@@ -176,26 +156,3 @@ def perturb_into_image(
     fresh = g1_square(fresh_g1_block(t, eps, *(r for _, r in constraints)), 0)
     return t + unit(LAMBDA, fresh, {0: 1})
 
-
-def descriptor_window(
-    a: GroupElement, n: int
-) -> tuple[GroupElement, GroupElement]:
-    """F1-image endpoints (lo, hi) pinning the n-lead of everything between.
-
-    Every u with lo < u < hi has ``u.lead_mod(n) == a.lead_mod(n)``:
-    both endpoints share a's leading square truncated at the
-    n-indivisible slot, and differ only one slot deeper, so anything
-    between them reproduces that prefix exactly.
-    """
-    if a.construction is not LAMBDA:
-        raise ConstructionMismatch("descriptor windows are defined on the lambda construction")
-    d = a.lead_mod(n)
-    if d is None:
-        raise ValueError("element is divisible: no n-lead to pin")
-    v = a.value_at(d.position)
-    assert isinstance(v, tuple)
-    trunc = {slot: c for slot, c in v if slot <= d.inner_slot}
-    spread = abs(a.coeff_at(LeadDescriptor(d.position, d.inner_slot + 1))) + 1
-    lo = element(LAMBDA, {d.position: {**trunc, d.inner_slot + 1: -spread}})
-    hi = element(LAMBDA, {d.position: {**trunc, d.inner_slot + 1: spread}})
-    return lo, hi

@@ -322,26 +322,3 @@ def _compile_atom(construction: Construction, a) -> Callable[[dict[str, GroupEle
         return lambda env: cong_free_below(n, lhs(construction, env), rhs(construction, env))
     raise TypeError(f"not an atom: {a!r}")
 
-
-def find_witnesses(
-    construction: Construction,
-    f: Exists,
-    env: Mapping[str, GroupElement],
-    cfg: FragmentConfig,
-    candidate_filter: Optional[Callable[[GroupElement], bool]] = None,
-    limit: Optional[int] = None,
-) -> list[GroupElement]:
-    """All fragment witnesses of a top-level existential (up to limit)."""
-    out: list[GroupElement] = []
-    base = dict(env)
-    params = list(base.values()) + constants(f)
-    body = _compile(construction, f.body, cfg, candidate_filter)
-    for cand in iter_fragment(params, cfg, construction):
-        if candidate_filter is not None and not candidate_filter(cand):
-            continue
-        base[f.var] = cand
-        if body(base).truth is Truth.TRUE:
-            out.append(cand)
-            if limit is not None and len(out) >= limit:
-                break
-    return out

@@ -233,10 +233,6 @@ class Forall:
 Formula = Union[AtomF, BoolC, Not, And, Or, Implies, Exists, Forall]
 
 
-def atom(a: Atom) -> AtomF:
-    return AtomF(a)
-
-
 def or_all(parts: Iterable[Formula]) -> Formula:
     out: Optional[Formula] = None
     for p in parts:

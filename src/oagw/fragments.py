@@ -103,11 +103,3 @@ def iter_fragment(
             emitted += 1
             yield acc
 
-
-def fragment(
-    params: Sequence[GroupElement],
-    cfg: FragmentConfig,
-    construction: Construction | None = None,
-) -> list[GroupElement]:
-    """Materialized fragment; always contains zero and every parameter."""
-    return list(iter_fragment(params, cfg, construction))

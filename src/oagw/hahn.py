@@ -142,15 +142,6 @@ class HahnSeries:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def support(self) -> tuple[GroupElement, ...]:
-        return tuple(g for g, _ in self.terms)
-
-    def coeff(self, exponent: GroupElement):
-        for g, c in self.terms:
-            if g == exponent:
-                return c
-        return self.coeff_field.coerce(0)
-
     def __add__(self, other: "HahnSeries") -> "HahnSeries":
         _compat(self, other)
         F = self.coeff_field
@@ -241,10 +232,6 @@ def monomial(
 
 def one(construction: Construction, coeff_field: CoefficientField = QQ) -> HahnSeries:
     return monomial(group_zero(construction), 1, coeff_field)
-
-
-def zero_series(construction: Construction, coeff_field: CoefficientField = QQ) -> HahnSeries:
-    return HahnSeries(construction, coeff_field, ())
 
 
 # -- membership -------------------------------------------------------------

@@ -130,9 +130,5 @@ def g1_circle(b: int) -> Position:
     return Position(G1, b, CIRCLE)
 
 
-def pos_lt(a: Position, b: Position) -> bool:
-    return a.key < b.key
-
-
 #: The one circle position that the left-shift embedding forces to zero.
 CRITICAL_CIRCLE = g2_circle(0)

@@ -178,9 +178,6 @@ class TailSet:
     def empty() -> "TailSet":
         return TailSet(None, False)
 
-    def is_empty(self) -> bool:
-        return self.cut is None
-
     def contains(self, b: GroupElement) -> bool:
         if self.cut is None:
             return False
@@ -215,12 +212,6 @@ def tail_set(a: GroupElement) -> TailSet:
     if pos.is_circle:
         return TailSet(LeadDescriptor(pos, 0), True)
     return TailSet(LeadDescriptor(pos.next_circle(), 0), True)
-
-
-def in_tail_set(a: GroupElement, b: GroupElement) -> bool:
-    """Membership of b in the swept tail below a."""
-    _same(a, b)
-    return tail_set(a).contains(b)
 
 
 def inner_anchor_below(a: GroupElement) -> Optional[GroupElement]:

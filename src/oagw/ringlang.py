@@ -51,10 +51,6 @@ def svar(name: str) -> SeriesTerm:
     return SeriesTerm((name,))
 
 
-def sconst(s: HahnSeries) -> SeriesTerm:
-    return SeriesTerm((s,))
-
-
 # -- source: valuation statements ---------------------------------------------
 
 

@@ -247,7 +247,9 @@ def suite_psi_vs_search(rep: SuiteReport, opts: SuiteOptions) -> None:
             if opts.construction is LAMBDA
             else unit(GAMMA, g1_circle(fresh_g1_block(a, b)), 1)
         )
-        cfg = FragmentConfig(opts.coeff_bound, (deep, deep2), 300, opts.seed)
+        cfg = FragmentConfig(
+            coeff_bound=opts.coeff_bound, generator_pool=(deep, deep2), size_cap=300
+        )
         candidates: Optional[list[GroupElement]] = None
         for n in (2, 3):
             closed = cong_free_below(n, a, b)
@@ -323,7 +325,7 @@ def suite_hprime_descriptor(rep: SuiteReport, opts: SuiteOptions) -> None:
         if anchor is not None:
             pool.append(anchor)
         pool.append(_deep_unit(opts.construction, a))
-        cfg = FragmentConfig(2, tuple(pool), 150, opts.seed)
+        cfg = FragmentConfig(coeff_bound=2, generator_pool=tuple(pool), size_cap=150)
         ts = tail_set(a)
         ok = True
         detail = ""
@@ -435,17 +437,17 @@ def suite_embedding_laws(rep: SuiteReport, opts: SuiteOptions) -> None:
             rng = case_rng(opts.seed, i * 7 + (0 if emb is Embedding.F1 else 1))
             a = random_element(rng, opts.construction)
             b = random_element(rng, opts.construction)
-            fa = emb_apply(emb, a, experimental=True)
-            fb = emb_apply(emb, b, experimental=True)
+            fa = emb_apply(emb, a)
+            fb = emb_apply(emb, b)
             ok = True
             detail = ""
-            if emb_apply(emb, a + b, experimental=True) != fa + fb:
+            if emb_apply(emb, a + b) != fa + fb:
                 ok, detail = False, "additivity failed"
             elif (a < b) != (fa < fb) or (a == b) != (fa == fb):
                 ok, detail = False, "order preservation failed"
-            elif preimage(emb, fa, experimental=True) != a:
+            elif preimage(emb, fa) != a:
                 ok, detail = False, "preimage does not invert"
-            elif not in_image(emb, fa, experimental=True):
+            elif not in_image(emb, fa):
                 ok, detail = False, "image member not recognized"
             else:
                 c = random_element(rng, opts.construction)
@@ -456,18 +458,14 @@ def suite_embedding_laws(rep: SuiteReport, opts: SuiteOptions) -> None:
                         pos.area == G1 and pos.index == 0 and pos.is_square
                         for pos, _ in c.entries
                     )
-                if in_image(emb, c, experimental=True) != characterized:
+                if in_image(emb, c) != characterized:
                     ok, detail = False, f"image characterization failed on {c}"
-                elif (preimage(emb, c, experimental=True) is not None) != characterized:
+                elif (preimage(emb, c) is not None) != characterized:
                     ok, detail = False, f"preimage existence failed on {c}"
             rep.check(ok, detail, embedding=emb, a=a, b=b)
 
 
 # -- closure suites ----------------------------------------------------------
-
-
-def _image_filter(emb: Embedding) -> Callable[[GroupElement], bool]:
-    return lambda g: in_image(emb, g, experimental=True)
 
 
 def closure_audit(
@@ -487,10 +485,9 @@ def closure_audit(
     recorded unknown rather than failed.
     """
     report = SuiteReport(f"closure-audit[{sub}]", str(construction), seed)
-    flt = _image_filter(sub)
     for formula, env in corpus:
         for name, value in env.items():
-            if not flt(value):
+            if not in_image(sub, value):
                 raise ValueError(f"parameter {name!r} lies outside the image")
         full = evaluate(construction, formula, env, cfg)
         if full.truth is not Truth.TRUE:
@@ -500,7 +497,9 @@ def closure_audit(
                 formula=print_formula(formula),
             )
             continue
-        sub_v = evaluate(construction, formula, env, cfg, candidate_filter=flt)
+        sub_v = evaluate(
+            construction, formula, env, cfg, candidate_filter=lambda g: in_image(sub, g)
+        )
         report.check(
             sub_v.truth is Truth.TRUE,
             "true in the full group, unconfirmed inside the image",
@@ -553,18 +552,21 @@ def _closure_sentence(rng: random.Random, construction: Construction):
 @suite("f1-exists-closure", constructions=(LAMBDA, GAMMA), samples=100)
 def suite_f1_exists_closure(rep: SuiteReport, opts: SuiteOptions) -> None:
     """Existential sentences true with a fragment witness stay true inside the image."""
-    flt = _image_filter(Embedding.F1)
     critical = unit(opts.construction, CRITICAL_CIRCLE)
     for i in range(opts.samples):
         rng = case_rng(opts.seed, i)
         f, pool = _closure_sentence(rng, opts.construction)
-        full_cfg = FragmentConfig(2, tuple(pool) + (critical,), 400, opts.seed)
-        img_cfg = FragmentConfig(2, tuple(pool), 400, opts.seed)
+        full_cfg = FragmentConfig(
+            coeff_bound=2, generator_pool=tuple(pool) + (critical,), size_cap=400
+        )
+        img_cfg = FragmentConfig(coeff_bound=2, generator_pool=tuple(pool), size_cap=400)
         full = evaluate(opts.construction, f, {}, full_cfg)
         if full.truth is not Truth.TRUE:
             rep.record("unknown", "full-group witness not found", formula=print_formula(f))
             continue
-        sub = evaluate(opts.construction, f, {}, img_cfg, candidate_filter=flt)
+        sub = evaluate(
+            opts.construction, f, {}, img_cfg, candidate_filter=lambda g: in_image(Embedding.F1, g)
+        )
         rep.check(
             sub.truth is Truth.TRUE,
             "no image witness despite full-group truth",
@@ -637,7 +639,7 @@ def suite_f2_interval(rep: SuiteReport, opts: SuiteOptions) -> None:
             element(LAMBDA, {g2_square(0): {0: 1}}),
             element(LAMBDA, {g1_square(1, 0): {1: 1}}),
         )
-        cfg = FragmentConfig(2, pool, 200, opts.seed)
+        cfg = FragmentConfig(coeff_bound=2, generator_pool=pool, size_cap=200)
         full = None
         for x in iter_fragment([a, b], cfg, LAMBDA):
             dx = x.lead_mod(n)
@@ -720,7 +722,7 @@ def demo_gamma_counterexample(rep: SuiteReport, opts: SuiteOptions) -> None:
         unit(GAMMA, g2_square(2), 1),
         unit(GAMMA, g1_square(0, 0), 1),
     )
-    cfg_full = FragmentConfig(3, pool_full, 4000, opts.seed)
+    cfg_full = FragmentConfig(coeff_bound=3, generator_pool=pool_full, size_cap=4000)
     witnesses = [x for x in iter_fragment([c, b], cfg_full, GAMMA) if rel(x)]
     rep.check(
         a in witnesses,
@@ -765,10 +767,9 @@ def demo_lambda_repair(rep: SuiteReport, opts: SuiteOptions) -> None:
         element(LAMBDA, {g2_square(0): {1: 1}}),
         element(LAMBDA, {g1_square(0, 0): {0: 1}}),
     )
-    cfg = FragmentConfig(3, pool_image, 3000, opts.seed)
-    flt = _image_filter(Embedding.F1)
+    cfg = FragmentConfig(coeff_bound=3, generator_pool=pool_image, size_cap=3000)
     witnesses = [
-        x for x in iter_fragment([c, b], cfg, LAMBDA) if flt(x) and rel(x)
+        x for x in iter_fragment([c, b], cfg, LAMBDA) if in_image(Embedding.F1, x) and rel(x)
     ]
     rep.check(bool(witnesses), "no image-internal witness found", count=len(witnesses))
     deep = [

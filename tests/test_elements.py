@@ -15,7 +15,6 @@ from oagw.elements import (
     ParseError,
     element,
     format_element,
-    lambda_c_unit,
     parse_element,
     unit,
     zero,
@@ -46,8 +45,8 @@ class TestOrder:
 
     def test_archimedean_separation_all_slots(self):
         for i in range(0, 63):
-            hi = lambda_c_unit(S00, i)
-            lo = lambda_c_unit(S00, i + 1)
+            hi = element(LAMBDA, {S00: {i: 1}})
+            lo = element(LAMBDA, {S00: {i + 1: 1}})
             for n in range(1, 65):
                 assert lo.scale(n) < hi
 
@@ -270,8 +269,8 @@ class TestCanonicalResults:
 
         a = random_element(rng, construction, 4)
         for emb in Embedding:
-            fa = apply(emb, a, experimental=True)
-            self._check([fa, preimage(emb, fa, experimental=True), preimage(emb, a, experimental=True)])
+            fa = apply(emb, a)
+            self._check([fa, preimage(emb, fa), preimage(emb, a)])
 
     @settings(max_examples=100, deadline=None)
     @given(

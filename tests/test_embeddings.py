@@ -2,12 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from oagw.elements import GAMMA, LAMBDA, element, lambda_c_unit, unit, zero
+from oagw.elements import GAMMA, LAMBDA, element, unit, zero
 from oagw.embeddings import (
     Embedding,
-    ExperimentalFeature,
     apply,
-    descriptor_window,
     in_image,
     perturb_into_image,
     preimage,
@@ -62,13 +60,14 @@ class TestApply:
             LAMBDA, {g1_square(3, 1): {0: 1}}
         )
 
-    def test_f2_gamma_needs_experimental_flag(self):
+    def test_f2_on_gamma_round_trips(self):
         a = element(GAMMA, {g2_square(0): 1})
-        with pytest.raises(ExperimentalFeature):
-            apply(F2, a)
-        apply(F2, a, experimental=True)
-        with pytest.raises(ExperimentalFeature):
-            in_image(F2, a)
+        fa = apply(F2, a)
+        assert fa == element(GAMMA, {g1_square(1, 0): 1})
+        assert in_image(F2, fa)
+        assert preimage(F2, fa) == a
+        assert not in_image(F2, element(GAMMA, {S00: 1}))
+        assert preimage(F2, element(GAMMA, {S00: 1})) is None
 
     @pytest.mark.parametrize("emb", [F1, F2])
     @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
@@ -77,11 +76,11 @@ class TestApply:
             rng = case_rng(17, i)
             a = random_element(rng, construction)
             b = random_element(rng, construction)
-            fa = apply(emb, a, experimental=True)
-            fb = apply(emb, b, experimental=True)
-            assert apply(emb, a + b, experimental=True) == fa + fb
+            fa = apply(emb, a)
+            fb = apply(emb, b)
+            assert apply(emb, a + b) == fa + fb
             assert (a < b) == (fa < fb)
-            assert preimage(emb, fa, experimental=True) == a
+            assert preimage(emb, fa) == a
 
 
 class TestImage:
@@ -157,44 +156,3 @@ class TestPerturb:
             for n, r in constraints:
                 assert not (t2 - r).is_divisible(n)
 
-
-class TestDescriptorWindow:
-    def test_slot0_example(self):
-        a = element(LAMBDA, {S00: {0: 3}})
-        lo, hi = descriptor_window(a, 2)
-        assert lo == element(LAMBDA, {S00: {0: 3, 1: -1}})
-        assert hi == element(LAMBDA, {S00: {0: 3, 1: 1}})
-
-    def test_deeper_slot_example(self):
-        a = element(LAMBDA, {S00: {0: 2, 1: 1}})
-        lo, hi = descriptor_window(a, 2)
-        assert lo == element(LAMBDA, {S00: {0: 2, 1: 1, 2: -1}})
-        assert hi == element(LAMBDA, {S00: {0: 2, 1: 1, 2: 1}})
-
-    def test_divisible_rejected(self):
-        with pytest.raises(ValueError):
-            descriptor_window(unit(LAMBDA, g2_circle(0), Fraction(1)), 2)
-
-    def test_window_pins_descriptor(self):
-        for i in range(150):
-            rng = case_rng(37, i)
-            a = random_element(rng, LAMBDA)
-            n = rng.choice([2, 3])
-            d = a.lead_mod(n)
-            if d is None:
-                continue
-            lo, hi = descriptor_window(a, n)
-            assert in_image(F1, lo) and in_image(F1, hi)
-            assert lo < hi
-            lead = a.lead_descriptor()
-            if lead is not None and lead.position == d.position:
-                # no divisible support left of the obstruction: a sits inside
-                assert lo < a < hi
-            # probe strictly inside the window
-            probes = [
-                lo + lambda_c_unit(g1_square(7, 0), 0),
-                hi - lambda_c_unit(g1_square(7, 0), 0),
-            ]
-            for u in probes:
-                assert lo < u < hi
-                assert u.lead_mod(n) == d

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from oagw.elements import ConstructionMismatch, GAMMA, LAMBDA, element, zero
-from oagw.fragments import FragmentConfig, fragment
+from oagw.fragments import FragmentConfig, iter_fragment
 from oagw.positions import g1_circle, g1_square, g2_circle, g2_square
 from oagw.sampling import case_rng, random_element
 
@@ -12,13 +12,13 @@ S00 = g1_square(0, 0)
 
 
 def test_empty_inputs_give_zero():
-    out = fragment([], FragmentConfig(), LAMBDA)
+    out = list(iter_fragment([], FragmentConfig(), LAMBDA))
     assert out == [zero(LAMBDA)]
 
 
 def test_single_param_bound_one():
     a = element(LAMBDA, {S00: {0: 1}})
-    out = fragment([a], FragmentConfig(coeff_bound=1))
+    out = list(iter_fragment([a], FragmentConfig(coeff_bound=1)))
     assert out == [zero(LAMBDA), a, -a]
 
 
@@ -27,13 +27,13 @@ def test_contains_combination():
     b = element(LAMBDA, {S00: {1: 1}})
     g = element(LAMBDA, {g2_circle(0): 1})
     cfg = FragmentConfig(coeff_bound=2, generator_pool=(g,), size_cap=10_000)
-    out = fragment([a, b], cfg)
+    out = list(iter_fragment([a, b], cfg))
     assert a.scale(2) - b + g in out
 
 
 def test_zero_and_params_always_first():
     a = element(LAMBDA, {S00: {0: 5}})
-    out = fragment([a], FragmentConfig(coeff_bound=3, size_cap=2))
+    out = list(iter_fragment([a], FragmentConfig(coeff_bound=3, size_cap=2)))
     assert out[0] == zero(LAMBDA)
     assert out[1] == a
 
@@ -42,12 +42,12 @@ def test_deterministic():
     a = element(LAMBDA, {S00: {0: 1, 2: -1}})
     g = element(LAMBDA, {g2_circle(1): 1})
     cfg = FragmentConfig(3, (g,), 500, seed=7)
-    assert fragment([a], cfg) == fragment([a], cfg)
+    assert list(iter_fragment([a], cfg)) == list(iter_fragment([a], cfg))
 
 
 def test_no_duplicates():
     a = element(LAMBDA, {S00: {0: 1}})
-    out = fragment([a, a], FragmentConfig(coeff_bound=2, generator_pool=(a,)))
+    out = list(iter_fragment([a, a], FragmentConfig(coeff_bound=2, generator_pool=(a,))))
     assert len(out) == len(set(out))
 
 
@@ -55,13 +55,13 @@ def test_mixed_constructions_rejected():
     a = element(LAMBDA, {S00: {0: 1}})
     b = element(GAMMA, {g2_circle(0): 1})
     with pytest.raises(ConstructionMismatch):
-        fragment([a, b], FragmentConfig())
+        list(iter_fragment([a, b], FragmentConfig()))
 
 
 def test_size_cap_respected():
     a = element(LAMBDA, {S00: {0: 1}})
     b = element(LAMBDA, {S00: {1: 1}})
-    out = fragment([a, b], FragmentConfig(coeff_bound=3, size_cap=11))
+    out = list(iter_fragment([a, b], FragmentConfig(coeff_bound=3, size_cap=11)))
     assert len(out) == 11
 
 
@@ -112,7 +112,7 @@ def _pools():
 def test_matches_naive_reference(coeff_bound, size_cap):
     for params, pool in _pools():
         cfg = FragmentConfig(coeff_bound, pool, size_cap)
-        assert fragment(params, cfg) == _reference_fragment(params, cfg)
+        assert list(iter_fragment(params, cfg)) == _reference_fragment(params, cfg)
 
 
 def test_matches_naive_reference_five_generators():
@@ -124,6 +124,6 @@ def test_matches_naive_reference_five_generators():
         els = [random_element(rng, construction, 2) for _ in range(5)]
         for size_cap in (300, 1200):
             cfg = FragmentConfig(3, tuple(els[2:]), size_cap)
-            got = fragment(els[:2], cfg)
+            got = list(iter_fragment(els[:2], cfg))
             assert len(got) == size_cap
             assert got == _reference_fragment(els[:2], cfg)

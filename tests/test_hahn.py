@@ -14,7 +14,6 @@ from oagw.hahn import (
     series,
     subring_escape_witness,
     truncated_inverse,
-    zero_series,
 )
 from oagw.positions import g1_square, g2_square
 from oagw.sampling import (
@@ -82,7 +81,7 @@ class TestValuation:
 
     def test_zero_has_none(self):
         with pytest.raises(ZeroDivisionError):
-            zero_series(LAMBDA).valuation()
+            series(LAMBDA, {}).valuation()
 
     def test_multiplicative_and_ultrametric(self):
         for i in range(150):
@@ -167,7 +166,7 @@ class TestTruncatedInverse:
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroDivisionError):
-            truncated_inverse(zero_series(LAMBDA), zero(LAMBDA))
+            truncated_inverse(series(LAMBDA, {}), zero(LAMBDA))
 
     def test_unreachable_precision(self):
         # error valuation lives in the right block, precision in the left

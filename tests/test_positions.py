@@ -12,7 +12,6 @@ from oagw.positions import (
     g1_square,
     g2_circle,
     g2_square,
-    pos_lt,
 )
 
 
@@ -29,31 +28,31 @@ def sample_positions():
 def test_g2_precedes_g1():
     for m in range(3):
         for b in range(3):
-            assert pos_lt(g2_square(m), g1_square(b, 0))
-            assert pos_lt(g2_circle(m), g1_circle(b))
+            assert g2_square(m).key < g1_square(b, 0).key
+            assert g2_circle(m).key < g1_circle(b).key
 
 
 def test_g2_pairs_descend_and_circle_first():
-    assert pos_lt(g2_circle(2), g2_circle(1))
-    assert pos_lt(g2_square(1), g2_circle(0))
-    assert pos_lt(g2_circle(0), g2_square(0))
+    assert g2_circle(2).key < g2_circle(1).key
+    assert g2_square(1).key < g2_circle(0).key
+    assert g2_circle(0).key < g2_square(0).key
 
 
 def test_g1_blocks_ascend_squares_before_circle():
-    assert pos_lt(g1_square(0, 0), g1_square(0, 1))
-    assert pos_lt(g1_square(0, 7), g1_circle(0))
-    assert pos_lt(g1_circle(0), g1_square(1, 0))
+    assert g1_square(0, 0).key < g1_square(0, 1).key
+    assert g1_square(0, 7).key < g1_circle(0).key
+    assert g1_circle(0).key < g1_square(1, 0).key
 
 
 def test_total_irreflexive_transitive():
     ps = sample_positions()
     for a in ps:
-        assert not pos_lt(a, a)
+        assert not a.key < a.key
     for a, b in itertools.permutations(ps, 2):
-        assert pos_lt(a, b) != pos_lt(b, a)
+        assert (a.key < b.key) != (b.key < a.key)
     for a, b, c in itertools.permutations(ps, 3):
-        if pos_lt(a, b) and pos_lt(b, c):
-            assert pos_lt(a, c)
+        if a.key < b.key and b.key < c.key:
+            assert a.key < c.key
 
 
 def test_successor_is_immediate_in_samples():
@@ -61,8 +60,8 @@ def test_successor_is_immediate_in_samples():
     for a, b in zip(ps, ps[1:]):
         # successor never skips a sampled position
         s = a.successor()
-        assert pos_lt(a, s)
-        assert not pos_lt(b, s) or b == s or not pos_lt(a, b)
+        assert a.key < s.key
+        assert not b.key < s.key or b == s or not a.key < b.key
 
 
 def test_successor_chain():
@@ -92,7 +91,7 @@ def test_validation():
 
 def test_critical_circle():
     assert CRITICAL_CIRCLE == g2_circle(0)
-    assert pos_lt(CRITICAL_CIRCLE, g2_square(0))
+    assert CRITICAL_CIRCLE.key < g2_square(0).key
 
 
 def test_positions_are_interned():
@@ -116,8 +115,8 @@ def test_embedding_positions_are_the_factory_objects():
         ("G1", "c"): lambda p: g1_circle(p.index),
     }
     for emb in Embedding:
-        image = apply(emb, a, experimental=True)
-        for e in (image, preimage(emb, image, experimental=True)):
+        image = apply(emb, a)
+        for e in (image, preimage(emb, image)):
             for pos, _ in e.entries:
                 assert pos is factories[pos.area, pos.shape](pos)
 

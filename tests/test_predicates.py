@@ -15,7 +15,6 @@ from oagw.elements import (
     LAMBDA,
     LeadDescriptor,
     element,
-    lambda_c_unit,
     unit,
     zero,
 )
@@ -58,7 +57,7 @@ class TestCongFreeBelow:
 
     def test_equal_element_refuted_by_named_witness(self):
         a = element(LAMBDA, {S00: {0: 1}})
-        y = a - lambda_c_unit(g1_square(5, 0), 0).scale(2)
+        y = a - element(LAMBDA, {g1_square(5, 0): {0: 1}}).scale(2)
         assert y.sign() > 0 and y < a and (y - a).is_divisible(2)
         assert cong_free_below(2, a, a) is False
 
@@ -146,8 +145,8 @@ class TestTailSets:
         ts = tail_set(a)
         assert ts.contains(zero(LAMBDA))
         assert not ts.contains(a)  # at the cut, not after it
-        assert ts.contains(lambda_c_unit(S00, 1))
-        assert ts.contains(-lambda_c_unit(S00, 3))
+        assert ts.contains(element(LAMBDA, {S00: {1: 1}}))
+        assert ts.contains(-element(LAMBDA, {S00: {3: 1}}))
         assert not ts.contains(element(LAMBDA, {g2_square(0): {0: 1}}))
 
     def test_sign_blind(self):
@@ -183,7 +182,7 @@ class TestTailSets:
             anchor = inner_anchor_below(a)
             ts = tail_set(a)
             if a.is_zero():
-                assert anchor is None and ts.is_empty()
+                assert anchor is None and ts.cut is None
                 continue
             m = a.abs()
             assert anchor is not None

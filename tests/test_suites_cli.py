@@ -124,6 +124,45 @@ def test_eval_with_binding(capsys):
     assert "verdict: true" in capsys.readouterr().out
 
 
+_UNBOUND = "unbound free variables {}; bind each with --bind VAR=LITERAL"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--formula", "x < y"], _UNBOUND.format("['x', 'y']")),
+        (["--formula", "x < y", "--bind", "x={G1[0].s[0]: 1}"], _UNBOUND.format("['y']")),
+        (
+            ["--formula", "0 < x", "--bind", "x={G1[0].s[0]: 1}", "--bind", "x={G2[0].c: -1}"],
+            "variable 'x' is bound more than once",
+        ),
+        (["--formula", "0 < x", "--bind", "x"], "bad binding 'x', expected VAR=LITERAL"),
+    ],
+    ids=["unbound", "partly-bound", "bound-twice", "malformed"],
+)
+def test_eval_binding_errors(args, message, capsys):
+    # each is a one-line usage error on stderr, never a traceback
+    rc = main(["eval", *args])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_eval_unbound_variable_in_a_child_process():
+    src = str(Path(oagw.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "oagw.cli", "eval", "--formula", "x < y"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: unbound free variables")
+
+
 def test_gen_corpus(capsys):
     rc = main(["gen", "corpus", "--kind", "exists", "--count", "5", "--seed", "9"])
     out = capsys.readouterr().out.strip().splitlines()
@@ -178,6 +217,7 @@ _USAGE_ERRORS = [
      "a-membership runs on lambda, not gamma"),
     (["check", "hahn-ring", "--coeff-bound", "9"], "hahn-ring reads no coefficient bound"),
     (["check", "lambda-repair", "--samples", "5"], "lambda-repair runs a fixed scan"),
+    (["eval", "--formula", "0 < 0", "--seed", "3"], "unrecognized arguments: --seed 3"),
 ]
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from oagw.elements import LAMBDA, element
-from oagw.hahn import QQ, monomial, one, zero_series
+from oagw.hahn import QQ, monomial, one, series
 from oagw.positions import g1_square, g2_square
 from oagw.ringlang import (
     NonValuationAtom,
@@ -9,13 +9,13 @@ from oagw.ringlang import (
     RExists,
     RingEq,
     RNot,
+    SeriesTerm,
     ValRing,
     VLt,
     VNot,
     VSumEq,
     eval_ring,
     eval_valuation,
-    sconst,
     svar,
     translate_to_ring,
 )
@@ -65,7 +65,7 @@ def test_monomial_cases():
 
 def test_zero_conventions():
     g = element(LAMBDA, {S00: {0: 1}})
-    env = {"x": zero_series(LAMBDA), "y": monomial(g)}
+    env = {"x": series(LAMBDA, {}), "y": monomial(g)}
     for stmt in (VLt(svar("x"), svar("y")), VLt(svar("y"), svar("x"))):
         assert eval_valuation(stmt, env) == eval_ring(translate_to_ring(stmt), env)
 
@@ -93,7 +93,7 @@ def test_soundness_random():
 
 def test_constants_allowed():
     g = element(LAMBDA, {g2_square(0): {0: 1}})
-    stmt = VLt(sconst(one(LAMBDA)), sconst(monomial(g)))
+    stmt = VLt(SeriesTerm((one(LAMBDA),)), SeriesTerm((monomial(g),)))
     assert eval_valuation(stmt, {}) is True
     assert eval_ring(translate_to_ring(stmt), {}) is True
 
