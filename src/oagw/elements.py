@@ -20,9 +20,11 @@ of ``(slot, coeff)`` pairs with no zero coefficient.
 There are two constructors.  The public ``GroupElement(construction,
 entries)`` validates and raises ``ComponentError`` for any non-canonical
 entry; the private ``_from_canonical`` builds results that are canonical
-by construction (sums, multiples, ``element()``, the shared zeros,
-embedding images) unchecked.  Positions are interned, so merges test
-``pa is pb`` before comparing keys.
+by construction (sums, multiples, the shared zeros, embedding images)
+unchecked.  ``element()`` takes raw values: it canonicalizes and
+validates each raw component once, in one pass, and hands the result to
+``_from_canonical``.  Positions are interned, so merges test ``pa is
+pb`` before comparing keys.
 """
 
 from __future__ import annotations
@@ -30,10 +32,11 @@ from __future__ import annotations
 import enum
 import math
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Mapping, Optional, Union
+from typing import Optional, Union
 
 from .positions import (
     G1,
@@ -471,20 +474,47 @@ def zero(construction: Construction) -> GroupElement:
     return _ZEROS[construction]
 
 
+def _entry_key(entry: tuple[Position, Value]) -> tuple:
+    return entry[0].key
+
+
 def element(
     construction: Construction,
     components: Mapping[Position, Union[int, Fraction, Mapping[int, int]]],
 ) -> GroupElement:
-    """Build an element from position -> raw value, canonicalizing."""
+    """Build an element from position -> raw value, canonicalizing.
+
+    Each raw component is canonicalized and validated in one pass and
+    raises ``ComponentError`` when its position cannot hold it; zero
+    components are dropped.
+    """
+    gamma = construction is GAMMA
     entries = []
     for pos, raw in components.items():
-        if isinstance(raw, Mapping) or (isinstance(raw, int) and uses_poly(construction, pos)):
-            v: Value = _canon_poly(raw if isinstance(raw, Mapping) else {0: raw})
+        if uses_poly(construction, pos):
+            if raw.__class__ is dict or isinstance(raw, Mapping):
+                v: Value = _canon_poly(raw)
+            elif isinstance(raw, int):
+                v = _canon_poly({0: raw})
+            else:
+                raise ComponentError(f"{pos}: square components take integer polynomials")
         else:
-            v = Fraction(raw)
-        if check_value(construction, pos, v):
+            if raw.__class__ is Fraction:
+                q = raw
+            elif isinstance(raw, Mapping):
+                raise ComponentError(f"{pos}: expected a rational value")
+            else:
+                q = Fraction(raw)
+            if gamma:
+                p = _local_prime(pos)
+                if q.denominator % p == 0:
+                    raise ComponentError(
+                        f"{pos}: denominator {q.denominator} not invertible here (prime {p})"
+                    )
+            v = q
+        if v:
             entries.append((pos, v))
-    entries.sort(key=lambda e: e[0].key)
+    entries.sort(key=_entry_key)
     return _from_canonical(construction, tuple(entries))
 
 
@@ -600,5 +630,5 @@ def format_element(a: GroupElement) -> str:
     items = []
     for pos, v in a.entries:
         body = _format_poly(v) if isinstance(v, tuple) else str(v)
-        items.append(f"{pos}: {body}")
+        items.append(f"{pos.text}: {body}")
     return "{" + ", ".join(items) + "}"

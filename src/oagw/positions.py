@@ -14,9 +14,11 @@ G1 block every square precedes the block circle.
 
 Positions are interned: each ``(area, index, shape, slot)`` has exactly
 one ``Position`` object, created and validated on first use, so
-equality and hashing are by identity.  The sort key is the plain
-attribute ``key`` (``sort_key()`` returns it); pickle, ``copy`` and
-``deepcopy`` return the interned object.
+equality and hashing are by identity.  What hot code reads is derived
+once, at interning, into plain attributes: the sort key ``key``
+(``sort_key()`` returns it), the flags ``is_square`` and ``is_circle``,
+and the text form ``text`` (``str()`` returns it).  Pickle, ``copy``
+and ``deepcopy`` return the interned object.
 """
 
 from __future__ import annotations
@@ -64,11 +66,18 @@ class Position:
             raise ValueError("only G1 squares carry a slot")
         if self.area == G2:
             key = (0, -self.index, 0 if self.shape == CIRCLE else 1, 0)
+            text = f"G2[{self.index}].{self.shape}"
         elif self.shape == SQUARE:
             key = (1, self.index, 0, self.slot)
+            text = f"G1[{self.index}].s[{self.slot}]"
         else:
             key = (1, self.index, 1, 0)
-        object.__setattr__(self, "key", key)  # read directly by hot code
+            text = f"G1[{self.index}].c"
+        # derived once here and read directly by hot code
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "is_square", self.shape == SQUARE)
+        object.__setattr__(self, "is_circle", self.shape == CIRCLE)
+        object.__setattr__(self, "text", text)
 
     def __reduce__(self) -> tuple:
         # pickle, copy and deepcopy go back through the intern table
@@ -76,14 +85,6 @@ class Position:
 
     def sort_key(self) -> tuple:
         return self.key
-
-    @property
-    def is_circle(self) -> bool:
-        return self.shape == CIRCLE
-
-    @property
-    def is_square(self) -> bool:
-        return self.shape == SQUARE
 
     def successor(self) -> "Position":
         """The position immediately to the right."""
@@ -107,11 +108,7 @@ class Position:
         return g1_circle(self.index + 1)
 
     def __str__(self) -> str:
-        if self.area == G2:
-            return f"G2[{self.index}].{self.shape}"
-        if self.shape == SQUARE:
-            return f"G1[{self.index}].s[{self.slot}]"
-        return f"G1[{self.index}].c"
+        return self.text
 
 
 def g2_circle(m: int) -> Position:

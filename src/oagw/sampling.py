@@ -27,6 +27,9 @@ def case_rng(seed: int, index: int) -> random.Random:
 
 _ODD_DENS = (1, 3, 5, 7, 9)  # usable at GAMMA circles
 _NON3_DENS = (1, 2, 4, 5, 7, 8)  # usable at GAMMA squares
+_NUMERATORS = tuple(k for k in range(-12, 13) if k)
+_POLY_COEFFS = (-6, -4, -3, -2, -1, 1, 2, 3, 4, 6)  # LAMBDA square coefficients
+_SERIES_COEFFS = (-3, -2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-5, 3))
 
 
 def random_position(rng: random.Random, g2_pairs: int = 3, g1_blocks: int = 3, slots: int = 5) -> Position:
@@ -44,11 +47,9 @@ def random_value(rng: random.Random, construction: Construction, pos: Position):
     if construction is LAMBDA and pos.is_square:
         coeffs = {}
         for _ in range(rng.randrange(1, 4)):
-            coeffs[rng.randrange(0, 6)] = rng.choice(
-                [-6, -4, -3, -2, -1, 1, 2, 3, 4, 6]
-            )
+            coeffs[rng.randrange(0, 6)] = rng.choice(_POLY_COEFFS)
         return coeffs
-    num = rng.choice([k for k in range(-12, 13) if k])
+    num = rng.choice(_NUMERATORS)
     if construction is GAMMA:
         den = rng.choice(_ODD_DENS if pos.is_circle else _NON3_DENS)
     else:
@@ -135,7 +136,7 @@ def random_series(
     terms = {}
     for _ in range(n):
         g = exponents(rng) if exponents is not None else random_element(rng, construction, 3)
-        c = rng.choice([-3, -2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-5, 3)])
+        c = rng.choice(_SERIES_COEFFS)
         terms[g] = c
     s = series(construction, terms, coeff_field)
     if s.is_zero() and not allow_zero:

@@ -668,9 +668,11 @@ def suite_f2_interval(rep: SuiteReport, opts: SuiteOptions) -> None:
 
 def _between_by_indices(n_pair: tuple[int, int], c: GroupElement, x: GroupElement, b: GroupElement) -> bool:
     """The two-sided index comparison, as a disjunction over both moduli."""
-    left = any(cong_free_below(n, c, x) for n in n_pair)
-    right = any(cong_free_below(n, x, b) for n in n_pair)
-    return x.sign() > 0 and left and right
+    return (
+        x.sign() > 0
+        and any(cong_free_below(n, c, x) for n in n_pair)
+        and any(cong_free_below(n, x, b) for n in n_pair)
+    )
 
 
 def _exhaustive_hits(

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import types
 from fractions import Fraction
 
 import pytest
@@ -232,6 +233,30 @@ class TestValidation:
         for b in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
             assert b == a and hash(b) == hash(a)
             assert b.entries[0][0] is a.entries[0][0]
+
+
+class TestRawComponents:
+    """``element()`` validates each raw component in its one pass."""
+
+    BAD = {
+        "mapping at a rational position": (LAMBDA, {g2_circle(0): {0: 1}}),
+        "mapping at a gamma square": (GAMMA, {S00: {0: 1}}),
+        "fraction at a lambda square": (LAMBDA, {S00: Fraction(1, 2)}),
+        "non-int coefficient": (LAMBDA, {S00: {0: Fraction(1, 2)}}),
+        "negative slot": (LAMBDA, {S00: {-1: 1}}),
+        "gamma circle denominator 2": (GAMMA, {g2_circle(2): Fraction(1, 2)}),
+        "gamma square denominator 3": (GAMMA, {S00: Fraction(1, 3)}),
+    }
+
+    @pytest.mark.parametrize("construction,components", BAD.values(), ids=list(BAD))
+    def test_rejected(self, construction, components):
+        with pytest.raises(ComponentError):
+            element(construction, components)
+
+    def test_mapping_proxy_polynomial_accepted(self):
+        a = element(LAMBDA, {S00: types.MappingProxyType({2: -1, 0: 3, 1: 0})})
+        assert a == element(LAMBDA, {S00: {0: 3, 2: -1}})
+        assert a.entries == ((S00, ((0, 3), (2, -1))),)
 
 
 def _revalidated(r):

@@ -1,0 +1,83 @@
+"""Golden digests of suite JSON: the RNG stream and the element text must not move.
+
+Each registered suite and demo runs on each construction it declares at seed 7
+with ``samples=3``; the sha256 of its JSON report (serialized as
+``oagw check --json`` writes it) must equal the recorded digest.
+``gamma-counterexample`` is left out: it runs a fixed scan of several
+seconds and ignores ``samples``.
+
+A change that moves these digests on purpose re-records them with::
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and pastes the printed table over ``GOLDEN``; the change then says
+which rows moved and why.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from oagw.suites import DEMOS, SUITES, SuiteOptions
+
+SEED = 7
+SAMPLES = 3
+SKIPPED = ("gamma-counterexample",)
+
+GOLDEN = {
+    "psi-vs-search[lambda]": "d948b7739a2edc419412decd77ef13e5b8a72fa6560678aa61097d4081535b29",
+    "psi-vs-search[gamma]": "499a1470251c8fe3635f7b12fb87976dfb90815b36c2cb78d165be823743d212",
+    "hprime-descriptor[lambda]": "a66955a7f88cd3b7c076c9a5603dbee746846485ef3e6e4780c232f13c152067",
+    "hprime-descriptor[gamma]": "d3b301260029972f3dabd6abbd81ec90bb84411db998070d4c603be7c5a89fce",
+    "hprime-locality[lambda]": "ac9efa7ec782c7195150e3cf817f1340f9b64240e4cd9b90eddc4c86c58a3ed2",
+    "hprime-locality[gamma]": "ac83c94d3d8609b6fcc97d160ec74d16e32d3a4dbde74735bb8c504a4a1ae82c",
+    "lambda1-formula[lambda]": "32c667bbd48d9dea0c1b97e49222d5c35e5b944a59140daf456935527b963bb7",
+    "embedding-laws[lambda]": "bd88643c4eb613e822843cbb5e3bd9ecc43485c6311d28944945d5704d5eeb31",
+    "embedding-laws[gamma]": "9118becd0839219ee8f9c81baac600061dc44545cf413c618b907813e6f7a876",
+    "f1-exists-closure[lambda]": "95fad433b2153a15f666095857bdd3e8a82fe71e5e22cbe6ecf61b5a66147b23",
+    "f1-exists-closure[gamma]": "64ab5e1b2863f511125e5718ab9d15da0a8c0e8342d6b45da4aafaba78f89422",
+    "f1-ea-closure[lambda]": "6b1fc39721d0dc54d0096eb04a22f179dff59a2cadb1b50b71fdd14fc74c09f0",
+    "f2-interval[lambda]": "358b016735443db13056e7b4fd4459b51abbfad460c0f5c9f15c67ab882b544b",
+    "lambda-repair[lambda]": "6f8ef75febac3cb41b9b97b578cf9f1a2d20dab35d7277c9f7b72633068edae9",
+    "hahn-ring[lambda]": "47d88386c0cbb38e299d33f923bcc8aa54c8caf1960a6d257bb4981df97c6943",
+    "hahn-ring[gamma]": "9863436046dc898ac4bde9384778247d6c12930e0ec95411698a7f932dec1fa0",
+    "a-membership[lambda]": "b1c90b8c1229ca7891431066e904a469f9955a97a63190aeef905bd9a9b3c75b",
+    "translation-soundness[lambda]": "8e4f95e92c5d4400a520ba3ea7bdbfa7740aa51a27f4d1dd3bb8e7fd1e8372c0",
+    "perturbation[lambda]": "e8c7d5c6cd43df568fabcf1ed3281d4a12d2269cd7e59dbb2aeece258c4cc75e",
+    "truncated-inverse[lambda]": "4328171a2bea00c5470516901c5a878fe542240169c16ee166cbdbed4bd1e7e7",
+    "ha-witness[lambda]": "f6c56bb24668e5f611532bccad37c9b633b17a1cf64ab0ee4d2cb4f46bdfeeab",
+}
+
+
+def _cases():
+    registry = {**SUITES, **DEMOS}
+    for name, record in registry.items():
+        if name in SKIPPED:
+            continue
+        for construction in record.constructions:
+            yield f"{name}[{construction}]", record, construction
+
+
+def _digest(record, construction) -> str:
+    report = record(SuiteOptions(construction=construction, seed=SEED, samples=SAMPLES))
+    payload = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def test_every_case_has_a_digest():
+    assert sorted(key for key, _, _ in _cases()) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize(
+    "key,record,construction", [pytest.param(*case, id=case[0]) for case in _cases()]
+)
+def test_suite_json_digest(key, record, construction):
+    assert _digest(record, construction) == GOLDEN[key]
+
+
+if __name__ == "__main__":
+    print("GOLDEN = {")
+    for key, record, construction in _cases():
+        print(f'    "{key}": "{_digest(record, construction)}",')
+    print("}")

@@ -134,3 +134,27 @@ def test_positions_are_immutable():
     with pytest.raises(AttributeError):
         p.index = 1  # type: ignore[misc]
     assert p is CRITICAL_CIRCLE
+
+
+def test_interned_attributes_match_the_fields():
+    positions = [
+        factory(i, *rest)
+        for i in range(4)
+        for factory, rest in (
+            (g2_circle, ()),
+            (g2_square, ()),
+            (g1_circle, ()),
+            *((g1_square, (slot,)) for slot in range(4)),
+        )
+    ]
+    for p in positions:
+        if p.area == "G2":
+            text = f"G2[{p.index}].{p.shape}"
+        elif p.shape == "s":
+            text = f"G1[{p.index}].s[{p.slot}]"
+        else:
+            text = f"G1[{p.index}].c"
+        for q in (p, pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+            assert q.is_square is (q.shape == "s")
+            assert q.is_circle is (q.shape == "c")
+            assert str(q) == q.text == text
