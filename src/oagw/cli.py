@@ -64,7 +64,13 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--json", dest="json_path", default=None, metavar="PATH")
 
     ev = sub.add_parser("eval", help="evaluate a formula")
-    ev.add_argument("--construction", type=_construction, default=LAMBDA)
+    ev.add_argument(
+        "--construction",
+        type=_construction,
+        default=LAMBDA,
+        metavar="gamma|lambda",
+        help="gamma or lambda (default: lambda)",
+    )
     ev.add_argument("--formula", required=True)
     ev.add_argument(
         "--bind",
@@ -89,7 +95,13 @@ def build_parser() -> argparse.ArgumentParser:
     corpus.add_argument("--kind", choices=("exists", "ea"), required=True)
     corpus.add_argument("--count", type=_int_at_least(1), default=20)
     corpus.add_argument("--seed", type=int, default=42)
-    corpus.add_argument("--construction", type=_construction, default=LAMBDA)
+    corpus.add_argument(
+        "--construction",
+        type=_construction,
+        default=LAMBDA,
+        metavar="gamma|lambda",
+        help="gamma or lambda (default: lambda)",
+    )
     return parser
 
 

@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 from typing import Callable, Mapping, Optional
 
-from .elements import Construction, GroupElement, zero
+from .elements import Construction, ConstructionMismatch, GroupElement, zero
 from .formulas import (
     And,
     AtomF,
@@ -35,6 +37,7 @@ from .formulas import (
     Not,
     Or,
     Rphi,
+    Term,
     constants,
     free_vars,
     or_all,
@@ -187,8 +190,29 @@ def neg_rphi_normalize(
 # A formula is compiled once per evaluate() call into nested closures
 # that take the variable environment and return a Verdict.  Quantifier
 # closures hold their constants; the environment is one dict, extended
-# by each quantifier while its body runs.
+# by each quantifier while its body runs.  Every fragment of one call
+# shares its pool part through a per-call copy of the config.
 _Compiled = Callable[[dict[str, GroupElement]], Verdict]
+_TermFn = Callable[[dict[str, GroupElement]], GroupElement]
+
+
+class _Scope:
+    """The innermost quantifier around an atom, seen from the atom's terms.
+
+    Terms that need arithmetic but do not mention ``var`` keep their
+    value for a whole run of the quantifier: they are registered here,
+    evaluated once when a run starts, and read back per candidate.
+    """
+
+    def __init__(self, var: str) -> None:
+        self.var = var
+        self.terms: list[_TermFn] = []
+        self.values: list[GroupElement] = []
+
+    def hoist(self, term: _TermFn) -> _TermFn:
+        k, values = len(self.terms), self.values
+        self.terms.append(term)
+        return lambda env: values[k]
 
 
 def evaluate(
@@ -210,7 +234,8 @@ def evaluate(
     for v, e in env.items():
         if e.construction is not construction:
             raise ValueError(f"binding {v!r} is not a {construction} element")
-    return _compile(construction, f, cfg, candidate_filter)(dict(env))
+    run = _compile(construction, f, cfg.with_shared_pool(), candidate_filter, None)
+    return run(dict(env))
 
 
 def _compile(
@@ -218,25 +243,28 @@ def _compile(
     f: Formula,
     cfg: FragmentConfig,
     flt: Optional[Callable[[GroupElement], bool]],
+    scope: Optional[_Scope],
 ) -> _Compiled:
     if isinstance(f, BoolC):
         verdict = _TRUE if f.value else _FALSE
         return lambda env: verdict
     if isinstance(f, AtomF):
-        holds = _compile_atom(construction, f.atom)
+        holds = _compile_atom(construction, f.atom, scope)
         return lambda env: _TRUE if holds(env) else _FALSE
     if isinstance(f, Not):
-        body = _compile(construction, f.body, cfg, flt)
+        body = _compile(construction, f.body, cfg, flt, scope)
         return lambda env: _negate(body(env))
     if isinstance(f, And):
         return _compile_and(
-            _compile(construction, f.lhs, cfg, flt), _compile(construction, f.rhs, cfg, flt)
+            _compile(construction, f.lhs, cfg, flt, scope),
+            _compile(construction, f.rhs, cfg, flt, scope),
         )
     if isinstance(f, (Or, Implies)):
         # a -> b is ~a | b
         lhs = Not(f.lhs) if isinstance(f, Implies) else f.lhs
         return _compile_or(
-            _compile(construction, lhs, cfg, flt), _compile(construction, f.rhs, cfg, flt)
+            _compile(construction, lhs, cfg, flt, scope),
+            _compile(construction, f.rhs, cfg, flt, scope),
         )
     if isinstance(f, (Exists, Forall)):
         return _compile_quantifier(construction, f, cfg, flt)
@@ -281,13 +309,17 @@ def _compile_quantifier(
 ) -> _Compiled:
     var = f.var
     consts = constants(f)
-    body = _compile(construction, f.body, cfg, flt)
+    scope = _Scope(var)
+    body = _compile(construction, f.body, cfg, flt, scope)
+    hoisted, values = scope.terms, scope.values
     # an existential stops on a witness, a universal on a counterexample
     stop, reason = (Truth.TRUE, "") if isinstance(f, Exists) else (Truth.FALSE, "counterexample")
 
     def run(env: dict[str, GroupElement]) -> Verdict:
         params = list(env.values()) + consts
         shadowed = env.get(var)
+        if hoisted:
+            values[:] = [term(env) for term in hoisted]
         found = None
         for cand in iter_fragment(params, cfg, construction):
             if flt is not None and not flt(cand):
@@ -307,18 +339,48 @@ def _compile_quantifier(
     return run
 
 
-def _compile_atom(construction: Construction, a) -> Callable[[dict[str, GroupElement]], bool]:
+def _compile_term(construction: Construction, t: Term, scope: Optional[_Scope]) -> _TermFn:
+    """``t`` as a closure that does per candidate only the work that
+    depends on the variable of the innermost quantifier around it."""
+    if t.const is not None and t.const.construction is not construction:
+        raise ConstructionMismatch(f"cannot mix {construction} and {t.const.construction} elements")
+    if not t.coeffs:
+        value = t.evaluate(construction, {})
+        return lambda env: value
+    var = t.is_single_var()
+    if var is not None:
+        return itemgetter(var)
+    if scope is None:
+        return partial(t.evaluate, construction)
+    own = [c for v, c in t.coeffs if v == scope.var]
+    if not own:
+        return scope.hoist(partial(t.evaluate, construction))
+    # the summand k * var is added to the rest, which a run holds fixed
+    k = sum(own)
+    get = itemgetter(scope.var)
+    rest = Term(tuple(c for c in t.coeffs if c[0] != scope.var), t.const)
+    if not rest.coeffs and rest.const is None:
+        return lambda env: get(env).scale(k)
+    rest_fn = _compile_term(construction, rest, scope)
+    if k == 1:
+        return lambda env: rest_fn(env) + get(env)
+    return lambda env: rest_fn(env) + get(env).scale(k)
+
+
+def _compile_atom(
+    construction: Construction, a, scope: Optional[_Scope]
+) -> Callable[[dict[str, GroupElement]], bool]:
     if isinstance(a, Rphi):
         return lambda env: rphi_holds(construction, a, env)
-    lhs, rhs = a.lhs.evaluate, a.rhs.evaluate
+    lhs = _compile_term(construction, a.lhs, scope)
+    rhs = _compile_term(construction, a.rhs, scope)
     if isinstance(a, Lt):
-        return lambda env: lhs(construction, env) < rhs(construction, env)
+        return lambda env: lhs(env) < rhs(env)
     if isinstance(a, Eq):
-        return lambda env: lhs(construction, env) == rhs(construction, env)
+        return lambda env: lhs(env) == rhs(env)
     n = a.modulus
     if isinstance(a, Cong):
-        return lambda env: (rhs(construction, env) - lhs(construction, env)).is_divisible(n)
+        return lambda env: (rhs(env) - lhs(env)).is_divisible(n)
     if isinstance(a, DescLt):
-        return lambda env: cong_free_below(n, lhs(construction, env), rhs(construction, env))
+        return lambda env: cong_free_below(n, lhs(env), rhs(env))
     raise TypeError(f"not an atom: {a!r}")
-

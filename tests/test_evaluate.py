@@ -4,7 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from oagw.elements import GAMMA, LAMBDA, element, parse_element, zero
+from oagw.elements import (
+    GAMMA,
+    LAMBDA,
+    ConstructionMismatch,
+    element,
+    parse_element,
+    zero,
+)
 from oagw.evaluate import (
     Truth,
     Verdict,
@@ -26,9 +33,12 @@ from oagw.formulas import (
     Not,
     Or,
     Rphi,
+    Term,
     constants,
     parse_formula,
     print_formula,
+    term_const,
+    term_var,
 )
 from oagw.fragments import FragmentConfig, iter_fragment
 from oagw.positions import g1_square, g2_circle, g2_square
@@ -377,9 +387,7 @@ def _reference_eval(construction, f, env, cfg, flt):
         for cand in iter_fragment(params, cfg, construction):
             if flt is not None and not flt(cand):
                 continue
-            env[f.var] = cand
-            sub = _reference_eval(construction, f.body, env, cfg, flt)
-            del env[f.var]
+            sub = _reference_eval(construction, f.body, {**env, f.var: cand}, cfg, flt)
             if isinstance(f, Exists) and sub.truth is Truth.TRUE:
                 return Verdict(Truth.TRUE, {f.var: cand, **(sub.witness or {})})
             if isinstance(f, Forall) and sub.truth is Truth.FALSE:
@@ -406,6 +414,24 @@ PREFIX_SHAPES = [
 POOL_TEXTS = [
     ("{G2[0].c: 1}", "{G2[1].s: 1}", "{G1[0].c: 1}"),
     ("{G2[0].c: 1/5, G1[1].s[0]: 2}", "{G1[0].s[2]: -3}", "{G2[2].c: -2, G2[1].s: 3}"),
+]
+# Terms an atom can compute once per run of its innermost quantifier,
+# and the cases that must not be hoisted.
+HOISTING_SHAPES = [
+    "A x. A y. E z. x + y = 2*z",
+    "E x. E y. E z. x + y = 2*z & y < x",
+    "A x. A y. A z. x + y + P0 < 2*z | z < x",
+    # 3*x and x - P2 mention only a variable bound two levels out
+    "A x. A y. A z. ~(3*x = z + y)",
+    "E x. E y. E z. x - P2 < z + y & z < 3*x & 0 < z",
+    # constant-only terms next to variables
+    "E x. E y. x + y = P0 + 2*P1 & P2 < P2 + P0",
+    # the inner x shadows the outer one in every term below it
+    "E x. E y. E x. x + y = P1 + P0 & P0 < y",
+    "E x. E y. (E x. x + y = P1) & cong(2, x + y, P0)",
+    # sibling quantifiers: each hoists only for itself
+    "E x. (E y. x + x = y + P0) & (E z. 2*x + z = P1 | z < x + P2)",
+    "A x. A y. (A z. x + y < z | z < x - y) & (A w. ~(x + y = w + w))",
 ]
 FILTERS = [
     None,
@@ -447,6 +473,22 @@ class TestCompiledMatchesReference:
                     truths.add(_check_against_reference(construction, f, cfg, flt).truth)
         assert truths == {Truth.TRUE, Truth.FALSE, Truth.UNKNOWN}
 
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+    @pytest.mark.parametrize("size_cap", [5, 12])
+    def test_hoisting_shapes(self, construction, size_cap):
+        truths = set()
+        for pool_text in POOL_TEXTS:
+            pool = tuple(parse_element(t, construction) for t in pool_text)
+            cfg = FragmentConfig(2, pool, size_cap)
+            for shape in HOISTING_SHAPES:
+                text = shape
+                for i, lit in enumerate(pool_text):
+                    text = text.replace(f"P{i}", lit)
+                f = parse_formula(text, construction)
+                for flt in FILTERS:
+                    truths.add(_check_against_reference(construction, f, cfg, flt).truth)
+        assert truths == {Truth.TRUE, Truth.FALSE, Truth.UNKNOWN}
+
     @pytest.mark.parametrize("kind", ["exists", "ea"])
     @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
     def test_closure_corpus(self, kind, construction):
@@ -480,6 +522,47 @@ class TestCompiledMatchesReference:
         ):
             for flt in FILTERS:
                 _check_against_reference(LAMBDA, parse_formula(text), cfg, flt, env)
+
+    def test_hoisting_with_free_variables(self):
+        env = {
+            "a": element(LAMBDA, {S00: {0: 2}}),
+            "b": element(LAMBDA, {S00: {0: 1, 1: -1}}),
+        }
+        cfg = FragmentConfig(2, (element(LAMBDA, {g2_circle(0): 1}),), 25)
+        for text in (
+            "A x. E y. a + x = y + b",
+            "E x. A y. 2*a < x + y | b + y = x",
+            "A a. E y. a + b = y",
+            "E x. (A y. a + x < y) & (E y. x + b = y)",
+        ):
+            for flt in FILTERS:
+                _check_against_reference(LAMBDA, parse_formula(text), cfg, flt, env)
+
+    def test_hand_built_terms_with_a_repeated_variable(self):
+        a = element(LAMBDA, {S00: {0: 2}})
+        cfg = FragmentConfig(2, (element(LAMBDA, {S00: {0: 1}}),), 25)
+        twice_y = Term((("x", 1), ("y", 1), ("y", 1)), None)
+        twice_x = Term((("x", 1), ("x", 1), ("y", -1)), a)
+        for f in (
+            Exists("x", Exists("y", AtomF(Eq(twice_y, term_var("a"))))),
+            Exists("x", Exists("y", AtomF(Eq(twice_x, term_var("y", 3))))),
+            Forall("x", Forall("y", AtomF(Lt(twice_x, twice_y)))),
+        ):
+            for flt in FILTERS:
+                _check_against_reference(LAMBDA, f, cfg, flt, {"a": a})
+
+    def test_constant_of_the_other_construction_is_rejected(self):
+        other = element(GAMMA, {g2_circle(0): 1})
+        cfg = FragmentConfig(1, (element(LAMBDA, {g2_circle(0): 1}),), 10)
+        mixed_sum = Eq(Term((("x", 1), ("y", 1)), other), term_var("x"))
+        for f in (
+            AtomF(Lt(term_const(other), term_const(other))),
+            Exists("x", AtomF(Eq(term_var("x"), term_const(other)))),
+            Forall("x", Exists("y", AtomF(mixed_sum))),
+            Forall("x", Exists("y", AtomF(Cong(2, term_var("y", 2), Term((("x", 1),), other))))),
+        ):
+            with pytest.raises(ConstructionMismatch):
+                evaluate(LAMBDA, f, {}, cfg)
 
     def test_shared_verdicts_are_not_mutated(self):
         before = evaluate(LAMBDA, parse_formula("0 < 0"), {}, CFG)

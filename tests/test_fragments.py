@@ -65,6 +65,29 @@ def test_size_cap_respected():
     assert len(out) == 11
 
 
+@pytest.mark.parametrize(
+    "kwargs,error",
+    [
+        ({"size_cap": 0}, ValueError),
+        ({"size_cap": -3}, ValueError),
+        ({"coeff_bound": -1}, ValueError),
+        ({"generator_pool": ["x"]}, TypeError),
+        ({"generator_pool": ("x",)}, TypeError),
+        ({"generator_pool": [element(LAMBDA, {S00: {0: 1}})]}, TypeError),
+    ],
+)
+def test_config_rejects_what_breaks_the_enumeration(kwargs, error):
+    with pytest.raises(error):
+        FragmentConfig(**kwargs)
+
+
+def test_smallest_valid_config():
+    a = element(LAMBDA, {S00: {0: 1}})
+    cfg = FragmentConfig(coeff_bound=0, generator_pool=(a,), size_cap=1)
+    assert list(iter_fragment([a], cfg)) == [zero(LAMBDA)]
+    assert cfg.with_shared_pool() == cfg
+
+
 def _reference_fragment(params, cfg):
     """Naive enumeration: every vector rescales every generator afresh."""
     every = tuple(params) + cfg.generator_pool
@@ -127,3 +150,38 @@ def test_matches_naive_reference_five_generators():
             got = list(iter_fragment(els[:2], cfg))
             assert len(got) == size_cap
             assert got == _reference_fragment(els[:2], cfg)
+
+
+def _shared_calls(construction):
+    rng = case_rng(17, 0 if construction is LAMBDA else 1)
+    pool = tuple(random_element(rng, construction, 2) for _ in range(3))
+    p, q = (random_element(rng, construction, 2) for _ in range(2))
+    # the same pool survives in some calls and loses an axis in others
+    return pool, [[], [p], [pool[1]], [p, q], [zero(construction)], [q, q], [p], []]
+
+
+@pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+@pytest.mark.parametrize("coeff_bound,size_cap", [(1, 10_000), (2, 10), (2, 60), (3, 200)])
+def test_shared_pool_matches_naive_reference(construction, coeff_bound, size_cap):
+    pool, calls = _shared_calls(construction)
+    cfg = FragmentConfig(coeff_bound, pool, size_cap).with_shared_pool()
+    for params in calls:
+        got = list(iter_fragment(params, cfg, construction))
+        assert got == _reference_fragment(params, cfg)
+
+
+@pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+def test_shared_pool_after_an_abandoned_and_a_suspended_fragment(construction):
+    pool, calls = _shared_calls(construction)
+    cfg = FragmentConfig(2, pool, 80).with_shared_pool()
+    # an existential stops after a few candidates: the shared sums stop there
+    abandoned = iter_fragment([], cfg, construction)
+    assert list(itertools.islice(abandoned, 6)) == _reference_fragment([], cfg)[:6]
+    abandoned.close()
+    # an outer quantifier's fragment stays suspended while inner ones run
+    outer = iter_fragment(calls[1], cfg, construction)
+    got_outer = list(itertools.islice(outer, 20))
+    for params in calls:
+        assert list(iter_fragment(params, cfg, construction)) == _reference_fragment(params, cfg)
+    got_outer += list(outer)
+    assert got_outer == _reference_fragment(calls[1], cfg)

@@ -1,4 +1,4 @@
-"""Golden digests of suite JSON: the RNG stream and the element text must not move.
+"""Golden digests of suite JSON and of evaluate verdicts.
 
 Each registered suite and demo runs on each construction it declares at seed 7
 with ``samples=3``; the sha256 of its JSON report (serialized as
@@ -6,12 +6,20 @@ with ``samples=3``; the sha256 of its JSON report (serialized as
 ``gamma-counterexample`` is left out: it runs a fixed scan of several
 seconds and ignores ``samples``.
 
+``EVAL_GOLDEN`` pins what ``evaluate`` returns: truth, witness text and
+reason of every prefix shape and hoisting shape of ``test_evaluate`` on
+both pools and both constructions, and of the ``exists`` and ``ea``
+closure corpora, at three size caps.  The reference evaluator in
+``test_evaluate`` enumerates with the same ``iter_fragment`` as the code
+under test, so it cannot catch a change in the fragments themselves;
+these digests can.
+
 A change that moves these digests on purpose re-records them with::
 
     PYTHONPATH=src python tests/test_golden.py
 
-and pastes the printed table over ``GOLDEN``; the change then says
-which rows moved and why.
+and pastes the printed tables over ``GOLDEN`` and ``EVAL_GOLDEN``; the
+change then says which rows moved and why.
 """
 
 import hashlib
@@ -19,7 +27,12 @@ import json
 
 import pytest
 
-from oagw.suites import DEMOS, SUITES, SuiteOptions
+from oagw.elements import GAMMA, LAMBDA, format_element, parse_element
+from oagw.evaluate import evaluate
+from oagw.formulas import parse_formula
+from oagw.fragments import FragmentConfig
+from oagw.suites import DEMOS, SUITES, SuiteOptions, gen_corpus
+from test_evaluate import HOISTING_SHAPES, POOL_TEXTS, PREFIX_SHAPES
 
 SEED = 7
 SAMPLES = 3
@@ -50,6 +63,24 @@ GOLDEN = {
 }
 
 
+EVAL_SIZE_CAPS = (7, 16, 30)
+
+EVAL_GOLDEN = {
+    "prefix-shapes[lambda,pool0]": "c674b8c12a707c7651603dd553ae3a11493955af4731493a39e3eba27d4eaf66",
+    "prefix-shapes[lambda,pool1]": "d2914884da8bf1d4a88ddc15af0ba18de1814d0ef2b757072e7a3891dc604458",
+    "hoisting-shapes[lambda,pool0]": "a21f8079291249ea05b00f24ef421d1cae3352da275162c8b1bde259f1e54d87",
+    "hoisting-shapes[lambda,pool1]": "8e4744850988cde5a14bd036b284ecd65ad355876aad72f3c63573f10422c181",
+    "corpus-exists[lambda]": "27852821dec87fbcb51908af2adb46d4e9b4fc2cf8fd9d27a9b61132d49d6442",
+    "corpus-ea[lambda]": "48d8a65cf29a9c29bcd1ae291e92f5b0141033f2ad599cf79c4f814874f0edcf",
+    "prefix-shapes[gamma,pool0]": "c674b8c12a707c7651603dd553ae3a11493955af4731493a39e3eba27d4eaf66",
+    "prefix-shapes[gamma,pool1]": "0a85d3ba5668e2af116351ec3c60ace027718b1a541c6ccb391c2166b19b12d1",
+    "hoisting-shapes[gamma,pool0]": "a50cd8ddf7de5651579f0bb5b798065b36bc116ff17d68fb4125f812ba9484a4",
+    "hoisting-shapes[gamma,pool1]": "74195e2399d9b1e053ac1914cb1603a4ebbdb49ee53899b6e9b683daa76c36cb",
+    "corpus-exists[gamma]": "2b4314d44150934d8d7a893d5d03eeca10a196039bfbc615434f11bb8921566a",
+    "corpus-ea[gamma]": "6f0c725453864f1ee8338766f548ba157f65de6d5ca64920cedfd7921ff10d23",
+}
+
+
 def _cases():
     registry = {**SUITES, **DEMOS}
     for name, record in registry.items():
@@ -76,8 +107,52 @@ def test_suite_json_digest(key, record, construction):
     assert _digest(record, construction) == GOLDEN[key]
 
 
+def _eval_cases():
+    for construction in (LAMBDA, GAMMA):
+        for name, shapes in (("prefix", PREFIX_SHAPES), ("hoisting", HOISTING_SHAPES)):
+            for i, pool_text in enumerate(POOL_TEXTS):
+                texts = []
+                for shape in shapes:
+                    for j, lit in enumerate(pool_text):
+                        shape = shape.replace(f"P{j}", lit)
+                    texts.append(shape)
+                yield f"{name}-shapes[{construction},pool{i}]", construction, pool_text, texts
+        for kind in ("exists", "ea"):
+            texts = gen_corpus(kind, 10, 5, construction)
+            yield f"corpus-{kind}[{construction}]", construction, POOL_TEXTS[0], texts
+
+
+def _eval_digest(construction, pool_text, texts) -> str:
+    pool = tuple(parse_element(lit, construction) for lit in pool_text)
+    lines = []
+    for size_cap in EVAL_SIZE_CAPS:
+        cfg = FragmentConfig(2, pool, size_cap)
+        for text in texts:
+            v = evaluate(construction, parse_formula(text, construction), {}, cfg)
+            witness = ", ".join(f"{x}={format_element(e)}" for x, e in (v.witness or {}).items())
+            lines.append(f"{size_cap} | {text} | {v.truth.value} | {witness} | {v.reason}")
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+def test_every_eval_case_has_a_digest():
+    assert sorted(key for key, *_ in _eval_cases()) == sorted(EVAL_GOLDEN)
+
+
+@pytest.mark.parametrize(
+    "key,construction,pool_text,texts",
+    [pytest.param(*case, id=case[0]) for case in _eval_cases()],
+)
+def test_evaluate_verdict_digest(key, construction, pool_text, texts):
+    assert _eval_digest(construction, pool_text, texts) == EVAL_GOLDEN[key]
+
+
 if __name__ == "__main__":
     print("GOLDEN = {")
     for key, record, construction in _cases():
         print(f'    "{key}": "{_digest(record, construction)}",')
+    print("}")
+    print()
+    print("EVAL_GOLDEN = {")
+    for key, construction, pool_text, texts in _eval_cases():
+        print(f'    "{key}": "{_eval_digest(construction, pool_text, texts)}",')
     print("}")
