@@ -118,9 +118,10 @@ def check_value(construction: Construction, pos: Position, value: Value) -> Valu
 def _canon_poly(coeffs: Mapping[int, int]) -> Poly:
     items = []
     for slot, c in coeffs.items():
-        if not isinstance(slot, int) or slot < 0:
+        # a bool is an int, but True would print as a coefficient or slot
+        if slot.__class__ is not int or slot < 0:
             raise ComponentError("polynomial slots must be non-negative integers")
-        if not isinstance(c, int):
+        if c.__class__ is not int:
             raise ComponentError("polynomial coefficients must be integers")
         if c:
             items.append((slot, c))
@@ -494,7 +495,7 @@ def element(
         if uses_poly(construction, pos):
             if raw.__class__ is dict or isinstance(raw, Mapping):
                 v: Value = _canon_poly(raw)
-            elif isinstance(raw, int):
+            elif raw.__class__ is int:
                 v = _canon_poly({0: raw})
             else:
                 raise ComponentError(f"{pos}: square components take integer polynomials")

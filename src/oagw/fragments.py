@@ -21,11 +21,16 @@ class FragmentConfig:
     generator_pool: tuple[GroupElement, ...] = ()
     size_cap: int = 2000
     seed: int = 0
-    # pool parts shared by every fragment enumerated through this config;
-    # only the copies made by with_shared_pool() carry a table
+    # (construction, surviving pool) -> memo of pool-part sums, shared by
+    # every fragment enumerated through this config; only the copies made
+    # by with_shared_pool() carry a table
     _pool_parts: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.size_cap.__class__ is not int or self.coeff_bound.__class__ is not int:
+            raise TypeError(
+                f"size_cap and coeff_bound must be int, got {self.size_cap!r} and {self.coeff_bound!r}"
+            )
         if self.size_cap < 1:
             raise ValueError(f"size_cap must be at least 1, got {self.size_cap}")
         if self.coeff_bound < 0:
@@ -38,14 +43,13 @@ class FragmentConfig:
             )
 
     def with_shared_pool(self) -> "FragmentConfig":
-        """A copy whose fragments share their pool-only part.
+        """A copy whose fragments share their pool part.
 
         Fragments enumerated through the copy keep, per surviving pool
-        tuple, the multiples of the pool generators and the sum of every
-        coefficient vector whose parameter coefficients are all zero, and
-        reuse them on the next call.  Nested quantifiers enumerate a
-        fragment per outer binding, so one evaluation makes one copy and
-        drops it.
+        tuple, the memo of pool-part sums (one per coefficient vector of
+        the pool axes) and reuse it on the next call.  Nested quantifiers
+        enumerate a fragment per outer binding, so one evaluation makes
+        one copy and drops it.
         """
         # a field-for-field copy of a validated config, without revalidating
         out = object.__new__(FragmentConfig)
@@ -53,23 +57,25 @@ class FragmentConfig:
         return out
 
 
-def _coeff_vectors(n: int, bound: int) -> Iterator[tuple[int, ...]]:
-    # Layered by max |coefficient| so small combinations come first;
-    # inside a layer the order is the deterministic product order with
-    # each axis running 0, 1, -1, 2, -2, ...
-    if n == 0:
-        return
-    axis: list[list[int]] = []
-    for m in range(bound + 1):
-        order = [0]
-        for k in range(1, m + 1):
-            order.extend((k, -k))
-        axis.append(order)
-    for m in range(bound + 1):
-        for vec in itertools.product(axis[m], repeat=n):
-            # every entry has |k| <= m, so the layer test is membership
-            if m == 0 or m in vec or -m in vec:
-                yield vec
+def _part(memo: dict, gens: tuple[GroupElement, ...], vec: tuple[int, ...]) -> GroupElement:
+    """The sum of k * g over vec and gens, read from memo or filled into it.
+
+    The sum of a vector is the sum without its last nonzero term, plus
+    that term; a vector with one nonzero term is a multiple, scaled once.
+    memo starts with the zero vector.
+    """
+    acc = memo.get(vec)
+    if acc is None:
+        j = len(vec) - 1
+        while not vec[j]:
+            j -= 1
+        head = vec[:j] + (0,) * (len(vec) - j)
+        if any(head):
+            acc = _part(memo, gens, head) + _part(memo, gens, (0,) * j + vec[j:])
+        else:
+            acc = gens[j].scale(vec[j])
+        memo[vec] = acc
+    return acc
 
 
 def iter_fragment(
@@ -79,8 +85,10 @@ def iter_fragment(
 ) -> Iterator[GroupElement]:
     """Lazily enumerate the fragment spanned by params and the pool.
 
-    Yields zero first, then every parameter, then combinations in a
-    deterministic order; stops at ``size_cap``; rejects mixed
+    Yields zero first, then every parameter, then the sums of the
+    coefficient vectors layer by layer: layer m holds the vectors whose
+    largest |coefficient| is m, in product order with each axis running
+    0, 1, -1, ..., m, -m.  Stops at ``size_cap``; rejects mixed
     constructions.  Through a config from ``with_shared_pool`` it
     yields the same elements, reusing the pool part of earlier calls.
     """
@@ -100,70 +108,36 @@ def iter_fragment(
     if construction is None:
         raise ValueError("cannot infer construction for an empty fragment")
 
-    emitted = 0
     z = zero(construction)
     seen: set = {z}
     yield z
-    emitted += 1
     for p in params:
-        if p not in seen and emitted < cfg.size_cap:
+        if p not in seen and len(seen) < cfg.size_cap:
             seen.add(p)
-            emitted += 1
             yield p
-    # The pool part depends only on which pool generators survive: their
-    # multiples, and the sums of the vectors with zero parameter part, are
-    # shared through the config.  Those vectors come in the same order
-    # whatever the parameters (parameter axes vary slowest and start at 0),
-    # so pool_sums[t] is the sum of the t-th of them.
+    # A vector's sum is its parameter part plus its pool part, each read
+    # from a memo keyed by its coefficient sub-vector.  The pool memo
+    # depends only on which pool generators survive, so it is shared
+    # through the config.
+    param_gens, pool = tuple(gens[:n_params]), tuple(gens[n_params:])
+    param_parts = {(0,) * n_params: z}
     parts = cfg._pool_parts if cfg._pool_parts is not None else {}
-    pool = tuple(gens[n_params:])
-    part = parts.get(pool)
-    if part is None:
-        part = parts[pool] = ([{} for _ in pool], [])
-    pool_multiples, pool_sums = part
-    # k * g is scaled once, on first use, and shared by every later vector;
-    # sums[i] is the sum of the first i terms of the previous vector, so a
-    # vector that shares a prefix with it adds only the terms after it.
-    # A vector whose sum is shared skips the loop and leaves only
-    # sums[:valid + 1] matching the previous vector.
-    multiples = [{} for _ in range(n_params)] + pool_multiples
-    n = len(gens)
-    sums = [z] * (n + 1)
-    valid = n
-    prev: tuple = (None,) * n
-    pool_only = True  # the first vector is all zeros
-    t = 0
-    for vec in _coeff_vectors(n, cfg.coeff_bound):
-        if emitted >= cfg.size_cap:
-            return
-        i = 0
-        while vec[i] == prev[i]:  # consecutive vectors differ somewhere
-            i += 1
-        if i < n_params:
-            pool_only = not any(vec[:n_params])
-        prev = vec
-        if pool_only and t < len(pool_sums):
-            acc = pool_sums[t]
-            t += 1
-            if valid > i:
-                valid = i
-        else:
-            if i > valid:
-                i = valid
-            acc = sums[i]
-            for j in range(i, n):
-                k = vec[j]
-                if k:
-                    kg = multiples[j].get(k)
-                    if kg is None:
-                        kg = multiples[j][k] = gens[j].scale(k)
-                    acc = acc + kg
-                sums[j + 1] = acc
-            valid = n
-            if pool_only:
-                pool_sums.append(acc)
-                t += 1
-        if acc not in seen:
-            seen.add(acc)
-            emitted += 1
-            yield acc
+    pool_parts = parts.get((construction, pool))
+    if pool_parts is None:
+        pool_parts = parts[construction, pool] = {(0,) * len(pool): z}
+    for m in range(cfg.coeff_bound + 1):
+        axis = [0] + [s * k for k in range(1, m + 1) for s in (1, -1)]
+        for pvec in itertools.product(axis, repeat=n_params):
+            # every entry has |k| <= m, so the layer test is membership
+            in_layer = m == 0 or m in pvec or -m in pvec
+            ppart = _part(param_parts, param_gens, pvec)
+            for qvec in itertools.product(axis, repeat=len(pool)):
+                if not (in_layer or m in qvec or -m in qvec):
+                    continue
+                if len(seen) >= cfg.size_cap:
+                    return
+                # most pool parts are memo hits, so a hit skips the call
+                acc = ppart + (pool_parts.get(qvec) or _part(pool_parts, pool, qvec))
+                if acc not in seen:
+                    seen.add(acc)
+                    yield acc

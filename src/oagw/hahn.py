@@ -14,9 +14,9 @@ Membership predicates classify series by their exponents alone:
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Mapping, Union
 
 from .elements import (
@@ -53,10 +53,6 @@ class CoefficientField:
 
     def is_zero(self, a) -> bool:  # pragma: no cover - interface
         raise NotImplementedError
-
-    @property
-    def one(self):
-        return self.coerce(1)
 
     def __repr__(self) -> str:
         return self.name
@@ -130,9 +126,6 @@ class PrimeField(CoefficientField):
 
 QQ = RationalField()
 
-_exp_key = functools.cmp_to_key(lambda x, y: x.cmp(y))
-
-
 @dataclass(frozen=True)
 class HahnSeries:
     construction: Construction
@@ -203,7 +196,8 @@ def _compat(a: HahnSeries, b: HahnSeries) -> None:
 def _build(
     construction: Construction, F: CoefficientField, acc: Mapping[GroupElement, object]
 ) -> HahnSeries:
-    items = sorted(acc.items(), key=lambda kv: _exp_key(kv[0]))
+    # exponents are distinct keys, so the group order sorts them totally
+    items = sorted(acc.items(), key=itemgetter(0))
     return HahnSeries(construction, F, tuple(items))
 
 
@@ -320,9 +314,7 @@ def lift_embedding(e: Embedding, f: HahnSeries) -> HahnSeries:
     return _build(f.construction, f.coeff_field, acc)
 
 
-def subring_escape_witness(
-    coeff_field: CoefficientField = QQ,
-) -> tuple[HahnSeries, HahnSeries]:
+def subring_escape_witness() -> tuple[HahnSeries, HahnSeries]:
     """A series x inside the cone A whose lifted image leaves it.
 
     x = t^(-u) for the head square unit u of the right block: the
@@ -331,6 +323,6 @@ def subring_escape_witness(
     negative entry, which is outside the cone.
     """
     g = -unit(LAMBDA, g1_square(0, 0), {0: 1})
-    x = monomial(g, 1, coeff_field)
+    x = monomial(g)
     hx = lift_embedding(Embedding.F1, x)
     return x, hx

@@ -42,6 +42,10 @@ class Position:
     slot: int = 0  # square number inside a G1 block; 0 elsewhere
 
     def __new__(cls, area: str, index: int, shape: str, slot: int = 0) -> "Position":
+        # before the lookup: 7.0 and True hash like 7 and 1 and would
+        # find, or intern, the position of that int
+        if index.__class__ is not int or slot.__class__ is not int:
+            raise TypeError(f"index and slot must be int, got {index!r} and {slot!r}")
         fields = (area, index, shape, slot)
         try:
             return _INTERNED[fields]

@@ -32,15 +32,16 @@ _POLY_COEFFS = (-6, -4, -3, -2, -1, 1, 2, 3, 4, 6)  # LAMBDA square coefficients
 _SERIES_COEFFS = (-3, -2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-5, 3))
 
 
-def random_position(rng: random.Random, g2_pairs: int = 3, g1_blocks: int = 3, slots: int = 5) -> Position:
+def random_position(rng: random.Random) -> Position:
+    """One of the first 3 G2 pairs or G1 blocks; a G1 square in slot 0..4."""
     kind = rng.randrange(4)
     if kind == 0:
-        return g2_circle(rng.randrange(g2_pairs))
+        return g2_circle(rng.randrange(3))
     if kind == 1:
-        return g2_square(rng.randrange(g2_pairs))
+        return g2_square(rng.randrange(3))
     if kind == 2:
-        return g1_square(rng.randrange(g1_blocks), rng.randrange(slots))
-    return g1_circle(rng.randrange(g1_blocks))
+        return g1_square(rng.randrange(3), rng.randrange(5))
+    return g1_circle(rng.randrange(3))
 
 
 def random_value(rng: random.Random, construction: Construction, pos: Position):
@@ -83,8 +84,8 @@ def random_nonzero(rng: random.Random, construction: Construction, max_support: 
     return e
 
 
-def random_positive(rng: random.Random, construction: Construction, max_support: int = 4) -> GroupElement:
-    e = random_nonzero(rng, construction, max_support)
+def random_positive(rng: random.Random, construction: Construction) -> GroupElement:
+    e = random_nonzero(rng, construction)
     return e if e.sign() > 0 else -e
 
 

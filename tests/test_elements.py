@@ -190,6 +190,8 @@ class TestValidation:
         "zero coefficient": (LAMBDA, ((S00, ((0, 0),)),)),
         "negative slot": (LAMBDA, ((S00, ((-1, 1),)),)),
         "non-int coefficient": (LAMBDA, ((S00, ((0, Fraction(1, 2)),)),)),
+        "bool coefficient": (LAMBDA, ((S00, ((0, True),)),)),
+        "bool slot": (LAMBDA, ((S00, ((True, 2),)),)),
         "malformed term": (LAMBDA, ((S00, ((0,),)),)),
         "fraction at a lambda square": (LAMBDA, ((S00, Fraction(1)),)),
         "polynomial at a lambda circle": (LAMBDA, ((g2_circle(0), ((0, 1),)),)),
@@ -244,6 +246,13 @@ class TestRawComponents:
         "fraction at a lambda square": (LAMBDA, {S00: Fraction(1, 2)}),
         "non-int coefficient": (LAMBDA, {S00: {0: Fraction(1, 2)}}),
         "negative slot": (LAMBDA, {S00: {-1: 1}}),
+        # True == 1, but {0: True} would print as True and {True: 2} as 2*cTrue
+        "bool coefficient": (LAMBDA, {S00: {0: True}}),
+        "bool slot": (LAMBDA, {S00: {True: 2}}),
+        "float coefficient": (LAMBDA, {S00: {0: 2.0}}),
+        "float slot": (LAMBDA, {S00: {1.0: 2}}),
+        "bool at a lambda square": (LAMBDA, {S00: True}),
+        "float at a lambda square": (LAMBDA, {S00: 1.0}),
         "gamma circle denominator 2": (GAMMA, {g2_circle(2): Fraction(1, 2)}),
         "gamma square denominator 3": (GAMMA, {S00: Fraction(1, 3)}),
     }

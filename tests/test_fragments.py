@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oagw.elements import ConstructionMismatch, GAMMA, LAMBDA, element, zero
 from oagw.fragments import FragmentConfig, iter_fragment
@@ -71,6 +72,8 @@ def test_size_cap_respected():
         ({"size_cap": 0}, ValueError),
         ({"size_cap": -3}, ValueError),
         ({"coeff_bound": -1}, ValueError),
+        ({"size_cap": 2.0}, TypeError),
+        ({"coeff_bound": True}, TypeError),
         ({"generator_pool": ["x"]}, TypeError),
         ({"generator_pool": ("x",)}, TypeError),
         ({"generator_pool": [element(LAMBDA, {S00: {0: 1}})]}, TypeError),
@@ -185,3 +188,44 @@ def test_shared_pool_after_an_abandoned_and_a_suspended_fragment(construction):
         assert list(iter_fragment(params, cfg, construction)) == _reference_fragment(params, cfg)
     got_outer += list(outer)
     assert got_outer == _reference_fragment(calls[1], cfg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    construction=st.sampled_from([LAMBDA, GAMMA]),
+    seed=st.integers(min_value=0, max_value=2**32),
+    coeff_bound=st.integers(min_value=1, max_value=2),
+    size_cap=st.integers(min_value=1, max_value=80),
+    data=st.data(),
+)
+def test_shared_pool_fragments_in_any_interleaving(construction, seed, coeff_bound, size_cap, data):
+    rng = case_rng(seed, 0)
+    pool = tuple(random_element(rng, construction, 2) for _ in range(3))
+    others = [random_element(rng, construction, 2) for _ in range(2)] + list(pool)
+    cfg = FragmentConfig(coeff_bound, pool, size_cap).with_shared_pool()
+    # params may repeat, be zero or coincide with a pool generator, so the
+    # fragments share the whole pool or lose an axis of it
+    calls = data.draw(
+        st.lists(st.lists(st.sampled_from(others), max_size=2), min_size=2, max_size=5)
+    )
+    running = [iter_fragment(params, cfg, construction) for params in calls]
+    got: list[list] = [[] for _ in calls]
+    # each fragment is abandoned after a random prefix, in a random interleaving
+    wanted = [data.draw(st.integers(min_value=0, max_value=size_cap + 1)) for _ in calls]
+    schedule = data.draw(st.permutations([i for i, n in enumerate(wanted) for _ in range(n)]))
+    for i in schedule:
+        x = next(running[i], None)
+        if x is not None:
+            got[i].append(x)
+    for params, prefix, n in zip(calls, got, wanted):
+        reference = _reference_fragment(params, cfg)
+        assert prefix == reference[:n]
+
+
+def test_shared_empty_pool_serves_both_constructions():
+    # an empty pool is the same tuple in both constructions; its zero is not
+    cfg = FragmentConfig(2, (), 50).with_shared_pool()
+    a = element(LAMBDA, {S00: {0: 1}})
+    c = element(GAMMA, {g2_circle(0): Fraction(1, 3)})
+    for params in ([a], [c], [a]):
+        assert list(iter_fragment(params, cfg)) == _reference_fragment(params, cfg)

@@ -89,6 +89,26 @@ def test_validation():
         Position("G2", 0, "s", slot=2)  # only G1 squares carry slots
 
 
+@pytest.mark.parametrize(
+    "args",
+    [("G2", 7.0, "c"), ("G2", True, "s"), ("G1", 0, "s", 1.0), ("G1", 0, "s", True), ("G1", "0", "c")],
+)
+def test_non_int_index_or_slot_rejected(args):
+    with pytest.raises(TypeError):
+        Position(*args)
+
+
+def test_a_float_index_cannot_take_over_the_int_position():
+    # 7.0 hashes like 7: interned first, it would print as G2[7.0].c
+    # in every later element holding g2_circle(7)
+    with pytest.raises(TypeError):
+        Position("G2", 7.0, "c")
+    with pytest.raises(TypeError):
+        Position("G1", 1, "s", True)
+    assert str(g2_circle(7)) == "G2[7].c" and g2_circle(7).index.__class__ is int
+    assert str(g1_square(1, 1)) == "G1[1].s[1]" and g1_square(1, 1).slot.__class__ is int
+
+
 def test_critical_circle():
     assert CRITICAL_CIRCLE == g2_circle(0)
     assert CRITICAL_CIRCLE.key < g2_square(0).key

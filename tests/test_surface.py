@@ -1,4 +1,4 @@
-"""Guard against public helpers that no verdict reaches.
+"""Guard against public helpers and parameters that no verdict reaches.
 
 Every undecorated top-level public ``def`` and ``class`` in ``oagw``
 must be referenced somewhere in the package outside its own
@@ -6,6 +6,12 @@ definition, or by the benchmark in ``perfbench/``.  A helper that only
 tests call belongs in the tests.  References are matched by
 identifier (a Name, an Attribute or an imported name), so the check
 errs on the side of keeping a definition.
+
+Likewise every defaulted parameter of an undecorated top-level function
+must be passed by some call in ``src/`` or ``perfbench/``, by position
+or by keyword.  Calls are matched by the called name, and a call with
+``*args`` or ``**kwargs`` counts as passing everything, so this check
+too errs on the side of keeping a parameter.
 """
 
 from __future__ import annotations
@@ -23,6 +29,15 @@ ALLOWED_UNREFERENCED = {
     "closure_audit": "to be wired into a suite over the ea corpus",
     "classify_prefix": "to be recorded by that same ea-corpus suite",
     "neg_rphi_normalize": "to be checked by an rphi-vs-search suite",
+}
+
+
+# "function(parameter)" -> why the default may be all that callers use
+ALLOWED_UNPASSED = {
+    "main(argv)": "the console script calls main() and reads sys.argv; tests pass argv",
+    "parse_term(construction)": "the term grammar mirrors parse_formula, whose callers pass it",
+    "closure_audit(seed)": "closure_audit itself still waits for its ea-corpus suite",
+    "term_var(coeff)": "the term constructor's general form; suites build only bare variables",
 }
 
 
@@ -65,3 +80,51 @@ def test_every_allowed_exception_is_still_unreferenced():
     # an exception that gained a caller is no longer an exception
     stale = sorted(ALLOWED_UNREFERENCED.keys() - _unreferenced())
     assert not stale, f"drop these from ALLOWED_UNREFERENCED: {stale}"
+
+
+def _calls_by_name() -> dict[str, list[ast.Call]]:
+    paths = sorted((ROOT / "src").rglob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    calls: dict[str, list[ast.Call]] = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name:
+                    calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call: ast.Call, index: int | None, name: str) -> bool:
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+        return True
+    return (index is not None and len(call.args) > index) or any(k.arg == name for k in call.keywords)
+
+
+def _unpassed() -> set[str]:
+    """Defaulted parameters of top-level functions that no call passes."""
+    calls = _calls_by_name()
+    out = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.parse(path.read_text()).body:
+            if not isinstance(fn, ast.FunctionDef) or fn.decorator_list:
+                continue
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            defaulted = [(i, arg.arg) for i, arg in enumerate(positional) if i >= first]
+            defaulted += [(None, arg.arg) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            for index, name in defaulted:
+                if not any(_passes(c, index, name) for c in calls.get(fn.name, ())):
+                    out.add(f"{fn.name}({name})")
+    return out
+
+
+def test_every_defaulted_parameter_is_passed():
+    stray = sorted(_unpassed() - ALLOWED_UNPASSED.keys())
+    assert not stray, f"defaulted parameters no call passes: {stray}"
+
+
+def test_every_allowed_unpassed_parameter_is_still_unpassed():
+    stale = sorted(ALLOWED_UNPASSED.keys() - _unpassed())
+    assert not stale, f"drop these from ALLOWED_UNPASSED: {stale}"
