@@ -25,6 +25,20 @@ unchecked.  ``element()`` takes raw values: it canonicalizes and
 validates each raw component once, in one pass, and hands the result to
 ``_from_canonical``.  Positions are interned, so merges test ``pa is
 pb`` before comparing keys.
+
+The hash is additive: ``hash(e)`` is the sum over components of the
+position's ``weight`` times the value read modulo ``HASH_MODULUS`` (a
+rational ``num/den`` as ``num * den**-1``, a polynomial evaluated at the
+fixed point ``_HASH_POINT``), reduced modulo ``HASH_MODULUS``.  So
+``hash(a + b) == (hash(a) + hash(b)) % HASH_MODULUS`` and ``hash(k * a)
+== k * hash(a) % HASH_MODULUS``: a sum or multiple of elements that
+already know their hash gets its own from them, without reading its
+entries.  Nothing is hashed eagerly; an unknown hash is ``None``.  A
+rational whose denominator the prime modulus divides has no value
+modulo it (every circle and every ``GAMMA`` square can hold one); an
+element holding one gets a fallback hash that is recomputed on every
+call and never carried.  A sum of elements without such a value has
+none, because the modulus is prime.
 """
 
 from __future__ import annotations
@@ -40,6 +54,7 @@ from typing import Optional, Union
 
 from .positions import (
     G1,
+    HASH_MODULUS,
     Position,
     g1_circle,
     g1_square,
@@ -206,6 +221,7 @@ class GroupElement:
     def __init__(self, construction: Construction, entries: tuple) -> None:
         _set_construction(self, construction)
         _set_entries(self, tuple((pos, value) for pos, value in entries))
+        _set_hash(self, None)
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -239,13 +255,32 @@ class GroupElement:
 
     def __hash__(self) -> int:
         # Elements are immutable, so the hash is computed on first use
-        # and kept; fragment search looks every candidate up in a set.
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.construction, self.entries))
-            _set_hash(self, h)
+        # and kept; sums and multiples mostly carry it in already.
+        h = self._hash
+        if h is not None:
             return h
+        h = 0
+        keep = True
+        for pos, v in self.entries:
+            if v.__class__ is tuple:
+                r = 0
+                for slot, c in v:  # type: ignore[union-attr]
+                    r += c * (_POINT_POWERS[slot] if slot < len(_POINT_POWERS)
+                              else pow(_HASH_POINT, slot, HASH_MODULUS))
+            else:
+                num, den = v.numerator, v.denominator  # type: ignore[union-attr]
+                if den == 1:
+                    r = num
+                elif den % HASH_MODULUS:
+                    r = num * pow(den, -1, HASH_MODULUS)
+                else:
+                    r = hash((num, den))
+                    keep = False
+            h += pos.weight * r
+        h %= HASH_MODULUS
+        if keep:
+            _set_hash(self, h)
+        return h
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -275,6 +310,7 @@ class GroupElement:
             return self
         if not ea:
             return other
+        ha, hb = self._hash, other._hash
         # linear merge of the two position-sorted entry tuples
         out = []
         i = j = 0
@@ -294,7 +330,11 @@ class GroupElement:
             else:
                 out.append(eb[j])
                 j += 1
-        return _from_canonical(self.construction, (*out, *ea[i:], *eb[j:]))
+        return _from_canonical(
+            self.construction,
+            (*out, *ea[i:], *eb[j:]),
+            None if ha is None or hb is None else (ha + hb) % HASH_MODULUS,
+        )
 
     def __neg__(self) -> "GroupElement":
         return self.scale(-1)
@@ -309,10 +349,11 @@ class GroupElement:
             return self
         if k == 0:
             return zero(self.construction)
+        h = self._hash
         return _from_canonical(self.construction, tuple([
             (pos, tuple([(s, c * k) for s, c in v]) if v.__class__ is tuple else v * k)
             for pos, v in self.entries
-        ]))
+        ]), None if h is None else h * k % HASH_MODULUS)
 
     def __mul__(self, k: int) -> "GroupElement":
         return self.scale(k)
@@ -459,16 +500,28 @@ _set_hash = GroupElement._hash.__set__  # type: ignore[attr-defined]
 _new_element = object.__new__
 
 
-def _from_canonical(construction: Construction, entries: tuple) -> GroupElement:
-    """Unchecked constructor for entries that are canonical by construction."""
+def _from_canonical(
+    construction: Construction, entries: tuple, h: Optional[int] = None
+) -> GroupElement:
+    """Unchecked constructor for entries that are canonical by construction.
+
+    ``h`` is the hash of the entries when the caller knows it, else None.
+    """
     e = _new_element(GroupElement)
     _set_construction(e, construction)
     _set_entries(e, entries)
+    _set_hash(e, h)
     return e
 
 
+# The point at which polynomial components are evaluated for the hash,
+# and its first powers: the hash weight of polynomial slot s is the
+# position's weight times _HASH_POINT**s.
+_HASH_POINT = 0x9E3779B97F4A7C15 % HASH_MODULUS
+_POINT_POWERS = tuple(pow(_HASH_POINT, s, HASH_MODULUS) for s in range(64))
+
 # one immutable zero per construction, shared by every caller
-_ZEROS = {c: _from_canonical(c, ()) for c in Construction}
+_ZEROS = {c: _from_canonical(c, (), 0) for c in Construction}
 
 
 def zero(construction: Construction) -> GroupElement:
@@ -502,10 +555,11 @@ def element(
         else:
             if raw.__class__ is Fraction:
                 q = raw
-            elif isinstance(raw, Mapping):
-                raise ComponentError(f"{pos}: expected a rational value")
-            else:
+            elif raw.__class__ is int:
                 q = Fraction(raw)
+            else:
+                # a float or a str would convert, and a bool is an int
+                raise ComponentError(f"{pos}: expected a rational value")
             if gamma:
                 p = _local_prime(pos)
                 if q.denominator % p == 0:

@@ -38,7 +38,6 @@ from .formulas import (
     Or,
     Rphi,
     Term,
-    constants,
     free_vars,
     or_all,
     term_const,
@@ -189,9 +188,10 @@ def neg_rphi_normalize(
 
 # A formula is compiled once per evaluate() call into nested closures
 # that take the variable environment and return a Verdict.  Quantifier
-# closures hold their constants; the environment is one dict, extended
-# by each quantifier while its body runs.  Every fragment of one call
-# shares its pool part through a per-call copy of the config.
+# closures hold the constants of their body, collected in the same pass
+# in the order the atoms are compiled; the environment is one dict,
+# extended by each quantifier while its body runs.  Every fragment of
+# one call shares its pool part through a per-call copy of the config.
 _Compiled = Callable[[dict[str, GroupElement]], Verdict]
 _TermFn = Callable[[dict[str, GroupElement]], GroupElement]
 
@@ -234,7 +234,7 @@ def evaluate(
     for v, e in env.items():
         if e.construction is not construction:
             raise ValueError(f"binding {v!r} is not a {construction} element")
-    run = _compile(construction, f, cfg.with_shared_pool(), candidate_filter, None)
+    run = _compile(construction, f, cfg.with_shared_pool(), candidate_filter, None, [])
     return run(dict(env))
 
 
@@ -244,30 +244,37 @@ def _compile(
     cfg: FragmentConfig,
     flt: Optional[Callable[[GroupElement], bool]],
     scope: Optional[_Scope],
+    consts: list[GroupElement],
 ) -> _Compiled:
+    """``f`` as a closure; appends the element constants of ``f`` to ``consts``."""
     if isinstance(f, BoolC):
         verdict = _TRUE if f.value else _FALSE
         return lambda env: verdict
     if isinstance(f, AtomF):
-        holds = _compile_atom(construction, f.atom, scope)
+        a = f.atom
+        terms = (
+            [t for _, t in (*a.bounds, *a.congs)] if isinstance(a, Rphi) else [a.lhs, a.rhs]
+        )
+        consts += [t.const for t in terms if t.const is not None and not t.const.is_zero()]
+        holds = _compile_atom(construction, a, scope)
         return lambda env: _TRUE if holds(env) else _FALSE
     if isinstance(f, Not):
-        body = _compile(construction, f.body, cfg, flt, scope)
+        body = _compile(construction, f.body, cfg, flt, scope, consts)
         return lambda env: _negate(body(env))
     if isinstance(f, And):
         return _compile_and(
-            _compile(construction, f.lhs, cfg, flt, scope),
-            _compile(construction, f.rhs, cfg, flt, scope),
+            _compile(construction, f.lhs, cfg, flt, scope, consts),
+            _compile(construction, f.rhs, cfg, flt, scope, consts),
         )
     if isinstance(f, (Or, Implies)):
         # a -> b is ~a | b
         lhs = Not(f.lhs) if isinstance(f, Implies) else f.lhs
         return _compile_or(
-            _compile(construction, lhs, cfg, flt, scope),
-            _compile(construction, f.rhs, cfg, flt, scope),
+            _compile(construction, lhs, cfg, flt, scope, consts),
+            _compile(construction, f.rhs, cfg, flt, scope, consts),
         )
     if isinstance(f, (Exists, Forall)):
-        return _compile_quantifier(construction, f, cfg, flt)
+        return _compile_quantifier(construction, f, cfg, flt, consts)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -306,11 +313,13 @@ def _compile_quantifier(
     f: Exists | Forall,
     cfg: FragmentConfig,
     flt: Optional[Callable[[GroupElement], bool]],
+    outer_consts: list[GroupElement],
 ) -> _Compiled:
     var = f.var
-    consts = constants(f)
+    consts: list[GroupElement] = []
     scope = _Scope(var)
-    body = _compile(construction, f.body, cfg, flt, scope)
+    body = _compile(construction, f.body, cfg, flt, scope, consts)
+    outer_consts += consts
     hoisted, values = scope.terms, scope.values
     # an existential stops on a witness, a universal on a counterexample
     stop, reason = (Truth.TRUE, "") if isinstance(f, Exists) else (Truth.FALSE, "counterexample")

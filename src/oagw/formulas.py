@@ -257,37 +257,6 @@ def free_vars(f: Formula) -> frozenset[str]:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def constants(f: Formula) -> list[GroupElement]:
-    """Element constants appearing anywhere in the formula."""
-    out: list[GroupElement] = []
-
-    def from_term(t: Term) -> None:
-        if t.const is not None and not t.const.is_zero():
-            out.append(t.const)
-
-    def walk(g: Formula) -> None:
-        if isinstance(g, AtomF):
-            a = g.atom
-            if isinstance(a, Rphi):
-                for _, t in a.bounds:
-                    from_term(t)
-                for _, t in a.congs:
-                    from_term(t)
-            else:
-                from_term(a.lhs)
-                from_term(a.rhs)
-        elif isinstance(g, Not):
-            walk(g.body)
-        elif isinstance(g, (And, Or, Implies)):
-            walk(g.lhs)
-            walk(g.rhs)
-        elif isinstance(g, (Exists, Forall)):
-            walk(g.body)
-
-    walk(f)
-    return out
-
-
 # -- printing --------------------------------------------------------------
 
 _PREC = {"->": 1, "|": 2, "&": 3, "~": 4}

@@ -17,18 +17,27 @@ one ``Position`` object, created and validated on first use, so
 equality and hashing are by identity.  What hot code reads is derived
 once, at interning, into plain attributes: the sort key ``key``
 (``sort_key()`` returns it), the flags ``is_square`` and ``is_circle``,
-and the text form ``text`` (``str()`` returns it).  Pickle, ``copy``
-and ``deepcopy`` return the interned object.
+the text form ``text`` (``str()`` returns it), and the hash weight
+``weight`` that element hashes give a component here.  The weight is a
+digest of the key modulo ``HASH_MODULUS``, so it is the same in every
+process, whatever ``PYTHONHASHSEED`` is.  Pickle, ``copy`` and
+``deepcopy`` return the interned object.
 """
 
 from __future__ import annotations
 
+import hashlib
+import sys
 from dataclasses import dataclass
 
 G2 = "G2"
 G1 = "G1"
 CIRCLE = "c"
 SQUARE = "s"
+
+#: The prime 2**61 - 1 that Python reduces numeric hashes by; element
+#: hashes are sums of position weights times component values modulo it.
+HASH_MODULUS = sys.hash_info.modulus
 
 # (area, index, shape, slot) -> the one Position with those fields
 _INTERNED: dict[tuple, "Position"] = {}
@@ -82,6 +91,8 @@ class Position:
         object.__setattr__(self, "is_square", self.shape == SQUARE)
         object.__setattr__(self, "is_circle", self.shape == CIRCLE)
         object.__setattr__(self, "text", text)
+        digest = hashlib.blake2b(repr(key).encode(), digest_size=8).digest()
+        object.__setattr__(self, "weight", int.from_bytes(digest, "big") % (HASH_MODULUS - 1) + 1)
 
     def __reduce__(self) -> tuple:
         # pickle, copy and deepcopy go back through the intern table

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import sys
 import types
 from fractions import Fraction
 
@@ -145,6 +146,52 @@ class TestHashAndSign:
         assert len(set(routes)) == 1
         assert len({a + b, a, b, b + a}) == 3
 
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(-5, 5))
+    def test_carried_hash_matches_rebuilt(self, construction, rng, k):
+        from oagw.sampling import random_element
+
+        a = random_element(rng, construction, 4)
+        b = random_element(rng, construction, 4)
+        ha, hb = hash(a), hash(b)  # the results below carry their hash from these
+        modulus = sys.hash_info.modulus
+        results = {
+            "a + b": (a + b, ha + hb),
+            "a - b": (a - b, ha - hb),
+            "-a": (-a, -ha),
+            "k*a": (k * a, k * ha),
+            "a + (b - a)": (a + (b - a), hb),
+        }
+        for name, (r, additive) in results.items():
+            rebuilt = GroupElement(construction, r.entries)
+            assert hash(r) == hash(rebuilt) == additive % modulus, name
+        assert a + (b - a) == b
+
+    def test_small_multiples_hash_apart(self):
+        # Python hashes -1 like -2, so hashing values through hash() made
+        # {p: -1} and {p: -2} collide in every set of fragment sums
+        for construction, value in ((GAMMA, 1), (GAMMA, Fraction(1, 5)), (LAMBDA, {0: 1, 2: 1})):
+            a = unit(construction, S00, value)
+            assert len({hash(a.scale(k)) for k in range(-6, 7)}) == 13
+
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+    def test_denominator_divisible_by_the_hash_modulus(self, construction):
+        # 2**61 - 1 is odd and prime to 3, so both constructions take it at
+        # a circle; such a value has no residue modulo the hash modulus
+        modulus = 2**61 - 1
+        odd = element(construction, {g2_circle(0): Fraction(1, modulus)})
+        other = element(construction, {g2_circle(0): Fraction(1, 3), S00: 2})
+        hash(other)
+        sums = [odd, -odd, odd.scale(3), odd + other, other + odd, (odd + other) - odd, odd - odd]
+        for r in sums:
+            rebuilt = GroupElement(construction, r.entries)
+            assert r == rebuilt and hash(r) == hash(rebuilt) == hash(r)
+        assert (odd + other) - odd == other
+        assert hash((odd + other) - odd) == hash(other)
+        assert hash(odd - odd) == hash(zero(construction)) == 0
+        assert len({odd, GroupElement(construction, odd.entries), odd + zero(construction)}) == 1
+
     def test_zero_sum_hashes_like_zero(self):
         a = element(GAMMA, {g2_circle(0): Fraction(1, 3), S00: 2})
         assert hash(a + (-a)) == hash(zero(GAMMA))
@@ -255,6 +302,10 @@ class TestRawComponents:
         "float at a lambda square": (LAMBDA, {S00: 1.0}),
         "gamma circle denominator 2": (GAMMA, {g2_circle(2): Fraction(1, 2)}),
         "gamma square denominator 3": (GAMMA, {S00: Fraction(1, 3)}),
+        # only int and Fraction are rational values; each of these converts
+        "float at a lambda circle": (LAMBDA, {g2_circle(0): 0.1}),
+        "str at a gamma circle": (GAMMA, {g2_circle(0): "1/3"}),
+        "bool at a gamma circle": (GAMMA, {g2_circle(0): True}),
     }
 
     @pytest.mark.parametrize("construction,components", BAD.values(), ids=list(BAD))

@@ -34,7 +34,6 @@ from oagw.formulas import (
     Or,
     Rphi,
     Term,
-    constants,
     parse_formula,
     print_formula,
     term_const,
@@ -351,6 +350,19 @@ def _reference_atom(construction, a, env):
     raise TypeError(f"not an atom: {a!r}")
 
 
+def _reference_constants(f):
+    """Element constants of f, atoms left to right: a separate walk of the tree."""
+    if isinstance(f, AtomF):
+        a = f.atom
+        terms = [t for _, t in a.bounds + a.congs] if isinstance(a, Rphi) else [a.lhs, a.rhs]
+        return [t.const for t in terms if t.const is not None and not t.const.is_zero()]
+    if isinstance(f, (Not, Exists, Forall)):
+        return _reference_constants(f.body)
+    if isinstance(f, (And, Or, Implies)):
+        return _reference_constants(f.lhs) + _reference_constants(f.rhs)
+    return []
+
+
 def _reference_eval(construction, f, env, cfg, flt):
     """Recursive evaluation: dispatch on the node at every candidate."""
     if isinstance(f, BoolC):
@@ -383,7 +395,7 @@ def _reference_eval(construction, f, env, cfg, flt):
     if isinstance(f, Implies):
         return _reference_eval(construction, Or(Not(f.lhs), f.rhs), env, cfg, flt)
     if isinstance(f, (Exists, Forall)):
-        params = list(env.values()) + constants(f)
+        params = list(env.values()) + _reference_constants(f)
         for cand in iter_fragment(params, cfg, construction):
             if flt is not None and not flt(cand):
                 continue

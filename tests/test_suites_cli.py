@@ -198,6 +198,40 @@ def test_entry_point_runs():
     assert "truncated-inverse" in proc.stdout
 
 
+def test_output_independent_of_the_hash_seed(tmp_path):
+    """Verdicts, witnesses and element hashes are the same under any PYTHONHASHSEED."""
+    src = str(Path(oagw.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    hash_unit = (
+        "from oagw.elements import GAMMA, unit\n"
+        "from oagw.positions import g2_square\n"
+        "print(hash(unit(GAMMA, g2_square(1))))"
+    )
+    outputs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed}
+        report = tmp_path / f"psi-{seed}.json"
+        commands = [
+            ["-m", "oagw.cli", "check", "psi-vs-search", "--json", str(report), "--samples", "20"],
+            ["-m", "oagw.cli", "eval", "--construction", "gamma",
+             "--formula", "E x. E y. x + y = {G2[0].c: 1} & 0 < y & y < x",
+             "--pool", "{G2[0].c: 1}", "--pool", "{G1[0].s[0]: 1}", "--size-cap", "40"],
+            ["-c", hash_unit],
+        ]
+        run = []
+        for args in commands:
+            proc = subprocess.run(
+                [sys.executable, *args], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 0, proc.stderr
+            run.append(proc.stdout)
+        # the check's own stdout carries its wall time, so its JSON is compared
+        run[0] = report.read_text()
+        outputs.append(run)
+    assert "witness y" in outputs[0][1]
+    assert outputs[0] == outputs[1]
+
+
 def test_reports_reproducible_across_runs():
     a = run_suite("hprime-locality", SuiteOptions(seed=5, samples=40))
     b = run_suite("hprime-locality", SuiteOptions(seed=5, samples=40))
