@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .elements import (
     GAMMA,
@@ -54,9 +54,13 @@ def cong_free_below(n: int, a: GroupElement, b: GroupElement) -> bool:
     positive residue of the coefficient decides.
     """
     _same(a, b)
-    if b.sign() <= 0:
-        return True
-    d = a.lead_mod(n)
+    return b.sign() <= 0 or _free_below_positive(n, a, a.lead_mod(n), b)
+
+
+def _free_below_positive(
+    n: int, a: GroupElement, d: Optional[LeadDescriptor], b: GroupElement
+) -> bool:
+    """``cong_free_below(n, a, b)`` for ``b > 0``, given ``d = a.lead_mod(n)``."""
     if d is None:
         # a is divisible: n * (deep tiny element) lands in (0, b)
         return False
@@ -73,6 +77,28 @@ def cong_free_below(n: int, a: GroupElement, b: GroupElement) -> bool:
         return False
     k0 = a.coeff_at(d) % n
     return lead_val < k0
+
+
+def index_window(c: GroupElement, b: GroupElement) -> Callable[[GroupElement], bool]:
+    """The two-sided index comparison of x with c and b, as a predicate on x.
+
+    ``index_window(c, b)(x)`` holds when ``x > 0``, some n in (2, 3) has
+    ``cong_free_below(n, c, x)`` and some n in (2, 3) has
+    ``cong_free_below(n, x, b)``.  The lead slots ``c.lead_mod(n)`` are
+    computed once, when the predicate is built.
+    """
+    _same(c, b)
+    c_leads = [(n, c.lead_mod(n)) for n in (2, 3)]
+
+    def holds(x: GroupElement) -> bool:
+        _same(c, x)
+        return (
+            x.sign() > 0
+            and any(_free_below_positive(n, c, d, x) for n, d in c_leads)
+            and any(cong_free_below(n, x, b) for n in (2, 3))
+        )
+
+    return holds
 
 
 def _tiny_gamma_representative(value: Fraction, p: int, s: int, below: Fraction) -> Fraction:

@@ -68,6 +68,7 @@ from .predicates import (
     cong_witness_below,
     g1_part_by_formula,
     in_g1_part,
+    index_window,
     inner_anchor_below,
     tail_set,
 )
@@ -236,65 +237,66 @@ def _deep_unit(construction: Construction, *after: GroupElement) -> GroupElement
 
 @suite("psi-vs-search", constructions=(LAMBDA, GAMMA), samples=2000, coeff_bound=3)
 def suite_psi_vs_search(rep: SuiteReport, opts: SuiteOptions) -> None:
-    """Closed form of the congruence-gap predicate against witness search."""
+    """Closed form of the congruence-gap predicate against witness search.
+
+    A True closed form is checked by searching a fragment for a witness
+    y with 0 < y < b and y = a mod n; the fragment is enumerated at most
+    once per case, and only when some n has a True closed form.  A False
+    closed form is checked by its ``cong_witness_below`` certificate
+    alone, with no search.
+    """
     for i in range(opts.samples):
         rng = case_rng(opts.seed, i)
         a = random_element(rng, opts.construction)
         b = random_element(rng, opts.construction)
-        deep = _deep_unit(opts.construction, a, b)
-        deep2 = (
-            element(LAMBDA, {g1_square(fresh_g1_block(a, b), 0): {1: 1}})
-            if opts.construction is LAMBDA
-            else unit(GAMMA, g1_circle(fresh_g1_block(a, b)), 1)
-        )
-        cfg = FragmentConfig(
-            coeff_bound=opts.coeff_bound, generator_pool=(deep, deep2), size_cap=300
-        )
+        neg_a = -a
         candidates: Optional[list[GroupElement]] = None
         for n in (2, 3):
             closed = cong_free_below(n, a, b)
-            found = None
-            if candidates is None:
-                candidates = [
-                    y
-                    for y in iter_fragment([a, b], cfg, opts.construction)
-                    if y.sign() > 0 and y < b
-                ]
-            for y in candidates:
-                if (y - a).is_divisible(n):
-                    found = y
-                    break
             ok = True
             detail = ""
-            if found is not None and closed:
-                ok = False
-                detail = f"search witness {found} despite closed-form truth"
-            if not closed:
+            if closed:
+                if candidates is None:
+                    candidates = _psi_candidates(opts, a, b)
+                found = next((y for y in candidates if (y + neg_a).is_divisible(n)), None)
+                if found is not None:
+                    ok = False
+                    detail = f"search witness {found} despite closed-form truth"
+            else:
                 w = cong_witness_below(n, a, b)
                 if (
                     w is None
-                    or not (w.sign() > 0 and w < b and (w - a).is_divisible(n))
+                    or not (w.sign() > 0 and w < b and (w + neg_a).is_divisible(n))
                 ):
                     ok = False
                     detail = f"no verified certificate for closed-form falsity (got {w})"
             rep.check(ok, detail, n=n, a=a, b=b)
 
 
+def _psi_candidates(opts: SuiteOptions, a: GroupElement, b: GroupElement) -> list[GroupElement]:
+    """The fragment elements y over a, b and two deep units with 0 < y < b."""
+    deep = _deep_unit(opts.construction, a, b)
+    deep2 = (
+        element(LAMBDA, {g1_square(fresh_g1_block(a, b), 0): {1: 1}})
+        if opts.construction is LAMBDA
+        else unit(GAMMA, g1_circle(fresh_g1_block(a, b)), 1)
+    )
+    cfg = FragmentConfig(coeff_bound=opts.coeff_bound, generator_pool=(deep, deep2), size_cap=300)
+    return [y for y in iter_fragment([a, b], cfg, opts.construction) if y.sign() > 0 and y < b]
+
+
 # -- suites: tail sets -------------------------------------------------------
 
 
-def _tail_reference_probe(
-    a: GroupElement, b: GroupElement, cfg: FragmentConfig
-) -> bool:
-    """Union-definition search: some t in (0, |a|) leaves |b| congruence-free."""
-    m = a.abs()
-    if m.is_zero():
-        return False
+def _tail_reference_probe(inside: Sequence[GroupElement], b: GroupElement) -> bool:
+    """Union-definition search: some t in (0, |a|) leaves |b| congruence-free.
+
+    ``inside`` holds the candidate t: the fragment elements in (0, |a|),
+    which the caller enumerates once per case.  The probe itself
+    enumerates nothing.
+    """
     target = b.abs()
-    for t in iter_fragment([m], cfg, a.construction):
-        if t.sign() > 0 and t < m and cong_free_below(2, t, target):
-            return True
-    return False
+    return any(cong_free_below(2, t, target) for t in inside)
 
 
 def _tail_probes(rng: random.Random, a: GroupElement) -> list[GroupElement]:
@@ -316,26 +318,32 @@ def _tail_probes(rng: random.Random, a: GroupElement) -> list[GroupElement]:
 
 @suite("hprime-descriptor", constructions=(LAMBDA, GAMMA), samples=500)
 def suite_hprime_descriptor(rep: SuiteReport, opts: SuiteOptions) -> None:
-    """Cut-descriptor membership equals the union-definition search."""
+    """Cut-descriptor membership equals the union-definition search.
+
+    Each case enumerates one fragment over |a|, the inner anchor and a
+    deep unit, once and before its probes, and every probe reads the
+    same elements t in (0, |a|); a zero ``a`` runs no search.
+    """
     for i in range(opts.samples):
         rng = case_rng(opts.seed, i)
         a = random_element(rng, opts.construction)
+        m = a.abs()
         anchor = inner_anchor_below(a)
-        pool: list[GroupElement] = []
-        if anchor is not None:
-            pool.append(anchor)
-        pool.append(_deep_unit(opts.construction, a))
-        cfg = FragmentConfig(coeff_bound=2, generator_pool=tuple(pool), size_cap=150)
         ts = tail_set(a)
         ok = True
         detail = ""
+        inside: list[GroupElement] = []
         if anchor is not None:
-            m = a.abs()
             if not (anchor.sign() > 0 and anchor < m):
                 ok = False
                 detail = f"anchor {anchor} not inside (0, |a|)"
+            pool = (anchor, _deep_unit(opts.construction, a))
+            cfg = FragmentConfig(coeff_bound=2, generator_pool=pool, size_cap=150)
+            inside = [
+                t for t in iter_fragment([m], cfg, opts.construction) if t.sign() > 0 and t < m
+            ]
         for b in _tail_probes(rng, a):
-            want = _tail_reference_probe(a, b, cfg)
+            want = _tail_reference_probe(inside, b)
             got = ts.contains(b)
             if want != got:
                 ok = False
@@ -666,15 +674,6 @@ def suite_f2_interval(rep: SuiteReport, opts: SuiteOptions) -> None:
 # -- demos -------------------------------------------------------------------
 
 
-def _between_by_indices(n_pair: tuple[int, int], c: GroupElement, x: GroupElement, b: GroupElement) -> bool:
-    """The two-sided index comparison, as a disjunction over both moduli."""
-    return (
-        x.sign() > 0
-        and any(cong_free_below(n, c, x) for n in n_pair)
-        and any(cong_free_below(n, x, b) for n in n_pair)
-    )
-
-
 def _exhaustive_hits(
     gens: Sequence[GroupElement],
     bound: int,
@@ -714,7 +713,7 @@ def demo_gamma_counterexample(rep: SuiteReport, opts: SuiteOptions) -> None:
     c = unit(GAMMA, g2_square(1), 1)
     b = unit(GAMMA, g2_square(0), 1)
     a = unit(GAMMA, CRITICAL_CIRCLE, 1)
-    rel = lambda x: _between_by_indices((2, 3), c, x, b)
+    rel = index_window(c, b)
 
     rep.check(rel(a), "the designated witness fails the sentence", witness=a)
 
@@ -762,7 +761,7 @@ def demo_lambda_repair(rep: SuiteReport, opts: SuiteOptions) -> None:
     """The same index-window schema with inner square slots supplying witnesses."""
     c = element(LAMBDA, {g2_square(1): {0: 1}})
     b = element(LAMBDA, {g2_square(0): {2: 1}})
-    rel = lambda x: _between_by_indices((2, 3), c, x, b)
+    rel = index_window(c, b)
 
     pool_image = (
         element(LAMBDA, {g2_square(0): {0: 1}}),
@@ -771,7 +770,7 @@ def demo_lambda_repair(rep: SuiteReport, opts: SuiteOptions) -> None:
     )
     cfg = FragmentConfig(coeff_bound=3, generator_pool=pool_image, size_cap=3000)
     witnesses = [
-        x for x in iter_fragment([c, b], cfg, LAMBDA) if in_image(Embedding.F1, x) and rel(x)
+        x for x in iter_fragment([c, b], cfg, LAMBDA) if rel(x) and in_image(Embedding.F1, x)
     ]
     rep.check(bool(witnesses), "no image-internal witness found", count=len(witnesses))
     deep = [

@@ -9,10 +9,12 @@ arithmetic alone.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from oagw.elements import (
     GAMMA,
     LAMBDA,
+    ConstructionMismatch,
     LeadDescriptor,
     element,
     unit,
@@ -26,10 +28,13 @@ from oagw.predicates import (
     cong_witness_below,
     g1_part_by_formula,
     in_g1_part,
+    index_window,
     inner_anchor_below,
     tail_set,
 )
 from oagw.sampling import case_rng, random_element
+
+from conftest import seeded_elements
 
 S00 = g1_square(0, 0)
 
@@ -125,6 +130,33 @@ class TestCongFreeBelow:
                 assert w.sign() > 0 and w < b and (w - a).is_divisible(n)
             else:
                 assert cong_witness_below(n, a, b) is None
+
+
+def _window_by_definition(c, x, b):
+    return (
+        x.sign() > 0
+        and any(cong_free_below(n, c, x) for n in (2, 3))
+        and any(cong_free_below(n, x, b) for n in (2, 3))
+    )
+
+
+class TestIndexWindow:
+    """The predicate with c's lead slots computed up front equals its definition."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seeded_elements(LAMBDA), seeded_elements(LAMBDA), seeded_elements(LAMBDA))
+    def test_lambda(self, c, x, b):
+        assert index_window(c, b)(x) == _window_by_definition(c, x, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seeded_elements(GAMMA), seeded_elements(GAMMA), seeded_elements(GAMMA))
+    def test_gamma(self, c, x, b):
+        assert index_window(c, b)(x) == _window_by_definition(c, x, b)
+
+    def test_rejects_mixed_constructions(self):
+        window = index_window(zero(LAMBDA), zero(LAMBDA))
+        with pytest.raises(ConstructionMismatch):
+            window(zero(GAMMA))
 
 
 class TestTailSets:

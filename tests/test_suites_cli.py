@@ -289,6 +289,56 @@ def test_zero_coeff_bound_is_honoured(monkeypatch):
     assert bounds and set(bounds) == {3}
 
 
+def _fragments_per_case(monkeypatch, name, opts):
+    """Run a suite; per case, the fragments it enumerated and its psi closed forms."""
+    import oagw.suites
+
+    cases = []
+    real_rng = oagw.suites.case_rng
+    real_fragment = oagw.suites.iter_fragment
+    real_closed = oagw.suites.cong_free_below
+
+    def case_rng(seed, i):
+        cases.append({"fragments": 0, "closed": []})
+        return real_rng(seed, i)
+
+    def iter_fragment(params, cfg, construction=None):
+        cases[-1]["fragments"] += 1
+        return real_fragment(params, cfg, construction)
+
+    def cong_free_below(n, a, b):
+        result = real_closed(n, a, b)
+        cases[-1]["closed"].append(result)
+        return result
+
+    monkeypatch.setattr(oagw.suites, "case_rng", case_rng)
+    monkeypatch.setattr(oagw.suites, "iter_fragment", iter_fragment)
+    monkeypatch.setattr(oagw.suites, "cong_free_below", cong_free_below)
+    assert run_suite(name, opts).ok
+    assert len(cases) == opts.samples
+    return cases
+
+
+@pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+def test_hprime_descriptor_enumerates_once_per_case(monkeypatch, construction):
+    cases = _fragments_per_case(
+        monkeypatch, "hprime-descriptor", SuiteOptions(construction, samples=30)
+    )
+    assert all(case["fragments"] <= 1 for case in cases)
+
+
+@pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+def test_psi_vs_search_enumerates_only_for_a_true_closed_form(monkeypatch, construction):
+    cases = _fragments_per_case(
+        monkeypatch, "psi-vs-search", SuiteOptions(construction, samples=60)
+    )
+    for case in cases:
+        assert len(case["closed"]) == 2
+        assert case["fragments"] == (1 if any(case["closed"]) else 0)
+    # both kinds of case occur, so the check above has teeth
+    assert {any(case["closed"]) for case in cases} == {False, True}
+
+
 def test_coeff_bound_zero_accepted_on_the_command_line():
     assert main(["check", "psi-vs-search", "--samples", "2", "--coeff-bound", "0"]) == 0
 
