@@ -8,8 +8,9 @@ seconds and ignores ``samples``.
 
 ``EVAL_GOLDEN`` pins what ``evaluate`` returns: truth, witness text and
 reason of every prefix shape and hoisting shape of ``test_evaluate`` on
-both pools and both constructions, and of the ``exists`` and ``ea``
-closure corpora, at three size caps.  The reference evaluator in
+both pools and both constructions, of the ``exists`` and ``ea``
+closure corpora, and of the bounded congruence sentences in
+``RPHI_SENTENCES``, at three size caps.  The reference evaluator in
 ``test_evaluate`` enumerates with the same ``iter_fragment`` as the code
 under test, so it cannot catch a change in the fragments themselves;
 these digests can.
@@ -65,6 +66,19 @@ GOLDEN = {
 
 EVAL_SIZE_CAPS = (7, 16, 30)
 
+# Sentences whose rphi systems mention only variables, so their element
+# constants (none) cannot move with the way rphi is represented.
+RPHI_SENTENCES = [
+    "E a. E b. rphi(2; z < a; ; z ~ b)",
+    "A a. rphi(2; z < a; ; )",
+    "E a. E b. ~rphi(2; z < a; ; z ~ b) & 0 < a",
+    "E a. A b. rphi(3; z1 z2 < a; u; z1 ~ u, z2 ~ b)",
+    "E a. E b. rphi(2; z1 < a, z2 < b; u; z1 ~ u, u ~ z2, z2 ~ a, z1 ~ b)",
+    "A a. E b. ~rphi(2; z1 < a, z2 < b; u; z1 ~ u, u ~ z2, z2 ~ a, z1 ~ b)",
+    "A a. A b. rphi(2; z1 < a, z2 < a; ; z1 ~ a, z2 ~ b, z1 ~ z2)",
+    "E a. E b. rphi(3; z1 z2 < a, z3 < b; u; z1 ~ a, z2 ~ u, u ~ b, z3 ~ z2)",
+]
+
 EVAL_GOLDEN = {
     "prefix-shapes[lambda,pool0]": "c674b8c12a707c7651603dd553ae3a11493955af4731493a39e3eba27d4eaf66",
     "prefix-shapes[lambda,pool1]": "d2914884da8bf1d4a88ddc15af0ba18de1814d0ef2b757072e7a3891dc604458",
@@ -72,12 +86,14 @@ EVAL_GOLDEN = {
     "hoisting-shapes[lambda,pool1]": "8e4744850988cde5a14bd036b284ecd65ad355876aad72f3c63573f10422c181",
     "corpus-exists[lambda]": "27852821dec87fbcb51908af2adb46d4e9b4fc2cf8fd9d27a9b61132d49d6442",
     "corpus-ea[lambda]": "48d8a65cf29a9c29bcd1ae291e92f5b0141033f2ad599cf79c4f814874f0edcf",
+    "rphi-shapes[lambda]": "b64d543dd6e6fec895ba8db8963cfe72b49352cd33bd94a99fa512e58d7235d2",
     "prefix-shapes[gamma,pool0]": "c674b8c12a707c7651603dd553ae3a11493955af4731493a39e3eba27d4eaf66",
     "prefix-shapes[gamma,pool1]": "0a85d3ba5668e2af116351ec3c60ace027718b1a541c6ccb391c2166b19b12d1",
     "hoisting-shapes[gamma,pool0]": "a50cd8ddf7de5651579f0bb5b798065b36bc116ff17d68fb4125f812ba9484a4",
     "hoisting-shapes[gamma,pool1]": "74195e2399d9b1e053ac1914cb1603a4ebbdb49ee53899b6e9b683daa76c36cb",
     "corpus-exists[gamma]": "2b4314d44150934d8d7a893d5d03eeca10a196039bfbc615434f11bb8921566a",
     "corpus-ea[gamma]": "6f0c725453864f1ee8338766f548ba157f65de6d5ca64920cedfd7921ff10d23",
+    "rphi-shapes[gamma]": "d5265f3ead0a5c538fc3815ce3e2660ba3629480be0ac53abe34b478f5cdae19",
 }
 
 
@@ -120,6 +136,7 @@ def _eval_cases():
         for kind in ("exists", "ea"):
             texts = gen_corpus(kind, 10, 5, construction)
             yield f"corpus-{kind}[{construction}]", construction, POOL_TEXTS[0], texts
+        yield f"rphi-shapes[{construction}]", construction, POOL_TEXTS[0], RPHI_SENTENCES
 
 
 def _eval_digest(construction, pool_text, texts) -> str:
