@@ -5,12 +5,6 @@ deterministic finite fragment: an existential is True only when an
 explicit witness is found and a universal is False only on an explicit
 counterexample; everything else is Unknown.  Decided verdicts are
 therefore sound for the infinite structure.
-
-Bounded congruence systems (``rphi`` atoms) are not searched: their
-satisfiability reduces exactly to positivity of the bounds, pairwise
-consistency of the congruence anchors, and one congruence-avoidance
-comparison per anchored bounded variable.  ``neg_rphi_normalize``
-returns that reduction as a quantifier-free formula.
 """
 
 from __future__ import annotations
@@ -21,7 +15,7 @@ from functools import partial
 from operator import itemgetter
 from typing import Callable, Mapping, Optional
 
-from .elements import Construction, ConstructionMismatch, GroupElement, zero
+from .elements import Construction, ConstructionMismatch, GroupElement
 from .formulas import (
     And,
     AtomF,
@@ -36,11 +30,8 @@ from .formulas import (
     Lt,
     Not,
     Or,
-    Rphi,
     Term,
     free_vars,
-    or_all,
-    term_const,
 )
 from .fragments import FragmentConfig, iter_fragment
 from .predicates import cong_free_below
@@ -87,101 +78,6 @@ def _negate(v: Verdict) -> Verdict:
     if v is _UNKNOWN:
         return v
     return Verdict(v.truth.negate(), v.witness, v.reason)
-
-
-# -- the bounded congruence system -------------------------------------------
-
-
-@dataclass
-class _SystemView:
-    """Saturated view of one rphi instance: per-variable anchor classes."""
-
-    bounds: list[tuple[str, GroupElement]]
-    anchor_of: dict[str, Optional[GroupElement]]
-    consistency: list[tuple[GroupElement, GroupElement]]  # pairs that must be congruent
-
-
-def _saturate(construction: Construction, a: Rphi, env: Mapping[str, GroupElement]) -> _SystemView:
-    bounds: list[tuple[str, GroupElement]] = []
-    for group, t in a.bounds:
-        limit = t.evaluate(construction, env)
-        for z in group:
-            bounds.append((z, limit))
-
-    own = a.own_vars()
-    parent: dict[str, str] = {v: v for v in own}
-
-    def find(v: str) -> str:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    anchor: dict[str, Optional[GroupElement]] = {v: None for v in own}
-    consistency: list[tuple[GroupElement, GroupElement]] = []
-
-    def attach(root: str, e: GroupElement) -> None:
-        cur = anchor[root]
-        if cur is None:
-            anchor[root] = e
-        elif cur != e:
-            consistency.append((cur, e))
-
-    for v, t in a.congs:
-        other = t.is_single_var()
-        if other is not None and other in own:
-            ra, rb = find(v), find(other)
-            if ra != rb:
-                parent[rb] = ra
-                if anchor[rb] is not None:
-                    attach(ra, anchor[rb])
-                anchor.pop(rb)
-        else:
-            attach(find(v), t.evaluate(construction, env))
-
-    anchor_of = {v: anchor[find(v)] for v in own}
-    return _SystemView(bounds, anchor_of, consistency)
-
-
-def rphi_holds(construction: Construction, a: Rphi, env: Mapping[str, GroupElement]) -> bool:
-    """Exact satisfiability of the bounded congruence system."""
-    view = _saturate(construction, a, env)
-    if any(limit.sign() <= 0 for _, limit in view.bounds):
-        return False
-    n = a.modulus
-    for e1, e2 in view.consistency:
-        if not (e2 - e1).is_divisible(n):
-            return False
-    for z, limit in view.bounds:
-        w = view.anchor_of[z]
-        if w is not None and cong_free_below(n, w, limit):
-            return False
-    return True
-
-
-def neg_rphi_normalize(
-    construction: Construction, a: Rphi, env: Mapping[str, GroupElement]
-) -> Formula:
-    """Quantifier-free equivalent of the negated system, parameters instantiated.
-
-    A disjunction of bound non-positivity, congruence failures between
-    anchors, and one congruence-avoidance comparison per anchored
-    bounded variable; evaluating it is exactly the complement of
-    :func:`rphi_holds`.
-    """
-    view = _saturate(construction, a, env)
-    n = a.modulus
-    disjuncts: list[Formula] = []
-    z0 = term_const(zero(construction))
-    for _, limit in view.bounds:
-        disjuncts.append(Not(AtomF(Lt(z0, term_const(limit)))))
-    for e1, e2 in view.consistency:
-        disjuncts.append(Not(AtomF(Cong(n, term_const(e1), term_const(e2)))))
-    for z, limit in view.bounds:
-        w = view.anchor_of[z]
-        if w is not None:
-            disjuncts.append(AtomF(DescLt(n, term_const(w), term_const(limit))))
-    return or_all(disjuncts)
 
 
 # -- three-valued evaluation --------------------------------------------------
@@ -252,10 +148,7 @@ def _compile(
         return lambda env: verdict
     if isinstance(f, AtomF):
         a = f.atom
-        terms = (
-            [t for _, t in (*a.bounds, *a.congs)] if isinstance(a, Rphi) else [a.lhs, a.rhs]
-        )
-        consts += [t.const for t in terms if t.const is not None and not t.const.is_zero()]
+        consts += [t.const for t in (a.lhs, a.rhs) if t.const is not None and not t.const.is_zero()]
         holds = _compile_atom(construction, a, scope)
         return lambda env: _TRUE if holds(env) else _FALSE
     if isinstance(f, Not):
@@ -379,8 +272,6 @@ def _compile_term(construction: Construction, t: Term, scope: Optional[_Scope]) 
 def _compile_atom(
     construction: Construction, a, scope: Optional[_Scope]
 ) -> Callable[[dict[str, GroupElement]], bool]:
-    if isinstance(a, Rphi):
-        return lambda env: rphi_holds(construction, a, env)
     lhs = _compile_term(construction, a.lhs, scope)
     rhs = _compile_term(construction, a.rhs, scope)
     if isinstance(a, Lt):

@@ -2,10 +2,11 @@
 
 Terms are integer combinations of variables plus an optional element
 constant.  Atoms compare terms (``<``, ``=``), assert congruence
-modulo n (``cong``), assert the congruence-avoidance comparison
-(``desc_lt``), or package a bounded congruence system (``rphi``).
-Formulas are built with ``~ & | ->`` and the quantifiers ``E v.`` /
-``A v.``.
+modulo n (``cong``), or assert the congruence-avoidance comparison
+(``desc_lt``).  Formulas are built with ``~ & | ->`` and the
+quantifiers ``E v.`` / ``A v.``.  A bounded congruence system
+``rphi(...)`` is shorthand: the parser expands it into ``<``, ``cong``
+and ``desc_lt``.
 
 Concrete syntax examples::
 
@@ -17,7 +18,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from functools import reduce
+from typing import Mapping, Optional, Union
 
 from .elements import (
     Construction,
@@ -140,47 +142,7 @@ class DescLt:
             raise ValueError(f"modulus must be >= 2, got {self.modulus}")
 
 
-@dataclass(frozen=True)
-class Rphi:
-    """Bounded congruence system: E z-vars (0 < z < bound & congruences).
-
-    ``bounds`` groups witness variables under a shared bounding term;
-    ``inner`` lists unconstrained auxiliary variables; ``congs`` holds
-    pairs (var, var-or-term), all modulo the single ``modulus``.
-    """
-
-    modulus: int
-    bounds: tuple[tuple[tuple[str, ...], Term], ...]
-    inner: tuple[str, ...] = ()
-    congs: tuple[tuple[str, Term], ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
-        if not self.bounds or any(not group for group, _ in self.bounds):
-            raise ValueError("rphi needs at least one bounded variable per group")
-        own = self.own_vars()
-        for v, _ in self.congs:
-            if v not in own:
-                raise ValueError(f"congruence left side {v!r} is not a bound or inner variable")
-
-    def own_vars(self) -> frozenset[str]:
-        vs = set(self.inner)
-        for group, _ in self.bounds:
-            vs.update(group)
-        return frozenset(vs)
-
-    def free_vars(self) -> frozenset[str]:
-        own = self.own_vars()
-        out: set[str] = set()
-        for _, t in self.bounds:
-            out |= t.free_vars()
-        for _, t in self.congs:
-            out |= t.free_vars() - own
-        return frozenset(out)
-
-
-Atom = Union[Lt, Eq, Cong, DescLt, Rphi]
+Atom = Union[Lt, Eq, Cong, DescLt]
 
 # -- formulas --------------------------------------------------------------
 
@@ -233,19 +195,9 @@ class Forall:
 Formula = Union[AtomF, BoolC, Not, And, Or, Implies, Exists, Forall]
 
 
-def or_all(parts: Iterable[Formula]) -> Formula:
-    out: Optional[Formula] = None
-    for p in parts:
-        out = p if out is None else Or(out, p)
-    return out if out is not None else BoolC(False)
-
-
 def free_vars(f: Formula) -> frozenset[str]:
     if isinstance(f, AtomF):
-        a = f.atom
-        if isinstance(a, Rphi):
-            return a.free_vars()
-        return a.lhs.free_vars() | a.rhs.free_vars()
+        return f.atom.lhs.free_vars() | f.atom.rhs.free_vars()
     if isinstance(f, BoolC):
         return frozenset()
     if isinstance(f, Not):
@@ -298,11 +250,6 @@ def _print_atom(a: Atom) -> str:
         return f"cong({a.modulus}, {a.lhs}, {a.rhs})"
     if isinstance(a, DescLt):
         return f"desc_lt({a.modulus}, {a.lhs}, {a.rhs})"
-    if isinstance(a, Rphi):
-        bounds = ", ".join(f"{' '.join(g)} < {t}" for g, t in a.bounds)
-        inner = " ".join(a.inner)
-        congs = ", ".join(f"{v} ~ {t}" for v, t in a.congs)
-        return f"rphi({a.modulus}; {bounds}; {inner}; {congs})"
     raise TypeError(f"not an atom: {a!r}")
 
 
@@ -435,7 +382,7 @@ class _Parser:
         if t.text in ("cong", "desc_lt"):
             return AtomF(self.cong_like(t.text))
         if t.text == "rphi":
-            return AtomF(self.rphi())
+            return self.rphi()
         return AtomF(self.comparison())
 
     def cong_like(self, head: str) -> Atom:
@@ -452,18 +399,26 @@ class _Parser:
         except ValueError as exc:
             raise ParseError(self.text, self.toks[self.pos - 1].at, str(exc)) from None
 
-    def rphi(self) -> Atom:
+    def rphi(self) -> Formula:
+        """``rphi(n; bounds; inner; congs)`` as the formula it abbreviates.
+
+        The system E own vars (0 < z < bound & congruences mod n) holds
+        exactly when every bound is positive, the anchors (right sides
+        that are not own variables) of each class of the union-find
+        over the congruences agree mod n, and each anchored bounded
+        variable has its anchor's residue somewhere below its bound.
+        """
         self.next()
         self.expect("(")
         n = self.integer()
         self.expect(";")
-        bounds: list[tuple[tuple[str, ...], Term]] = []
+        bounds: list[tuple[list[str], Term]] = []
         while True:
             group: list[str] = []
             while self.peek() is not None and self.peek().kind == "name":  # type: ignore[union-attr]
                 group.append(self.next().text)
             self.expect("<")
-            bounds.append((tuple(group), self.term()))
+            bounds.append((group, self.term()))
             if self.at_text(","):
                 self.next()
                 continue
@@ -485,11 +440,60 @@ class _Parser:
                     self.next()
                     continue
                 break
-        self.expect(")")
-        try:
-            return Rphi(n, tuple(bounds), tuple(inner), tuple(congs))
-        except ValueError as exc:
-            raise ParseError(self.text, self.toks[self.pos - 1].at, str(exc)) from None
+        end = self.expect(")")
+
+        def reject(message: str) -> ParseError:
+            return ParseError(self.text, end.at, message)
+
+        if n < 2:
+            raise reject(f"modulus must be >= 2, got {n}")
+        if any(not group for group, _ in bounds):
+            raise reject("rphi needs at least one bounded variable per group")
+        own = set(inner).union(*(group for group, _ in bounds))
+        for v, _ in congs:
+            if v not in own:
+                raise reject(f"congruence left side {v!r} is not a bound or inner variable")
+        for _, t in bounds:
+            if t.free_vars() & own:
+                raise reject(f"bound {t} uses a bound or inner variable")
+
+        parent = {v: v for v in own}
+
+        def find(v: str) -> str:
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
+        parts: list[Formula] = [AtomF(Lt(Term(), t)) for _, t in bounds]
+        anchor: dict[str, Term] = {}
+
+        def attach(root: str, t: Term) -> None:
+            if root not in anchor:
+                anchor[root] = t
+            elif anchor[root] != t:
+                parts.append(AtomF(Cong(n, anchor[root], t)))
+
+        for v, t in congs:
+            other = t.is_single_var()
+            if other in own:
+                ra, rb = find(v), find(other)
+                if ra != rb:
+                    parent[rb] = ra
+                    if rb in anchor:
+                        attach(ra, anchor.pop(rb))
+            elif t.free_vars() & own:
+                raise reject(
+                    f"congruence right side {t} uses a bound or inner variable inside a term"
+                )
+            else:
+                attach(find(v), t)
+        for group, t in bounds:
+            for z in group:
+                w = anchor.get(find(z))
+                if w is not None:
+                    parts.append(Not(AtomF(DescLt(n, w, t))))
+        return reduce(And, parts)
 
     def comparison(self) -> Atom:
         lhs = self.term()

@@ -119,10 +119,12 @@ def cong_witness_below(n: int, a: GroupElement, b: GroupElement) -> Optional[Gro
     and is checkable with exact arithmetic alone.
     """
     _same(a, b)
-    if cong_free_below(n, a, b):
+    if b.sign() <= 0:
+        return None
+    d = a.lead_mod(n)
+    if _free_below_positive(n, a, d, b):
         return None
     construction = a.construction
-    d = a.lead_mod(n)
     if d is None:
         far = g1_square(fresh_g1_block(a, b), 0)
         return unit(construction, far).scale(n)

@@ -12,13 +12,7 @@ from oagw.elements import (
     parse_element,
     zero,
 )
-from oagw.evaluate import (
-    Truth,
-    Verdict,
-    evaluate,
-    neg_rphi_normalize,
-    rphi_holds,
-)
+from oagw.evaluate import Truth, Verdict, evaluate
 from oagw.formulas import (
     And,
     AtomF,
@@ -32,9 +26,9 @@ from oagw.formulas import (
     Lt,
     Not,
     Or,
-    Rphi,
     Term,
     parse_formula,
+    parse_term,
     print_formula,
     term_const,
     term_var,
@@ -169,10 +163,92 @@ class TestQuantifiers:
         assert v.witness == {"x": a}
 
 
-def rphi_atom(text):
-    f = parse_formula(text)
-    assert isinstance(f, AtomF) and isinstance(f.atom, Rphi)
-    return f.atom
+# -- bounded congruence systems ----------------------------------------------
+#
+# The parser expands rphi(n; bounds; inner; congs) into positive bounds,
+# congruent anchors and one ~desc_lt per anchored bounded variable.  The
+# reference below decides the same system on values instead, by a
+# union-find over its own variables; it takes the system as data.
+
+
+def rphi_text(system):
+    n, bounds, inner, congs = system
+    groups = ", ".join(f"{' '.join(group)} < {t}" for group, t in bounds)
+    pairs = ", ".join(f"{v} ~ {t}" for v, t in congs)
+    return f"rphi({n}; {groups}; {' '.join(inner)}; {pairs})"
+
+
+def reference_rphi(construction, system, env):
+    """Exact satisfiability of the system under env, by union-find on values."""
+    n, bounds, inner, congs = system
+    limits = []
+    for group, t in bounds:
+        limit = parse_term(t, construction).evaluate(construction, env)
+        limits += [(z, limit) for z in group]
+    own = set(inner).union(*(group for group, _ in bounds))
+    parent = {v: v for v in own}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    anchor = {v: None for v in own}
+    consistency = []  # pairs that must be congruent
+
+    def attach(root, e):
+        if anchor[root] is None:
+            anchor[root] = e
+        elif anchor[root] != e:
+            consistency.append((anchor[root], e))
+
+    for v, t in congs:
+        if t in own:
+            ra, rb = find(v), find(t)
+            if ra != rb:
+                parent[rb] = ra
+                if anchor[rb] is not None:
+                    attach(ra, anchor[rb])
+                anchor.pop(rb)
+        else:
+            attach(find(v), parse_term(t, construction).evaluate(construction, env))
+    if any(limit.sign() <= 0 for _, limit in limits):
+        return False
+    if any(not (e2 - e1).is_divisible(n) for e1, e2 in consistency):
+        return False
+    for z, limit in limits:
+        w = anchor[find(z)]
+        if w is not None and cong_free_below(n, w, limit):
+            return False
+    return True
+
+
+# (modulus, bound groups, inner variables, congruences) over a1, a2, b1, b2
+RPHI_SYSTEMS = [
+    # a linked pair, an inner variable shared by two bounded ones, and
+    # two anchors on one variable
+    (2, [(("z1",), "a1"), (("z2",), "a2")], (), [("z1", "b1"), ("z2", "b2"), ("z1", "z2")]),
+    (3, [(("z1", "z2"), "a1")], ("u",), [("z1", "u"), ("z2", "u")]),
+    (2, [(("z",), "a1")], (), [("z", "b1"), ("z", "b2")]),
+    # the systems of the rphi golden sentences
+    (2, [(("z",), "a1")], (), [("z", "b1")]),
+    (2, [(("z",), "a1")], (), []),
+    (3, [(("z1", "z2"), "a1")], ("u",), [("z1", "u"), ("z2", "b1")]),
+    (
+        2,
+        [(("z1",), "a1"), (("z2",), "b1")],
+        ("u",),
+        [("z1", "u"), ("u", "z2"), ("z2", "a1"), ("z1", "b1")],
+    ),
+    # two bound groups and a chained merge of two anchored classes
+    (
+        3,
+        [(("z1",), "a1 + b2"), (("z2", "z3"), "a2")],
+        ("u", "w"),
+        [("z3", "w"), ("w", "b1 - a2"), ("z1", "u"), ("u", "2*b2"), ("u", "z2"), ("z2", "z3")],
+    ),
+]
 
 
 class TestRphi:
@@ -187,38 +263,35 @@ class TestRphi:
         return env
 
     def test_linked_pair_consistency(self):
-        atom = rphi_atom("rphi(2; z1 < a1, z2 < a2; ; z1 ~ b1, z2 ~ b2, z1 ~ z2)")
+        text = "rphi(2; z1 < a1, z2 < a2; ; z1 ~ b1, z2 ~ b2, z1 ~ z2)"
         env = self.bound_env()
         # b1 = 1 and b2 = 3 agree mod 2; both bounds exceed the residues
-        assert rphi_holds(LAMBDA, atom, env) is True
+        assert ev(text, env).truth is Truth.TRUE
         env2 = self.bound_env(b2=element(LAMBDA, {S00: {0: 2}}))
-        assert rphi_holds(LAMBDA, atom, env2) is False  # 1 and 2 disagree mod 2
+        assert ev(text, env2).truth is Truth.FALSE  # 1 and 2 disagree mod 2
 
     def test_bound_violation(self):
-        atom = rphi_atom("rphi(2; z < a; ; z ~ b)")
+        text = "rphi(2; z < a; ; z ~ b)"
         env = {
             "a": element(LAMBDA, {S00: {1: 1}}),  # below every odd residue
             "b": element(LAMBDA, {S00: {0: 1}}),
         }
-        assert rphi_holds(LAMBDA, atom, env) is False
+        assert ev(text, env).truth is Truth.FALSE
         env["a"] = element(LAMBDA, {S00: {0: 2}})
-        assert rphi_holds(LAMBDA, atom, env) is True
+        assert ev(text, env).truth is Truth.TRUE
 
     def test_nonpositive_bound(self):
-        atom = rphi_atom("rphi(2; z < a; ; )")
-        assert rphi_holds(LAMBDA, atom, {"a": zero(LAMBDA)}) is False
-        assert (
-            rphi_holds(LAMBDA, atom, {"a": element(LAMBDA, {S00: {0: 1}})}) is True
-        )
+        text = "rphi(2; z < a; ; )"
+        assert ev(text, {"a": zero(LAMBDA)}).truth is Truth.FALSE
+        assert ev(text, {"a": element(LAMBDA, {S00: {0: 1}})}).truth is Truth.TRUE
 
     def test_inner_variable_linking(self):
         # z1 ~ u and z2 ~ u forces z1 ~ z2 through the free inner variable
-        atom = rphi_atom("rphi(2; z1 < a1, z2 < a1; u; z1 ~ u, z2 ~ u, z1 ~ b1)")
-        env = self.bound_env()
-        assert rphi_holds(LAMBDA, atom, env) is True
+        text = "rphi(2; z1 < a1, z2 < a1; u; z1 ~ u, z2 ~ u, z1 ~ b1)"
+        assert ev(text, self.bound_env()).truth is Truth.TRUE
 
     def test_matches_bounded_search(self):
-        atom = rphi_atom("rphi(2; z1 < a1, z2 < a2; ; z1 ~ b1, z2 ~ b2, z1 ~ z2)")
+        text = "rphi(2; z1 < a1, z2 < a2; ; z1 ~ b1, z2 ~ b2, z1 ~ z2)"
         deep = element(LAMBDA, {g1_square(4, 0): {0: 1}})
         for i in range(60):
             rng = case_rng(13, i)
@@ -228,12 +301,10 @@ class TestRphi:
                 "b1": random_element(rng, LAMBDA, 2),
                 "b2": random_element(rng, LAMBDA, 2),
             }
-            holds = rphi_holds(LAMBDA, atom, env)
+            holds = ev(text, env).truth
             # search for an explicit pair of witnesses
             cfg = FragmentConfig(2, (deep, deep.scale(2)), 150, 0)
             found = False
-            from oagw.fragments import iter_fragment
-
             cands = list(iter_fragment(list(env.values()), cfg, LAMBDA))
             for z1 in cands:
                 if not (z1.sign() > 0 and z1 < env["a1"]):
@@ -252,68 +323,76 @@ class TestRphi:
                 if found:
                     break
             if found:
-                assert holds is True  # witnesses certify satisfiability
+                assert holds is Truth.TRUE  # witnesses certify satisfiability
         # when the exact answer is False the search must never find witnesses
         # (covered by the assertion above on every refuted sample)
 
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+    def test_expansion_matches_saturation(self, construction):
+        for k, system in enumerate(RPHI_SYSTEMS):
+            f = parse_formula(rphi_text(system), construction)
+            truths = []
+            for i in range(120):
+                rng = case_rng(3100 + k, i)
+                env = {x: random_element(rng, construction, 2) for x in ("a1", "a2", "b1", "b2")}
+                want = reference_rphi(construction, system, env)
+                v = evaluate(construction, f, env, CFG)
+                assert v.truth is (Truth.TRUE if want else Truth.FALSE)
+                assert v.witness is None
+                truths.append(v.truth)
+            assert set(truths) == {Truth.TRUE, Truth.FALSE}, rphi_text(system)
+
 
 class TestNegRphiNormalize:
+    """~rphi is the negation of the expansion, decided without search."""
+
     def test_three_case_shape(self):
-        atom = rphi_atom("rphi(2; z1 < a1, z2 < a2; ; z1 ~ b1, z2 ~ b2, z1 ~ z2)")
+        f = parse_formula("~rphi(2; z1 < a1, z2 < a2; ; z1 ~ b1, z2 ~ b2, z1 ~ z2)")
         env = {
             "a1": element(LAMBDA, {S00: {0: 2}}),
             "a2": element(LAMBDA, {S00: {0: 2}}),
             "b1": element(LAMBDA, {S00: {0: 1}}),
             "b2": element(LAMBDA, {S00: {0: 3}}),
         }
-        out = neg_rphi_normalize(LAMBDA, atom, env)
-        text = print_formula(out)
-        # one congruence failure case and one avoidance case per variable
+        text = print_formula(f)
+        # one congruence between anchors and one avoidance case per variable
         assert text.count("desc_lt(2") == 2
-        assert text.count("~cong(2") == 1
-        assert text.count("~(0 <") + text.count("~0 <") >= 0  # bounds present
-        v = evaluate(LAMBDA, out, {}, CFG)
+        assert text.count("cong(2") == 1
+        assert text.count("0 < a") == 2  # one positivity case per bound
+        v = evaluate(LAMBDA, f, env, CFG)
         assert v.truth is Truth.FALSE  # the system is satisfiable here
 
     def test_degenerate_no_congruences(self):
-        atom = rphi_atom("rphi(2; z < a; ; )")
+        f = parse_formula("~rphi(2; z < a; ; )")
         pos = element(LAMBDA, {S00: {0: 1}})
-        out_pos = neg_rphi_normalize(LAMBDA, atom, {"a": pos})
-        assert evaluate(LAMBDA, out_pos, {}, CFG).truth is Truth.FALSE
-        out_neg = neg_rphi_normalize(LAMBDA, atom, {"a": -pos})
-        assert evaluate(LAMBDA, out_neg, {}, CFG).truth is Truth.TRUE
+        assert evaluate(LAMBDA, f, {"a": pos}, CFG).truth is Truth.FALSE
+        assert evaluate(LAMBDA, f, {"a": -pos}, CFG).truth is Truth.TRUE
 
     def test_single_bound_equals_gap_predicate(self):
-        atom = rphi_atom("rphi(2; y < b; ; y ~ a)")
+        f = parse_formula("~rphi(2; y < b; ; y ~ a)")
+        assert print_formula(f) == "~(0 < b & ~desc_lt(2, a, b))"
         for i in range(80):
             rng = case_rng(19, i)
             env = {
                 "a": random_element(rng, LAMBDA, 2),
                 "b": random_element(rng, LAMBDA, 2),
             }
-            out = neg_rphi_normalize(LAMBDA, atom, env)
-            got = evaluate(LAMBDA, out, {}, CFG).truth
+            got = evaluate(LAMBDA, f, env, CFG).truth
             want = cong_free_below(2, env["a"], env["b"])
             assert got is (Truth.TRUE if want else Truth.FALSE)
 
     def test_complements_rphi_everywhere(self):
-        shapes = [
-            "rphi(2; z1 < a1, z2 < a2; ; z1 ~ b1, z2 ~ b2, z1 ~ z2)",
-            "rphi(3; z1 z2 < a1; u; z1 ~ u, z2 ~ u)",
-            "rphi(2; z < a1; ; z ~ b1, z ~ b2)",
-        ]
-        for shape_idx, shape in enumerate(shapes):
-            atom = rphi_atom(shape)
+        for shape_idx, system in enumerate(RPHI_SYSTEMS):
+            text = rphi_text(system)
             for i in range(60):
                 rng = case_rng(2900 + shape_idx, i)
                 env = {
                     name: random_element(rng, LAMBDA, 2)
                     for name in ("a1", "a2", "b1", "b2")
                 }
-                direct = rphi_holds(LAMBDA, atom, env)
-                out = neg_rphi_normalize(LAMBDA, atom, env)
-                v = evaluate(LAMBDA, out, {}, CFG)
-                assert v.truth is (Truth.FALSE if direct else Truth.TRUE)
+                direct = reference_rphi(LAMBDA, system, env)
+                assert ev(text, env).truth is (Truth.TRUE if direct else Truth.FALSE)
+                assert ev(f"~{text}", env).truth is (Truth.FALSE if direct else Truth.TRUE)
 
     def test_rphi_inside_formula_evaluation(self):
         text = "~rphi(2; y < b; ; y ~ a)"
@@ -345,16 +424,13 @@ def _reference_atom(construction, a, env):
         return cong_free_below(
             a.modulus, a.lhs.evaluate(construction, env), a.rhs.evaluate(construction, env)
         )
-    if isinstance(a, Rphi):
-        return rphi_holds(construction, a, env)
     raise TypeError(f"not an atom: {a!r}")
 
 
 def _reference_constants(f):
     """Element constants of f, atoms left to right: a separate walk of the tree."""
     if isinstance(f, AtomF):
-        a = f.atom
-        terms = [t for _, t in a.bounds + a.congs] if isinstance(a, Rphi) else [a.lhs, a.rhs]
+        terms = (f.atom.lhs, f.atom.rhs)
         return [t.const for t in terms if t.const is not None and not t.const.is_zero()]
     if isinstance(f, (Not, Exists, Forall)):
         return _reference_constants(f.body)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from oagw.elements import ConstructionMismatch, GAMMA, LAMBDA, ParseError, element, zero
@@ -50,6 +52,32 @@ class TestParse:
             parse_formula("cong(1, x, y)")
         with pytest.raises(ParseError):
             parse_formula("rphi(1; z < a; ; )")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("rphi(2; z1 z2 < a; ; z1 ~ z2 + b)", "congruence right side b + z2"),
+            ("rphi(2; z < a; u; z ~ 2*u)", "congruence right side 2*u"),
+            ("rphi(2; z1 < a, z2 < a + z1; ; )", "bound a + z1"),
+            ("rphi(2; z < u; u; z ~ u)", "bound u"),
+            ("rphi(2; < a; ; )", "at least one bounded variable per group"),
+            ("rphi(2; z < a; ; b ~ z)", "congruence left side 'b'"),
+        ],
+        ids=["sum-right", "scaled-right", "bounded-bound", "inner-bound", "empty-group", "free-left"],
+    )
+    def test_malformed_rphi(self, text, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_formula(text)
+
+    def test_rphi_expansion(self):
+        # z1, u, z2 and z3 end in one class anchored at c and d, which
+        # must agree; each bounded variable avoids no residue below its bound
+        f = parse_formula("rphi(3; z1 z2 < a, z3 < b; u; z1 ~ u, u ~ c, z2 ~ d, z3 ~ z2, z1 ~ z3)")
+        assert print_formula(f) == (
+            "0 < a & 0 < b & cong(3, c, d) & ~desc_lt(3, c, a) & ~desc_lt(3, c, a)"
+            " & ~desc_lt(3, c, b)"
+        )
+        assert print_formula(parse_formula("rphi(2; z < a; u; u ~ b)")) == "0 < a"
 
     def test_unexpected_token_position(self):
         with pytest.raises(ParseError) as err:
@@ -121,7 +149,6 @@ class TestTerms:
 
     def test_rphi_free_vars(self):
         f = parse_formula("rphi(2; z < a; u; z ~ b, z ~ u)")
-        assert isinstance(f, AtomF)
         assert free_vars(f) == {"a", "b"}
 
 

@@ -15,6 +15,7 @@ from oagw.elements import (
     GAMMA,
     LAMBDA,
     ConstructionMismatch,
+    GroupElement,
     LeadDescriptor,
     element,
     unit,
@@ -130,6 +131,27 @@ class TestCongFreeBelow:
                 assert w.sign() > 0 and w < b and (w - a).is_divisible(n)
             else:
                 assert cong_witness_below(n, a, b) is None
+
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+    def test_witness_computes_the_lead_once(self, construction, monkeypatch):
+        calls = []
+        lead_mod = GroupElement.lead_mod
+
+        def spy(self, n):
+            calls.append(n)
+            return lead_mod(self, n)
+
+        monkeypatch.setattr(GroupElement, "lead_mod", spy)
+        outcomes = set()
+        for i in range(120):
+            rng = case_rng(9300, i)
+            a = random_element(rng, construction)
+            b = random_element(rng, construction)
+            calls.clear()
+            w = cong_witness_below(2, a, b)
+            assert calls == ([2] if b.sign() > 0 else [])
+            outcomes.add((b.sign() > 0, w is None))
+        assert outcomes == {(False, True), (True, True), (True, False)}
 
 
 def _window_by_definition(c, x, b):

@@ -149,18 +149,40 @@ def test_eval_binding_errors(args, message, capsys):
     assert captured.err == f"error: {message}\n"
 
 
-def test_eval_unbound_variable_in_a_child_process():
+def _eval_in_a_child_process(*args):
     src = str(Path(oagw.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "oagw.cli", "eval", "--formula", "x < y"],
+    return subprocess.run(
+        [sys.executable, "-m", "oagw.cli", "eval", *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_eval_unbound_variable_in_a_child_process():
+    proc = _eval_in_a_child_process("--formula", "x < y")
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: unbound free variables")
+
+
+def test_eval_malformed_rphi_in_a_child_process():
+    # z2 is a bounded variable of the system, so it cannot sit inside a sum
+    proc = _eval_in_a_child_process(
+        "--formula",
+        "rphi(2; z1 z2 < a; ; z1 ~ z2 + b)",
+        "--bind",
+        "a={G1[0].s[0]: 2}",
+        "--bind",
+        "b={G1[0].s[0]: 1}",
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "congruence right side" in lines[0]
 
 
 def test_gen_corpus(capsys):

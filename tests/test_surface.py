@@ -28,7 +28,6 @@ ALLOWED_UNREFERENCED = {
     "parse_term": "entry point of the term grammar, the counterpart of parse_formula",
     "closure_audit": "to be wired into a suite over the ea corpus",
     "classify_prefix": "to be recorded by that same ea-corpus suite",
-    "neg_rphi_normalize": "to be checked by an rphi-vs-search suite",
 }
 
 
