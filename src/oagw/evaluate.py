@@ -5,6 +5,26 @@ deterministic finite fragment: an existential is True only when an
 explicit witness is found and a universal is False only on an explicit
 counterexample; everything else is Unknown.  Decided verdicts are
 therefore sound for the infinite structure.
+
+Quantifier bodies are miniscoped when the formula is compiled.  With
+``~`` pushed through ``&``, ``|``, ``->`` and ``~~``, ``E v.`` splits
+its body into conjuncts and ``A v.`` into disjuncts.  A quantifier-free
+part that does not mention v is decided once, before the search:
+``E v. (chi & phi)`` runs as ``chi & E v. phi`` and ``A v. (chi | psi)``
+as ``chi | A v. psi``, so a false ``chi`` makes the existential False
+and a true one makes the universal True without a search.  This is
+sound: each rewrite states an equivalence, and miniscoping's side
+condition, a nonempty domain, holds because every group, and every
+image a ``candidate_filter`` restricts to, contains 0.  A part that
+holds a quantifier stays where it is, since its fragments are seeded by
+every binding around it.  The rule changes no fragment and no witness:
+a quantifier still searches the fragment of its whole original body
+(the bindings, then every constant of the body in order, moved out or
+not), and behind a neutral ``chi`` it returns its own verdict, witness
+included.  Some sentences now decide where they were Unknown: in
+``E x. A y. (x = y -> false) | b < x`` the disjunct ``b < x`` is decided
+for each x before the search over y, which alone could never confirm
+the universal, so the sentence is True on the first x above b.
 """
 
 from __future__ import annotations
@@ -31,7 +51,6 @@ from .formulas import (
     Not,
     Or,
     Term,
-    free_vars,
 )
 from .fragments import FragmentConfig, iter_fragment
 from .predicates import cong_free_below
@@ -83,11 +102,16 @@ def _negate(v: Verdict) -> Verdict:
 # -- three-valued evaluation --------------------------------------------------
 
 # A formula is compiled once per evaluate() call into nested closures
-# that take the variable environment and return a Verdict.  Quantifier
-# closures hold the constants of their body, collected in the same pass
-# in the order the atoms are compiled; the environment is one dict,
-# extended by each quantifier while its body runs.  Every fragment of
-# one call shares its pool part through a per-call copy of the config.
+# that take the variable environment and return a Verdict.  One
+# bottom-up pass turns every subformula into a _Node that knows its
+# free variables, with ~ pushed down to atoms and quantifiers; the
+# constants are collected in the same pass, in the order the atoms are
+# compiled.  A quantifier splits its body, moves out the parts it may
+# decide once, and compiles the rest into closures; a moved part is
+# compiled once it reaches the quantifier its terms hoist into.  The
+# environment is one dict, extended by each quantifier while its body
+# runs.  Every fragment of one call shares its pool part through a
+# per-call copy of the config.
 _Compiled = Callable[[dict[str, GroupElement]], Verdict]
 _TermFn = Callable[[dict[str, GroupElement]], GroupElement]
 
@@ -111,6 +135,46 @@ class _Scope:
         return lambda env: values[k]
 
 
+class _Node:
+    """A subformula, miniscoped, waiting for the scope of its atoms.
+
+    ``conj`` is None for a leaf, which ``leaf(scope)`` compiles.
+    Otherwise the node is a junction (``&`` if ``conj``, else ``|``) of
+    ``parts``, none of them a junction of the same kind; a guard also
+    has ``tail``, the quantifier whose body its parts were moved out
+    of, and returns the tail's own verdict when every part is neutral.
+    ``fixed`` marks a node that holds a quantifier: its fragments read
+    every binding around it, so it never moves.
+    """
+
+    __slots__ = ("fv", "fixed", "conj", "parts", "tail", "leaf")
+
+    def __init__(self, fv, fixed, conj, parts, tail, leaf) -> None:
+        self.fv: frozenset[str] = fv
+        self.fixed: bool = fixed
+        self.conj: Optional[bool] = conj
+        self.parts: tuple[_Node, ...] = parts
+        self.tail: Optional[_Node] = tail
+        self.leaf: Optional[Callable[[Optional[_Scope]], _Compiled]] = leaf
+
+    def flat(self, conj: bool) -> tuple["_Node", ...]:
+        """The parts of self as one side of a junction of kind ``conj``."""
+        if self.conj is not conj:
+            return (self,)
+        return self.parts if self.tail is None else self.parts + (self.tail,)
+
+    def build(self, scope: Optional[_Scope]) -> _Compiled:
+        if self.conj is None:
+            return self.leaf(scope)
+        parts = [p.build(scope) for p in self.parts]
+        if self.tail is None:
+            return _compile_junction(self.conj, parts)
+        tail = self.tail.build(scope)
+        if not parts:
+            return tail
+        return _compile_guard(self.conj, _compile_junction(self.conj, parts), tail)
+
+
 def evaluate(
     construction: Construction,
     f: Formula,
@@ -124,78 +188,104 @@ def evaluate(
     subset of the fragment (used for substructure audits); parameters
     and constants always seed the fragment.
     """
-    missing = free_vars(f) - set(env)
-    if missing:
-        raise KeyError(f"unbound variables: {sorted(missing)}")
     for v, e in env.items():
         if e.construction is not construction:
             raise ValueError(f"binding {v!r} is not a {construction} element")
-    run = _compile(construction, f, cfg.with_shared_pool(), candidate_filter, None, [])
-    return run(dict(env))
+    root = _compile(construction, f, False, cfg.with_shared_pool(), candidate_filter, [])
+    missing = root.fv - set(env)
+    if missing:
+        raise KeyError(f"unbound variables: {sorted(missing)}")
+    return root.build(None)(dict(env))
 
 
 def _compile(
     construction: Construction,
     f: Formula,
+    neg: bool,
     cfg: FragmentConfig,
     flt: Optional[Callable[[GroupElement], bool]],
-    scope: Optional[_Scope],
     consts: list[GroupElement],
-) -> _Compiled:
-    """``f`` as a closure; appends the element constants of ``f`` to ``consts``."""
-    if isinstance(f, BoolC):
-        verdict = _TRUE if f.value else _FALSE
-        return lambda env: verdict
-    if isinstance(f, AtomF):
+) -> _Node:
+    """``f``, or ``~f`` if ``neg``, as a node.
+
+    Appends the element constants of ``f`` to ``consts``.
+    """
+    kind = f.__class__
+    if kind is AtomF:
         a = f.atom
         consts += [t.const for t in (a.lhs, a.rhs) if t.const is not None and not t.const.is_zero()]
-        holds = _compile_atom(construction, a, scope)
-        return lambda env: _TRUE if holds(env) else _FALSE
-    if isinstance(f, Not):
-        body = _compile(construction, f.body, cfg, flt, scope, consts)
-        return lambda env: _negate(body(env))
-    if isinstance(f, And):
-        return _compile_and(
-            _compile(construction, f.lhs, cfg, flt, scope, consts),
-            _compile(construction, f.rhs, cfg, flt, scope, consts),
-        )
-    if isinstance(f, (Or, Implies)):
-        # a -> b is ~a | b
-        lhs = Not(f.lhs) if isinstance(f, Implies) else f.lhs
-        return _compile_or(
-            _compile(construction, lhs, cfg, flt, scope, consts),
-            _compile(construction, f.rhs, cfg, flt, scope, consts),
-        )
-    if isinstance(f, (Exists, Forall)):
-        return _compile_quantifier(construction, f, cfg, flt, consts)
+        fv = frozenset([v for v, _ in a.lhs.coeffs + a.rhs.coeffs])
+        return _Node(fv, False, None, (), None, partial(_compile_literal, construction, a, neg))
+    if kind is And or kind is Or or kind is Implies:
+        # a -> b is ~a | b, and ~ turns & into | and | into &
+        lhs = _compile(construction, f.lhs, neg is not (kind is Implies), cfg, flt, consts)
+        rhs = _compile(construction, f.rhs, neg, cfg, flt, consts)
+        conj = (kind is And) is not neg
+        parts = lhs.flat(conj) + rhs.flat(conj)
+        return _Node(lhs.fv | rhs.fv, lhs.fixed or rhs.fixed, conj, parts, None, None)
+    if kind is Not:
+        return _compile(construction, f.body, not neg, cfg, flt, consts)
+    if kind is Exists or kind is Forall:
+        node = _compile_quantifier(construction, f, cfg, flt, consts)
+        if not neg:
+            return node
+        return _Node(node.fv, True, None, (), None, lambda scope: _compile_not(node.build(scope)))
+    if kind is BoolC:
+        verdict = _TRUE if f.value != neg else _FALSE
+        return _Node(frozenset(), False, None, (), None, lambda scope: lambda env: verdict)
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _compile_and(lhs: _Compiled, rhs: _Compiled) -> _Compiled:
+def _compile_not(body: _Compiled) -> _Compiled:
+    return lambda env: _negate(body(env))
+
+
+def _compile_junction(conj: bool, parts: list[_Compiled]) -> _Compiled:
+    """``&`` (conj) or ``|`` of parts, left to right: the first absorbing
+    verdict, else the bare neutral one if every part is neutral."""
+    stop, neutral = (Truth.FALSE, _TRUE) if conj else (Truth.TRUE, _FALSE)
+    agree = neutral.truth
+    if len(parts) == 2:
+        lhs, rhs = parts
+
+        def run2(env: dict[str, GroupElement]) -> Verdict:
+            left = lhs(env)
+            if left.truth is stop:
+                return left
+            right = rhs(env)
+            if right.truth is stop:
+                return right
+            if left.truth is agree and right.truth is agree:
+                return neutral
+            return _UNKNOWN
+
+        return run2
+
     def run(env: dict[str, GroupElement]) -> Verdict:
-        left = lhs(env)
-        if left.truth is Truth.FALSE:
-            return left
-        right = rhs(env)
-        if right.truth is Truth.FALSE:
-            return right
-        if left.truth is Truth.TRUE and right.truth is Truth.TRUE:
-            return _TRUE
-        return _UNKNOWN
+        decided = True
+        for part in parts:
+            v = part(env)
+            if v.truth is stop:
+                return v
+            decided = decided and v.truth is not Truth.UNKNOWN
+        return neutral if decided else _UNKNOWN
 
     return run
 
 
-def _compile_or(lhs: _Compiled, rhs: _Compiled) -> _Compiled:
+def _compile_guard(conj: bool, moved: _Compiled, quantifier: _Compiled) -> _Compiled:
+    """``moved & quantifier`` (conj) or ``moved | quantifier``, where
+    ``moved`` was moved out of the quantifier's body: the quantifier
+    keeps its own verdict, witness included, behind a neutral ``moved``."""
+    stop = Truth.FALSE if conj else Truth.TRUE
+
     def run(env: dict[str, GroupElement]) -> Verdict:
-        left = lhs(env)
-        if left.truth is Truth.TRUE:
+        left = moved(env)
+        if left.truth is stop:
             return left
-        right = rhs(env)
-        if right.truth is Truth.TRUE:
+        right = quantifier(env)
+        if right.truth is stop or left.truth is not Truth.UNKNOWN:
             return right
-        if left.truth is Truth.FALSE and right.truth is Truth.FALSE:
-            return _FALSE
         return _UNKNOWN
 
     return run
@@ -207,15 +297,25 @@ def _compile_quantifier(
     cfg: FragmentConfig,
     flt: Optional[Callable[[GroupElement], bool]],
     outer_consts: list[GroupElement],
-) -> _Compiled:
-    var = f.var
-    consts: list[GroupElement] = []
+) -> _Node:
+    var, conj = f.var, isinstance(f, Exists)
+    start = len(outer_consts)
+    body = _compile(construction, f.body, False, cfg, flt, outer_consts)
+    # the fragment is seeded by every constant of the body, moved out or not
+    consts = outer_consts[start:]
+    # an existential splits its body into conjuncts, a universal into
+    # disjuncts; the quantifier-free ones without var are decided first
+    parts = body.flat(conj)
+    moved = tuple([p for p in parts if not p.fixed and var not in p.fv])
+    if moved:
+        stay = tuple([p for p in parts if p.fixed or var in p.fv])
+        tail = body.tail if body.conj is conj else None
+        body = _Node(body.fv, body.fixed, conj, stay, tail, None)
     scope = _Scope(var)
-    body = _compile(construction, f.body, cfg, flt, scope, consts)
-    outer_consts += consts
+    run_body = body.build(scope)
     hoisted, values = scope.terms, scope.values
     # an existential stops on a witness, a universal on a counterexample
-    stop, reason = (Truth.TRUE, "") if isinstance(f, Exists) else (Truth.FALSE, "counterexample")
+    stop, reason = (Truth.TRUE, "") if conj else (Truth.FALSE, "counterexample")
 
     def run(env: dict[str, GroupElement]) -> Verdict:
         params = list(env.values()) + consts
@@ -227,7 +327,7 @@ def _compile_quantifier(
             if flt is not None and not flt(cand):
                 continue
             env[var] = cand
-            sub = body(env)
+            sub = run_body(env)
             if sub.truth is stop:
                 found = Verdict(stop, {var: cand, **(sub.witness or {})}, reason)
                 break
@@ -238,7 +338,8 @@ def _compile_quantifier(
         # the fragment cannot exhaust the infinite structure
         return _UNKNOWN if found is None else found
 
-    return run
+    node = _Node(body.fv - {var}, True, None, (), None, lambda scope: run)
+    return node if not moved else _Node(node.fv, True, conj, moved, node, None)
 
 
 def _compile_term(construction: Construction, t: Term, scope: Optional[_Scope]) -> _TermFn:
@@ -267,6 +368,15 @@ def _compile_term(construction: Construction, t: Term, scope: Optional[_Scope]) 
     if k == 1:
         return lambda env: rest_fn(env) + get(env)
     return lambda env: rest_fn(env) + get(env).scale(k)
+
+
+def _compile_literal(
+    construction: Construction, a, neg: bool, scope: Optional[_Scope]
+) -> _Compiled:
+    holds = _compile_atom(construction, a, scope)
+    if neg:
+        return lambda env: _FALSE if holds(env) else _TRUE
+    return lambda env: _TRUE if holds(env) else _FALSE
 
 
 def _compile_atom(

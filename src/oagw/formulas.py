@@ -493,7 +493,8 @@ class _Parser:
                 w = anchor.get(find(z))
                 if w is not None:
                     parts.append(Not(AtomF(DescLt(n, w, t))))
-        return reduce(And, parts)
+        # each conjunct once, in the order it first appears
+        return reduce(And, dict.fromkeys(parts))
 
     def comparison(self) -> Atom:
         lhs = self.term()

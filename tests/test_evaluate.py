@@ -1,8 +1,15 @@
 """Three-valued evaluation and the bounded congruence systems."""
 
+import importlib.util
+import sys
 from fractions import Fraction
+from functools import lru_cache, reduce
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import oagw.evaluate
 
 from oagw.elements import (
     GAMMA,
@@ -27,6 +34,7 @@ from oagw.formulas import (
     Not,
     Or,
     Term,
+    free_vars,
     parse_formula,
     parse_term,
     print_formula,
@@ -439,43 +447,100 @@ def _reference_constants(f):
     return []
 
 
-def _reference_eval(construction, f, env, cfg, flt):
-    """Recursive evaluation: dispatch on the node at every candidate."""
+def _quantifier_free(f):
+    if isinstance(f, (AtomF, BoolC)):
+        return True
+    if isinstance(f, Not):
+        return _quantifier_free(f.body)
+    if isinstance(f, (And, Or, Implies)):
+        return _quantifier_free(f.lhs) and _quantifier_free(f.rhs)
+    return False
+
+
+def _reference_parts(f, conj):
+    """f as conjuncts (conj) or disjuncts, with ~ pushed through & | -> ~~.
+
+    A quantifier of the splitting kind (E for conjuncts, A for
+    disjuncts) stands for the parts it moves out, then itself.
+    """
+    if isinstance(f, Not):
+        g = f.body
+        if isinstance(g, Not):
+            return _reference_parts(g.body, conj)
+        if isinstance(g, Or if conj else And):
+            return _reference_parts(Not(g.lhs), conj) + _reference_parts(Not(g.rhs), conj)
+        if conj and isinstance(g, Implies):
+            return _reference_parts(g.lhs, conj) + _reference_parts(Not(g.rhs), conj)
+        return [f]
+    if isinstance(f, And if conj else Or):
+        return _reference_parts(f.lhs, conj) + _reference_parts(f.rhs, conj)
+    if not conj and isinstance(f, Implies):
+        return _reference_parts(Not(f.lhs), conj) + _reference_parts(f.rhs, conj)
+    if isinstance(f, Exists if conj else Forall):
+        return _reference_moved(f) + [f]
+    return [f]
+
+
+def _reference_moved(q):
+    """The parts of q's body that the scoping rule decides before q searches."""
+    parts = _reference_parts(q.body, isinstance(q, Exists))
+    return [p for p in parts if _quantifier_free(p) and q.var not in free_vars(p)]
+
+
+def _reference_eval(construction, f, env, cfg, flt, scoped=True):
+    """Recursive evaluation: dispatch on the node at every candidate.
+
+    With ``scoped``, a quantifier first decides the quantifier-free parts
+    of its body that do not mention its variable, and returns at once if
+    they decide it; without, it is the evaluator before that rule.
+    """
+
+    def rec(g, e):
+        return _reference_eval(construction, g, e, cfg, flt, scoped)
+
     if isinstance(f, BoolC):
         return Verdict(Truth.TRUE if f.value else Truth.FALSE)
     if isinstance(f, AtomF):
         return Verdict(Truth.TRUE if _reference_atom(construction, f.atom, env) else Truth.FALSE)
     if isinstance(f, Not):
-        v = _reference_eval(construction, f.body, env, cfg, flt)
+        v = rec(f.body, env)
         return Verdict(v.truth.negate(), v.witness, v.reason)
     if isinstance(f, And):
-        left = _reference_eval(construction, f.lhs, env, cfg, flt)
+        left = rec(f.lhs, env)
         if left.truth is Truth.FALSE:
             return left
-        right = _reference_eval(construction, f.rhs, env, cfg, flt)
+        right = rec(f.rhs, env)
         if right.truth is Truth.FALSE:
             return right
         if left.truth is Truth.TRUE and right.truth is Truth.TRUE:
             return Verdict(Truth.TRUE)
         return _REF_UNKNOWN
     if isinstance(f, Or):
-        left = _reference_eval(construction, f.lhs, env, cfg, flt)
+        left = rec(f.lhs, env)
         if left.truth is Truth.TRUE:
             return left
-        right = _reference_eval(construction, f.rhs, env, cfg, flt)
+        right = rec(f.rhs, env)
         if right.truth is Truth.TRUE:
             return right
         if left.truth is Truth.FALSE and right.truth is Truth.FALSE:
             return Verdict(Truth.FALSE)
         return _REF_UNKNOWN
     if isinstance(f, Implies):
-        return _reference_eval(construction, Or(Not(f.lhs), f.rhs), env, cfg, flt)
+        return rec(Or(Not(f.lhs), f.rhs), env)
     if isinstance(f, (Exists, Forall)):
+        if scoped:
+            # the moved parts are quantifier-free, so they are decided
+            moved = _reference_moved(f)
+            if moved:
+                join = And if isinstance(f, Exists) else Or
+                m = rec(reduce(join, moved), env)
+                if m.truth is (Truth.FALSE if isinstance(f, Exists) else Truth.TRUE):
+                    return m
         params = list(env.values()) + _reference_constants(f)
         for cand in iter_fragment(params, cfg, construction):
             if flt is not None and not flt(cand):
                 continue
-            sub = _reference_eval(construction, f.body, {**env, f.var: cand}, cfg, flt)
+            sub = rec(f.body, {**env, f.var: cand})
             if isinstance(f, Exists) and sub.truth is Truth.TRUE:
                 return Verdict(Truth.TRUE, {f.var: cand, **(sub.witness or {})})
             if isinstance(f, Forall) and sub.truth is Truth.FALSE:
@@ -484,21 +549,22 @@ def _reference_eval(construction, f, env, cfg, flt):
     raise TypeError(f"not a formula: {f!r}")
 
 
-# One formula per quantifier prefix shape of the benchmark's eval workload;
-# P0, P1 and P2 stand for the three pool generators.
-PREFIX_SHAPES = [
-    "E x. 2*x = 2*P1",
-    "A x. x < P0 + 2*P2",
-    "E x. 0 < x & cong(2, x, P1 + P2)",
-    "E x. E y. x + y = P2 + 2*P0 & x < y",
-    "A x. A y. (x < y -> ~cong(3, x, y))",
-    "E x. A y. (0 < y & y < x -> ~cong(2, y, P0))",
-    "A x. E y. desc_lt(3, x, y)",
-    "A x. A y. x + y = y + x",
-    "E x. E y. E z. x + y + z = P0 + P1 & cong(2, x, y)",
-    "A x. A y. E z. x + y = z",
-    "A x. A y. A z. (x < y & y < z -> x < z)",
-]
+# One formula per template of the benchmark's eval workload, keyed by the
+# template's name, in the workload's order; P0, P1 and P2 stand for the
+# three pool generators.
+PREFIX_SHAPES = {
+    "e-scaled": "E x. 2*x = 2*P1",
+    "a-below": "A x. x < P0 + 2*P2",
+    "e-cong": "E x. 0 < x & cong(2, x, P1 + P2)",
+    "ee-split": "E x. E y. x + y = P2 + 2*P0 & x < y",
+    "aa-noncong": "A x. A y. (x < y -> ~cong(3, x, y))",
+    "ea-gap": "E x. A y. (0 < y & y < x -> ~cong(2, y, P0))",
+    "ae-desc": "A x. E y. desc_lt(3, x, y)",
+    "aa-comm": "A x. A y. x + y = y + x",
+    "eee-sum": "E x. E y. E z. x + y + z = P0 + P1 & cong(2, x, y)",
+    "aae-closed": "A x. A y. E z. x + y = z",
+    "aaa-trans": "A x. A y. A z. (x < y & y < z -> x < z)",
+}
 POOL_TEXTS = [
     ("{G2[0].c: 1}", "{G2[1].s: 1}", "{G1[0].c: 1}"),
     ("{G2[0].c: 1/5, G1[1].s[0]: 2}", "{G1[0].s[2]: -3}", "{G2[2].c: -2, G2[1].s: 3}"),
@@ -552,7 +618,7 @@ class TestCompiledMatchesReference:
         for pool_text in POOL_TEXTS:
             pool = tuple(parse_element(t, construction) for t in pool_text)
             cfg = FragmentConfig(2, pool, size_cap)
-            for shape in PREFIX_SHAPES:
+            for shape in PREFIX_SHAPES.values():
                 text = shape
                 for i, lit in enumerate(pool_text):
                     text = text.replace(f"P{i}", lit)
@@ -658,3 +724,120 @@ class TestCompiledMatchesReference:
         after = evaluate(LAMBDA, parse_formula("0 < 0"), {}, CFG)
         assert before.truth is after.truth is Truth.FALSE
         assert before.witness is None and after.witness is None
+
+
+def test_prefix_shapes_follow_the_eval_templates(monkeypatch):
+    # loaded by path, so the benchmark's directory stays off sys.path
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("eval_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    assert list(PREFIX_SHAPES) == list(workloads.EVAL_TEMPLATES)
+
+
+# -- miniscoping --------------------------------------------------------------
+
+VARIABLES = ("x", "y", "z")
+
+
+@lru_cache(maxsize=None)
+def _term_texts(bound):
+    summand = st.tuples(
+        st.sampled_from(["+ ", "- "]),
+        st.sampled_from(["", "2*"]),
+        st.sampled_from(sorted(bound) + ["P0", "P1", "P2"]),
+    ).map("".join)
+    return st.one_of(st.just("0"), st.lists(summand, min_size=1, max_size=2).map(" ".join))
+
+
+@lru_cache(maxsize=None)
+@st.composite
+def _formula_texts(draw, bound, quantifiers, depth=4):
+    """Closed formula texts over x, y and z: at most ``quantifiers``
+    quantifiers and ``depth`` nested connectives or quantifiers."""
+    kind = draw(st.sampled_from(["atom", "~", "&", "|", "->", "Q", "Q"] if depth else ["atom"]))
+    if kind == "Q" and quantifiers:
+        var = draw(st.sampled_from(VARIABLES))
+        body = draw(_formula_texts(bound | {var}, quantifiers - 1, depth - 1))
+        return f"({draw(st.sampled_from('EA'))} {var}. {body})"
+    if kind == "~":
+        return f"~({draw(_formula_texts(bound, quantifiers, depth - 1))})"
+    if kind in ("&", "|", "->"):
+        lhs = draw(_formula_texts(bound, quantifiers, depth - 1))
+        rhs = draw(_formula_texts(bound, quantifiers, depth - 1))
+        return f"({lhs}) {kind} ({rhs})"
+    lhs, rhs = draw(_term_texts(bound)), draw(_term_texts(bound))
+    op = draw(st.sampled_from(["<", "=", "cong", "desc_lt", "true"]))
+    if op in ("<", "="):
+        return f"{lhs} {op} {rhs}"
+    return "true" if op == "true" else f"{op}(2, {lhs}, {rhs})"
+
+
+class TestScoping:
+    """Quantifier-free parts without the bound variable are decided before the search."""
+
+    @pytest.fixture
+    def fragment_calls(self, monkeypatch):
+        calls = []
+
+        def counting(params, cfg, construction=None):
+            calls.append(tuple(params))
+            return iter_fragment(params, cfg, construction)
+
+        monkeypatch.setattr(oagw.evaluate, "iter_fragment", counting)
+        return calls
+
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+    @pytest.mark.parametrize("pool_text", POOL_TEXTS)
+    def test_transitivity_searches_z_once_per_ordered_pair(
+        self, construction, pool_text, fragment_calls
+    ):
+        pool = tuple(parse_element(t, construction) for t in pool_text)
+        cfg = FragmentConfig(2, pool, 10)
+        f = parse_formula(PREFIX_SHAPES["aaa-trans"], construction)
+        assert evaluate(construction, f, {}, cfg).truth is Truth.UNKNOWN
+        # x < y is decided once per pair, and only a pair with x < y searches z
+        pairs = [
+            (x, y)
+            for x in iter_fragment([], cfg, construction)
+            for y in iter_fragment([x], cfg, construction)
+            if x < y
+        ]
+        assert len(pairs) > 10
+        assert [p for p in fragment_calls if len(p) == 2] == pairs
+
+    def test_decided_disjunct_skips_the_search(self, fragment_calls):
+        a = element(LAMBDA, {S00: {0: 1}})
+        f = parse_formula("A z. (x < y | z < x)")
+        v = evaluate(LAMBDA, f, {"x": -a, "y": a}, CFG)
+        assert v.truth is Truth.TRUE and v.witness is None
+        assert fragment_calls == []
+        v = evaluate(LAMBDA, f, {"x": a, "y": -a}, CFG)
+        assert v.truth is Truth.FALSE
+        assert len(fragment_calls) == 1
+
+    def test_newly_decided_sentence(self):
+        # b < x is decided for each x before the search over y, which
+        # alone can never confirm a universal
+        b = element(LAMBDA, {S00: {0: 1, 1: -1}})
+        f = parse_formula("E x. A y. (x = y -> false) | b < x")
+        cfg = FragmentConfig(2, (element(LAMBDA, {g1_square(3, 0): {0: 1}}),), 30)
+        assert evaluate(LAMBDA, f, {"b": b}, cfg).truth is Truth.TRUE
+        assert _reference_eval(LAMBDA, f, {"b": b}, cfg, None, scoped=False).truth is Truth.UNKNOWN
+
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_decides_whatever_the_unscoped_reference_decides(self, construction, data):
+        pool_text = data.draw(st.sampled_from(POOL_TEXTS))
+        text = data.draw(_formula_texts(frozenset(), 3))
+        for i, lit in enumerate(pool_text):
+            text = text.replace(f"P{i}", lit)
+        f = parse_formula(text, construction)
+        cfg = FragmentConfig(1, tuple(parse_element(t, construction) for t in pool_text), 6)
+        for flt in FILTERS[:2]:
+            got = _check_against_reference(construction, f, cfg, flt)
+            unscoped = _reference_eval(construction, f, {}, cfg, flt, scoped=False)
+            if unscoped.decided:
+                assert got.truth is unscoped.truth, text

@@ -74,10 +74,20 @@ class TestParse:
         # must agree; each bounded variable avoids no residue below its bound
         f = parse_formula("rphi(3; z1 z2 < a, z3 < b; u; z1 ~ u, u ~ c, z2 ~ d, z3 ~ z2, z1 ~ z3)")
         assert print_formula(f) == (
-            "0 < a & 0 < b & cong(3, c, d) & ~desc_lt(3, c, a) & ~desc_lt(3, c, a)"
-            " & ~desc_lt(3, c, b)"
+            "0 < a & 0 < b & cong(3, c, d) & ~desc_lt(3, c, a) & ~desc_lt(3, c, b)"
         )
         assert print_formula(parse_formula("rphi(2; z < a; u; u ~ b)")) == "0 < a"
+
+    def test_rphi_expansion_emits_each_conjunct_once(self):
+        # d reaches the class of c twice, through z1 ~ d and through the
+        # merge with z2; z1 and z2 avoid the residue of c below one bound
+        f = parse_formula("rphi(2; z1 z2 < a; ; z1 ~ c, z1 ~ d, z2 ~ d, z1 ~ z2)")
+        assert print_formula(f) == "0 < a & cong(2, c, d) & ~desc_lt(2, c, a)"
+        # a repeated bound keeps its first place
+        f = parse_formula("rphi(2; z1 < a, z2 < b, z3 < a; ; z1 ~ c, z2 ~ c, z3 ~ z1)")
+        assert print_formula(f) == (
+            "0 < a & 0 < b & ~desc_lt(2, c, a) & ~desc_lt(2, c, b)"
+        )
 
     def test_unexpected_token_position(self):
         with pytest.raises(ParseError) as err:

@@ -125,7 +125,7 @@ def test_suite_json_digest(key, record, construction):
 
 def _eval_cases():
     for construction in (LAMBDA, GAMMA):
-        for name, shapes in (("prefix", PREFIX_SHAPES), ("hoisting", HOISTING_SHAPES)):
+        for name, shapes in (("prefix", PREFIX_SHAPES.values()), ("hoisting", HOISTING_SHAPES)):
             for i, pool_text in enumerate(POOL_TEXTS):
                 texts = []
                 for shape in shapes:
