@@ -17,14 +17,15 @@ All values are immutable and canonical: no zero components are stored,
 rationals are kept in lowest terms, polynomials are slot-sorted tuples
 of ``(slot, coeff)`` pairs with no zero coefficient.
 
-There are two constructors.  The public ``GroupElement(construction,
-entries)`` validates and raises ``ComponentError`` for any non-canonical
-entry; the private ``_from_canonical`` builds results that are canonical
-by construction (sums, multiples, the shared zeros, embedding images)
-unchecked.  ``element()`` takes raw values: it canonicalizes and
-validates each raw component once, in one pass, and hands the result to
-``_from_canonical``.  Positions are interned, so merges test ``pa is
-pb`` before comparing keys.
+One function, ``_canon_value``, states which values a position may
+hold: it maps a raw component to its canonical value or raises
+``ComponentError``.  ``element()`` and ``parse_element()`` pass each raw
+component through it once and hand the result to the unchecked
+``_from_canonical``, which also builds the results that are canonical
+by construction (sums, multiples, zeros, embedding images).  The public
+``GroupElement(construction, entries)`` accepts a stored value exactly
+when its class fits the position, it is nonzero and it canonicalizes
+to itself.  Positions are interned, so merges test ``pa is pb`` first.
 
 The hash is additive: ``hash(e)`` is the sum over components of the
 position's ``weight`` times the value read modulo ``HASH_MODULUS`` (a
@@ -50,7 +51,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Optional, Union
+from typing import Any, Optional, Union
 
 from .positions import (
     G1,
@@ -107,27 +108,32 @@ def _local_prime(pos: Position) -> int:
     return 3 if pos.is_square else 2
 
 
-def check_value(construction: Construction, pos: Position, value: Value) -> Value:
-    """Validate one canonical component value of the kind its position holds."""
+def _canon_value(construction: Construction, pos: Position, raw: Any) -> Value:
+    """The canonical value of one raw component at ``pos``, zero included.
+
+    A ``LAMBDA`` square takes an int or a Mapping slot -> int; every other
+    position takes an int or a Fraction, and a ``GAMMA`` position only a
+    denominator its local prime does not divide.  Raises ``ComponentError``
+    when the position cannot hold the value.
+    """
     if uses_poly(construction, pos):
-        if not isinstance(value, tuple):
-            raise ComponentError(f"{pos}: square components take integer polynomials")
-        try:
-            canonical = _canon_poly(dict(value))
-        except (TypeError, ValueError) as exc:
-            raise ComponentError(f"{pos}: bad polynomial {value!r}: {exc}") from None
-        if canonical != value:
-            raise ComponentError(f"{pos}: non-canonical polynomial {value!r}")
-        return value
-    if not isinstance(value, Fraction):
+        if raw.__class__ is dict or isinstance(raw, Mapping):
+            return _canon_poly(raw)
+        if raw.__class__ is int:
+            return _canon_poly({0: raw})
+        raise ComponentError(f"{pos}: square components take integer polynomials")
+    if raw.__class__ is int:
+        return Fraction(raw)
+    if raw.__class__ is not Fraction:
+        # a float or a str would convert, and a bool is an int
         raise ComponentError(f"{pos}: expected a rational value")
     if construction is GAMMA:
         p = _local_prime(pos)
-        if value.denominator % p == 0:
+        if raw.denominator % p == 0:
             raise ComponentError(
-                f"{pos}: denominator {value.denominator} not invertible here (prime {p})"
+                f"{pos}: denominator {raw.denominator} not invertible here (prime {p})"
             )
-    return value
+    return raw
 
 
 def _canon_poly(coeffs: Mapping[int, int]) -> Poly:
@@ -233,8 +239,16 @@ class GroupElement:
                 raise ComponentError(f"expected a position, got {pos!r}")
             if prev is not None and not prev.key < pos.key:
                 raise ComponentError("entries must be sorted by position and unique")
-            if not check_value(self.construction, pos, value):
-                raise ComponentError(f"{pos}: zero components are not stored")
+            poly = uses_poly(self.construction, pos)
+            # Fraction(1) == 1, so without the class check a stored int passes
+            if value.__class__ is not (tuple if poly else Fraction) or not value:
+                raise ComponentError(f"{pos}: {value!r} is not a nonzero stored value")
+            try:
+                raw = dict(value) if poly else value
+            except (TypeError, ValueError) as exc:
+                raise ComponentError(f"{pos}: bad polynomial {value!r}: {exc}") from None
+            if _canon_value(self.construction, pos, raw) != value:
+                raise ComponentError(f"{pos}: non-canonical value {value!r}")
             prev = pos
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -405,9 +419,6 @@ class GroupElement:
 
     # -- leads and divisibility ------------------------------------------
 
-    def lead(self) -> Optional[tuple[Position, Value]]:
-        return self.entries[0] if self.entries else None
-
     def lead_descriptor(self) -> Optional[LeadDescriptor]:
         """Address of the first nonzero component slot."""
         if not self.entries:
@@ -427,15 +438,7 @@ class GroupElement:
         return v
 
     def is_divisible(self, n: int) -> bool:
-        _check_modulus(n)
-        need = _gamma_need(n) if self.construction is GAMMA else None
-        for pos, v in self.entries:
-            if isinstance(v, tuple):
-                if any(c % n for _, c in v):
-                    return False
-            elif need is not None and not _gamma_divisible_by(pos, v, need):
-                return False
-        return True
+        return self.lead_mod(n) is None
 
     def lead_mod(self, n: int) -> Optional[LeadDescriptor]:
         """First slot whose component value is not divisible by n.
@@ -444,7 +447,8 @@ class GroupElement:
         divisible and never host the result; absent when the whole
         element is divisible (in particular for zero).
         """
-        _check_modulus(n)
+        if not isinstance(n, int) or n < 2:
+            raise ValueError(f"modulus must be an integer >= 2, got {n!r}")
         # LAMBDA circles are rational, hence n-divisible: need stays None
         need = _gamma_need(n) if self.construction is GAMMA else None
         for pos, v in self.entries:
@@ -475,11 +479,6 @@ def fresh_g1_block(*elems: GroupElement) -> int:
             if pos.area == G1:
                 block = max(block, pos.index + 1)
     return block
-
-
-def _check_modulus(n: int) -> None:
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"modulus must be an integer >= 2, got {n!r}")
 
 
 def _gamma_need(n: int) -> dict[int, int]:
@@ -538,35 +537,13 @@ def element(
 ) -> GroupElement:
     """Build an element from position -> raw value, canonicalizing.
 
-    Each raw component is canonicalized and validated in one pass and
-    raises ``ComponentError`` when its position cannot hold it; zero
-    components are dropped.
+    Each raw component goes through ``_canon_value`` once, which raises
+    ``ComponentError`` when its position cannot hold it; zero components
+    are dropped.
     """
-    gamma = construction is GAMMA
     entries = []
     for pos, raw in components.items():
-        if uses_poly(construction, pos):
-            if raw.__class__ is dict or isinstance(raw, Mapping):
-                v: Value = _canon_poly(raw)
-            elif raw.__class__ is int:
-                v = _canon_poly({0: raw})
-            else:
-                raise ComponentError(f"{pos}: square components take integer polynomials")
-        else:
-            if raw.__class__ is Fraction:
-                q = raw
-            elif raw.__class__ is int:
-                q = Fraction(raw)
-            else:
-                # a float or a str would convert, and a bool is an int
-                raise ComponentError(f"{pos}: expected a rational value")
-            if gamma:
-                p = _local_prime(pos)
-                if q.denominator % p == 0:
-                    raise ComponentError(
-                        f"{pos}: denominator {q.denominator} not invertible here (prime {p})"
-                    )
-            v = q
+        v = _canon_value(construction, pos, raw)
         if v:
             entries.append((pos, v))
     entries.sort(key=_entry_key)
@@ -624,7 +601,7 @@ def parse_element(text: str, construction: Construction) -> GroupElement:
     if not s.startswith("{") or not s.endswith("}"):
         raise ParseError(text, 0, "expected '{...}' or '0'")
     body = s[1:-1]
-    components: dict[Position, Union[Fraction, Mapping[int, int]]] = {}
+    components: dict[Position, Value] = {}
     offset = 1
     for chunk in body.split(","):
         if ":" not in chunk:
@@ -647,22 +624,26 @@ def parse_element(text: str, construction: Construction) -> GroupElement:
             raise ParseError(text, offset, f"duplicate position {pos}")
         val_base = offset + len(pos_text) + 1
         vt = val_text.strip()
+        raw: Union[Fraction, dict[int, int]]
         if uses_poly(construction, pos):
             if "/" in vt:
                 raise ParseError(text, val_base, f"{pos} takes integer polynomials")
-            components[pos] = _parse_poly(text, val_base, vt)
+            raw = _parse_poly(text, val_base, vt)
         else:
             m2 = _RAT_RE.fullmatch(val_text)
             if not m2:
                 raise ParseError(text, val_base, f"bad rational {vt!r}")
-            q = Fraction(int(m2.group(1)), int(m2.group(2) or 1))
-            try:
-                check_value(construction, pos, q)
-            except ComponentError as exc:
-                raise ParseError(text, val_base, str(exc)) from None
-            components[pos] = q
+            num, den = int(m2.group(1)), int(m2.group(2) or 1)
+            if not den:
+                raise ParseError(text, val_base, f"zero denominator in {vt!r}")
+            raw = Fraction(num, den)
+        try:
+            components[pos] = _canon_value(construction, pos, raw)
+        except ComponentError as exc:
+            raise ParseError(text, val_base, str(exc)) from None
         offset += len(chunk) + 1
-    return element(construction, components)
+    entries = sorted(((p, v) for p, v in components.items() if v), key=_entry_key)
+    return _from_canonical(construction, tuple(entries))
 
 
 def _format_poly(v: Poly) -> str:

@@ -32,27 +32,9 @@ from .positions import G1, G2, g1_square
 
 
 class CoefficientField:
-    """Exact field interface for series coefficients."""
+    """Common base of the exact coefficient fields: the rationals and GF(p)."""
 
     name: str = "?"
-
-    def coerce(self, x):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def add(self, a, b):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def mul(self, a, b):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def neg(self, a):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def inv(self, a):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def is_zero(self, a) -> bool:  # pragma: no cover - interface
-        raise NotImplementedError
 
     def __repr__(self) -> str:
         return self.name

@@ -228,9 +228,7 @@ def tail_set(a: GroupElement) -> TailSet:
     """
     if a.is_zero():
         return TailSet.empty()
-    lead = a.lead()
-    assert lead is not None
-    pos, v = lead
+    pos, v = a.entries[0]
     if a.construction is LAMBDA:
         if pos.is_square:
             assert isinstance(v, tuple)
@@ -252,9 +250,7 @@ def inner_anchor_below(a: GroupElement) -> Optional[GroupElement]:
     if a.is_zero():
         return None
     m = a.abs()
-    lead = m.lead()
-    assert lead is not None
-    pos, v = lead
+    pos, v = m.entries[0]
     construction = m.construction
     if construction is LAMBDA:
         if pos.is_square:

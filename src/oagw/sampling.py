@@ -15,6 +15,7 @@ from .elements import (
     GroupElement,
     LAMBDA,
     element,
+    uses_poly,
     zero,
 )
 from .hahn import CoefficientField, HahnSeries, QQ, series
@@ -45,7 +46,7 @@ def random_position(rng: random.Random) -> Position:
 
 
 def random_value(rng: random.Random, construction: Construction, pos: Position):
-    if construction is LAMBDA and pos.is_square:
+    if uses_poly(construction, pos):
         coeffs = {}
         for _ in range(rng.randrange(1, 4)):
             coeffs[rng.randrange(0, 6)] = rng.choice(_POLY_COEFFS)

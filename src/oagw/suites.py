@@ -28,6 +28,7 @@ from .elements import (
     format_element,
     fresh_g1_block,
     unit,
+    uses_poly,
     zero,
 )
 from .embeddings import (
@@ -288,24 +289,13 @@ def _psi_candidates(opts: SuiteOptions, a: GroupElement, b: GroupElement) -> lis
 # -- suites: tail sets -------------------------------------------------------
 
 
-def _tail_reference_probe(inside: Sequence[GroupElement], b: GroupElement) -> bool:
-    """Union-definition search: some t in (0, |a|) leaves |b| congruence-free.
-
-    ``inside`` holds the candidate t: the fragment elements in (0, |a|),
-    which the caller enumerates once per case.  The probe itself
-    enumerates nothing.
-    """
-    target = b.abs()
-    return any(cong_free_below(2, t, target) for t in inside)
-
-
 def _tail_probes(rng: random.Random, a: GroupElement) -> list[GroupElement]:
     construction = a.construction
     probes = [zero(construction), random_element(rng, construction), -random_positive(rng, construction)]
     ts = tail_set(a)
     if ts.cut is not None:
         pos, slot = ts.cut.position, ts.cut.inner_slot
-        if construction is LAMBDA and pos.is_square:
+        if uses_poly(construction, pos):
             probes.append(element(LAMBDA, {pos: {slot: 1}}))  # at the cut: excluded
             probes.append(element(LAMBDA, {pos: {slot + 1: 2}}))  # just past: included
             probes.append(-element(LAMBDA, {pos: {slot + 1: 5}}))
@@ -320,9 +310,11 @@ def _tail_probes(rng: random.Random, a: GroupElement) -> list[GroupElement]:
 def suite_hprime_descriptor(rep: SuiteReport, opts: SuiteOptions) -> None:
     """Cut-descriptor membership equals the union-definition search.
 
-    Each case enumerates one fragment over |a|, the inner anchor and a
-    deep unit, once and before its probes, and every probe reads the
-    same elements t in (0, |a|); a zero ``a`` runs no search.
+    The union definition holds for a probe b when some t in (0, |a|)
+    leaves |b| congruence-free.  Each case enumerates one fragment over
+    |a|, the inner anchor and a deep unit, once and before its probes,
+    and every probe reads the same elements t in (0, |a|); a zero ``a``
+    runs no search.
     """
     for i in range(opts.samples):
         rng = case_rng(opts.seed, i)
@@ -343,7 +335,8 @@ def suite_hprime_descriptor(rep: SuiteReport, opts: SuiteOptions) -> None:
                 t for t in iter_fragment([m], cfg, opts.construction) if t.sign() > 0 and t < m
             ]
         for b in _tail_probes(rng, a):
-            want = _tail_reference_probe(inside, b)
+            target = b.abs()
+            want = any(cong_free_below(2, t, target) for t in inside)
             got = ts.contains(b)
             if want != got:
                 ok = False
@@ -477,43 +470,39 @@ def suite_embedding_laws(rep: SuiteReport, opts: SuiteOptions) -> None:
 
 
 def closure_audit(
+    rep: SuiteReport,
     sub: Embedding,
     construction: Construction,
     corpus: Sequence[tuple],
-    cfg: FragmentConfig,
-    seed: int = 0,
-) -> SuiteReport:
+    full_cfg: FragmentConfig,
+    image_cfg: FragmentConfig,
+) -> None:
     """Audit transfer of truths from the full group into an embedding image.
 
     Each corpus entry is (formula, env) with env values inside the
-    image.  The formula is evaluated over the full group and again with
-    witness search restricted to image elements; a row fails when the
-    full group decides True but the restricted search cannot confirm
-    it.  Verdicts stay three-valued: an undecided full-group row is
-    recorded unknown rather than failed.
+    image.  The formula is evaluated over the full group with
+    ``full_cfg`` and again under ``image_cfg`` with witness search
+    restricted to image elements; one row per entry goes into ``rep``,
+    and it fails when the full group decides True but the restricted
+    search cannot confirm it.  Verdicts stay three-valued: a full-group
+    row not decided True is recorded unknown rather than failed.
     """
-    report = SuiteReport(f"closure-audit[{sub}]", str(construction), seed)
     for formula, env in corpus:
         for name, value in env.items():
             if not in_image(sub, value):
                 raise ValueError(f"parameter {name!r} lies outside the image")
-        full = evaluate(construction, formula, env, cfg)
+        full = evaluate(construction, formula, env, full_cfg)
         if full.truth is not Truth.TRUE:
-            report.record(
-                "unknown",
-                "full-group truth undecided",
-                formula=print_formula(formula),
-            )
+            rep.record("unknown", "full-group witness not found", formula=print_formula(formula))
             continue
-        sub_v = evaluate(
-            construction, formula, env, cfg, candidate_filter=lambda g: in_image(sub, g)
+        image = evaluate(
+            construction, formula, env, image_cfg, candidate_filter=lambda g: in_image(sub, g)
         )
-        report.check(
-            sub_v.truth is Truth.TRUE,
-            "true in the full group, unconfirmed inside the image",
+        rep.check(
+            image.truth is Truth.TRUE,
+            "no image witness despite full-group truth",
             formula=print_formula(formula),
         )
-    return report
 
 
 def _closure_sentence(rng: random.Random, construction: Construction):
@@ -568,18 +557,7 @@ def suite_f1_exists_closure(rep: SuiteReport, opts: SuiteOptions) -> None:
             coeff_bound=2, generator_pool=tuple(pool) + (critical,), size_cap=400
         )
         img_cfg = FragmentConfig(coeff_bound=2, generator_pool=tuple(pool), size_cap=400)
-        full = evaluate(opts.construction, f, {}, full_cfg)
-        if full.truth is not Truth.TRUE:
-            rep.record("unknown", "full-group witness not found", formula=print_formula(f))
-            continue
-        sub = evaluate(
-            opts.construction, f, {}, img_cfg, candidate_filter=lambda g: in_image(Embedding.F1, g)
-        )
-        rep.check(
-            sub.truth is Truth.TRUE,
-            "no image witness despite full-group truth",
-            formula=print_formula(f),
-        )
+        closure_audit(rep, Embedding.F1, opts.construction, [(f, {})], full_cfg, img_cfg)
 
 
 @suite("f1-ea-closure", samples=100)

@@ -9,11 +9,18 @@ from oagw.embeddings import Embedding
 from oagw.formulas import parse_formula
 from oagw.fragments import FragmentConfig
 from oagw.positions import g1_square, g2_circle, g2_square
-from oagw.suites import closure_audit, gen_corpus
+from oagw.suites import SuiteReport, closure_audit, gen_corpus
+
+
+def _audit(construction, corpus, cfg):
+    """A fresh report holding one row per corpus entry, one config for both searches."""
+    report = SuiteReport("closure-audit", str(construction), 0)
+    closure_audit(report, Embedding.F1, construction, corpus, cfg, cfg)
+    return report
 
 
 def test_empty_corpus():
-    report = closure_audit(Embedding.F1, LAMBDA, [], FragmentConfig())
+    report = _audit(LAMBDA, [], FragmentConfig())
     assert report.cases == []
     assert report.ok
 
@@ -29,9 +36,7 @@ def test_lambda_existential_corpus_transfers():
         element(LAMBDA, {g1_square(4, 0): {0: 1}}),
         element(LAMBDA, {g2_circle(1): Fraction(1, 2)}),
     )
-    report = closure_audit(
-        Embedding.F1, LAMBDA, corpus, FragmentConfig(2, pool, 900, 0)
-    )
+    report = _audit(LAMBDA, corpus, FragmentConfig(2, pool, 900, 0))
     assert report.counts["fail"] == 0
 
 
@@ -49,16 +54,26 @@ def test_gamma_window_sentence_flagged():
         unit(GAMMA, g2_circle(1), 1),
         unit(GAMMA, g1_square(0, 0), 1),
     )
-    report = closure_audit(Embedding.F1, GAMMA, [(f, {})], FragmentConfig(2, pool, 600, 0))
+    report = _audit(GAMMA, [(f, {})], FragmentConfig(2, pool, 600, 0))
     assert report.counts["fail"] == 1
     assert not report.ok
+    assert report.cases[0].detail == "no image witness despite full-group truth"
 
 
 def test_parameters_must_lie_inside():
     f = parse_formula("E x. x < y", LAMBDA)
     bad = {"y": unit(LAMBDA, g2_circle(0), Fraction(1))}
     with pytest.raises(ValueError):
-        closure_audit(Embedding.F1, LAMBDA, [(f, bad)], FragmentConfig())
+        _audit(LAMBDA, [(f, bad)], FragmentConfig())
+
+
+def test_undecided_full_group_row_is_unknown():
+    # no witness exists, so the full-group search ends undecided
+    f = parse_formula("E x. 0 < x & x < 0", LAMBDA)
+    report = _audit(LAMBDA, [(f, {})], FragmentConfig(2, (), 100, 0))
+    assert report.counts == {"pass": 0, "fail": 0, "unknown": 1}
+    assert report.ok
+    assert report.cases[0].detail == "full-group witness not found"
 
 
 def test_lambda_window_sentence_transfers():
@@ -72,6 +87,6 @@ def test_lambda_window_sentence_transfers():
         element(LAMBDA, {g2_square(0): {1: 1}}),
         element(LAMBDA, {g1_square(0, 0): {0: 1}}),
     )
-    report = closure_audit(Embedding.F1, LAMBDA, [(f, {})], FragmentConfig(2, pool, 600, 0))
+    report = _audit(LAMBDA, [(f, {})], FragmentConfig(2, pool, 600, 0))
     assert report.counts["fail"] == 0
     assert report.counts["pass"] == 1

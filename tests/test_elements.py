@@ -415,6 +415,11 @@ class TestDivisibility:
         assert element(GAMMA, {g2_square(0): Fraction(3, 2)}).is_divisible(3)
         assert element(GAMMA, {g2_square(0): Fraction(1)}).is_divisible(2)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([LAMBDA, GAMMA]).flatmap(seeded_elements), st.integers(2, 6))
+    def test_divisible_exactly_when_no_lead_mod(self, e, n):
+        assert e.is_divisible(n) == (e.lead_mod(n) is None)
+
     def test_modulus_validation(self):
         with pytest.raises(ValueError):
             zero(LAMBDA).is_divisible(1)
@@ -486,6 +491,20 @@ class TestText:
         with pytest.raises(ParseError):
             parse_element("{G2[0].s: 1/3}", GAMMA)
         parse_element("{G2[0].s: 1/2}", GAMMA)
+
+    def test_gamma_denominator_error_points_at_its_value(self):
+        text = "{G2[0].s: 1/2, G2[0].c: 1/2}"
+        with pytest.raises(ParseError) as err:
+            parse_element(text, GAMMA)
+        assert err.value.at == text.index(": 1/2}") + 1
+
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+    @pytest.mark.parametrize("value", ["1/0", "0/0", "-3 / 0"])
+    def test_zero_denominator_is_a_parse_error(self, construction, value):
+        text = f"{{G2[0].s: 1, G2[0].c: {value}}}"
+        with pytest.raises(ParseError) as err:
+            parse_element(text, construction)
+        assert err.value.at == text.index(f": {value}}}") + 1
 
     def test_syntax_errors(self):
         with pytest.raises(ParseError):

@@ -149,6 +149,26 @@ def test_eval_binding_errors(args, message, capsys):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("value", ["1/0", "0/0"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--formula", "x = {G2[0].c: VALUE}", "--bind", "x={G2[0].c: 1}"],
+        ["--formula", "x = x", "--bind", "x={G2[0].c: VALUE}"],
+        ["--formula", "E x. x = x", "--pool", "{G2[0].c: VALUE}"],
+    ],
+    ids=["formula", "bind", "pool"],
+)
+def test_eval_zero_denominator_is_a_usage_error(args, value, capsys):
+    rc = main(["eval", *(a.replace("VALUE", value) for a in args)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: at index ")
+    assert f"zero denominator in '{value}'" in lines[0]
+
+
 def _eval_in_a_child_process(*args):
     src = str(Path(oagw.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)

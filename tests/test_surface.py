@@ -26,7 +26,6 @@ PERFBENCH = ROOT / "perfbench"
 # name -> why it may stay without a caller
 ALLOWED_UNREFERENCED = {
     "parse_term": "entry point of the term grammar, the counterpart of parse_formula",
-    "closure_audit": "to be wired into a suite over the ea corpus",
     "classify_prefix": "to be recorded by that same ea-corpus suite",
 }
 
@@ -35,7 +34,6 @@ ALLOWED_UNREFERENCED = {
 ALLOWED_UNPASSED = {
     "main(argv)": "the console script calls main() and reads sys.argv; tests pass argv",
     "parse_term(construction)": "the term grammar mirrors parse_formula, whose callers pass it",
-    "closure_audit(seed)": "closure_audit itself still waits for its ea-corpus suite",
     "term_var(coeff)": "the term constructor's general form; suites build only bare variables",
 }
 
