@@ -51,7 +51,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Any, Optional, Union
+from typing import Any, NamedTuple, Optional, Union
 
 from .positions import (
     G1,
@@ -195,22 +195,16 @@ def _value_sub_sign(a: Value, b: Value) -> int:
     return (x > y) - (x < y)
 
 
-@dataclass(frozen=True)
-class LeadDescriptor:
+class LeadDescriptor(NamedTuple):
     """A support address: position plus inner polynomial slot.
 
-    Ordered lexicographically; the inner slot is 0 at circles and at
-    GAMMA squares, which have no inner structure.
+    Ordered lexicographically, as a tuple: positions compare by their
+    sort key.  The inner slot is 0 at circles and at GAMMA squares,
+    which have no inner structure.
     """
 
     position: Position
     inner_slot: int = 0
-
-    def __lt__(self, other: "LeadDescriptor") -> bool:
-        return (self.position.key, self.inner_slot) < (other.position.key, other.inner_slot)
-
-    def __le__(self, other: "LeadDescriptor") -> bool:
-        return (self.position.key, self.inner_slot) <= (other.position.key, other.inner_slot)
 
     def __str__(self) -> str:
         return f"({self.position}, {self.inner_slot})"

@@ -30,7 +30,7 @@ the universal, so the sentence is True on the first x above b.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from operator import itemgetter
 from typing import Callable, Mapping, Optional
@@ -110,8 +110,8 @@ def _negate(v: Verdict) -> Verdict:
 # decide once, and compiles the rest into closures; a moved part is
 # compiled once it reaches the quantifier its terms hoist into.  The
 # environment is one dict, extended by each quantifier while its body
-# runs.  Every fragment of one call shares its pool part through a
-# per-call copy of the config.
+# runs.  Every fragment of one call shares the pool-part memo of a
+# per-call copy of the config, so the memo lives for one call.
 _Compiled = Callable[[dict[str, GroupElement]], Verdict]
 _TermFn = Callable[[dict[str, GroupElement]], GroupElement]
 
@@ -191,7 +191,7 @@ def evaluate(
     for v, e in env.items():
         if e.construction is not construction:
             raise ValueError(f"binding {v!r} is not a {construction} element")
-    root = _compile(construction, f, False, cfg.with_shared_pool(), candidate_filter, [])
+    root = _compile(construction, f, False, replace(cfg), candidate_filter, [])
     missing = root.fv - set(env)
     if missing:
         raise KeyError(f"unbound variables: {sorted(missing)}")
@@ -308,8 +308,9 @@ def _compile_quantifier(
     parts = body.flat(conj)
     moved = tuple([p for p in parts if not p.fixed and var not in p.fv])
     if moved:
-        stay = tuple([p for p in parts if p.fixed or var in p.fv])
+        # a guard of this kind keeps its quantifier as the tail, not a part
         tail = body.tail if body.conj is conj else None
+        stay = tuple([p for p in parts if p is not tail and (p.fixed or var in p.fv)])
         body = _Node(body.fv, body.fixed, conj, stay, tail, None)
     scope = _Scope(var)
     run_body = body.build(scope)

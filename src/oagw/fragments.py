@@ -4,13 +4,19 @@ Quantifier evaluation over the infinite groups searches a reproducible
 finite fragment: all integer combinations of the supplied parameters
 and generator pool with coefficients bounded by ``coeff_bound``,
 enumerated smallest-coefficients-first and truncated at ``size_cap``.
+
+Each ``FragmentConfig`` keeps a memo of pool-part sums, shared by every
+fragment enumerated through it: the sum of each coefficient vector over
+the pool generators that survive in a fragment is computed once per
+config.  ``evaluate`` enumerates a fragment per outer binding through a
+copy of the caller's config, so its memo lives for one call.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .elements import Construction, ConstructionMismatch, GroupElement, zero
 
@@ -22,9 +28,8 @@ class FragmentConfig:
     size_cap: int = 2000
     seed: int = 0
     # (construction, surviving pool) -> memo of pool-part sums, shared by
-    # every fragment enumerated through this config; only the copies made
-    # by with_shared_pool() carry a table
-    _pool_parts: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
+    # every fragment enumerated through this config
+    _pool_parts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.size_cap.__class__ is not int or self.coeff_bound.__class__ is not int:
@@ -41,20 +46,6 @@ class FragmentConfig:
             raise TypeError(
                 f"generator_pool must be a tuple of GroupElement, got {self.generator_pool!r}"
             )
-
-    def with_shared_pool(self) -> "FragmentConfig":
-        """A copy whose fragments share their pool part.
-
-        Fragments enumerated through the copy keep, per surviving pool
-        tuple, the memo of pool-part sums (one per coefficient vector of
-        the pool axes) and reuse it on the next call.  Nested quantifiers
-        enumerate a fragment per outer binding, so one evaluation makes
-        one copy and drops it.
-        """
-        # a field-for-field copy of a validated config, without revalidating
-        out = object.__new__(FragmentConfig)
-        out.__dict__.update(vars(self), _pool_parts={})
-        return out
 
 
 def _part(memo: dict, gens: tuple[GroupElement, ...], vec: tuple[int, ...]) -> GroupElement:
@@ -81,16 +72,16 @@ def _part(memo: dict, gens: tuple[GroupElement, ...], vec: tuple[int, ...]) -> G
 def iter_fragment(
     params: Sequence[GroupElement],
     cfg: FragmentConfig,
-    construction: Construction | None = None,
+    construction: Construction,
 ) -> Iterator[GroupElement]:
     """Lazily enumerate the fragment spanned by params and the pool.
 
     Yields zero first, then every parameter, then the sums of the
     coefficient vectors layer by layer: layer m holds the vectors whose
     largest |coefficient| is m, in product order with each axis running
-    0, 1, -1, ..., m, -m.  Stops at ``size_cap``; rejects mixed
-    constructions.  Through a config from ``with_shared_pool`` it
-    yields the same elements, reusing the pool part of earlier calls.
+    0, 1, -1, ..., m, -m.  Stops at ``size_cap``; rejects params and
+    pool generators of another construction.  Reads and fills the
+    config's memo of pool-part sums.
     """
     params = tuple(params)
     gens: list[GroupElement] = []
@@ -98,15 +89,11 @@ def iter_fragment(
     for group in (params, cfg.generator_pool):
         n_params = len(gens)  # once the loop is over: the parameter axes
         for g in group:
-            if construction is None:
-                construction = g.construction
-            elif g.construction is not construction:
+            if g.construction is not construction:
                 raise ConstructionMismatch("fragment parameters mix constructions")
             if not g.is_zero() and g not in seen_gen:
                 seen_gen.add(g)
                 gens.append(g)
-    if construction is None:
-        raise ValueError("cannot infer construction for an empty fragment")
 
     z = zero(construction)
     seen: set = {z}
@@ -121,10 +108,9 @@ def iter_fragment(
     # through the config.
     param_gens, pool = tuple(gens[:n_params]), tuple(gens[n_params:])
     param_parts = {(0,) * n_params: z}
-    parts = cfg._pool_parts if cfg._pool_parts is not None else {}
-    pool_parts = parts.get((construction, pool))
+    pool_parts = cfg._pool_parts.get((construction, pool))
     if pool_parts is None:
-        pool_parts = parts[construction, pool] = {(0,) * len(pool): z}
+        pool_parts = cfg._pool_parts[construction, pool] = {(0,) * len(pool): z}
     for m in range(cfg.coeff_bound + 1):
         axis = [0] + [s * k for k in range(1, m + 1) for s in (1, -1)]
         for pvec in itertools.product(axis, repeat=n_params):

@@ -21,7 +21,8 @@ the text form ``text`` (``str()`` returns it), and the hash weight
 ``weight`` that element hashes give a component here.  The weight is a
 digest of the key modulo ``HASH_MODULUS``, so it is the same in every
 process, whatever ``PYTHONHASHSEED`` is.  Pickle, ``copy`` and
-``deepcopy`` return the interned object.
+``deepcopy`` return the interned object.  ``<`` compares sort keys, so
+tuples that start with a position sort in address order.
 """
 
 from __future__ import annotations
@@ -100,6 +101,9 @@ class Position:
 
     def sort_key(self) -> tuple:
         return self.key
+
+    def __lt__(self, other: "Position") -> bool:
+        return self.key < other.key
 
     def successor(self) -> "Position":
         """The position immediately to the right."""

@@ -194,26 +194,18 @@ def cong_witness_below(n: int, a: GroupElement, b: GroupElement) -> Optional[Gro
 class TailSet:
     """Canonical cut form of a congruence-free tail.
 
-    ``cut is None`` denotes the empty set; otherwise the set holds every
-    nonzero element whose leading slot lies strictly after ``cut``,
-    together with zero when ``includes_zero``.
+    ``cut is None`` denotes the empty set; otherwise the set holds zero
+    and every nonzero element whose leading slot lies strictly after
+    ``cut``.
     """
 
     cut: Optional[LeadDescriptor]
-    includes_zero: bool = False
-
-    @staticmethod
-    def empty() -> "TailSet":
-        return TailSet(None, False)
 
     def contains(self, b: GroupElement) -> bool:
         if self.cut is None:
             return False
-        if b.is_zero():
-            return self.includes_zero
         d = b.lead_descriptor()
-        assert d is not None
-        return self.cut < d
+        return d is None or self.cut < d
 
 
 def tail_set(a: GroupElement) -> TailSet:
@@ -227,17 +219,17 @@ def tail_set(a: GroupElement) -> TailSet:
     GAMMA square defers to the next circle to its right.
     """
     if a.is_zero():
-        return TailSet.empty()
+        return TailSet(None)
     pos, v = a.entries[0]
     if a.construction is LAMBDA:
         if pos.is_square:
             assert isinstance(v, tuple)
-            return TailSet(LeadDescriptor(pos, v[0][0]), True)
-        return TailSet(LeadDescriptor(pos.successor(), 0), True)
+            return TailSet(LeadDescriptor(pos, v[0][0]))
+        return TailSet(LeadDescriptor(pos.successor(), 0))
     # GAMMA: modulus-2 obstructions only live at circles
     if pos.is_circle:
-        return TailSet(LeadDescriptor(pos, 0), True)
-    return TailSet(LeadDescriptor(pos.next_circle(), 0), True)
+        return TailSet(LeadDescriptor(pos, 0))
+    return TailSet(LeadDescriptor(pos.next_circle(), 0))
 
 
 def inner_anchor_below(a: GroupElement) -> Optional[GroupElement]:
@@ -293,7 +285,7 @@ def g1_part_by_formula(a: GroupElement) -> bool:
     :func:`in_g1_part` on every input.
     """
     _require(LAMBDA, a)
-    head = TailSet(_G1_HEAD, True)
+    head = TailSet(_G1_HEAD)
     if a.is_zero():
         return True
     if head.contains(a):

@@ -71,18 +71,12 @@ def random_element(
     for _ in range(rng.randrange(1, max_support + 1)):
         pos = random_position(rng)
         comps[pos] = random_value(rng, construction, pos)
-    e = element(construction, comps)
-    if e.is_zero() and not allow_zero:
-        pos = g1_square(0, 0)
-        return element(construction, {pos: random_value(rng, construction, pos)})
-    return e
+    # at least one component, each of a nonzero value: never zero
+    return element(construction, comps)
 
 
 def random_nonzero(rng: random.Random, construction: Construction, max_support: int = 4) -> GroupElement:
-    e = random_element(rng, construction, max_support, allow_zero=False)
-    while e.is_zero():
-        e = random_element(rng, construction, max_support, allow_zero=False)
-    return e
+    return random_element(rng, construction, max_support, allow_zero=False)
 
 
 def random_positive(rng: random.Random, construction: Construction) -> GroupElement:

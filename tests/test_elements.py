@@ -455,6 +455,14 @@ class TestLeads:
     def test_descriptor_order(self):
         assert LeadDescriptor(S00, 0) < LeadDescriptor(S00, 1)
         assert LeadDescriptor(g2_square(0), 5) < LeadDescriptor(S00, 0)
+        # tuple order is address order: positions compare by sort key
+        positions = [g2_circle(1), g2_square(1), g2_circle(0), g2_square(0), S00, g1_square(0, 2)]
+        descs = [LeadDescriptor(p, i) for p in positions for i in (0, 1, 3)]
+        for d in descs:
+            for e in descs:
+                assert (d < e) == ((d.position.key, d.inner_slot) < (e.position.key, e.inner_slot))
+        assert sorted(reversed(descs)) == descs
+        assert str(LeadDescriptor(S00, 1)) == "(G1[0].s[0], 1)"
 
 
 class TestText:

@@ -170,6 +170,25 @@ class TestQuantifiers:
         assert v.truth is Truth.TRUE
         assert v.witness == {"x": a}
 
+    def test_pool_memo_lives_for_one_call(self, monkeypatch):
+        g = element(LAMBDA, {g2_circle(0): 1})
+        cfg = FragmentConfig(2, (g,), 40, 0)
+        f = parse_formula("A x. E y. x = y + y")
+        seen = []
+
+        def recording(params, cfg, construction):
+            seen.append(cfg)
+            return iter_fragment(params, cfg, construction)
+
+        monkeypatch.setattr(oagw.evaluate, "iter_fragment", recording)
+        first = evaluate(LAMBDA, f, {}, cfg)
+        # every fragment of the call reads one copy; the caller's memo stays empty
+        assert len(seen) > 1 and all(c is seen[0] for c in seen)
+        assert seen[0] is not cfg and seen[0] == cfg and seen[0]._pool_parts
+        assert not cfg._pool_parts
+        assert evaluate(LAMBDA, f, {}, cfg) == first
+        assert seen[-1] is not seen[0] and not cfg._pool_parts
+
 
 # -- bounded congruence systems ----------------------------------------------
 #
@@ -781,7 +800,7 @@ class TestScoping:
     def fragment_calls(self, monkeypatch):
         calls = []
 
-        def counting(params, cfg, construction=None):
+        def counting(params, cfg, construction):
             calls.append(tuple(params))
             return iter_fragment(params, cfg, construction)
 
@@ -816,6 +835,21 @@ class TestScoping:
         v = evaluate(LAMBDA, f, {"x": a, "y": -a}, CFG)
         assert v.truth is Truth.FALSE
         assert len(fragment_calls) == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        ["E x. E y. (0 < c & x < y & y < x)", "A x. A y. (c < 0 | x < y | y < x | x = y)"],
+    )
+    def test_a_part_moved_twice_runs_the_inner_quantifier_once(self, text, fragment_calls):
+        # the part without x or y moves out of E y., then out of E x.;
+        # E y. still runs once per x, as without that part
+        c = element(LAMBDA, {g2_circle(0): 1})
+        cfg = FragmentConfig(1, (c,), 5)
+        v = evaluate(LAMBDA, parse_formula(text), {"c": c}, cfg)
+        assert v.truth is Truth.UNKNOWN
+        xs = list(iter_fragment([c], cfg, LAMBDA))
+        assert fragment_calls == [(c,)] + [(c, x) for x in xs]
+        assert len(fragment_calls) == 4
 
     def test_newly_decided_sentence(self):
         # b < x is decided for each x before the search over y, which

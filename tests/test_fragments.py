@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ def test_empty_inputs_give_zero():
 
 def test_single_param_bound_one():
     a = element(LAMBDA, {S00: {0: 1}})
-    out = list(iter_fragment([a], FragmentConfig(coeff_bound=1)))
+    out = list(iter_fragment([a], FragmentConfig(coeff_bound=1), LAMBDA))
     assert out == [zero(LAMBDA), a, -a]
 
 
@@ -28,13 +29,13 @@ def test_contains_combination():
     b = element(LAMBDA, {S00: {1: 1}})
     g = element(LAMBDA, {g2_circle(0): 1})
     cfg = FragmentConfig(coeff_bound=2, generator_pool=(g,), size_cap=10_000)
-    out = list(iter_fragment([a, b], cfg))
+    out = list(iter_fragment([a, b], cfg, LAMBDA))
     assert a.scale(2) - b + g in out
 
 
 def test_zero_and_params_always_first():
     a = element(LAMBDA, {S00: {0: 5}})
-    out = list(iter_fragment([a], FragmentConfig(coeff_bound=3, size_cap=2)))
+    out = list(iter_fragment([a], FragmentConfig(coeff_bound=3, size_cap=2), LAMBDA))
     assert out[0] == zero(LAMBDA)
     assert out[1] == a
 
@@ -43,12 +44,12 @@ def test_deterministic():
     a = element(LAMBDA, {S00: {0: 1, 2: -1}})
     g = element(LAMBDA, {g2_circle(1): 1})
     cfg = FragmentConfig(3, (g,), 500, seed=7)
-    assert list(iter_fragment([a], cfg)) == list(iter_fragment([a], cfg))
+    assert list(iter_fragment([a], cfg, LAMBDA)) == list(iter_fragment([a], cfg, LAMBDA))
 
 
 def test_no_duplicates():
     a = element(LAMBDA, {S00: {0: 1}})
-    out = list(iter_fragment([a, a], FragmentConfig(coeff_bound=2, generator_pool=(a,))))
+    out = list(iter_fragment([a, a], FragmentConfig(coeff_bound=2, generator_pool=(a,)), LAMBDA))
     assert len(out) == len(set(out))
 
 
@@ -56,13 +57,17 @@ def test_mixed_constructions_rejected():
     a = element(LAMBDA, {S00: {0: 1}})
     b = element(GAMMA, {g2_circle(0): 1})
     with pytest.raises(ConstructionMismatch):
-        list(iter_fragment([a, b], FragmentConfig()))
+        list(iter_fragment([a, b], FragmentConfig(), LAMBDA))
+    with pytest.raises(ConstructionMismatch):
+        list(iter_fragment([a], FragmentConfig(generator_pool=(b,)), LAMBDA))
+    with pytest.raises(ConstructionMismatch):
+        list(iter_fragment([a], FragmentConfig(), GAMMA))
 
 
 def test_size_cap_respected():
     a = element(LAMBDA, {S00: {0: 1}})
     b = element(LAMBDA, {S00: {1: 1}})
-    out = list(iter_fragment([a, b], FragmentConfig(coeff_bound=3, size_cap=11)))
+    out = list(iter_fragment([a, b], FragmentConfig(coeff_bound=3, size_cap=11), LAMBDA))
     assert len(out) == 11
 
 
@@ -87,8 +92,10 @@ def test_config_rejects_what_breaks_the_enumeration(kwargs, error):
 def test_smallest_valid_config():
     a = element(LAMBDA, {S00: {0: 1}})
     cfg = FragmentConfig(coeff_bound=0, generator_pool=(a,), size_cap=1)
-    assert list(iter_fragment([a], cfg)) == [zero(LAMBDA)]
-    assert cfg.with_shared_pool() == cfg
+    assert list(iter_fragment([a], cfg, LAMBDA)) == [zero(LAMBDA)]
+    # a copy starts with an empty memo and still equals its original
+    assert cfg._pool_parts and not replace(cfg)._pool_parts
+    assert replace(cfg) == cfg
 
 
 def _reference_fragment(params, cfg):
@@ -138,7 +145,21 @@ def _pools():
 def test_matches_naive_reference(coeff_bound, size_cap):
     for params, pool in _pools():
         cfg = FragmentConfig(coeff_bound, pool, size_cap)
-        assert list(iter_fragment(params, cfg)) == _reference_fragment(params, cfg)
+        got = list(iter_fragment(params, cfg, pool[0].construction))
+        assert got == _reference_fragment(params, cfg)
+
+
+@pytest.mark.parametrize("coeff_bound,size_cap", [(1, 10_000), (2, 37), (3, 200)])
+def test_one_config_reused_matches_naive_reference(coeff_bound, size_cap):
+    # a param that is zero or a pool generator drops an axis of the pool,
+    # so the config's memo keeps one table per surviving pool
+    for params, pool in _pools():
+        construction = pool[0].construction
+        cfg = FragmentConfig(coeff_bound, pool, size_cap)
+        calls = [params, [], params[:1], [pool[0]], params, [zero(construction)], []]
+        for p in calls:
+            assert list(iter_fragment(p, cfg, construction)) == _reference_fragment(p, cfg)
+        assert 1 < len(cfg._pool_parts) < len(calls)
 
 
 def test_matches_naive_reference_five_generators():
@@ -150,7 +171,7 @@ def test_matches_naive_reference_five_generators():
         els = [random_element(rng, construction, 2) for _ in range(5)]
         for size_cap in (300, 1200):
             cfg = FragmentConfig(3, tuple(els[2:]), size_cap)
-            got = list(iter_fragment(els[:2], cfg))
+            got = list(iter_fragment(els[:2], cfg, construction))
             assert len(got) == size_cap
             assert got == _reference_fragment(els[:2], cfg)
 
@@ -167,7 +188,7 @@ def _shared_calls(construction):
 @pytest.mark.parametrize("coeff_bound,size_cap", [(1, 10_000), (2, 10), (2, 60), (3, 200)])
 def test_shared_pool_matches_naive_reference(construction, coeff_bound, size_cap):
     pool, calls = _shared_calls(construction)
-    cfg = FragmentConfig(coeff_bound, pool, size_cap).with_shared_pool()
+    cfg = FragmentConfig(coeff_bound, pool, size_cap)
     for params in calls:
         got = list(iter_fragment(params, cfg, construction))
         assert got == _reference_fragment(params, cfg)
@@ -176,7 +197,7 @@ def test_shared_pool_matches_naive_reference(construction, coeff_bound, size_cap
 @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
 def test_shared_pool_after_an_abandoned_and_a_suspended_fragment(construction):
     pool, calls = _shared_calls(construction)
-    cfg = FragmentConfig(2, pool, 80).with_shared_pool()
+    cfg = FragmentConfig(2, pool, 80)
     # an existential stops after a few candidates: the shared sums stop there
     abandoned = iter_fragment([], cfg, construction)
     assert list(itertools.islice(abandoned, 6)) == _reference_fragment([], cfg)[:6]
@@ -202,7 +223,7 @@ def test_shared_pool_fragments_in_any_interleaving(construction, seed, coeff_bou
     rng = case_rng(seed, 0)
     pool = tuple(random_element(rng, construction, 2) for _ in range(3))
     others = [random_element(rng, construction, 2) for _ in range(2)] + list(pool)
-    cfg = FragmentConfig(coeff_bound, pool, size_cap).with_shared_pool()
+    cfg = FragmentConfig(coeff_bound, pool, size_cap)
     # params may repeat, be zero or coincide with a pool generator, so the
     # fragments share the whole pool or lose an axis of it
     calls = data.draw(
@@ -224,8 +245,10 @@ def test_shared_pool_fragments_in_any_interleaving(construction, seed, coeff_bou
 
 def test_shared_empty_pool_serves_both_constructions():
     # an empty pool is the same tuple in both constructions; its zero is not
-    cfg = FragmentConfig(2, (), 50).with_shared_pool()
+    cfg = FragmentConfig(2, (), 50)
     a = element(LAMBDA, {S00: {0: 1}})
     c = element(GAMMA, {g2_circle(0): Fraction(1, 3)})
     for params in ([a], [c], [a]):
-        assert list(iter_fragment(params, cfg)) == _reference_fragment(params, cfg)
+        got = list(iter_fragment(params, cfg, params[0].construction))
+        assert got == _reference_fragment(params, cfg)
+    assert set(cfg._pool_parts) == {(LAMBDA, ()), (GAMMA, ())}

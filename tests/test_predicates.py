@@ -184,14 +184,14 @@ class TestIndexWindow:
 class TestTailSets:
     def test_circle_lead_cut(self):
         a = element(LAMBDA, {g2_circle(0): Fraction(5)})
-        assert tail_set(a) == TailSet(LeadDescriptor(g2_square(0), 0), True)
+        assert tail_set(a) == TailSet(LeadDescriptor(g2_square(0), 0))
 
     def test_square_lead_cut(self):
         a = element(LAMBDA, {S00: {0: 1, 1: 2}})
-        assert tail_set(a) == TailSet(LeadDescriptor(S00, 0), True)
+        assert tail_set(a) == TailSet(LeadDescriptor(S00, 0))
 
     def test_zero_empty(self):
-        assert tail_set(zero(LAMBDA)) == TailSet.empty()
+        assert tail_set(zero(LAMBDA)) == TailSet(None)
         assert not tail_set(zero(LAMBDA)).contains(zero(LAMBDA))
 
     def test_membership_boundaries(self):

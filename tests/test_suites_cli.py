@@ -319,7 +319,7 @@ def test_zero_coeff_bound_is_honoured(monkeypatch):
     bounds = []
     real = oagw.suites.iter_fragment
 
-    def spy(params, cfg, construction=None):
+    def spy(params, cfg, construction):
         bounds.append(cfg.coeff_bound)
         return real(params, cfg, construction)
 
@@ -344,7 +344,7 @@ def _fragments_per_case(monkeypatch, name, opts):
         cases.append({"fragments": 0, "closed": []})
         return real_rng(seed, i)
 
-    def iter_fragment(params, cfg, construction=None):
+    def iter_fragment(params, cfg, construction):
         cases[-1]["fragments"] += 1
         return real_fragment(params, cfg, construction)
 
