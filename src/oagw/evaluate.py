@@ -6,25 +6,31 @@ explicit witness is found and a universal is False only on an explicit
 counterexample; everything else is Unknown.  Decided verdicts are
 therefore sound for the infinite structure.
 
-Quantifier bodies are miniscoped when the formula is compiled.  With
-``~`` pushed through ``&``, ``|``, ``->`` and ``~~``, ``E v.`` splits
-its body into conjuncts and ``A v.`` into disjuncts.  A quantifier-free
-part that does not mention v is decided once, before the search:
-``E v. (chi & phi)`` runs as ``chi & E v. phi`` and ``A v. (chi | psi)``
-as ``chi | A v. psi``, so a false ``chi`` makes the existential False
-and a true one makes the universal True without a search.  This is
-sound: each rewrite states an equivalence, and miniscoping's side
-condition, a nonempty domain, holds because every group, and every
-image a ``candidate_filter`` restricts to, contains 0.  A part that
-holds a quantifier stays where it is, since its fragments are seeded by
-every binding around it.  The rule changes no fragment and no witness:
-a quantifier still searches the fragment of its whole original body
-(the bindings, then every constant of the body in order, moved out or
-not), and behind a neutral ``chi`` it returns its own verdict, witness
-included.  Some sentences now decide where they were Unknown: in
-``E x. A y. (x = y -> false) | b < x`` the disjunct ``b < x`` is decided
-for each x before the search over y, which alone could never confirm
-the universal, so the sentence is True on the first x above b.
+Formulas are compiled in negation normal form: ``~`` is pushed through
+``&``, ``|``, ``->`` and ``~~`` down to the atoms, and through the
+quantifiers to their duals, so ``~E v. phi`` runs as ``A v. ~phi`` and
+``~A v. phi`` as ``E v. ~phi``.  A decided quantifier verdict is thus
+always the quantifier's own: True with a witness from an existential,
+False with a counterexample from a universal.
+
+Quantifier bodies are miniscoped when the formula is compiled: ``E v.``
+splits its body into conjuncts and ``A v.`` into disjuncts.  A
+quantifier-free part that does not mention v is decided once, before
+the search: ``E v. (chi & phi)`` runs as ``chi & E v. phi`` and
+``A v. (chi | psi)`` as ``chi | A v. psi``, so a false ``chi`` makes the
+existential False and a true one makes the universal True without a
+search.  This is sound: each rewrite states an equivalence, and
+miniscoping's side condition, a nonempty domain, holds because every
+group contains 0.  A part that holds a quantifier stays where it is,
+since its fragments are seeded by every binding around it.  The rule
+changes no fragment and no witness: a quantifier still searches the
+fragment of its whole original body (the bindings, then every constant
+of the body in order, moved out or not), and behind a neutral ``chi``
+it returns its own verdict, witness included.  Some sentences now
+decide where they were Unknown: in ``E x. A y. (x = y -> false) | b < x``
+the disjunct ``b < x`` is decided for each x before the search over y,
+which alone could never confirm the universal, so the sentence is True
+on the first x above b.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from typing import Callable, Mapping, Optional
 from .elements import Construction, ConstructionMismatch, GroupElement
 from .formulas import (
     And,
-    AtomF,
+    Atom,
     BoolC,
     Cong,
     DescLt,
@@ -61,13 +67,6 @@ class Truth(enum.Enum):
     FALSE = "false"
     UNKNOWN = "unknown"
 
-    def negate(self) -> "Truth":
-        if self is Truth.TRUE:
-            return Truth.FALSE
-        if self is Truth.FALSE:
-            return Truth.TRUE
-        return Truth.UNKNOWN
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -89,29 +88,19 @@ _FALSE = Verdict(Truth.FALSE)
 _UNKNOWN = Verdict(Truth.UNKNOWN, None, "fragment bounds exhausted")
 
 
-def _negate(v: Verdict) -> Verdict:
-    if v is _TRUE:
-        return _FALSE
-    if v is _FALSE:
-        return _TRUE
-    if v is _UNKNOWN:
-        return v
-    return Verdict(v.truth.negate(), v.witness, v.reason)
-
-
 # -- three-valued evaluation --------------------------------------------------
 
 # A formula is compiled once per evaluate() call into nested closures
 # that take the variable environment and return a Verdict.  One
 # bottom-up pass turns every subformula into a _Node that knows its
-# free variables, with ~ pushed down to atoms and quantifiers; the
-# constants are collected in the same pass, in the order the atoms are
-# compiled.  A quantifier splits its body, moves out the parts it may
-# decide once, and compiles the rest into closures; a moved part is
-# compiled once it reaches the quantifier its terms hoist into.  The
-# environment is one dict, extended by each quantifier while its body
-# runs.  Every fragment of one call shares the pool-part memo of a
-# per-call copy of the config, so the memo lives for one call.
+# free variables, with ~ pushed down to the atoms; the constants are
+# collected in the same pass, in the order the atoms are compiled.  A
+# quantifier splits its body, moves out the parts it may decide once,
+# and compiles the rest into closures; a moved part is compiled once it
+# reaches the quantifier its terms hoist into.  The environment is one
+# dict, extended by each quantifier while its body runs.  Every fragment
+# of one call shares the pool-part memo of a per-call copy of the
+# config, so the memo lives for one call.
 _Compiled = Callable[[dict[str, GroupElement]], Verdict]
 _TermFn = Callable[[dict[str, GroupElement]], GroupElement]
 
@@ -180,18 +169,12 @@ def evaluate(
     f: Formula,
     env: Mapping[str, GroupElement],
     cfg: FragmentConfig,
-    candidate_filter: Optional[Callable[[GroupElement], bool]] = None,
 ) -> Verdict:
-    """Three-valued truth of ``f`` under ``env``.
-
-    ``candidate_filter`` restricts quantifier witness search to a
-    subset of the fragment (used for substructure audits); parameters
-    and constants always seed the fragment.
-    """
+    """Three-valued truth of ``f`` under ``env``."""
     for v, e in env.items():
         if e.construction is not construction:
-            raise ValueError(f"binding {v!r} is not a {construction} element")
-    root = _compile(construction, f, False, replace(cfg), candidate_filter, [])
+            raise ConstructionMismatch(f"binding {v!r} is not a {construction} element")
+    root = _compile(construction, f, False, replace(cfg), [])
     missing = root.fv - set(env)
     if missing:
         raise KeyError(f"unbound variables: {sorted(missing)}")
@@ -203,7 +186,6 @@ def _compile(
     f: Formula,
     neg: bool,
     cfg: FragmentConfig,
-    flt: Optional[Callable[[GroupElement], bool]],
     consts: list[GroupElement],
 ) -> _Node:
     """``f``, or ``~f`` if ``neg``, as a node.
@@ -211,33 +193,25 @@ def _compile(
     Appends the element constants of ``f`` to ``consts``.
     """
     kind = f.__class__
-    if kind is AtomF:
-        a = f.atom
-        consts += [t.const for t in (a.lhs, a.rhs) if t.const is not None and not t.const.is_zero()]
-        fv = frozenset([v for v, _ in a.lhs.coeffs + a.rhs.coeffs])
-        return _Node(fv, False, None, (), None, partial(_compile_literal, construction, a, neg))
     if kind is And or kind is Or or kind is Implies:
         # a -> b is ~a | b, and ~ turns & into | and | into &
-        lhs = _compile(construction, f.lhs, neg is not (kind is Implies), cfg, flt, consts)
-        rhs = _compile(construction, f.rhs, neg, cfg, flt, consts)
+        lhs = _compile(construction, f.lhs, neg is not (kind is Implies), cfg, consts)
+        rhs = _compile(construction, f.rhs, neg, cfg, consts)
         conj = (kind is And) is not neg
         parts = lhs.flat(conj) + rhs.flat(conj)
         return _Node(lhs.fv | rhs.fv, lhs.fixed or rhs.fixed, conj, parts, None, None)
     if kind is Not:
-        return _compile(construction, f.body, not neg, cfg, flt, consts)
+        return _compile(construction, f.body, not neg, cfg, consts)
     if kind is Exists or kind is Forall:
-        node = _compile_quantifier(construction, f, cfg, flt, consts)
-        if not neg:
-            return node
-        return _Node(node.fv, True, None, (), None, lambda scope: _compile_not(node.build(scope)))
+        return _compile_quantifier(construction, f, neg, cfg, consts)
     if kind is BoolC:
         verdict = _TRUE if f.value != neg else _FALSE
         return _Node(frozenset(), False, None, (), None, lambda scope: lambda env: verdict)
+    if isinstance(f, Atom):
+        consts += [t.const for t in (f.lhs, f.rhs) if t.const is not None and not t.const.is_zero()]
+        fv = frozenset([v for v, _ in f.lhs.coeffs + f.rhs.coeffs])
+        return _Node(fv, False, None, (), None, partial(_compile_literal, construction, f, neg))
     raise TypeError(f"not a formula: {f!r}")
-
-
-def _compile_not(body: _Compiled) -> _Compiled:
-    return lambda env: _negate(body(env))
 
 
 def _compile_junction(conj: bool, parts: list[_Compiled]) -> _Compiled:
@@ -294,13 +268,15 @@ def _compile_guard(conj: bool, moved: _Compiled, quantifier: _Compiled) -> _Comp
 def _compile_quantifier(
     construction: Construction,
     f: Exists | Forall,
+    neg: bool,
     cfg: FragmentConfig,
-    flt: Optional[Callable[[GroupElement], bool]],
     outer_consts: list[GroupElement],
 ) -> _Node:
-    var, conj = f.var, isinstance(f, Exists)
+    """``f``, or ``~f`` if ``neg``, as a node."""
+    # ~ turns E into A and A into E, and goes on into the body
+    var, conj = f.var, isinstance(f, Exists) is not neg
     start = len(outer_consts)
-    body = _compile(construction, f.body, False, cfg, flt, outer_consts)
+    body = _compile(construction, f.body, neg, cfg, outer_consts)
     # the fragment is seeded by every constant of the body, moved out or not
     consts = outer_consts[start:]
     # an existential splits its body into conjuncts, a universal into
@@ -325,8 +301,6 @@ def _compile_quantifier(
             values[:] = [term(env) for term in hoisted]
         found = None
         for cand in iter_fragment(params, cfg, construction):
-            if flt is not None and not flt(cand):
-                continue
             env[var] = cand
             sub = run_body(env)
             if sub.truth is stop:
@@ -372,7 +346,7 @@ def _compile_term(construction: Construction, t: Term, scope: Optional[_Scope]) 
 
 
 def _compile_literal(
-    construction: Construction, a, neg: bool, scope: Optional[_Scope]
+    construction: Construction, a: Atom, neg: bool, scope: Optional[_Scope]
 ) -> _Compiled:
     holds = _compile_atom(construction, a, scope)
     if neg:
@@ -381,7 +355,7 @@ def _compile_literal(
 
 
 def _compile_atom(
-    construction: Construction, a, scope: Optional[_Scope]
+    construction: Construction, a: Atom, scope: Optional[_Scope]
 ) -> Callable[[dict[str, GroupElement]], bool]:
     lhs = _compile_term(construction, a.lhs, scope)
     rhs = _compile_term(construction, a.rhs, scope)

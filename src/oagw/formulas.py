@@ -148,11 +148,6 @@ Atom = Union[Lt, Eq, Cong, DescLt]
 
 
 @dataclass(frozen=True)
-class AtomF:
-    atom: Atom
-
-
-@dataclass(frozen=True)
 class BoolC:
     value: bool
 
@@ -192,12 +187,12 @@ class Forall:
     body: "Formula"
 
 
-Formula = Union[AtomF, BoolC, Not, And, Or, Implies, Exists, Forall]
+Formula = Union[Atom, BoolC, Not, And, Or, Implies, Exists, Forall]
 
 
 def free_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, AtomF):
-        return f.atom.lhs.free_vars() | f.atom.rhs.free_vars()
+    if isinstance(f, Atom):
+        return f.lhs.free_vars() | f.rhs.free_vars()
     if isinstance(f, BoolC):
         return frozenset()
     if isinstance(f, Not):
@@ -219,8 +214,14 @@ def print_formula(f: Formula) -> str:
 
 
 def _pf(f: Formula, ctx: int) -> str:
-    if isinstance(f, AtomF):
-        return _print_atom(f.atom)
+    if isinstance(f, Lt):
+        return f"{f.lhs} < {f.rhs}"
+    if isinstance(f, Eq):
+        return f"{f.lhs} = {f.rhs}"
+    if isinstance(f, Cong):
+        return f"cong({f.modulus}, {f.lhs}, {f.rhs})"
+    if isinstance(f, DescLt):
+        return f"desc_lt({f.modulus}, {f.lhs}, {f.rhs})"
     if isinstance(f, BoolC):
         return "true" if f.value else "false"
     if isinstance(f, (Exists, Forall)):
@@ -239,18 +240,6 @@ def _pf(f: Formula, ctx: int) -> str:
         s = f"{_pf(f.lhs, _PREC['->'] + 1)} -> {_pf(f.rhs, _PREC['->'])}"
         return f"({s})" if ctx > _PREC["->"] else s
     raise TypeError(f"not a formula: {f!r}")
-
-
-def _print_atom(a: Atom) -> str:
-    if isinstance(a, Lt):
-        return f"{a.lhs} < {a.rhs}"
-    if isinstance(a, Eq):
-        return f"{a.lhs} = {a.rhs}"
-    if isinstance(a, Cong):
-        return f"cong({a.modulus}, {a.lhs}, {a.rhs})"
-    if isinstance(a, DescLt):
-        return f"desc_lt({a.modulus}, {a.lhs}, {a.rhs})"
-    raise TypeError(f"not an atom: {a!r}")
 
 
 # -- parsing ---------------------------------------------------------------
@@ -319,12 +308,14 @@ class _Parser:
         t = self.peek()
         return t is not None and t.text == text
 
-    # formula := quantified | implication
+    # formula := disjunction [-> formula]; a quantifier is a primary whose
+    # body is a formula, so it reaches as far right as it can
     def formula(self) -> Formula:
-        t = self.peek()
-        if t is not None and t.text in ("E", "A"):
-            return self.quantified()
-        return self.implication()
+        lhs = self.disjunction()
+        if self.at_text("->"):
+            self.next()
+            return Implies(lhs, self.formula())
+        return lhs
 
     def quantified(self) -> Formula:
         q = self.next()
@@ -334,13 +325,6 @@ class _Parser:
         self.expect(".")
         body = self.formula()
         return Exists(var.text, body) if q.text == "E" else Forall(var.text, body)
-
-    def implication(self) -> Formula:
-        lhs = self.disjunction()
-        if self.at_text("->"):
-            self.next()
-            return Implies(lhs, self.formula())
-        return lhs
 
     def disjunction(self) -> Formula:
         f = self.conjunction()
@@ -380,10 +364,10 @@ class _Parser:
             self.next()
             return BoolC(False)
         if t.text in ("cong", "desc_lt"):
-            return AtomF(self.cong_like(t.text))
+            return self.cong_like(t.text)
         if t.text == "rphi":
             return self.rphi()
-        return AtomF(self.comparison())
+        return self.comparison()
 
     def cong_like(self, head: str) -> Atom:
         self.next()
@@ -465,14 +449,14 @@ class _Parser:
                 v = parent[v]
             return v
 
-        parts: list[Formula] = [AtomF(Lt(Term(), t)) for _, t in bounds]
+        parts: list[Formula] = [Lt(Term(), t) for _, t in bounds]
         anchor: dict[str, Term] = {}
 
         def attach(root: str, t: Term) -> None:
             if root not in anchor:
                 anchor[root] = t
             elif anchor[root] != t:
-                parts.append(AtomF(Cong(n, anchor[root], t)))
+                parts.append(Cong(n, anchor[root], t))
 
         for v, t in congs:
             other = t.is_single_var()
@@ -492,7 +476,7 @@ class _Parser:
             for z in group:
                 w = anchor.get(find(z))
                 if w is not None:
-                    parts.append(Not(AtomF(DescLt(n, w, t))))
+                    parts.append(Not(DescLt(n, w, t)))
         # each conjunct once, in the order it first appears
         return reduce(And, dict.fromkeys(parts))
 
@@ -593,7 +577,7 @@ _MAX_VARIANTS = 64
 
 
 def _prefixes(f: Formula) -> set[str]:
-    if isinstance(f, (AtomF, BoolC)):
+    if isinstance(f, (Atom, BoolC)):
         return {""}
     if isinstance(f, Not):
         return {_flip(s) for s in _prefixes(f.body)}

@@ -41,7 +41,6 @@ from .embeddings import (
 from .evaluate import Truth, evaluate
 from .formulas import (
     And,
-    AtomF,
     Cong,
     DescLt,
     Eq,
@@ -473,13 +472,18 @@ def closure_audit(
     """Audit transfer of truths from the full group into an embedding image.
 
     Each corpus entry is (formula, env) with env values inside the
-    image.  The formula is evaluated over the full group with
-    ``full_cfg`` and again under ``image_cfg`` with witness search
-    restricted to image elements; one row per entry goes into ``rep``,
-    and it fails when the full group decides True but the restricted
-    search cannot confirm it.  Verdicts stay three-valued: a full-group
-    row not decided True is recorded unknown rather than failed.
+    image, and every pool generator of ``image_cfg`` lies inside it
+    too, so the image search reaches outside the image only through a
+    constant of the formula.  The formula is evaluated over the full
+    group with ``full_cfg`` and again with ``image_cfg``; one row per
+    entry goes into ``rep``, and it fails when the full group decides
+    True but the image search does not, or does with a witness outside
+    the image.  Verdicts stay three-valued: a full-group row not
+    decided True is recorded unknown rather than failed.
     """
+    for g in image_cfg.generator_pool:
+        if not in_image(sub, g):
+            raise ValueError(f"pool generator {format_element(g)} lies outside the image")
     for formula, env in corpus:
         for name, value in env.items():
             if not in_image(sub, value):
@@ -488,14 +492,14 @@ def closure_audit(
         if full.truth is not Truth.TRUE:
             rep.record("unknown", "full-group witness not found", formula=print_formula(formula))
             continue
-        image = evaluate(
-            construction, formula, env, image_cfg, candidate_filter=lambda g: in_image(sub, g)
-        )
-        rep.check(
-            image.truth is Truth.TRUE,
-            "no image witness despite full-group truth",
-            formula=print_formula(formula),
-        )
+        image = evaluate(construction, formula, env, image_cfg)
+        if image.truth is not Truth.TRUE:
+            detail = "no image witness despite full-group truth"
+        elif not all(in_image(sub, w) for w in (image.witness or {}).values()):
+            detail = "image witness outside the image"
+        else:
+            detail = ""
+        rep.check(not detail, detail, formula=print_formula(formula))
 
 
 def _closure_sentence(rng: random.Random, construction: Construction):
@@ -505,7 +509,7 @@ def _closure_sentence(rng: random.Random, construction: Construction):
     if shape == 0:
         k = rng.choice([2, 3, 4])
         a = base.scale(k)
-        f = Exists("x", AtomF(Eq(Term((("x", k),), None), term_const(a))))
+        f = Exists("x", Eq(Term((("x", k),), None), term_const(a)))
         pools = [base]
         return f, pools
     if shape == 1:
@@ -517,10 +521,10 @@ def _closure_sentence(rng: random.Random, construction: Construction):
             "x",
             And(
                 And(
-                    AtomF(Lt(term_const(lo), term_var("x"))),
-                    AtomF(Lt(term_var("x"), term_const(hi))),
+                    Lt(term_const(lo), term_var("x")),
+                    Lt(term_var("x"), term_const(hi)),
                 ),
-                AtomF(Cong(n, term_var("x"), term_const(r))),
+                Cong(n, term_var("x"), term_const(r)),
             ),
         )
         return f, [base, d]
@@ -532,8 +536,8 @@ def _closure_sentence(rng: random.Random, construction: Construction):
     f = Exists(
         "x",
         And(
-            AtomF(Lt(term_const(zero(construction)), term_var("x"))),
-            AtomF(DescLt(n, term_const(c), term_var("x"))),
+            Lt(term_const(zero(construction)), term_var("x")),
+            DescLt(n, term_const(c), term_var("x")),
         ),
     )
     return f, [c, w]

@@ -1,11 +1,12 @@
 """Transfer audits between the full groups and embedding images."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from oagw.elements import GAMMA, LAMBDA, element, unit
-from oagw.embeddings import Embedding
+from oagw.embeddings import Embedding, in_image
 from oagw.formulas import parse_formula
 from oagw.fragments import FragmentConfig
 from oagw.positions import g1_square, g2_circle, g2_square
@@ -13,9 +14,12 @@ from oagw.suites import SuiteReport, closure_audit, gen_corpus
 
 
 def _audit(construction, corpus, cfg):
-    """A fresh report holding one row per corpus entry, one config for both searches."""
+    """A fresh report holding one row per corpus entry; the image search
+    uses ``cfg`` with only the pool generators that lie in the image."""
+    image_pool = tuple(g for g in cfg.generator_pool if in_image(Embedding.F1, g))
     report = SuiteReport("closure-audit", str(construction), 0)
-    closure_audit(report, Embedding.F1, construction, corpus, cfg, cfg)
+    image_cfg = replace(cfg, generator_pool=image_pool)
+    closure_audit(report, Embedding.F1, construction, corpus, cfg, image_cfg)
     return report
 
 
@@ -65,6 +69,23 @@ def test_parameters_must_lie_inside():
     bad = {"y": unit(LAMBDA, g2_circle(0), Fraction(1))}
     with pytest.raises(ValueError):
         _audit(LAMBDA, [(f, bad)], FragmentConfig())
+
+
+def test_pool_generators_must_lie_inside():
+    f = parse_formula("E x. x < 0", LAMBDA)
+    cfg = FragmentConfig(1, (unit(LAMBDA, g2_circle(0), Fraction(1)),), 10, 0)
+    report = SuiteReport("closure-audit", str(LAMBDA), 0)
+    with pytest.raises(ValueError, match="pool generator"):
+        closure_audit(report, Embedding.F1, LAMBDA, [(f, {})], cfg, cfg)
+    assert report.cases == []
+
+
+def test_image_witness_outside_the_image_fails():
+    # the constant seeds the image search with an element the image omits
+    f = parse_formula("E x. x = {G2[0].c: 1}", LAMBDA)
+    report = _audit(LAMBDA, [(f, {})], FragmentConfig(1, (), 10, 0))
+    assert report.counts == {"pass": 0, "fail": 1, "unknown": 0}
+    assert report.cases[0].detail == "image witness outside the image"
 
 
 def test_undecided_full_group_row_is_unknown():

@@ -22,7 +22,6 @@ from oagw.elements import (
 from oagw.evaluate import Truth, Verdict, evaluate
 from oagw.formulas import (
     And,
-    AtomF,
     BoolC,
     Cong,
     DescLt,
@@ -50,8 +49,8 @@ S00 = g1_square(0, 0)
 CFG = FragmentConfig(2, (), 300, 0)
 
 
-def ev(text, env=None, cfg=CFG, construction=LAMBDA, flt=None):
-    return evaluate(construction, parse_formula(text, construction), env or {}, cfg, flt)
+def ev(text, env=None, cfg=CFG, construction=LAMBDA):
+    return evaluate(construction, parse_formula(text, construction), env or {}, cfg)
 
 
 class TestAtoms:
@@ -151,14 +150,24 @@ class TestQuantifiers:
             if want is True:
                 assert v.truth is Truth.TRUE  # the anchor makes it findable
 
-    def test_restricted_search(self):
-        target = element(LAMBDA, {g2_circle(0): Fraction(1)})
-        v = ev(
-            "E x. x = {G2[0].c: 1}",
-            cfg=FragmentConfig(1, (target,), 50, 0),
-            flt=lambda g: g.value_at(g2_circle(0)) is None,
-        )
-        assert v.truth is Truth.UNKNOWN
+    def test_not_universal_runs_as_an_existential(self):
+        v = ev("~(A x. 0 < 0)")
+        assert v.truth is Truth.TRUE
+        assert v.witness == {"x": zero(LAMBDA)} and v.reason == ""
+
+    def test_not_existential_runs_as_a_universal(self):
+        v = ev("~(E x. x = x)")
+        assert v.truth is Truth.FALSE
+        assert v.witness == {"x": zero(LAMBDA)} and v.reason == "counterexample"
+
+    def test_part_moves_out_through_a_not_universal(self):
+        # E y. E x. (~(0 = 0) & ~(x < y)): ~(0 = 0) moves out of both
+        v = ev("E y. ~(A x. (0 = 0 | x < y))")
+        assert v.truth is Truth.FALSE and v.witness is None
+
+    def test_binding_of_the_other_construction_is_rejected(self):
+        with pytest.raises(ConstructionMismatch):
+            ev("x < 0", {"x": element(GAMMA, {g2_circle(0): 1})})
 
     def test_quantifier_restores_a_shadowed_binding(self):
         a = element(LAMBDA, {S00: {0: 1}})
@@ -439,6 +448,34 @@ class TestNegRphiNormalize:
 _REF_UNKNOWN = Verdict(Truth.UNKNOWN, None, "fragment bounds exhausted")
 
 
+def _reference_nnf(f):
+    """f with ~ pushed down to the atoms, and a -> b as ~a | b.
+
+    ~ goes through & | -> and ~~, and through a quantifier to its dual:
+    ~E v. g is A v. ~g and ~A v. g is E v. ~g.
+    """
+    if isinstance(f, Implies):
+        return Or(_reference_nnf(Not(f.lhs)), _reference_nnf(f.rhs))
+    if isinstance(f, (And, Or)):
+        return type(f)(_reference_nnf(f.lhs), _reference_nnf(f.rhs))
+    if isinstance(f, (Exists, Forall)):
+        return type(f)(f.var, _reference_nnf(f.body))
+    if not isinstance(f, Not):
+        return f
+    g = f.body
+    if isinstance(g, Not):
+        return _reference_nnf(g.body)
+    if isinstance(g, Implies):
+        return And(_reference_nnf(g.lhs), _reference_nnf(Not(g.rhs)))
+    if isinstance(g, (And, Or)):
+        dual = Or if isinstance(g, And) else And
+        return dual(_reference_nnf(Not(g.lhs)), _reference_nnf(Not(g.rhs)))
+    if isinstance(g, (Exists, Forall)):
+        dual = Forall if isinstance(g, Exists) else Exists
+        return dual(g.var, _reference_nnf(Not(g.body)))
+    return f
+
+
 def _reference_atom(construction, a, env):
     if isinstance(a, Lt):
         return a.lhs.evaluate(construction, env) < a.rhs.evaluate(construction, env)
@@ -456,8 +493,8 @@ def _reference_atom(construction, a, env):
 
 def _reference_constants(f):
     """Element constants of f, atoms left to right: a separate walk of the tree."""
-    if isinstance(f, AtomF):
-        terms = (f.atom.lhs, f.atom.rhs)
+    if isinstance(f, (Lt, Eq, Cong, DescLt)):
+        terms = (f.lhs, f.rhs)
         return [t.const for t in terms if t.const is not None and not t.const.is_zero()]
     if isinstance(f, (Not, Exists, Forall)):
         return _reference_constants(f.body)
@@ -467,34 +504,19 @@ def _reference_constants(f):
 
 
 def _quantifier_free(f):
-    if isinstance(f, (AtomF, BoolC)):
-        return True
-    if isinstance(f, Not):
-        return _quantifier_free(f.body)
-    if isinstance(f, (And, Or, Implies)):
+    if isinstance(f, (And, Or)):
         return _quantifier_free(f.lhs) and _quantifier_free(f.rhs)
-    return False
+    return not isinstance(f, (Exists, Forall))
 
 
 def _reference_parts(f, conj):
-    """f as conjuncts (conj) or disjuncts, with ~ pushed through & | -> ~~.
+    """f, in negation normal form, as conjuncts (conj) or disjuncts.
 
     A quantifier of the splitting kind (E for conjuncts, A for
     disjuncts) stands for the parts it moves out, then itself.
     """
-    if isinstance(f, Not):
-        g = f.body
-        if isinstance(g, Not):
-            return _reference_parts(g.body, conj)
-        if isinstance(g, Or if conj else And):
-            return _reference_parts(Not(g.lhs), conj) + _reference_parts(Not(g.rhs), conj)
-        if conj and isinstance(g, Implies):
-            return _reference_parts(g.lhs, conj) + _reference_parts(Not(g.rhs), conj)
-        return [f]
     if isinstance(f, And if conj else Or):
         return _reference_parts(f.lhs, conj) + _reference_parts(f.rhs, conj)
-    if not conj and isinstance(f, Implies):
-        return _reference_parts(Not(f.lhs), conj) + _reference_parts(f.rhs, conj)
     if isinstance(f, Exists if conj else Forall):
         return _reference_moved(f) + [f]
     return [f]
@@ -506,24 +528,29 @@ def _reference_moved(q):
     return [p for p in parts if _quantifier_free(p) and q.var not in free_vars(p)]
 
 
-def _reference_eval(construction, f, env, cfg, flt, scoped=True):
-    """Recursive evaluation: dispatch on the node at every candidate.
+def _reference_eval(construction, f, env, cfg, scoped=True):
+    """Recursive evaluation of f in negation normal form: dispatch on the
+    node at every candidate.
 
     With ``scoped``, a quantifier first decides the quantifier-free parts
     of its body that do not mention its variable, and returns at once if
     they decide it; without, it is the evaluator before that rule.
     """
+    return _reference_rec(construction, _reference_nnf(f), env, cfg, scoped)
 
+
+def _reference_rec(construction, f, env, cfg, scoped):
     def rec(g, e):
-        return _reference_eval(construction, g, e, cfg, flt, scoped)
+        return _reference_rec(construction, g, e, cfg, scoped)
 
+    if isinstance(f, Not):
+        # ~ stands only before an atom or true/false
+        holds = rec(f.body, env).truth is Truth.TRUE
+        return Verdict(Truth.FALSE if holds else Truth.TRUE)
     if isinstance(f, BoolC):
         return Verdict(Truth.TRUE if f.value else Truth.FALSE)
-    if isinstance(f, AtomF):
-        return Verdict(Truth.TRUE if _reference_atom(construction, f.atom, env) else Truth.FALSE)
-    if isinstance(f, Not):
-        v = rec(f.body, env)
-        return Verdict(v.truth.negate(), v.witness, v.reason)
+    if isinstance(f, (Lt, Eq, Cong, DescLt)):
+        return Verdict(Truth.TRUE if _reference_atom(construction, f, env) else Truth.FALSE)
     if isinstance(f, And):
         left = rec(f.lhs, env)
         if left.truth is Truth.FALSE:
@@ -544,8 +571,6 @@ def _reference_eval(construction, f, env, cfg, flt, scoped=True):
         if left.truth is Truth.FALSE and right.truth is Truth.FALSE:
             return Verdict(Truth.FALSE)
         return _REF_UNKNOWN
-    if isinstance(f, Implies):
-        return rec(Or(Not(f.lhs), f.rhs), env)
     if isinstance(f, (Exists, Forall)):
         if scoped:
             # the moved parts are quantifier-free, so they are decided
@@ -557,8 +582,6 @@ def _reference_eval(construction, f, env, cfg, flt, scoped=True):
                     return m
         params = list(env.values()) + _reference_constants(f)
         for cand in iter_fragment(params, cfg, construction):
-            if flt is not None and not flt(cand):
-                continue
             sub = rec(f.body, {**env, f.var: cand})
             if isinstance(f, Exists) and sub.truth is Truth.TRUE:
                 return Verdict(Truth.TRUE, {f.var: cand, **(sub.witness or {})})
@@ -606,13 +629,6 @@ HOISTING_SHAPES = [
     "E x. (E y. x + x = y + P0) & (E z. 2*x + z = P1 | z < x + P2)",
     "A x. A y. (A z. x + y < z | z < x - y) & (A w. ~(x + y = w + w))",
 ]
-FILTERS = [
-    None,
-    lambda g: g.value_at(g2_circle(0)) is None,
-    lambda g: len(g.entries) != 2,
-]
-
-
 def _same_verdict(got, want):
     assert got.truth is want.truth
     assert got.reason == want.reason
@@ -622,10 +638,10 @@ def _same_verdict(got, want):
         assert list(got.witness.items()) == list(want.witness.items())
 
 
-def _check_against_reference(construction, f, cfg, flt, env=None):
+def _check_against_reference(construction, f, cfg, env=None):
     env = env or {}
-    got = evaluate(construction, f, env, cfg, flt)
-    _same_verdict(got, _reference_eval(construction, f, dict(env), cfg, flt))
+    got = evaluate(construction, f, env, cfg)
+    _same_verdict(got, _reference_eval(construction, f, dict(env), cfg))
     return got
 
 
@@ -642,8 +658,7 @@ class TestCompiledMatchesReference:
                 for i, lit in enumerate(pool_text):
                     text = text.replace(f"P{i}", lit)
                 f = parse_formula(text, construction)
-                for flt in FILTERS:
-                    truths.add(_check_against_reference(construction, f, cfg, flt).truth)
+                truths.add(_check_against_reference(construction, f, cfg).truth)
         assert truths == {Truth.TRUE, Truth.FALSE, Truth.UNKNOWN}
 
     @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
@@ -658,8 +673,7 @@ class TestCompiledMatchesReference:
                 for i, lit in enumerate(pool_text):
                     text = text.replace(f"P{i}", lit)
                 f = parse_formula(text, construction)
-                for flt in FILTERS:
-                    truths.add(_check_against_reference(construction, f, cfg, flt).truth)
+                truths.add(_check_against_reference(construction, f, cfg).truth)
         assert truths == {Truth.TRUE, Truth.FALSE, Truth.UNKNOWN}
 
     @pytest.mark.parametrize("kind", ["exists", "ea"])
@@ -672,8 +686,7 @@ class TestCompiledMatchesReference:
             cfg = FragmentConfig(2, pool, size_cap)
             for text in gen_corpus(kind, 10, 5, construction):
                 f = parse_formula(text, construction)
-                for flt in FILTERS:
-                    _check_against_reference(construction, f, cfg, flt)
+                _check_against_reference(construction, f, cfg)
 
     def test_free_variables_and_rphi(self):
         env = {
@@ -693,8 +706,7 @@ class TestCompiledMatchesReference:
             "a < 0 | E y. y + y = b",
             "~(A y. y = y)",
         ):
-            for flt in FILTERS:
-                _check_against_reference(LAMBDA, parse_formula(text), cfg, flt, env)
+            _check_against_reference(LAMBDA, parse_formula(text), cfg, env)
 
     def test_hoisting_with_free_variables(self):
         env = {
@@ -708,8 +720,7 @@ class TestCompiledMatchesReference:
             "A a. E y. a + b = y",
             "E x. (A y. a + x < y) & (E y. x + b = y)",
         ):
-            for flt in FILTERS:
-                _check_against_reference(LAMBDA, parse_formula(text), cfg, flt, env)
+            _check_against_reference(LAMBDA, parse_formula(text), cfg, env)
 
     def test_hand_built_terms_with_a_repeated_variable(self):
         a = element(LAMBDA, {S00: {0: 2}})
@@ -717,22 +728,21 @@ class TestCompiledMatchesReference:
         twice_y = Term((("x", 1), ("y", 1), ("y", 1)), None)
         twice_x = Term((("x", 1), ("x", 1), ("y", -1)), a)
         for f in (
-            Exists("x", Exists("y", AtomF(Eq(twice_y, term_var("a"))))),
-            Exists("x", Exists("y", AtomF(Eq(twice_x, term_var("y", 3))))),
-            Forall("x", Forall("y", AtomF(Lt(twice_x, twice_y)))),
+            Exists("x", Exists("y", Eq(twice_y, term_var("a")))),
+            Exists("x", Exists("y", Eq(twice_x, term_var("y", 3)))),
+            Forall("x", Forall("y", Lt(twice_x, twice_y))),
         ):
-            for flt in FILTERS:
-                _check_against_reference(LAMBDA, f, cfg, flt, {"a": a})
+            _check_against_reference(LAMBDA, f, cfg, {"a": a})
 
     def test_constant_of_the_other_construction_is_rejected(self):
         other = element(GAMMA, {g2_circle(0): 1})
         cfg = FragmentConfig(1, (element(LAMBDA, {g2_circle(0): 1}),), 10)
         mixed_sum = Eq(Term((("x", 1), ("y", 1)), other), term_var("x"))
         for f in (
-            AtomF(Lt(term_const(other), term_const(other))),
-            Exists("x", AtomF(Eq(term_var("x"), term_const(other)))),
-            Forall("x", Exists("y", AtomF(mixed_sum))),
-            Forall("x", Exists("y", AtomF(Cong(2, term_var("y", 2), Term((("x", 1),), other))))),
+            Lt(term_const(other), term_const(other)),
+            Exists("x", Eq(term_var("x"), term_const(other))),
+            Forall("x", Exists("y", mixed_sum)),
+            Forall("x", Exists("y", Cong(2, term_var("y", 2), Term((("x", 1),), other)))),
         ):
             with pytest.raises(ConstructionMismatch):
                 evaluate(LAMBDA, f, {}, cfg)
@@ -858,7 +868,7 @@ class TestScoping:
         f = parse_formula("E x. A y. (x = y -> false) | b < x")
         cfg = FragmentConfig(2, (element(LAMBDA, {g1_square(3, 0): {0: 1}}),), 30)
         assert evaluate(LAMBDA, f, {"b": b}, cfg).truth is Truth.TRUE
-        assert _reference_eval(LAMBDA, f, {"b": b}, cfg, None, scoped=False).truth is Truth.UNKNOWN
+        assert _reference_eval(LAMBDA, f, {"b": b}, cfg, scoped=False).truth is Truth.UNKNOWN
 
     @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
     @settings(max_examples=200, deadline=None)
@@ -870,8 +880,7 @@ class TestScoping:
             text = text.replace(f"P{i}", lit)
         f = parse_formula(text, construction)
         cfg = FragmentConfig(1, tuple(parse_element(t, construction) for t in pool_text), 6)
-        for flt in FILTERS[:2]:
-            got = _check_against_reference(construction, f, cfg, flt)
-            unscoped = _reference_eval(construction, f, {}, cfg, flt, scoped=False)
-            if unscoped.decided:
-                assert got.truth is unscoped.truth, text
+        got = _check_against_reference(construction, f, cfg)
+        unscoped = _reference_eval(construction, f, {}, cfg, scoped=False)
+        if unscoped.decided:
+            assert got.truth is unscoped.truth, text

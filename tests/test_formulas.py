@@ -5,10 +5,10 @@ import pytest
 from oagw.elements import ConstructionMismatch, GAMMA, LAMBDA, ParseError, element, zero
 from oagw.formulas import (
     And,
-    AtomF,
     Exists,
     Forall,
     Implies,
+    Lt,
     Not,
     Term,
     classify_prefix,
@@ -107,7 +107,7 @@ class TestParse:
 
     def test_gamma_literals(self):
         f = parse_formula("x < {G2[0].c: 1/3}", GAMMA)
-        assert isinstance(f, AtomF)
+        assert isinstance(f, Lt)
 
     def test_keyword_not_variable(self):
         with pytest.raises(ParseError):

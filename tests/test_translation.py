@@ -39,7 +39,6 @@ def test_sum_shape():
     out = translate_to_ring(VSumEq(svar("x"), svar("y"), svar("z")))
     assert isinstance(out, RAnd)
     assert isinstance(out.lhs, RNot) and isinstance(out.rhs, RNot)
-    assert isinstance(out.lhs.body, RNot) is False or True  # strict comparisons inside
     assert isinstance(out.lhs.body, RNot)
     assert isinstance(out.rhs.body, RNot)
 
