@@ -147,6 +147,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         construction = args.construction
         try:
             formula = parse_formula(args.formula, construction)
+            free = free_vars(formula)
             env = {}
             for binding in args.bind:
                 if "=" not in binding:
@@ -154,8 +155,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 var, lit = (part.strip() for part in binding.split("=", 1))
                 if var in env:
                     raise ValueError(f"variable {var!r} is bound more than once")
+                # a binding would seed every fragment of the search
+                if var not in free:
+                    raise ValueError(f"variable {var!r} is not free in the formula")
                 env[var] = parse_element(lit, construction)
-            unbound = free_vars(formula) - env.keys()
+            unbound = free - env.keys()
             if unbound:
                 raise ValueError(
                     f"unbound free variables {sorted(unbound)}; bind each with --bind VAR=LITERAL"

@@ -13,24 +13,32 @@ quantifiers to their duals, so ``~E v. phi`` runs as ``A v. ~phi`` and
 always the quantifier's own: True with a witness from an existential,
 False with a counterexample from a universal.
 
+A junction (``&`` or ``|``) runs its parts left to right and returns
+the first absorbing verdict, False for ``&`` and True for ``|``.  When
+every part agrees on the neutral one, it keeps every binding: its
+witness is the union of the parts' witnesses, and a part that alone
+has a witness gives its verdict unchanged.  A quantifier writes its
+own binding after its body's, so an inner binding of the same name
+never hides it.
+
 Quantifier bodies are miniscoped when the formula is compiled: ``E v.``
-splits its body into conjuncts and ``A v.`` into disjuncts.  A
-quantifier-free part that does not mention v is decided once, before
-the search: ``E v. (chi & phi)`` runs as ``chi & E v. phi`` and
-``A v. (chi | psi)`` as ``chi | A v. psi``, so a false ``chi`` makes the
-existential False and a true one makes the universal True without a
-search.  This is sound: each rewrite states an equivalence, and
-miniscoping's side condition, a nonempty domain, holds because every
-group contains 0.  A part that holds a quantifier stays where it is,
-since its fragments are seeded by every binding around it.  The rule
-changes no fragment and no witness: a quantifier still searches the
-fragment of its whole original body (the bindings, then every constant
-of the body in order, moved out or not), and behind a neutral ``chi``
-it returns its own verdict, witness included.  Some sentences now
-decide where they were Unknown: in ``E x. A y. (x = y -> false) | b < x``
-the disjunct ``b < x`` is decided for each x before the search over y,
-which alone could never confirm the universal, so the sentence is True
-on the first x above b.
+splits its body into conjuncts and ``A v.`` into disjuncts, and a
+quantifier-free part that does not mention v moves out into a junction
+whose last part is the quantifier: ``E v. (chi & phi)`` runs as
+``chi & E v. phi`` and ``A v. (chi | psi)`` as ``chi | A v. psi``.
+So ``chi`` is decided once, before the search, and a false ``chi``
+makes the existential False and a true one the universal True.  This
+is sound: each rewrite states an equivalence, and miniscoping's side
+condition, a nonempty domain, holds because every group contains 0.  A
+part that holds a quantifier stays where it is, since its fragments
+are seeded by every binding around it.  The rule changes no fragment
+and no witness: a quantifier still searches the fragment of its whole
+original body (the bindings, then every constant of the body in order,
+moved out or not), and a moved part carries no witness.  Some
+sentences now decide where they were Unknown: in
+``E x. A y. (x = y -> false) | b < x`` the disjunct ``b < x`` is
+decided for each x before the search over y, which alone could never
+confirm the universal, so the sentence is True on the first x above b.
 """
 
 from __future__ import annotations
@@ -95,12 +103,12 @@ _UNKNOWN = Verdict(Truth.UNKNOWN, None, "fragment bounds exhausted")
 # bottom-up pass turns every subformula into a _Node that knows its
 # free variables, with ~ pushed down to the atoms; the constants are
 # collected in the same pass, in the order the atoms are compiled.  A
-# quantifier splits its body, moves out the parts it may decide once,
-# and compiles the rest into closures; a moved part is compiled once it
-# reaches the quantifier its terms hoist into.  The environment is one
-# dict, extended by each quantifier while its body runs.  Every fragment
-# of one call shares the pool-part memo of a per-call copy of the
-# config, so the memo lives for one call.
+# quantifier splits its body, moves the parts it may decide once into a
+# junction before itself, and compiles the rest into closures; a moved
+# part is compiled once it reaches the quantifier its terms hoist into.
+# The environment is one dict, extended by each quantifier while its
+# body runs.  Every fragment of one call shares the pool-part memo of a
+# per-call copy of the config, so the memo lives for one call.
 _Compiled = Callable[[dict[str, GroupElement]], Verdict]
 _TermFn = Callable[[dict[str, GroupElement]], GroupElement]
 
@@ -129,39 +137,28 @@ class _Node:
 
     ``conj`` is None for a leaf, which ``leaf(scope)`` compiles.
     Otherwise the node is a junction (``&`` if ``conj``, else ``|``) of
-    ``parts``, none of them a junction of the same kind; a guard also
-    has ``tail``, the quantifier whose body its parts were moved out
-    of, and returns the tail's own verdict when every part is neutral.
-    ``fixed`` marks a node that holds a quantifier: its fragments read
-    every binding around it, so it never moves.
+    ``parts``, none of them a junction of the same kind.  ``fixed``
+    marks a node that holds a quantifier: its fragments read every
+    binding around it, so it never moves.
     """
 
-    __slots__ = ("fv", "fixed", "conj", "parts", "tail", "leaf")
+    __slots__ = ("fv", "fixed", "conj", "parts", "leaf")
 
-    def __init__(self, fv, fixed, conj, parts, tail, leaf) -> None:
+    def __init__(self, fv, fixed, conj, parts, leaf) -> None:
         self.fv: frozenset[str] = fv
         self.fixed: bool = fixed
         self.conj: Optional[bool] = conj
         self.parts: tuple[_Node, ...] = parts
-        self.tail: Optional[_Node] = tail
         self.leaf: Optional[Callable[[Optional[_Scope]], _Compiled]] = leaf
 
     def flat(self, conj: bool) -> tuple["_Node", ...]:
         """The parts of self as one side of a junction of kind ``conj``."""
-        if self.conj is not conj:
-            return (self,)
-        return self.parts if self.tail is None else self.parts + (self.tail,)
+        return self.parts if self.conj is conj else (self,)
 
     def build(self, scope: Optional[_Scope]) -> _Compiled:
         if self.conj is None:
             return self.leaf(scope)
-        parts = [p.build(scope) for p in self.parts]
-        if self.tail is None:
-            return _compile_junction(self.conj, parts)
-        tail = self.tail.build(scope)
-        if not parts:
-            return tail
-        return _compile_guard(self.conj, _compile_junction(self.conj, parts), tail)
+        return _compile_junction(self.conj, [p.build(scope) for p in self.parts])
 
 
 def evaluate(
@@ -199,68 +196,46 @@ def _compile(
         rhs = _compile(construction, f.rhs, neg, cfg, consts)
         conj = (kind is And) is not neg
         parts = lhs.flat(conj) + rhs.flat(conj)
-        return _Node(lhs.fv | rhs.fv, lhs.fixed or rhs.fixed, conj, parts, None, None)
+        return _Node(lhs.fv | rhs.fv, lhs.fixed or rhs.fixed, conj, parts, None)
     if kind is Not:
         return _compile(construction, f.body, not neg, cfg, consts)
     if kind is Exists or kind is Forall:
         return _compile_quantifier(construction, f, neg, cfg, consts)
     if kind is BoolC:
         verdict = _TRUE if f.value != neg else _FALSE
-        return _Node(frozenset(), False, None, (), None, lambda scope: lambda env: verdict)
+        return _Node(frozenset(), False, None, (), lambda scope: lambda env: verdict)
     if isinstance(f, Atom):
         consts += [t.const for t in (f.lhs, f.rhs) if t.const is not None and not t.const.is_zero()]
         fv = frozenset([v for v, _ in f.lhs.coeffs + f.rhs.coeffs])
-        return _Node(fv, False, None, (), None, partial(_compile_literal, construction, f, neg))
+        return _Node(fv, False, None, (), partial(_compile_atom, construction, f, neg))
     raise TypeError(f"not a formula: {f!r}")
 
 
 def _compile_junction(conj: bool, parts: list[_Compiled]) -> _Compiled:
     """``&`` (conj) or ``|`` of parts, left to right: the first absorbing
-    verdict, else the bare neutral one if every part is neutral."""
+    verdict, else, if every part is neutral, the neutral verdict with the
+    union of the parts' witnesses, a later binding of a name over an
+    earlier one; a part that alone has a witness gives its own verdict."""
+    if len(parts) == 1:
+        return parts[0]
     stop, neutral = (Truth.FALSE, _TRUE) if conj else (Truth.TRUE, _FALSE)
     agree = neutral.truth
-    if len(parts) == 2:
-        lhs, rhs = parts
-
-        def run2(env: dict[str, GroupElement]) -> Verdict:
-            left = lhs(env)
-            if left.truth is stop:
-                return left
-            right = rhs(env)
-            if right.truth is stop:
-                return right
-            if left.truth is agree and right.truth is agree:
-                return neutral
-            return _UNKNOWN
-
-        return run2
 
     def run(env: dict[str, GroupElement]) -> Verdict:
-        decided = True
+        out = neutral
         for part in parts:
             v = part(env)
             if v.truth is stop:
                 return v
-            decided = decided and v.truth is not Truth.UNKNOWN
-        return neutral if decided else _UNKNOWN
-
-    return run
-
-
-def _compile_guard(conj: bool, moved: _Compiled, quantifier: _Compiled) -> _Compiled:
-    """``moved & quantifier`` (conj) or ``moved | quantifier``, where
-    ``moved`` was moved out of the quantifier's body: the quantifier
-    keeps its own verdict, witness included, behind a neutral ``moved``."""
-    stop = Truth.FALSE if conj else Truth.TRUE
-
-    def run(env: dict[str, GroupElement]) -> Verdict:
-        left = moved(env)
-        if left.truth is stop:
-            return left
-        right = quantifier(env)
-        if right.truth is stop or left.truth is not Truth.UNKNOWN:
-            return right
-        return _UNKNOWN
+            if v.truth is not agree:
+                out = _UNKNOWN
+            elif v.witness is not None and out is not _UNKNOWN:
+                if out.witness is not None:
+                    # witnessed neutral parts share a reason: "" for a True
+                    # existential, "counterexample" for a False universal
+                    v = Verdict(agree, out.witness | v.witness, v.reason)
+                out = v
+        return out
 
     return run
 
@@ -284,10 +259,8 @@ def _compile_quantifier(
     parts = body.flat(conj)
     moved = tuple([p for p in parts if not p.fixed and var not in p.fv])
     if moved:
-        # a guard of this kind keeps its quantifier as the tail, not a part
-        tail = body.tail if body.conj is conj else None
-        stay = tuple([p for p in parts if p is not tail and (p.fixed or var in p.fv)])
-        body = _Node(body.fv, body.fixed, conj, stay, tail, None)
+        stay = tuple([p for p in parts if p.fixed or var in p.fv])
+        body = _Node(body.fv, body.fixed, conj, stay, None)
     scope = _Scope(var)
     run_body = body.build(scope)
     hoisted, values = scope.terms, scope.values
@@ -304,7 +277,8 @@ def _compile_quantifier(
             env[var] = cand
             sub = run_body(env)
             if sub.truth is stop:
-                found = Verdict(stop, {var: cand, **(sub.witness or {})}, reason)
+                # the own binding goes last: a shadowed inner one cannot hide it
+                found = Verdict(stop, {var: cand, **(sub.witness or {}), var: cand}, reason)
                 break
         if shadowed is None:
             env.pop(var, None)
@@ -313,8 +287,8 @@ def _compile_quantifier(
         # the fragment cannot exhaust the infinite structure
         return _UNKNOWN if found is None else found
 
-    node = _Node(body.fv - {var}, True, None, (), None, lambda scope: run)
-    return node if not moved else _Node(node.fv, True, conj, moved, node, None)
+    node = _Node(body.fv - {var}, True, None, (), lambda scope: run)
+    return node if not moved else _Node(node.fv, True, conj, moved + (node,), None)
 
 
 def _compile_term(construction: Construction, t: Term, scope: Optional[_Scope]) -> _TermFn:
@@ -345,27 +319,20 @@ def _compile_term(construction: Construction, t: Term, scope: Optional[_Scope]) 
     return lambda env: rest_fn(env) + get(env).scale(k)
 
 
-def _compile_literal(
+def _compile_atom(
     construction: Construction, a: Atom, neg: bool, scope: Optional[_Scope]
 ) -> _Compiled:
-    holds = _compile_atom(construction, a, scope)
-    if neg:
-        return lambda env: _FALSE if holds(env) else _TRUE
-    return lambda env: _TRUE if holds(env) else _FALSE
-
-
-def _compile_atom(
-    construction: Construction, a: Atom, scope: Optional[_Scope]
-) -> Callable[[dict[str, GroupElement]], bool]:
+    """``a``, or ``~a`` if ``neg``, as a closure."""
     lhs = _compile_term(construction, a.lhs, scope)
     rhs = _compile_term(construction, a.rhs, scope)
+    yes, no = (_FALSE, _TRUE) if neg else (_TRUE, _FALSE)
     if isinstance(a, Lt):
-        return lambda env: lhs(env) < rhs(env)
+        return lambda env: yes if lhs(env) < rhs(env) else no
     if isinstance(a, Eq):
-        return lambda env: lhs(env) == rhs(env)
+        return lambda env: yes if lhs(env) == rhs(env) else no
     n = a.modulus
     if isinstance(a, Cong):
-        return lambda env: (rhs(env) - lhs(env)).is_divisible(n)
+        return lambda env: yes if (rhs(env) - lhs(env)).is_divisible(n) else no
     if isinstance(a, DescLt):
-        return lambda env: cong_free_below(n, lhs(env), rhs(env))
+        return lambda env: yes if cong_free_below(n, lhs(env), rhs(env)) else no
     raise TypeError(f"not an atom: {a!r}")

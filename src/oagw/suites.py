@@ -478,8 +478,12 @@ def closure_audit(
     group with ``full_cfg`` and again with ``image_cfg``; one row per
     entry goes into ``rep``, and it fails when the full group decides
     True but the image search does not, or does with a witness outside
-    the image.  Verdicts stay three-valued: a full-group row not
-    decided True is recorded unknown rather than failed.
+    the image.  The image witness holds the binding of every quantifier
+    the verdict rests on, nested or in sibling parts, save one hidden
+    by another binding of the same name, so a row fails whenever one
+    of those bindings lies outside the image.  Verdicts stay
+    three-valued: a full-group row not decided True is recorded unknown
+    rather than failed.
     """
     for g in image_cfg.generator_pool:
         if not in_image(sub, g):

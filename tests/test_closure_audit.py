@@ -81,11 +81,13 @@ def test_pool_generators_must_lie_inside():
 
 
 def test_image_witness_outside_the_image_fails():
-    # the constant seeds the image search with an element the image omits
-    f = parse_formula("E x. x = {G2[0].c: 1}", LAMBDA)
-    report = _audit(LAMBDA, [(f, {})], FragmentConfig(1, (), 10, 0))
-    assert report.counts == {"pass": 0, "fail": 1, "unknown": 0}
-    assert report.cases[0].detail == "image witness outside the image"
+    # the constant seeds the image search with an element the image omits;
+    # in the second, x = 0 lies in the image but the conjunct's y does not
+    for text in ("E x. x = {G2[0].c: 1}", "E x. x = 0 & (E y. y = {G2[0].c: 1})"):
+        f = parse_formula(text, LAMBDA)
+        report = _audit(LAMBDA, [(f, {})], FragmentConfig(1, (), 10, 0))
+        assert report.counts == {"pass": 0, "fail": 1, "unknown": 0}, text
+        assert report.cases[0].detail == "image witness outside the image"
 
 
 def test_undecided_full_group_row_is_unknown():

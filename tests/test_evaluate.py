@@ -179,6 +179,31 @@ class TestQuantifiers:
         assert v.truth is Truth.TRUE
         assert v.witness == {"x": a}
 
+    def test_quantifier_reports_its_own_binding_over_a_shadowed_one(self):
+        # the inner x solves the equation; the outer x is the first candidate
+        text = HOISTING_SHAPES[6]
+        for i, lit in enumerate(POOL_TEXTS[1]):
+            text = text.replace(f"P{i}", lit)
+        p0, p1, p2 = (parse_element(t, LAMBDA) for t in POOL_TEXTS[1])
+        v = ev(text, cfg=FragmentConfig(2, (p0, p1, p2), 12))
+        assert v.truth is Truth.TRUE
+        assert list(v.witness) == ["x", "y"]
+        assert v.witness["x"] == zero(LAMBDA)
+        assert p1 + p0 - v.witness["y"] != zero(LAMBDA)
+
+    def test_agreeing_parts_keep_their_bindings(self):
+        cfg = FragmentConfig(1, (), 10, 0)
+        v = ev("E x. x = 0 & (E y. y = {G2[0].c: 1})", cfg=cfg)
+        assert v.truth is Truth.TRUE and v.reason == ""
+        assert v.witness == {"x": zero(LAMBDA), "y": element(LAMBDA, {g2_circle(0): 1})}
+        # two refuted universals: the disjunction keeps both counterexamples
+        v = ev("(A x. x < 0) | (A y. 0 < y)", cfg=cfg)
+        assert v.truth is Truth.FALSE and v.reason == "counterexample"
+        assert v.witness == {"x": zero(LAMBDA), "y": zero(LAMBDA)}
+        # a later binding of a name wins over an earlier one
+        v = ev("(E x. x = 0) & (E x. x = {G2[0].c: 1})", cfg=cfg)
+        assert v.witness == {"x": element(LAMBDA, {g2_circle(0): 1})}
+
     def test_pool_memo_lives_for_one_call(self, monkeypatch):
         g = element(LAMBDA, {g2_circle(0): 1})
         cfg = FragmentConfig(2, (g,), 40, 0)
@@ -539,6 +564,25 @@ def _reference_eval(construction, f, env, cfg, scoped=True):
     return _reference_rec(construction, _reference_nnf(f), env, cfg, scoped)
 
 
+def _reference_union(truth, left, right):
+    """The verdict of a junction whose two sides both have ``truth``, the
+    neutral one: it keeps the bindings of both sides, the right side's
+    binding of a name over the left's.  A side that alone has bindings
+    is the verdict as it is."""
+    if left.witness is None:
+        return right if right.witness is not None else Verdict(truth)
+    if right.witness is None:
+        return left
+    return Verdict(truth, {**left.witness, **right.witness}, right.reason)
+
+
+def _reference_binding(var, cand, sub):
+    """A quantifier's witness: its own binding first, then the bindings of
+    its body except an inner one of the same name, which it shadows."""
+    inner = {k: e for k, e in (sub.witness or {}).items() if k != var}
+    return {var: cand, **inner}
+
+
 def _reference_rec(construction, f, env, cfg, scoped):
     def rec(g, e):
         return _reference_rec(construction, g, e, cfg, scoped)
@@ -551,25 +595,16 @@ def _reference_rec(construction, f, env, cfg, scoped):
         return Verdict(Truth.TRUE if f.value else Truth.FALSE)
     if isinstance(f, (Lt, Eq, Cong, DescLt)):
         return Verdict(Truth.TRUE if _reference_atom(construction, f, env) else Truth.FALSE)
-    if isinstance(f, And):
+    if isinstance(f, (And, Or)):
+        stop, agree = (Truth.FALSE, Truth.TRUE) if isinstance(f, And) else (Truth.TRUE, Truth.FALSE)
         left = rec(f.lhs, env)
-        if left.truth is Truth.FALSE:
+        if left.truth is stop:
             return left
         right = rec(f.rhs, env)
-        if right.truth is Truth.FALSE:
+        if right.truth is stop:
             return right
-        if left.truth is Truth.TRUE and right.truth is Truth.TRUE:
-            return Verdict(Truth.TRUE)
-        return _REF_UNKNOWN
-    if isinstance(f, Or):
-        left = rec(f.lhs, env)
-        if left.truth is Truth.TRUE:
-            return left
-        right = rec(f.rhs, env)
-        if right.truth is Truth.TRUE:
-            return right
-        if left.truth is Truth.FALSE and right.truth is Truth.FALSE:
-            return Verdict(Truth.FALSE)
+        if left.truth is agree and right.truth is agree:
+            return _reference_union(agree, left, right)
         return _REF_UNKNOWN
     if isinstance(f, (Exists, Forall)):
         if scoped:
@@ -584,9 +619,10 @@ def _reference_rec(construction, f, env, cfg, scoped):
         for cand in iter_fragment(params, cfg, construction):
             sub = rec(f.body, {**env, f.var: cand})
             if isinstance(f, Exists) and sub.truth is Truth.TRUE:
-                return Verdict(Truth.TRUE, {f.var: cand, **(sub.witness or {})})
+                return Verdict(Truth.TRUE, _reference_binding(f.var, cand, sub))
             if isinstance(f, Forall) and sub.truth is Truth.FALSE:
-                return Verdict(Truth.FALSE, {f.var: cand, **(sub.witness or {})}, "counterexample")
+                witness = _reference_binding(f.var, cand, sub)
+                return Verdict(Truth.FALSE, witness, "counterexample")
         return _REF_UNKNOWN
     raise TypeError(f"not a formula: {f!r}")
 

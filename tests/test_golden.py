@@ -82,15 +82,15 @@ RPHI_SENTENCES = [
 EVAL_GOLDEN = {
     "prefix-shapes[lambda,pool0]": "c674b8c12a707c7651603dd553ae3a11493955af4731493a39e3eba27d4eaf66",
     "prefix-shapes[lambda,pool1]": "d2914884da8bf1d4a88ddc15af0ba18de1814d0ef2b757072e7a3891dc604458",
-    "hoisting-shapes[lambda,pool0]": "a21f8079291249ea05b00f24ef421d1cae3352da275162c8b1bde259f1e54d87",
-    "hoisting-shapes[lambda,pool1]": "8e4744850988cde5a14bd036b284ecd65ad355876aad72f3c63573f10422c181",
+    "hoisting-shapes[lambda,pool0]": "bc497438d626faf84fc6c5557f3d250285c00b145f5cdea6e8e9008d78f393ee",
+    "hoisting-shapes[lambda,pool1]": "c93b5ed33b91bf8949ccd2cc66857a71774b763a08b9ee64a85335808b7f72fb",
     "corpus-exists[lambda]": "27852821dec87fbcb51908af2adb46d4e9b4fc2cf8fd9d27a9b61132d49d6442",
     "corpus-ea[lambda]": "48d8a65cf29a9c29bcd1ae291e92f5b0141033f2ad599cf79c4f814874f0edcf",
     "rphi-shapes[lambda]": "b64d543dd6e6fec895ba8db8963cfe72b49352cd33bd94a99fa512e58d7235d2",
     "prefix-shapes[gamma,pool0]": "c674b8c12a707c7651603dd553ae3a11493955af4731493a39e3eba27d4eaf66",
     "prefix-shapes[gamma,pool1]": "0a85d3ba5668e2af116351ec3c60ace027718b1a541c6ccb391c2166b19b12d1",
-    "hoisting-shapes[gamma,pool0]": "a50cd8ddf7de5651579f0bb5b798065b36bc116ff17d68fb4125f812ba9484a4",
-    "hoisting-shapes[gamma,pool1]": "74195e2399d9b1e053ac1914cb1603a4ebbdb49ee53899b6e9b683daa76c36cb",
+    "hoisting-shapes[gamma,pool0]": "0e716f8330d3932d69b81f79c67244ec903f52a941a854cce366fb68006e82ce",
+    "hoisting-shapes[gamma,pool1]": "9507de4f3b934f9512f0a039969e0090cb5518f4fab504bd701af9cb4761ce23",
     "corpus-exists[gamma]": "2b4314d44150934d8d7a893d5d03eeca10a196039bfbc615434f11bb8921566a",
     "corpus-ea[gamma]": "6f0c725453864f1ee8338766f548ba157f65de6d5ca64920cedfd7921ff10d23",
     "rphi-shapes[gamma]": "d5265f3ead0a5c538fc3815ce3e2660ba3629480be0ac53abe34b478f5cdae19",

@@ -124,6 +124,18 @@ def test_eval_with_binding(capsys):
     assert "verdict: true" in capsys.readouterr().out
 
 
+def test_eval_prints_the_bindings_of_sibling_quantifiers(capsys):
+    formula = "E x. (E y. y = x + {G2[0].c: 1}) & (E z. z + z = x)"
+    rc = main(["eval", "--formula", formula, "--pool", "{G2[0].c: 1}", "--size-cap", "20"])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "verdict: true",
+        "witness x = 0",
+        "witness y = {G2[0].c: 1}",
+        "witness z = 0",
+    ]
+
+
 _UNBOUND = "unbound free variables {}; bind each with --bind VAR=LITERAL"
 
 
@@ -137,8 +149,16 @@ _UNBOUND = "unbound free variables {}; bind each with --bind VAR=LITERAL"
             "variable 'x' is bound more than once",
         ),
         (["--formula", "0 < x", "--bind", "x"], "bad binding 'x', expected VAR=LITERAL"),
+        (
+            ["--formula", "E x. x + x = {G2[0].c: 1}", "--bind", "w={G2[0].c: 1/2}"],
+            "variable 'w' is not free in the formula",
+        ),
+        (
+            ["--formula", "0 < x", "--bind", "x={G2[0].c: 1}", "--bind", "1+={G2[0].c: 1}"],
+            "variable '1+' is not free in the formula",
+        ),
     ],
-    ids=["unbound", "partly-bound", "bound-twice", "malformed"],
+    ids=["unbound", "partly-bound", "bound-twice", "malformed", "not-free", "not-a-name"],
 )
 def test_eval_binding_errors(args, message, capsys):
     # each is a one-line usage error on stderr, never a traceback
