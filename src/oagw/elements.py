@@ -25,7 +25,10 @@ component through it once and hand the result to the unchecked
 by construction (sums, multiples, zeros, embedding images).  The public
 ``GroupElement(construction, entries)`` accepts a stored value exactly
 when its class fits the position, it is nonzero and it canonicalizes
-to itself.  Positions are interned, so merges test ``pa is pb`` first.
+to itself.  A sum of two elements whose supports do not overlap, every
+position of one before every position of the other, joins their entry
+tuples; any other sum merges them, and positions are interned, so the
+merge tests ``pa is pb`` first.
 
 The hash is additive: ``hash(e)`` is the sum over components of the
 position's ``weight`` times the value read modulo ``HASH_MODULUS`` (a
@@ -319,7 +322,13 @@ class GroupElement:
         if not ea:
             return other
         ha, hb = self._hash, other._hash
-        # linear merge of the two position-sorted entry tuples
+        h = None if ha is None or hb is None else (ha + hb) % HASH_MODULUS
+        # supports that do not overlap: the sum's entries are both tuples joined
+        if ea[-1][0].key < eb[0][0].key:
+            return _from_canonical(self.construction, ea + eb, h)
+        if eb[-1][0].key < ea[0][0].key:
+            return _from_canonical(self.construction, eb + ea, h)
+        # otherwise a linear merge of the two position-sorted entry tuples
         out = []
         i = j = 0
         na, nb = len(ea), len(eb)
@@ -338,11 +347,7 @@ class GroupElement:
             else:
                 out.append(eb[j])
                 j += 1
-        return _from_canonical(
-            self.construction,
-            (*out, *ea[i:], *eb[j:]),
-            None if ha is None or hb is None else (ha + hb) % HASH_MODULUS,
-        )
+        return _from_canonical(self.construction, (*out, *ea[i:], *eb[j:]), h)
 
     def __neg__(self) -> "GroupElement":
         return self.scale(-1)

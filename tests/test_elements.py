@@ -22,10 +22,25 @@ from oagw.elements import (
     zero,
 )
 from oagw.positions import g1_square, g2_circle, g2_square
+from oagw.sampling import random_element
 
 from conftest import seeded_elements
 
 S00 = g1_square(0, 0)
+
+
+def _split(e, k):
+    """The entries of e before index k and from k on, as two elements.
+
+    Their supports do not overlap, and every position of the first comes
+    before every position of the second.
+    """
+    return GroupElement(e.construction, e.entries[:k]), GroupElement(e.construction, e.entries[k:])
+
+
+def _components(*elems):
+    """The components of the elements, as raw values that element() takes."""
+    return {pos: dict(v) if isinstance(v, tuple) else v for e in elems for pos, v in e.entries}
 
 
 class TestOrder:
@@ -54,7 +69,7 @@ class TestOrder:
 
     def test_translation_invariance_bulk(self):
         # deterministic large-sample check of order/addition compatibility
-        from oagw.sampling import case_rng, random_element
+        from oagw.sampling import case_rng
 
         for construction in (LAMBDA, GAMMA):
             for i in range(10_000):
@@ -98,10 +113,16 @@ class TestArithmetic:
         h = element(LAMBDA, {g2_circle(0): Fraction(1, 2)})
         assert h + h == element(LAMBDA, {g2_circle(0): 1})
 
-    @settings(max_examples=100, deadline=None)
-    @given(seeded_elements(LAMBDA), seeded_elements(LAMBDA))
-    def test_commutative(self, a, b):
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([LAMBDA, GAMMA]), st.randoms(use_true_random=False), st.integers(1, 5))
+    def test_commutative(self, construction, rng, k):
+        # supports that interleave or share positions merge
+        a, b = random_element(rng, construction), random_element(rng, construction)
         assert a + b == b + a
+        # supports that do not overlap are joined, in either order
+        left, right = _split(random_element(rng, construction, 6), k)
+        union = element(construction, _components(left, right))
+        assert left + right == right + left == union
 
     @settings(max_examples=100, deadline=None)
     @given(seeded_elements(LAMBDA), seeded_elements(LAMBDA), seeded_elements(LAMBDA))
@@ -150,14 +171,16 @@ class TestHashAndSign:
     @settings(max_examples=150, deadline=None)
     @given(st.randoms(use_true_random=False), st.integers(-5, 5))
     def test_carried_hash_matches_rebuilt(self, construction, rng, k):
-        from oagw.sampling import random_element
-
         a = random_element(rng, construction, 4)
         b = random_element(rng, construction, 4)
-        ha, hb = hash(a), hash(b)  # the results below carry their hash from these
+        left, right = _split(random_element(rng, construction, 6), k % 5 + 1)
+        # the results below carry their hash from these
+        ha, hb, hl, hr = hash(a), hash(b), hash(left), hash(right)
         modulus = sys.hash_info.modulus
         results = {
             "a + b": (a + b, ha + hb),
+            "left + right": (left + right, hl + hr),
+            "right + left": (right + left, hl + hr),
             "a - b": (a - b, ha - hb),
             "-a": (-a, -ha),
             "k*a": (k * a, k * ha),
@@ -165,7 +188,8 @@ class TestHashAndSign:
         }
         for name, (r, additive) in results.items():
             rebuilt = GroupElement(construction, r.entries)
-            assert hash(r) == hash(rebuilt) == additive % modulus, name
+            assert r._hash == hash(rebuilt) == additive % modulus, name
+            assert hash(r) == r._hash, name
         assert a + (b - a) == b
 
     def test_small_multiples_hash_apart(self):

@@ -18,6 +18,15 @@ def test_empty_inputs_give_zero():
     assert out == [zero(LAMBDA)]
 
 
+def test_no_generator_stops_after_zero():
+    # with no nonzero generator every layer spans only zero, so even a
+    # huge coefficient bound walks no layer past the first
+    z = zero(LAMBDA)
+    for params, pool in (([], ()), ([z], ()), ([], (z,))):
+        cfg = FragmentConfig(coeff_bound=10**6, generator_pool=pool)
+        assert list(iter_fragment(params, cfg, LAMBDA)) == [z]
+
+
 def test_single_param_bound_one():
     a = element(LAMBDA, {S00: {0: 1}})
     out = list(iter_fragment([a], FragmentConfig(coeff_bound=1), LAMBDA))
@@ -93,9 +102,14 @@ def test_smallest_valid_config():
     a = element(LAMBDA, {S00: {0: 1}})
     cfg = FragmentConfig(coeff_bound=0, generator_pool=(a,), size_cap=1)
     assert list(iter_fragment([a], cfg, LAMBDA)) == [zero(LAMBDA)]
-    # a copy starts with an empty memo and still equals its original
-    assert cfg._pool_parts and not replace(cfg)._pool_parts
     assert replace(cfg) == cfg
+    # the capped run stops before the pool; a run that reaches it fills
+    # the memo, and a copy starts with an empty one and still equals its
+    # original
+    filled = replace(cfg, coeff_bound=1, size_cap=2)
+    assert list(iter_fragment([], filled, LAMBDA)) == [zero(LAMBDA), a]
+    assert filled._pool_parts and not replace(filled)._pool_parts
+    assert replace(filled) == filled
 
 
 def _reference_fragment(params, cfg):
@@ -209,6 +223,23 @@ def test_shared_pool_after_an_abandoned_and_a_suspended_fragment(construction):
         assert list(iter_fragment(params, cfg, construction)) == _reference_fragment(params, cfg)
     got_outer += list(outer)
     assert got_outer == _reference_fragment(calls[1], cfg)
+
+
+@pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+@pytest.mark.parametrize("call", [0, 1])
+def test_abandoned_fragment_computes_no_part_it_did_not_reach(construction, call):
+    # the pool parts of a layer are computed as the walk reaches them:
+    # each one the fragment computed was a candidate it yielded, apart
+    # from the zero vector's
+    pool, calls = _shared_calls(construction)
+    params = calls[call]
+    for n in (1, 2, 5, 12, 30):
+        cfg = FragmentConfig(3, pool, 10_000)
+        fragment = iter_fragment(params, cfg, construction)
+        got = list(itertools.islice(fragment, n))
+        fragment.close()
+        assert got == _reference_fragment(params, replace(cfg, size_cap=n))
+        assert sum(len(parts.sums) for parts in cfg._pool_parts.values()) <= n + 1
 
 
 @settings(max_examples=40, deadline=None)
