@@ -18,6 +18,7 @@ many congruences at once.
 from __future__ import annotations
 
 import enum
+import functools
 from typing import Optional, Sequence
 
 from .elements import (
@@ -48,6 +49,12 @@ class Embedding(enum.Enum):
         return self.value
 
 
+# The four position maps are strictly increasing on ``pos.key`` (that is
+# what makes F1 and F2 order embeddings) and memoised on the interned
+# position.
+
+
+@functools.cache
 def _f1_pos(pos: Position) -> Position:
     if pos.area == G2:
         return Position(G2, pos.index + 1, pos.shape)
@@ -58,6 +65,7 @@ def _f1_pos(pos: Position) -> Position:
     return pos
 
 
+@functools.cache
 def _f1_pos_inv(pos: Position) -> Optional[Position]:
     if pos.area == G2:
         if pos.index >= 1:
@@ -70,6 +78,7 @@ def _f1_pos_inv(pos: Position) -> Optional[Position]:
     return pos
 
 
+@functools.cache
 def _f2_pos(pos: Position) -> Position:
     if pos.area == G2:
         if pos.index >= 1:
@@ -84,6 +93,7 @@ def _f2_pos(pos: Position) -> Position:
     return Position(G1, pos.index + 1, pos.shape, pos.slot)
 
 
+@functools.cache
 def _f2_pos_inv(pos: Position) -> Optional[Position]:
     if pos.area == G2:
         return Position(G2, pos.index + 1, pos.shape)
@@ -105,14 +115,21 @@ _INVERSE = {Embedding.F1: _f1_pos_inv, Embedding.F2: _f2_pos_inv}
 
 
 def apply(e: Embedding, a: GroupElement) -> GroupElement:
-    """Image of ``a``; injective, additive, and order preserving."""
+    """Image of ``a``; injective, additive, and order preserving.
+
+    The position map is strictly increasing, so the images of the sorted
+    entries are sorted as they come.
+    """
     fwd = _FORWARD[e]
-    entries = tuple(sorted(((fwd(pos), v) for pos, v in a.entries), key=lambda it: it[0].key))
-    return _from_canonical(a.construction, entries)
+    return _from_canonical(a.construction, tuple([(fwd(pos), v) for pos, v in a.entries]))
 
 
 def preimage(e: Embedding, a: GroupElement) -> Optional[GroupElement]:
-    """The unique b with apply(e, b) == a, or None outside the image."""
+    """The unique b with apply(e, b) == a, or None outside the image.
+
+    The inverse position map is strictly increasing where defined, so
+    the preimages of the sorted entries are sorted as they come.
+    """
     inv = _INVERSE[e]
     out = []
     for pos, v in a.entries:
@@ -120,7 +137,6 @@ def preimage(e: Embedding, a: GroupElement) -> Optional[GroupElement]:
         if q is None:
             return None
         out.append((q, v))
-    out.sort(key=lambda it: it[0].key)
     return _from_canonical(a.construction, tuple(out))
 
 

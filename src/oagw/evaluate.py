@@ -44,7 +44,7 @@ confirm the universal, so the sentence is True on the first x above b.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
 from typing import Callable, Mapping, Optional
@@ -107,8 +107,8 @@ _UNKNOWN = Verdict(Truth.UNKNOWN, None, "fragment bounds exhausted")
 # junction before itself, and compiles the rest into closures; a moved
 # part is compiled once it reaches the quantifier its terms hoist into.
 # The environment is one dict, extended by each quantifier while its
-# body runs.  Every fragment of one call shares the pool-part memo of a
-# per-call copy of the config, so the memo lives for one call.
+# body runs.  Every fragment of one call shares a fresh pool-part memo,
+# carried by a clone of the config, so the memo lives for one call.
 _Compiled = Callable[[dict[str, GroupElement]], Verdict]
 _TermFn = Callable[[dict[str, GroupElement]], GroupElement]
 
@@ -171,7 +171,7 @@ def evaluate(
     for v, e in env.items():
         if e.construction is not construction:
             raise ConstructionMismatch(f"binding {v!r} is not a {construction} element")
-    root = _compile(construction, f, False, replace(cfg), [])
+    root = _compile(construction, f, False, cfg._with_fresh_memo(), [])
     missing = root.fv - set(env)
     if missing:
         raise KeyError(f"unbound variables: {sorted(missing)}")

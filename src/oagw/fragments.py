@@ -13,7 +13,8 @@ with some |k| = m (its rim), both in product order.  The lists grow on
 demand, so a fragment that stops early leaves the rest uncomputed, and
 every fragment enumerated through the config walks what earlier ones
 filled.  ``evaluate`` enumerates a fragment per outer binding through a
-copy of the caller's config, so its lists live for one call.
+clone of the caller's config with a fresh memo, so its lists live for
+one call.
 """
 
 from __future__ import annotations
@@ -50,6 +51,17 @@ class FragmentConfig:
             raise TypeError(
                 f"generator_pool must be a tuple of GroupElement, got {self.generator_pool!r}"
             )
+
+    def _with_fresh_memo(self) -> "FragmentConfig":
+        """This config with an empty pool-part memo of its own.
+
+        The fields were validated when this config was built, so unlike
+        ``dataclasses.replace`` the clone does not rerun ``__post_init__``.
+        """
+        clone = object.__new__(FragmentConfig)
+        clone.__dict__.update(self.__dict__)
+        clone.__dict__["_pool_parts"] = {}
+        return clone
 
 
 def _axis(m: int) -> list[int]:

@@ -235,8 +235,7 @@ def membership(f: HahnSeries) -> Membership:
     """Exponent-wise classification; defined on the lambda construction."""
     if f.construction is not LAMBDA:
         raise ConstructionMismatch("membership flags are defined for lambda series")
-    zero_el = group_zero(f.construction)
-    in_val_ring = all(g >= zero_el for g, _ in f.terms)
+    in_val_ring = all(g.sign() >= 0 for g, _ in f.terms)
     in_k_lambda1 = all(
         all(pos.area == G1 for pos, _ in g.entries) for g, _ in f.terms
     )

@@ -2,6 +2,24 @@
 
 Every suite derives one ``random.Random`` per case from (seed, case
 index), so reports are reproducible and parallelism-safe.
+
+The samplers draw from tables built once at import: the interned
+positions as ``_POSITIONS[kind][index]`` (the G1 squares one row deeper,
+``[block][slot]``), the canonical rationals as ``[numerator][denominator]``
+per denominator set, and the polynomial slots and term counts.  A draw
+is ``rng.choice(table)``.  In CPython ``choice(seq)`` is
+``seq[_randbelow(len(seq))]``, ``randrange(n)`` is ``_randbelow(n)`` and
+``randrange(a, b)`` is ``a + _randbelow(b - a)``, so a choice from a
+table of n items uses up the stream exactly as a ``randrange`` of n
+values does, and the values drawn, in the order drawn, fix every case.
+Two rules keep that order: an outer choice picks the row before the
+inner one picks the item, and a polynomial term draws its coefficient
+before its slot, because the assignment ``coeffs[slot] = coeff`` that
+the tables replace evaluates its right-hand side first.
+
+Table values are canonical, so sampled elements skip ``element()``'s
+per-component validation: their entries are sorted once by position and
+handed to ``_from_canonical``.
 """
 
 from __future__ import annotations
@@ -14,8 +32,7 @@ from .elements import (
     GAMMA,
     GroupElement,
     LAMBDA,
-    element,
-    uses_poly,
+    _from_canonical,
     zero,
 )
 from .hahn import CoefficientField, HahnSeries, QQ, series
@@ -26,37 +43,60 @@ def case_rng(seed: int, index: int) -> random.Random:
     return random.Random(f"{seed}:{index}")
 
 
-_ODD_DENS = (1, 3, 5, 7, 9)  # usable at GAMMA circles
-_NON3_DENS = (1, 2, 4, 5, 7, 8)  # usable at GAMMA squares
 _NUMERATORS = tuple(k for k in range(-12, 13) if k)
 _POLY_COEFFS = (-6, -4, -3, -2, -1, 1, 2, 3, 4, 6)  # LAMBDA square coefficients
+_POLY_SLOTS = tuple(range(6))
+_POLY_TERM_COUNTS = (1, 2, 3)
 _SERIES_COEFFS = (-3, -2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-5, 3))
+
+# kind -> index -> position: G2 circles, G2 squares, G1 squares (one row
+# per block, indexed by slot), G1 circles; the first 3 pairs or blocks
+_POSITIONS = (
+    tuple(g2_circle(m) for m in range(3)),
+    tuple(g2_square(m) for m in range(3)),
+    tuple(tuple(g1_square(b, p) for p in range(5)) for b in range(3)),
+    tuple(g1_circle(b) for b in range(3)),
+)
+_G2_CIRCLES, _G2_SQUARES, _G1_SQUARES, _G1_CIRCLES = _POSITIONS
+
+
+def _rationals(dens: tuple[int, ...]) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(tuple(Fraction(num, den) for den in dens) for num in _NUMERATORS)
+
+
+# (circle table, square table) of each construction, indexed by
+# ``pos.is_square``; None where squares hold polynomials.  GAMMA circles
+# take odd denominators, GAMMA squares those prime to 3.
+_GAMMA_RATIONALS = (_rationals((1, 3, 5, 7, 9)), _rationals((1, 2, 4, 5, 7, 8)))
+_LAMBDA_RATIONALS = (_rationals((1, 2, 3, 4, 5)), None)
+
+
+def _sampled(construction: Construction, comps: dict) -> GroupElement:
+    """The element of nonzero canonical ``comps``.
+
+    The positions are distinct, so the pairs sort by position alone
+    (``Position.__lt__``) and no two values are compared.
+    """
+    return _from_canonical(construction, tuple(sorted(comps.items())))
 
 
 def random_position(rng: random.Random) -> Position:
     """One of the first 3 G2 pairs or G1 blocks; a G1 square in slot 0..4."""
-    kind = rng.randrange(4)
-    if kind == 0:
-        return g2_circle(rng.randrange(3))
-    if kind == 1:
-        return g2_square(rng.randrange(3))
-    if kind == 2:
-        return g1_square(rng.randrange(3), rng.randrange(5))
-    return g1_circle(rng.randrange(3))
+    pos = rng.choice(rng.choice(_POSITIONS))
+    return rng.choice(pos) if pos.__class__ is tuple else pos
 
 
 def random_value(rng: random.Random, construction: Construction, pos: Position):
-    if uses_poly(construction, pos):
-        coeffs = {}
-        for _ in range(rng.randrange(1, 4)):
-            coeffs[rng.randrange(0, 6)] = rng.choice(_POLY_COEFFS)
-        return coeffs
-    num = rng.choice(_NUMERATORS)
-    if construction is GAMMA:
-        den = rng.choice(_ODD_DENS if pos.is_circle else _NON3_DENS)
-    else:
-        den = rng.choice((1, 2, 3, 4, 5))
-    return Fraction(num, den)
+    """A nonzero canonical value that ``pos`` can hold."""
+    # an Enum hashes in Python, so the construction is not a dict key here
+    table = (_GAMMA_RATIONALS if construction is GAMMA else _LAMBDA_RATIONALS)[pos.is_square]
+    if table is not None:
+        return rng.choice(rng.choice(table))
+    coeffs = {}
+    for _ in range(rng.choice(_POLY_TERM_COUNTS)):
+        c = rng.choice(_POLY_COEFFS)  # before the slot; see the module docstring
+        coeffs[rng.choice(_POLY_SLOTS)] = c
+    return tuple(sorted(coeffs.items()))
 
 
 def random_element(
@@ -68,11 +108,11 @@ def random_element(
     if allow_zero and rng.random() < 0.05:
         return zero(construction)
     comps = {}
-    for _ in range(rng.randrange(1, max_support + 1)):
+    for _ in range(rng.choice(range(1, max_support + 1))):
         pos = random_position(rng)
         comps[pos] = random_value(rng, construction, pos)
     # at least one component, each of a nonzero value: never zero
-    return element(construction, comps)
+    return _sampled(construction, comps)
 
 
 def random_nonzero(rng: random.Random, construction: Construction, max_support: int = 4) -> GroupElement:
@@ -87,26 +127,23 @@ def random_positive(rng: random.Random, construction: Construction) -> GroupElem
 def random_g1_element(rng: random.Random, construction: Construction, max_support: int = 3) -> GroupElement:
     """Support confined to the right block."""
     comps = {}
-    for _ in range(rng.randrange(1, max_support + 1)):
+    for _ in range(rng.choice(range(1, max_support + 1))):
         if rng.random() < 0.7:
-            pos: Position = g1_square(rng.randrange(3), rng.randrange(5))
+            pos: Position = rng.choice(rng.choice(_G1_SQUARES))
         else:
-            pos = g1_circle(rng.randrange(3))
+            pos = rng.choice(_G1_CIRCLES)
         comps[pos] = random_value(rng, construction, pos)
-    return element(construction, comps)
+    return _sampled(construction, comps)
 
 
 def random_a_cone_exponent(rng: random.Random) -> GroupElement:
     """LAMBDA exponent with zero or positive G2 part."""
     if rng.random() < 0.5:
         return random_g1_element(rng, LAMBDA)
-    g2pos = g2_square(rng.randrange(3)) if rng.random() < 0.5 else g2_circle(rng.randrange(3))
-    comps = {g2pos: random_value(rng, LAMBDA, g2pos)}
+    g2pos = rng.choice(_G2_SQUARES) if rng.random() < 0.5 else rng.choice(_G2_CIRCLES)
+    e = _from_canonical(LAMBDA, ((g2pos, random_value(rng, LAMBDA, g2pos)),))
     if rng.random() < 0.7:
-        tail = random_g1_element(rng, LAMBDA, 2)
-        e = element(LAMBDA, comps) + tail
-    else:
-        e = element(LAMBDA, comps)
+        e = e + random_g1_element(rng, LAMBDA, 2)
     if e.is_zero():
         return e
     if e.entries[0][0].area == G2 and e.sign() < 0:

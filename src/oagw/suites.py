@@ -24,6 +24,7 @@ from .elements import (
     GroupElement,
     LAMBDA,
     LeadDescriptor,
+    _from_canonical,
     element,
     format_element,
     fresh_g1_block,
@@ -362,7 +363,8 @@ def suite_hprime_locality(rep: SuiteReport, opts: SuiteOptions) -> None:
                 if tries > 40:
                     pos = g1_square(fresh_g1_block(a), 0)
             comps[pos] = random_value(rng, opts.construction, pos)
-        p = element(opts.construction, comps)
+        # sampled values are canonical and nonzero
+        p = _from_canonical(opts.construction, tuple(sorted(comps.items())))
         a2 = a + p
         ts, ts2 = tail_set(a), tail_set(a2)
         ok = ts == ts2

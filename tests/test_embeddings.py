@@ -2,9 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from oagw.elements import GAMMA, LAMBDA, element, unit, zero
+from oagw.elements import GAMMA, LAMBDA, GroupElement, element, unit, zero
 from oagw.embeddings import (
     Embedding,
+    _f1_pos,
+    _f1_pos_inv,
+    _f2_pos,
+    _f2_pos_inv,
     apply,
     in_image,
     perturb_into_image,
@@ -21,6 +25,14 @@ from oagw.sampling import case_rng, random_element, random_positive
 
 S00 = g1_square(0, 0)
 F1, F2 = Embedding.F1, Embedding.F2
+
+# G2 pairs 0-6 and G1 blocks 0-6 with square slots 0-6, in the group order
+POSITIONS = sorted(
+    [p for m in range(7) for p in (g2_circle(m), g2_square(m))]
+    + [g1_square(b, s) for b in range(7) for s in range(7)]
+    + [g1_circle(b) for b in range(7)],
+    key=lambda p: p.key,
+)
 
 
 class TestApply:
@@ -81,6 +93,36 @@ class TestApply:
             assert apply(emb, a + b) == fa + fb
             assert (a < b) == (fa < fb)
             assert preimage(emb, fa) == a
+
+
+class TestOrderEmbedding:
+    """``apply`` and ``preimage`` keep the entry order of their argument;
+    these tests show that the entries they return are sorted anyway."""
+
+    @pytest.mark.parametrize("pos_map", [_f1_pos, _f1_pos_inv, _f2_pos, _f2_pos_inv])
+    def test_position_maps_strictly_increasing(self, pos_map):
+        keys = [q.key for q in map(pos_map, POSITIONS) if q is not None]
+        assert all(x < y for x, y in zip(keys, keys[1:]))
+        # the inverses are undefined exactly off the image
+        assert len(keys) == len(POSITIONS) - {
+            _f1_pos_inv: 1,  # the critical circle
+            _f2_pos_inv: 7,  # the squares of block 0
+        }.get(pos_map, 0)
+
+    @pytest.mark.parametrize("emb", [F1, F2])
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA], ids=str)
+    def test_results_pass_the_validating_constructor(self, emb, construction):
+        def validated(a):
+            return GroupElement(a.construction, a.entries) == a
+
+        for i in range(300):
+            rng = case_rng(29, i)
+            wide = element(construction, {p: 1 for p in rng.sample(POSITIONS, rng.randrange(1, 9))})
+            for a in (random_element(rng, construction), wide):
+                fa = apply(emb, a)
+                assert validated(fa) and validated(preimage(emb, fa))
+                back = preimage(emb, a)
+                assert back is None or validated(back)
 
 
 class TestImage:
