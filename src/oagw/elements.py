@@ -350,7 +350,12 @@ class GroupElement:
         return _from_canonical(self.construction, (*out, *ea[i:], *eb[j:]), h)
 
     def __neg__(self) -> "GroupElement":
-        return self.scale(-1)
+        # scale(-1) without the generic multiply: each value negated as is
+        h = self._hash
+        return _from_canonical(self.construction, tuple([
+            (pos, tuple([(s, -c) for s, c in v]) if v.__class__ is tuple else -v)
+            for pos, v in self.entries
+        ]), None if h is None else -h % HASH_MODULUS)
 
     def __sub__(self, other: "GroupElement") -> "GroupElement":
         return self + (-other)
@@ -518,12 +523,14 @@ def _from_canonical(
 _HASH_POINT = 0x9E3779B97F4A7C15 % HASH_MODULUS
 _POINT_POWERS = tuple(pow(_HASH_POINT, s, HASH_MODULUS) for s in range(64))
 
-# one immutable zero per construction, shared by every caller
-_ZEROS = {c: _from_canonical(c, (), 0) for c in Construction}
+# one immutable zero per construction, shared by every caller; it rides
+# on the member, because an Enum key hashes in Python
+GAMMA._zero = _from_canonical(GAMMA, (), 0)
+LAMBDA._zero = _from_canonical(LAMBDA, (), 0)
 
 
 def zero(construction: Construction) -> GroupElement:
-    return _ZEROS[construction]
+    return construction._zero
 
 
 def _entry_key(entry: tuple[Position, Value]) -> tuple:

@@ -110,8 +110,10 @@ def _f2_pos_inv(pos: Position) -> Optional[Position]:
     return Position(G1, pos.index - 1, pos.shape, pos.slot)
 
 
-_FORWARD = {Embedding.F1: _f1_pos, Embedding.F2: _f2_pos}
-_INVERSE = {Embedding.F1: _f1_pos_inv, Embedding.F2: _f2_pos_inv}
+# each member carries its position maps, because an Enum key hashes in
+# Python and ``apply`` runs once per exponent of every lifted series
+Embedding.F1._forward, Embedding.F1._inverse = _f1_pos, _f1_pos_inv
+Embedding.F2._forward, Embedding.F2._inverse = _f2_pos, _f2_pos_inv
 
 
 def apply(e: Embedding, a: GroupElement) -> GroupElement:
@@ -120,7 +122,7 @@ def apply(e: Embedding, a: GroupElement) -> GroupElement:
     The position map is strictly increasing, so the images of the sorted
     entries are sorted as they come.
     """
-    fwd = _FORWARD[e]
+    fwd = e._forward
     return _from_canonical(a.construction, tuple([(fwd(pos), v) for pos, v in a.entries]))
 
 
@@ -130,7 +132,7 @@ def preimage(e: Embedding, a: GroupElement) -> Optional[GroupElement]:
     The inverse position map is strictly increasing where defined, so
     the preimages of the sorted entries are sorted as they come.
     """
-    inv = _INVERSE[e]
+    inv = e._inverse
     out = []
     for pos, v in a.entries:
         q = inv(pos)

@@ -10,6 +10,12 @@ Membership predicates classify series by their exponents alone:
 * ``in_k_lambda1``: every exponent is supported on G1 positions.
 * ``in_a``: every exponent has zero or positive left (G2) part; this
   cone is a subring containing both of the sets above.
+
+A sum or product collects its terms in a dict and sorts them once.
+A negation and a lifted embedding skip that step: a negation keeps the
+exponents, and a lifted embedding keeps their order, because an order
+embedding is strictly increasing and so maps sorted exponents to sorted
+ones.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from .elements import (
     zero as group_zero,
 )
 from .embeddings import Embedding, apply as apply_embedding
-from .positions import G1, G2, g1_square
+from .positions import G2, g1_square
 
 
 class CoefficientField:
@@ -120,9 +126,10 @@ class HahnSeries:
     def __add__(self, other: "HahnSeries") -> "HahnSeries":
         _compat(self, other)
         F = self.coeff_field
+        z = F.coerce(0)
         acc: dict[GroupElement, object] = dict(self.terms)
         for g, c in other.terms:
-            s = F.add(acc.get(g, F.coerce(0)), c)
+            s = F.add(acc.get(g, z), c)
             if F.is_zero(s):
                 acc.pop(g, None)
             else:
@@ -141,11 +148,12 @@ class HahnSeries:
     def __mul__(self, other: "HahnSeries") -> "HahnSeries":
         _compat(self, other)
         F = self.coeff_field
+        z = F.coerce(0)
         acc: dict[GroupElement, object] = {}
         for g1, c1 in self.terms:
             for g2, c2 in other.terms:
                 g = g1 + g2
-                s = F.add(acc.get(g, F.coerce(0)), F.mul(c1, c2))
+                s = F.add(acc.get(g, z), F.mul(c1, c2))
                 if F.is_zero(s):
                     acc.pop(g, None)
                 else:
@@ -220,26 +228,26 @@ class Membership:
     in_a: bool
 
 
-def _g2_part_nonnegative(g: GroupElement) -> bool:
-    # G2 positions sort first: the leading entry is the leading G2 entry
-    # whenever any exists
-    if not g.entries:
-        return True
-    pos, _ = g.entries[0]
-    if pos.area != G2:
-        return True
-    return g.sign() > 0
-
-
 def membership(f: HahnSeries) -> Membership:
-    """Exponent-wise classification; defined on the lambda construction."""
+    """Exponent-wise classification; defined on the lambda construction.
+
+    One pass over the exponents.  G2 positions sort first, so an
+    exponent has a G2 part exactly when its leading entry is at a G2
+    position, and then its sign is the sign of that part.
+    """
     if f.construction is not LAMBDA:
         raise ConstructionMismatch("membership flags are defined for lambda series")
-    in_val_ring = all(g.sign() >= 0 for g, _ in f.terms)
-    in_k_lambda1 = all(
-        all(pos.area == G1 for pos, _ in g.entries) for g, _ in f.terms
-    )
-    in_a = all(_g2_part_nonnegative(g) for g, _ in f.terms)
+    in_val_ring = in_k_lambda1 = in_a = True
+    for g, _ in f.terms:
+        if not g.entries:
+            continue  # the zero exponent is in all three
+        negative = g.sign() < 0
+        if negative:
+            in_val_ring = False
+        if g.entries[0][0].area == G2:
+            in_k_lambda1 = False
+            if negative:
+                in_a = False
     return Membership(in_val_ring, in_k_lambda1, in_a)
 
 
@@ -288,11 +296,17 @@ def truncated_inverse(f: HahnSeries, precision: GroupElement) -> HahnSeries:
 
 
 def lift_embedding(e: Embedding, f: HahnSeries) -> HahnSeries:
-    """Apply the group embedding to every exponent; a ring embedding."""
+    """Apply the group embedding to every exponent; a ring embedding.
+
+    An order embedding is strictly increasing, so the images of the
+    sorted exponents are sorted and distinct as they come: the terms
+    keep their order and their coefficients.
+    """
     if f.construction is not LAMBDA:
         raise ConstructionMismatch("lifted embeddings are defined for lambda series")
-    acc = {apply_embedding(e, g): c for g, c in f.terms}
-    return _build(f.construction, f.coeff_field, acc)
+    return HahnSeries(
+        f.construction, f.coeff_field, tuple([(apply_embedding(e, g), c) for g, c in f.terms])
+    )
 
 
 def subring_escape_witness() -> tuple[HahnSeries, HahnSeries]:

@@ -7,15 +7,24 @@ The samplers draw from tables built once at import: the interned
 positions as ``_POSITIONS[kind][index]`` (the G1 squares one row deeper,
 ``[block][slot]``), the canonical rationals as ``[numerator][denominator]``
 per denominator set, and the polynomial slots and term counts.  A draw
-is ``rng.choice(table)``.  In CPython ``choice(seq)`` is
-``seq[_randbelow(len(seq))]``, ``randrange(n)`` is ``_randbelow(n)`` and
-``randrange(a, b)`` is ``a + _randbelow(b - a)``, so a choice from a
-table of n items uses up the stream exactly as a ``randrange`` of n
-values does, and the values drawn, in the order drawn, fix every case.
-Two rules keep that order: an outer choice picks the row before the
-inner one picks the item, and a polynomial term draws its coefficient
-before its slot, because the assignment ``coeffs[slot] = coeff`` that
-the tables replace evaluates its right-hand side first.
+is ``_pick(rng, table)``, the item ``rng.choice(table)`` would return.
+In CPython ``choice(seq)`` is ``seq[_randbelow(len(seq))]``,
+``randrange(n)`` is ``_randbelow(n)`` and ``randrange(a, b)`` is ``a +
+_randbelow(b - a)``, so a choice from a table of n items uses up the
+stream exactly as a ``randrange`` of n values does, and the values
+drawn, in the order drawn, fix every case.  Two rules keep that order:
+an outer choice picks the row before the inner one picks the item, and
+a polynomial term draws its coefficient before its slot, because the
+assignment ``coeffs[slot] = coeff`` that the tables replace evaluates
+its right-hand side first.
+
+``_randbelow(n)`` is ``_randbelow_with_getrandbits``: it draws ``k =
+n.bit_length()`` bits, and draws again while the result is ``>= n``.
+``_pick`` runs that same loop against ``rng.getrandbits``, so it reads
+the same bits from the stream and returns the same item as ``choice``,
+without the two Python frames of ``choice`` and ``_randbelow``.  It calls
+the generator's own ``getrandbits``, so a subclass that overrides it
+(Hypothesis's ``st.randoms()``, say) still controls every draw.
 
 Table values are canonical, so sampled elements skip ``element()``'s
 per-component validation: their entries are sorted once by position and
@@ -41,6 +50,18 @@ from .positions import G2, Position, g1_circle, g1_square, g2_circle, g2_square
 
 def case_rng(seed: int, index: int) -> random.Random:
     return random.Random(f"{seed}:{index}")
+
+
+def _pick(rng: random.Random, seq):
+    """``rng.choice(seq)``, drawn from the same bits; see the module docstring."""
+    n = len(seq)
+    if not n:
+        raise IndexError("cannot choose from an empty sequence")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return seq[r]
 
 
 _NUMERATORS = tuple(k for k in range(-12, 13) if k)
@@ -82,8 +103,8 @@ def _sampled(construction: Construction, comps: dict) -> GroupElement:
 
 def random_position(rng: random.Random) -> Position:
     """One of the first 3 G2 pairs or G1 blocks; a G1 square in slot 0..4."""
-    pos = rng.choice(rng.choice(_POSITIONS))
-    return rng.choice(pos) if pos.__class__ is tuple else pos
+    pos = _pick(rng, _pick(rng, _POSITIONS))
+    return _pick(rng, pos) if pos.__class__ is tuple else pos
 
 
 def random_value(rng: random.Random, construction: Construction, pos: Position):
@@ -91,11 +112,11 @@ def random_value(rng: random.Random, construction: Construction, pos: Position):
     # an Enum hashes in Python, so the construction is not a dict key here
     table = (_GAMMA_RATIONALS if construction is GAMMA else _LAMBDA_RATIONALS)[pos.is_square]
     if table is not None:
-        return rng.choice(rng.choice(table))
+        return _pick(rng, _pick(rng, table))
     coeffs = {}
-    for _ in range(rng.choice(_POLY_TERM_COUNTS)):
-        c = rng.choice(_POLY_COEFFS)  # before the slot; see the module docstring
-        coeffs[rng.choice(_POLY_SLOTS)] = c
+    for _ in range(_pick(rng, _POLY_TERM_COUNTS)):
+        c = _pick(rng, _POLY_COEFFS)  # before the slot; see the module docstring
+        coeffs[_pick(rng, _POLY_SLOTS)] = c
     return tuple(sorted(coeffs.items()))
 
 
@@ -108,7 +129,7 @@ def random_element(
     if allow_zero and rng.random() < 0.05:
         return zero(construction)
     comps = {}
-    for _ in range(rng.choice(range(1, max_support + 1))):
+    for _ in range(_pick(rng, range(1, max_support + 1))):
         pos = random_position(rng)
         comps[pos] = random_value(rng, construction, pos)
     # at least one component, each of a nonzero value: never zero
@@ -127,11 +148,11 @@ def random_positive(rng: random.Random, construction: Construction) -> GroupElem
 def random_g1_element(rng: random.Random, construction: Construction, max_support: int = 3) -> GroupElement:
     """Support confined to the right block."""
     comps = {}
-    for _ in range(rng.choice(range(1, max_support + 1))):
+    for _ in range(_pick(rng, range(1, max_support + 1))):
         if rng.random() < 0.7:
-            pos: Position = rng.choice(rng.choice(_G1_SQUARES))
+            pos: Position = _pick(rng, _pick(rng, _G1_SQUARES))
         else:
-            pos = rng.choice(_G1_CIRCLES)
+            pos = _pick(rng, _G1_CIRCLES)
         comps[pos] = random_value(rng, construction, pos)
     return _sampled(construction, comps)
 
@@ -140,7 +161,7 @@ def random_a_cone_exponent(rng: random.Random) -> GroupElement:
     """LAMBDA exponent with zero or positive G2 part."""
     if rng.random() < 0.5:
         return random_g1_element(rng, LAMBDA)
-    g2pos = rng.choice(_G2_SQUARES) if rng.random() < 0.5 else rng.choice(_G2_CIRCLES)
+    g2pos = _pick(rng, _G2_SQUARES) if rng.random() < 0.5 else _pick(rng, _G2_CIRCLES)
     e = _from_canonical(LAMBDA, ((g2pos, random_value(rng, LAMBDA, g2pos)),))
     if rng.random() < 0.7:
         e = e + random_g1_element(rng, LAMBDA, 2)
@@ -165,11 +186,11 @@ def random_series(
     allow_zero: bool = False,
     exponents=None,
 ) -> HahnSeries:
-    n = rng.randrange(0 if allow_zero else 1, max_terms + 1)
+    n = _pick(rng, range(0 if allow_zero else 1, max_terms + 1))
     terms = {}
     for _ in range(n):
         g = exponents(rng) if exponents is not None else random_element(rng, construction, 3)
-        c = rng.choice(_SERIES_COEFFS)
+        c = _pick(rng, _SERIES_COEFFS)
         terms[g] = c
     s = series(construction, terms, coeff_field)
     if s.is_zero() and not allow_zero:

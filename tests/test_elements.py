@@ -129,6 +129,23 @@ class TestArithmetic:
     def test_associative(self, a, b, c):
         assert (a + b) + c == a + (b + c)
 
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA], ids=str)
+    @settings(max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans())
+    def test_negation_matches_scale_minus_one(self, construction, rng, hashed):
+        # scale(-1) is the reference: the same entries, value classes and
+        # carried hash
+        a = random_element(rng, construction)
+        if hashed:
+            hash(a)
+        neg, ref = -a, a.scale(-1)
+        assert neg.entries == ref.entries
+        assert [v.__class__ for _, v in neg.entries] == [v.__class__ for _, v in ref.entries]
+        assert neg._hash == ref._hash
+        if hashed:
+            assert neg._hash is not None
+        assert (a + neg).is_zero() and a + neg == zero(construction)
+
     def test_scale(self):
         a = element(LAMBDA, {S00: {0: 3}})
         assert a.scale(0).is_zero()

@@ -1,10 +1,13 @@
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oagw.elements import ConstructionMismatch, GAMMA, LAMBDA, element, zero
-from oagw.embeddings import Embedding
+from oagw.embeddings import Embedding, apply as apply_embedding
 from oagw.hahn import (
+    HahnSeries,
     PrimeField,
     QQ,
     lift_embedding,
@@ -15,11 +18,12 @@ from oagw.hahn import (
     subring_escape_witness,
     truncated_inverse,
 )
-from oagw.positions import g1_square, g2_square
+from oagw.positions import G1, G2, g1_square, g2_square
 from oagw.sampling import (
     case_rng,
     random_a_cone_exponent,
     random_element,
+    random_g1_element,
     random_series,
     random_valring_exponent,
 )
@@ -237,3 +241,88 @@ class TestEscapeWitness:
         assert mx.in_a and mx.in_k_lambda1 and not mx.in_val_ring
         assert not mhx.in_a
         assert hx == lift_embedding(Embedding.F1, x)
+
+
+# -- the previous definitions, verbatim ----------------------------------------
+# lift_embedding built a dict of the images and sorted it, and membership
+# made one pass per flag; the present code must agree with both.
+
+
+def _build(construction, F, acc):
+    # exponents are distinct keys, so the group order sorts them totally
+    items = sorted(acc.items(), key=itemgetter(0))
+    return HahnSeries(construction, F, tuple(items))
+
+
+def previous_lift_embedding(e, f):
+    """Apply the group embedding to every exponent; a ring embedding."""
+    if f.construction is not LAMBDA:
+        raise ConstructionMismatch("lifted embeddings are defined for lambda series")
+    acc = {apply_embedding(e, g): c for g, c in f.terms}
+    return _build(f.construction, f.coeff_field, acc)
+
+
+def _g2_part_nonnegative(g):
+    # G2 positions sort first: the leading entry is the leading G2 entry
+    # whenever any exists
+    if not g.entries:
+        return True
+    pos, _ = g.entries[0]
+    if pos.area != G2:
+        return True
+    return g.sign() > 0
+
+
+def previous_membership(f):
+    """Exponent-wise classification; defined on the lambda construction."""
+    if f.construction is not LAMBDA:
+        raise ConstructionMismatch("membership flags are defined for lambda series")
+    in_val_ring = all(g.sign() >= 0 for g, _ in f.terms)
+    in_k_lambda1 = all(
+        all(pos.area == G1 for pos, _ in g.entries) for g, _ in f.terms
+    )
+    in_a = all(_g2_part_nonnegative(g) for g, _ in f.terms)
+    return (in_val_ring, in_k_lambda1, in_a)
+
+
+# exponent samplers that reach every membership flag both ways
+_EXPONENTS = (
+    lambda rng: random_element(rng, LAMBDA, 3),
+    random_a_cone_exponent,
+    random_valring_exponent,
+    lambda rng: random_g1_element(rng, LAMBDA),
+)
+
+
+def _sampled_series(seed, which, field):
+    rng = case_rng(seed, which)
+    return random_series(
+        rng, LAMBDA, field, max_terms=5, allow_zero=True, exponents=_EXPONENTS[which]
+    )
+
+
+class TestAgainstThePreviousCode:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, len(_EXPONENTS) - 1), st.sampled_from([QQ, PrimeField(5)]))
+    def test_lift_embedding(self, seed, which, field):
+        f = _sampled_series(seed, which, field)
+        for e in Embedding:
+            got, want = lift_embedding(e, f), previous_lift_embedding(e, f)
+            assert got == want and got.terms == want.terms
+            assert got.coeff_field == field and got.construction is LAMBDA
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, len(_EXPONENTS) - 1))
+    def test_membership(self, seed, which):
+        f = _sampled_series(seed, which, QQ)
+        for g in (f, -f, lift_embedding(Embedding.F1, f), lift_embedding(Embedding.F2, f)):
+            m = membership(g)
+            assert (m.in_val_ring, m.in_k_lambda1, m.in_a) == previous_membership(g)
+
+    def test_membership_reaches_every_flag_both_ways(self):
+        seen = set()
+        for which in range(len(_EXPONENTS)):
+            for i in range(200):
+                seen.add(previous_membership(_sampled_series(i, which, QQ)))
+        for k in range(3):
+            assert {flags[k] for flags in seen} == {False, True}

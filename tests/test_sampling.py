@@ -13,6 +13,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oagw.elements import (
     GAMMA,
@@ -24,6 +25,7 @@ from oagw.elements import (
     uses_poly,
     zero,
 )
+from oagw.hahn import CoefficientField, HahnSeries, PrimeField, QQ, series
 from oagw.positions import G2, Position, g1_circle, g1_square, g2_circle, g2_square
 from oagw import sampling
 from oagw.sampling import case_rng
@@ -111,6 +113,30 @@ def random_a_cone_exponent(rng: random.Random) -> GroupElement:
     return e
 
 
+# the series sampler, with its term count drawn by randrange
+_SERIES_COEFFS = (-3, -2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-5, 3))
+
+
+def random_series(
+    rng: random.Random,
+    construction: Construction = LAMBDA,
+    coeff_field: CoefficientField = QQ,
+    max_terms: int = 3,
+    allow_zero: bool = False,
+    exponents=None,
+) -> HahnSeries:
+    n = rng.randrange(0 if allow_zero else 1, max_terms + 1)
+    terms = {}
+    for _ in range(n):
+        g = exponents(rng) if exponents is not None else random_element(rng, construction, 3)
+        c = rng.choice(_SERIES_COEFFS)
+        terms[g] = c
+    s = series(construction, terms, coeff_field)
+    if s.is_zero() and not allow_zero:
+        return series(construction, {zero(construction): 1}, coeff_field)
+    return s
+
+
 # -- the comparison ----------------------------------------------------------
 
 
@@ -175,3 +201,65 @@ def test_random_g1_element(construction, max_support):
 
 def test_random_a_cone_exponent():
     same_draws(sampling.random_a_cone_exponent, random_a_cone_exponent, canonical)
+
+
+@pytest.mark.parametrize("construction", [LAMBDA, GAMMA], ids=str)
+@pytest.mark.parametrize("max_terms, allow_zero", [(3, False), (4, True)])
+def test_random_series(construction, max_terms, allow_zero):
+    for field in (QQ, PrimeField(5)):
+        same_draws(
+            lambda rng: sampling.random_series(rng, construction, field, max_terms, allow_zero),
+            lambda rng: random_series(rng, construction, field, max_terms, allow_zero),
+        )
+
+
+def test_pick_draws_what_choice_draws():
+    # _pick copies the rejection loop of _randbelow_with_getrandbits; a
+    # Python whose choice draws another way fails here first
+    assert random.Random._randbelow is random.Random._randbelow_with_getrandbits
+    for seed in SEEDS:
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        # the powers of two reject about half their draws
+        for n in range(1, 71):
+            table = tuple(range(n))
+            for _ in range(40):
+                assert sampling._pick(rng, table) == ref_rng.choice(table)
+        assert rng.getstate() == ref_rng.getstate()
+    with pytest.raises(IndexError):
+        sampling._pick(random.Random(0), ())
+
+
+class ScriptedRandom(random.Random):
+    """A generator whose ``getrandbits`` hands out a fixed script."""
+
+    def __init__(self, script):
+        super().__init__(0)
+        self.script = list(script)
+        self.asked = []
+
+    def getrandbits(self, k):
+        self.asked.append(k)
+        return self.script.pop(0)
+
+
+def test_pick_draws_through_the_generators_getrandbits():
+    # a subclass's getrandbits decides every draw: 5 and 7 are rejected
+    # for a table of 5, then 3 is taken
+    rng = ScriptedRandom([5, 7, 3])
+    assert sampling._pick(rng, "abcde") == "d"
+    assert rng.asked == [3, 3, 3] and not rng.script
+
+
+def test_samplers_follow_hypothesis_randoms():
+    # the property tests draw elements from st.randoms(); those draws
+    # must vary with the generated data
+    picks, sizes = set(), set()
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.randoms(use_true_random=False))
+    def draw(rng):
+        picks.add(sampling._pick(rng, range(70)))
+        sizes.add(len(sampling.random_element(rng, LAMBDA, 4, allow_zero=False).entries))
+
+    draw()
+    assert len(picks) > 1 and len(sizes) > 1
