@@ -23,7 +23,6 @@ from typing import Mapping, Optional, Union
 
 from .elements import (
     Construction,
-    ConstructionMismatch,
     GroupElement,
     LAMBDA,
     ParseError,
@@ -46,18 +45,16 @@ class Term:
         return frozenset(v for v, _ in self.coeffs)
 
     def evaluate(self, construction: Construction, env: Mapping[str, GroupElement]) -> GroupElement:
-        # The sum starts from its first summand; addition checks that the
-        # later summands share its construction.
-        acc: Optional[GroupElement] = None
+        # addition checks that every summand shares the construction of
+        # the starting zero, and a zero summand returns the other itself
+        acc = zero(construction)
         for v, k in self.coeffs:
             if v not in env:
                 raise KeyError(f"unbound variable {v!r}")
-            e = env[v] if k == 1 else env[v].scale(k)
-            acc = _first_summand(construction, e) if acc is None else acc + e
+            acc = acc + (env[v] if k == 1 else env[v].scale(k))
         if self.const is not None:
-            c = self.const
-            acc = _first_summand(construction, c) if acc is None else acc + c
-        return zero(construction) if acc is None else acc
+            acc = acc + self.const
+        return acc
 
     def is_single_var(self) -> Optional[str]:
         if self.const is None and len(self.coeffs) == 1 and self.coeffs[0][1] == 1:
@@ -76,12 +73,6 @@ class Term:
             lit = format_element(self.const)
             parts.append(lit if not parts else f"+ {lit}")
         return " ".join(parts) if parts else "0"
-
-
-def _first_summand(construction: Construction, e: GroupElement) -> GroupElement:
-    if e.construction is not construction:
-        raise ConstructionMismatch(f"cannot mix {construction} and {e.construction} elements")
-    return e
 
 
 def term_var(name: str, coeff: int = 1) -> Term:

@@ -2,7 +2,9 @@
 
 A series is a finite sum of ``coeff * t^exponent`` terms ordered by the
 group order of the exponents; ``valuation`` returns the least exponent.
-Coefficients live in an exact field: the rationals or a prime field.
+Coefficients live in a prime field of characteristic p: GF(p), or the
+rationals for p = 0.  A coefficient is a plain Python number, and the
+field's arithmetic is Python's followed by one reduction modulo p.
 
 Membership predicates classify series by their exponents alone:
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .elements import (
     Construction,
@@ -37,87 +39,44 @@ from .embeddings import Embedding, apply as apply_embedding
 from .positions import G2, g1_square
 
 
-class CoefficientField:
-    """Common base of the exact coefficient fields: the rationals and GF(p)."""
+@dataclass(frozen=True)
+class PrimeField:
+    """The prime field of characteristic p: GF(p), or the rationals for p = 0.
 
-    name: str = "?"
+    A coefficient is a plain number, a ``Fraction`` over Q and an int in
+    ``0..p-1`` over GF(p); sums and products are Python's followed by
+    ``reduce``.
+    """
+
+    p: int
+
+    def __post_init__(self) -> None:
+        p = self.p
+        if p and (p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1))):
+            raise ValueError(f"{p} is not prime")
 
     def __repr__(self) -> str:
-        return self.name
+        return f"GF({self.p})" if self.p else "Q"
 
-
-class RationalField(CoefficientField):
-    name = "Q"
-
-    def coerce(self, x):
-        return Fraction(x)
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        if not a:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
-
-    def is_zero(self, a) -> bool:
-        return not a
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RationalField)
-
-    def __hash__(self) -> int:
-        return hash("QQ")
-
-
-class PrimeField(CoefficientField):
-    """Integers modulo a small prime."""
-
-    def __init__(self, p: int) -> None:
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.name = f"GF({p})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("GF", self.p))
+    def reduce(self, x):
+        return x % self.p if self.p else x
 
     def coerce(self, x):
-        return int(x) % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
+        return int(x) % self.p if self.p else Fraction(x)
 
     def inv(self, a):
-        if a % self.p == 0:
+        if not self.reduce(a):
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.p)
-
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
+        return pow(a, -1, self.p) if self.p else 1 / Fraction(a)
 
 
-QQ = RationalField()
+QQ = PrimeField(0)
+
 
 @dataclass(frozen=True)
 class HahnSeries:
     construction: Construction
-    coeff_field: CoefficientField
+    coeff_field: PrimeField
     terms: tuple[tuple[GroupElement, object], ...]  # ascending exponents
 
     def is_zero(self) -> bool:
@@ -125,21 +84,12 @@ class HahnSeries:
 
     def __add__(self, other: "HahnSeries") -> "HahnSeries":
         _compat(self, other)
-        F = self.coeff_field
-        z = F.coerce(0)
-        acc: dict[GroupElement, object] = dict(self.terms)
-        for g, c in other.terms:
-            s = F.add(acc.get(g, z), c)
-            if F.is_zero(s):
-                acc.pop(g, None)
-            else:
-                acc[g] = s
-        return _build(self.construction, F, acc)
+        return self._collect(self.terms + other.terms)
 
     def __neg__(self) -> "HahnSeries":
-        F = self.coeff_field
+        reduce = self.coeff_field.reduce
         return HahnSeries(
-            self.construction, F, tuple((g, F.neg(c)) for g, c in self.terms)
+            self.construction, self.coeff_field, tuple([(g, reduce(-c)) for g, c in self.terms])
         )
 
     def __sub__(self, other: "HahnSeries") -> "HahnSeries":
@@ -147,18 +97,30 @@ class HahnSeries:
 
     def __mul__(self, other: "HahnSeries") -> "HahnSeries":
         _compat(self, other)
-        F = self.coeff_field
-        z = F.coerce(0)
+        reduce = self.coeff_field.reduce
+        return self._collect(
+            [(g1 + g2, reduce(c1 * c2)) for g1, c1 in self.terms for g2, c2 in other.terms]
+        )
+
+    def _collect(self, terms: Iterable[tuple[GroupElement, object]]) -> "HahnSeries":
+        """The sum of ``terms``, each coefficient reduced and nonzero.
+
+        A new exponent stores its coefficient as it comes; a repeated one
+        adds and reduces, and is dropped at zero.  The distinct exponents
+        are then sorted once by the group order.
+        """
+        reduce = self.coeff_field.reduce
         acc: dict[GroupElement, object] = {}
-        for g1, c1 in self.terms:
-            for g2, c2 in other.terms:
-                g = g1 + g2
-                s = F.add(acc.get(g, z), F.mul(c1, c2))
-                if F.is_zero(s):
-                    acc.pop(g, None)
-                else:
-                    acc[g] = s
-        return _build(self.construction, F, acc)
+        for g, c in terms:
+            old = acc.get(g)
+            if old is None:
+                acc[g] = c
+            elif s := reduce(old + c):
+                acc[g] = s
+            else:
+                del acc[g]
+        items = tuple(sorted(acc.items(), key=itemgetter(0)))
+        return HahnSeries(self.construction, self.coeff_field, items)
 
     def valuation(self) -> GroupElement:
         if not self.terms:
@@ -183,38 +145,31 @@ def _compat(a: HahnSeries, b: HahnSeries) -> None:
         raise ValueError(f"series over different fields {a.coeff_field} and {b.coeff_field}")
 
 
-def _build(
-    construction: Construction, F: CoefficientField, acc: Mapping[GroupElement, object]
-) -> HahnSeries:
-    # exponents are distinct keys, so the group order sorts them totally
-    items = sorted(acc.items(), key=itemgetter(0))
-    return HahnSeries(construction, F, tuple(items))
-
-
 def series(
     construction: Construction,
     terms: Mapping[GroupElement, Union[int, Fraction]],
-    coeff_field: CoefficientField = QQ,
+    coeff_field: PrimeField = QQ,
 ) -> HahnSeries:
-    acc: dict[GroupElement, object] = {}
+    # the exponents are distinct keys, so no two coefficients add
+    kept = []
     for g, c in terms.items():
         if g.construction is not construction:
             raise ConstructionMismatch("exponent from the wrong construction")
-        cc = coeff_field.coerce(c)
-        if not coeff_field.is_zero(cc):
-            acc[g] = cc
-    return _build(construction, coeff_field, acc)
+        c = coeff_field.coerce(c)
+        if c:
+            kept.append((g, c))
+    return HahnSeries(construction, coeff_field, tuple(sorted(kept, key=itemgetter(0))))
 
 
 def monomial(
     exponent: GroupElement,
     coeff: Union[int, Fraction] = 1,
-    coeff_field: CoefficientField = QQ,
+    coeff_field: PrimeField = QQ,
 ) -> HahnSeries:
     return series(exponent.construction, {exponent: coeff}, coeff_field)
 
 
-def one(construction: Construction, coeff_field: CoefficientField = QQ) -> HahnSeries:
+def one(construction: Construction, coeff_field: PrimeField = QQ) -> HahnSeries:
     return monomial(group_zero(construction), 1, coeff_field)
 
 

@@ -23,7 +23,6 @@ from typing import Callable, Optional
 from .elements import (
     GAMMA,
     LAMBDA,
-    Construction,
     ConstructionMismatch,
     GroupElement,
     LeadDescriptor,
@@ -36,12 +35,6 @@ from .elements import (
     unit,
 )
 from .positions import G1, Position, g1_square
-
-
-def _require(construction: Construction, *elems: GroupElement) -> None:
-    for e in elems:
-        if e.construction is not construction:
-            raise ConstructionMismatch(f"expected a {construction} element")
 
 
 def cong_free_below(n: int, a: GroupElement, b: GroupElement) -> bool:
@@ -284,7 +277,8 @@ def g1_part_by_formula(a: GroupElement) -> bool:
     together with everything sharing its cut.  Must agree with
     :func:`in_g1_part` on every input.
     """
-    _require(LAMBDA, a)
+    if a.construction is not LAMBDA:
+        raise ConstructionMismatch(f"expected a {LAMBDA} element")
     head = TailSet(_G1_HEAD)
     if a.is_zero():
         return True

@@ -135,58 +135,33 @@ class NonValuationAtom(TypeError):
     pass
 
 
-def _fresh(base: str, taken: set[str]) -> str:
-    name = base
-    k = 0
-    while name in taken:
+def _ge_pattern(s: SeriesTerm, t: SeriesTerm) -> RingFormula:
+    # v(s) >= v(t)  <=>  s/t in the valuation ring, division-free.  The
+    # bound g scopes over s and t only, and no pattern nests inside
+    # another, so g need avoid only the variables of s and t.
+    taken = {f for f in s.factors + t.factors if isinstance(f, str)}
+    g, k = "g", 0
+    while g in taken:
         k += 1
-        name = f"{base}{k}"
-    taken.add(name)
-    return name
-
-
-def _vars_of_term(t: SeriesTerm) -> set[str]:
-    return {f for f in t.factors if isinstance(f, str)}
-
-
-def _vars_of(f: ValFormula) -> set[str]:
-    if isinstance(f, VLt):
-        return _vars_of_term(f.lhs) | _vars_of_term(f.rhs)
-    if isinstance(f, VSumEq):
-        return _vars_of_term(f.a) | _vars_of_term(f.b) | _vars_of_term(f.c)
-    if isinstance(f, VNot):
-        return _vars_of(f.body)
-    if isinstance(f, (VAnd, VOr)):
-        return _vars_of(f.lhs) | _vars_of(f.rhs)
-    raise NonValuationAtom(f"not a valuation statement: {f!r}")
-
-
-def _ge_pattern(s: SeriesTerm, t: SeriesTerm, taken: set[str]) -> RingFormula:
-    # v(s) >= v(t)  <=>  s/t in the valuation ring, division-free
-    g = _fresh("g", taken)
+        g = f"g{k}"
     return RExists(g, RAnd(ValRing(svar(g)), RingEq(s, svar(g) * t)))
 
 
 def translate_to_ring(f: ValFormula) -> RingFormula:
     """Syntactic translation; boolean structure is preserved."""
-    taken = _vars_of(f)
-    return _translate(f, taken)
-
-
-def _translate(f: ValFormula, taken: set[str]) -> RingFormula:
     if isinstance(f, VLt):
-        return RNot(_ge_pattern(f.lhs, f.rhs, taken))
+        return RNot(_ge_pattern(f.lhs, f.rhs))
     if isinstance(f, VSumEq):
         prod = f.a * f.b
-        lt1 = RNot(_ge_pattern(prod, f.c, taken))  # v(ab) < v(c)
-        lt2 = RNot(_ge_pattern(f.c, prod, taken))  # v(ab) > v(c)
+        lt1 = RNot(_ge_pattern(prod, f.c))  # v(ab) < v(c)
+        lt2 = RNot(_ge_pattern(f.c, prod))  # v(ab) > v(c)
         return RAnd(RNot(lt1), RNot(lt2))
     if isinstance(f, VNot):
-        return RNot(_translate(f.body, taken))
+        return RNot(translate_to_ring(f.body))
     if isinstance(f, VAnd):
-        return RAnd(_translate(f.lhs, taken), _translate(f.rhs, taken))
+        return RAnd(translate_to_ring(f.lhs), translate_to_ring(f.rhs))
     if isinstance(f, VOr):
-        return ROr(_translate(f.lhs, taken), _translate(f.rhs, taken))
+        return ROr(translate_to_ring(f.lhs), translate_to_ring(f.rhs))
     raise NonValuationAtom(f"not a valuation statement: {f!r}")
 
 

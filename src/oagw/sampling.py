@@ -44,7 +44,7 @@ from .elements import (
     _from_canonical,
     zero,
 )
-from .hahn import CoefficientField, HahnSeries, QQ, series
+from .hahn import HahnSeries, PrimeField, QQ, series
 from .positions import G2, Position, g1_circle, g1_square, g2_circle, g2_square
 
 
@@ -181,7 +181,7 @@ def random_valring_exponent(rng: random.Random) -> GroupElement:
 def random_series(
     rng: random.Random,
     construction: Construction = LAMBDA,
-    coeff_field: CoefficientField = QQ,
+    coeff_field: PrimeField = QQ,
     max_terms: int = 3,
     allow_zero: bool = False,
     exponents=None,

@@ -96,7 +96,7 @@ def test_criterion_07_f2_interval():
     r = run_suite("f2-interval", SuiteOptions(seed=SEED, samples=200))
     undecided = [c for c in r.cases if c.verdict == "unknown"]
     ok = r.ok and not undecided and len(r.cases) >= 200
-    _banner("7 f2-interval", ok, f"({len(r.cases)} qualifying pairs)")
+    _banner("7 f2-interval", ok, f"({len(r.cases)} cases)")
     assert len(r.cases) >= 200
     assert not undecided, undecided[:2]
     assert r.ok, _failures(r)

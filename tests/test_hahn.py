@@ -326,3 +326,188 @@ class TestAgainstThePreviousCode:
                 seen.add(previous_membership(_sampled_series(i, which, QQ)))
         for k in range(3):
             assert {flags[k] for flags in seen} == {False, True}
+
+
+# -- the previous coefficient fields, verbatim ---------------------------------
+# Q and GF(p) were two classes with one method per operation, and a sum or
+# product added every coefficient to the field's zero; the one PrimeField
+# with its reduction must give the same terms, of the same types.
+
+
+class CoefficientField:
+    """Common base of the exact coefficient fields: the rationals and GF(p)."""
+
+    name: str = "?"
+
+    def __repr__(self) -> str:
+        return self.name
+
+
+class RationalField(CoefficientField):
+    name = "Q"
+
+    def coerce(self, x):
+        return Fraction(x)
+
+    def add(self, a, b):
+        return a + b
+
+    def mul(self, a, b):
+        return a * b
+
+    def neg(self, a):
+        return -a
+
+    def inv(self, a):
+        if not a:
+            raise ZeroDivisionError("inverse of zero")
+        return 1 / Fraction(a)
+
+    def is_zero(self, a) -> bool:
+        return not a
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, RationalField)
+
+    def __hash__(self) -> int:
+        return hash("QQ")
+
+
+class PreviousPrimeField(CoefficientField):
+    """Integers modulo a small prime."""
+
+    def __init__(self, p: int) -> None:
+        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+            raise ValueError(f"{p} is not prime")
+        self.p = p
+        self.name = f"GF({p})"
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PreviousPrimeField) and other.p == self.p
+
+    def __hash__(self) -> int:
+        return hash(("GF", self.p))
+
+    def coerce(self, x):
+        return int(x) % self.p
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def mul(self, a, b):
+        return (a * b) % self.p
+
+    def neg(self, a):
+        return (-a) % self.p
+
+    def inv(self, a):
+        if a % self.p == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return pow(a, -1, self.p)
+
+    def is_zero(self, a) -> bool:
+        return a % self.p == 0
+
+
+def previous_add(F, f, g):
+    z = F.coerce(0)
+    acc = dict(f.terms)
+    for e, c in g.terms:
+        s = F.add(acc.get(e, z), c)
+        if F.is_zero(s):
+            acc.pop(e, None)
+        else:
+            acc[e] = s
+    return _build(f.construction, f.coeff_field, acc)
+
+
+def previous_mul(F, f, g):
+    z = F.coerce(0)
+    acc = {}
+    for g1, c1 in f.terms:
+        for g2, c2 in g.terms:
+            e = g1 + g2
+            s = F.add(acc.get(e, z), F.mul(c1, c2))
+            if F.is_zero(s):
+                acc.pop(e, None)
+            else:
+                acc[e] = s
+    return _build(f.construction, f.coeff_field, acc)
+
+
+def previous_neg(F, f):
+    return HahnSeries(f.construction, f.coeff_field, tuple((e, F.neg(c)) for e, c in f.terms))
+
+
+def previous_series(construction, terms, F, field):
+    acc = {}
+    for e, c in terms.items():
+        cc = F.coerce(c)
+        if not F.is_zero(cc):
+            acc[e] = cc
+    return _build(construction, field, acc)
+
+
+def typed(f):
+    return [(e, c, type(c)) for e, c in f.terms]
+
+
+_FIELDS = ((QQ, RationalField()), (PrimeField(5), PreviousPrimeField(5)))
+_COEFFS = (0, 1, -1, 2, -3, 4, 5, Fraction(1, 2), Fraction(-5, 3), Fraction(10, 2))
+
+
+class TestAgainstThePreviousFields:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.sampled_from([LAMBDA, GAMMA]),
+        st.sampled_from(range(len(_FIELDS))),
+    )
+    def test_arithmetic_and_series(self, seed, construction, which):
+        field, previous = _FIELDS[which]
+        rng = case_rng(seed, 0)
+        # a small exponent pool makes sums and products cancel
+        pool = [zero(construction)] + [random_element(rng, construction, 2) for _ in range(3)]
+
+        def draw():
+            terms = {rng.choice(pool): rng.choice(_COEFFS) for _ in range(rng.randrange(0, 5))}
+            got = series(construction, terms, field)
+            want = previous_series(construction, terms, previous, field)
+            assert typed(got) == typed(want) and str(got) == str(want)
+            return got
+
+        f, g, h = draw(), draw(), draw()
+        for x, y in ((f, g), (g, h), (f, -f), (f + g, h), (f * g, f)):
+            for got, want in (
+                (x + y, previous_add(previous, x, y)),
+                (x * y, previous_mul(previous, x, y)),
+                (-x, previous_neg(previous, x)),
+            ):
+                assert typed(got) == typed(want) and str(got) == str(want)
+                assert got.coeff_field == field and got.construction is construction
+
+    def test_the_field_value(self):
+        assert PrimeField(0) == QQ and PrimeField(5) == PrimeField(5) != QQ
+        assert hash(PrimeField(0)) == hash(QQ)
+        assert (repr(QQ), str(QQ), repr(PrimeField(5))) == ("Q", "Q", "GF(5)")
+        for p in (6, 1, -5, 9):
+            with pytest.raises(ValueError):
+                PrimeField(p)
+        for a in (0, 5, -10, 25):
+            with pytest.raises(ZeroDivisionError):
+                PrimeField(5).inv(a)
+        for a in (0, Fraction(0)):
+            with pytest.raises(ZeroDivisionError):
+                QQ.inv(a)
+        assert PrimeField(5).inv(2) == 3 and PrimeField(5).inv(7) == 3
+        assert QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+        assert (PrimeField(5).reduce(-7), QQ.reduce(Fraction(-7, 2))) == (3, Fraction(-7, 2))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="PrimeField.coerce truncates a fraction with int() instead of dividing mod p",
+    )
+    def test_coerce_a_fraction_into_gf5(self):
+        F = PrimeField(5)
+        assert F.coerce(Fraction(1, 2)) == 3
+        assert F.coerce(Fraction(-5, 3)) == 0

@@ -256,6 +256,10 @@ class TestG1Part:
         assert not g1_part_by_formula(element(LAMBDA, {g2_square(0): {0: 1}}))
         assert g1_part_by_formula(zero(LAMBDA))
 
+    def test_gamma_element_rejected(self):
+        with pytest.raises(ConstructionMismatch):
+            g1_part_by_formula(element(GAMMA, {S00: 1}))
+
     def test_matches_support_check_random(self):
         for i in range(400):
             rng = case_rng(51, i)

@@ -25,7 +25,7 @@ from oagw.elements import (
     uses_poly,
     zero,
 )
-from oagw.hahn import CoefficientField, HahnSeries, PrimeField, QQ, series
+from oagw.hahn import HahnSeries, PrimeField, QQ, series
 from oagw.positions import G2, Position, g1_circle, g1_square, g2_circle, g2_square
 from oagw import sampling
 from oagw.sampling import case_rng
@@ -120,7 +120,7 @@ _SERIES_COEFFS = (-3, -2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-5, 3))
 def random_series(
     rng: random.Random,
     construction: Construction = LAMBDA,
-    coeff_field: CoefficientField = QQ,
+    coeff_field: PrimeField = QQ,
     max_terms: int = 3,
     allow_zero: bool = False,
     exponents=None,

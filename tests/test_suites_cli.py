@@ -45,6 +45,13 @@ def test_report_counts_consistent():
     assert r.ok
 
 
+def test_f2_interval_decides_every_sampled_case():
+    # every sampled pair qualifies, so the suite is a plain case loop
+    for seed in range(16):
+        r = run_suite("f2-interval", SuiteOptions(seed=seed, samples=200))
+        assert len(r.cases) == 200 and r.counts["unknown"] == 0
+
+
 def test_json_deterministic(tmp_path):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     args = [

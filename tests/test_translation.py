@@ -101,3 +101,37 @@ def test_unsupported_quantifier_shape():
     bad = RExists("g", ValRing(svar("g")))
     with pytest.raises(NonValuationAtom):
         eval_ring(bad, {})
+
+
+def _bound_patterns(f):
+    # every E g (ValRing(g) & s = g*t) in a translated formula
+    if isinstance(f, RExists):
+        yield f
+    for child in ("body", "lhs", "rhs"):
+        sub = getattr(f, child, None)
+        if isinstance(sub, (RNot, RAnd, RExists)):
+            yield from _bound_patterns(sub)
+
+
+def test_fresh_name_avoids_the_pattern_terms():
+    stmts = (
+        VLt(svar("g"), svar("g1")),
+        VSumEq(svar("g"), svar("x"), svar("g1")),
+        VSumEq(svar("g2"), svar("g") * svar("g1"), svar("g")),
+    )
+    for stmt in stmts:
+        patterns = list(_bound_patterns(translate_to_ring(stmt)))
+        assert patterns
+        for p in patterns:
+            eq = p.body.rhs
+            free = {f for f in eq.lhs.factors + eq.rhs.factors[1:] if isinstance(f, str)}
+            assert p.var not in free and eq.rhs.factors[0] == p.var
+            assert p.body.lhs.arg.factors == (p.var,)
+    for i in range(100):
+        rng = case_rng(71, i)
+        env = {
+            name: random_series(rng, LAMBDA, QQ, allow_zero=(rng.random() < 0.2))
+            for name in ("g", "g1", "g2", "x")
+        }
+        for stmt in stmts:
+            assert eval_valuation(stmt, env) == eval_ring(translate_to_ring(stmt), env)
