@@ -174,6 +174,22 @@ def _poly_add(x: Poly, y: Poly) -> Poly:
     return (*out, *x[i:], *y[j:])
 
 
+def _fraction_times(v: Fraction, k: int) -> Fraction:
+    """``v * k`` for a nonzero int k, without the generic multiply.
+
+    The numerator of v is coprime to its denominator d, so with
+    g = gcd(k, d) the product numerator * (k/g) over d/g is already in
+    lowest terms; it is written into Fraction's slots without another
+    gcd (``Fraction._from_coprime_ints`` does the same on Python 3.12).
+    """
+    den = v._denominator
+    g = math.gcd(k, den)
+    out = object.__new__(Fraction)
+    out._numerator = v._numerator * (k // g)
+    out._denominator = den // g
+    return out
+
+
 def _value_sign(v: Value) -> int:
     """Sign of a stored, hence nonzero, value: its least slot or numerator."""
     lead = v[0][1] if v.__class__ is tuple else v.numerator  # type: ignore[union-attr]
@@ -260,6 +276,10 @@ class GroupElement:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not GroupElement:
             return NotImplemented
+        # a kept hash is the hash of the entries, so two that differ decide
+        ha, hb = self._hash, other._hash
+        if ha is not None and hb is not None and ha != hb:
+            return False
         return self is other or (
             self.construction is other.construction and self.entries == other.entries
         )
@@ -369,7 +389,7 @@ class GroupElement:
             return zero(self.construction)
         h = self._hash
         return _from_canonical(self.construction, tuple([
-            (pos, tuple([(s, c * k) for s, c in v]) if v.__class__ is tuple else v * k)
+            (pos, tuple([(s, c * k) for s, c in v]) if v.__class__ is tuple else _fraction_times(v, k))
             for pos, v in self.entries
         ]), None if h is None else h * k % HASH_MODULUS)
 

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from operator import itemgetter
 from typing import Callable, Mapping, Optional
 
@@ -106,9 +106,13 @@ _UNKNOWN = Verdict(Truth.UNKNOWN, None, "fragment bounds exhausted")
 # quantifier splits its body, moves the parts it may decide once into a
 # junction before itself, and compiles the rest into closures; a moved
 # part is compiled once it reaches the quantifier its terms hoist into.
-# The environment is one dict, extended by each quantifier while its
-# body runs.  Every fragment of one call shares a fresh pool-part memo,
-# carried by a clone of the config, so the memo lives for one call.
+# A term becomes a closure over the environment: a variable is read, a
+# constant kept, a term without the innermost quantifier's variable is
+# summed from its bindings once per run of that quantifier (at the top
+# level, once per call), and a term with it adds only that summand per
+# candidate.  The environment is one dict, extended by each quantifier
+# while its body runs.  Every fragment of one call shares fresh pool
+# memos, carried by a clone of the config, so they live for one call.
 _Compiled = Callable[[dict[str, GroupElement]], Verdict]
 _TermFn = Callable[[dict[str, GroupElement]], GroupElement]
 
@@ -303,20 +307,35 @@ def _compile_term(construction: Construction, t: Term, scope: Optional[_Scope]) 
     if var is not None:
         return itemgetter(var)
     if scope is None:
-        return partial(t.evaluate, construction)
+        return _sum_term(t)
     own = [c for v, c in t.coeffs if v == scope.var]
     if not own:
-        return scope.hoist(partial(t.evaluate, construction))
+        return scope.hoist(_sum_term(t))
     # the summand k * var is added to the rest, which a run holds fixed
-    k = sum(own)
-    get = itemgetter(scope.var)
+    own_fn = _summand(scope.var, sum(own))
     rest = Term(tuple(c for c in t.coeffs if c[0] != scope.var), t.const)
     if not rest.coeffs and rest.const is None:
-        return lambda env: get(env).scale(k)
-    rest_fn = _compile_term(construction, rest, scope)
-    if k == 1:
-        return lambda env: rest_fn(env) + get(env)
-    return lambda env: rest_fn(env) + get(env).scale(k)
+        return own_fn
+    return _plus(_compile_term(construction, rest, scope), own_fn)
+
+
+def _sum_term(t: Term) -> _TermFn:
+    """``t`` as a closure that adds up its summands afresh at each call,
+    the constant last."""
+    summands = [_summand(v, k) for v, k in t.coeffs]
+    if t.const is not None:
+        const = t.const
+        summands.append(lambda env: const)
+    return reduce(_plus, summands)
+
+
+def _summand(var: str, k: int) -> _TermFn:
+    get = itemgetter(var)
+    return get if k == 1 else lambda env: get(env).scale(k)
+
+
+def _plus(f: _TermFn, g: _TermFn) -> _TermFn:
+    return lambda env: f(env) + g(env)
 
 
 def _compile_atom(

@@ -5,16 +5,20 @@ finite fragment: all integer combinations of the supplied parameters
 and generator pool with coefficients bounded by ``coeff_bound``,
 enumerated smallest-coefficients-first and truncated at ``size_cap``.
 
-A fragment element is a parameter part plus a pool part.  For each
-pool that survives in a fragment, each ``FragmentConfig`` keeps the
-pool parts layer by layer: for layer m, the part of every coefficient
-vector with all |k| <= m (the layer's box) and the sub-list of those
-with some |k| = m (its rim), both in product order.  The lists grow on
-demand, so a fragment that stops early leaves the rest uncomputed, and
-every fragment enumerated through the config walks what earlier ones
-filled.  ``evaluate`` enumerates a fragment per outer binding through a
-clone of the caller's config with a fresh memo, so its lists live for
-one call.
+A fragment element is a parameter part plus a pool part.  What does
+not depend on the parameters is done once per ``FragmentConfig`` and
+shared by every fragment enumerated through it: the coefficient
+vectors of layer m over n parameter axes, each flagged with whether
+it lies in layer m itself, listed once per (m, n); per construction,
+the pool checked and with zeros and repeats dropped; and, for each
+pool that survives in a fragment, the pool parts layer by layer: for
+layer m, the part of every vector with all |k| <= m (the layer's box)
+and the sub-list of those with some |k| = m (its rim), both in product
+order.  All these lists grow on demand, so a fragment that stops early
+leaves the rest uncomputed, and a fragment walks what earlier ones
+filled.  ``evaluate`` enumerates a fragment per outer binding through
+a clone of the caller's config with fresh memos, so they live for one
+call.
 """
 
 from __future__ import annotations
@@ -32,9 +36,15 @@ class FragmentConfig:
     generator_pool: tuple[GroupElement, ...] = ()
     size_cap: int = 2000
     seed: int = 0
+    # construction -> (the pool without zeros and repeats as a set, its
+    # _PoolParts); a pool of another construction raises and is never
+    # stored
+    _pools: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # (construction, surviving pool) -> its _PoolParts, shared by every
     # fragment enumerated through this config
     _pool_parts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (m, n) -> the _Vectors of layer m over n parameter axes
+    _vectors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.size_cap.__class__ is not int or self.coeff_bound.__class__ is not int:
@@ -53,23 +63,70 @@ class FragmentConfig:
             )
 
     def _with_fresh_memo(self) -> "FragmentConfig":
-        """This config with an empty pool-part memo of its own.
+        """This config with empty memos of its own.
 
         The fields were validated when this config was built, so unlike
         ``dataclasses.replace`` the clone does not rerun ``__post_init__``.
         """
         clone = object.__new__(FragmentConfig)
         clone.__dict__.update(self.__dict__)
-        clone.__dict__["_pool_parts"] = {}
+        for memo in ("_pools", "_pool_parts", "_vectors"):
+            clone.__dict__[memo] = {}
         return clone
 
+    def _pool(self, construction: Construction) -> tuple[frozenset, "_PoolParts"]:
+        """The pool's nonzero generators as a set, and their parts, which
+        list them without repeats."""
+        entry = self._pools.get(construction)
+        if entry is None:
+            for g in self.generator_pool:
+                if g.construction is not construction:
+                    raise ConstructionMismatch("fragment parameters mix constructions")
+            pool = tuple(dict.fromkeys([g for g in self.generator_pool if not g.is_zero()]))
+            parts = self._parts(construction, pool)
+            entry = self._pools[construction] = (frozenset(pool), parts)
+        return entry
 
-def _axis(m: int) -> list[int]:
-    """The coefficients of layer m, in enumeration order: 0, 1, -1, ..., m, -m."""
-    return [0] + [s * k for k in range(1, m + 1) for s in (1, -1)]
+    def _parts(self, construction: Construction, pool: tuple[GroupElement, ...]) -> "_PoolParts":
+        parts = self._pool_parts.get((construction, pool))
+        if parts is None:
+            parts = _PoolParts(pool, zero(construction))
+            self._pool_parts[construction, pool] = parts
+        return parts
 
 
-def _part(memo: dict, gens: tuple[GroupElement, ...], vec: tuple[int, ...]) -> GroupElement:
+def _box(m: int, n: int) -> Iterator[tuple[int, ...]]:
+    """The vectors of layer m's box over n axes, every |k| <= m, in
+    product order with each axis running 0, 1, -1, ..., m, -m."""
+    return itertools.product([0] + [s * k for k in range(1, m + 1) for s in (1, -1)], repeat=n)
+
+
+class _Vectors(list):
+    """The box of layer m over n axes, listed as far as asked: each item
+    is a vector and whether it lies in layer m itself (some |k| = m)."""
+
+    def __init__(self, m: int, n: int) -> None:
+        super().__init__()
+        self.m = m
+        self.total = (2 * m + 1) ** n
+        self.source = _box(m, n)
+
+    def grow(self) -> tuple[tuple[int, ...], bool]:
+        """Append the next item and return it."""
+        v, m = next(self.source), self.m
+        item = (v, m in v or -m in v)
+        self.append(item)
+        return item
+
+
+def _vectors(memo: dict, m: int, n: int) -> _Vectors:
+    vecs = memo.get((m, n))
+    if vecs is None:
+        vecs = memo[m, n] = _Vectors(m, n)
+    return vecs
+
+
+def _part(memo: dict, gens: Sequence[GroupElement], vec: tuple[int, ...]) -> GroupElement:
     """The sum of k * g over vec and gens, read from memo or filled into it.
 
     The sum of a vector is the sum without its last nonzero term, plus
@@ -98,32 +155,36 @@ class _PoolParts:
     def __init__(self, gens: tuple[GroupElement, ...], z: GroupElement) -> None:
         self.gens = gens
         self.sums = {(0,) * len(gens): z}
-        self.layers: list[_Layer] = []
+        self.layers: dict[int, _Layer] = {}
 
     def layer(self, m: int) -> "_Layer":
-        while len(self.layers) <= m:
-            self.layers.append(_Layer(self, len(self.layers)))
-        return self.layers[m]
+        layer = self.layers.get(m)
+        if layer is None:
+            layer = self.layers[m] = _Layer(self, m)
+        return layer
 
 
 class _Layer:
-    """Layer m of a pool: its box and rim lists, grown from one iterator.
+    """Layer m of a pool: the parts of its box and of its rim, as far as
+    a fragment has walked them.
 
-    ``vecs`` runs over the layer's vectors in product order and is None
-    once both lists are complete.
+    ``vecs`` runs over the box's vectors and is None once both lists are
+    complete.
     """
 
-    __slots__ = ("pool", "m", "box", "rim", "vecs")
+    __slots__ = ("pool", "m", "vecs", "box", "rim")
 
     def __init__(self, pool: _PoolParts, m: int) -> None:
         self.pool, self.m = pool, m
+        self.vecs: Optional[Iterator] = _box(m, len(pool.gens))
         self.box: list[GroupElement] = []
         self.rim: list[GroupElement] = []
-        self.vecs: Optional[Iterator] = itertools.product(_axis(m), repeat=len(pool.gens))
 
     def grow(self) -> bool:
         """Append the next vector's part; False once the layer is complete."""
-        vec = next(self.vecs, None)  # type: ignore[arg-type]
+        if self.vecs is None:
+            return False
+        vec = next(self.vecs, None)
         if vec is None:
             self.vecs = None
             return False
@@ -132,16 +193,6 @@ class _Layer:
         if self.m in vec or -self.m in vec:
             self.rim.append(part)
         return True
-
-    def walk(self, parts: list[GroupElement]) -> Iterator[GroupElement]:
-        """Every item of ``parts``, the box or the rim, growing it on demand."""
-        i = 0
-        while True:
-            if i < len(parts):
-                yield parts[i]
-                i += 1
-            elif self.vecs is None or not self.grow():
-                return
 
 
 def iter_fragment(
@@ -159,50 +210,61 @@ def iter_fragment(
     construction.  Walks, and grows on demand, the config's per-layer
     lists of pool parts.
     """
-    params = tuple(params)
-    gens: list[GroupElement] = []
-    seen_gen: set = set()
-    for group in (params, cfg.generator_pool):
-        n_params = len(gens)  # once the loop is over: the parameter axes
-        for g in group:
-            if g.construction is not construction:
-                raise ConstructionMismatch("fragment parameters mix constructions")
-            if not g.is_zero() and g not in seen_gen:
-                seen_gen.add(g)
-                gens.append(g)
-
-    size_cap = cfg.size_cap
+    pool_set, parts = cfg._pool(construction)
     z = zero(construction)
+    # the distinct nonzero params are both the ones yielded and the
+    # parameter axes
     seen: set = {z}
-    yield z
+    param_gens: list[GroupElement] = []
     for p in params:
-        if p not in seen and len(seen) < size_cap:
-            seen.add(p)
-            yield p
-    if not gens or len(seen) >= size_cap:
+        if p.construction is not construction:
+            raise ConstructionMismatch("fragment parameters mix constructions")
+        n = len(seen)
+        seen.add(p)
+        if len(seen) > n:
+            param_gens.append(p)
+    size_cap = cfg.size_cap
+    yield z
+    yield from param_gens[: size_cap - 1]
+    if len(seen) >= size_cap:
+        return
+    if not seen.isdisjoint(pool_set):
+        # a param that is a pool generator takes that generator's axis
+        parts = cfg._parts(construction, tuple([g for g in parts.gens if g not in seen]))
+    if not param_gens and not parts.gens:
         return
     # A vector's sum is its parameter part plus its pool part.  The
     # parameter part is read from a memo keyed by its coefficient vector;
     # the pool parts of a layer are walked as a list, the whole box when
-    # the parameter vector is in the layer and the rim otherwise.  They
-    # depend only on which pool generators survive, so they are shared
-    # through the config.
-    param_gens, pool = tuple(gens[:n_params]), tuple(gens[n_params:])
-    param_parts = {(0,) * n_params: z}
-    parts = cfg._pool_parts.get((construction, pool))
-    if parts is None:
-        parts = cfg._pool_parts[construction, pool] = _PoolParts(pool, z)
-    for m in range(cfg.coeff_bound + 1):
+    # the parameter vector is in the layer and the rim otherwise.  Layer
+    # 0 is skipped: its one vector sums to zero.
+    param_parts = {(0,) * len(param_gens): z}
+    for m in range(1, cfg.coeff_bound + 1):
         layer = parts.layer(m)
-        for pvec in itertools.product(_axis(m), repeat=n_params):
-            # every entry has |k| <= m, so the layer test is membership
-            in_layer = m == 0 or m in pvec or -m in pvec
-            row = layer.box if in_layer else layer.rim
-            if layer.vecs is not None:
-                row = layer.walk(row)
+        box, rim = layer.box, layer.rim
+        pvecs = _vectors(cfg._vectors, m, len(param_gens))
+        for i in range(pvecs.total):
+            pvec, in_layer = pvecs[i] if i < len(pvecs) else pvecs.grow()
+            row = box if in_layer else rim
             ppart = _part(param_parts, param_gens, pvec)
             # a zero parameter part leaves the pool part as the candidate
             for acc in map(ppart.__add__, row) if ppart.entries else row:
+                n = len(seen)
+                seen.add(acc)
+                if len(seen) > n:
+                    yield acc
+                    if len(seen) >= size_cap:
+                        return
+            if layer.vecs is None:
+                continue
+            # past the parts computed so far, grow the layer one vector at
+            # a time; another fragment may grow it while this one waits
+            j = len(row)
+            while j < len(row) or layer.grow():
+                if j == len(row):
+                    continue
+                acc = ppart + row[j] if ppart.entries else row[j]
+                j += 1
                 n = len(seen)
                 seen.add(acc)
                 if len(seen) > n:

@@ -146,6 +146,31 @@ class TestArithmetic:
             assert neg._hash is not None
         assert (a + neg).is_zero() and a + neg == zero(construction)
 
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA], ids=str)
+    @settings(max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(-12, 12), st.booleans())
+    def test_scale_matches_the_generic_multiply(self, construction, rng, k, hashed):
+        # each rational scaled by the generic Fraction multiply is the
+        # reference: the same values in lowest terms, classes and hash
+        a = random_element(rng, construction)
+        if hashed:
+            hash(a)
+        got = a.scale(k)
+        want = tuple(
+            (pos, tuple((s, c * k) for s, c in v) if v.__class__ is tuple else v * k)
+            for pos, v in a.entries
+        ) if k else ()
+        assert got.entries == want
+        assert [v.__class__ for _, v in got.entries] == [v.__class__ for _, v in want]
+        for (_, v), (_, w) in zip(got.entries, want):
+            if v.__class__ is Fraction:
+                assert (v.numerator, v.denominator) == (w.numerator, w.denominator)
+                assert hash(v) == hash(w)
+        rebuilt = GroupElement(construction, want)
+        if hashed:
+            assert got._hash == hash(rebuilt)
+        assert hash(got) == hash(rebuilt)
+
     def test_scale(self):
         a = element(LAMBDA, {S00: {0: 3}})
         assert a.scale(0).is_zero()

@@ -219,9 +219,10 @@ class TestQuantifiers:
         # every fragment of the call reads one copy; the caller's memo stays empty
         assert len(seen) > 1 and all(c is seen[0] for c in seen)
         assert seen[0] is not cfg and seen[0] == cfg and seen[0]._pool_parts
-        assert not cfg._pool_parts
+        assert seen[0]._pools and seen[0]._vectors
+        assert not cfg._pool_parts and not cfg._pools and not cfg._vectors
         assert evaluate(LAMBDA, f, {}, cfg) == first
-        assert seen[-1] is not seen[0] and not cfg._pool_parts
+        assert seen[-1] is not seen[0] and not cfg._pool_parts and not cfg._pools
 
 
 # -- bounded congruence systems ----------------------------------------------

@@ -109,6 +109,8 @@ def test_smallest_valid_config():
     filled = replace(cfg, coeff_bound=1, size_cap=2)
     assert list(iter_fragment([], filled, LAMBDA)) == [zero(LAMBDA), a]
     assert filled._pool_parts and not replace(filled)._pool_parts
+    assert filled._pools and not replace(filled)._pools
+    assert filled._vectors and not replace(filled)._vectors
     assert replace(filled) == filled
 
 
@@ -246,7 +248,7 @@ def test_abandoned_fragment_computes_no_part_it_did_not_reach(construction, call
 @given(
     construction=st.sampled_from([LAMBDA, GAMMA]),
     seed=st.integers(min_value=0, max_value=2**32),
-    coeff_bound=st.integers(min_value=1, max_value=2),
+    coeff_bound=st.integers(min_value=0, max_value=2),
     size_cap=st.integers(min_value=1, max_value=80),
     data=st.data(),
 )
@@ -279,7 +281,23 @@ def test_shared_empty_pool_serves_both_constructions():
     cfg = FragmentConfig(2, (), 50)
     a = element(LAMBDA, {S00: {0: 1}})
     c = element(GAMMA, {g2_circle(0): Fraction(1, 3)})
-    for params in ([a], [c], [a]):
-        got = list(iter_fragment(params, cfg, params[0].construction))
+    for params in ([a], [c], [a], [c]):
+        construction = params[0].construction
+        got = list(iter_fragment(params, cfg, construction))
         assert got == _reference_fragment(params, cfg)
+        assert got[0] is zero(construction)
+        assert all(x.construction is construction for x in got)
+    assert set(cfg._pools) == {LAMBDA, GAMMA}
     assert set(cfg._pool_parts) == {(LAMBDA, ()), (GAMMA, ())}
+
+
+def test_pool_of_another_construction_raises_on_every_call():
+    a = element(LAMBDA, {S00: {0: 1}})
+    c = element(GAMMA, {g2_circle(0): Fraction(1, 3)})
+    cfg = FragmentConfig(2, (c,), 50)
+    for _ in range(3):
+        with pytest.raises(ConstructionMismatch):
+            next(iter_fragment([a], cfg, LAMBDA))
+    assert not cfg._pools and not cfg._pool_parts
+    # the failed calls leave the config serving its own construction
+    assert list(iter_fragment([c.scale(2)], cfg, GAMMA)) == _reference_fragment([c.scale(2)], cfg)
