@@ -691,6 +691,12 @@ def format_element(a: GroupElement) -> str:
         return "0"
     items = []
     for pos, v in a.entries:
-        body = _format_poly(v) if isinstance(v, tuple) else str(v)
+        # a rational is written from Fraction's slots, as str() writes it
+        if v.__class__ is tuple:
+            body = _format_poly(v)
+        elif v._denominator == 1:
+            body = str(v._numerator)
+        else:
+            body = f"{v._numerator}/{v._denominator}"
         items.append(f"{pos.text}: {body}")
     return "{" + ", ".join(items) + "}"

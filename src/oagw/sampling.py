@@ -3,48 +3,63 @@
 Every suite derives one ``random.Random`` per case from (seed, case
 index), so reports are reproducible and parallelism-safe.
 
-The samplers draw from tables built once at import: the interned
-positions as ``_POSITIONS[kind][index]`` (the G1 squares one row deeper,
-``[block][slot]``), the canonical rationals as ``[numerator][denominator]``
-per denominator set, and the polynomial slots and term counts.  A draw
-is ``_pick(rng, table)``, the item ``rng.choice(table)`` would return.
-In CPython ``choice(seq)`` is ``seq[_randbelow(len(seq))]``,
+Every draw returns the item ``rng.choice(table)`` would, from the same
+bits.  In CPython ``choice(seq)`` is ``seq[_randbelow(len(seq))]``,
 ``randrange(n)`` is ``_randbelow(n)`` and ``randrange(a, b)`` is ``a +
 _randbelow(b - a)``, so a choice from a table of n items uses up the
 stream exactly as a ``randrange`` of n values does, and the values
 drawn, in the order drawn, fix every case.  Two rules keep that order:
-an outer choice picks the row before the inner one picks the item, and
-a polynomial term draws its coefficient before its slot, because the
+an outer draw picks the row before the inner one picks the item, and a
+polynomial term draws its coefficient before its slot, because the
 assignment ``coeffs[slot] = coeff`` that the tables replace evaluates
 its right-hand side first.
 
 ``_randbelow(n)`` is ``_randbelow_with_getrandbits``: it draws ``k =
 n.bit_length()`` bits, and draws again while the result is ``>= n``.
-``_pick`` runs that same loop against ``rng.getrandbits``, so it reads
-the same bits from the stream and returns the same item as ``choice``,
-without the two Python frames of ``choice`` and ``_randbelow``.  It calls
-the generator's own ``getrandbits``, so a subclass that overrides it
-(Hypothesis's ``st.randoms()``, say) still controls every draw.
+So each table is kept once as ``(k, padded)``, where ``padded`` is the
+table followed by ``None`` up to ``2**k`` slots, and a draw is
+``padded[g(k)]`` with ``g = rng.getrandbits``, drawn again while it is
+``None``.  The ``None`` slots are exactly the results ``>= n`` that
+``_randbelow`` rejects, so the stream is read bit for bit as ``choice``
+reads it, with the loop written inline instead of in two Python frames.
+``g`` is the generator's own ``getrandbits``, so a subclass that
+overrides it (Hypothesis's ``st.randoms()``, say) still controls every
+draw.  The term-count tables of each bound and the coefficient table of
+each field are built on first use, and an empty count table raises
+``IndexError`` as ``choice`` does: its padded form ``(None,)`` with
+``k = 0`` would be drawn again forever.  The cold samplers draw through
+``_pick``, the same loop over a plain sequence.
 
-Table values are canonical, so sampled elements skip ``element()``'s
-per-component validation: their entries are sorted once by position and
-handed to ``_from_canonical``.
+The tables hold the interned positions as ``(rank, position)`` entries,
+``[kind][index]`` (the G1 squares one row deeper, ``[block][slot]``),
+the canonical rationals as ``[numerator][denominator]`` per denominator
+set, and the polynomial slots and coefficients.  A rank is the
+position's place in the position order, so sampled entries sort by an
+int, and table values are canonical, so the entries skip ``element()``'s
+validation and go to ``_from_canonical``.  A series takes its
+coefficients already passed through ``PrimeField.coerce``, and keeps
+its at most ``max_terms`` exponents in a short list compared by ``==``,
+not hashed; a repeated exponent takes the later coefficient, as a dict
+assignment would.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
+from operator import attrgetter, itemgetter
 
 from .elements import (
     Construction,
+    ConstructionMismatch,
     GAMMA,
     GroupElement,
     LAMBDA,
     _from_canonical,
     zero,
 )
-from .hahn import HahnSeries, PrimeField, QQ, series
+from .hahn import HahnSeries, PrimeField, QQ
 from .positions import G2, Position, g1_circle, g1_square, g2_circle, g2_square
 
 
@@ -64,25 +79,55 @@ def _pick(rng: random.Random, seq):
     return seq[r]
 
 
+def _table(seq) -> tuple[int, tuple]:
+    """``seq`` as ``(k, padded)``; see the module docstring."""
+    n = len(seq)
+    k = n.bit_length()
+    return k, (*seq, *(None,) * ((1 << k) - n))
+
+
+@cache
+def _counts(lo: int, hi: int) -> tuple[int, tuple]:
+    """The table of ``range(lo, hi + 1)``, built on first use."""
+    if hi < lo:
+        raise IndexError("cannot choose from an empty sequence")
+    return _table(range(lo, hi + 1))
+
+
 _NUMERATORS = tuple(k for k in range(-12, 13) if k)
-_POLY_COEFFS = (-6, -4, -3, -2, -1, 1, 2, 3, 4, 6)  # LAMBDA square coefficients
-_POLY_SLOTS = tuple(range(6))
-_POLY_TERM_COUNTS = (1, 2, 3)
+_POLY_COEFFS = _table((-6, -4, -3, -2, -1, 1, 2, 3, 4, 6))  # LAMBDA square coefficients
+_POLY_SLOTS = _table(range(6))
+_POLY_TERMS = _counts(1, 3)
 _SERIES_COEFFS = (-3, -2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-5, 3))
 
-# kind -> index -> position: G2 circles, G2 squares, G1 squares (one row
-# per block, indexed by slot), G1 circles; the first 3 pairs or blocks
-_POSITIONS = (
-    tuple(g2_circle(m) for m in range(3)),
-    tuple(g2_square(m) for m in range(3)),
-    tuple(tuple(g1_square(b, p) for p in range(5)) for b in range(3)),
-    tuple(g1_circle(b) for b in range(3)),
-)
-_G2_CIRCLES, _G2_SQUARES, _G1_SQUARES, _G1_CIRCLES = _POSITIONS
+# the first 3 G2 pairs or G1 blocks; the G1 squares one row per block,
+# indexed by slot
+_G2_CIRCLES = tuple(g2_circle(m) for m in range(3))
+_G2_SQUARES = tuple(g2_square(m) for m in range(3))
+_G1_SQUARES = tuple(tuple(g1_square(b, p) for p in range(5)) for b in range(3))
+_G1_CIRCLES = tuple(g1_circle(b) for b in range(3))
+# a position's rank is its place in the order of the sampled positions
+_RANKS = {pos: rank for rank, pos in enumerate(sorted(
+    (*_G2_CIRCLES, *_G2_SQUARES, *sum(_G1_SQUARES, ()), *_G1_CIRCLES), key=attrgetter("key")
+))}
 
 
-def _rationals(dens: tuple[int, ...]) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(num, den) for den in dens) for num in _NUMERATORS)
+def _entries(positions) -> tuple[int, tuple]:
+    return _table([(_RANKS[pos], pos) for pos in positions])
+
+
+# kind -> index -> (rank, position): G2 circles, G2 squares, G1 squares
+# (a table per block), G1 circles
+_KINDS = _table((
+    _entries(_G2_CIRCLES),
+    _entries(_G2_SQUARES),
+    _table([_entries(row) for row in _G1_SQUARES]),
+    _entries(_G1_CIRCLES),
+))
+
+
+def _rationals(dens: tuple[int, ...]) -> tuple[int, tuple]:
+    return _table([_table([Fraction(num, den) for den in dens]) for num in _NUMERATORS])
 
 
 # (circle table, square table) of each construction, indexed by
@@ -92,32 +137,78 @@ _GAMMA_RATIONALS = (_rationals((1, 3, 5, 7, 9)), _rationals((1, 2, 4, 5, 7, 8)))
 _LAMBDA_RATIONALS = (_rationals((1, 2, 3, 4, 5)), None)
 
 
-def _sampled(construction: Construction, comps: dict) -> GroupElement:
-    """The element of nonzero canonical ``comps``.
+@cache
+def _coefficients(p: int) -> tuple[int, tuple]:
+    """The series coefficients coerced into GF(p), or Q for p = 0."""
+    coerce = PrimeField(p).coerce
+    return _table([coerce(c) for c in _SERIES_COEFFS])
 
-    The positions are distinct, so the pairs sort by position alone
-    (``Position.__lt__``) and no two values are compared.
-    """
-    return _from_canonical(construction, tuple(sorted(comps.items())))
+
+def _position(g) -> tuple[int, Position]:
+    """The ``(rank, position)`` entry of one position drawn through ``g``."""
+    k, t = _KINDS
+    row = t[g(k)]
+    while row is None:
+        row = t[g(k)]
+    k, t = row
+    e = t[g(k)]
+    while e is None:
+        e = t[g(k)]
+    if e[1].__class__ is tuple:  # a G1 block's table: draw the slot
+        k, t = e
+        e = t[g(k)]
+        while e is None:
+            e = t[g(k)]
+    return e
+
+
+def _value(g, rats, pos: Position):
+    """A nonzero canonical value that ``pos`` can hold, drawn through ``g``
+    from the construction's ``(circle, square)`` rational tables ``rats``."""
+    table = rats[pos.is_square]
+    if table is not None:
+        k, t = table
+        row = t[g(k)]
+        while row is None:
+            row = t[g(k)]
+        k, t = row
+        v = t[g(k)]
+        while v is None:
+            v = t[g(k)]
+        return v
+    k, t = _POLY_TERMS
+    n = t[g(k)]
+    while n is None:
+        n = t[g(k)]
+    ck, ct = _POLY_COEFFS
+    sk, st = _POLY_SLOTS
+    coeffs = {}
+    for _ in range(n):
+        c = ct[g(ck)]  # before the slot; see the module docstring
+        while c is None:
+            c = ct[g(ck)]
+        slot = st[g(sk)]
+        while slot is None:
+            slot = st[g(sk)]
+        coeffs[slot] = c
+    return tuple(sorted(coeffs.items()))
+
+
+def _sampled(construction: Construction, comps: dict) -> GroupElement:
+    """The element of ``comps``: rank -> (position, nonzero canonical value)."""
+    return _from_canonical(construction, tuple([comps[r] for r in sorted(comps)]))
 
 
 def random_position(rng: random.Random) -> Position:
     """One of the first 3 G2 pairs or G1 blocks; a G1 square in slot 0..4."""
-    pos = _pick(rng, _pick(rng, _POSITIONS))
-    return _pick(rng, pos) if pos.__class__ is tuple else pos
+    return _position(rng.getrandbits)[1]
 
 
 def random_value(rng: random.Random, construction: Construction, pos: Position):
     """A nonzero canonical value that ``pos`` can hold."""
     # an Enum hashes in Python, so the construction is not a dict key here
-    table = (_GAMMA_RATIONALS if construction is GAMMA else _LAMBDA_RATIONALS)[pos.is_square]
-    if table is not None:
-        return _pick(rng, _pick(rng, table))
-    coeffs = {}
-    for _ in range(_pick(rng, _POLY_TERM_COUNTS)):
-        c = _pick(rng, _POLY_COEFFS)  # before the slot; see the module docstring
-        coeffs[_pick(rng, _POLY_SLOTS)] = c
-    return tuple(sorted(coeffs.items()))
+    rats = _GAMMA_RATIONALS if construction is GAMMA else _LAMBDA_RATIONALS
+    return _value(rng.getrandbits, rats, pos)
 
 
 def random_element(
@@ -128,10 +219,16 @@ def random_element(
 ) -> GroupElement:
     if allow_zero and rng.random() < 0.05:
         return zero(construction)
+    g = rng.getrandbits
+    k, t = _counts(1, max_support)
+    n = t[g(k)]
+    while n is None:
+        n = t[g(k)]
+    rats = _GAMMA_RATIONALS if construction is GAMMA else _LAMBDA_RATIONALS
     comps = {}
-    for _ in range(_pick(rng, range(1, max_support + 1))):
-        pos = random_position(rng)
-        comps[pos] = random_value(rng, construction, pos)
+    for _ in range(n):
+        rank, pos = _position(g)
+        comps[rank] = (pos, _value(g, rats, pos))
     # at least one component, each of a nonzero value: never zero
     return _sampled(construction, comps)
 
@@ -153,7 +250,7 @@ def random_g1_element(rng: random.Random, construction: Construction, max_suppor
             pos: Position = _pick(rng, _pick(rng, _G1_SQUARES))
         else:
             pos = _pick(rng, _G1_CIRCLES)
-        comps[pos] = random_value(rng, construction, pos)
+        comps[_RANKS[pos]] = (pos, random_value(rng, construction, pos))
     return _sampled(construction, comps)
 
 
@@ -186,13 +283,27 @@ def random_series(
     allow_zero: bool = False,
     exponents=None,
 ) -> HahnSeries:
-    n = _pick(rng, range(0 if allow_zero else 1, max_terms + 1))
-    terms = {}
+    g = rng.getrandbits
+    k, t = _counts(0 if allow_zero else 1, max_terms)
+    n = t[g(k)]
+    while n is None:
+        n = t[g(k)]
+    ck, ct = _coefficients(coeff_field.p)
+    terms: list[list] = []  # [exponent, coefficient], the exponents distinct
     for _ in range(n):
-        g = exponents(rng) if exponents is not None else random_element(rng, construction, 3)
-        c = _pick(rng, _SERIES_COEFFS)
-        terms[g] = c
-    s = series(construction, terms, coeff_field)
-    if s.is_zero() and not allow_zero:
-        return series(construction, {zero(construction): 1}, coeff_field)
-    return s
+        e = exponents(rng) if exponents is not None else random_element(rng, construction, 3)
+        c = ct[g(ck)]
+        while c is None:
+            c = ct[g(ck)]
+        for term in terms:
+            if term[0] == e:
+                term[1] = c
+                break
+        else:
+            if e.construction is not construction:
+                raise ConstructionMismatch("exponent from the wrong construction")
+            terms.append([e, c])
+    kept = [(e, c) for e, c in terms if c]
+    if not kept and not allow_zero:
+        kept.append((zero(construction), coeff_field.coerce(1)))
+    return HahnSeries(construction, coeff_field, tuple(sorted(kept, key=itemgetter(0))))

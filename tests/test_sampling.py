@@ -6,7 +6,8 @@ per draw, indexed by ``randrange``, and every element built through the
 validating ``element()``.  Each sampler must return what the reference
 returns from the same stream, and leave the stream where the reference
 leaves it, which the test shows by drawing one more ``rng.random()``
-from both.
+from both.  Scripted generators pin single draws bit by bit, rejections
+included.
 """
 
 import random
@@ -19,9 +20,11 @@ from oagw.elements import (
     GAMMA,
     LAMBDA,
     Construction,
+    ConstructionMismatch,
     GroupElement,
     _canon_value,
     element,
+    format_element,
     uses_poly,
     zero,
 )
@@ -81,6 +84,21 @@ def random_element(
         comps[pos] = random_value(rng, construction, pos)
     # at least one component, each of a nonzero value: never zero
     return element(construction, comps)
+
+
+def random_nonzero(rng: random.Random, construction: Construction, max_support: int = 4) -> GroupElement:
+    return random_element(rng, construction, max_support, allow_zero=False)
+
+
+def random_positive(rng: random.Random, construction: Construction) -> GroupElement:
+    e = random_nonzero(rng, construction)
+    return e if e.sign() > 0 else -e
+
+
+def random_valring_exponent(rng: random.Random) -> GroupElement:
+    if rng.random() < 0.1:
+        return zero(LAMBDA)
+    return random_nonzero(rng, LAMBDA).abs()
 
 
 def random_g1_element(rng: random.Random, construction: Construction, max_support: int = 3) -> GroupElement:
@@ -204,6 +222,29 @@ def test_random_a_cone_exponent():
 
 
 @pytest.mark.parametrize("construction", [LAMBDA, GAMMA], ids=str)
+@pytest.mark.parametrize("max_support", [1, 4])
+def test_random_nonzero(construction, max_support):
+    same_draws(
+        lambda rng: sampling.random_nonzero(rng, construction, max_support),
+        lambda rng: random_nonzero(rng, construction, max_support),
+        canonical,
+    )
+
+
+@pytest.mark.parametrize("construction", [LAMBDA, GAMMA], ids=str)
+def test_random_positive(construction):
+    same_draws(
+        lambda rng: sampling.random_positive(rng, construction),
+        lambda rng: random_positive(rng, construction),
+        canonical,
+    )
+
+
+def test_random_valring_exponent():
+    same_draws(sampling.random_valring_exponent, random_valring_exponent, canonical)
+
+
+@pytest.mark.parametrize("construction", [LAMBDA, GAMMA], ids=str)
 @pytest.mark.parametrize("max_terms, allow_zero", [(3, False), (4, True)])
 def test_random_series(construction, max_terms, allow_zero):
     for field in (QQ, PrimeField(5)):
@@ -211,6 +252,27 @@ def test_random_series(construction, max_terms, allow_zero):
             lambda rng: sampling.random_series(rng, construction, field, max_terms, allow_zero),
             lambda rng: random_series(rng, construction, field, max_terms, allow_zero),
         )
+
+
+# a callback that repeats one exponent: every term lands on it
+_REPEATED = element(LAMBDA, {g1_circle(0): Fraction(1, 2), g1_square(1, 0): {0: 1}})
+
+# sampler callback, reference callback, (max_terms, allow_zero)
+EXPONENTS = {
+    "valring": (sampling.random_valring_exponent, random_valring_exponent, (3, False)),
+    "a-cone": (sampling.random_a_cone_exponent, random_a_cone_exponent, (3, False)),
+    "repeated": (lambda rng: _REPEATED, lambda rng: _REPEATED, (4, True)),
+}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=str)
+@pytest.mark.parametrize("exponents", sorted(EXPONENTS))
+def test_random_series_exponents(field, exponents):
+    draw, ref_draw, (max_terms, allow_zero) = EXPONENTS[exponents]
+    same_draws(
+        lambda rng: sampling.random_series(rng, LAMBDA, field, max_terms, allow_zero, draw),
+        lambda rng: random_series(rng, LAMBDA, field, max_terms, allow_zero, ref_draw),
+    )
 
 
 def test_pick_draws_what_choice_draws():
@@ -263,3 +325,72 @@ def test_samplers_follow_hypothesis_randoms():
 
     draw()
     assert len(picks) > 1 and len(sizes) > 1
+
+
+def test_random_element_draws_inline_through_getrandbits():
+    # term count 1 of 4; kind 5 rejected, then G1 squares; block 3
+    # rejected, then 1; slot 4; one polynomial term, coefficient 12
+    # rejected, then 1; slot 7 rejected, then 2
+    rng = ScriptedRandom([0, 5, 2, 3, 1, 4, 0, 12, 5, 7, 2])
+    e = sampling.random_element(rng, LAMBDA, 4, allow_zero=False)
+    assert str(e) == "{G1[1].s[4]: 1*c2}"
+    assert rng.asked == [3, 3, 3, 2, 2, 3, 2, 4, 4, 3, 3] and not rng.script
+
+
+def test_random_series_repeated_exponent_takes_the_later_coefficient():
+    # 2 terms of range(0, 4), both at _REPEATED; coefficients from 8
+    def draw(script, field):
+        rng = ScriptedRandom(script)
+        s = sampling.random_series(rng, LAMBDA, field, 3, True, lambda rng: _REPEATED)
+        assert rng.asked == [3, 4, 4] and not rng.script
+        return s.terms
+
+    assert draw([2, 6, 0], QQ) == ((_REPEATED, -3),)
+    assert draw([2, 0, 6], QQ) == ((_REPEATED, Fraction(1, 2)),)
+    assert draw([2, 6, 0], PrimeField(5)) == ((_REPEATED, 2),)
+    # 1/2 coerces to 0 in GF(5), and the term goes
+    assert draw([2, 0, 6], PrimeField(5)) == ()
+
+
+def test_empty_bounds_and_foreign_exponents_raise():
+    rng = case_rng(7, 0)
+    with pytest.raises(IndexError, match="empty sequence"):
+        sampling.random_element(rng, LAMBDA, max_support=0, allow_zero=False)
+    with pytest.raises(IndexError, match="empty sequence"):
+        sampling.random_series(rng, LAMBDA, QQ, max_terms=0)
+    assert sampling.random_series(rng, LAMBDA, QQ, max_terms=0, allow_zero=True).is_zero()
+    with pytest.raises(ConstructionMismatch):
+        sampling.random_series(rng, LAMBDA, exponents=lambda rng: sampling.random_nonzero(rng, GAMMA))
+
+
+@pytest.mark.parametrize("construction", [LAMBDA, GAMMA], ids=str)
+def test_format_element_writes_every_table_rational_as_str(construction):
+    rats = sampling._GAMMA_RATIONALS if construction is GAMMA else sampling._LAMBDA_RATIONALS
+    written = 0
+    for pos, table in zip((g1_circle(0), g1_square(0, 0)), rats):
+        if table is None:
+            continue
+        for row in filter(None, table[1]):
+            for v in filter(None, row[1]):
+                assert format_element(element(construction, {pos: v})) == f"{{{pos}: {v}}}"
+                written += 1
+    assert written == 24 * (5 if construction is LAMBDA else 11)
+
+
+def test_hot_samplers_draw_without_pick(monkeypatch):
+    # the per-draw frame of _pick stays out of the hot samplers
+    calls = []
+    pick = sampling._pick
+
+    def counted(rng, seq):
+        calls.append(seq)
+        return pick(rng, seq)
+
+    monkeypatch.setattr(sampling, "_pick", counted)
+    for i in range(200):
+        sampling.random_element(case_rng(7, i), (LAMBDA, GAMMA)[i % 2])
+        sampling.random_series(case_rng(7, i), exponents=sampling.random_valring_exponent)
+    assert not calls
+    # the wrapper is live: a cold sampler still draws through it
+    sampling.random_g1_element(case_rng(7, 0), LAMBDA)
+    assert calls
