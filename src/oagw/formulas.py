@@ -105,15 +105,18 @@ class Eq:
     rhs: Term
 
 
+def _check_modulus(atom: "Cong | DescLt") -> None:
+    if not isinstance(atom.modulus, int) or atom.modulus < 2:
+        raise ValueError(f"modulus must be an integer >= 2, got {atom.modulus!r}")
+
+
 @dataclass(frozen=True)
 class Cong:
     modulus: int
     lhs: Term
     rhs: Term
 
-    def __post_init__(self) -> None:
-        if self.modulus < 2:
-            raise ValueError(f"congruence modulus must be >= 2, got {self.modulus}")
+    __post_init__ = _check_modulus
 
 
 @dataclass(frozen=True)
@@ -128,9 +131,7 @@ class DescLt:
     lhs: Term
     rhs: Term
 
-    def __post_init__(self) -> None:
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
+    __post_init__ = _check_modulus
 
 
 Atom = Union[Lt, Eq, Cong, DescLt]

@@ -4,7 +4,9 @@ Source atoms speak about valuations of products of series variables:
 ``v(s) < v(t)`` and ``v(s) + v(t) = v(u)``.  The target speaks ring:
 polynomial equalities between series terms plus the unary valuation
 ring predicate, with one quantified shape ``E g (ValRing(g) & s = g*t)``
-expressing ``v(s) >= v(t)`` without division.
+expressing ``v(s) >= v(t)`` without division.  Both languages build
+boolean structure from the formula layer's ``Not``, ``And`` and ``Or``,
+and one walker decides those connectives for either side.
 
 The target's quantifier ranges over the full series field, so its
 semantics here is decided by the exact valuation comparison rather than
@@ -15,8 +17,9 @@ finite-support series and compared by the test suites.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
+from .formulas import And, Not, Or
 from .hahn import HahnSeries, membership
 
 # -- series terms ------------------------------------------------------------
@@ -71,24 +74,7 @@ class VSumEq:
     c: SeriesTerm
 
 
-@dataclass(frozen=True)
-class VNot:
-    body: "ValFormula"
-
-
-@dataclass(frozen=True)
-class VAnd:
-    lhs: "ValFormula"
-    rhs: "ValFormula"
-
-
-@dataclass(frozen=True)
-class VOr:
-    lhs: "ValFormula"
-    rhs: "ValFormula"
-
-
-ValFormula = Union[VLt, VSumEq, VNot, VAnd, VOr]
+ValFormula = Union[VLt, VSumEq, Not, And, Or]
 
 
 # -- target: ring formulas -----------------------------------------------------
@@ -106,29 +92,12 @@ class ValRing:
 
 
 @dataclass(frozen=True)
-class RNot:
-    body: "RingFormula"
-
-
-@dataclass(frozen=True)
-class RAnd:
-    lhs: "RingFormula"
-    rhs: "RingFormula"
-
-
-@dataclass(frozen=True)
-class ROr:
-    lhs: "RingFormula"
-    rhs: "RingFormula"
-
-
-@dataclass(frozen=True)
 class RExists:
     var: str
     body: "RingFormula"
 
 
-RingFormula = Union[RingEq, ValRing, RNot, RAnd, ROr, RExists]
+RingFormula = Union[RingEq, ValRing, RExists, Not, And, Or]
 
 
 class NonValuationAtom(TypeError):
@@ -144,28 +113,37 @@ def _ge_pattern(s: SeriesTerm, t: SeriesTerm) -> RingFormula:
     while g in taken:
         k += 1
         g = f"g{k}"
-    return RExists(g, RAnd(ValRing(svar(g)), RingEq(s, svar(g) * t)))
+    return RExists(g, And(ValRing(svar(g)), RingEq(s, svar(g) * t)))
 
 
 def translate_to_ring(f: ValFormula) -> RingFormula:
     """Syntactic translation; boolean structure is preserved."""
     if isinstance(f, VLt):
-        return RNot(_ge_pattern(f.lhs, f.rhs))
+        return Not(_ge_pattern(f.lhs, f.rhs))
     if isinstance(f, VSumEq):
         prod = f.a * f.b
-        lt1 = RNot(_ge_pattern(prod, f.c))  # v(ab) < v(c)
-        lt2 = RNot(_ge_pattern(f.c, prod))  # v(ab) > v(c)
-        return RAnd(RNot(lt1), RNot(lt2))
-    if isinstance(f, VNot):
-        return RNot(translate_to_ring(f.body))
-    if isinstance(f, VAnd):
-        return RAnd(translate_to_ring(f.lhs), translate_to_ring(f.rhs))
-    if isinstance(f, VOr):
-        return ROr(translate_to_ring(f.lhs), translate_to_ring(f.rhs))
+        lt1 = Not(_ge_pattern(prod, f.c))  # v(ab) < v(c)
+        lt2 = Not(_ge_pattern(f.c, prod))  # v(ab) > v(c)
+        return And(Not(lt1), Not(lt2))
+    if isinstance(f, Not):
+        return Not(translate_to_ring(f.body))
+    if isinstance(f, (And, Or)):
+        return type(f)(translate_to_ring(f.lhs), translate_to_ring(f.rhs))
     raise NonValuationAtom(f"not a valuation statement: {f!r}")
 
 
 # -- semantics ----------------------------------------------------------------
+
+
+def _decide(f, env: Mapping[str, HahnSeries], atom: Callable[..., bool]) -> bool:
+    """Truth of ``Not``/``And``/``Or`` over ``atom``, which decides the rest."""
+    if isinstance(f, Not):
+        return not _decide(f.body, env, atom)
+    if isinstance(f, And):
+        return _decide(f.lhs, env, atom) and _decide(f.rhs, env, atom)
+    if isinstance(f, Or):
+        return _decide(f.lhs, env, atom) or _decide(f.rhs, env, atom)
+    return atom(f, env)
 
 
 def _divides_in_val_ring(a: HahnSeries, b: HahnSeries) -> bool:
@@ -177,22 +155,15 @@ def _divides_in_val_ring(a: HahnSeries, b: HahnSeries) -> bool:
     return a.valuation() >= b.valuation()
 
 
-def eval_ring(f: RingFormula, env: Mapping[str, HahnSeries]) -> bool:
-    """Evaluate a ring formula; quantifiers must be the divisibility shape."""
+def _ring_atom(f: RingFormula, env: Mapping[str, HahnSeries]) -> bool:
     if isinstance(f, RingEq):
         return f.lhs.evaluate(env) == f.rhs.evaluate(env)
     if isinstance(f, ValRing):
         return membership(f.arg.evaluate(env)).in_val_ring
-    if isinstance(f, RNot):
-        return not eval_ring(f.body, env)
-    if isinstance(f, RAnd):
-        return eval_ring(f.lhs, env) and eval_ring(f.rhs, env)
-    if isinstance(f, ROr):
-        return eval_ring(f.lhs, env) or eval_ring(f.rhs, env)
     if isinstance(f, RExists):
         body = f.body
         if (
-            isinstance(body, RAnd)
+            isinstance(body, And)
             and isinstance(body.lhs, ValRing)
             and body.lhs.arg.factors == (f.var,)
             and isinstance(body.rhs, RingEq)
@@ -202,14 +173,18 @@ def eval_ring(f: RingFormula, env: Mapping[str, HahnSeries]) -> bool:
                 a = eq.lhs.evaluate(env)
                 b = SeriesTerm(eq.rhs.factors[1:]).evaluate(env)
                 return _divides_in_val_ring(a, b)
-        raise NonValuationAtom(
-            "only the division-free valuation-ring pattern is evaluable"
-        )
+        raise NonValuationAtom("only the division-free valuation-ring pattern is evaluable")
     raise NonValuationAtom(f"not a ring formula: {f!r}")
 
 
-def eval_valuation(f: ValFormula, env: Mapping[str, HahnSeries]) -> bool:
-    """Group-side truth via exact valuations (v(0) treated as +infinity)."""
+def eval_ring(f: RingFormula, env: Mapping[str, HahnSeries]) -> bool:
+    """Evaluate a ring formula; quantifiers must be the divisibility shape."""
+    return _decide(f, env, _ring_atom)
+
+
+def _valuation_atom(f: ValFormula, env: Mapping[str, HahnSeries]) -> bool:
+    # v(0) is +infinity here, decided apart from _divides_in_val_ring so
+    # that the two sides of the translation are checked against each other
     if isinstance(f, VLt):
         s = f.lhs.evaluate(env)
         t = f.rhs.evaluate(env)
@@ -224,10 +199,9 @@ def eval_valuation(f: ValFormula, env: Mapping[str, HahnSeries]) -> bool:
         if ab.is_zero() or c.is_zero():
             return ab.is_zero() and c.is_zero()
         return ab.valuation() == c.valuation()
-    if isinstance(f, VNot):
-        return not eval_valuation(f.body, env)
-    if isinstance(f, VAnd):
-        return eval_valuation(f.lhs, env) and eval_valuation(f.rhs, env)
-    if isinstance(f, VOr):
-        return eval_valuation(f.lhs, env) or eval_valuation(f.rhs, env)
     raise NonValuationAtom(f"not a valuation statement: {f!r}")
+
+
+def eval_valuation(f: ValFormula, env: Mapping[str, HahnSeries]) -> bool:
+    """Group-side truth via exact valuations (v(0) treated as +infinity)."""
+    return _decide(f, env, _valuation_atom)

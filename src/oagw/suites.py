@@ -16,7 +16,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .elements import (
     Construction,
@@ -110,6 +110,11 @@ class SuiteOptions:
     def samples_or(self, default: Optional[int]) -> Optional[int]:
         """The requested sample count, or the suite's default when none was given."""
         return default if self.samples is None else self.samples
+
+    def case_rngs(self) -> Iterator[random.Random]:
+        """One generator per sampled case, seeded by (seed, case index)."""
+        for i in range(self.samples):
+            yield case_rng(self.seed, i)
 
 
 @dataclass
@@ -246,8 +251,7 @@ def suite_psi_vs_search(rep: SuiteReport, opts: SuiteOptions) -> None:
     closed form is checked by its ``cong_witness_below`` certificate
     alone, with no search.
     """
-    for i in range(opts.samples):
-        rng = case_rng(opts.seed, i)
+    for rng in opts.case_rngs():
         a = random_element(rng, opts.construction)
         b = random_element(rng, opts.construction)
         neg_a = -a
@@ -316,8 +320,7 @@ def suite_hprime_descriptor(rep: SuiteReport, opts: SuiteOptions) -> None:
     and every probe reads the same elements t in (0, |a|); a zero ``a``
     runs no search.
     """
-    for i in range(opts.samples):
-        rng = case_rng(opts.seed, i)
+    for rng in opts.case_rngs():
         a = random_element(rng, opts.construction)
         m = a.abs()
         anchor = inner_anchor_below(a)
@@ -348,8 +351,7 @@ def suite_hprime_descriptor(rep: SuiteReport, opts: SuiteOptions) -> None:
 @suite("hprime-locality", constructions=(LAMBDA, GAMMA), samples=500)
 def suite_hprime_locality(rep: SuiteReport, opts: SuiteOptions) -> None:
     """The swept tail depends only on the leading-position component."""
-    for i in range(opts.samples):
-        rng = case_rng(opts.seed, i)
+    for rng in opts.case_rngs():
         a = random_nonzero(rng, opts.construction)
         lead_pos = a.entries[0][0]
         # perturbation supported strictly to the right of the lead position
@@ -419,8 +421,7 @@ def _lambda1_crafted() -> list[GroupElement]:
 @suite("lambda1-formula", samples=1000)
 def suite_lambda1_formula(rep: SuiteReport, opts: SuiteOptions) -> None:
     """Formula-route membership in the right block equals the support check."""
-    for i in range(opts.samples):
-        rng = case_rng(opts.seed, i)
+    for rng in opts.case_rngs():
         a = random_element(rng, LAMBDA)
         ok = g1_part_by_formula(a) == in_g1_part(a)
         rep.check(ok, "formula route disagrees with support check", a=a)
@@ -553,8 +554,7 @@ def _closure_sentence(rng: random.Random, construction: Construction):
 def suite_f1_exists_closure(rep: SuiteReport, opts: SuiteOptions) -> None:
     """Existential sentences true with a fragment witness stay true inside the image."""
     critical = unit(opts.construction, CRITICAL_CIRCLE)
-    for i in range(opts.samples):
-        rng = case_rng(opts.seed, i)
+    for rng in opts.case_rngs():
         f, pool = _closure_sentence(rng, opts.construction)
         full_cfg = FragmentConfig(
             coeff_bound=2, generator_pool=tuple(pool) + (critical,), size_cap=400
@@ -572,8 +572,7 @@ def suite_f1_ea_closure(rep: SuiteReport, opts: SuiteOptions) -> None:
     every requested noncongruence is broken by the fresh slot, and
     congruence-avoidance atoms only see the unchanged lead.
     """
-    for i in range(opts.samples):
-        rng = case_rng(opts.seed, i)
+    for rng in opts.case_rngs():
         w = emb_apply(Embedding.F1, random_element(rng, LAMBDA, 2))
         ineqs: list[tuple[int, GroupElement, GroupElement]] = []
         slacks: list[GroupElement] = []
@@ -619,8 +618,7 @@ def suite_f2_interval(rep: SuiteReport, opts: SuiteOptions) -> None:
         element(LAMBDA, {g1_square(1, 0): {1: 1}}),
     )
     cfg = FragmentConfig(coeff_bound=2, generator_pool=pool, size_cap=200)
-    for i in range(opts.samples):
-        rng = case_rng(opts.seed, i)
+    for rng in opts.case_rngs():
         n = rng.choice([2, 3])
         a = element(LAMBDA, {g2_square(rng.randrange(1, 3)): {rng.randrange(0, 2): 1}})
         if rng.random() < 0.5:
@@ -779,8 +777,7 @@ def demo_ha_witness(rep: SuiteReport, opts: SuiteOptions) -> None:
 @suite("hahn-ring", constructions=(LAMBDA, GAMMA), samples=1000)
 def suite_hahn_ring(rep: SuiteReport, opts: SuiteOptions) -> None:
     """Ring axioms and valuation laws on random series."""
-    for i in range(opts.samples):
-        rng = case_rng(opts.seed, i)
+    for rng in opts.case_rngs():
         F = QQ if rng.random() < 0.8 else PrimeField(5)
         f = random_series(rng, opts.construction, F, allow_zero=True)
         g = random_series(rng, opts.construction, F)
@@ -812,8 +809,7 @@ def suite_hahn_ring(rep: SuiteReport, opts: SuiteOptions) -> None:
 @suite("a-membership", samples=1000)
 def suite_a_membership(rep: SuiteReport, opts: SuiteOptions) -> None:
     """The cone is a subring; the lifted embedding maps the ring into it."""
-    for i in range(opts.samples):
-        rng = case_rng(opts.seed, i)
+    for rng in opts.case_rngs():
         f = random_series(rng, LAMBDA, QQ, exponents=random_a_cone_exponent)
         g = random_series(rng, LAMBDA, QQ, exponents=random_a_cone_exponent)
         mf, mg = membership(f), membership(g)
@@ -846,8 +842,7 @@ def suite_a_membership(rep: SuiteReport, opts: SuiteOptions) -> None:
 @suite("translation-soundness", samples=300)
 def suite_translation_soundness(rep: SuiteReport, opts: SuiteOptions) -> None:
     """Valuation statements agree with their ring translations."""
-    for i in range(opts.samples):
-        rng = case_rng(opts.seed, i)
+    for rng in opts.case_rngs():
         env = {
             "x": random_series(rng, LAMBDA, QQ, allow_zero=(rng.random() < 0.15)),
             "y": random_series(rng, LAMBDA, QQ, allow_zero=(rng.random() < 0.15)),
@@ -876,8 +871,7 @@ def suite_translation_soundness(rep: SuiteReport, opts: SuiteOptions) -> None:
 @suite("perturbation", samples=200)
 def suite_perturbation(rep: SuiteReport, opts: SuiteOptions) -> None:
     """Image perturbation stays within eps and breaks all congruences."""
-    for i in range(opts.samples):
-        rng = case_rng(opts.seed, i)
+    for rng in opts.case_rngs():
         t = emb_apply(Embedding.F1, random_element(rng, LAMBDA))
         eps = random_positive(rng, LAMBDA)
         constraints = [
@@ -901,8 +895,7 @@ def suite_perturbation(rep: SuiteReport, opts: SuiteOptions) -> None:
 @suite("truncated-inverse", samples=200)
 def suite_truncated_inverse(rep: SuiteReport, opts: SuiteOptions) -> None:
     """v(f*g - 1) clears the requested precision."""
-    for i in range(opts.samples):
-        rng = case_rng(opts.seed, i)
+    for rng in opts.case_rngs():
         f = random_series(rng, LAMBDA, QQ)
         assert not f.is_zero()
         lead_inv = monomial(-f.valuation(), QQ.inv(f.lead_coeff()))

@@ -5,6 +5,8 @@ import pytest
 from oagw.elements import ConstructionMismatch, GAMMA, LAMBDA, ParseError, element, zero
 from oagw.formulas import (
     And,
+    Cong,
+    DescLt,
     Exists,
     Forall,
     Implies,
@@ -52,6 +54,14 @@ class TestParse:
             parse_formula("cong(1, x, y)")
         with pytest.raises(ParseError):
             parse_formula("rphi(1; z < a; ; )")
+
+    @pytest.mark.parametrize("atom", [Cong, DescLt])
+    @pytest.mark.parametrize("modulus", [2.0, "2", None, 1, 0, -3])
+    def test_constructors_reject_a_bad_modulus(self, atom, modulus):
+        # a float modulus would print as cong(2.0, ...), which the parser
+        # rejects, and fail only later inside lead_mod
+        with pytest.raises(ValueError, match="modulus must be an integer >= 2"):
+            atom(modulus, Term((("x", 1),)), Term((("y", 1),)))
 
     @pytest.mark.parametrize(
         "text, message",

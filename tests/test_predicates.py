@@ -132,6 +132,24 @@ class TestCongFreeBelow:
             else:
                 assert cong_witness_below(n, a, b) is None
 
+    @pytest.mark.parametrize(
+        "n, a, b, want",
+        [
+            (2, {0: 1}, {0: 1}, {0: 1, 1: -2}),
+            (2, {0: 1, 1: 1}, {0: 1, 1: -3}, {0: 1, 1: -5}),  # needs m = 3
+            (3, {0: 2, 1: 5}, {0: 2, 1: 4}, {0: 2, 1: -1}),  # the max(1, .) clamp
+        ],
+        ids=["equal", "m3", "clamp"],
+    )
+    def test_lambda_tie_pushes_the_next_slot_below(self, n, a, b, want):
+        # residue of a ties b's lead value at a shared slot, so the
+        # certificate must undercut b at the next inner slot
+        a, b = element(LAMBDA, {S00: a}), element(LAMBDA, {S00: b})
+        w = cong_witness_below(n, a, b)
+        assert w is not None
+        assert w.sign() > 0 and w < b and (w - a).is_divisible(n)
+        assert w == element(LAMBDA, {S00: want})
+
     @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
     def test_witness_computes_the_lead_once(self, construction, monkeypatch):
         calls = []

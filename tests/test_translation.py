@@ -1,18 +1,16 @@
 import pytest
 
 from oagw.elements import LAMBDA, element
+from oagw.formulas import And, Lt, Not, Or, term_var
 from oagw.hahn import QQ, monomial, one, series
 from oagw.positions import g1_square, g2_square
 from oagw.ringlang import (
     NonValuationAtom,
-    RAnd,
     RExists,
     RingEq,
-    RNot,
     SeriesTerm,
     ValRing,
     VLt,
-    VNot,
     VSumEq,
     eval_ring,
     eval_valuation,
@@ -27,20 +25,20 @@ S00 = g1_square(0, 0)
 def test_strict_comparison_shape():
     out = translate_to_ring(VLt(svar("x"), svar("y")))
     # v(x) < v(y) is the negation of the division-free membership pattern
-    assert isinstance(out, RNot)
+    assert isinstance(out, Not)
     inner = out.body
     assert isinstance(inner, RExists)
-    assert isinstance(inner.body, RAnd)
+    assert isinstance(inner.body, And)
     assert isinstance(inner.body.lhs, ValRing)
     assert isinstance(inner.body.rhs, RingEq)
 
 
 def test_sum_shape():
     out = translate_to_ring(VSumEq(svar("x"), svar("y"), svar("z")))
-    assert isinstance(out, RAnd)
-    assert isinstance(out.lhs, RNot) and isinstance(out.rhs, RNot)
-    assert isinstance(out.lhs.body, RNot)
-    assert isinstance(out.rhs.body, RNot)
+    assert isinstance(out, And)
+    assert isinstance(out.lhs, Not) and isinstance(out.rhs, Not)
+    assert isinstance(out.lhs.body, Not)
+    assert isinstance(out.rhs.body, Not)
 
 
 def test_reflexive_always_sound():
@@ -69,7 +67,7 @@ def test_zero_conventions():
         assert eval_valuation(stmt, env) == eval_ring(translate_to_ring(stmt), env)
 
 
-def test_soundness_random():
+def _soundness_envs():
     for i in range(250):
         rng = case_rng(79, i)
         env = {
@@ -81,13 +79,67 @@ def test_soundness_random():
             env["x"] = env["y"] * random_series(rng, LAMBDA, QQ, max_terms=1)
         if rng.random() < 0.3:
             env["z"] = env["x"] * env["y"]
+        yield env
+
+
+def test_soundness_random():
+    for env in _soundness_envs():
         stmts = [
             VLt(svar("x"), svar("y")),
             VSumEq(svar("x"), svar("y"), svar("z")),
-            VNot(VLt(svar("y"), svar("x"))),
+            Not(VLt(svar("y"), svar("x"))),
         ]
         for stmt in stmts:
             assert eval_valuation(stmt, env) == eval_ring(translate_to_ring(stmt), env)
+
+
+def test_and_or_translate_soundly():
+    seen = set()
+    for env in _soundness_envs():
+        for conn in (And, Or):
+            stmt = conn(VLt(svar("x"), svar("y")), VLt(svar("z"), svar("x")))
+            out = translate_to_ring(stmt)
+            assert type(out) is conn
+            want = eval_valuation(stmt, env)
+            assert eval_ring(out, env) == want
+            seen.add((conn, want))
+    assert seen == {(And, True), (And, False), (Or, True), (Or, False)}
+
+
+def test_val_ring_atom():
+    g = element(LAMBDA, {S00: {0: 1}})
+    inside = one(LAMBDA) + monomial(g)
+    outside = one(LAMBDA) + monomial(-g)
+    assert eval_ring(ValRing(svar("x")), {"x": inside}) is True
+    assert eval_ring(ValRing(svar("x")), {"x": outside}) is False
+
+
+def test_ring_equality_atom():
+    g = element(LAMBDA, {S00: {0: 1}})
+    x = one(LAMBDA) + monomial(g)
+    y = one(LAMBDA) - monomial(-g)
+    stmt = RingEq(svar("x") * svar("y"), svar("z"))
+    assert eval_ring(stmt, {"x": x, "y": y, "z": x * y}) is True
+    assert eval_ring(stmt, {"x": x, "y": y, "z": x * y + one(LAMBDA)}) is False
+
+
+def test_group_atom_under_a_connective_is_rejected():
+    env = {"x": one(LAMBDA)}
+    group_atom = Lt(term_var("a"), term_var("b"))
+
+    def shapes(false_stmt):
+        # a false left side makes Or reach the group atom on its right
+        return Not(group_atom), And(group_atom, false_stmt), Or(false_stmt, group_atom)
+
+    reflexive = VLt(svar("x"), svar("x"))
+    for stmt in shapes(reflexive):
+        with pytest.raises(NonValuationAtom, match="not a valuation statement: Lt"):
+            translate_to_ring(stmt)
+        with pytest.raises(NonValuationAtom, match="not a valuation statement: Lt"):
+            eval_valuation(stmt, env)
+    for stmt in shapes(translate_to_ring(reflexive)):
+        with pytest.raises(NonValuationAtom, match="not a ring formula: Lt"):
+            eval_ring(stmt, env)
 
 
 def test_constants_allowed():
@@ -109,7 +161,7 @@ def _bound_patterns(f):
         yield f
     for child in ("body", "lhs", "rhs"):
         sub = getattr(f, child, None)
-        if isinstance(sub, (RNot, RAnd, RExists)):
+        if isinstance(sub, (Not, And, RExists)):
             yield from _bound_patterns(sub)
 
 
