@@ -196,6 +196,60 @@ def free_vars(f: Formula) -> frozenset[str]:
     raise TypeError(f"not a formula: {f!r}")
 
 
+def _bound_names(f: Formula) -> list[str]:
+    """The variable of every quantifier in ``f``, repeats kept."""
+    if isinstance(f, (Atom, BoolC)):
+        return []
+    if isinstance(f, Not):
+        return _bound_names(f.body)
+    if isinstance(f, (And, Or, Implies)):
+        return _bound_names(f.lhs) + _bound_names(f.rhs)
+    if isinstance(f, (Exists, Forall)):
+        return [f.var] + _bound_names(f.body)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def rename_bound_apart(f: Formula) -> Formula:
+    """``f`` with every quantifier binding a name of its own.
+
+    Returns ``f`` itself when every bound name is distinct and none is
+    also free.  Otherwise every bound variable is renamed to a fresh
+    name, one used nowhere else in ``f``, so that no two bindings, and
+    no binding and a free variable, share a name.
+    """
+    bound = _bound_names(f)
+    free = free_vars(f)
+    if len(set(bound)) == len(bound) and free.isdisjoint(bound):
+        return f
+    used = set(bound) | free
+
+    def fresh(var: str) -> str:
+        i = 0
+        while f"{var}_{i}" in used:
+            i += 1
+        used.add(f"{var}_{i}")
+        return f"{var}_{i}"
+
+    def term(t: Term, names: Mapping[str, str]) -> Term:
+        return _term_make({names.get(v, v): k for v, k in t.coeffs}, t.const)
+
+    def walk(g: Formula, names: Mapping[str, str]) -> Formula:
+        if isinstance(g, (Lt, Eq)):
+            return type(g)(term(g.lhs, names), term(g.rhs, names))
+        if isinstance(g, (Cong, DescLt)):
+            return type(g)(g.modulus, term(g.lhs, names), term(g.rhs, names))
+        if isinstance(g, BoolC):
+            return g
+        if isinstance(g, Not):
+            return Not(walk(g.body, names))
+        if isinstance(g, (And, Or, Implies)):
+            return type(g)(walk(g.lhs, names), walk(g.rhs, names))
+        new = fresh(g.var)
+        return type(g)(new, walk(g.body, {**names, g.var: new}))
+
+    return walk(f, {})
+
+
 # -- printing --------------------------------------------------------------
 
 _PREC = {"->": 1, "|": 2, "&": 3, "~": 4}

@@ -49,6 +49,7 @@ from .formulas import (
     Lt,
     Term,
     print_formula,
+    rename_bound_apart,
     term_const,
     term_var,
 )
@@ -192,8 +193,10 @@ class Suite:
     def options(self, opts: SuiteOptions) -> SuiteOptions:
         """``opts`` with this suite's defaults filled in.
 
-        Raises ValueError for a construction the suite does not declare
-        and for a coefficient bound given to a suite that reads none.
+        Raises ValueError for a construction the suite does not declare,
+        for a coefficient bound given to a suite that reads none, and for
+        a sample count or coefficient bound that is not an integer of at
+        least 0, before any case runs.
         """
         construction = self.constructions[0] if opts.construction is None else opts.construction
         if construction not in self.constructions:
@@ -201,6 +204,9 @@ class Suite:
             raise ValueError(f"{self.name} runs on {declared}, not {construction}")
         if opts.coeff_bound is not None and self.coeff_bound is None:
             raise ValueError(f"{self.name} reads no coefficient bound")
+        for label, count in (("samples", opts.samples), ("coeff_bound", opts.coeff_bound)):
+            if count is not None and (count.__class__ is not int or count < 0):
+                raise ValueError(f"{label} must be an integer of at least 0, got {count!r}")
         coeff_bound = self.coeff_bound if opts.coeff_bound is None else opts.coeff_bound
         return SuiteOptions(construction, opts.seed, opts.samples_or(self.samples), coeff_bound)
 
@@ -247,9 +253,9 @@ def suite_psi_vs_search(rep: SuiteReport, opts: SuiteOptions) -> None:
 
     A True closed form is checked by searching a fragment for a witness
     y with 0 < y < b and y = a mod n; the fragment is enumerated at most
-    once per case, and only when some n has a True closed form.  A False
-    closed form is checked by its ``cong_witness_below`` certificate
-    alone, with no search.
+    once per case, and only when some n has a True closed form and
+    b > 0.  A False closed form is checked by its ``cong_witness_below``
+    certificate alone, with no search.
     """
     for rng in opts.case_rngs():
         a = random_element(rng, opts.construction)
@@ -279,7 +285,19 @@ def suite_psi_vs_search(rep: SuiteReport, opts: SuiteOptions) -> None:
 
 
 def _psi_candidates(opts: SuiteOptions, a: GroupElement, b: GroupElement) -> list[GroupElement]:
-    """The fragment elements y over a, b and two deep units with 0 < y < b."""
+    """The elements y of ``_psi_fragment(opts, a, b)`` with 0 < y < b.
+
+    Empty when b <= 0, with no fragment built: no y satisfies
+    0 < y < b <= 0, so the filtered scan is empty whatever the fragment
+    holds.
+    """
+    if b.sign() <= 0:
+        return []
+    return [y for y in _psi_fragment(opts, a, b) if y.sign() > 0 and y < b]
+
+
+def _psi_fragment(opts: SuiteOptions, a: GroupElement, b: GroupElement) -> Iterator[GroupElement]:
+    """The fragment over a, b and two deep units beyond both."""
     deep = _deep_unit(opts.construction, a, b)
     deep2 = (
         element(LAMBDA, {g1_square(fresh_g1_block(a, b), 0): {1: 1}})
@@ -287,7 +305,7 @@ def _psi_candidates(opts: SuiteOptions, a: GroupElement, b: GroupElement) -> lis
         else unit(GAMMA, g1_circle(fresh_g1_block(a, b)), 1)
     )
     cfg = FragmentConfig(coeff_bound=opts.coeff_bound, generator_pool=(deep, deep2), size_cap=300)
-    return [y for y in iter_fragment([a, b], cfg, opts.construction) if y.sign() > 0 and y < b]
+    return iter_fragment([a, b], cfg, opts.construction)
 
 
 # -- suites: tail sets -------------------------------------------------------
@@ -481,12 +499,13 @@ def closure_audit(
     group with ``full_cfg`` and again with ``image_cfg``; one row per
     entry goes into ``rep``, and it fails when the full group decides
     True but the image search does not, or does with a witness outside
-    the image.  The image witness holds the binding of every quantifier
-    the verdict rests on, nested or in sibling parts, save one hidden
-    by another binding of the same name, so a row fails whenever one
-    of those bindings lies outside the image.  Verdicts stay
-    three-valued: a full-group row not decided True is recorded unknown
-    rather than failed.
+    the image.  Each formula is evaluated with its bound variables
+    renamed apart, so the image witness holds the binding of every
+    quantifier the verdict rests on, nested or in sibling parts, and a
+    row fails whenever one of those bindings lies outside the image;
+    the row prints the formula as given.  Verdicts stay three-valued: a
+    full-group row not decided True is recorded unknown rather than
+    failed.
     """
     for g in image_cfg.generator_pool:
         if not in_image(sub, g):
@@ -495,11 +514,12 @@ def closure_audit(
         for name, value in env.items():
             if not in_image(sub, value):
                 raise ValueError(f"parameter {name!r} lies outside the image")
-        full = evaluate(construction, formula, env, full_cfg)
+        apart = rename_bound_apart(formula)
+        full = evaluate(construction, apart, env, full_cfg)
         if full.truth is not Truth.TRUE:
             rep.record("unknown", "full-group witness not found", formula=print_formula(formula))
             continue
-        image = evaluate(construction, formula, env, image_cfg)
+        image = evaluate(construction, apart, env, image_cfg)
         if image.truth is not Truth.TRUE:
             detail = "no image witness despite full-group truth"
         elif not all(in_image(sub, w) for w in (image.witness or {}).values()):

@@ -7,7 +7,7 @@ import pytest
 
 from oagw.elements import GAMMA, LAMBDA, element, unit
 from oagw.embeddings import Embedding, in_image
-from oagw.formulas import parse_formula
+from oagw.formulas import parse_formula, print_formula
 from oagw.fragments import FragmentConfig
 from oagw.positions import g1_square, g2_circle, g2_square
 from oagw.suites import SuiteReport, closure_audit, gen_corpus
@@ -88,6 +88,21 @@ def test_image_witness_outside_the_image_fails():
         report = _audit(LAMBDA, [(f, {})], FragmentConfig(1, (), 10, 0))
         assert report.counts == {"pass": 0, "fail": 1, "unknown": 0}, text
         assert report.cases[0].detail == "image witness outside the image"
+
+
+def test_sibling_binding_of_the_same_name_cannot_hide_an_outside_witness():
+    # both conjuncts bind y; the one bound outside the image fails the row
+    # in either order, and the row prints the formula as given
+    inner = ("(E y. y = {G2[0].c: 1})", "(E y. y = 0)")
+    for lhs, rhs in (inner, inner[::-1]):
+        text = f"E x. {lhs} & {rhs}"
+        f = parse_formula(text, LAMBDA)
+        cfg = FragmentConfig(1, (), 10, 0)
+        report = SuiteReport("closure-audit", str(LAMBDA), 0)
+        closure_audit(report, Embedding.F1, LAMBDA, [(f, {})], cfg, cfg)
+        assert report.counts == {"pass": 0, "fail": 1, "unknown": 0}, text
+        assert report.cases[0].detail == "image witness outside the image"
+        assert report.cases[0].inputs["formula"] == print_formula(f)
 
 
 def test_undecided_full_group_row_is_unknown():

@@ -18,6 +18,7 @@ from oagw.formulas import (
     parse_formula,
     parse_term,
     print_formula,
+    rename_bound_apart,
 )
 from oagw.positions import g1_square
 
@@ -170,6 +171,42 @@ class TestTerms:
     def test_rphi_free_vars(self):
         f = parse_formula("rphi(2; z < a; u; z ~ b, z ~ u)")
         assert free_vars(f) == {"a", "b"}
+
+
+class TestRenameBoundApart:
+    @pytest.mark.parametrize(
+        "text", ["0 < x", "E x. A y. x < y + z", "E x. (E y. 0 < y) & (E z. z < x)"]
+    )
+    def test_returns_the_formula_itself_when_names_are_apart(self, text):
+        f = parse_formula(text)
+        assert rename_bound_apart(f) is f
+
+    @pytest.mark.parametrize(
+        "text, renamed",
+        [
+            # siblings of one name
+            (
+                "E x. (E y. y = x) & (E y. y < x)",
+                "E x_0. (E y_0. y_0 = x_0) & (E y_1. y_1 < x_0)",
+            ),
+            # an inner binding shadowing an outer one of the same name
+            ("E x. 0 < x & (A x. x < 0)", "E x_0. 0 < x_0 & (A x_1. x_1 < 0)"),
+            # a bound name that is also free elsewhere; x_0 is taken
+            ("x < 0 & (E x. x + x_0 = 0)", "x < 0 & (E x_1. x_0 + x_1 = 0)"),
+        ],
+    )
+    def test_renames_every_bound_variable_to_a_fresh_name(self, text, renamed):
+        f = rename_bound_apart(parse_formula(text))
+        assert print_formula(f) == renamed
+        assert free_vars(f) == free_vars(parse_formula(text))
+
+    def test_keeps_moduli_and_constants(self):
+        f = parse_formula(
+            "E y. (E y. cong(3, 2*y, {G2[0].c: 1})) & desc_lt(2, y, y + {G2[0].c: 1})"
+        )
+        assert print_formula(rename_bound_apart(f)) == (
+            "E y_0. (E y_1. cong(3, 2*y_1, {G2[0].c: 1})) & desc_lt(2, y_0, y_0 + {G2[0].c: 1})"
+        )
 
 
 class TestClassify:

@@ -5,11 +5,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import oagw
+from conftest import seeded_elements
 from oagw.cli import build_parser, main
-from oagw.elements import GAMMA, LAMBDA
-from oagw.suites import DEMOS, SUITES, SuiteOptions, run_suite
+from oagw.elements import GAMMA, LAMBDA, zero
+from oagw.suites import DEMOS, SUITES, SuiteOptions, _psi_candidates, _psi_fragment, run_suite
 
 
 def test_unknown_suite_rejected():
@@ -340,6 +342,30 @@ def test_zero_samples_means_zero_not_the_default():
     assert run_suite("hahn-ring", SuiteOptions(samples=0)).cases == []
 
 
+@pytest.fixture
+def no_case_runs(monkeypatch):
+    import oagw.suites
+
+    def case_rng(seed, i):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(oagw.suites, "case_rng", case_rng)
+
+
+@pytest.mark.parametrize("coeff_bound", [-1, 2.0])
+@pytest.mark.parametrize("seed", range(6))
+def test_bad_coeff_bound_rejected_before_any_case(no_case_runs, seed, coeff_bound):
+    opts = SuiteOptions(LAMBDA, seed=seed, samples=1, coeff_bound=coeff_bound)
+    with pytest.raises(ValueError, match="coeff_bound"):
+        run_suite("psi-vs-search", opts)
+
+
+@pytest.mark.parametrize("samples", [-1, 1.5, 2.0, "3", True])
+def test_bad_sample_count_rejected_before_any_case(no_case_runs, samples):
+    with pytest.raises(ValueError, match="samples"):
+        run_suite("hahn-ring", SuiteOptions(samples=samples))
+
+
 def test_zero_coeff_bound_is_honoured(monkeypatch):
     import oagw.suites
 
@@ -359,7 +385,8 @@ def test_zero_coeff_bound_is_honoured(monkeypatch):
 
 
 def _fragments_per_case(monkeypatch, name, opts):
-    """Run a suite; per case, the fragments it enumerated and its psi closed forms."""
+    """Run a suite; per case, the fragments it enumerated, its psi closed
+    forms and whether the psi bound b is positive."""
     import oagw.suites
 
     cases = []
@@ -368,7 +395,7 @@ def _fragments_per_case(monkeypatch, name, opts):
     real_closed = oagw.suites.cong_free_below
 
     def case_rng(seed, i):
-        cases.append({"fragments": 0, "closed": []})
+        cases.append({"fragments": 0, "closed": [], "b_positive": None})
         return real_rng(seed, i)
 
     def iter_fragment(params, cfg, construction):
@@ -378,6 +405,7 @@ def _fragments_per_case(monkeypatch, name, opts):
     def cong_free_below(n, a, b):
         result = real_closed(n, a, b)
         cases[-1]["closed"].append(result)
+        cases[-1]["b_positive"] = b.sign() > 0
         return result
 
     monkeypatch.setattr(oagw.suites, "case_rng", case_rng)
@@ -401,11 +429,47 @@ def test_psi_vs_search_enumerates_only_for_a_true_closed_form(monkeypatch, const
     cases = _fragments_per_case(
         monkeypatch, "psi-vs-search", SuiteOptions(construction, samples=60)
     )
+    kinds = set()
     for case in cases:
         assert len(case["closed"]) == 2
-        assert case["fragments"] == (1 if any(case["closed"]) else 0)
-    # both kinds of case occur, so the check above has teeth
-    assert {any(case["closed"]) for case in cases} == {False, True}
+        if not any(case["closed"]):
+            kinds.add("closed False")
+        else:
+            kinds.add("search" if case["b_positive"] else "empty interval")
+        assert case["fragments"] == (1 if any(case["closed"]) and case["b_positive"] else 0)
+    # every kind of case occurs, so the check above has teeth
+    assert kinds == {"closed False", "empty interval", "search"}
+
+
+def _b_of_sign(b, sign):
+    """``b`` (nonzero) turned into an element of the given sign."""
+    if sign == 0:
+        return zero(b.construction)
+    return b if b.sign() == sign else -b
+
+
+@pytest.mark.parametrize("b_sign", [-1, 0, 1])
+class TestPsiCandidates:
+    """Skipping the scan when b <= 0 loses no candidate and keeps the order."""
+
+    @staticmethod
+    def check(construction, a, b):
+        opts = SUITES["psi-vs-search"].options(SuiteOptions(construction))
+        scan = [y for y in _psi_fragment(opts, a, b) if y.sign() > 0 and y < b]
+        if b.sign() <= 0:
+            # the interval (0, b) is empty in an ordered group
+            assert scan == []
+        assert _psi_candidates(opts, a, b) == scan
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=seeded_elements(LAMBDA), b=seeded_elements(LAMBDA, allow_zero=False))
+    def test_lambda(self, b_sign, a, b):
+        self.check(LAMBDA, a, _b_of_sign(b, b_sign))
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=seeded_elements(GAMMA), b=seeded_elements(GAMMA, allow_zero=False))
+    def test_gamma(self, b_sign, a, b):
+        self.check(GAMMA, a, _b_of_sign(b, b_sign))
 
 
 def test_coeff_bound_zero_accepted_on_the_command_line():
