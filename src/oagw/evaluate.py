@@ -39,6 +39,21 @@ sentences now decide where they were Unknown: in
 ``E x. A y. (x = y -> false) | b < x`` the disjunct ``b < x`` is
 decided for each x before the search over y, which alone could never
 confirm the universal, so the sentence is True on the first x above b.
+
+Every node records which decided truths it can return: an atom True
+or False, ``true`` and ``false`` only themselves, a quantifier its
+stopping truth (True for E, False for A) if its body can and otherwise
+none, ``&`` False if some part can and True if every part can (an
+empty ``&`` is True), and ``|`` the dual.  A quantifier whose body
+cannot return its stopping truth does not search: a search only ever
+ends on that truth or Unknown, so it returns Unknown at once.  So
+``A x. E y. phi`` and ``E x. A y. phi`` enumerate no fragment at
+all, rather than up to size_cap**2 candidates for the same Unknown.
+The body is still compiled, so a constant of another construction
+still raises, and the pool is still checked, so a pool of another
+construction raises where the first fragment did.  Until an Unknown
+names its cause, a skipped quantifier keeps the reason "fragment
+bounds exhausted" of every other Unknown.
 """
 
 from __future__ import annotations
@@ -95,6 +110,11 @@ _TRUE = Verdict(Truth.TRUE)
 _FALSE = Verdict(Truth.FALSE)
 _UNKNOWN = Verdict(Truth.UNKNOWN, None, "fragment bounds exhausted")
 
+# The decided truths a node can return, as a set of these bits: an int
+# mask, because a junction works out its own from its parts' at every
+# compile, and hashing the enum would cost more than the mask.
+_CAN_TRUE, _CAN_FALSE = 1, 2
+
 
 # -- three-valued evaluation --------------------------------------------------
 
@@ -143,17 +163,29 @@ class _Node:
     Otherwise the node is a junction (``&`` if ``conj``, else ``|``) of
     ``parts``, none of them a junction of the same kind.  ``fixed``
     marks a node that holds a quantifier: its fragments read every
-    binding around it, so it never moves.
+    binding around it, so it never moves.  ``gives`` is the mask of
+    decided truths the node can return; a leaf states it, a junction
+    works it out from its parts.
     """
 
-    __slots__ = ("fv", "fixed", "conj", "parts", "leaf")
+    __slots__ = ("fv", "fixed", "conj", "parts", "leaf", "gives")
 
-    def __init__(self, fv, fixed, conj, parts, leaf) -> None:
+    def __init__(self, fv, fixed, conj, parts, leaf, gives=0) -> None:
         self.fv: frozenset[str] = fv
         self.fixed: bool = fixed
         self.conj: Optional[bool] = conj
         self.parts: tuple[_Node, ...] = parts
         self.leaf: Optional[Callable[[Optional[_Scope]], _Compiled]] = leaf
+        if conj is not None:
+            # & can give False if some part can and True if every part can
+            # (an empty & is True); | is the dual
+            some, every = 0, _CAN_TRUE | _CAN_FALSE
+            for p in parts:
+                some |= p.gives
+                every &= p.gives
+            stop = _CAN_FALSE if conj else _CAN_TRUE
+            gives = (some & stop) | (every & ~stop)
+        self.gives: int = gives
 
     def flat(self, conj: bool) -> tuple["_Node", ...]:
         """The parts of self as one side of a junction of kind ``conj``."""
@@ -207,11 +239,13 @@ def _compile(
         return _compile_quantifier(construction, f, neg, cfg, consts)
     if kind is BoolC:
         verdict = _TRUE if f.value != neg else _FALSE
-        return _Node(frozenset(), False, None, (), lambda scope: lambda env: verdict)
+        gives = _CAN_TRUE if verdict is _TRUE else _CAN_FALSE
+        return _Node(frozenset(), False, None, (), lambda scope: lambda env: verdict, gives)
     if isinstance(f, Atom):
         consts += [t.const for t in (f.lhs, f.rhs) if t.const is not None and not t.const.is_zero()]
         fv = frozenset([v for v, _ in f.lhs.coeffs + f.rhs.coeffs])
-        return _Node(fv, False, None, (), partial(_compile_atom, construction, f, neg))
+        leaf = partial(_compile_atom, construction, f, neg)
+        return _Node(fv, False, None, (), leaf, _CAN_TRUE | _CAN_FALSE)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -271,7 +305,7 @@ def _compile_quantifier(
     # an existential stops on a witness, a universal on a counterexample
     stop, reason = (Truth.TRUE, "") if conj else (Truth.FALSE, "counterexample")
 
-    def run(env: dict[str, GroupElement]) -> Verdict:
+    def search(env: dict[str, GroupElement]) -> Verdict:
         params = list(env.values()) + consts
         shadowed = env.get(var)
         if hoisted:
@@ -291,8 +325,18 @@ def _compile_quantifier(
         # the fragment cannot exhaust the infinite structure
         return _UNKNOWN if found is None else found
 
-    node = _Node(body.fv - {var}, True, None, (), lambda scope: run)
+    # a search ends only on its stopping truth or Unknown, so one whose
+    # body cannot return that truth is skipped
+    gives = body.gives & (_CAN_TRUE if conj else _CAN_FALSE)
+    run = search if gives else partial(_skip, cfg, construction)
+    node = _Node(body.fv - {var}, True, None, (), lambda scope: run, gives)
     return node if not moved else _Node(node.fv, True, conj, moved + (node,), None)
+
+
+def _skip(cfg: FragmentConfig, construction: Construction, env: dict[str, GroupElement]) -> Verdict:
+    """A quantifier that no search could decide: Unknown at once."""
+    cfg._pool(construction)  # a pool of another construction raises, as in a search
+    return _UNKNOWN
 
 
 def _compile_term(construction: Construction, t: Term, scope: Optional[_Scope]) -> _TermFn:

@@ -25,10 +25,11 @@ reads it, with the loop written inline instead of in two Python frames.
 ``g`` is the generator's own ``getrandbits``, so a subclass that
 overrides it (Hypothesis's ``st.randoms()``, say) still controls every
 draw.  The term-count tables of each bound and the coefficient table of
-each field are built on first use, and an empty count table raises
-``IndexError`` as ``choice`` does: its padded form ``(None,)`` with
-``k = 0`` would be drawn again forever.  The cold samplers draw through
-``_pick``, the same loop over a plain sequence.
+each field are built on first use, and an empty sequence raises
+``IndexError`` as ``choice`` does when its table is built: its padded
+form ``(None,)`` with ``k = 0`` would be drawn again forever.  The hot
+samplers write the loop inline; the cold ones call ``_draw``, the same
+loop as a function.
 
 The tables hold the interned positions as ``(rank, position)`` entries,
 ``[kind][index]`` (the G1 squares one row deeper, ``[block][slot]``),
@@ -67,30 +68,28 @@ def case_rng(seed: int, index: int) -> random.Random:
     return random.Random(f"{seed}:{index}")
 
 
-def _pick(rng: random.Random, seq):
-    """``rng.choice(seq)``, drawn from the same bits; see the module docstring."""
+def _table(seq) -> tuple[int, tuple]:
+    """``seq`` as ``(k, padded)``; see the module docstring."""
     n = len(seq)
     if not n:
         raise IndexError("cannot choose from an empty sequence")
     k = n.bit_length()
-    r = rng.getrandbits(k)
-    while r >= n:
-        r = rng.getrandbits(k)
-    return seq[r]
-
-
-def _table(seq) -> tuple[int, tuple]:
-    """``seq`` as ``(k, padded)``; see the module docstring."""
-    n = len(seq)
-    k = n.bit_length()
     return k, (*seq, *(None,) * ((1 << k) - n))
+
+
+def _draw(g, table: tuple[int, tuple]):
+    """The item of ``table``, a ``(k, padded)`` pair, that ``choice`` would
+    draw through ``g``; see the module docstring."""
+    k, t = table
+    item = t[g(k)]
+    while item is None:
+        item = t[g(k)]
+    return item
 
 
 @cache
 def _counts(lo: int, hi: int) -> tuple[int, tuple]:
     """The table of ``range(lo, hi + 1)``, built on first use."""
-    if hi < lo:
-        raise IndexError("cannot choose from an empty sequence")
     return _table(range(lo, hi + 1))
 
 
@@ -116,14 +115,13 @@ def _entries(positions) -> tuple[int, tuple]:
     return _table([(_RANKS[pos], pos) for pos in positions])
 
 
-# kind -> index -> (rank, position): G2 circles, G2 squares, G1 squares
-# (a table per block), G1 circles
-_KINDS = _table((
-    _entries(_G2_CIRCLES),
-    _entries(_G2_SQUARES),
-    _table([_entries(row) for row in _G1_SQUARES]),
-    _entries(_G1_CIRCLES),
-))
+# index -> (rank, position); the G1 squares a table per block
+_G2_CIRCLE_ENTRIES = _entries(_G2_CIRCLES)
+_G2_SQUARE_ENTRIES = _entries(_G2_SQUARES)
+_G1_SQUARE_ENTRIES = _table([_entries(row) for row in _G1_SQUARES])
+_G1_CIRCLE_ENTRIES = _entries(_G1_CIRCLES)
+# kind -> index -> (rank, position)
+_KINDS = _table((_G2_CIRCLE_ENTRIES, _G2_SQUARE_ENTRIES, _G1_SQUARE_ENTRIES, _G1_CIRCLE_ENTRIES))
 
 
 def _rationals(dens: tuple[int, ...]) -> tuple[int, tuple]:
@@ -228,7 +226,7 @@ def random_element(
     comps = {}
     for _ in range(n):
         rank, pos = _position(g)
-        comps[rank] = (pos, _value(g, rats, pos))
+        comps[rank] = (pos, random_value(rng, construction, pos))
     # at least one component, each of a nonzero value: never zero
     return _sampled(construction, comps)
 
@@ -244,13 +242,14 @@ def random_positive(rng: random.Random, construction: Construction) -> GroupElem
 
 def random_g1_element(rng: random.Random, construction: Construction, max_support: int = 3) -> GroupElement:
     """Support confined to the right block."""
+    g = rng.getrandbits
     comps = {}
-    for _ in range(_pick(rng, range(1, max_support + 1))):
+    for _ in range(_draw(g, _counts(1, max_support))):
         if rng.random() < 0.7:
-            pos: Position = _pick(rng, _pick(rng, _G1_SQUARES))
+            rank, pos = _draw(g, _draw(g, _G1_SQUARE_ENTRIES))
         else:
-            pos = _pick(rng, _G1_CIRCLES)
-        comps[_RANKS[pos]] = (pos, random_value(rng, construction, pos))
+            rank, pos = _draw(g, _G1_CIRCLE_ENTRIES)
+        comps[rank] = (pos, random_value(rng, construction, pos))
     return _sampled(construction, comps)
 
 
@@ -258,7 +257,8 @@ def random_a_cone_exponent(rng: random.Random) -> GroupElement:
     """LAMBDA exponent with zero or positive G2 part."""
     if rng.random() < 0.5:
         return random_g1_element(rng, LAMBDA)
-    g2pos = _pick(rng, _G2_SQUARES) if rng.random() < 0.5 else _pick(rng, _G2_CIRCLES)
+    g = rng.getrandbits
+    _, g2pos = _draw(g, _G2_SQUARE_ENTRIES if rng.random() < 0.5 else _G2_CIRCLE_ENTRIES)
     e = _from_canonical(LAMBDA, ((g2pos, random_value(rng, LAMBDA, g2pos)),))
     if rng.random() < 0.7:
         e = e + random_g1_element(rng, LAMBDA, 2)

@@ -207,7 +207,8 @@ class TestQuantifiers:
     def test_pool_memo_lives_for_one_call(self, monkeypatch):
         g = element(LAMBDA, {g2_circle(0): 1})
         cfg = FragmentConfig(2, (g,), 40, 0)
-        f = parse_formula("A x. E y. x = y + y")
+        # a nested search that runs: E y. searches for each x above c
+        f = parse_formula("E x. E y. x = y + y & {G2[0].c: 1} < x")
         seen = []
 
         def recording(params, cfg, construction):
@@ -921,3 +922,83 @@ class TestScoping:
         unscoped = _reference_eval(construction, f, {}, cfg, scoped=False)
         if unscoped.decided:
             assert got.truth is unscoped.truth, text
+
+    # An existential stops only on True and a universal only on False, so
+    # a search whose body can never return that truth could only end Unknown.
+    UNSTOPPABLE = ("aae-closed", "ea-gap", "ae-desc")
+    STILL_SEARCHED = (
+        # the moved part y = 0 can make the conjunction False
+        "A y. E z. (y = 0 & z = y)",
+        # x = 0 can make the disjunction True
+        "E x. (A y. y < x) | x = 0",
+        "A x. false",
+        "E x. true",
+        # the atom can make the conjunction False
+        "A x. (E y. x = y + y) & x < {G2[1].s: 1}",
+    )
+
+    @staticmethod
+    def _searched_by_reference(monkeypatch, construction, f, cfg):
+        """The reference verdict, which always searches, and its fragment count."""
+        calls, enumerate_fragment = [], iter_fragment
+
+        def counting(params, cfg, construction):
+            calls.append(tuple(params))
+            return enumerate_fragment(params, cfg, construction)
+
+        with monkeypatch.context() as m:
+            m.setattr(sys.modules[__name__], "iter_fragment", counting)
+            return _reference_eval(construction, f, {}, cfg), len(calls)
+
+    def _check_skipped(self, monkeypatch, construction, f, cfg, fragment_calls):
+        got = evaluate(construction, f, {}, cfg)
+        assert fragment_calls == [], print_formula(f)
+        want, searched = self._searched_by_reference(monkeypatch, construction, f, cfg)
+        assert searched > 0
+        _same_verdict(got, want)
+        assert got.truth is Truth.UNKNOWN
+
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+    @pytest.mark.parametrize("pool_text", POOL_TEXTS)
+    def test_a_search_that_cannot_stop_is_skipped(
+        self, construction, pool_text, fragment_calls, monkeypatch
+    ):
+        cfg = FragmentConfig(2, tuple(parse_element(t, construction) for t in pool_text), 10)
+        for name in self.UNSTOPPABLE:
+            text = PREFIX_SHAPES[name]
+            for i, lit in enumerate(pool_text):
+                text = text.replace(f"P{i}", lit)
+            f = parse_formula(text, construction)
+            self._check_skipped(monkeypatch, construction, f, cfg, fragment_calls)
+
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+    def test_the_ea_corpus_is_skipped(self, construction, fragment_calls, monkeypatch):
+        from oagw.suites import gen_corpus
+
+        cfg = FragmentConfig(2, tuple(parse_element(t, construction) for t in POOL_TEXTS[0]), 10)
+        for text in gen_corpus("ea", 20, 42, construction):
+            f = parse_formula(text, construction)
+            self._check_skipped(monkeypatch, construction, f, cfg, fragment_calls)
+
+    def test_a_disjunct_that_cannot_refute_is_skipped(self, fragment_calls, monkeypatch):
+        # E y. can only be True, so the disjunction is never False
+        f = parse_formula("A x. (E y. x = y + y) | x < {G2[1].s: 1}")
+        cfg = FragmentConfig(2, tuple(parse_element(t, LAMBDA) for t in POOL_TEXTS[0]), 10)
+        self._check_skipped(monkeypatch, LAMBDA, f, cfg, fragment_calls)
+
+    @pytest.mark.parametrize("text", STILL_SEARCHED)
+    def test_a_search_that_can_stop_still_runs(self, text, fragment_calls, monkeypatch):
+        f = parse_formula(text)
+        cfg = FragmentConfig(2, tuple(parse_element(t, LAMBDA) for t in POOL_TEXTS[0]), 10)
+        got = evaluate(LAMBDA, f, {}, cfg)
+        want, searched = self._searched_by_reference(monkeypatch, LAMBDA, f, cfg)
+        _same_verdict(got, want)
+        assert len(fragment_calls) == searched > 0
+
+    def test_a_skipped_search_still_rejects_a_pool_of_the_other_construction(self, fragment_calls):
+        cfg = FragmentConfig(1, (element(GAMMA, {g2_circle(0): 1}),), 10)
+        with pytest.raises(ConstructionMismatch):
+            evaluate(LAMBDA, parse_formula("A x. E y. x = y"), {}, cfg)
+        assert fragment_calls == []
+        # a sentence without a quantifier never reads the pool
+        assert evaluate(LAMBDA, parse_formula("0 < {G2[0].c: 1}"), {}, cfg).truth is Truth.TRUE

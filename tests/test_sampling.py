@@ -275,20 +275,21 @@ def test_random_series_exponents(field, exponents):
     )
 
 
-def test_pick_draws_what_choice_draws():
-    # _pick copies the rejection loop of _randbelow_with_getrandbits; a
-    # Python whose choice draws another way fails here first
+def test_table_draw_draws_what_choice_draws():
+    # a table draw copies the rejection loop of _randbelow_with_getrandbits;
+    # a Python whose choice draws another way fails here first
     assert random.Random._randbelow is random.Random._randbelow_with_getrandbits
     for seed in SEEDS:
         rng, ref_rng = random.Random(seed), random.Random(seed)
         # the powers of two reject about half their draws
         for n in range(1, 71):
-            table = tuple(range(n))
+            seq = tuple(range(n))
+            table = sampling._table(seq)
             for _ in range(40):
-                assert sampling._pick(rng, table) == ref_rng.choice(table)
+                assert sampling._draw(rng.getrandbits, table) == ref_rng.choice(seq)
         assert rng.getstate() == ref_rng.getstate()
     with pytest.raises(IndexError):
-        sampling._pick(random.Random(0), ())
+        sampling._table(())
 
 
 class ScriptedRandom(random.Random):
@@ -304,11 +305,11 @@ class ScriptedRandom(random.Random):
         return self.script.pop(0)
 
 
-def test_pick_draws_through_the_generators_getrandbits():
+def test_table_draw_goes_through_the_generators_getrandbits():
     # a subclass's getrandbits decides every draw: 5 and 7 are rejected
     # for a table of 5, then 3 is taken
     rng = ScriptedRandom([5, 7, 3])
-    assert sampling._pick(rng, "abcde") == "d"
+    assert sampling._draw(rng.getrandbits, sampling._table("abcde")) == "d"
     assert rng.asked == [3, 3, 3] and not rng.script
 
 
@@ -320,7 +321,7 @@ def test_samplers_follow_hypothesis_randoms():
     @settings(max_examples=60, deadline=None, database=None)
     @given(st.randoms(use_true_random=False))
     def draw(rng):
-        picks.add(sampling._pick(rng, range(70)))
+        picks.add(sampling._draw(rng.getrandbits, sampling._table(range(70))))
         sizes.add(len(sampling.random_element(rng, LAMBDA, 4, allow_zero=False).entries))
 
     draw()
@@ -375,22 +376,3 @@ def test_format_element_writes_every_table_rational_as_str(construction):
                 assert format_element(element(construction, {pos: v})) == f"{{{pos}: {v}}}"
                 written += 1
     assert written == 24 * (5 if construction is LAMBDA else 11)
-
-
-def test_hot_samplers_draw_without_pick(monkeypatch):
-    # the per-draw frame of _pick stays out of the hot samplers
-    calls = []
-    pick = sampling._pick
-
-    def counted(rng, seq):
-        calls.append(seq)
-        return pick(rng, seq)
-
-    monkeypatch.setattr(sampling, "_pick", counted)
-    for i in range(200):
-        sampling.random_element(case_rng(7, i), (LAMBDA, GAMMA)[i % 2])
-        sampling.random_series(case_rng(7, i), exponents=sampling.random_valring_exponent)
-    assert not calls
-    # the wrapper is live: a cold sampler still draws through it
-    sampling.random_g1_element(case_rng(7, 0), LAMBDA)
-    assert calls

@@ -119,6 +119,33 @@ def test_eval_unknown_with_bounds(capsys):
     assert "fragment bounds exhausted" in out
 
 
+def test_eval_of_a_sentence_search_cannot_decide_enumerates_nothing(monkeypatch, capsys):
+    # at the default --size-cap 600 a search would walk up to 600**3 candidates
+    def no_fragment(params, cfg, construction):
+        raise AssertionError("a fragment was enumerated")
+
+    monkeypatch.setattr("oagw.evaluate.iter_fragment", no_fragment)
+    rc = main(
+        [
+            "eval",
+            "--construction",
+            "gamma",
+            "--formula",
+            "A x. A y. E z. x + y = 2*z",
+            "--pool",
+            "{G2[0].c: 1}",
+            "--pool",
+            "{G2[1].s: 1}",
+            "--pool",
+            "{G1[0].c: 1}",
+        ]
+    )
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "verdict: unknown" in out
+    assert "reason: fragment bounds exhausted" in out
+
+
 def test_eval_with_binding(capsys):
     rc = main(
         [
