@@ -12,6 +12,9 @@ by the test suites.
 congruence-free tails swept out below an element, and membership in
 those tails drives the formula-based decision of the right-block
 subgroup (``g1_part_by_formula``).
+
+On gamma, ``window_positions`` refutes ``index_window`` in the F1 image
+for every coefficient bound, by the positions its witnesses need.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .elements import (
     fresh_g1_block,
     unit,
 )
-from .positions import G1, Position, g1_square
+from .positions import G1, G2, Position, g1_square
 
 
 def cong_free_below(n: int, a: GroupElement, b: GroupElement) -> bool:
@@ -92,6 +95,40 @@ def index_window(c: GroupElement, b: GroupElement) -> Callable[[GroupElement], b
         )
 
     return holds
+
+
+def window_positions(c: GroupElement, b: GroupElement) -> Optional[tuple[Position, ...]]:
+    """On gamma, the positions strictly between L and U, in order.
+
+    L is the least of ``c.lead_mod(2)`` and ``c.lead_mod(3)`` that exists
+    and U is b's lead.  ``()`` when c has neither lead; None when b <= 0
+    or U lies in G1, where the set need not be finite.  Exact both ways:
+
+    * sound: let x satisfy ``index_window(c, b)``.  On gamma a tie at a
+      lead slot compares a Fraction, so it is False, and the window needs
+      L < lead(x) and, for some n, ``x.lead_mod(n)`` < U.  As lead(x) <=
+      ``x.lead_mod(n)``, x is nonzero strictly between L and U;
+    * tight: ``unit(GAMMA, p)`` satisfies the window for every listed p:
+      a square is 3-indivisible and a circle 2-indivisible at value 1.
+
+    So the F1 image, which omits only ``CRITICAL_CIRCLE``, has a witness
+    exactly when some listed position is not the critical circle.
+    """
+    _same(c, b)
+    if c.construction is not GAMMA:
+        raise ConstructionMismatch(f"expected a {GAMMA} element")
+    low = min((d for d in (c.lead_mod(2), c.lead_mod(3)) if d is not None), default=None)
+    if low is None:
+        return ()
+    upper = b.entries[0][0] if b.sign() > 0 else None
+    if upper is None or upper.area != G2:
+        return None
+    out = []
+    pos = low.position.successor()
+    while pos < upper:
+        out.append(pos)
+        pos = pos.successor()
+    return tuple(out)
 
 
 def _tiny_gamma_representative(value: Fraction, p: int, s: int, below: Fraction) -> Fraction:

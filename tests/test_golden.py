@@ -3,8 +3,8 @@
 Each registered suite and demo runs on each construction it declares at seed 7
 with ``samples=3``; the sha256 of its JSON report (serialized as
 ``oagw check --json`` writes it) must equal the recorded digest.
-``gamma-counterexample`` ignores ``samples`` and runs its fixed scan, a
-few seconds.
+``gamma-counterexample`` ignores ``samples``: it runs its fixed
+full-group scan and refutes the image for every coefficient bound.
 
 ``EVAL_GOLDEN`` pins what ``evaluate`` returns: truth, witness text and
 reason of every prefix shape and hoisting shape of ``test_evaluate`` on
@@ -52,7 +52,7 @@ GOLDEN = {
     "f1-exists-closure[gamma]": "64ab5e1b2863f511125e5718ab9d15da0a8c0e8342d6b45da4aafaba78f89422",
     "f1-ea-closure[lambda]": "6b1fc39721d0dc54d0096eb04a22f179dff59a2cadb1b50b71fdd14fc74c09f0",
     "f2-interval[lambda]": "358b016735443db13056e7b4fd4459b51abbfad460c0f5c9f15c67ab882b544b",
-    "gamma-counterexample[gamma]": "c187261637224ab40f107eb0bb68aa8a45614d88df4215f7c6fe8e5f2834d82f",
+    "gamma-counterexample[gamma]": "09cb80971fd4b4fc4b3ddd4672a340d1b3aa7efc6fae321ebc238158d1de1c5b",
     "lambda-repair[lambda]": "6f8ef75febac3cb41b9b97b578cf9f1a2d20dab35d7277c9f7b72633068edae9",
     "hahn-ring[lambda]": "47d88386c0cbb38e299d33f923bcc8aa54c8caf1960a6d257bb4981df97c6943",
     "hahn-ring[gamma]": "9863436046dc898ac4bde9384778247d6c12930e0ec95411698a7f932dec1fa0",

@@ -22,7 +22,8 @@ from oagw.elements import (
     zero,
 )
 from oagw.fragments import FragmentConfig, iter_fragment
-from oagw.positions import g1_circle, g1_square, g2_circle, g2_square
+from oagw.embeddings import Embedding, in_image
+from oagw.positions import CRITICAL_CIRCLE, g1_circle, g1_square, g2_circle, g2_square
 from oagw.predicates import (
     TailSet,
     cong_free_below,
@@ -32,6 +33,7 @@ from oagw.predicates import (
     index_window,
     inner_anchor_below,
     tail_set,
+    window_positions,
 )
 from oagw.sampling import case_rng, random_element
 
@@ -197,6 +199,109 @@ class TestIndexWindow:
         window = index_window(zero(LAMBDA), zero(LAMBDA))
         with pytest.raises(ConstructionMismatch):
             window(zero(GAMMA))
+
+
+def _exhaustive_hits(gens, bound, construction, predicate):
+    """All (combination, max |coefficient|) pairs satisfying the predicate.
+
+    Covers every coefficient vector with entries in [-bound, bound],
+    built incrementally so each vector costs one addition.
+    """
+    scaled = [[g.scale(k) for k in range(-bound, bound + 1)] for g in gens]
+    hits = []
+
+    def rec(i, acc, mx):
+        if i == len(gens):
+            if predicate(acc):
+                hits.append((acc, mx))
+            return
+        row = scaled[i]
+        for k in range(-bound, bound + 1):
+            rec(i + 1, acc if k == 0 else acc + row[k + bound], max(mx, abs(k)))
+
+    rec(0, zero(construction), 0)
+    return hits
+
+
+def _nonzero_at_some(x, positions):
+    return any(x.value_at(p) is not None for p in positions)
+
+
+# the gamma-counterexample parameters, and the six generators of the
+# F1-image subgroup its old scan covered
+DEMO_C = unit(GAMMA, g2_square(1))
+DEMO_B = unit(GAMMA, g2_square(0))
+DEMO_IMAGE_GENS = (
+    DEMO_C,
+    DEMO_B,
+    unit(GAMMA, g2_circle(1)),
+    unit(GAMMA, g2_square(2)),
+    unit(GAMMA, g1_square(0, 0)),
+    unit(GAMMA, g1_circle(0)),
+)
+
+
+class TestWindowPositions:
+    """The gamma window certificate against witness search, both ways."""
+
+    def test_demo_window_is_the_critical_circle(self):
+        assert window_positions(DEMO_C, DEMO_B) == (CRITICAL_CIRCLE,)
+        assert not in_image(Embedding.F1, unit(GAMMA, CRITICAL_CIRCLE))
+
+    def test_bound_two_image_scan_agrees(self):
+        assert all(in_image(Embedding.F1, g) for g in DEMO_IMAGE_GENS)
+        rel = index_window(DEMO_C, DEMO_B)
+        assert _exhaustive_hits(DEMO_IMAGE_GENS, 2, GAMMA, rel) == []
+
+    def test_critical_circle_generator_gives_witnesses(self):
+        # negative control: with the critical circle in the subgroup the
+        # certificate no longer refutes, and the scan finds witnesses
+        gens = DEMO_IMAGE_GENS + (unit(GAMMA, CRITICAL_CIRCLE),)
+        open_positions = window_positions(DEMO_C, DEMO_B)
+        hits = _exhaustive_hits(gens, 1, GAMMA, index_window(DEMO_C, DEMO_B))
+        assert hits
+        assert all(_nonzero_at_some(x, open_positions) for x, _ in hits)
+
+    def test_exact_on_seeded_pairs(self):
+        pool = tuple(unit(GAMMA, f(m)) for m in (2, 1, 0) for f in (g2_circle, g2_square))
+        cfg = FragmentConfig(coeff_bound=1, generator_pool=pool, size_cap=200)
+        listed = hits = 0
+        for i in range(500):
+            rng = case_rng(5, i)
+            c, b = random_element(rng, GAMMA), random_element(rng, GAMMA)
+            open_positions = window_positions(c, b)
+            if open_positions is None:
+                continue
+            rel = index_window(c, b)
+            # tight: a unit at any listed position is a witness
+            for p in open_positions:
+                assert rel(unit(GAMMA, p)), (c, b, p)
+            listed += len(open_positions)
+            # sound: every witness is nonzero at a listed position
+            for x in iter_fragment([c, b], cfg, GAMMA):
+                if rel(x):
+                    hits += 1
+                    assert _nonzero_at_some(x, open_positions), (c, b, x)
+        assert listed and hits
+
+    def test_nonpositive_bound_is_not_finite(self):
+        assert window_positions(DEMO_C, -DEMO_B) is None
+        assert window_positions(DEMO_C, zero(GAMMA)) is None
+
+    def test_zero_c_has_no_witness(self):
+        assert window_positions(zero(GAMMA), DEMO_B) == ()
+        gens = DEMO_IMAGE_GENS + (unit(GAMMA, CRITICAL_CIRCLE),)
+        assert not _exhaustive_hits(gens, 1, GAMMA, index_window(zero(GAMMA), DEMO_B))
+
+    def test_bound_leading_in_g1_is_not_finite(self):
+        assert window_positions(DEMO_C, unit(GAMMA, g1_square(0, 0))) is None
+
+    def test_rejects_lambda(self):
+        c = element(LAMBDA, {g2_square(1): {0: 1}})
+        with pytest.raises(ConstructionMismatch):
+            window_positions(c, element(LAMBDA, {g2_square(0): {0: 1}}))
+        with pytest.raises(ConstructionMismatch):
+            window_positions(DEMO_C, c)
 
 
 class TestTailSets:
