@@ -54,6 +54,28 @@ still raises, and the pool is still checked, so a pool of another
 construction raises where the first fragment did.  Until an Unknown
 names its cause, a skipped quantifier keeps the reason "fragment
 bounds exhausted" of every other Unknown.
+
+A quantifier whose body can return its stopping truth is skipped too
+when the divisible hull shows that it never does.  The compiler writes
+"the body returns that truth" as disjuncts, each a set of homogeneous
+integer rows ``sum_v k_v*v < 0`` or ``<= 0`` over the free and bound
+variables.  A ``<`` or ``=`` atom whose terms carry no element constant
+gives rows, a false ``=`` two disjuncts (``s < t`` or ``t < s``); any
+other atom gives none.  A junction takes the union of its parts'
+disjuncts for its absorbing truth and their product for the neutral
+one, and a quantifier gives its body's unrefuted disjuncts for its own
+stopping truth, its variable renamed to a fresh name.  Fourier-Motzkin
+elimination (Fourier 1827; Motzkin 1936) runs on each disjunct, and a
+quantifier all of whose disjuncts derive ``0 < 0`` is skipped and gives
+no truth.  This is sound: each construction G lies in its divisible
+hull D, an ordered Q-vector space; elimination only adds rows with
+positive integer multipliers, and a dropped atom only weakens a
+system; so a refuted disjunct has no solution in D, hence none in G,
+and the search could only have ended Unknown.  In
+``A x. A y. A z. (x < y & y < z -> x < z)`` a counterexample of
+``A y.`` needs ``x < y``, ``y < z`` and ``z <= x`` for some z, which
+has no solution, so no fragment is enumerated at all.  Past fixed
+numbers of disjuncts and rows the hull gives up, and the search runs.
 """
 
 from __future__ import annotations
@@ -62,7 +84,7 @@ import enum
 from dataclasses import dataclass
 from functools import partial, reduce
 from operator import itemgetter
-from typing import Callable, Mapping, Optional
+from typing import Callable, Hashable, Mapping, Optional
 
 from .elements import Construction, ConstructionMismatch, GroupElement
 from .formulas import (
@@ -115,6 +137,18 @@ _UNKNOWN = Verdict(Truth.UNKNOWN, None, "fragment bounds exhausted")
 # compile, and hashing the enum would cost more than the mask.
 _CAN_TRUE, _CAN_FALSE = 1, 2
 
+# The divisible hull's view of a node returning a truth: a row
+# ``(k, strict)`` says that sum_v k[v]*v is < 0 if strict, else <= 0;
+# a disjunct is a tuple of rows that hold together, and a _Dnf is a
+# tuple of disjuncts one of which holds.  A variable is a free name, a
+# name bound further in, or the fresh token of a quantifier it left.
+_Row = tuple[dict[Hashable, int], bool]
+_Dnf = tuple[tuple[_Row, ...], ...]
+_TOP: _Dnf = ((),)  # one disjunct without rows: nothing is known
+# Past these sizes the hull gives up on a condition, and its search runs.
+_MAX_DISJUNCTS = 32
+_MAX_ROWS = 32
+
 
 # -- three-valued evaluation --------------------------------------------------
 
@@ -165,17 +199,19 @@ class _Node:
     marks a node that holds a quantifier: its fragments read every
     binding around it, so it never moves.  ``gives`` is the mask of
     decided truths the node can return; a leaf states it, a junction
-    works it out from its parts.
+    works it out from its parts.  A leaf's ``rows``, if it has them,
+    give its ``hull`` of a truth it can return.
     """
 
-    __slots__ = ("fv", "fixed", "conj", "parts", "leaf", "gives")
+    __slots__ = ("fv", "fixed", "conj", "parts", "leaf", "gives", "rows")
 
-    def __init__(self, fv, fixed, conj, parts, leaf, gives=0) -> None:
+    def __init__(self, fv, fixed, conj, parts, leaf, gives=0, rows=None) -> None:
         self.fv: frozenset[str] = fv
         self.fixed: bool = fixed
         self.conj: Optional[bool] = conj
         self.parts: tuple[_Node, ...] = parts
         self.leaf: Optional[Callable[[Optional[_Scope]], _Compiled]] = leaf
+        self.rows: Optional[Callable[[int], _Dnf]] = rows
         if conj is not None:
             # & can give False if some part can and True if every part can
             # (an empty & is True); | is the dual
@@ -195,6 +231,25 @@ class _Node:
         if self.conj is None:
             return self.leaf(scope)
         return _compile_junction(self.conj, [p.build(scope) for p in self.parts])
+
+    def hull(self, truth: int) -> _Dnf:
+        """Disjuncts, one of which holds in the divisible hull whenever
+        the node returns ``truth`` (_CAN_TRUE or _CAN_FALSE)."""
+        if not self.gives & truth:
+            return ()
+        if self.conj is None:
+            return _TOP if self.rows is None else self.rows(truth)
+        parts = [p.hull(truth) for p in self.parts]
+        if truth == (_CAN_FALSE if self.conj else _CAN_TRUE):
+            # the absorbing truth comes from some part
+            out = tuple([d for dnf in parts for d in dnf])
+            return out if len(out) <= _MAX_DISJUNCTS else _TOP
+        # the neutral truth from every part; a part left out only weakens
+        out = _TOP
+        for dnf in parts:
+            if len(out) * len(dnf) <= _MAX_DISJUNCTS:
+                out = tuple([a + b for a in out for b in dnf])
+        return out
 
 
 def evaluate(
@@ -245,7 +300,7 @@ def _compile(
         consts += [t.const for t in (f.lhs, f.rhs) if t.const is not None and not t.const.is_zero()]
         fv = frozenset([v for v, _ in f.lhs.coeffs + f.rhs.coeffs])
         leaf = partial(_compile_atom, construction, f, neg)
-        return _Node(fv, False, None, (), leaf, _CAN_TRUE | _CAN_FALSE)
+        return _Node(fv, False, None, (), leaf, _CAN_TRUE | _CAN_FALSE, partial(_atom_hull, f, neg))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -326,10 +381,16 @@ def _compile_quantifier(
         return _UNKNOWN if found is None else found
 
     # a search ends only on its stopping truth or Unknown, so one whose
-    # body cannot return that truth is skipped
+    # body cannot return that truth is skipped, and so is one whose body
+    # returns it only where the divisible hull has no solution
     gives = body.gives & (_CAN_TRUE if conj else _CAN_FALSE)
+    open_: _Dnf = tuple([d for d in body.hull(gives) if _feasible(d)]) if gives else ()
+    if not open_:
+        gives = 0
     run = search if gives else partial(_skip, cfg, construction)
-    node = _Node(body.fv - {var}, True, None, (), lambda scope: run, gives)
+    fresh = object()  # var seen from outside: a name no other binding shares
+    rows = partial(_rename, open_, var, fresh)
+    node = _Node(body.fv - {var}, True, None, (), lambda scope: run, gives, lambda truth: rows())
     return node if not moved else _Node(node.fv, True, conj, moved + (node,), None)
 
 
@@ -337,6 +398,76 @@ def _skip(cfg: FragmentConfig, construction: Construction, env: dict[str, GroupE
     """A quantifier that no search could decide: Unknown at once."""
     cfg._pool(construction)  # a pool of another construction raises, as in a search
     return _UNKNOWN
+
+
+def _atom_hull(a: Atom, neg: bool, truth: int) -> _Dnf:
+    """The rows of ``a``, or ``~a`` if ``neg``, returning ``truth``: a
+    ``<`` or ``=`` between terms without constants gives rows, and any
+    other atom nothing."""
+    kind = a.__class__
+    if (kind is not Lt and kind is not Eq) or a.lhs.const is not None or a.rhs.const is not None:
+        return _TOP
+    d: dict[Hashable, int] = {}  # lhs - rhs
+    for v, k in a.lhs.coeffs:
+        d[v] = d.get(v, 0) + k
+    for v, k in a.rhs.coeffs:
+        d[v] = d.get(v, 0) - k
+    d = {v: k for v, k in d.items() if k}
+    minus_d = {v: -k for v, k in d.items()}
+    holds = (truth == _CAN_TRUE) != neg
+    if kind is Lt:
+        # lhs < rhs, or else rhs <= lhs
+        return (((d, True),),) if holds else (((minus_d, False),),)
+    # lhs = rhs, or else lhs < rhs or rhs < lhs
+    return (((d, False), (minus_d, False)),) if holds else (((d, True),), ((minus_d, True),))
+
+
+def _rename(dnf: _Dnf, var: str, fresh: Hashable) -> _Dnf:
+    """``dnf`` with the variable ``var`` called ``fresh``."""
+
+    def row(c: dict[Hashable, int], strict: bool) -> _Row:
+        return ({fresh if v == var else v: k for v, k in c.items()} if var in c else c), strict
+
+    return tuple(tuple([row(c, strict) for c, strict in d]) for d in dnf)
+
+
+def _feasible(rows: tuple[_Row, ...]) -> bool:
+    """Whether the rows may hold together in an ordered Q-vector space.
+
+    False only when Fourier-Motzkin elimination, which adds rows with
+    positive integer multipliers, derives 0 < 0; True also once there
+    are more than _MAX_ROWS rows.
+    """
+    while len(rows) <= _MAX_ROWS:
+        if not any(strict for _, strict in rows):
+            return True  # every variable 0 solves rows that are not strict
+        # eliminate the variable that makes the fewest new rows
+        signs: dict[Hashable, list[int]] = {}
+        for c, _ in rows:
+            for v, k in c.items():
+                signs.setdefault(v, [0, 0])[k < 0] += 1
+        if not signs:
+            return False  # a strict row reads 0 < 0
+        var = min(signs, key=lambda v: signs[v][0] * signs[v][1])
+        out: list[_Row] = []
+        pos: list[_Row] = []
+        neg: list[_Row] = []
+        for row in rows:
+            k = row[0].get(var, 0)
+            (pos if k > 0 else neg if k < 0 else out).append(row)
+        for p, p_strict in pos:
+            for n, n_strict in neg:
+                a, b = -n[var], p[var]
+                c = {v: a * k for v, k in p.items()}
+                for v, k in n.items():
+                    c[v] = c.get(v, 0) + b * k
+                c = {v: k for v, k in c.items() if k}
+                if c:
+                    out.append((c, p_strict or n_strict))
+                elif p_strict or n_strict:
+                    return False  # 0 < 0
+        rows = tuple(out)
+    return True
 
 
 def _compile_term(construction: Construction, t: Term, scope: Optional[_Scope]) -> _TermFn:

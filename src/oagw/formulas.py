@@ -290,10 +290,11 @@ def _pf(f: Formula, ctx: int) -> str:
 
 # -- parsing ---------------------------------------------------------------
 
+# one named group per token kind: a match's lastgroup is its kind
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<lbrace>\{[^{}]*\})|(?P<arrow>->)|(?P<int>\d+)"
+    r"(?P<literal>\{[^{}]*\})|(?P<arrow>->)|(?P<int>\d+)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<punct>[().,;<=~&|*+-]))"
+    r"|(?P<punct>[().,;<=~&|*+-])"
 )
 
 _KEYWORDS = {"E", "A", "cong", "desc_lt", "rphi", "true", "false"}
@@ -316,13 +317,9 @@ def _tokenize(text: str) -> list[_Tok]:
             i += 1
             continue
         m = _TOKEN_RE.match(text, i)
-        if not m or m.end() == i:
+        if m is None:
             raise ParseError(text, i, "unexpected character")
-        for kind in ("lbrace", "arrow", "int", "name", "punct"):
-            val = m.group(kind)
-            if val is not None:
-                toks.append(_Tok(kind if kind != "lbrace" else "literal", val, i))
-                break
+        toks.append(_Tok(m.lastgroup, m.group(), i))
         i = m.end()
     return toks
 

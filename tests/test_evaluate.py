@@ -862,17 +862,22 @@ class TestScoping:
     ):
         pool = tuple(parse_element(t, construction) for t in pool_text)
         cfg = FragmentConfig(2, pool, 10)
-        f = parse_formula(PREFIX_SHAPES["aaa-trans"], construction)
+        # P0 > 0 keeps the sentence true; the constant hides the conclusion
+        # from the divisible hull, which would refute A y. without it
+        p0 = pool[0]
+        assert zero(construction) < p0
+        text = f"A x. A y. A z. (x < y & y < z -> x < z + {pool_text[0]})"
+        f = parse_formula(text, construction)
         assert evaluate(construction, f, {}, cfg).truth is Truth.UNKNOWN
         # x < y is decided once per pair, and only a pair with x < y searches z
         pairs = [
-            (x, y)
-            for x in iter_fragment([], cfg, construction)
-            for y in iter_fragment([x], cfg, construction)
+            (x, y, p0)
+            for x in iter_fragment([p0], cfg, construction)
+            for y in iter_fragment([x, p0], cfg, construction)
             if x < y
         ]
         assert len(pairs) > 10
-        assert [p for p in fragment_calls if len(p) == 2] == pairs
+        assert [p for p in fragment_calls if len(p) == 3] == pairs
 
     def test_decided_disjunct_skips_the_search(self, fragment_calls):
         a = element(LAMBDA, {S00: {0: 1}})
@@ -886,7 +891,8 @@ class TestScoping:
 
     @pytest.mark.parametrize(
         "text",
-        ["E x. E y. (0 < c & x < y & y < x)", "A x. A y. (c < 0 | x < y | y < x | x = y)"],
+        # the hull sees no sign of c inside E y. or A y., so neither is refuted
+        ["E x. E y. (0 < c & x < y & y + c < x)", "A x. A y. (c < 0 | x < y | y < x + c | x = y)"],
     )
     def test_a_part_moved_twice_runs_the_inner_quantifier_once(self, text, fragment_calls):
         # the part without x or y moves out of E y., then out of E x.;
@@ -924,8 +930,10 @@ class TestScoping:
             assert got.truth is unscoped.truth, text
 
     # An existential stops only on True and a universal only on False, so
-    # a search whose body can never return that truth could only end Unknown.
-    UNSTOPPABLE = ("aae-closed", "ea-gap", "ae-desc")
+    # a search whose body can never return that truth could only end
+    # Unknown: in aa-comm and aaa-trans it could only where the divisible
+    # hull has no solution.
+    UNSTOPPABLE = ("aae-closed", "ea-gap", "ae-desc", "aa-comm", "aaa-trans")
     STILL_SEARCHED = (
         # the moved part y = 0 can make the conjunction False
         "A y. E z. (y = 0 & z = y)",
@@ -938,7 +946,7 @@ class TestScoping:
     )
 
     @staticmethod
-    def _searched_by_reference(monkeypatch, construction, f, cfg):
+    def _searched_by_reference(monkeypatch, construction, f, cfg, env=None):
         """The reference verdict, which always searches, and its fragment count."""
         calls, enumerate_fragment = [], iter_fragment
 
@@ -948,12 +956,12 @@ class TestScoping:
 
         with monkeypatch.context() as m:
             m.setattr(sys.modules[__name__], "iter_fragment", counting)
-            return _reference_eval(construction, f, {}, cfg), len(calls)
+            return _reference_eval(construction, f, dict(env or {}), cfg), len(calls)
 
-    def _check_skipped(self, monkeypatch, construction, f, cfg, fragment_calls):
-        got = evaluate(construction, f, {}, cfg)
+    def _check_skipped(self, monkeypatch, construction, f, cfg, fragment_calls, env=None):
+        got = evaluate(construction, f, env or {}, cfg)
         assert fragment_calls == [], print_formula(f)
-        want, searched = self._searched_by_reference(monkeypatch, construction, f, cfg)
+        want, searched = self._searched_by_reference(monkeypatch, construction, f, cfg, env)
         assert searched > 0
         _same_verdict(got, want)
         assert got.truth is Truth.UNKNOWN
@@ -986,6 +994,16 @@ class TestScoping:
         cfg = FragmentConfig(2, tuple(parse_element(t, LAMBDA) for t in POOL_TEXTS[0]), 10)
         self._check_skipped(monkeypatch, LAMBDA, f, cfg, fragment_calls)
 
+    @pytest.mark.parametrize(
+        "text", ["E x. E y. (0 < c & x < y & y < x)", "A x. A y. (c < 0 | x < y | y < x | x = y)"]
+    )
+    def test_a_body_the_hull_refutes_is_skipped(self, text, fragment_calls, monkeypatch):
+        # x < y & y < x has no solution, nor has y <= x & x <= y & ~(x = y)
+        c = element(LAMBDA, {g2_circle(0): 1})
+        cfg = FragmentConfig(1, (c,), 5)
+        f = parse_formula(text)
+        self._check_skipped(monkeypatch, LAMBDA, f, cfg, fragment_calls, {"c": c})
+
     @pytest.mark.parametrize("text", STILL_SEARCHED)
     def test_a_search_that_can_stop_still_runs(self, text, fragment_calls, monkeypatch):
         f = parse_formula(text)
@@ -1002,3 +1020,159 @@ class TestScoping:
         assert fragment_calls == []
         # a sentence without a quantifier never reads the pool
         assert evaluate(LAMBDA, parse_formula("0 < {G2[0].c: 1}"), {}, cfg).truth is Truth.TRUE
+
+
+# -- refutation in the divisible hull -----------------------------------------
+
+
+def _hull_rows(*atoms):
+    """The rows of a conjunction of atoms, each ``lhs < rhs``, ``lhs = rhs``
+    or, for ``rhs <= lhs``, ``~lhs < rhs``."""
+    rows = ()
+    for text in atoms:
+        neg = text.startswith("~")
+        atom = parse_formula(text.lstrip("~"))
+        (disjunct,) = oagw.evaluate._atom_hull(atom, neg, oagw.evaluate._CAN_TRUE)
+        rows += disjunct
+    return rows
+
+
+def _hull_formula(pick, bound=frozenset(), quantifiers=3, depth=4):
+    """A closed formula text whose atoms are ``<`` and ``=`` between sums of
+    bound variables, so the hull sees every atom.  ``pick`` chooses one
+    item of a sequence."""
+    kind = pick(["atom", "~", "&", "|", "->", "Q", "Q", "Q"] if depth else ["atom"])
+    if kind == "Q" and quantifiers:
+        var = pick(VARIABLES)
+        body = _hull_formula(pick, bound | {var}, quantifiers - 1, depth - 1)
+        return f"({pick('EA')} {var}. {body})"
+    if kind == "~":
+        return f"~({_hull_formula(pick, bound, quantifiers, depth - 1)})"
+    if kind in ("&", "|", "->"):
+        lhs = _hull_formula(pick, bound, quantifiers, depth - 1)
+        rhs = _hull_formula(pick, bound, quantifiers, depth - 1)
+        return f"({lhs}) {kind} ({rhs})"
+
+    def term():
+        if not bound:
+            return "0"
+        first = pick(["", "", "-", "2*"]) + pick(sorted(bound))
+        sign = pick(["", "", " + ", " - "])
+        return first + sign + pick(sorted(bound)) if sign else first
+
+    return f"{term()} {pick('<=')} {term()}"
+
+
+@st.composite
+def _hull_formula_texts(draw):
+    return _hull_formula(lambda items: draw(st.sampled_from(list(items))))
+
+
+class TestDivisibleHull:
+    """A quantifier whose stopping condition has no solution in the divisible
+    hull is skipped, and its verdict stays the search's."""
+
+    @pytest.mark.parametrize(
+        "atoms, feasible",
+        [
+            (("x < y", "y < z", "~x < z"), False),
+            (("x < y", "y < z", "x < z"), True),
+            # the one strict row must carry through three eliminations
+            (("x < y", "~z < y", "~w < z", "~x < w"), False),
+            (("~y < x", "~z < y", "~w < z", "~x < w"), True),
+            # y cancels between the first two, and x <= 0 meets 0 < x
+            (("2*x < y", "y < 3*x", "~0 < x"), False),
+            (("2*x < y", "y < x"), True),
+            # 3x < 2y and y < x need the multipliers 1 and 2
+            (("3*x < 2*y", "y < x", "~x < 0"), False),
+            (("x = y", "x < y"), False),
+            (("x = y", "~x < y"), True),
+            (("x < x",), False),
+            (("~x < x",), True),
+            ((), True),
+        ],
+    )
+    def test_fourier_motzkin(self, atoms, feasible):
+        assert oagw.evaluate._feasible(_hull_rows(*atoms)) is feasible
+
+    def test_a_false_equation_is_two_disjuncts(self):
+        hull = oagw.evaluate
+        dnf = hull._atom_hull(parse_formula("x = y"), False, hull._CAN_FALSE)
+        assert dnf == ((({"x": 1, "y": -1}, True),), (({"x": -1, "y": 1}, True),))
+        # ~(x = y) returning True is the same condition
+        assert hull._atom_hull(parse_formula("x = y"), True, hull._CAN_TRUE) == dnf
+        assert [hull._feasible(d + _hull_rows("x = y")) for d in dnf] == [False, False]
+
+    def test_an_atom_with_a_constant_gives_no_rows(self):
+        for text in ("x < y + {G2[0].c: 1}", "cong(2, x, y)", "desc_lt(2, x, y)"):
+            atom = parse_formula(text)
+            assert oagw.evaluate._atom_hull(atom, False, oagw.evaluate._CAN_TRUE) == ((),)
+
+    def test_a_system_past_the_row_cap_is_feasible(self):
+        # infeasible, but the rows z_i <= 0 take it past the cap
+        cap = oagw.evaluate._MAX_ROWS
+        rows = _hull_rows("x < y", "y < x")
+        assert oagw.evaluate._feasible(rows) is False
+        padding = tuple(({f"z{i}": 1}, False) for i in range(cap - 1))
+        assert oagw.evaluate._feasible(rows + padding) is True
+
+    def test_past_the_disjunct_cap_the_search_runs(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            oagw.evaluate, "iter_fragment", lambda *args: calls.append(args) or iter_fragment(*args)
+        )
+        cap = oagw.evaluate._MAX_DISJUNCTS
+        for n, searched in ((cap, False), (cap + 1, True)):
+            calls.clear()
+            f = parse_formula("E x. " + " | ".join(["x < x"] * n))
+            assert evaluate(LAMBDA, f, {}, CFG).truth is Truth.UNKNOWN
+            assert bool(calls) is searched
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # the two z are different variables, and so are the two x
+            "E x. (E z. z < x) & (E z. x < z)",
+            "E z. E x. x < z & (E z. z < x)",
+        ],
+    )
+    def test_a_quantifier_renames_its_variable_apart(self, text):
+        cfg = FragmentConfig(2, tuple(parse_element(t, LAMBDA) for t in POOL_TEXTS[0]), 10)
+        got = _check_against_reference(LAMBDA, parse_formula(text), cfg)
+        assert got.decided
+
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+    @settings(max_examples=150, deadline=None)
+    @given(text=_hull_formula_texts(), pool_text=st.sampled_from(POOL_TEXTS))
+    def test_verdicts_match_the_reference(self, construction, text, pool_text):
+        cfg = FragmentConfig(1, tuple(parse_element(t, construction) for t in pool_text), 6)
+        _check_against_reference(construction, parse_formula(text, construction), cfg)
+
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+    def test_the_hull_skips_searches_of_a_fixed_corpus(self, construction, monkeypatch):
+        cfg = FragmentConfig(1, tuple(parse_element(t, construction) for t in POOL_TEXTS[0]), 6)
+        calls = []
+
+        def counting(params, cfg, construction):
+            calls.append(params)
+            return iter_fragment(params, cfg, construction)
+
+        def fragments(f, hull):
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(oagw.evaluate, "iter_fragment", counting)
+                if not hull:
+                    m.setattr(oagw.evaluate, "_feasible", lambda rows: True)
+                return evaluate(construction, f, {}, cfg), len(calls)
+
+        # draws in which the hull skips some search, and all of them
+        some = every = 0
+        for i in range(60):
+            f = parse_formula(_hull_formula(case_rng(28, i).choice), construction)
+            got, searched = fragments(f, hull=True)
+            want, searched_without = fragments(f, hull=False)
+            _same_verdict(got, want)
+            assert searched <= searched_without
+            some += searched < searched_without
+            every += searched == 0 < searched_without
+        assert some >= 3 and every >= 1

@@ -105,6 +105,12 @@ class TestParse:
             parse_formula("x <")
         assert "index" in str(err.value)
 
+    @pytest.mark.parametrize("text, at", [("x < $y", 4), ("  x <\t @", 7), ("#", 0)])
+    def test_unexpected_character_position(self, text, at):
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            parse_formula(text)
+        assert err.value.at == at
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse_formula("x < y y")

@@ -146,6 +146,20 @@ def test_eval_of_a_sentence_search_cannot_decide_enumerates_nothing(monkeypatch,
     assert "reason: fragment bounds exhausted" in out
 
 
+def test_eval_of_transitivity_enumerates_nothing(monkeypatch, capsys):
+    # no counterexample has a solution in the divisible hull, so no search
+    # runs, where at --size-cap 600 one would walk up to 600**3 candidates
+    calls = []
+    monkeypatch.setattr("oagw.evaluate.iter_fragment", lambda *args: calls.append(args) or ())
+    formula = "A x. A y. A z. (x < y & y < z -> x < z)"
+    pools = ["{G2[0].c: 1}", "{G2[1].s: 1}", "{G1[0].c: 1}"]
+    args = ["eval", "--construction", "gamma", "--formula", formula]
+    rc = main(args + [a for pool in pools for a in ("--pool", pool)])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines()[0] == "verdict: unknown"
+    assert calls == []
+
+
 def test_eval_with_binding(capsys):
     rc = main(
         [
