@@ -6,6 +6,17 @@ explicit witness is found and a universal is False only on an explicit
 counterexample; everything else is Unknown.  Decided verdicts are
 therefore sound for the infinite structure.
 
+A formula is compiled once, by ``compile_formula``, into a ``Program``
+that ``run_program`` runs under any number of configs; ``evaluate``
+compiles and runs once.  Compiling binds no config: a run puts its
+config, cloned with fresh pool memos, into the program's one-slot cell,
+where every search and every skipped quantifier reads it.  One slot is
+enough, because no run re-enters its own program.  So ``closure_audit``
+compiles each sentence once and runs it under the full-group config
+and, when that run decides True, under the image config.  Errors come
+in a fixed order: a binding of another construction, then, at compile
+time, a constant of another construction, then an unbound variable.
+
 Formulas are compiled in negation normal form: ``~`` is pushed through
 ``&``, ``|``, ``->`` and ``~~`` down to the atoms, and through the
 quantifiers to their duals, so ``~E v. phi`` runs as ``A v. ~phi`` and
@@ -60,8 +71,9 @@ when the divisible hull shows that it never does.  The compiler writes
 "the body returns that truth" as disjuncts, each a set of homogeneous
 integer rows ``sum_v k_v*v < 0`` or ``<= 0`` over the free and bound
 variables.  A ``<`` or ``=`` atom whose terms carry no element constant
-gives rows, a false ``=`` two disjuncts (``s < t`` or ``t < s``); any
-other atom gives none.  A junction takes the union of its parts'
+gives rows, a false ``=`` two disjuncts (``s < t`` or ``t < s``), and
+so does ``desc_lt`` in the closed form below; any other atom gives
+none.  A junction takes the union of its parts'
 disjuncts for its absorbing truth and their product for the neutral
 one, and a quantifier gives its body's unrefuted disjuncts for its own
 stopping truth, its variable renamed to a fresh name.  Fourier-Motzkin
@@ -76,6 +88,22 @@ and the search could only have ended Unknown.  In
 ``A y.`` needs ``x < y``, ``y < z`` and ``z <= x`` for some z, which
 has no solution, so no fragment is enumerated at all.  Past fixed
 numbers of disjuncts and rows the hull gives up, and the search runs.
+Every node records whether some atom under it gives rows, as it
+records ``gives``; a quantifier whose body has none does not build the
+hull at all, since its one disjunct would hold no rows and so could
+not be refuted.
+
+``desc_lt(n, s, t)`` with s free of variables reads s's n-lead once,
+when it is compiled, not per candidate.  When s is divisible by n,
+zero included, ``cong_free_below``'s closed form makes the atom
+``t <= 0``: for t > 0, n times an element below t's lead is congruent
+to s modulo n and lies in (0, t).  So, when t carries no constant, the
+atom gives the rows of ``~(0 < t)`` and its negation those of
+``0 < t``.  This is as sound as the rows of ``<``: the atom and
+``t <= 0`` hold at the same elements of G, so a disjunct refuted in D
+has no solution in G either.  On gamma, ``E x. 0 < x & desc_lt(3, c,
+x)`` with c divisible by 3 thus skips its search, for the Unknown it
+always ended in.
 """
 
 from __future__ import annotations
@@ -88,6 +116,7 @@ from typing import Callable, Hashable, Mapping, Optional
 
 from .elements import Construction, ConstructionMismatch, GroupElement
 from .formulas import (
+    ATOMS,
     And,
     Atom,
     BoolC,
@@ -104,7 +133,7 @@ from .formulas import (
     Term,
 )
 from .fragments import FragmentConfig, iter_fragment
-from .predicates import cong_free_below
+from .predicates import cong_free_below, cong_free_below_given
 
 
 class Truth(enum.Enum):
@@ -152,21 +181,23 @@ _MAX_ROWS = 32
 
 # -- three-valued evaluation --------------------------------------------------
 
-# A formula is compiled once per evaluate() call into nested closures
-# that take the variable environment and return a Verdict.  One
-# bottom-up pass turns every subformula into a _Node that knows its
-# free variables, with ~ pushed down to the atoms; the constants are
-# collected in the same pass, in the order the atoms are compiled.  A
-# quantifier splits its body, moves the parts it may decide once into a
-# junction before itself, and compiles the rest into closures; a moved
-# part is compiled once it reaches the quantifier its terms hoist into.
-# A term becomes a closure over the environment: a variable is read, a
-# constant kept, a term without the innermost quantifier's variable is
-# summed from its bindings once per run of that quantifier (at the top
-# level, once per call), and a term with it adds only that summand per
-# candidate.  The environment is one dict, extended by each quantifier
-# while its body runs.  Every fragment of one call shares fresh pool
-# memos, carried by a clone of the config, so they live for one call.
+# A formula is compiled once into nested closures that take the variable
+# environment and return a Verdict, and the compiled Program runs under
+# any config.  One bottom-up pass turns every subformula into a _Node
+# that knows its free variables, with ~ pushed down to the atoms; the
+# constants are collected in the same pass, in the order the atoms are
+# compiled.  A quantifier splits its body, moves the parts it may decide
+# once into a junction before itself, and compiles the rest into
+# closures; a moved part is compiled once it reaches the quantifier its
+# terms hoist into.  A term becomes a closure over the environment: a
+# variable is read, a constant kept, a term without the innermost
+# quantifier's variable is summed from its bindings once per run of that
+# quantifier (at the top level, once per run), and a term with it adds
+# only that summand per candidate.  The environment is one dict,
+# extended by each quantifier while its body runs.  A run puts a clone
+# of its config, with fresh pool memos, into the program's one-slot
+# cell, where every search and skip reads it, so the memos live for one
+# run; no run re-enters its own program, so one slot is enough.
 _Compiled = Callable[[dict[str, GroupElement]], Verdict]
 _TermFn = Callable[[dict[str, GroupElement]], GroupElement]
 
@@ -200,10 +231,12 @@ class _Node:
     binding around it, so it never moves.  ``gives`` is the mask of
     decided truths the node can return; a leaf states it, a junction
     works it out from its parts.  A leaf's ``rows``, if it has them,
-    give its ``hull`` of a truth it can return.
+    give its ``hull`` of a truth it can return; ``rowed`` marks a node
+    with some leaf that has rows, and a node without one has a hull
+    that knows nothing.
     """
 
-    __slots__ = ("fv", "fixed", "conj", "parts", "leaf", "gives", "rows")
+    __slots__ = ("fv", "fixed", "conj", "parts", "leaf", "gives", "rows", "rowed")
 
     def __init__(self, fv, fixed, conj, parts, leaf, gives=0, rows=None) -> None:
         self.fv: frozenset[str] = fv
@@ -212,6 +245,7 @@ class _Node:
         self.parts: tuple[_Node, ...] = parts
         self.leaf: Optional[Callable[[Optional[_Scope]], _Compiled]] = leaf
         self.rows: Optional[Callable[[int], _Dnf]] = rows
+        rowed = rows is not None
         if conj is not None:
             # & can give False if some part can and True if every part can
             # (an empty & is True); | is the dual
@@ -219,9 +253,11 @@ class _Node:
             for p in parts:
                 some |= p.gives
                 every &= p.gives
+                rowed |= p.rowed
             stop = _CAN_FALSE if conj else _CAN_TRUE
             gives = (some & stop) | (every & ~stop)
         self.gives: int = gives
+        self.rowed: bool = rowed
 
     def flat(self, conj: bool) -> tuple["_Node", ...]:
         """The parts of self as one side of a junction of kind ``conj``."""
@@ -237,8 +273,10 @@ class _Node:
         the node returns ``truth`` (_CAN_TRUE or _CAN_FALSE)."""
         if not self.gives & truth:
             return ()
+        if not self.rowed:
+            return _TOP
         if self.conj is None:
-            return _TOP if self.rows is None else self.rows(truth)
+            return self.rows(truth)
         parts = [p.hull(truth) for p in self.parts]
         if truth == (_CAN_FALSE if self.conj else _CAN_TRUE):
             # the absorbing truth comes from some part
@@ -252,55 +290,97 @@ class _Node:
         return out
 
 
+class Program:
+    """A formula compiled for one construction, to run under any config.
+
+    ``root`` runs it in an environment of its free variables ``fv``, and
+    ``cell`` holds the config of the run under way.
+    """
+
+    __slots__ = ("construction", "fv", "root", "cell")
+
+    def __init__(self, construction, fv, root, cell) -> None:
+        self.construction: Construction = construction
+        self.fv: frozenset[str] = fv
+        self.root: _Compiled = root
+        self.cell: list[Optional[FragmentConfig]] = cell
+
+
 def evaluate(
     construction: Construction,
     f: Formula,
     env: Mapping[str, GroupElement],
     cfg: FragmentConfig,
 ) -> Verdict:
-    """Three-valued truth of ``f`` under ``env``."""
+    """Three-valued truth of ``f`` under ``env``: ``f`` compiled, then run."""
+    _check_bindings(construction, env)  # before a constant can raise in the compile
+    return run_program(compile_formula(construction, f), env, cfg)
+
+
+def compile_formula(construction: Construction, f: Formula) -> Program:
+    """``f`` compiled once, for ``run_program`` under any number of configs.
+
+    Raises ``ConstructionMismatch`` for a constant of another construction.
+    """
+    cell: list[Optional[FragmentConfig]] = [None]
+    root = _compile(construction, f, False, cell, [])
+    return Program(construction, root.fv, root.build(None), cell)
+
+
+def run_program(
+    program: Program, env: Mapping[str, GroupElement], cfg: FragmentConfig
+) -> Verdict:
+    """Three-valued truth of the compiled formula under ``env``, with the
+    fragments of ``cfg``: what ``evaluate`` returns for it."""
+    _check_bindings(program.construction, env)
+    missing = program.fv - set(env)
+    if missing:
+        raise KeyError(f"unbound variables: {sorted(missing)}")
+    program.cell[0] = cfg._with_fresh_memo()
+    return program.root(dict(env))
+
+
+def _check_bindings(construction: Construction, env: Mapping[str, GroupElement]) -> None:
     for v, e in env.items():
         if e.construction is not construction:
             raise ConstructionMismatch(f"binding {v!r} is not a {construction} element")
-    root = _compile(construction, f, False, cfg._with_fresh_memo(), [])
-    missing = root.fv - set(env)
-    if missing:
-        raise KeyError(f"unbound variables: {sorted(missing)}")
-    return root.build(None)(dict(env))
 
 
 def _compile(
     construction: Construction,
     f: Formula,
     neg: bool,
-    cfg: FragmentConfig,
+    cell: list[Optional[FragmentConfig]],
     consts: list[GroupElement],
 ) -> _Node:
-    """``f``, or ``~f`` if ``neg``, as a node.
+    """``f``, or ``~f`` if ``neg``, as a node whose searches read their
+    config from ``cell``.
 
     Appends the element constants of ``f`` to ``consts``.
     """
     kind = f.__class__
     if kind is And or kind is Or or kind is Implies:
         # a -> b is ~a | b, and ~ turns & into | and | into &
-        lhs = _compile(construction, f.lhs, neg is not (kind is Implies), cfg, consts)
-        rhs = _compile(construction, f.rhs, neg, cfg, consts)
+        lhs = _compile(construction, f.lhs, neg is not (kind is Implies), cell, consts)
+        rhs = _compile(construction, f.rhs, neg, cell, consts)
         conj = (kind is And) is not neg
         parts = lhs.flat(conj) + rhs.flat(conj)
         return _Node(lhs.fv | rhs.fv, lhs.fixed or rhs.fixed, conj, parts, None)
     if kind is Not:
-        return _compile(construction, f.body, not neg, cfg, consts)
+        return _compile(construction, f.body, not neg, cell, consts)
     if kind is Exists or kind is Forall:
-        return _compile_quantifier(construction, f, neg, cfg, consts)
+        return _compile_quantifier(construction, f, neg, cell, consts)
     if kind is BoolC:
         verdict = _TRUE if f.value != neg else _FALSE
         gives = _CAN_TRUE if verdict is _TRUE else _CAN_FALSE
         return _Node(frozenset(), False, None, (), lambda scope: lambda env: verdict, gives)
-    if isinstance(f, Atom):
+    if isinstance(f, ATOMS):
         consts += [t.const for t in (f.lhs, f.rhs) if t.const is not None and not t.const.is_zero()]
         fv = frozenset([v for v, _ in f.lhs.coeffs + f.rhs.coeffs])
+        if kind is DescLt and not f.lhs.coeffs:
+            return _compile_fixed_desc_lt(construction, f, neg, fv)
         leaf = partial(_compile_atom, construction, f, neg)
-        return _Node(fv, False, None, (), leaf, _CAN_TRUE | _CAN_FALSE, partial(_atom_hull, f, neg))
+        return _Node(fv, False, None, (), leaf, _CAN_TRUE | _CAN_FALSE, _atom_rows(f, neg))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -337,14 +417,14 @@ def _compile_quantifier(
     construction: Construction,
     f: Exists | Forall,
     neg: bool,
-    cfg: FragmentConfig,
+    cell: list[Optional[FragmentConfig]],
     outer_consts: list[GroupElement],
 ) -> _Node:
     """``f``, or ``~f`` if ``neg``, as a node."""
     # ~ turns E into A and A into E, and goes on into the body
     var, conj = f.var, isinstance(f, Exists) is not neg
     start = len(outer_consts)
-    body = _compile(construction, f.body, neg, cfg, outer_consts)
+    body = _compile(construction, f.body, neg, cell, outer_consts)
     # the fragment is seeded by every constant of the body, moved out or not
     consts = outer_consts[start:]
     # an existential splits its body into conjuncts, a universal into
@@ -366,7 +446,7 @@ def _compile_quantifier(
         if hoisted:
             values[:] = [term(env) for term in hoisted]
         found = None
-        for cand in iter_fragment(params, cfg, construction):
+        for cand in iter_fragment(params, cell[0], construction):
             env[var] = cand
             sub = run_body(env)
             if sub.truth is stop:
@@ -382,31 +462,43 @@ def _compile_quantifier(
 
     # a search ends only on its stopping truth or Unknown, so one whose
     # body cannot return that truth is skipped, and so is one whose body
-    # returns it only where the divisible hull has no solution
+    # returns it only where the divisible hull has no solution; a body
+    # without rows has a hull that refutes nothing, so it is not asked
     gives = body.gives & (_CAN_TRUE if conj else _CAN_FALSE)
-    open_: _Dnf = tuple([d for d in body.hull(gives) if _feasible(d)]) if gives else ()
-    if not open_:
-        gives = 0
-    run = search if gives else partial(_skip, cfg, construction)
-    fresh = object()  # var seen from outside: a name no other binding shares
-    rows = partial(_rename, open_, var, fresh)
-    node = _Node(body.fv - {var}, True, None, (), lambda scope: run, gives, lambda truth: rows())
+    rows = None
+    if gives and body.rowed:
+        open_ = tuple([d for d in body.hull(gives) if _feasible(d)])
+        if not open_:
+            gives = 0
+        fresh = object()  # var seen from outside: a name no other binding shares
+        rows = lambda truth: _rename(open_, var, fresh)
+    run = search if gives else partial(_skip, cell, construction)
+    node = _Node(body.fv - {var}, True, None, (), lambda scope: run, gives, rows)
     return node if not moved else _Node(node.fv, True, conj, moved + (node,), None)
 
 
-def _skip(cfg: FragmentConfig, construction: Construction, env: dict[str, GroupElement]) -> Verdict:
+def _skip(
+    cell: list[Optional[FragmentConfig]], construction: Construction, env: dict[str, GroupElement]
+) -> Verdict:
     """A quantifier that no search could decide: Unknown at once."""
-    cfg._pool(construction)  # a pool of another construction raises, as in a search
+    cell[0]._pool(construction)  # a pool of another construction raises, as in a search
     return _UNKNOWN
 
 
-def _atom_hull(a: Atom, neg: bool, truth: int) -> _Dnf:
-    """The rows of ``a``, or ``~a`` if ``neg``, returning ``truth``: a
-    ``<`` or ``=`` between terms without constants gives rows, and any
-    other atom nothing."""
+def _atom_rows(a: Atom, neg: bool) -> Optional[Callable[[int], _Dnf]]:
+    """``_atom_hull`` of ``a``, or ``~a`` if ``neg``, or None for an atom
+    that gives no rows: only a ``<`` or ``=`` between terms without
+    constants gives them."""
     kind = a.__class__
-    if (kind is not Lt and kind is not Eq) or a.lhs.const is not None or a.rhs.const is not None:
-        return _TOP
+    if (kind is Lt or kind is Eq) and a.lhs.const is None and a.rhs.const is None:
+        return partial(_atom_hull, a, neg)
+    return None
+
+
+def _atom_hull(a: Lt | Eq, neg: bool, truth: int) -> _Dnf:
+    """The rows of ``a``, or ``~a`` if ``neg``, returning ``truth``, for a
+    ``<`` or ``=`` between terms without constants."""
+    kind = a.__class__
     d: dict[Hashable, int] = {}  # lhs - rhs
     for v, k in a.lhs.coeffs:
         d[v] = d.get(v, 0) + k
@@ -530,3 +622,25 @@ def _compile_atom(
     if isinstance(a, DescLt):
         return lambda env: yes if cong_free_below(n, lhs(env), rhs(env)) else no
     raise TypeError(f"not an atom: {a!r}")
+
+
+def _compile_fixed_desc_lt(
+    construction: Construction, a: DescLt, neg: bool, fv: frozenset[str]
+) -> _Node:
+    """``desc_lt(n, s, t)``, or its negation if ``neg``, for an ``s``
+    without variables, as a node.
+
+    s's lead is read once, here, not per candidate.  When it is None (s
+    divisible by n, zero included), cong_free_below's closed form makes
+    the atom ``t <= 0``, that is ``~(0 < t)``, whose rows it gives.
+    """
+    n, s = a.modulus, _compile_term(construction, a.lhs, None)({})
+    d = s.lead_mod(n)
+    yes, no = (_FALSE, _TRUE) if neg else (_TRUE, _FALSE)
+
+    def leaf(scope: Optional[_Scope]) -> _Compiled:
+        t = _compile_term(construction, a.rhs, scope)
+        return lambda env: yes if cong_free_below_given(n, s, d, t(env)) else no
+
+    rows = _atom_rows(Lt(Term(), a.rhs), not neg) if d is None else None
+    return _Node(fv, False, None, (), leaf, _CAN_TRUE | _CAN_FALSE, rows)

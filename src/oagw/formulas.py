@@ -135,6 +135,9 @@ class DescLt:
 
 
 Atom = Union[Lt, Eq, Cong, DescLt]
+# The atom classes, for isinstance: a check against the Union runs
+# typing's __instancecheck__ in Python.
+ATOMS = (Lt, Eq, Cong, DescLt)
 
 # -- formulas --------------------------------------------------------------
 
@@ -180,10 +183,11 @@ class Forall:
 
 
 Formula = Union[Atom, BoolC, Not, And, Or, Implies, Exists, Forall]
+_LEAVES = (*ATOMS, BoolC)
 
 
 def free_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, Atom):
+    if isinstance(f, ATOMS):
         return f.lhs.free_vars() | f.rhs.free_vars()
     if isinstance(f, BoolC):
         return frozenset()
@@ -198,7 +202,7 @@ def free_vars(f: Formula) -> frozenset[str]:
 
 def _bound_names(f: Formula) -> list[str]:
     """The variable of every quantifier in ``f``, repeats kept."""
-    if isinstance(f, (Atom, BoolC)):
+    if isinstance(f, _LEAVES):
         return []
     if isinstance(f, Not):
         return _bound_names(f.body)
@@ -620,7 +624,7 @@ _MAX_VARIANTS = 64
 
 
 def _prefixes(f: Formula) -> set[str]:
-    if isinstance(f, (Atom, BoolC)):
+    if isinstance(f, _LEAVES):
         return {""}
     if isinstance(f, Not):
         return {_flip(s) for s in _prefixes(f.body)}

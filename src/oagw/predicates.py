@@ -53,6 +53,15 @@ def cong_free_below(n: int, a: GroupElement, b: GroupElement) -> bool:
     return b.sign() <= 0 or _free_below_positive(n, a, a.lead_mod(n), b)
 
 
+def cong_free_below_given(
+    n: int, a: GroupElement, d: Optional[LeadDescriptor], b: GroupElement
+) -> bool:
+    """``cong_free_below(n, a, b)`` given ``d = a.lead_mod(n)``, for one
+    ``a`` compared with many ``b``."""
+    _same(a, b)
+    return b.sign() <= 0 or _free_below_positive(n, a, d, b)
+
+
 def _free_below_positive(
     n: int, a: GroupElement, d: Optional[LeadDescriptor], b: GroupElement
 ) -> bool:

@@ -39,7 +39,7 @@ from .embeddings import (
     perturb_into_image,
     preimage,
 )
-from .evaluate import Truth, evaluate
+from .evaluate import Truth, compile_formula, run_program
 from .formulas import (
     And,
     Cong,
@@ -493,15 +493,16 @@ def closure_audit(
     Each corpus entry is (formula, env) with env values inside the
     image, and every pool generator of ``image_cfg`` lies inside it
     too, so the image search reaches outside the image only through a
-    constant of the formula.  The formula is evaluated over the full
-    group with ``full_cfg`` and again with ``image_cfg``; one row per
-    entry goes into ``rep``, and it fails when the full group decides
-    True but the image search does not, or does with a witness outside
-    the image.  Each formula is evaluated with its bound variables
-    renamed apart, so the image witness holds the binding of every
-    quantifier the verdict rests on, nested or in sibling parts, and a
-    row fails whenever one of those bindings lies outside the image;
-    the row prints the formula as given.  Verdicts stay three-valued: a
+    constant of the formula.  Each formula is compiled once, with its
+    bound variables renamed apart, and run over the full group with
+    ``full_cfg``; only when that run decides True is it run again with
+    ``image_cfg``.  One row per entry goes into ``rep``, and it fails
+    when the full group decides True but the image search does not, or
+    does with a witness outside the image.  As the bound variables are
+    apart, the image witness holds the binding of every quantifier the
+    verdict rests on, nested or in sibling parts, and a row fails
+    whenever one of those bindings lies outside the image; the row
+    prints the formula as given.  Verdicts stay three-valued: a
     full-group row not decided True is recorded unknown rather than
     failed.
     """
@@ -512,12 +513,12 @@ def closure_audit(
         for name, value in env.items():
             if not in_image(sub, value):
                 raise ValueError(f"parameter {name!r} lies outside the image")
-        apart = rename_bound_apart(formula)
-        full = evaluate(construction, apart, env, full_cfg)
+        program = compile_formula(construction, rename_bound_apart(formula))
+        full = run_program(program, env, full_cfg)
         if full.truth is not Truth.TRUE:
             rep.record("unknown", "full-group witness not found", formula=print_formula(formula))
             continue
-        image = evaluate(construction, apart, env, image_cfg)
+        image = run_program(program, env, image_cfg)
         if image.truth is not Truth.TRUE:
             detail = "no image witness despite full-group truth"
         elif not all(in_image(sub, w) for w in (image.witness or {}).values()):

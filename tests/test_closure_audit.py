@@ -5,12 +5,21 @@ from fractions import Fraction
 
 import pytest
 
-from oagw.elements import GAMMA, LAMBDA, element, unit
+import oagw.suites
+from oagw.elements import GAMMA, LAMBDA, ConstructionMismatch, element, unit
 from oagw.embeddings import Embedding, in_image
-from oagw.formulas import parse_formula, print_formula
+from oagw.evaluate import Truth, evaluate
+from oagw.formulas import parse_formula, print_formula, rename_bound_apart
 from oagw.fragments import FragmentConfig
-from oagw.positions import g1_square, g2_circle, g2_square
-from oagw.suites import SuiteReport, closure_audit, gen_corpus
+from oagw.positions import CRITICAL_CIRCLE, g1_square, g2_circle, g2_square
+from oagw.suites import (
+    SuiteOptions,
+    SuiteReport,
+    _closure_sentence,
+    closure_audit,
+    gen_corpus,
+    run_suite,
+)
 
 
 def _audit(construction, corpus, cfg):
@@ -128,3 +137,107 @@ def test_lambda_window_sentence_transfers():
     report = _audit(LAMBDA, [(f, {})], FragmentConfig(2, pool, 600, 0))
     assert report.counts["fail"] == 0
     assert report.counts["pass"] == 1
+
+
+# -- one compile per row --------------------------------------------------------
+
+
+def _audit_by_evaluate(construction, corpus, full_cfg, image_cfg):
+    """closure_audit's rows, each from two plain evaluate calls."""
+    rows = []
+    for f, env in corpus:
+        apart = rename_bound_apart(f)
+        formula = {"formula": print_formula(f)}
+        full = evaluate(construction, apart, env, full_cfg)
+        if full.truth is not Truth.TRUE:
+            rows.append((formula, "unknown", "full-group witness not found"))
+            continue
+        image = evaluate(construction, apart, env, image_cfg)
+        if image.truth is not Truth.TRUE:
+            detail = "no image witness despite full-group truth"
+        elif not all(in_image(Embedding.F1, w) for w in (image.witness or {}).values()):
+            detail = "image witness outside the image"
+        else:
+            detail = ""
+        rows.append((formula, "fail" if detail else "pass", detail))
+    return rows
+
+
+def _rows(report):
+    return [(c.inputs, c.verdict, c.detail) for c in report.cases]
+
+
+def _image_pool(construction):
+    return (
+        unit(construction, g2_square(0)),
+        unit(construction, g1_square(0, 0)),
+        unit(construction, g2_circle(1)),
+    )
+
+
+def test_each_row_compiles_its_sentence_once(monkeypatch):
+    compiled = []
+    compile_formula = oagw.suites.compile_formula
+
+    def counting(*args):
+        compiled.append(args)
+        return compile_formula(*args)
+
+    monkeypatch.setattr(oagw.suites, "compile_formula", counting)
+    corpus = [(parse_formula(text, LAMBDA), {}) for text in gen_corpus("exists", 12, seed=5)]
+    corpus.append((parse_formula("E x. 0 < x & x < 0", LAMBDA), {}))  # full run not True
+    pool = _image_pool(LAMBDA)
+    full_cfg = FragmentConfig(2, pool + (unit(LAMBDA, CRITICAL_CIRCLE),), 200)
+    report = SuiteReport("closure-audit", str(LAMBDA), 0)
+    image_cfg = replace(full_cfg, generator_pool=pool)
+    closure_audit(report, Embedding.F1, LAMBDA, corpus, full_cfg, image_cfg)
+    assert len(compiled) == len(report.cases) == len(corpus)
+    assert report.counts["pass"] > 0 and report.counts["unknown"] > 0
+
+
+@pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+def test_closure_suite_rows_equal_two_evaluate_calls(construction):
+    critical = unit(construction, CRITICAL_CIRCLE)
+    for seed in range(16):
+        opts = SuiteOptions(construction, seed=seed, samples=5)
+        want = []
+        for rng in opts.case_rngs():
+            f, pool = _closure_sentence(rng, construction)
+            full_cfg = FragmentConfig(2, tuple(pool) + (critical,), 400)
+            image_cfg = FragmentConfig(2, tuple(pool), 400)
+            want += _audit_by_evaluate(construction, [(f, {})], full_cfg, image_cfg)
+        assert _rows(run_suite("f1-exists-closure", opts)) == want, seed
+
+
+@pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+def test_corpus_rows_equal_two_evaluate_calls(construction):
+    pool = _image_pool(construction)
+    full_cfg = FragmentConfig(2, pool + (unit(construction, CRITICAL_CIRCLE),), 100)
+    image_cfg = replace(full_cfg, generator_pool=pool)
+    verdicts = set()
+    for seed in range(3):
+        texts = gen_corpus("exists", 20, seed, construction)
+        corpus = [(parse_formula(text, construction), {}) for text in texts]
+        report = SuiteReport("closure-audit", str(construction), seed)
+        closure_audit(report, Embedding.F1, construction, corpus, full_cfg, image_cfg)
+        want = _audit_by_evaluate(construction, corpus, full_cfg, image_cfg)
+        assert _rows(report) == want
+        verdicts.update(verdict for _, verdict, _ in want)
+    assert "pass" in verdicts
+
+
+def test_an_image_pool_of_the_other_construction_raises_at_the_image_run():
+    # gamma generators lie in the image, so only the image run can see them
+    full_cfg = FragmentConfig(1, _image_pool(LAMBDA), 10)
+    image_cfg = FragmentConfig(1, _image_pool(GAMMA), 10)
+    report = SuiteReport("closure-audit", str(LAMBDA), 0)
+    # the full run is not True, so the image run never starts
+    undecided = parse_formula("E x. 0 < x & x < 0", LAMBDA)
+    closure_audit(report, Embedding.F1, LAMBDA, [(undecided, {})], full_cfg, image_cfg)
+    assert report.counts == {"pass": 0, "fail": 0, "unknown": 1}
+    # a True full run goes on to the image run, whose fragment rejects the pool
+    for text in ("E x. x = 0", "E x. 0 < x"):
+        corpus = [(parse_formula(text), {})]
+        with pytest.raises(ConstructionMismatch):
+            closure_audit(report, Embedding.F1, LAMBDA, corpus, full_cfg, image_cfg)
+    assert len(report.cases) == 1

@@ -1,6 +1,8 @@
 """Three-valued evaluation and the bounded congruence systems."""
 
+import hashlib
 import importlib.util
+import json
 import sys
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -43,7 +45,7 @@ from oagw.formulas import (
 from oagw.fragments import FragmentConfig, iter_fragment
 from oagw.positions import g1_square, g2_circle, g2_square
 from oagw.predicates import cong_free_below
-from oagw.sampling import case_rng, random_element
+from oagw.sampling import case_rng, random_element, random_nonzero
 
 S00 = g1_square(0, 0)
 CFG = FragmentConfig(2, (), 300, 0)
@@ -841,19 +843,21 @@ def _formula_texts(draw, bound, quantifiers, depth=4):
     return "true" if op == "true" else f"{op}(2, {lhs}, {rhs})"
 
 
+@pytest.fixture
+def fragment_calls(monkeypatch):
+    """The parameters of every fragment the evaluator enumerates."""
+    calls = []
+
+    def counting(params, cfg, construction):
+        calls.append(tuple(params))
+        return iter_fragment(params, cfg, construction)
+
+    monkeypatch.setattr(oagw.evaluate, "iter_fragment", counting)
+    return calls
+
+
 class TestScoping:
     """Quantifier-free parts without the bound variable are decided before the search."""
-
-    @pytest.fixture
-    def fragment_calls(self, monkeypatch):
-        calls = []
-
-        def counting(params, cfg, construction):
-            calls.append(tuple(params))
-            return iter_fragment(params, cfg, construction)
-
-        monkeypatch.setattr(oagw.evaluate, "iter_fragment", counting)
-        return calls
 
     @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
     @pytest.mark.parametrize("pool_text", POOL_TEXTS)
@@ -1037,6 +1041,11 @@ def _hull_rows(*atoms):
     return rows
 
 
+def _atom_node(construction, atom, neg=False):
+    """The compiled node of one atom, or of its negation if ``neg``."""
+    return oagw.evaluate._compile(construction, atom, neg, [None], [])
+
+
 def _hull_formula(pick, bound=frozenset(), quantifiers=3, depth=4):
     """A closed formula text whose atoms are ``<`` and ``=`` between sums of
     bound variables, so the hull sees every atom.  ``pick`` chooses one
@@ -1105,8 +1114,10 @@ class TestDivisibleHull:
 
     def test_an_atom_with_a_constant_gives_no_rows(self):
         for text in ("x < y + {G2[0].c: 1}", "cong(2, x, y)", "desc_lt(2, x, y)"):
-            atom = parse_formula(text)
-            assert oagw.evaluate._atom_hull(atom, False, oagw.evaluate._CAN_TRUE) == ((),)
+            for neg in (False, True):
+                node = _atom_node(LAMBDA, parse_formula(text), neg)
+                assert node.rows is None and not node.rowed, text
+                assert node.hull(oagw.evaluate._CAN_TRUE) == ((),)
 
     def test_a_system_past_the_row_cap_is_feasible(self):
         # infeasible, but the rows z_i <= 0 take it past the cap
@@ -1176,3 +1187,234 @@ class TestDivisibleHull:
             some += searched < searched_without
             every += searched == 0 < searched_without
         assert some >= 3 and every >= 1
+
+
+# -- compile once, run per config ------------------------------------------------
+
+
+class TestCompileOnce:
+    """A compiled program runs under any config, as evaluate would."""
+
+    def test_errors_keep_their_order_and_messages(self):
+        other = element(GAMMA, {g2_circle(0): 1})
+        # x bound, z unbound, and a constant of the other construction
+        f = And(Lt(term_var("x"), term_var("z")), Exists("y", Lt(term_var("y"), term_const(other))))
+        with pytest.raises(ConstructionMismatch, match=r"^binding 'x' is not a lambda element$"):
+            evaluate(LAMBDA, f, {"x": other}, CFG)
+        with pytest.raises(ConstructionMismatch, match=r"^cannot mix lambda and gamma elements$"):
+            evaluate(LAMBDA, f, {"x": zero(LAMBDA)}, CFG)
+        with pytest.raises(KeyError, match=r"unbound variables: \['z'\]"):
+            evaluate(LAMBDA, parse_formula("x < z & E y. y < x"), {"x": zero(LAMBDA)}, CFG)
+        # compiled, the constant raises at compile time and the rest at the run
+        with pytest.raises(ConstructionMismatch, match=r"^cannot mix lambda and gamma elements$"):
+            oagw.evaluate.compile_formula(LAMBDA, f)
+        program = oagw.evaluate.compile_formula(LAMBDA, parse_formula("x < z & E y. y < x"))
+        with pytest.raises(ConstructionMismatch, match=r"^binding 'x' is not a lambda element$"):
+            oagw.evaluate.run_program(program, {"x": other}, CFG)
+        with pytest.raises(KeyError, match=r"unbound variables: \['z'\]"):
+            oagw.evaluate.run_program(program, {"x": zero(LAMBDA)}, CFG)
+
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+    def test_one_program_under_several_configs(self, construction):
+        pools = [tuple(parse_element(t, construction) for t in texts) for texts in POOL_TEXTS]
+        cfgs = [FragmentConfig(2, pool, cap) for pool in pools for cap in (6, 13)]
+        for shape in list(PREFIX_SHAPES.values()) + HOISTING_SHAPES:
+            text = shape
+            for i, lit in enumerate(POOL_TEXTS[0]):
+                text = text.replace(f"P{i}", lit)
+            f = parse_formula(text, construction)
+            program = oagw.evaluate.compile_formula(construction, f)
+            # twice over, so no run leaves state behind for the next one
+            for cfg in cfgs + cfgs:
+                got = oagw.evaluate.run_program(program, {}, cfg)
+                _same_verdict(got, evaluate(construction, f, {}, cfg))
+
+
+# -- desc_lt with a fixed s in the divisible hull --------------------------------
+
+
+def _fixed_s(rng, construction, n, kind):
+    """An s of the given kind: 0, divisible by n, or not divisible by n."""
+    if kind == "zero":
+        return zero(construction)
+    if kind == "divisible":
+        return random_nonzero(rng, construction, 2).scale(n)
+    while True:
+        s = random_element(rng, construction, 2)
+        if s.lead_mod(n) is not None:
+            return s
+
+
+@st.composite
+def _desc_lt_sentences(draw):
+    """A draw of a sentence ``Q x. guard op [~]desc_lt(n, s, t)``, maybe
+    under ``Q y.``, as a function of the construction."""
+    seed = draw(st.integers(0, 10**6))
+    n = draw(st.sampled_from([2, 3]))
+    s_kind = draw(st.sampled_from(["zero", "divisible", "indivisible"]))
+    neg = draw(st.booleans())
+    t_kind = draw(st.sampled_from(["x", "2*x", "-x", "x - y", "x + c"]))
+    guard = draw(st.sampled_from(["", "0 < x", "x < 0"]))
+    inner, outer = draw(st.sampled_from("EA")), draw(st.sampled_from("EA"))
+
+    def build(construction):
+        rng = case_rng(seed, 0)
+        s = _fixed_s(rng, construction, n, s_kind)
+        t = {
+            "x": term_var("x"),
+            "2*x": term_var("x", 2),
+            "-x": term_var("x", -1),
+            "x - y": Term((("x", 1), ("y", -1)), None),
+            "x + c": Term((("x", 1),), random_nonzero(rng, construction, 2)),
+        }[t_kind]
+        body = DescLt(n, term_const(s), t)
+        if neg:
+            body = Not(body)
+        if guard:
+            g = Lt(Term(), term_var("x")) if guard == "0 < x" else Lt(term_var("x"), Term())
+            body = And(g, body) if inner == "E" else Implies(g, body)
+        f = (Exists if inner == "E" else Forall)("x", body)
+        if t_kind == "x - y":
+            f = (Exists if outer == "E" else Forall)("y", f)
+        return f
+
+    return build
+
+
+class TestFixedDescLt:
+    """desc_lt(n, s, t) with s divisible by n is t <= 0, and the hull reads it so."""
+
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+    @settings(max_examples=150, deadline=None)
+    @given(build=_desc_lt_sentences(), pool_text=st.sampled_from(POOL_TEXTS))
+    def test_verdicts_match_the_reference(self, construction, build, pool_text):
+        cfg = FragmentConfig(1, tuple(parse_element(t, construction) for t in pool_text), 8)
+        _check_against_reference(construction, build(construction), cfg)
+
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+    def test_rows_only_for_a_divisible_s_and_a_constant_free_t(self, construction):
+        hull = oagw.evaluate
+        rng = case_rng(29, 0)
+        c = random_nonzero(rng, construction, 2)
+        for n in (2, 3):
+            for kind in ("zero", "divisible", "indivisible"):
+                s = term_const(_fixed_s(rng, construction, n, kind))
+                for t in (term_var("x"), Term((("x", 1),), c)):
+                    for neg in (False, True):
+                        node = _atom_node(construction, DescLt(n, s, t), neg)
+                        if kind == "indivisible" or t.const is not None:
+                            assert node.rows is None and not node.rowed
+                            continue
+                        # the atom is x <= 0 and its negation 0 < x
+                        holds = ({"x": 1}, False) if not neg else ({"x": -1}, True)
+                        fails = ({"x": -1}, True) if not neg else ({"x": 1}, False)
+                        assert node.hull(hull._CAN_TRUE) == ((holds,),)
+                        assert node.hull(hull._CAN_FALSE) == ((fails,),)
+
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+    def test_a_refuted_case_enumerates_no_fragment(self, construction, fragment_calls, monkeypatch):
+        cfg = FragmentConfig(2, tuple(parse_element(t, construction) for t in POOL_TEXTS[0]), 10)
+        c = term_const(random_nonzero(case_rng(30, 0), construction, 2).scale(3))
+        x = term_var("x")
+        positive = Lt(Term(), x)
+        for f in (
+            Exists("x", And(positive, DescLt(3, c, x))),
+            Forall("x", Implies(positive, Not(DescLt(3, c, x)))),
+            # s = 0 is divisible by every n
+            Exists("x", And(DescLt(2, Term(), term_var("x", 2)), positive)),
+        ):
+            fragment_calls.clear()
+            got = evaluate(construction, f, {}, cfg)
+            assert fragment_calls == [], print_formula(f)
+            want, searched = TestScoping._searched_by_reference(monkeypatch, construction, f, cfg)
+            assert searched > 0
+            _same_verdict(got, want)
+            assert got.truth is Truth.UNKNOWN and got.reason == "fragment bounds exhausted"
+        # with s not divisible, or t carrying a constant, the search runs
+        s = term_const(_fixed_s(case_rng(30, 1), construction, 3, "indivisible"))
+        shifted = Term((("x", 1),), random_nonzero(case_rng(30, 2), construction, 2))
+        for f in (
+            Exists("x", And(positive, DescLt(3, s, x))),
+            Exists("x", And(positive, DescLt(3, c, shifted))),
+        ):
+            fragment_calls.clear()
+            _check_against_reference(construction, f, cfg)
+            assert fragment_calls, print_formula(f)
+
+    def test_the_gamma_closure_suite_searches_nine_fewer_fragments(self, fragment_calls):
+        from oagw.suites import SuiteOptions, run_suite
+
+        report = run_suite("f1-exists-closure", SuiteOptions(GAMMA, seed=42))
+        # 191 before: the 9 Unknown rows, E x. 0 < x & desc_lt(n, c, x)
+        # with c divisible by n, no longer search
+        assert len(fragment_calls) == 182
+        assert report.counts == {"pass": 91, "fail": 0, "unknown": 9}
+        payload = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        assert digest == "2fc8a964262672b9ff5fafc316f35f247cd9215fd4a126cebd32d961518212c9"
+
+
+# -- the hull is asked only where some atom gives rows ---------------------------
+
+
+def _rowless_formulas(construction):
+    """Closure sentences of shapes 0 and 1 and four eval templates: no
+    atom of theirs gives rows."""
+    from oagw.suites import _closure_sentence
+
+    out = []
+    # shape 0 is E x. k*x = a, shape 1 E x. (lo < x & x < hi) & cong(n, x, r)
+    shapes = {0: 0, 1: 0}
+    for i in range(40):
+        f, _ = _closure_sentence(case_rng(31, i), construction)
+        shape = 0 if isinstance(f.body, Eq) else 1 if isinstance(f.body.lhs, And) else 2
+        if shape in shapes and shapes[shape] < 3:
+            shapes[shape] += 1
+            out.append(f)
+    assert shapes == {0: 3, 1: 3}
+    for name in ("e-scaled", "a-below", "eee-sum", "ae-desc"):
+        text = PREFIX_SHAPES[name]
+        for i, lit in enumerate(POOL_TEXTS[1]):
+            text = text.replace(f"P{i}", lit)
+        out.append(parse_formula(text, construction))
+    return out
+
+
+class TestRowFlag:
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+    def test_a_body_without_rows_is_never_hulled(self, construction, monkeypatch):
+        cfg = FragmentConfig(2, tuple(parse_element(t, construction) for t in POOL_TEXTS[1]), 10)
+        feasible, fragments = [], []
+        original_feasible, original_init = oagw.evaluate._feasible, oagw.evaluate._Node.__init__
+
+        def counting_feasible(rows):
+            feasible.append(rows)
+            return original_feasible(rows)
+
+        def counting_fragments(params, cfg, construction):
+            fragments.append(tuple(params))
+            return iter_fragment(params, cfg, construction)
+
+        def ignoring_the_flag(self, *args, **kwargs):
+            # every leaf has rows, _TOP if none of its own: the hull runs everywhere
+            original_init(self, *args, **kwargs)
+            if self.conj is None and self.rows is None:
+                self.rows = lambda truth: oagw.evaluate._TOP
+            self.rowed = True
+
+        monkeypatch.setattr(oagw.evaluate, "_feasible", counting_feasible)
+        monkeypatch.setattr(oagw.evaluate, "iter_fragment", counting_fragments)
+        hulled_without_the_flag = 0
+        for f in _rowless_formulas(construction):
+            feasible.clear(), fragments.clear()
+            got = evaluate(construction, f, {}, cfg)
+            assert feasible == [], print_formula(f)
+            searched = list(fragments)
+            feasible.clear(), fragments.clear()
+            with monkeypatch.context() as m:
+                m.setattr(oagw.evaluate._Node, "__init__", ignoring_the_flag)
+                want = evaluate(construction, f, {}, cfg)
+            hulled_without_the_flag += len(feasible)
+            _same_verdict(got, want)
+            assert searched == fragments, print_formula(f)
+        assert hulled_without_the_flag > 0
