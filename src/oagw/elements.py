@@ -56,15 +56,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Any, NamedTuple, Optional, Union
 
-from .positions import (
-    G1,
-    HASH_MODULUS,
-    Position,
-    g1_circle,
-    g1_square,
-    g2_circle,
-    g2_square,
-)
+from .positions import CIRCLE, G1, G2, HASH_MODULUS, SQUARE, Position
 
 
 class Construction(enum.Enum):
@@ -590,10 +582,11 @@ class ParseError(ValueError):
     def __init__(self, text: str, at: int, message: str) -> None:
         super().__init__(f"at index {at}: {message} in {text!r}")
         self.at = at
+        self.message = message
 
 
 _POS_RE = re.compile(
-    r"\s*(?:G2\[(?P<g2m>\d+)\]\.(?P<g2s>[cs])|G1\[(?P<g1b>\d+)\]\.(?:s\[(?P<g1p>\d+)\]|(?P<g1c>c)))"
+    r"\s*(?:G2\[(?P<pair>\d+)\]\.(?P<shape>[cs])|G1\[(?P<block>\d+)\]\.(?:s\[(?P<square>\d+)\]|c))"
 )
 _RAT_RE = re.compile(r"\s*(-?\d+)(?:\s*/\s*(\d+))?\s*")
 _TERM_RE = re.compile(
@@ -607,14 +600,14 @@ def _parse_poly(text: str, base: int, body: str) -> dict[int, int]:
     first = True
     while i < len(body):
         m = _TERM_RE.match(body, i)
-        if not m or m.end() == i or (m.group("coeff") is None and m.group("slot") is None):
+        sign, coeff, slot = m.groups()
+        if m.end() == i or (coeff is None and slot is None):
             raise ParseError(text, base + i, "expected polynomial term")
-        sign = -1 if m.group("sign") == "-" else 1
-        if m.group("sign") is None and not first:
+        if sign is None and not first:
             raise ParseError(text, base + i, "missing sign between terms")
-        coeff = int(m.group("coeff")) if m.group("coeff") is not None else 1
-        slot = int(m.group("slot")) if m.group("slot") is not None else 0
-        coeffs[slot] = coeffs.get(slot, 0) + sign * coeff
+        k = int(coeff) if coeff is not None else 1
+        slot = int(slot) if slot is not None else 0
+        coeffs[slot] = coeffs.get(slot, 0) + (-k if sign == "-" else k)
         i = m.end()
         first = False
     return coeffs
@@ -626,49 +619,49 @@ def parse_element(text: str, construction: Construction) -> GroupElement:
         return zero(construction)
     if not s.startswith("{") or not s.endswith("}"):
         raise ParseError(text, 0, "expected '{...}' or '0'")
-    body = s[1:-1]
     components: dict[Position, Value] = {}
     offset = 1
-    for chunk in body.split(","):
-        if ":" not in chunk:
+    for chunk in s[1:-1].split(","):
+        pos_text, colon, val_text = chunk.partition(":")
+        if not colon:
             raise ParseError(text, offset, "expected 'position: value'")
-        pos_text, val_text = chunk.split(":", 1)
         m = _POS_RE.fullmatch(pos_text.rstrip())
-        if not m:
+        if m is None:
             raise ParseError(text, offset, f"bad position {pos_text.strip()!r}")
-        if m.group("g2m") is not None:
-            pos = (
-                g2_circle(int(m.group("g2m")))
-                if m.group("g2s") == "c"
-                else g2_square(int(m.group("g2m")))
-            )
-        elif m.group("g1p") is not None:
-            pos = g1_square(int(m.group("g1b")), int(m.group("g1p")))
+        pair, shape, block, square = m.groups()
+        if pair is not None:
+            pos = Position(G2, int(pair), shape)
+        elif square is not None:
+            pos = Position(G1, int(block), SQUARE, int(square))
         else:
-            pos = g1_circle(int(m.group("g1b")))
+            pos = Position(G1, int(block), CIRCLE)
         if pos in components:
             raise ParseError(text, offset, f"duplicate position {pos}")
         val_base = offset + len(pos_text) + 1
-        vt = val_text.strip()
-        raw: Union[Fraction, dict[int, int]]
-        if uses_poly(construction, pos):
+        raw: Union[int, Fraction, dict[int, int]]
+        if construction is LAMBDA and pos.is_square:
+            vt = val_text.strip()
             if "/" in vt:
                 raise ParseError(text, val_base, f"{pos} takes integer polynomials")
             raw = _parse_poly(text, val_base, vt)
         else:
-            m2 = _RAT_RE.fullmatch(val_text)
-            if not m2:
-                raise ParseError(text, val_base, f"bad rational {vt!r}")
-            num, den = int(m2.group(1)), int(m2.group(2) or 1)
-            if not den:
-                raise ParseError(text, val_base, f"zero denominator in {vt!r}")
-            raw = Fraction(num, den)
+            m = _RAT_RE.fullmatch(val_text)
+            if m is None:
+                raise ParseError(text, val_base, f"bad rational {val_text.strip()!r}")
+            num, den = m.groups()
+            if den is None:
+                raw = int(num)
+            elif int(den):
+                raw = Fraction(int(num), int(den))
+            else:
+                raise ParseError(text, val_base, f"zero denominator in {val_text.strip()!r}")
         try:
             components[pos] = _canon_value(construction, pos, raw)
         except ComponentError as exc:
             raise ParseError(text, val_base, str(exc)) from None
         offset += len(chunk) + 1
-    entries = sorted(((p, v) for p, v in components.items() if v), key=_entry_key)
+    entries = [e for e in components.items() if e[1]]
+    entries.sort(key=_entry_key)
     return _from_canonical(construction, tuple(entries))
 
 

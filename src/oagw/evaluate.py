@@ -60,9 +60,10 @@ cannot return its stopping truth does not search: a search only ever
 ends on that truth or Unknown, so it returns Unknown at once.  So
 ``A x. E y. phi`` and ``E x. A y. phi`` enumerate no fragment at
 all, rather than up to size_cap**2 candidates for the same Unknown.
-The body is still compiled, so a constant of another construction
-still raises, and the pool is still checked, so a pool of another
-construction raises where the first fragment did.  Until an Unknown
+The body is still walked, so a constant of another construction
+still raises, but no closure is built for it or for anything under
+it; the pool is still checked, so a pool of another construction
+raises where the first fragment did.  Until an Unknown
 names its cause, a skipped quantifier keeps the reason "fragment
 bounds exhausted" of every other Unknown.
 
@@ -186,14 +187,17 @@ _MAX_ROWS = 32
 # any config.  One bottom-up pass turns every subformula into a _Node
 # that knows its free variables, with ~ pushed down to the atoms; the
 # constants are collected in the same pass, in the order the atoms are
-# compiled.  A quantifier splits its body, moves the parts it may decide
-# once into a junction before itself, and compiles the rest into
-# closures; a moved part is compiled once it reaches the quantifier its
-# terms hoist into.  A term becomes a closure over the environment: a
-# variable is read, a constant kept, a term without the innermost
-# quantifier's variable is summed from its bindings once per run of that
-# quantifier (at the top level, once per run), and a term with it adds
-# only that summand per candidate.  The environment is one dict,
+# compiled, and each constant's construction is checked there.  A
+# quantifier splits its body and moves the parts it may decide once into
+# a junction before itself; the rest becomes closures only when the
+# quantifier itself is built and searches, so a skipped quantifier builds
+# none, nor does anything under it.  A moved part is built with the
+# junction it moved into, in the scope its terms hoist into.  A term
+# becomes a closure over the environment: a variable is read, a constant
+# kept, a term without the innermost quantifier's variable is summed
+# from its bindings once per run of that quantifier (at the top level,
+# once per run), and a term with it adds only that summand per
+# candidate.  The environment is one dict,
 # extended by each quantifier while its body runs.  A run puts a clone
 # of its config, with fresh pool memos, into the program's one-slot
 # cell, where every search and skip reads it, so the memos live for one
@@ -375,7 +379,14 @@ def _compile(
         gives = _CAN_TRUE if verdict is _TRUE else _CAN_FALSE
         return _Node(frozenset(), False, None, (), lambda scope: lambda env: verdict, gives)
     if isinstance(f, ATOMS):
-        consts += [t.const for t in (f.lhs, f.rhs) if t.const is not None and not t.const.is_zero()]
+        for t in (f.lhs, f.rhs):
+            if t.const is not None:
+                if t.const.construction is not construction:
+                    raise ConstructionMismatch(
+                        f"cannot mix {construction} and {t.const.construction} elements"
+                    )
+                if not t.const.is_zero():
+                    consts.append(t.const)
         fv = frozenset([v for v, _ in f.lhs.coeffs + f.rhs.coeffs])
         if kind is DescLt and not f.lhs.coeffs:
             return _compile_fixed_desc_lt(construction, f, neg, fv)
@@ -434,9 +445,44 @@ def _compile_quantifier(
     if moved:
         stay = tuple([p for p in parts if p.fixed or var in p.fv])
         body = _Node(body.fv, body.fixed, conj, stay, None)
-    scope = _Scope(var)
-    run_body = body.build(scope)
-    hoisted, values = scope.terms, scope.values
+    # a search ends only on its stopping truth or Unknown, so one whose
+    # body cannot return that truth is skipped, and so is one whose body
+    # returns it only where the divisible hull has no solution; a body
+    # without rows has a hull that refutes nothing, so it is not asked
+    gives = body.gives & (_CAN_TRUE if conj else _CAN_FALSE)
+    rows = None
+    if gives and body.rowed:
+        open_ = tuple([d for d in body.hull(gives) if _feasible(d)])
+        if not open_:
+            gives = 0
+        fresh = object()  # var seen from outside: a name no other binding shares
+        rows = lambda truth: _rename(open_, var, fresh)
+    if gives:
+        # the body is built when the quantifier is, so under a skipped
+        # quantifier nothing is
+        leaf = partial(_search, construction, var, conj, body, consts, cell)
+    else:
+        skip = partial(_skip, cell, construction)
+        leaf = lambda scope: skip
+    node = _Node(body.fv - {var}, True, None, (), leaf, gives, rows)
+    return node if not moved else _Node(node.fv, True, conj, moved + (node,), None)
+
+
+def _search(
+    construction: Construction,
+    var: str,
+    conj: bool,
+    body: _Node,
+    consts: list[GroupElement],
+    cell: list[Optional[FragmentConfig]],
+    scope: Optional[_Scope],
+) -> _Compiled:
+    """The search of ``E var. body`` (conj) or ``A var. body`` over the
+    fragment of the bindings and ``consts``; ``scope``, the scope around
+    the quantifier, is not read, since the fragment reads every binding."""
+    inner = _Scope(var)
+    run_body = body.build(inner)
+    hoisted, values = inner.terms, inner.values
     # an existential stops on a witness, a universal on a counterexample
     stop, reason = (Truth.TRUE, "") if conj else (Truth.FALSE, "counterexample")
 
@@ -460,21 +506,7 @@ def _compile_quantifier(
         # the fragment cannot exhaust the infinite structure
         return _UNKNOWN if found is None else found
 
-    # a search ends only on its stopping truth or Unknown, so one whose
-    # body cannot return that truth is skipped, and so is one whose body
-    # returns it only where the divisible hull has no solution; a body
-    # without rows has a hull that refutes nothing, so it is not asked
-    gives = body.gives & (_CAN_TRUE if conj else _CAN_FALSE)
-    rows = None
-    if gives and body.rowed:
-        open_ = tuple([d for d in body.hull(gives) if _feasible(d)])
-        if not open_:
-            gives = 0
-        fresh = object()  # var seen from outside: a name no other binding shares
-        rows = lambda truth: _rename(open_, var, fresh)
-    run = search if gives else partial(_skip, cell, construction)
-    node = _Node(body.fv - {var}, True, None, (), lambda scope: run, gives, rows)
-    return node if not moved else _Node(node.fv, True, conj, moved + (node,), None)
+    return search
 
 
 def _skip(
@@ -565,8 +597,6 @@ def _feasible(rows: tuple[_Row, ...]) -> bool:
 def _compile_term(construction: Construction, t: Term, scope: Optional[_Scope]) -> _TermFn:
     """``t`` as a closure that does per candidate only the work that
     depends on the variable of the innermost quantifier around it."""
-    if t.const is not None and t.const.construction is not construction:
-        raise ConstructionMismatch(f"cannot mix {construction} and {t.const.construction} elements")
     if not t.coeffs:
         value = t.evaluate(construction, {})
         return lambda env: value

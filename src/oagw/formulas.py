@@ -294,37 +294,29 @@ def _pf(f: Formula, ctx: int) -> str:
 
 # -- parsing ---------------------------------------------------------------
 
-# one named group per token kind: a match's lastgroup is its kind
+# one named group per token kind: a match's lastgroup is its kind; a
+# character that starts no token starts ``bad``, which runs to the end
 _TOKEN_RE = re.compile(
     r"(?P<literal>\{[^{}]*\})|(?P<arrow>->)|(?P<int>\d+)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<punct>[().,;<=~&|*+-])"
+    r"|(?P<punct>[().,;<=~&|*+-])|(?P<bad>\S.*)",
+    re.DOTALL,
 )
 
 _KEYWORDS = {"E", "A", "cong", "desc_lt", "rphi", "true", "false"}
 
-
-class _Tok:
-    __slots__ = ("kind", "text", "at")
-
-    def __init__(self, kind: str, text: str, at: int) -> None:
-        self.kind = kind
-        self.text = text
-        self.at = at
+# A token is a tuple (kind, text, at).  The list ends in a token of kind
+# _END, text "" and offset len(text), so the parser reads the token at
+# its index without a bounds check, and no other token's text is "".
+_Tok = tuple[str, str, int]
+_END = "end"
 
 
 def _tokenize(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    i = 0
-    while i < len(text):
-        if text[i].isspace():
-            i += 1
-            continue
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ParseError(text, i, "unexpected character")
-        toks.append(_Tok(m.lastgroup, m.group(), i))
-        i = m.end()
+    toks = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(text)]
+    if toks and toks[-1][0] == "bad":
+        raise ParseError(text, toks[-1][2], "unexpected character")
+    toks.append((_END, "", len(text)))
     return toks
 
 
@@ -333,102 +325,100 @@ class _Parser:
         self.text = text
         self.construction = construction
         self.toks = _tokenize(text)
-        self.pos = 0
+        self.i = 0  # the index of the next token
 
-    def peek(self) -> Optional[_Tok]:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def next(self) -> _Tok:
-        t = self.peek()
-        if t is None:
-            raise ParseError(self.text, len(self.text), "unexpected end of input")
-        self.pos += 1
-        return t
+    def error(self, tok: _Tok, message: str) -> ParseError:
+        """``message`` at ``tok``, or "unexpected end of input" at the end."""
+        if tok[0] == _END:
+            message = "unexpected end of input"
+        return ParseError(self.text, tok[2], message)
 
     def expect(self, text: str) -> _Tok:
-        t = self.next()
-        if t.text != text:
-            raise ParseError(self.text, t.at, f"expected {text!r}, found {t.text!r}")
-        return t
+        tok = self.toks[self.i]
+        if tok[1] != text:
+            raise self.error(tok, f"expected {text!r}, found {tok[1]!r}")
+        self.i += 1
+        return tok
 
-    def at_text(self, text: str) -> bool:
-        t = self.peek()
-        return t is not None and t.text == text
+    def finish(self) -> None:
+        kind, text, at = self.toks[self.i]
+        if kind != _END:
+            raise ParseError(self.text, at, f"trailing input {text!r}")
 
     # formula := disjunction [-> formula]; a quantifier is a primary whose
     # body is a formula, so it reaches as far right as it can
     def formula(self) -> Formula:
         lhs = self.disjunction()
-        if self.at_text("->"):
-            self.next()
+        if self.toks[self.i][1] == "->":
+            self.i += 1
             return Implies(lhs, self.formula())
         return lhs
 
-    def quantified(self) -> Formula:
-        q = self.next()
-        var = self.next()
-        if var.kind != "name" or var.text in _KEYWORDS:
-            raise ParseError(self.text, var.at, "expected a variable after quantifier")
-        self.expect(".")
-        body = self.formula()
-        return Exists(var.text, body) if q.text == "E" else Forall(var.text, body)
-
     def disjunction(self) -> Formula:
         f = self.conjunction()
-        while self.at_text("|"):
-            self.next()
+        while self.toks[self.i][1] == "|":
+            self.i += 1
             f = Or(f, self.conjunction())
         return f
 
     def conjunction(self) -> Formula:
-        f = self.negation()
-        while self.at_text("&"):
-            self.next()
-            f = And(f, self.negation())
+        f = self.primary()
+        while self.toks[self.i][1] == "&":
+            self.i += 1
+            f = And(f, self.primary())
         return f
 
-    def negation(self) -> Formula:
-        if self.at_text("~"):
-            self.next()
-            return Not(self.negation())
-        return self.primary()
-
     def primary(self) -> Formula:
-        t = self.peek()
-        if t is None:
-            raise ParseError(self.text, len(self.text), "unexpected end of input")
-        if t.text == "(":
-            self.next()
+        """A negation, a formula in parentheses, a quantifier or an atom."""
+        tok = self.toks[self.i]
+        head = tok[1]
+        if head == "~":
+            self.i += 1
+            return Not(self.primary())
+        if head == "(":
+            self.i += 1
             f = self.formula()
             self.expect(")")
             return f
-        if t.text in ("E", "A"):
-            return self.quantified()
-        if t.text == "true":
-            self.next()
-            return BoolC(True)
-        if t.text == "false":
-            self.next()
-            return BoolC(False)
-        if t.text in ("cong", "desc_lt"):
-            return self.cong_like(t.text)
-        if t.text == "rphi":
+        if head == "E" or head == "A":
+            var = self.toks[self.i + 1]
+            if var[0] != "name" or var[1] in _KEYWORDS:
+                raise self.error(var, "expected a variable after quantifier")
+            self.i += 2
+            self.expect(".")
+            body = self.formula()
+            return Exists(var[1], body) if head == "E" else Forall(var[1], body)
+        if head == "true" or head == "false":
+            self.i += 1
+            return BoolC(head == "true")
+        if head == "cong" or head == "desc_lt":
+            return self.cong_like(head)
+        if head == "rphi":
             return self.rphi()
+        if tok[0] == _END:
+            raise self.error(tok, "")
         return self.comparison()
 
     def cong_like(self, head: str) -> Atom:
-        self.next()
+        self.i += 1
         self.expect("(")
         n = self.integer()
         self.expect(",")
         lhs = self.term()
         self.expect(",")
         rhs = self.term()
-        self.expect(")")
+        end = self.expect(")")
         try:
             return Cong(n, lhs, rhs) if head == "cong" else DescLt(n, lhs, rhs)
         except ValueError as exc:
-            raise ParseError(self.text, self.toks[self.pos - 1].at, str(exc)) from None
+            raise ParseError(self.text, end[2], str(exc)) from None
+
+    def names(self) -> list[str]:
+        """The names up to the next token that is not one."""
+        toks, start = self.toks, self.i
+        while toks[self.i][0] == "name":
+            self.i += 1
+        return [tok[1] for tok in toks[start : self.i]]
 
     def rphi(self) -> Formula:
         """``rphi(n; bounds; inner; congs)`` as the formula it abbreviates.
@@ -439,42 +429,37 @@ class _Parser:
         over the congruences agree mod n, and each anchored bounded
         variable has its anchor's residue somewhere below its bound.
         """
-        self.next()
+        self.i += 1
         self.expect("(")
         n = self.integer()
         self.expect(";")
         bounds: list[tuple[list[str], Term]] = []
         while True:
-            group: list[str] = []
-            while self.peek() is not None and self.peek().kind == "name":  # type: ignore[union-attr]
-                group.append(self.next().text)
+            group = self.names()
             self.expect("<")
             bounds.append((group, self.term()))
-            if self.at_text(","):
-                self.next()
-                continue
-            break
+            if self.toks[self.i][1] != ",":
+                break
+            self.i += 1
         self.expect(";")
-        inner: list[str] = []
-        while self.peek() is not None and self.peek().kind == "name":  # type: ignore[union-attr]
-            inner.append(self.next().text)
+        inner = self.names()
         self.expect(";")
         congs: list[tuple[str, Term]] = []
-        if not self.at_text(")"):
+        if self.toks[self.i][1] != ")":
             while True:
-                v = self.next()
-                if v.kind != "name":
-                    raise ParseError(self.text, v.at, "expected a variable on the left of ~")
+                v = self.toks[self.i]
+                if v[0] != "name":
+                    raise self.error(v, "expected a variable on the left of ~")
+                self.i += 1
                 self.expect("~")
-                congs.append((v.text, self.term()))
-                if self.at_text(","):
-                    self.next()
-                    continue
-                break
+                congs.append((v[1], self.term()))
+                if self.toks[self.i][1] != ",":
+                    break
+                self.i += 1
         end = self.expect(")")
 
         def reject(message: str) -> ParseError:
-            return ParseError(self.text, end.at, message)
+            return ParseError(self.text, end[2], message)
 
         if n < 2:
             raise reject(f"modulus must be >= 2, got {n}")
@@ -529,79 +514,85 @@ class _Parser:
 
     def comparison(self) -> Atom:
         lhs = self.term()
-        op = self.next()
-        if op.text == "<":
+        op = self.toks[self.i]
+        self.i += 1
+        if op[1] == "<":
             return Lt(lhs, self.term())
-        if op.text == "=":
+        if op[1] == "=":
             return Eq(lhs, self.term())
-        raise ParseError(self.text, op.at, f"expected '<' or '=', found {op.text!r}")
+        raise self.error(op, f"expected '<' or '=', found {op[1]!r}")
 
     def integer(self) -> int:
-        t = self.next()
-        if t.kind != "int":
-            raise ParseError(self.text, t.at, "expected an integer")
-        return int(t.text)
+        tok = self.toks[self.i]
+        if tok[0] != "int":
+            raise self.error(tok, "expected an integer")
+        self.i += 1
+        return int(tok[1])
 
     def term(self) -> Term:
+        """Summands, each but the first after its sign: [int *] var,
+        [int *] literal, or 0."""
+        toks = self.toks
+        i = self.i
+        if toks[i][0] == _END:
+            raise ParseError(self.text, toks[i][2], "expected a term")
         coeffs: dict[str, int] = {}
         const: Optional[GroupElement] = None
         first = True
         while True:
-            t = self.peek()
-            if t is None:
-                if first:
-                    raise ParseError(self.text, len(self.text), "expected a term")
-                break
-            sign = 1
-            if t.text in ("+", "-"):
-                sign = -1 if t.text == "-" else 1
-                self.next()
-            elif not first:
-                break
-            mult, name, lit = self.term_part()
-            k = sign * mult
-            if name is not None:
-                coeffs[name] = coeffs.get(name, 0) + k
+            kind, word, at = toks[i]
+            if word == "+" or word == "-":
+                k = 1 if word == "+" else -1
+                i += 1
+                kind, word, at = toks[i]
+            elif first:
+                k = 1
             else:
-                assert lit is not None
-                const = lit.scale(k) if const is None else const + lit.scale(k)
+                break
             first = False
+            if kind == "int":
+                if word == "0" and toks[i + 1][1] != "*":
+                    i += 1
+                    continue  # a summand 0 adds nothing
+                star = toks[i + 1]
+                if star[1] != "*":
+                    raise self.error(star, f"expected '*', found {star[1]!r}")
+                k *= int(word)
+                i += 2
+                kind, word, at = toks[i]
+            if kind == "name":
+                if word in _KEYWORDS:
+                    raise ParseError(self.text, at, f"keyword {word!r} used as a variable")
+                coeffs[word] = coeffs.get(word, 0) + k
+            elif kind == "literal":
+                lit = self.literal(word, at).scale(k)
+                const = lit if const is None else const + lit
+            else:
+                raise self.error(toks[i], f"expected a term, found {word!r}")
+            i += 1
+        self.i = i
         return _term_make(coeffs, const)
 
-    def term_part(self) -> tuple[int, Optional[str], Optional[GroupElement]]:
-        """One summand sans sign: [int *] var | [int *] literal | 0."""
-        t = self.next()
-        mult = 1
-        if t.kind == "int":
-            if t.text == "0" and not self.at_text("*"):
-                return 1, None, zero(self.construction)
-            mult = int(t.text)
-            self.expect("*")
-            t = self.next()
-        if t.kind == "name":
-            if t.text in _KEYWORDS:
-                raise ParseError(self.text, t.at, f"keyword {t.text!r} used as a variable")
-            return mult, t.text, None
-        if t.kind == "literal":
-            return mult, None, parse_element(t.text, self.construction)
-        raise ParseError(self.text, t.at, f"expected a term, found {t.text!r}")
+    def literal(self, word: str, at: int) -> GroupElement:
+        """The element a literal at ``at`` writes; its errors give
+        offsets in the whole text."""
+        try:
+            return parse_element(word, self.construction)
+        except ParseError as exc:
+            raise ParseError(self.text, at + exc.at, exc.message) from None
 
 
 def parse_formula(text: str, construction: Construction = LAMBDA) -> Formula:
     p = _Parser(text, construction)
     f = p.formula()
-    rest = p.peek()
-    if rest is not None:
-        raise ParseError(text, rest.at, f"trailing input {rest.text!r}")
+    p.finish()
     return f
 
 
 def parse_term(text: str, construction: Construction = LAMBDA) -> Term:
     p = _Parser(text, construction)
     t = p.term()
-    rest = p.peek()
-    if rest is not None:
-        raise ParseError(text, rest.at, f"trailing input {rest.text!r}")
+    p.finish()
     return t
 
 

@@ -1,6 +1,7 @@
 """The gain rule of tools/ab_pairs.py on fixed numbers."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -59,3 +60,47 @@ def test_bad_input_is_rejected():
         ab_pairs.summarize([], [], "higher")
     with pytest.raises(ValueError):
         ab_pairs.summarize(PARENT, PARENT, "faster")
+
+
+_REPO = Path(__file__).resolve().parent.parent
+
+
+def _fake_runs(monkeypatch):
+    """run_once replaced: the parent's runs read p50 0.2, the change's 0.15."""
+    calls = []
+
+    def fake(checkout, workload, seed, seconds):
+        calls.append((checkout.name, seed))
+        metrics = json.loads((_REPO / "BENCHMARK.json").read_text())["end_to_end"]
+        value = 0.2 if checkout.name == "parent" else 0.15
+        return {m["name"]: value for m in metrics}
+
+    monkeypatch.setattr(ab_pairs, "run_once", fake)
+    return calls
+
+
+def test_the_pair_line_shows_the_chosen_metric(monkeypatch, capsys, tmp_path):
+    calls = _fake_runs(monkeypatch)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    (parent / "BENCHMARK.json").write_text((_REPO / "BENCHMARK.json").read_text())
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "eval",
+            "--pairs", "2", "--seed", "5"]
+    assert ab_pairs.main(argv + ["--metric", "request_p50_ms"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "pair 0 (seed 5): request_p50_ms parent 0.2  change 0.15"
+    assert lines[1] == "pair 1 (seed 6): request_p50_ms change 0.15  parent 0.2"
+    assert calls == [("parent", 5), ("change", 5), ("change", 6), ("parent", 6)]
+    # cases_per_s unless a metric is named
+    assert ab_pairs.main(argv) == 0
+    assert capsys.readouterr().out.startswith("pair 0 (seed 5): cases_per_s parent 0.2")
+
+
+def test_a_metric_the_benchmark_does_not_list_is_rejected(monkeypatch, capsys):
+    calls = _fake_runs(monkeypatch)
+    argv = ["--parent", str(_REPO), "--change", str(_REPO), "--workload", "eval"]
+    with pytest.raises(SystemExit) as exc:
+        ab_pairs.main(argv + ["--metric", "fragments.calls"])
+    assert exc.value.code == 2
+    assert "--metric must be one of setup_s, cases_per_s" in capsys.readouterr().err
+    assert calls == []

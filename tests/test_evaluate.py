@@ -1230,6 +1230,45 @@ class TestCompileOnce:
                 _same_verdict(got, evaluate(construction, f, {}, cfg))
 
 
+class TestLazyBuild:
+    """Only a quantifier that searches builds the closures of its body."""
+
+    @pytest.fixture
+    def atom_builds(self, monkeypatch):
+        count = [0]
+        original = oagw.evaluate._compile_atom
+
+        def counting(*args):
+            count[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(oagw.evaluate, "_compile_atom", counting)
+        return count
+
+    @pytest.mark.parametrize(
+        "text",
+        ["A x. A y. A z. (x < y & y < z -> x < z)", "A x. E y. desc_lt(2, x, y)"],
+    )
+    def test_a_skipped_quantifier_builds_no_atom(self, atom_builds, text):
+        # the parent built 3 and 1 atom closures for these, which never ran
+        for construction in (LAMBDA, GAMMA):
+            oagw.evaluate.compile_formula(construction, parse_formula(text, construction))
+        assert atom_builds[0] == 0
+
+    def test_a_searching_quantifier_builds_each_atom_once(self, atom_builds):
+        f = parse_formula("E x. E y. x + y = {G2[0].c: 1} & x < y")
+        program = oagw.evaluate.compile_formula(LAMBDA, f)
+        assert atom_builds[0] == 2
+        oagw.evaluate.run_program(program, {}, CFG)
+        assert atom_builds[0] == 2
+
+    def test_a_foreign_constant_under_a_skipped_quantifier_still_raises(self):
+        other = Term((("y", 1),), element(GAMMA, {g2_circle(0): 1}))
+        f = Forall("x", Exists("y", DescLt(2, term_var("x"), other)))
+        with pytest.raises(ConstructionMismatch, match=r"^cannot mix lambda and gamma elements$"):
+            oagw.evaluate.compile_formula(LAMBDA, f)
+
+
 # -- desc_lt with a fixed s in the divisible hull --------------------------------
 
 

@@ -1,17 +1,30 @@
+import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oagw.elements import ConstructionMismatch, GAMMA, LAMBDA, ParseError, element, zero
+from oagw.elements import (
+    ConstructionMismatch,
+    GAMMA,
+    LAMBDA,
+    ParseError,
+    element,
+    parse_element,
+    zero,
+)
 from oagw.formulas import (
     And,
+    BoolC,
     Cong,
     DescLt,
+    Eq,
     Exists,
     Forall,
     Implies,
     Lt,
     Not,
+    Or,
     Term,
     classify_prefix,
     free_vars,
@@ -21,6 +34,8 @@ from oagw.formulas import (
     rename_bound_apart,
 )
 from oagw.positions import g1_square
+from oagw.sampling import random_nonzero
+from oagw.suites import gen_corpus
 
 S00 = g1_square(0, 0)
 
@@ -129,6 +144,187 @@ class TestParse:
     def test_keyword_not_variable(self):
         with pytest.raises(ParseError):
             parse_formula("E cong. cong < cong")
+
+
+def _parse_error(parse, text):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    return err.value
+
+
+class TestParseErrors:
+    """Every ParseError of the formula parser, by its exact offset and message."""
+
+    @pytest.mark.parametrize(
+        "text, at, message",
+        [
+            # unexpected end of input
+            ("", 0, "unexpected end of input"),
+            ("E", 1, "unexpected end of input"),
+            ("E x.", 4, "unexpected end of input"),
+            ("x", 1, "unexpected end of input"),
+            ("x < y & ", 8, "unexpected end of input"),
+            ("(x < y", 6, "unexpected end of input"),
+            ("cong(2, x", 9, "unexpected end of input"),
+            ("x < y +", 7, "unexpected end of input"),
+            ("x < 2", 5, "unexpected end of input"),
+            ("x < 2*", 6, "unexpected end of input"),
+            ("rphi(2; z < a; ; z ~ b", 22, "unexpected end of input"),
+            # expected X, found Y
+            ("cong(2; x, y)", 6, "expected ',', found ';'"),
+            ("desc_lt(2.5, x, y)", 9, "expected ',', found '.'"),
+            ("E x y", 4, "expected '.', found 'y'"),
+            ("x < 2 y", 6, "expected '*', found 'y'"),
+            ("rphi < y", 5, "expected '(', found '<'"),
+            ("rphi(2; z < a, ; ; )", 15, "expected '<', found ';'"),
+            ("rphi(2; z < a; ; z b)", 19, "expected '~', found 'b'"),
+            # expected an integer
+            ("cong(x, y, z)", 5, "expected an integer"),
+            ("rphi(x; z < a; ; )", 5, "expected an integer"),
+            # expected a variable after quantifier
+            ("E 1. x < y", 2, "expected a variable after quantifier"),
+            ("E cong. cong < cong", 2, "expected a variable after quantifier"),
+            ("A (. x < y", 2, "expected a variable after quantifier"),
+            # a keyword used as a variable
+            ("x < E", 4, "keyword 'E' used as a variable"),
+            ("x + cong < y", 4, "keyword 'cong' used as a variable"),
+            ("x < true", 4, "keyword 'true' used as a variable"),
+            # expected '<' or '='
+            ("x , y", 2, "expected '<' or '=', found ','"),
+            ("x y", 2, "expected '<' or '=', found 'y'"),
+            ("0 2", 2, "expected '<' or '=', found '2'"),
+            # expected a term
+            ("x <", 3, "expected a term"),
+            ("x < )", 4, "expected a term, found ')'"),
+            ("rphi(2; z < a; ; z ~ )", 21, "expected a term, found ')'"),
+            # trailing input
+            ("x < y y", 6, "trailing input 'y'"),
+            ("(x < y))", 7, "trailing input ')'"),
+            ("x = y true", 6, "trailing input 'true'"),
+            # unexpected character
+            ("x < $y", 4, "unexpected character"),
+            ("#", 0, "unexpected character"),
+            ("x < {G2[0].c: 1", 4, "unexpected character"),
+            # a bad modulus, at the closing parenthesis
+            ("cong(1, x, y)", 12, "modulus must be an integer >= 2, got 1"),
+            ("desc_lt(0, x, y)", 15, "modulus must be an integer >= 2, got 0"),
+            # the rphi rejections, at the closing parenthesis
+            ("rphi(1; z < a; ; )", 17, "modulus must be >= 2, got 1"),
+            ("rphi(2; < a; ; )", 15, "rphi needs at least one bounded variable per group"),
+            ("rphi(2; z < a; ; 1 ~ z)", 17, "expected a variable on the left of ~"),
+            (
+                "rphi(2; z < a; ; b ~ z)",
+                22,
+                "congruence left side 'b' is not a bound or inner variable",
+            ),
+            ("rphi(2; z < u; u; z ~ u)", 23, "bound u uses a bound or inner variable"),
+            (
+                "rphi(2; z < a; u; z ~ 2*u)",
+                25,
+                "congruence right side 2*u uses a bound or inner variable inside a term",
+            ),
+        ],
+    )
+    def test_formula_error(self, text, at, message):
+        err = _parse_error(parse_formula, text)
+        assert err.at == at
+        assert str(err) == f"at index {at}: {message} in {text!r}"
+
+    @pytest.mark.parametrize(
+        "text, at, message",
+        [
+            ("", 0, "expected a term"),
+            ("x +", 3, "unexpected end of input"),
+            ("x y", 2, "trailing input 'y'"),
+        ],
+    )
+    def test_term_error(self, text, at, message):
+        err = _parse_error(parse_term, text)
+        assert err.at == at
+        assert str(err) == f"at index {at}: {message} in {text!r}"
+
+    @pytest.mark.parametrize(
+        "text, at, message",
+        [
+            ("E x. x = {G2[0].c: 1/0}", 18, "zero denominator in '1/0'"),
+            ("E x. x = {G9: 1}", 10, "bad position 'G9'"),
+            ("E x. x = {G2[0].s: 1/2}", 18, "G2[0].s takes integer polynomials"),
+        ],
+    )
+    def test_a_bad_literal_reports_its_offset_in_the_formula(self, text, at, message):
+        err = _parse_error(parse_formula, text)
+        assert err.at == at
+        assert str(err) == f"at index {at}: {message} in {text!r}"
+
+    def test_a_bad_literal_in_a_term_reports_its_offset_in_the_term(self):
+        err = _parse_error(parse_term, "x + {G9: 1}")
+        assert str(err) == "at index 5: bad position 'G9' in 'x + {G9: 1}'"
+
+    def test_parse_element_keeps_offsets_within_the_literal(self):
+        text = "{G2[0].c: 1/0}"
+        err = _parse_error(lambda t: parse_element(t, LAMBDA), text)
+        assert str(err) == f"at index 9: zero denominator in '1/0' in {text!r}"
+
+
+_NAMES = ("x", "y", "z", "u1", "v_2")
+
+
+def _terms(construction):
+    """Canonical terms: sorted nonzero coefficients, some negative, and
+    maybe a nonzero constant, whose values over lambda include
+    polynomials at the squares and rationals at the circles."""
+    coeffs = st.dictionaries(st.sampled_from(_NAMES), st.integers(-3, 3).filter(bool), max_size=3)
+    const = st.none() | st.integers(0, 2**32).map(
+        lambda seed: random_nonzero(random.Random(seed), construction, 3)
+    )
+    return st.builds(lambda c, k: Term(tuple(sorted(c.items())), k), coeffs, const)
+
+
+def _formulas(construction):
+    t = _terms(construction)
+    n = st.integers(2, 5)
+    leaves = st.one_of(
+        st.builds(Lt, t, t),
+        st.builds(Eq, t, t),
+        st.builds(Cong, n, t, t),
+        st.builds(DescLt, n, t, t),
+        st.builds(BoolC, st.booleans()),
+    )
+    var = st.sampled_from(_NAMES)
+
+    def extend(kids):
+        return st.one_of(
+            st.builds(Not, kids),
+            st.builds(And, kids, kids),
+            st.builds(Or, kids, kids),
+            st.builds(Implies, kids, kids),
+            st.builds(Exists, var, kids),
+            st.builds(Forall, var, kids),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+_FORMULAS = {construction: _formulas(construction) for construction in (LAMBDA, GAMMA)}
+
+
+class TestRoundTrip:
+    """A printed formula parses back to itself."""
+
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_printed_formulas_parse_back(self, construction, data):
+        f = data.draw(_FORMULAS[construction])
+        assert parse_formula(print_formula(f), construction) == f
+
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+    @pytest.mark.parametrize("kind", ["exists", "ea"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_corpus_formulas_parse_back(self, construction, kind, seed):
+        for text in gen_corpus(kind, 50, seed, construction):
+            f = parse_formula(text, construction)
+            assert parse_formula(print_formula(f), construction) == f, text
 
 
 class TestTerms:

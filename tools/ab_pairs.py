@@ -3,11 +3,14 @@
 Usage, from anywhere::
 
     python3 tools/ab_pairs.py --parent PARENT_DIR --change CHANGE_DIR \\
-        --workload eval --pairs 10 --seconds 15 --seed 1000
+        --workload eval --pairs 10 --seconds 15 --seed 1000 \\
+        --metric request_p50_ms
 
 Pair i runs ``perfbench/run.py --workload W --seed SEED+i --seconds S
 --trace 0`` once in each checkout, the parent first in even pairs and
-the change first in odd ones.  Each checkout's ``src/oagw/__pycache__``
+the change first in odd ones, and prints the ``--metric`` of both runs
+(``cases_per_s`` unless given), so a claim can be followed pair by
+pair.  Each checkout's ``src/oagw/__pycache__``
 is removed before every run, since whether up-to-date bytecode is
 present moves ``peak_rss_mb`` and ``setup_s`` by several per cent.
 
@@ -91,20 +94,25 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--seed", type=int, default=1000, help="seed of the first pair")
+    parser.add_argument(
+        "--metric", default="cases_per_s", help="the end-to-end metric each pair's line shows"
+    )
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
     with open(args.parent / "BENCHMARK.json") as fh:
         metrics = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    if args.metric not in metrics:
+        parser.error(f"--metric must be one of {', '.join(metrics)}, got {args.metric!r}")
     runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             checkout = args.parent if side == "parent" else args.change
             runs[side].append(run_once(checkout, args.workload, args.seed + i, args.seconds))
-        line = "  ".join(f"{s} {runs[s][-1]['cases_per_s']:.1f}" for s in order)
-        print(f"pair {i} (seed {args.seed + i}): cases_per_s {line}", flush=True)
+        line = "  ".join(f"{s} {runs[s][-1][args.metric]:.5g}" for s in order)
+        print(f"pair {i} (seed {args.seed + i}): {args.metric} {line}", flush=True)
 
     print(f"\n{args.workload}: {args.pairs} pairs of {args.seconds:g} s")
     print(f"{'metric':<16}{'parent q1/med/q3':>30}{'change q1/med/q3':>30}{'median':>9}"
