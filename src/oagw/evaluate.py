@@ -79,8 +79,14 @@ disjuncts for its absorbing truth and their product for the neutral
 one, and a quantifier gives its body's unrefuted disjuncts for its own
 stopping truth, its variable renamed to a fresh name.  Fourier-Motzkin
 elimination (Fourier 1827; Motzkin 1936) runs on each disjunct, and a
-quantifier all of whose disjuncts derive ``0 < 0`` is skipped and gives
-no truth.  This is sound: each construction G lies in its divisible
+quantifier all of whose disjuncts derive ``0 < 0`` is skipped.  Its
+hull is worked out only when first asked for, by its own build or by
+the hull of a quantifier around it, so under a skipped quantifier it is
+never worked out at all.  Until then the quantifier's mask keeps its
+stopping truth; a refuted one gives no disjunct for it, and so every
+quantifier around it decides as if the mask had dropped that truth: a
+union leaves the empty part out and a product with it is empty.  This
+is sound: each construction G lies in its divisible
 hull D, an ordered Q-vector space; elimination only adds rows with
 positive integer multipliers, and a dropped atom only weakens a
 system; so a refuted disjunct has no solution in D, hence none in G,
@@ -111,7 +117,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from operator import itemgetter
 from typing import Callable, Hashable, Mapping, Optional
 
@@ -448,22 +454,23 @@ def _compile_quantifier(
     # a search ends only on its stopping truth or Unknown, so one whose
     # body cannot return that truth is skipped, and so is one whose body
     # returns it only where the divisible hull has no solution; a body
-    # without rows has a hull that refutes nothing, so it is not asked
+    # without rows has a hull that refutes nothing, so it is not asked.
+    # The hull is worked out when first asked for: by this quantifier's
+    # build, or by the hull of a quantifier around it
     gives = body.gives & (_CAN_TRUE if conj else _CAN_FALSE)
+    unrefuted = cache(lambda: tuple([d for d in body.hull(gives) if _feasible(d)]))
     rows = None
     if gives and body.rowed:
-        open_ = tuple([d for d in body.hull(gives) if _feasible(d)])
-        if not open_:
-            gives = 0
         fresh = object()  # var seen from outside: a name no other binding shares
-        rows = lambda truth: _rename(open_, var, fresh)
-    if gives:
-        # the body is built when the quantifier is, so under a skipped
-        # quantifier nothing is
-        leaf = partial(_search, construction, var, conj, body, consts, cell)
-    else:
-        skip = partial(_skip, cell, construction)
-        leaf = lambda scope: skip
+        rows = lambda truth: _rename(unrefuted(), var, fresh)
+
+    def leaf(scope: Optional[_Scope]) -> _Compiled:
+        # the body is built only when the quantifier searches, so under a
+        # skipped quantifier nothing is
+        if gives and (rows is None or unrefuted()):
+            return _search(construction, var, conj, body, consts, cell)
+        return partial(_skip, cell, construction)
+
     node = _Node(body.fv - {var}, True, None, (), leaf, gives, rows)
     return node if not moved else _Node(node.fv, True, conj, moved + (node,), None)
 
@@ -475,11 +482,9 @@ def _search(
     body: _Node,
     consts: list[GroupElement],
     cell: list[Optional[FragmentConfig]],
-    scope: Optional[_Scope],
 ) -> _Compiled:
     """The search of ``E var. body`` (conj) or ``A var. body`` over the
-    fragment of the bindings and ``consts``; ``scope``, the scope around
-    the quantifier, is not read, since the fragment reads every binding."""
+    fragment of the bindings and ``consts``."""
     inner = _Scope(var)
     run_body = body.build(inner)
     hoisted, values = inner.terms, inner.values

@@ -1262,6 +1262,23 @@ class TestLazyBuild:
         oagw.evaluate.run_program(program, {}, CFG)
         assert atom_builds[0] == 2
 
+    def test_a_hull_under_a_skipped_quantifier_is_never_worked_out(self, monkeypatch):
+        systems = []
+        original = oagw.evaluate._feasible
+        monkeypatch.setattr(
+            oagw.evaluate, "_feasible", lambda rows: systems.append(rows) or original(rows)
+        )
+        # the inner quantifiers have rows, but the outer ones never search
+        for text in [
+            "E x. A y. (0 < y & y < x -> ~cong(2, y, {G2[0].c: 1}))",
+            "A x. A y. E z. x + y = z",
+        ]:
+            oagw.evaluate.compile_formula(LAMBDA, parse_formula(text))
+        assert systems == []
+        # a hull that decides whether the outermost quantifier searches is
+        oagw.evaluate.compile_formula(LAMBDA, parse_formula(PREFIX_SHAPES["aaa-trans"]))
+        assert systems != []
+
     def test_a_foreign_constant_under_a_skipped_quantifier_still_raises(self):
         other = Term((("y", 1),), element(GAMMA, {g2_circle(0): 1}))
         f = Forall("x", Exists("y", DescLt(2, term_var("x"), other)))
