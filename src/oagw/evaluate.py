@@ -117,7 +117,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cache, partial, reduce
+from functools import partial, reduce
 from operator import itemgetter
 from typing import Callable, Hashable, Mapping, Optional
 
@@ -458,7 +458,13 @@ def _compile_quantifier(
     # The hull is worked out when first asked for: by this quantifier's
     # build, or by the hull of a quantifier around it
     gives = body.gives & (_CAN_TRUE if conj else _CAN_FALSE)
-    unrefuted = cache(lambda: tuple([d for d in body.hull(gives) if _feasible(d)]))
+    open_: list[_Dnf] = []  # the unrefuted disjuncts, once worked out
+
+    def unrefuted() -> _Dnf:
+        if not open_:
+            open_.append(tuple([d for d in body.hull(gives) if _feasible(d)]))
+        return open_[0]
+
     rows = None
     if gives and body.rowed:
         fresh = object()  # var seen from outside: a name no other binding shares
