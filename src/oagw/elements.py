@@ -639,7 +639,7 @@ def parse_element(text: str, construction: Construction) -> GroupElement:
             raise ParseError(text, offset, f"duplicate position {pos}")
         val_base = offset + len(pos_text) + 1
         raw: Union[int, Fraction, dict[int, int]]
-        if construction is LAMBDA and pos.is_square:
+        if uses_poly(construction, pos):
             vt = val_text.strip()
             if "/" in vt:
                 raise ParseError(text, val_base, f"{pos} takes integer polynomials")

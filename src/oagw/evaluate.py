@@ -239,8 +239,8 @@ class _Node:
     ``parts``, none of them a junction of the same kind.  ``fixed``
     marks a node that holds a quantifier: its fragments read every
     binding around it, so it never moves.  ``gives`` is the mask of
-    decided truths the node can return; a leaf states it, a junction
-    works it out from its parts.  A leaf's ``rows``, if it has them,
+    decided truths the node can return, short of what the hull refutes;
+    a leaf states it, a junction works it out from its parts.  A leaf's ``rows``, if it has them,
     give its ``hull`` of a truth it can return; ``rowed`` marks a node
     with some leaf that has rows, and a node without one has a hull
     that knows nothing.
