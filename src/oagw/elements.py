@@ -617,10 +617,12 @@ def parse_element(text: str, construction: Construction) -> GroupElement:
     s = text.strip()
     if s == "0":
         return zero(construction)
+    # offsets count from the start of text, ahead of s by its leading blanks
+    lead = len(text) - len(text.lstrip())
     if not s.startswith("{") or not s.endswith("}"):
-        raise ParseError(text, 0, "expected '{...}' or '0'")
+        raise ParseError(text, lead, "expected '{...}' or '0'")
     components: dict[Position, Value] = {}
-    offset = 1
+    offset = lead + 1
     for chunk in s[1:-1].split(","):
         pos_text, colon, val_text = chunk.partition(":")
         if not colon:

@@ -27,8 +27,8 @@ False with a counterexample from a universal.
 A junction (``&`` or ``|``) runs its parts left to right and returns
 the first absorbing verdict, False for ``&`` and True for ``|``.  When
 every part agrees on the neutral one, it keeps every binding: its
-witness is the union of the parts' witnesses, and a part that alone
-has a witness gives its verdict unchanged.  A quantifier writes its
+witness is the union of the parts' witnesses, and when one part alone
+has a witness, its verdict is returned unchanged.  A quantifier writes its
 own binding after its body's, so an inner binding of the same name
 never hides it.
 
@@ -51,66 +51,35 @@ sentences now decide where they were Unknown: in
 decided for each x before the search over y, which alone could never
 confirm the universal, so the sentence is True on the first x above b.
 
-Every node records which decided truths it can return: an atom True
-or False, ``true`` and ``false`` only themselves, a quantifier its
-stopping truth (True for E, False for A) if its body can and otherwise
-none, ``&`` False if some part can and True if every part can (an
-empty ``&`` is True), and ``|`` the dual.  A quantifier whose body
-cannot return its stopping truth does not search: a search only ever
-ends on that truth or Unknown, so it returns Unknown at once.  So
-``A x. E y. phi`` and ``E x. A y. phi`` enumerate no fragment at
-all, rather than up to size_cap**2 candidates for the same Unknown.
-The body is still walked, so a constant of another construction
-still raises, but no closure is built for it or for anything under
-it; the pool is still checked, so a pool of another construction
-raises where the first fragment did.  Until an Unknown
-names its cause, a skipped quantifier keeps the reason "fragment
-bounds exhausted" of every other Unknown.
-
-A quantifier whose body can return its stopping truth is skipped too
-when the divisible hull shows that it never does.  The compiler writes
-"the body returns that truth" as disjuncts, each a set of homogeneous
-integer rows ``sum_v k_v*v < 0`` or ``<= 0`` over the free and bound
-variables.  A ``<`` or ``=`` atom whose terms carry no element constant
-gives rows, a false ``=`` two disjuncts (``s < t`` or ``t < s``), and
-so does ``desc_lt`` in the closed form below; any other atom gives
-none.  A junction takes the union of its parts'
-disjuncts for its absorbing truth and their product for the neutral
-one, and a quantifier gives its body's unrefuted disjuncts for its own
-stopping truth, its variable renamed to a fresh name.  Fourier-Motzkin
-elimination (Fourier 1827; Motzkin 1936) runs on each disjunct, and a
-quantifier all of whose disjuncts derive ``0 < 0`` is skipped.  Its
-hull is worked out only when first asked for, by its own build or by
-the hull of a quantifier around it, so under a skipped quantifier it is
-never worked out at all.  Until then the quantifier's mask keeps its
-stopping truth; a refuted one gives no disjunct for it, and so every
-quantifier around it decides as if the mask had dropped that truth: a
-union leaves the empty part out and a product with it is empty.  This
-is sound: each construction G lies in its divisible
-hull D, an ordered Q-vector space; elimination only adds rows with
-positive integer multipliers, and a dropped atom only weakens a
-system; so a refuted disjunct has no solution in D, hence none in G,
-and the search could only have ended Unknown.  In
-``A x. A y. A z. (x < y & y < z -> x < z)`` a counterexample of
+A search ends only on its stopping truth (True for E, False for A) or
+Unknown, so a quantifier whose hull of that truth is ``hull.NONE`` is
+skipped: it returns Unknown at once, with the reason "fragment bounds
+exhausted" of every other Unknown, and enumerates no fragment.  A
+node's hull of a truth is a condition in the divisible hull wherever
+the node returns that truth (see ``hull.py``, which also argues that
+this is sound): ``true`` and ``false`` have ``TOP`` for their own truth
+and ``NONE`` for the other, an atom has ``hull.atom``, a junction the
+union of its parts' hulls for its absorbing truth and their product
+for the neutral one, and a quantifier ``NONE`` for the truth it does
+not stop on and, for the one it does, its body's hull as
+``hull.exists`` sees it from outside.  So ``A x. E y. phi`` and
+``E x. A y. phi`` enumerate no fragment at all, rather than up to
+size_cap**2 candidates for the same Unknown, and neither does
+``A x. A y. A z. (x < y & y < z -> x < z)``: a counterexample of
 ``A y.`` needs ``x < y``, ``y < z`` and ``z <= x`` for some z, which
-has no solution, so no fragment is enumerated at all.  Past fixed
-numbers of disjuncts and rows the hull gives up, and the search runs.
-Every node records whether some atom under it gives rows, as it
-records ``gives``; a quantifier whose body has none does not build the
-hull at all, since its one disjunct would hold no rows and so could
-not be refuted.
-
+has no solution.  A quantifier's hull is worked out
+once, when first asked for, by its own build or by the hull of a
+quantifier around it, and a junction reads its parts' hulls only until
+one decides it, so under a skipped quantifier none is worked out and
+no closure is built.  The body is still walked, so a constant of
+another construction still raises, and the pool is still checked, so
+one of another construction raises where the first fragment did.
 ``desc_lt(n, s, t)`` with s free of variables reads s's n-lead once,
-when it is compiled, not per candidate.  When s is divisible by n,
-zero included, ``cong_free_below``'s closed form makes the atom
-``t <= 0``: for t > 0, n times an element below t's lead is congruent
-to s modulo n and lies in (0, t).  So, when t carries no constant, the
-atom gives the rows of ``~(0 < t)`` and its negation those of
-``0 < t``.  This is as sound as the rows of ``<``: the atom and
-``t <= 0`` hold at the same elements of G, so a disjunct refuted in D
-has no solution in G either.  On gamma, ``E x. 0 < x & desc_lt(3, c,
-x)`` with c divisible by 3 thus skips its search, for the Unknown it
-always ended in.
+when it is compiled.  When s is divisible by n, zero included,
+``cong_free_below``'s closed form makes the atom ``t <= 0``: for t > 0,
+n times an element below t's lead is congruent to s modulo n and lies
+in (0, t).  The atom then has the hull of ``~(0 < t)``, which holds at
+the same elements of G.
 """
 
 from __future__ import annotations
@@ -119,8 +88,9 @@ import enum
 from dataclasses import dataclass
 from functools import partial, reduce
 from operator import itemgetter
-from typing import Callable, Hashable, Mapping, Optional
+from typing import Callable, Mapping, Optional
 
+from . import hull
 from .elements import Construction, ConstructionMismatch, GroupElement
 from .formulas import (
     ATOMS,
@@ -167,23 +137,6 @@ class Verdict:
 _TRUE = Verdict(Truth.TRUE)
 _FALSE = Verdict(Truth.FALSE)
 _UNKNOWN = Verdict(Truth.UNKNOWN, None, "fragment bounds exhausted")
-
-# The decided truths a node can return, as a set of these bits: an int
-# mask, because a junction works out its own from its parts' at every
-# compile, and hashing the enum would cost more than the mask.
-_CAN_TRUE, _CAN_FALSE = 1, 2
-
-# The divisible hull's view of a node returning a truth: a row
-# ``(k, strict)`` says that sum_v k[v]*v is < 0 if strict, else <= 0;
-# a disjunct is a tuple of rows that hold together, and a _Dnf is a
-# tuple of disjuncts one of which holds.  A variable is a free name, a
-# name bound further in, or the fresh token of a quantifier it left.
-_Row = tuple[dict[Hashable, int], bool]
-_Dnf = tuple[tuple[_Row, ...], ...]
-_TOP: _Dnf = ((),)  # one disjunct without rows: nothing is known
-# Past these sizes the hull gives up on a condition, and its search runs.
-_MAX_DISJUNCTS = 32
-_MAX_ROWS = 32
 
 
 # -- three-valued evaluation --------------------------------------------------
@@ -238,36 +191,19 @@ class _Node:
     Otherwise the node is a junction (``&`` if ``conj``, else ``|``) of
     ``parts``, none of them a junction of the same kind.  ``fixed``
     marks a node that holds a quantifier: its fragments read every
-    binding around it, so it never moves.  ``gives`` is the mask of
-    decided truths the node can return, short of what the hull refutes;
-    a leaf states it, a junction works it out from its parts.  A leaf's ``rows``, if it has them,
-    give its ``hull`` of a truth it can return; ``rowed`` marks a node
-    with some leaf that has rows, and a node without one has a hull
-    that knows nothing.
+    binding around it, so it never moves.  A leaf's ``own`` returns its
+    ``hull`` of a truth; a junction works its hull out from its parts'.
     """
 
-    __slots__ = ("fv", "fixed", "conj", "parts", "leaf", "gives", "rows", "rowed")
+    __slots__ = ("fv", "fixed", "conj", "parts", "leaf", "own")
 
-    def __init__(self, fv, fixed, conj, parts, leaf, gives=0, rows=None) -> None:
+    def __init__(self, fv, fixed, conj, parts, leaf, own=None) -> None:
         self.fv: frozenset[str] = fv
         self.fixed: bool = fixed
         self.conj: Optional[bool] = conj
         self.parts: tuple[_Node, ...] = parts
         self.leaf: Optional[Callable[[Optional[_Scope]], _Compiled]] = leaf
-        self.rows: Optional[Callable[[int], _Dnf]] = rows
-        rowed = rows is not None
-        if conj is not None:
-            # & can give False if some part can and True if every part can
-            # (an empty & is True); | is the dual
-            some, every = 0, _CAN_TRUE | _CAN_FALSE
-            for p in parts:
-                some |= p.gives
-                every &= p.gives
-                rowed |= p.rowed
-            stop = _CAN_FALSE if conj else _CAN_TRUE
-            gives = (some & stop) | (every & ~stop)
-        self.gives: int = gives
-        self.rowed: bool = rowed
+        self.own: Optional[Callable[[bool], hull.Dnf]] = own
 
     def flat(self, conj: bool) -> tuple["_Node", ...]:
         """The parts of self as one side of a junction of kind ``conj``."""
@@ -278,26 +214,15 @@ class _Node:
             return self.leaf(scope)
         return _compile_junction(self.conj, [p.build(scope) for p in self.parts])
 
-    def hull(self, truth: int) -> _Dnf:
-        """Disjuncts, one of which holds in the divisible hull whenever
-        the node returns ``truth`` (_CAN_TRUE or _CAN_FALSE)."""
-        if not self.gives & truth:
-            return ()
-        if not self.rowed:
-            return _TOP
+    def hull(self, truth: bool) -> hull.Dnf:
+        """A condition that holds in the divisible hull wherever the node
+        returns ``truth``."""
         if self.conj is None:
-            return self.rows(truth)
-        parts = [p.hull(truth) for p in self.parts]
-        if truth == (_CAN_FALSE if self.conj else _CAN_TRUE):
-            # the absorbing truth comes from some part
-            out = tuple([d for dnf in parts for d in dnf])
-            return out if len(out) <= _MAX_DISJUNCTS else _TOP
-        # the neutral truth from every part; a part left out only weakens
-        out = _TOP
-        for dnf in parts:
-            if len(out) * len(dnf) <= _MAX_DISJUNCTS:
-                out = tuple([a + b for a in out for b in dnf])
-        return out
+            return self.own(truth)
+        parts = (p.hull(truth) for p in self.parts)
+        # a junction returns its absorbing truth (False for &) where some
+        # part does, and the neutral one where every part does
+        return hull.some(parts) if truth is not self.conj else hull.every(parts)
 
 
 class Program:
@@ -381,9 +306,10 @@ def _compile(
     if kind is Exists or kind is Forall:
         return _compile_quantifier(construction, f, neg, cell, consts)
     if kind is BoolC:
-        verdict = _TRUE if f.value != neg else _FALSE
-        gives = _CAN_TRUE if verdict is _TRUE else _CAN_FALSE
-        return _Node(frozenset(), False, None, (), lambda scope: lambda env: verdict, gives)
+        value = f.value != neg
+        verdict = _TRUE if value else _FALSE
+        own = lambda truth: hull.TOP if truth is value else hull.NONE
+        return _Node(frozenset(), False, None, (), lambda scope: lambda env: verdict, own)
     if isinstance(f, ATOMS):
         for t in (f.lhs, f.rhs):
             if t.const is not None:
@@ -397,7 +323,7 @@ def _compile(
         if kind is DescLt and not f.lhs.coeffs:
             return _compile_fixed_desc_lt(construction, f, neg, fv)
         leaf = partial(_compile_atom, construction, f, neg)
-        return _Node(fv, False, None, (), leaf, _CAN_TRUE | _CAN_FALSE, _atom_rows(f, neg))
+        return _Node(fv, False, None, (), leaf, partial(hull.atom, f, neg))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -405,7 +331,7 @@ def _compile_junction(conj: bool, parts: list[_Compiled]) -> _Compiled:
     """``&`` (conj) or ``|`` of parts, left to right: the first absorbing
     verdict, else, if every part is neutral, the neutral verdict with the
     union of the parts' witnesses, a later binding of a name over an
-    earlier one; a part that alone has a witness gives its own verdict."""
+    earlier one; when one part alone has a witness, its own verdict."""
     if len(parts) == 1:
         return parts[0]
     stop, neutral = (Truth.FALSE, _TRUE) if conj else (Truth.TRUE, _FALSE)
@@ -451,33 +377,26 @@ def _compile_quantifier(
     if moved:
         stay = tuple([p for p in parts if p.fixed or var in p.fv])
         body = _Node(body.fv, body.fixed, conj, stay, None)
-    # a search ends only on its stopping truth or Unknown, so one whose
-    # body cannot return that truth is skipped, and so is one whose body
-    # returns it only where the divisible hull has no solution; a body
-    # without rows has a hull that refutes nothing, so it is not asked.
-    # The hull is worked out when first asked for: by this quantifier's
-    # build, or by the hull of a quantifier around it
-    gives = body.gives & (_CAN_TRUE if conj else _CAN_FALSE)
-    open_: list[_Dnf] = []  # the unrefuted disjuncts, once worked out
+    # a search ends only on its stopping truth, which is conj, or Unknown.
+    # The hull of that truth is worked out when first asked for: by this
+    # quantifier's build, or by the hull of a quantifier around it
+    known: list[hull.Dnf] = []
 
-    def unrefuted() -> _Dnf:
-        if not open_:
-            open_.append(tuple([d for d in body.hull(gives) if _feasible(d)]))
-        return open_[0]
-
-    rows = None
-    if gives and body.rowed:
-        fresh = object()  # var seen from outside: a name no other binding shares
-        rows = lambda truth: _rename(unrefuted(), var, fresh)
+    def own(truth: bool) -> hull.Dnf:
+        if truth is not conj:
+            return hull.NONE
+        if not known:
+            known.append(hull.exists(body.hull(conj), var))
+        return known[0]
 
     def leaf(scope: Optional[_Scope]) -> _Compiled:
         # the body is built only when the quantifier searches, so under a
         # skipped quantifier nothing is
-        if gives and (rows is None or unrefuted()):
-            return _search(construction, var, conj, body, consts, cell)
-        return partial(_skip, cell, construction)
+        if not own(conj):  # hull.NONE: the search could only end Unknown
+            return partial(_skip, cell, construction)
+        return _search(construction, var, conj, body, consts, cell)
 
-    node = _Node(body.fv - {var}, True, None, (), leaf, gives, rows)
+    node = _Node(body.fv - {var}, True, None, (), leaf, own)
     return node if not moved else _Node(node.fv, True, conj, moved + (node,), None)
 
 
@@ -524,85 +443,8 @@ def _skip(
     cell: list[Optional[FragmentConfig]], construction: Construction, env: dict[str, GroupElement]
 ) -> Verdict:
     """A quantifier that no search could decide: Unknown at once."""
-    cell[0]._pool(construction)  # a pool of another construction raises, as in a search
+    cell[0]._check_pool(construction)  # a pool of another construction raises, as in a search
     return _UNKNOWN
-
-
-def _atom_rows(a: Atom, neg: bool) -> Optional[Callable[[int], _Dnf]]:
-    """``_atom_hull`` of ``a``, or ``~a`` if ``neg``, or None for an atom
-    that gives no rows: only a ``<`` or ``=`` between terms without
-    constants gives them."""
-    kind = a.__class__
-    if (kind is Lt or kind is Eq) and a.lhs.const is None and a.rhs.const is None:
-        return partial(_atom_hull, a, neg)
-    return None
-
-
-def _atom_hull(a: Lt | Eq, neg: bool, truth: int) -> _Dnf:
-    """The rows of ``a``, or ``~a`` if ``neg``, returning ``truth``, for a
-    ``<`` or ``=`` between terms without constants."""
-    kind = a.__class__
-    d: dict[Hashable, int] = {}  # lhs - rhs
-    for v, k in a.lhs.coeffs:
-        d[v] = d.get(v, 0) + k
-    for v, k in a.rhs.coeffs:
-        d[v] = d.get(v, 0) - k
-    d = {v: k for v, k in d.items() if k}
-    minus_d = {v: -k for v, k in d.items()}
-    holds = (truth == _CAN_TRUE) != neg
-    if kind is Lt:
-        # lhs < rhs, or else rhs <= lhs
-        return (((d, True),),) if holds else (((minus_d, False),),)
-    # lhs = rhs, or else lhs < rhs or rhs < lhs
-    return (((d, False), (minus_d, False)),) if holds else (((d, True),), ((minus_d, True),))
-
-
-def _rename(dnf: _Dnf, var: str, fresh: Hashable) -> _Dnf:
-    """``dnf`` with the variable ``var`` called ``fresh``."""
-
-    def row(c: dict[Hashable, int], strict: bool) -> _Row:
-        return ({fresh if v == var else v: k for v, k in c.items()} if var in c else c), strict
-
-    return tuple(tuple([row(c, strict) for c, strict in d]) for d in dnf)
-
-
-def _feasible(rows: tuple[_Row, ...]) -> bool:
-    """Whether the rows may hold together in an ordered Q-vector space.
-
-    False only when Fourier-Motzkin elimination, which adds rows with
-    positive integer multipliers, derives 0 < 0; True also once there
-    are more than _MAX_ROWS rows.
-    """
-    while len(rows) <= _MAX_ROWS:
-        if not any(strict for _, strict in rows):
-            return True  # every variable 0 solves rows that are not strict
-        # eliminate the variable that makes the fewest new rows
-        signs: dict[Hashable, list[int]] = {}
-        for c, _ in rows:
-            for v, k in c.items():
-                signs.setdefault(v, [0, 0])[k < 0] += 1
-        if not signs:
-            return False  # a strict row reads 0 < 0
-        var = min(signs, key=lambda v: signs[v][0] * signs[v][1])
-        out: list[_Row] = []
-        pos: list[_Row] = []
-        neg: list[_Row] = []
-        for row in rows:
-            k = row[0].get(var, 0)
-            (pos if k > 0 else neg if k < 0 else out).append(row)
-        for p, p_strict in pos:
-            for n, n_strict in neg:
-                a, b = -n[var], p[var]
-                c = {v: a * k for v, k in p.items()}
-                for v, k in n.items():
-                    c[v] = c.get(v, 0) + b * k
-                c = {v: k for v, k in c.items() if k}
-                if c:
-                    out.append((c, p_strict or n_strict))
-                elif p_strict or n_strict:
-                    return False  # 0 < 0
-        rows = tuple(out)
-    return True
 
 
 def _compile_term(construction: Construction, t: Term, scope: Optional[_Scope]) -> _TermFn:
@@ -673,7 +515,7 @@ def _compile_fixed_desc_lt(
 
     s's lead is read once, here, not per candidate.  When it is None (s
     divisible by n, zero included), cong_free_below's closed form makes
-    the atom ``t <= 0``, that is ``~(0 < t)``, whose rows it gives.
+    the atom ``t <= 0``, that is ``~(0 < t)``, whose hull it has.
     """
     n, s = a.modulus, _compile_term(construction, a.lhs, None)({})
     d = s.lead_mod(n)
@@ -683,5 +525,6 @@ def _compile_fixed_desc_lt(
         t = _compile_term(construction, a.rhs, scope)
         return lambda env: yes if cong_free_below_given(n, s, d, t(env)) else no
 
-    rows = _atom_rows(Lt(Term(), a.rhs), not neg) if d is None else None
-    return _Node(fv, False, None, (), leaf, _CAN_TRUE | _CAN_FALSE, rows)
+    # in the closed form the atom is ~(0 < t)
+    closed = (Lt(Term(), a.rhs), not neg) if d is None else (a, neg)
+    return _Node(fv, False, None, (), leaf, partial(hull.atom, *closed))

@@ -79,13 +79,18 @@ class FragmentConfig:
         list them without repeats."""
         entry = self._pools.get(construction)
         if entry is None:
-            for g in self.generator_pool:
-                if g.construction is not construction:
-                    raise ConstructionMismatch("fragment parameters mix constructions")
+            self._check_pool(construction)
             pool = tuple(dict.fromkeys([g for g in self.generator_pool if not g.is_zero()]))
             parts = self._parts(construction, pool)
             entry = self._pools[construction] = (frozenset(pool), parts)
         return entry
+
+    def _check_pool(self, construction: Construction) -> None:
+        """Raise ``ConstructionMismatch`` for a pool generator of another
+        construction."""
+        for g in self.generator_pool:
+            if g.construction is not construction:
+                raise ConstructionMismatch("fragment parameters mix constructions")
 
     def _parts(self, construction: Construction, pool: tuple[GroupElement, ...]) -> "_PoolParts":
         parts = self._pool_parts.get((construction, pool))

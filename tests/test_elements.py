@@ -580,6 +580,19 @@ class TestText:
             parse_element(text, construction)
         assert err.value.at == text.index(f": {value}}}") + 1
 
+    @pytest.mark.parametrize(
+        "text, at, message",
+        [
+            ("  {G9: 1}", 3, "bad position 'G9'"),
+            (" {G2[0].c: 1/0}", 10, "zero denominator in '1/0'"),
+            ("  nonsense", 2, "expected '{...}' or '0'"),
+        ],
+    )
+    def test_offsets_count_from_the_start_of_the_text(self, text, at, message):
+        with pytest.raises(ParseError) as err:
+            parse_element(text, LAMBDA)
+        assert str(err.value) == f"at index {at}: {message} in {text!r}"
+
     def test_syntax_errors(self):
         with pytest.raises(ParseError):
             parse_element("{G2[0].q: 1}", LAMBDA)

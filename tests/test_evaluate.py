@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oagw.evaluate
+import oagw.fragments
+import oagw.hull
 
 from oagw.elements import (
     GAMMA,
@@ -1025,6 +1027,18 @@ class TestScoping:
         # a sentence without a quantifier never reads the pool
         assert evaluate(LAMBDA, parse_formula("0 < {G2[0].c: 1}"), {}, cfg).truth is Truth.TRUE
 
+    def test_a_skipped_search_builds_no_pool_parts(self, fragment_calls, monkeypatch):
+        built, original = [], oagw.fragments._PoolParts.__init__
+        monkeypatch.setattr(
+            oagw.fragments._PoolParts, "__init__", lambda self, *a: built.append(a) or original(self, *a)
+        )
+        cfg = FragmentConfig(1, (element(LAMBDA, {g2_circle(0): 1}),), 10)
+        assert evaluate(LAMBDA, parse_formula("A x. E y. x = y"), {}, cfg).truth is Truth.UNKNOWN
+        assert fragment_calls == [] and built == []
+        # a search builds them
+        evaluate(LAMBDA, parse_formula("E x. x = x"), {}, cfg)
+        assert built != []
+
 
 # -- refutation in the divisible hull -----------------------------------------
 
@@ -1036,7 +1050,7 @@ def _hull_rows(*atoms):
     for text in atoms:
         neg = text.startswith("~")
         atom = parse_formula(text.lstrip("~"))
-        (disjunct,) = oagw.evaluate._atom_hull(atom, neg, oagw.evaluate._CAN_TRUE)
+        (disjunct,) = oagw.hull.atom(atom, neg, True)
         rows += disjunct
     return rows
 
@@ -1102,37 +1116,36 @@ class TestDivisibleHull:
         ],
     )
     def test_fourier_motzkin(self, atoms, feasible):
-        assert oagw.evaluate._feasible(_hull_rows(*atoms)) is feasible
+        assert oagw.hull.feasible(_hull_rows(*atoms)) is feasible
 
     def test_a_false_equation_is_two_disjuncts(self):
-        hull = oagw.evaluate
-        dnf = hull._atom_hull(parse_formula("x = y"), False, hull._CAN_FALSE)
+        hull = oagw.hull
+        dnf = hull.atom(parse_formula("x = y"), False, False)
         assert dnf == ((({"x": 1, "y": -1}, True),), (({"x": -1, "y": 1}, True),))
         # ~(x = y) returning True is the same condition
-        assert hull._atom_hull(parse_formula("x = y"), True, hull._CAN_TRUE) == dnf
-        assert [hull._feasible(d + _hull_rows("x = y")) for d in dnf] == [False, False]
+        assert hull.atom(parse_formula("x = y"), True, True) == dnf
+        assert [hull.feasible(d + _hull_rows("x = y")) for d in dnf] == [False, False]
 
     def test_an_atom_with_a_constant_gives_no_rows(self):
         for text in ("x < y + {G2[0].c: 1}", "cong(2, x, y)", "desc_lt(2, x, y)"):
             for neg in (False, True):
                 node = _atom_node(LAMBDA, parse_formula(text), neg)
-                assert node.rows is None and not node.rowed, text
-                assert node.hull(oagw.evaluate._CAN_TRUE) == ((),)
+                assert node.hull(True) == node.hull(False) == oagw.hull.TOP, text
 
     def test_a_system_past_the_row_cap_is_feasible(self):
         # infeasible, but the rows z_i <= 0 take it past the cap
-        cap = oagw.evaluate._MAX_ROWS
+        cap = oagw.hull.MAX_ROWS
         rows = _hull_rows("x < y", "y < x")
-        assert oagw.evaluate._feasible(rows) is False
+        assert oagw.hull.feasible(rows) is False
         padding = tuple(({f"z{i}": 1}, False) for i in range(cap - 1))
-        assert oagw.evaluate._feasible(rows + padding) is True
+        assert oagw.hull.feasible(rows + padding) is True
 
     def test_past_the_disjunct_cap_the_search_runs(self, monkeypatch):
         calls = []
         monkeypatch.setattr(
             oagw.evaluate, "iter_fragment", lambda *args: calls.append(args) or iter_fragment(*args)
         )
-        cap = oagw.evaluate._MAX_DISJUNCTS
+        cap = oagw.hull.MAX_DISJUNCTS
         for n, searched in ((cap, False), (cap + 1, True)):
             calls.clear()
             f = parse_formula("E x. " + " | ".join(["x < x"] * n))
@@ -1173,7 +1186,7 @@ class TestDivisibleHull:
             with monkeypatch.context() as m:
                 m.setattr(oagw.evaluate, "iter_fragment", counting)
                 if not hull:
-                    m.setattr(oagw.evaluate, "_feasible", lambda rows: True)
+                    m.setattr(oagw.hull, "feasible", lambda rows: True)
                 return evaluate(construction, f, {}, cfg), len(calls)
 
         # draws in which the hull skips some search, and all of them
@@ -1264,9 +1277,9 @@ class TestLazyBuild:
 
     def test_a_hull_under_a_skipped_quantifier_is_never_worked_out(self, monkeypatch):
         systems = []
-        original = oagw.evaluate._feasible
+        original = oagw.hull.feasible
         monkeypatch.setattr(
-            oagw.evaluate, "_feasible", lambda rows: systems.append(rows) or original(rows)
+            oagw.hull, "feasible", lambda rows: systems.append(rows) or original(rows)
         )
         # the inner quantifiers have rows, but the outer ones never search
         for text in [
@@ -1349,7 +1362,6 @@ class TestFixedDescLt:
 
     @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
     def test_rows_only_for_a_divisible_s_and_a_constant_free_t(self, construction):
-        hull = oagw.evaluate
         rng = case_rng(29, 0)
         c = random_nonzero(rng, construction, 2)
         for n in (2, 3):
@@ -1359,13 +1371,13 @@ class TestFixedDescLt:
                     for neg in (False, True):
                         node = _atom_node(construction, DescLt(n, s, t), neg)
                         if kind == "indivisible" or t.const is not None:
-                            assert node.rows is None and not node.rowed
+                            assert node.hull(True) == node.hull(False) == oagw.hull.TOP
                             continue
                         # the atom is x <= 0 and its negation 0 < x
                         holds = ({"x": 1}, False) if not neg else ({"x": -1}, True)
                         fails = ({"x": -1}, True) if not neg else ({"x": 1}, False)
-                        assert node.hull(hull._CAN_TRUE) == ((holds,),)
-                        assert node.hull(hull._CAN_FALSE) == ((fails,),)
+                        assert node.hull(True) == ((holds,),)
+                        assert node.hull(False) == ((fails,),)
 
     @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
     def test_a_refuted_case_enumerates_no_fragment(self, construction, fragment_calls, monkeypatch):
@@ -1438,39 +1450,18 @@ def _rowless_formulas(construction):
 
 class TestRowFlag:
     @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
-    def test_a_body_without_rows_is_never_hulled(self, construction, monkeypatch):
+    def test_a_body_without_rows_is_never_hulled(self, construction, monkeypatch, fragment_calls):
         cfg = FragmentConfig(2, tuple(parse_element(t, construction) for t in POOL_TEXTS[1]), 10)
-        feasible, fragments = [], []
-        original_feasible, original_init = oagw.evaluate._feasible, oagw.evaluate._Node.__init__
-
-        def counting_feasible(rows):
-            feasible.append(rows)
-            return original_feasible(rows)
-
-        def counting_fragments(params, cfg, construction):
-            fragments.append(tuple(params))
-            return iter_fragment(params, cfg, construction)
-
-        def ignoring_the_flag(self, *args, **kwargs):
-            # every leaf has rows, _TOP if none of its own: the hull runs everywhere
-            original_init(self, *args, **kwargs)
-            if self.conj is None and self.rows is None:
-                self.rows = lambda truth: oagw.evaluate._TOP
-            self.rowed = True
-
-        monkeypatch.setattr(oagw.evaluate, "_feasible", counting_feasible)
-        monkeypatch.setattr(oagw.evaluate, "iter_fragment", counting_fragments)
-        hulled_without_the_flag = 0
+        feasible, original = [], oagw.hull.feasible
+        monkeypatch.setattr(oagw.hull, "feasible", lambda rows: feasible.append(rows) or original(rows))
+        skipped = 0
         for f in _rowless_formulas(construction):
-            feasible.clear(), fragments.clear()
+            feasible.clear(), fragment_calls.clear()
             got = evaluate(construction, f, {}, cfg)
             assert feasible == [], print_formula(f)
-            searched = list(fragments)
-            feasible.clear(), fragments.clear()
-            with monkeypatch.context() as m:
-                m.setattr(oagw.evaluate._Node, "__init__", ignoring_the_flag)
-                want = evaluate(construction, f, {}, cfg)
-            hulled_without_the_flag += len(feasible)
+            want, searched = TestScoping._searched_by_reference(monkeypatch, construction, f, cfg)
             _same_verdict(got, want)
-            assert searched == fragments, print_formula(f)
-        assert hulled_without_the_flag > 0
+            # a search runs as the reference's, or not at all
+            assert len(fragment_calls) in (0, searched), print_formula(f)
+            skipped += not fragment_calls
+        assert skipped > 0

@@ -239,6 +239,13 @@ def test_eval_zero_denominator_is_a_usage_error(args, value, capsys):
     assert f"zero denominator in '{value}'" in lines[0]
 
 
+def test_eval_pool_error_counts_from_the_start_of_the_literal(capsys):
+    rc = main(["eval", "--formula", "E x. x = x", "--pool", " {G2[0].c: 1/0}"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "error: at index 10: zero denominator in '1/0' in ' {G2[0].c: 1/0}'\n"
+
+
 def _eval_in_a_child_process(*args):
     src = str(Path(oagw.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)

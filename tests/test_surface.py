@@ -12,6 +12,13 @@ must be passed by some call in ``src/`` or ``perfbench/``, by position
 or by keyword.  Calls are matched by the called name, and a call with
 ``*args`` or ``**kwargs`` counts as passing everything, so this check
 too errs on the side of keeping a parameter.
+
+The divisible hull stays a leaf: ``hull.py`` imports nothing from the
+package but ``formulas``, so a checker built on it never reaches the
+fragments or the evaluator.  ``evaluate.py`` binds ``hull`` as a module
+and imports none of its names, so the benchmark's tracer, which wraps
+every function ``evaluate`` imports by name, keeps hull time inside the
+evaluator's own.
 """
 
 from __future__ import annotations
@@ -125,3 +132,32 @@ def test_every_defaulted_parameter_is_passed():
 def test_every_allowed_unpassed_parameter_is_still_unpassed():
     stale = sorted(ALLOWED_UNPASSED.keys() - _unpassed())
     assert not stale, f"drop these from ALLOWED_UNPASSED: {stale}"
+
+
+def _package_imports(path: Path) -> list[tuple[str, str]]:
+    """(module, name) of every import in ``path`` from the oagw package,
+    name "" for a plain ``import``; ``from . import m`` gives ("oagw", "m")."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            out += [(a.name, "") for a in node.names if a.name.split(".")[0] == "oagw"]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["oagw" if node.level else "", node.module]))
+            if module.split(".")[0] == "oagw":
+                out += [(module, a.name) for a in node.names]
+    return out
+
+
+def test_the_hull_imports_only_formulas():
+    reached = {
+        f"oagw.{name}" if module == "oagw" else module
+        for module, name in _package_imports(PACKAGE / "hull.py")
+    }
+    assert reached <= {"oagw.formulas"}, f"hull.py reaches {sorted(reached)}"
+
+
+def test_evaluate_binds_the_hull_as_a_module():
+    imports = _package_imports(PACKAGE / "evaluate.py")
+    assert ("oagw", "hull") in imports
+    names = sorted(name for module, name in imports if module == "oagw.hull" and name)
+    assert not names, f"evaluate.py imports {names} from the hull by name"
