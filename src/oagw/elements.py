@@ -645,7 +645,8 @@ def parse_element(text: str, construction: Construction) -> GroupElement:
             vt = val_text.strip()
             if "/" in vt:
                 raise ParseError(text, val_base, f"{pos} takes integer polynomials")
-            raw = _parse_poly(text, val_base, vt)
+            # the terms' offsets count from the value's first non-blank
+            raw = _parse_poly(text, val_base + len(val_text) - len(val_text.lstrip()), vt)
         else:
             m = _RAT_RE.fullmatch(val_text)
             if m is None:

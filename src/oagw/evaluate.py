@@ -151,43 +151,21 @@ _UNKNOWN = Verdict(Truth.UNKNOWN, None, "fragment bounds exhausted")
 # a junction before itself; the rest becomes closures only when the
 # quantifier itself is built and searches, so a skipped quantifier builds
 # none, nor does anything under it.  A moved part is built with the
-# junction it moved into, in the scope its terms hoist into.  A term
-# becomes a closure over the environment: a variable is read, a constant
-# kept, a term without the innermost quantifier's variable is summed
-# from its bindings once per run of that quantifier (at the top level,
-# once per run), and a term with it adds only that summand per
-# candidate.  The environment is one dict,
-# extended by each quantifier while its body runs.  A run puts a clone
-# of its config, with fresh pool memos, into the program's one-slot
-# cell, where every search and skip reads it, so the memos live for one
-# run; no run re-enters its own program, so one slot is enough.
+# junction it moved into.  A term becomes a closure over the
+# environment: a constant is kept, a lone variable read, and any other
+# term summed from its bindings at each call.  The environment is one
+# dict, extended by each quantifier while its body runs.  A run puts a
+# clone of its config, with fresh pool memos, into the program's
+# one-slot cell, where every search and skip reads it, so the memos live
+# for one run; no run re-enters its own program, so one slot is enough.
 _Compiled = Callable[[dict[str, GroupElement]], Verdict]
 _TermFn = Callable[[dict[str, GroupElement]], GroupElement]
 
 
-class _Scope:
-    """The innermost quantifier around an atom, seen from the atom's terms.
-
-    Terms that need arithmetic but do not mention ``var`` keep their
-    value for a whole run of the quantifier: they are registered here,
-    evaluated once when a run starts, and read back per candidate.
-    """
-
-    def __init__(self, var: str) -> None:
-        self.var = var
-        self.terms: list[_TermFn] = []
-        self.values: list[GroupElement] = []
-
-    def hoist(self, term: _TermFn) -> _TermFn:
-        k, values = len(self.terms), self.values
-        self.terms.append(term)
-        return lambda env: values[k]
-
-
 class _Node:
-    """A subformula, miniscoped, waiting for the scope of its atoms.
+    """A subformula, miniscoped, waiting to be built into closures.
 
-    ``conj`` is None for a leaf, which ``leaf(scope)`` compiles.
+    ``conj`` is None for a leaf, which ``leaf()`` compiles.
     Otherwise the node is a junction (``&`` if ``conj``, else ``|``) of
     ``parts``, none of them a junction of the same kind.  ``fixed``
     marks a node that holds a quantifier: its fragments read every
@@ -202,17 +180,17 @@ class _Node:
         self.fixed: bool = fixed
         self.conj: Optional[bool] = conj
         self.parts: tuple[_Node, ...] = parts
-        self.leaf: Optional[Callable[[Optional[_Scope]], _Compiled]] = leaf
+        self.leaf: Optional[Callable[[], _Compiled]] = leaf
         self.own: Optional[Callable[[bool], hull.Dnf]] = own
 
     def flat(self, conj: bool) -> tuple["_Node", ...]:
         """The parts of self as one side of a junction of kind ``conj``."""
         return self.parts if self.conj is conj else (self,)
 
-    def build(self, scope: Optional[_Scope]) -> _Compiled:
+    def build(self) -> _Compiled:
         if self.conj is None:
-            return self.leaf(scope)
-        return _compile_junction(self.conj, [p.build(scope) for p in self.parts])
+            return self.leaf()
+        return _compile_junction(self.conj, [p.build() for p in self.parts])
 
     def hull(self, truth: bool) -> hull.Dnf:
         """A condition that holds in the divisible hull wherever the node
@@ -259,7 +237,7 @@ def compile_formula(construction: Construction, f: Formula) -> Program:
     """
     cell: list[Optional[FragmentConfig]] = [None]
     root = _compile(construction, f, False, cell, [])
-    return Program(construction, root.fv, root.build(None), cell)
+    return Program(construction, root.fv, root.build(), cell)
 
 
 def run_program(
@@ -309,7 +287,7 @@ def _compile(
         value = f.value != neg
         verdict = _TRUE if value else _FALSE
         own = lambda truth: hull.TOP if truth is value else hull.NONE
-        return _Node(frozenset(), False, None, (), lambda scope: lambda env: verdict, own)
+        return _Node(frozenset(), False, None, (), lambda: lambda env: verdict, own)
     if isinstance(f, ATOMS):
         for t in (f.lhs, f.rhs):
             if t.const is not None:
@@ -389,7 +367,7 @@ def _compile_quantifier(
             known.append(hull.exists(body.hull(conj), var))
         return known[0]
 
-    def leaf(scope: Optional[_Scope]) -> _Compiled:
+    def leaf() -> _Compiled:
         # the body is built only when the quantifier searches, so under a
         # skipped quantifier nothing is
         if not own(conj):  # hull.NONE: the search could only end Unknown
@@ -410,17 +388,13 @@ def _search(
 ) -> _Compiled:
     """The search of ``E var. body`` (conj) or ``A var. body`` over the
     fragment of the bindings and ``consts``."""
-    inner = _Scope(var)
-    run_body = body.build(inner)
-    hoisted, values = inner.terms, inner.values
+    run_body = body.build()
     # an existential stops on a witness, a universal on a counterexample
     stop, reason = (Truth.TRUE, "") if conj else (Truth.FALSE, "counterexample")
 
     def search(env: dict[str, GroupElement]) -> Verdict:
         params = list(env.values()) + consts
         shadowed = env.get(var)
-        if hoisted:
-            values[:] = [term(env) for term in hoisted]
         found = None
         for cand in iter_fragment(params, cell[0], construction):
             env[var] = cand
@@ -447,26 +421,16 @@ def _skip(
     return _UNKNOWN
 
 
-def _compile_term(construction: Construction, t: Term, scope: Optional[_Scope]) -> _TermFn:
-    """``t`` as a closure that does per candidate only the work that
-    depends on the variable of the innermost quantifier around it."""
+def _compile_term(construction: Construction, t: Term) -> _TermFn:
+    """``t`` as a closure over the environment: a constant evaluated
+    once, a lone variable read, any other term summed at each call."""
     if not t.coeffs:
         value = t.evaluate(construction, {})
         return lambda env: value
     var = t.is_single_var()
     if var is not None:
         return itemgetter(var)
-    if scope is None:
-        return _sum_term(t)
-    own = [c for v, c in t.coeffs if v == scope.var]
-    if not own:
-        return scope.hoist(_sum_term(t))
-    # the summand k * var is added to the rest, which a run holds fixed
-    own_fn = _summand(scope.var, sum(own))
-    rest = Term(tuple(c for c in t.coeffs if c[0] != scope.var), t.const)
-    if not rest.coeffs and rest.const is None:
-        return own_fn
-    return _plus(_compile_term(construction, rest, scope), own_fn)
+    return _sum_term(t)
 
 
 def _sum_term(t: Term) -> _TermFn:
@@ -488,12 +452,10 @@ def _plus(f: _TermFn, g: _TermFn) -> _TermFn:
     return lambda env: f(env) + g(env)
 
 
-def _compile_atom(
-    construction: Construction, a: Atom, neg: bool, scope: Optional[_Scope]
-) -> _Compiled:
+def _compile_atom(construction: Construction, a: Atom, neg: bool) -> _Compiled:
     """``a``, or ``~a`` if ``neg``, as a closure."""
-    lhs = _compile_term(construction, a.lhs, scope)
-    rhs = _compile_term(construction, a.rhs, scope)
+    lhs = _compile_term(construction, a.lhs)
+    rhs = _compile_term(construction, a.rhs)
     yes, no = (_FALSE, _TRUE) if neg else (_TRUE, _FALSE)
     if isinstance(a, Lt):
         return lambda env: yes if lhs(env) < rhs(env) else no
@@ -517,12 +479,12 @@ def _compile_fixed_desc_lt(
     divisible by n, zero included), cong_free_below's closed form makes
     the atom ``t <= 0``, that is ``~(0 < t)``, whose hull it has.
     """
-    n, s = a.modulus, _compile_term(construction, a.lhs, None)({})
+    n, s = a.modulus, _compile_term(construction, a.lhs)({})
     d = s.lead_mod(n)
     yes, no = (_FALSE, _TRUE) if neg else (_TRUE, _FALSE)
 
-    def leaf(scope: Optional[_Scope]) -> _Compiled:
-        t = _compile_term(construction, a.rhs, scope)
+    def leaf() -> _Compiled:
+        t = _compile_term(construction, a.rhs)
         return lambda env: yes if cong_free_below_given(n, s, d, t(env)) else no
 
     # in the closed form the atom is ~(0 < t)

@@ -7,18 +7,17 @@ enumerated smallest-coefficients-first and truncated at ``size_cap``.
 
 A fragment element is a parameter part plus a pool part.  What does
 not depend on the parameters is done once per ``FragmentConfig`` and
-shared by every fragment enumerated through it: the coefficient
-vectors of layer m over n parameter axes, each flagged with whether
-it lies in layer m itself, listed once per (m, n); per construction,
-the pool checked and with zeros and repeats dropped; and, for each
-pool that survives in a fragment, the pool parts layer by layer: for
-layer m, the part of every vector with all |k| <= m (the layer's box)
-and the sub-list of those with some |k| = m (its rim), both in product
-order.  All these lists grow on demand, so a fragment that stops early
+shared by every fragment enumerated through it: per construction, the
+pool checked and with zeros and repeats dropped; and, for each pool
+that survives in a fragment, the pool parts layer by layer: for layer
+m, the part of every vector with all |k| <= m (the layer's box) and
+the sub-list of those with some |k| = m (its rim), both in product
+order.  These lists grow on demand, so a fragment that stops early
 leaves the rest uncomputed, and a fragment walks what earlier ones
-filled.  ``evaluate`` enumerates a fragment per outer binding through
-a clone of the caller's config with fresh memos, so they live for one
-call.
+filled.  A fragment generates its own parameter vectors, layer by
+layer, and walks each of them once.  ``evaluate`` enumerates a
+fragment per outer binding through a clone of the caller's config with
+fresh memos, so they live for one call.
 """
 
 from __future__ import annotations
@@ -43,8 +42,6 @@ class FragmentConfig:
     # (construction, surviving pool) -> its _PoolParts, shared by every
     # fragment enumerated through this config
     _pool_parts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (m, n) -> the _Vectors of layer m over n parameter axes
-    _vectors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.size_cap.__class__ is not int or self.coeff_bound.__class__ is not int:
@@ -70,8 +67,8 @@ class FragmentConfig:
         """
         clone = object.__new__(FragmentConfig)
         clone.__dict__.update(self.__dict__)
-        for memo in ("_pools", "_pool_parts", "_vectors"):
-            clone.__dict__[memo] = {}
+        clone.__dict__["_pools"] = {}
+        clone.__dict__["_pool_parts"] = {}
         return clone
 
     def _pool(self, construction: Construction) -> tuple[frozenset, "_PoolParts"]:
@@ -104,31 +101,6 @@ def _box(m: int, n: int) -> Iterator[tuple[int, ...]]:
     """The vectors of layer m's box over n axes, every |k| <= m, in
     product order with each axis running 0, 1, -1, ..., m, -m."""
     return itertools.product([0] + [s * k for k in range(1, m + 1) for s in (1, -1)], repeat=n)
-
-
-class _Vectors(list):
-    """The box of layer m over n axes, listed as far as asked: each item
-    is a vector and whether it lies in layer m itself (some |k| = m)."""
-
-    def __init__(self, m: int, n: int) -> None:
-        super().__init__()
-        self.m = m
-        self.total = (2 * m + 1) ** n
-        self.source = _box(m, n)
-
-    def grow(self) -> tuple[tuple[int, ...], bool]:
-        """Append the next item and return it."""
-        v, m = next(self.source), self.m
-        item = (v, m in v or -m in v)
-        self.append(item)
-        return item
-
-
-def _vectors(memo: dict, m: int, n: int) -> _Vectors:
-    vecs = memo.get((m, n))
-    if vecs is None:
-        vecs = memo[m, n] = _Vectors(m, n)
-    return vecs
 
 
 def _part(memo: dict, gens: Sequence[GroupElement], vec: tuple[int, ...]) -> GroupElement:
@@ -247,10 +219,8 @@ def iter_fragment(
     for m in range(1, cfg.coeff_bound + 1):
         layer = parts.layer(m)
         box, rim = layer.box, layer.rim
-        pvecs = _vectors(cfg._vectors, m, len(param_gens))
-        for i in range(pvecs.total):
-            pvec, in_layer = pvecs[i] if i < len(pvecs) else pvecs.grow()
-            row = box if in_layer else rim
+        for pvec in _box(m, len(param_gens)):
+            row = box if m in pvec or -m in pvec else rim
             ppart = _part(param_parts, param_gens, pvec)
             # a zero parameter part leaves the pool part as the candidate
             for acc in map(ppart.__add__, row) if ppart.entries else row:

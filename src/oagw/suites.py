@@ -133,9 +133,8 @@ class SuiteReport:
     def record(self, verdict: str, detail: str = "", **inputs) -> None:
         self.cases.append(CaseRecord({k: str(v) for k, v in inputs.items()}, verdict, detail))
 
-    def check(self, ok: bool, detail_fail: str = "", **inputs) -> bool:
+    def check(self, ok: bool, detail_fail: str = "", **inputs) -> None:
         self.record("pass" if ok else "fail", "" if ok else detail_fail, **inputs)
-        return ok
 
     @property
     def counts(self) -> dict[str, int]:

@@ -1,4 +1,4 @@
-"""The gain rule of tools/ab_pairs.py on fixed numbers."""
+"""The gain rule and the bound verdict of tools/ab_pairs.py on fixed numbers."""
 
 import importlib.util
 import json
@@ -62,6 +62,35 @@ def test_bad_input_is_rejected():
         ab_pairs.summarize(PARENT, PARENT, "faster")
 
 
+def test_better_needs_every_change_run_past_every_parent_run():
+    assert ab_pairs.bound_verdict(PARENT, [p + 10 for p in PARENT], "higher", 0.1) == "better"
+    assert ab_pairs.bound_verdict(PARENT, [p - 10 for p in PARENT], "lower", 0.1) == "better"
+    # better wins over a parent spread wider than the bound
+    assert ab_pairs.bound_verdict(PARENT, [p + 10 for p in PARENT], "higher", 0.01) == "better"
+    # one change run below the parent's best is not better, however high the median
+    mostly = [p + 10 for p in PARENT[:9]] + [108.0]
+    assert ab_pairs.bound_verdict(PARENT, mostly, "higher", 0.1) == "within"
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    # the parent's quartiles 102.25 and 106.75 lie 4.3 % of its median apart
+    assert ab_pairs.bound_verdict(PARENT, [p - 20 for p in PARENT], "higher", 0.04) == "unresolved"
+    assert ab_pairs.bound_verdict(PARENT, [p - 20 for p in PARENT], "higher", 0.05) == "worse"
+
+
+def test_worse_is_a_median_past_the_bound_in_the_wrong_direction():
+    flat = [100.0] * 5
+    assert ab_pairs.bound_verdict(flat, [90.0] * 5, "higher", 0.1) == "within"
+    assert ab_pairs.bound_verdict(flat, [89.0] * 5, "higher", 0.1) == "worse"
+    assert ab_pairs.bound_verdict(flat, [110.0] * 5, "lower", 0.1) == "within"
+    assert ab_pairs.bound_verdict(flat, [111.0] * 5, "lower", 0.1) == "worse"
+    # a setup time 20 % slower against a bound of 25 %
+    assert ab_pairs.bound_verdict([0.2] * 3, [0.24] * 3, "lower", 0.25) == "within"
+    assert ab_pairs.bound_verdict([0.2] * 3, [0.26] * 3, "lower", 0.25) == "worse"
+    # no movement at all, ties included, is within
+    assert ab_pairs.bound_verdict(flat, flat, "higher", 0.1) == "within"
+
+
 _REPO = Path(__file__).resolve().parent.parent
 
 
@@ -91,6 +120,10 @@ def test_the_pair_line_shows_the_chosen_metric(monkeypatch, capsys, tmp_path):
     assert lines[0] == "pair 0 (seed 5): request_p50_ms parent 0.2  change 0.15"
     assert lines[1] == "pair 1 (seed 6): request_p50_ms change 0.15  parent 0.2"
     assert calls == [("parent", 5), ("change", 5), ("change", 6), ("parent", 6)]
+    # each metric's row ends in its verdict against its bound
+    rows = {line.split()[0]: line for line in lines[4:]}
+    assert rows["cases_per_s"].endswith("worse (0.22)")
+    assert rows["request_p50_ms"].endswith("better (0.22)")
     # cases_per_s unless a metric is named
     assert ab_pairs.main(argv) == 0
     assert capsys.readouterr().out.startswith("pair 0 (seed 5): cases_per_s parent 0.2")

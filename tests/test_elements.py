@@ -586,6 +586,10 @@ class TestText:
             ("  {G9: 1}", 3, "bad position 'G9'"),
             (" {G2[0].c: 1/0}", 10, "zero denominator in '1/0'"),
             ("  nonsense", 2, "expected '{...}' or '0'"),
+            # a polynomial's terms count past the blanks before the value
+            ("{G2[0].s: 1 + x}", 12, "expected polynomial term"),
+            ("{G2[0].s:   1 + x}", 14, "expected polynomial term"),
+            ("{G2[0].s:1 + x}", 11, "expected polynomial term"),
         ],
     )
     def test_offsets_count_from_the_start_of_the_text(self, text, at, message):

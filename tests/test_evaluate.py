@@ -224,8 +224,8 @@ class TestQuantifiers:
         # every fragment of the call reads one copy; the caller's memo stays empty
         assert len(seen) > 1 and all(c is seen[0] for c in seen)
         assert seen[0] is not cfg and seen[0] == cfg and seen[0]._pool_parts
-        assert seen[0]._pools and seen[0]._vectors
-        assert not cfg._pool_parts and not cfg._pools and not cfg._vectors
+        assert seen[0]._pools
+        assert not cfg._pool_parts and not cfg._pools
         assert evaluate(LAMBDA, f, {}, cfg) == first
         assert seen[-1] is not seen[0] and not cfg._pool_parts and not cfg._pools
 
@@ -653,8 +653,8 @@ POOL_TEXTS = [
     ("{G2[0].c: 1}", "{G2[1].s: 1}", "{G1[0].c: 1}"),
     ("{G2[0].c: 1/5, G1[1].s[0]: 2}", "{G1[0].s[2]: -3}", "{G2[2].c: -2, G2[1].s: 3}"),
 ]
-# Terms an atom can compute once per run of its innermost quantifier,
-# and the cases that must not be hoisted.
+# Reference cases for terms of several summands whose variables are
+# bound at different depths, shadowed or bound by sibling quantifiers.
 HOISTING_SHAPES = [
     "A x. A y. E z. x + y = 2*z",
     "E x. E y. E z. x + y = 2*z & y < x",
@@ -667,7 +667,7 @@ HOISTING_SHAPES = [
     # the inner x shadows the outer one in every term below it
     "E x. E y. E x. x + y = P1 + P0 & P0 < y",
     "E x. E y. (E x. x + y = P1) & cong(2, x + y, P0)",
-    # sibling quantifiers: each hoists only for itself
+    # sibling quantifiers, each binding a variable of its own terms
     "E x. (E y. x + x = y + P0) & (E z. 2*x + z = P1 | z < x + P2)",
     "A x. A y. (A z. x + y < z | z < x - y) & (A w. ~(x + y = w + w))",
 ]

@@ -110,7 +110,6 @@ def test_smallest_valid_config():
     assert list(iter_fragment([], filled, LAMBDA)) == [zero(LAMBDA), a]
     assert filled._pool_parts and not replace(filled)._pool_parts
     assert filled._pools and not replace(filled)._pools
-    assert filled._vectors and not replace(filled)._vectors
     assert replace(filled) == filled
 
 

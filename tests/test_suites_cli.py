@@ -246,6 +246,13 @@ def test_eval_pool_error_counts_from_the_start_of_the_literal(capsys):
     assert captured.err == "error: at index 10: zero denominator in '1/0' in ' {G2[0].c: 1/0}'\n"
 
 
+def test_eval_pool_polynomial_error_points_at_the_bad_term(capsys):
+    rc = main(["eval", "--formula", "E x. x = x", "--pool", "{G2[0].s:   1 + x}"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "error: at index 14: expected polynomial term in '{G2[0].s:   1 + x}'\n"
+
+
 def _eval_in_a_child_process(*args):
     src = str(Path(oagw.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)

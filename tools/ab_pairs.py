@@ -21,6 +21,13 @@ gain may be claimed: the change wins at least nine tenths of the pairs,
 and its median beats the parent's, in the metric's better direction,
 by more than the distance between the parent's quartiles.
 
+It also prints the metric's verdict against its ``bound`` in
+``BENCHMARK.json``, a fraction of the parent's median: ``better`` when
+every change run beats every parent run; else ``unresolved`` when the
+parent's quartiles lie further apart than the bound; else ``worse``
+when the change's median is worse than the parent's by more than the
+bound; else ``within``.
+
 Only the standard library is used; the script is not part of the test
 suite and changes nothing in either checkout but the bytecode caches.
 """
@@ -69,6 +76,20 @@ def summarize(parent: list[float], change: list[float], better: str) -> Summary:
     return Summary(p, c, wins, len(parent), gain)
 
 
+def bound_verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """``better``, ``unresolved``, ``worse`` or ``within``: the runs of
+    each side against the metric's relative ``bound``."""
+    sign = 1 if better == "higher" else -1
+    if min(sign * c for c in change) > max(sign * p for p in parent):
+        return "better"
+    q1, median, q3 = quartiles(parent)
+    if q3 - q1 > bound * abs(median):
+        return "unresolved"
+    if sign * (quartiles(change)[1] - median) < -bound * abs(median):
+        return "worse"
+    return "within"
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
     """One benchmark run in ``checkout``: its end-to-end metrics by name."""
     shutil.rmtree(checkout / "src" / "oagw" / "__pycache__", ignore_errors=True)
@@ -102,7 +123,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--pairs must be at least 1")
 
     with open(args.parent / "BENCHMARK.json") as fh:
-        metrics = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        metrics = {m["name"]: (m["better"], m["bound"]) for m in json.load(fh)["end_to_end"]}
     if args.metric not in metrics:
         parser.error(f"--metric must be one of {', '.join(metrics)}, got {args.metric!r}")
     runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
@@ -116,13 +137,15 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"\n{args.workload}: {args.pairs} pairs of {args.seconds:g} s")
     print(f"{'metric':<16}{'parent q1/med/q3':>30}{'change q1/med/q3':>30}{'median':>9}"
-          f"{'wins':>7}  gain")
-    for name, better in metrics.items():
-        s = summarize([r[name] for r in runs["parent"]], [r[name] for r in runs["change"]], better)
+          f"{'wins':>7}  gain  bound")
+    for name, (better, bound) in metrics.items():
+        parent, change = [r[name] for r in runs["parent"]], [r[name] for r in runs["change"]]
+        s = summarize(parent, change, better)
         moved = (s.change[1] / s.parent[1] - 1) * 100 if s.parent[1] else 0.0
         print(f"{name:<16}{'/'.join(f'{v:.4g}' for v in s.parent):>30}"
               f"{'/'.join(f'{v:.4g}' for v in s.change):>30}{moved:>+8.1f}%"
-              f"{s.wins:>4}/{s.pairs:<2}  {'yes' if s.gain else 'no'}")
+              f"{s.wins:>4}/{s.pairs:<2}  {'yes' if s.gain else 'no':<4}"
+              f"  {bound_verdict(parent, change, better, bound)} ({bound:g})")
     return 0
 
 
