@@ -639,14 +639,14 @@ def parse_element(text: str, construction: Construction) -> GroupElement:
             pos = Position(G1, int(block), CIRCLE)
         if pos in components:
             raise ParseError(text, offset, f"duplicate position {pos}")
-        val_base = offset + len(pos_text) + 1
+        # value errors point at the value's first non-blank
+        val_base = offset + len(pos_text) + 1 + len(val_text) - len(val_text.lstrip())
         raw: Union[int, Fraction, dict[int, int]]
         if uses_poly(construction, pos):
             vt = val_text.strip()
             if "/" in vt:
                 raise ParseError(text, val_base, f"{pos} takes integer polynomials")
-            # the terms' offsets count from the value's first non-blank
-            raw = _parse_poly(text, val_base + len(val_text) - len(val_text.lstrip()), vt)
+            raw = _parse_poly(text, val_base, vt)
         else:
             m = _RAT_RE.fullmatch(val_text)
             if m is None:

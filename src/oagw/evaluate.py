@@ -9,13 +9,14 @@ therefore sound for the infinite structure.
 A formula is compiled once, by ``compile_formula``, into a ``Program``
 that ``run_program`` runs under any number of configs; ``evaluate``
 compiles and runs once.  Compiling binds no config: a run puts its
-config, cloned with fresh pool memos, into the program's one-slot cell,
-where every search and every skipped quantifier reads it.  One slot is
-enough, because no run re-enters its own program.  So ``closure_audit``
-compiles each sentence once and runs it under the full-group config
-and, when that run decides True, under the image config.  Errors come
-in a fixed order: a binding of another construction, then, at compile
-time, a constant of another construction, then an unbound variable.
+config, a plain frozen value, into the program's one-slot cell, where
+every search and every skipped quantifier reads it; each fragment keeps
+its memos to itself.  One slot is enough, because no run re-enters its
+own program.  So ``closure_audit`` compiles each sentence once and runs
+it under the full-group config and, when that run decides True, under
+the image config.  Errors come in a fixed order: a binding of another
+construction, then, at compile time, a constant of another
+construction, then an unbound variable.
 
 Formulas are compiled in negation normal form: ``~`` is pushed through
 ``&``, ``|``, ``->`` and ``~~`` down to the atoms, and through the
@@ -154,10 +155,10 @@ _UNKNOWN = Verdict(Truth.UNKNOWN, None, "fragment bounds exhausted")
 # junction it moved into.  A term becomes a closure over the
 # environment: a constant is kept, a lone variable read, and any other
 # term summed from its bindings at each call.  The environment is one
-# dict, extended by each quantifier while its body runs.  A run puts a
-# clone of its config, with fresh pool memos, into the program's
-# one-slot cell, where every search and skip reads it, so the memos live
-# for one run; no run re-enters its own program, so one slot is enough.
+# dict, extended by each quantifier while its body runs.  A run puts
+# its config into the program's one-slot cell, where every search and
+# skip reads it; the config holds no memo, since each fragment keeps its
+# own.  No run re-enters its own program, so one slot is enough.
 _Compiled = Callable[[dict[str, GroupElement]], Verdict]
 _TermFn = Callable[[dict[str, GroupElement]], GroupElement]
 
@@ -249,7 +250,7 @@ def run_program(
     missing = program.fv - set(env)
     if missing:
         raise KeyError(f"unbound variables: {sorted(missing)}")
-    program.cell[0] = cfg._with_fresh_memo()
+    program.cell[0] = cfg
     return program.root(dict(env))
 
 

@@ -5,43 +5,37 @@ finite fragment: all integer combinations of the supplied parameters
 and generator pool with coefficients bounded by ``coeff_bound``,
 enumerated smallest-coefficients-first and truncated at ``size_cap``.
 
-A fragment element is a parameter part plus a pool part.  What does
-not depend on the parameters is done once per ``FragmentConfig`` and
-shared by every fragment enumerated through it: per construction, the
-pool checked and with zeros and repeats dropped; and, for each pool
-that survives in a fragment, the pool parts layer by layer: for layer
-m, the part of every vector with all |k| <= m (the layer's box) and
-the sub-list of those with some |k| = m (its rim), both in product
-order.  These lists grow on demand, so a fragment that stops early
-leaves the rest uncomputed, and a fragment walks what earlier ones
-filled.  A fragment generates its own parameter vectors, layer by
-layer, and walks each of them once.  ``evaluate`` enumerates a
-fragment per outer binding through a clone of the caller's config with
-fresh memos, so they live for one call.
+A fragment element is a parameter part plus a pool part.  Each
+``iter_fragment`` call keeps its own memos: it drops zero, repeated and
+parameter generators from the pool, sums parameter and pool parts into
+two memos keyed by coefficient vector, and, for each layer m, lists the
+pool parts of every vector with all |k| <= m (the layer's box) and the
+sub-list of those with some |k| = m (its rim), both in product order.
+The lists grow only as far as the walk reaches, so a fragment that
+stops early leaves the rest uncomputed.  ``FragmentConfig`` is a plain
+frozen value that serves any number of fragments in any interleaving.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 from .elements import Construction, ConstructionMismatch, GroupElement, zero
 
 
 @dataclass(frozen=True)
 class FragmentConfig:
+    """The bounds of a fragment: ``coeff_bound`` on every coefficient,
+    the ``generator_pool`` spanned beside the parameters, and
+    ``size_cap`` on the elements yielded.  ``seed`` is carried for the
+    callers that record it; nothing in this package reads it."""
+
     coeff_bound: int = 3
     generator_pool: tuple[GroupElement, ...] = ()
     size_cap: int = 2000
     seed: int = 0
-    # construction -> (the pool without zeros and repeats as a set, its
-    # _PoolParts); a pool of another construction raises and is never
-    # stored
-    _pools: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (construction, surviving pool) -> its _PoolParts, shared by every
-    # fragment enumerated through this config
-    _pool_parts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.size_cap.__class__ is not int or self.coeff_bound.__class__ is not int:
@@ -59,42 +53,12 @@ class FragmentConfig:
                 f"generator_pool must be a tuple of GroupElement, got {self.generator_pool!r}"
             )
 
-    def _with_fresh_memo(self) -> "FragmentConfig":
-        """This config with empty memos of its own.
-
-        The fields were validated when this config was built, so unlike
-        ``dataclasses.replace`` the clone does not rerun ``__post_init__``.
-        """
-        clone = object.__new__(FragmentConfig)
-        clone.__dict__.update(self.__dict__)
-        clone.__dict__["_pools"] = {}
-        clone.__dict__["_pool_parts"] = {}
-        return clone
-
-    def _pool(self, construction: Construction) -> tuple[frozenset, "_PoolParts"]:
-        """The pool's nonzero generators as a set, and their parts, which
-        list them without repeats."""
-        entry = self._pools.get(construction)
-        if entry is None:
-            self._check_pool(construction)
-            pool = tuple(dict.fromkeys([g for g in self.generator_pool if not g.is_zero()]))
-            parts = self._parts(construction, pool)
-            entry = self._pools[construction] = (frozenset(pool), parts)
-        return entry
-
     def _check_pool(self, construction: Construction) -> None:
         """Raise ``ConstructionMismatch`` for a pool generator of another
         construction."""
         for g in self.generator_pool:
             if g.construction is not construction:
                 raise ConstructionMismatch("fragment parameters mix constructions")
-
-    def _parts(self, construction: Construction, pool: tuple[GroupElement, ...]) -> "_PoolParts":
-        parts = self._pool_parts.get((construction, pool))
-        if parts is None:
-            parts = _PoolParts(pool, zero(construction))
-            self._pool_parts[construction, pool] = parts
-        return parts
 
 
 def _box(m: int, n: int) -> Iterator[tuple[int, ...]]:
@@ -124,54 +88,6 @@ def _part(memo: dict, gens: Sequence[GroupElement], vec: tuple[int, ...]) -> Gro
     return acc
 
 
-class _PoolParts:
-    """The parts of one surviving pool: sums by vector, lists by layer."""
-
-    __slots__ = ("gens", "sums", "layers")
-
-    def __init__(self, gens: tuple[GroupElement, ...], z: GroupElement) -> None:
-        self.gens = gens
-        self.sums = {(0,) * len(gens): z}
-        self.layers: dict[int, _Layer] = {}
-
-    def layer(self, m: int) -> "_Layer":
-        layer = self.layers.get(m)
-        if layer is None:
-            layer = self.layers[m] = _Layer(self, m)
-        return layer
-
-
-class _Layer:
-    """Layer m of a pool: the parts of its box and of its rim, as far as
-    a fragment has walked them.
-
-    ``vecs`` runs over the box's vectors and is None once both lists are
-    complete.
-    """
-
-    __slots__ = ("pool", "m", "vecs", "box", "rim")
-
-    def __init__(self, pool: _PoolParts, m: int) -> None:
-        self.pool, self.m = pool, m
-        self.vecs: Optional[Iterator] = _box(m, len(pool.gens))
-        self.box: list[GroupElement] = []
-        self.rim: list[GroupElement] = []
-
-    def grow(self) -> bool:
-        """Append the next vector's part; False once the layer is complete."""
-        if self.vecs is None:
-            return False
-        vec = next(self.vecs, None)
-        if vec is None:
-            self.vecs = None
-            return False
-        part = _part(self.pool.sums, self.pool.gens, vec)
-        self.box.append(part)
-        if self.m in vec or -self.m in vec:
-            self.rim.append(part)
-        return True
-
-
 def iter_fragment(
     params: Sequence[GroupElement],
     cfg: FragmentConfig,
@@ -184,13 +100,11 @@ def iter_fragment(
     largest |coefficient| is m, in product order with each axis running
     0, 1, -1, ..., m, -m.  Stops at ``size_cap``, and after zero when no
     generator is nonzero; rejects params and pool generators of another
-    construction.  Walks, and grows on demand, the config's per-layer
-    lists of pool parts.
+    construction.
     """
-    pool_set, parts = cfg._pool(construction)
+    cfg._check_pool(construction)
     z = zero(construction)
-    # the distinct nonzero params are both the ones yielded and the
-    # parameter axes
+    # the distinct nonzero params are yielded and are the parameter axes
     seen: set = {z}
     param_gens: list[GroupElement] = []
     for p in params:
@@ -205,20 +119,19 @@ def iter_fragment(
     yield from param_gens[: size_cap - 1]
     if len(seen) >= size_cap:
         return
-    if not seen.isdisjoint(pool_set):
-        # a param that is a pool generator takes that generator's axis
-        parts = cfg._parts(construction, tuple([g for g in parts.gens if g not in seen]))
-    if not param_gens and not parts.gens:
+    # a param that is a pool generator takes that generator's axis
+    pool_gens = tuple(dict.fromkeys([g for g in cfg.generator_pool if g not in seen]))
+    if not param_gens and not pool_gens:
         return
-    # A vector's sum is its parameter part plus its pool part.  The
-    # parameter part is read from a memo keyed by its coefficient vector;
-    # the pool parts of a layer are walked as a list, the whole box when
-    # the parameter vector is in the layer and the rim otherwise.  Layer
-    # 0 is skipped: its one vector sums to zero.
+    # A vector's sum is its parameter part plus its pool part, each read
+    # from a memo keyed by its coefficient vector.  A layer's pool parts
+    # are listed too, and the whole box is walked when the parameter
+    # vector is in the layer, the rim otherwise.  Layer 0 sums to zero.
     param_parts = {(0,) * len(param_gens): z}
+    pool_parts = {(0,) * len(pool_gens): z}
     for m in range(1, cfg.coeff_bound + 1):
-        layer = parts.layer(m)
-        box, rim = layer.box, layer.rim
+        vecs = _box(m, len(pool_gens))  # the pool vectors not yet listed
+        box, rim = [], []
         for pvec in _box(m, len(param_gens)):
             row = box if m in pvec or -m in pvec else rim
             ppart = _part(param_parts, param_gens, pvec)
@@ -230,16 +143,15 @@ def iter_fragment(
                     yield acc
                     if len(seen) >= size_cap:
                         return
-            if layer.vecs is None:
-                continue
-            # past the parts computed so far, grow the layer one vector at
-            # a time; another fragment may grow it while this one waits
-            j = len(row)
-            while j < len(row) or layer.grow():
-                if j == len(row):
+            # past the listed parts, list the layer one vector at a time
+            for vec in vecs:
+                part = _part(pool_parts, pool_gens, vec)
+                box.append(part)
+                if m in vec or -m in vec:
+                    rim.append(part)
+                elif row is rim:
                     continue
-                acc = ppart + row[j] if ppart.entries else row[j]
-                j += 1
+                acc = ppart + part if ppart.entries else part
                 n = len(seen)
                 seen.add(acc)
                 if len(seen) > n:

@@ -39,6 +39,16 @@ def test_nine_of_ten_wins_are_needed():
     assert s.wins == 8 and s.gain is False
 
 
+def test_fewer_than_ten_pairs_claim_no_gain():
+    # every pair won by far more than the parent's spread, but too few pairs
+    four = ab_pairs.summarize(PARENT[:4], [p + 50 for p in PARENT[:4]], "higher")
+    assert (four.wins, four.pairs, four.gain) == (4, 4, False)
+    nine = ab_pairs.summarize(PARENT[:9], [p + 50 for p in PARENT[:9]], "higher")
+    assert (nine.wins, nine.gain) == (9, False)
+    ten = ab_pairs.summarize(PARENT, [p + 50 for p in PARENT], "higher")
+    assert (ten.wins, ten.gain) == (10, True)
+
+
 def test_the_median_gap_must_pass_the_parent_iqr():
     # every pair won, but by 1 against a parent IQR of 4.5
     s = ab_pairs.summarize(PARENT, [p + 1 for p in PARENT], "higher")

@@ -570,7 +570,7 @@ class TestText:
         text = "{G2[0].s: 1/2, G2[0].c: 1/2}"
         with pytest.raises(ParseError) as err:
             parse_element(text, GAMMA)
-        assert err.value.at == text.index(": 1/2}") + 1
+        assert err.value.at == text.index(": 1/2}") + 2
 
     @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
     @pytest.mark.parametrize("value", ["1/0", "0/0", "-3 / 0"])
@@ -578,18 +578,22 @@ class TestText:
         text = f"{{G2[0].s: 1, G2[0].c: {value}}}"
         with pytest.raises(ParseError) as err:
             parse_element(text, construction)
-        assert err.value.at == text.index(f": {value}}}") + 1
+        assert err.value.at == text.index(f": {value}}}") + 2
 
     @pytest.mark.parametrize(
         "text, at, message",
         [
             ("  {G9: 1}", 3, "bad position 'G9'"),
-            (" {G2[0].c: 1/0}", 10, "zero denominator in '1/0'"),
+            (" {G2[0].c: 1/0}", 11, "zero denominator in '1/0'"),
             ("  nonsense", 2, "expected '{...}' or '0'"),
             # a polynomial's terms count past the blanks before the value
             ("{G2[0].s: 1 + x}", 12, "expected polynomial term"),
             ("{G2[0].s:   1 + x}", 14, "expected polynomial term"),
             ("{G2[0].s:1 + x}", 11, "expected polynomial term"),
+            # and so does every other error of the value
+            ("{G2[0].s:   1/2}", 12, "G2[0].s takes integer polynomials"),
+            ("{G2[0].c:   x}", 12, "bad rational 'x'"),
+            ("{G2[0].c:1/0}", 9, "zero denominator in '1/0'"),
         ],
     )
     def test_offsets_count_from_the_start_of_the_text(self, text, at, message):

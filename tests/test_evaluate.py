@@ -209,7 +209,7 @@ class TestQuantifiers:
         assert v.witness == {"x": element(LAMBDA, {g2_circle(0): 1})}
 
     def test_pool_memo_lives_for_one_call(self, monkeypatch):
-        g = element(LAMBDA, {g2_circle(0): 1})
+        g = element(LAMBDA, {g2_circle(1): 1})
         cfg = FragmentConfig(2, (g,), 40, 0)
         # a nested search that runs: E y. searches for each x above c
         f = parse_formula("E x. E y. x = y + y & {G2[0].c: 1} < x")
@@ -220,14 +220,22 @@ class TestQuantifiers:
             return iter_fragment(params, cfg, construction)
 
         monkeypatch.setattr(oagw.evaluate, "iter_fragment", recording)
+        computed, original = [], oagw.fragments._part
+
+        def computing(memo, gens, vec):
+            if vec not in memo and list(gens) == [g]:
+                computed.append(vec)
+            return original(memo, gens, vec)
+
+        monkeypatch.setattr(oagw.fragments, "_part", computing)
         first = evaluate(LAMBDA, f, {}, cfg)
-        # every fragment of the call reads one copy; the caller's memo stays empty
-        assert len(seen) > 1 and all(c is seen[0] for c in seen)
-        assert seen[0] is not cfg and seen[0] == cfg and seen[0]._pool_parts
-        assert seen[0]._pools
-        assert not cfg._pool_parts and not cfg._pools
+        # every fragment of the call reads the caller's config itself, which
+        # keeps nothing: a second call computes every pool part afresh
+        assert len(seen) > 1 and all(c is cfg for c in seen)
+        assert vars(cfg) == vars(FragmentConfig(2, (g,), 40, 0))
+        once, computed[:] = list(computed), []
         assert evaluate(LAMBDA, f, {}, cfg) == first
-        assert seen[-1] is not seen[0] and not cfg._pool_parts and not cfg._pools
+        assert computed == once != []
 
 
 # -- bounded congruence systems ----------------------------------------------
@@ -1028,15 +1036,15 @@ class TestScoping:
         assert evaluate(LAMBDA, parse_formula("0 < {G2[0].c: 1}"), {}, cfg).truth is Truth.TRUE
 
     def test_a_skipped_search_builds_no_pool_parts(self, fragment_calls, monkeypatch):
-        built, original = [], oagw.fragments._PoolParts.__init__
+        built, original = [], oagw.fragments._part
         monkeypatch.setattr(
-            oagw.fragments._PoolParts, "__init__", lambda self, *a: built.append(a) or original(self, *a)
+            oagw.fragments, "_part", lambda *a: built.append(a[2]) or original(*a)
         )
         cfg = FragmentConfig(1, (element(LAMBDA, {g2_circle(0): 1}),), 10)
         assert evaluate(LAMBDA, parse_formula("A x. E y. x = y"), {}, cfg).truth is Truth.UNKNOWN
         assert fragment_calls == [] and built == []
-        # a search builds them
-        evaluate(LAMBDA, parse_formula("E x. x = x"), {}, cfg)
+        # a search that walks past zero builds them
+        evaluate(LAMBDA, parse_formula("E x. 0 < x"), {}, cfg)
         assert built != []
 
 

@@ -246,9 +246,9 @@ class TestParseErrors:
     @pytest.mark.parametrize(
         "text, at, message",
         [
-            ("E x. x = {G2[0].c: 1/0}", 18, "zero denominator in '1/0'"),
+            ("E x. x = {G2[0].c: 1/0}", 19, "zero denominator in '1/0'"),
             ("E x. x = {G9: 1}", 10, "bad position 'G9'"),
-            ("E x. x = {G2[0].s: 1/2}", 18, "G2[0].s takes integer polynomials"),
+            ("E x. x = {G2[0].s: 1/2}", 19, "G2[0].s takes integer polynomials"),
         ],
     )
     def test_a_bad_literal_reports_its_offset_in_the_formula(self, text, at, message):
@@ -263,7 +263,7 @@ class TestParseErrors:
     def test_parse_element_keeps_offsets_within_the_literal(self):
         text = "{G2[0].c: 1/0}"
         err = _parse_error(lambda t: parse_element(t, LAMBDA), text)
-        assert str(err) == f"at index 9: zero denominator in '1/0' in {text!r}"
+        assert str(err) == f"at index 10: zero denominator in '1/0' in {text!r}"
 
 
 _NAMES = ("x", "y", "z", "u1", "v_2")

@@ -1,10 +1,11 @@
 import itertools
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oagw.fragments
 from oagw.elements import ConstructionMismatch, GAMMA, LAMBDA, element, zero
 from oagw.fragments import FragmentConfig, iter_fragment
 from oagw.positions import g1_circle, g1_square, g2_circle, g2_square
@@ -103,14 +104,29 @@ def test_smallest_valid_config():
     cfg = FragmentConfig(coeff_bound=0, generator_pool=(a,), size_cap=1)
     assert list(iter_fragment([a], cfg, LAMBDA)) == [zero(LAMBDA)]
     assert replace(cfg) == cfg
-    # the capped run stops before the pool; a run that reaches it fills
-    # the memo, and a copy starts with an empty one and still equals its
-    # original
+    # the config is its four fields and nothing else: a run that reaches
+    # the pool leaves it as a copy built afresh, and equal to that copy
+    assert [f.name for f in fields(FragmentConfig)] == [
+        "coeff_bound", "generator_pool", "size_cap", "seed"
+    ]
     filled = replace(cfg, coeff_bound=1, size_cap=2)
     assert list(iter_fragment([], filled, LAMBDA)) == [zero(LAMBDA), a]
-    assert filled._pool_parts and not replace(filled)._pool_parts
-    assert filled._pools and not replace(filled)._pools
+    assert vars(filled) == vars(replace(filled))
     assert replace(filled) == filled
+
+
+def _computed_parts(monkeypatch, gens):
+    """The coefficient vectors of the parts that fragments compute over
+    generators among ``gens``, recorded by wrapping ``_part``."""
+    computed, original, among = [], oagw.fragments._part, set(gens)
+
+    def recording(memo, part_gens, vec):
+        if vec not in memo and among.issuperset(part_gens):
+            computed.append(vec)
+        return original(memo, part_gens, vec)
+
+    monkeypatch.setattr(oagw.fragments, "_part", recording)
+    return computed
 
 
 def _reference_fragment(params, cfg):
@@ -141,7 +157,7 @@ def _reference_fragment(params, cfg):
     return out
 
 
-def _pools():
+def _pool_cases():
     a = element(LAMBDA, {S00: {0: 1, 2: -1}})
     b = element(LAMBDA, {S00: {1: 2}, g2_circle(0): Fraction(1, 2)})
     g = element(LAMBDA, {g2_square(1): {0: 1}})
@@ -158,7 +174,7 @@ def _pools():
 
 @pytest.mark.parametrize("coeff_bound,size_cap", [(1, 10_000), (2, 37), (2, 10_000), (3, 200)])
 def test_matches_naive_reference(coeff_bound, size_cap):
-    for params, pool in _pools():
+    for params, pool in _pool_cases():
         cfg = FragmentConfig(coeff_bound, pool, size_cap)
         got = list(iter_fragment(params, cfg, pool[0].construction))
         assert got == _reference_fragment(params, cfg)
@@ -167,14 +183,15 @@ def test_matches_naive_reference(coeff_bound, size_cap):
 @pytest.mark.parametrize("coeff_bound,size_cap", [(1, 10_000), (2, 37), (3, 200)])
 def test_one_config_reused_matches_naive_reference(coeff_bound, size_cap):
     # a param that is zero or a pool generator drops an axis of the pool,
-    # so the config's memo keeps one table per surviving pool
-    for params, pool in _pools():
+    # so the calls through one config span different pools; none leaves
+    # anything behind in the config
+    for params, pool in _pool_cases():
         construction = pool[0].construction
         cfg = FragmentConfig(coeff_bound, pool, size_cap)
         calls = [params, [], params[:1], [pool[0]], params, [zero(construction)], []]
         for p in calls:
             assert list(iter_fragment(p, cfg, construction)) == _reference_fragment(p, cfg)
-        assert 1 < len(cfg._pool_parts) < len(calls)
+        assert vars(cfg) == vars(FragmentConfig(coeff_bound, pool, size_cap))
 
 
 def test_matches_naive_reference_five_generators():
@@ -195,7 +212,7 @@ def _shared_calls(construction):
     rng = case_rng(17, 0 if construction is LAMBDA else 1)
     pool = tuple(random_element(rng, construction, 2) for _ in range(3))
     p, q = (random_element(rng, construction, 2) for _ in range(2))
-    # the same pool survives in some calls and loses an axis in others
+    # the whole pool is spanned in some calls and loses an axis in others
     return pool, [[], [p], [pool[1]], [p, q], [zero(construction)], [q, q], [p], []]
 
 
@@ -213,7 +230,8 @@ def test_shared_pool_matches_naive_reference(construction, coeff_bound, size_cap
 def test_shared_pool_after_an_abandoned_and_a_suspended_fragment(construction):
     pool, calls = _shared_calls(construction)
     cfg = FragmentConfig(2, pool, 80)
-    # an existential stops after a few candidates: the shared sums stop there
+    # an existential stops after a few candidates, and a later fragment
+    # through the same config starts afresh
     abandoned = iter_fragment([], cfg, construction)
     assert list(itertools.islice(abandoned, 6)) == _reference_fragment([], cfg)[:6]
     abandoned.close()
@@ -228,19 +246,21 @@ def test_shared_pool_after_an_abandoned_and_a_suspended_fragment(construction):
 
 @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
 @pytest.mark.parametrize("call", [0, 1])
-def test_abandoned_fragment_computes_no_part_it_did_not_reach(construction, call):
+def test_abandoned_fragment_computes_no_part_it_did_not_reach(construction, call, monkeypatch):
     # the pool parts of a layer are computed as the walk reaches them:
-    # each one the fragment computed was a candidate it yielded, apart
-    # from the zero vector's
+    # each one the fragment computed was a candidate it yielded
     pool, calls = _shared_calls(construction)
     params = calls[call]
+    computed = _computed_parts(monkeypatch, pool)
     for n in (1, 2, 5, 12, 30):
+        computed.clear()
         cfg = FragmentConfig(3, pool, 10_000)
         fragment = iter_fragment(params, cfg, construction)
         got = list(itertools.islice(fragment, n))
         fragment.close()
         assert got == _reference_fragment(params, replace(cfg, size_cap=n))
-        assert sum(len(parts.sums) for parts in cfg._pool_parts.values()) <= n + 1
+        # the parts computed are at most the candidates past zero and params
+        assert len(computed) <= len(got[1 + len(params):])
 
 
 @settings(max_examples=40, deadline=None)
@@ -257,7 +277,7 @@ def test_shared_pool_fragments_in_any_interleaving(construction, seed, coeff_bou
     others = [random_element(rng, construction, 2) for _ in range(2)] + list(pool)
     cfg = FragmentConfig(coeff_bound, pool, size_cap)
     # params may repeat, be zero or coincide with a pool generator, so the
-    # fragments share the whole pool or lose an axis of it
+    # fragments through one config span the whole pool or lose an axis of it
     calls = data.draw(
         st.lists(st.lists(st.sampled_from(others), max_size=2), min_size=2, max_size=5)
     )
@@ -276,7 +296,8 @@ def test_shared_pool_fragments_in_any_interleaving(construction, seed, coeff_bou
 
 
 def test_shared_empty_pool_serves_both_constructions():
-    # an empty pool is the same tuple in both constructions; its zero is not
+    # one config with an empty pool serves both constructions, each
+    # fragment starting from its own construction's zero
     cfg = FragmentConfig(2, (), 50)
     a = element(LAMBDA, {S00: {0: 1}})
     c = element(GAMMA, {g2_circle(0): Fraction(1, 3)})
@@ -286,8 +307,7 @@ def test_shared_empty_pool_serves_both_constructions():
         assert got == _reference_fragment(params, cfg)
         assert got[0] is zero(construction)
         assert all(x.construction is construction for x in got)
-    assert set(cfg._pools) == {LAMBDA, GAMMA}
-    assert set(cfg._pool_parts) == {(LAMBDA, ()), (GAMMA, ())}
+    assert vars(cfg) == vars(FragmentConfig(2, (), 50))
 
 
 def test_pool_of_another_construction_raises_on_every_call():
@@ -297,6 +317,6 @@ def test_pool_of_another_construction_raises_on_every_call():
     for _ in range(3):
         with pytest.raises(ConstructionMismatch):
             next(iter_fragment([a], cfg, LAMBDA))
-    assert not cfg._pools and not cfg._pool_parts
+    assert vars(cfg) == vars(FragmentConfig(2, (c,), 50))
     # the failed calls leave the config serving its own construction
     assert list(iter_fragment([c.scale(2)], cfg, GAMMA)) == _reference_fragment([c.scale(2)], cfg)

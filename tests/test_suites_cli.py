@@ -243,7 +243,7 @@ def test_eval_pool_error_counts_from_the_start_of_the_literal(capsys):
     rc = main(["eval", "--formula", "E x. x = x", "--pool", " {G2[0].c: 1/0}"])
     captured = capsys.readouterr()
     assert rc == 2
-    assert captured.err == "error: at index 10: zero denominator in '1/0' in ' {G2[0].c: 1/0}'\n"
+    assert captured.err == "error: at index 11: zero denominator in '1/0' in ' {G2[0].c: 1/0}'\n"
 
 
 def test_eval_pool_polynomial_error_points_at_the_bad_term(capsys):

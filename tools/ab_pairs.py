@@ -17,9 +17,10 @@ present moves ``peak_rss_mb`` and ``setup_s`` by several per cent.
 For every end-to-end metric named in the parent's ``BENCHMARK.json``
 it prints both sides' median and quartiles, the change of the median,
 the pairs the change won (ties count for neither side) and whether a
-gain may be claimed: the change wins at least nine tenths of the pairs,
-and its median beats the parent's, in the metric's better direction,
-by more than the distance between the parent's quartiles.
+gain may be claimed: there are at least ten pairs, the change wins at
+least nine tenths of them, and its median beats the parent's, in the
+metric's better direction, by more than the distance between the
+parent's quartiles.
 
 It also prints the metric's verdict against its ``bound`` in
 ``BENCHMARK.json``, a fraction of the parent's median: ``better`` when
@@ -72,7 +73,7 @@ def summarize(parent: list[float], change: list[float], better: str) -> Summary:
     sign = 1 if better == "higher" else -1
     wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
     p, c = quartiles(parent), quartiles(change)
-    gain = 10 * wins >= 9 * len(parent) and sign * (c[1] - p[1]) > p[2] - p[0]
+    gain = len(parent) >= 10 and 10 * wins >= 9 * len(parent) and sign * (c[1] - p[1]) > p[2] - p[0]
     return Summary(p, c, wins, len(parent), gain)
 
 
