@@ -166,13 +166,70 @@ def _poly_add(x: Poly, y: Poly) -> Poly:
     return (*out, *x[i:], *y[j:])
 
 
+# Rational arithmetic on the hot paths, each in one Python frame.  Fraction's
+# operators cost a dispatch frame, the operation itself, four property
+# reads and ``Fraction.__new__``; these read the ``_numerator`` and
+# ``_denominator`` slots, reduce with at most two ``math.gcd`` calls and
+# write the slots of a new Fraction, so each result is exactly the one
+# the operator returns: lowest terms over a positive denominator, and
+# 0/1 for zero.  ``Fraction._from_coprime_ints`` writes the slots the
+# same way on Python 3.12.
+
+
+def _fraction_add(a: Fraction, b: Fraction) -> Fraction:
+    """``a + b``, reduced as ``Fraction._add`` reduces it."""
+    na, da = a._numerator, a._denominator
+    nb, db = b._numerator, b._denominator
+    out = object.__new__(Fraction)
+    g = math.gcd(da, db)
+    if g == 1:
+        # a prime of da divides da * nb but neither na nor db, so not the
+        # sum; a prime of db likewise
+        out._numerator = na * db + da * nb
+        out._denominator = da * db
+        return out
+    s = da // g
+    t = na * (db // g) + nb * s
+    # a common factor of t and da * db / g divides g
+    g = math.gcd(t, g)
+    out._numerator = t // g
+    out._denominator = s * (db // g)
+    return out
+
+
+def _fraction_mul(a: Fraction, b: Fraction) -> Fraction:
+    """``a * b``: each numerator is coprime to its own denominator, so
+    cancelling it against the other one leaves lowest terms."""
+    na, da = a._numerator, a._denominator
+    nb, db = b._numerator, b._denominator
+    g1 = math.gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = math.gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    out = object.__new__(Fraction)
+    out._numerator = na * nb
+    out._denominator = da * db
+    return out
+
+
+def _fraction_neg(a: Fraction) -> Fraction:
+    """``-a``."""
+    out = object.__new__(Fraction)
+    out._numerator = -a._numerator
+    out._denominator = a._denominator
+    return out
+
+
 def _fraction_times(v: Fraction, k: int) -> Fraction:
-    """``v * k`` for a nonzero int k, without the generic multiply.
+    """``v * k`` for a nonzero int k.
 
     The numerator of v is coprime to its denominator d, so with
     g = gcd(k, d) the product numerator * (k/g) over d/g is already in
-    lowest terms; it is written into Fraction's slots without another
-    gcd (``Fraction._from_coprime_ints`` does the same on Python 3.12).
+    lowest terms.
     """
     den = v._denominator
     g = math.gcd(k, den)
@@ -184,7 +241,7 @@ def _fraction_times(v: Fraction, k: int) -> Fraction:
 
 def _value_sign(v: Value) -> int:
     """Sign of a stored, hence nonzero, value: its least slot or numerator."""
-    lead = v[0][1] if v.__class__ is tuple else v.numerator  # type: ignore[union-attr]
+    lead = v[0][1] if v.__class__ is tuple else v._numerator  # type: ignore[union-attr]
     return 1 if lead > 0 else -1
 
 
@@ -201,8 +258,8 @@ def _value_sub_sign(a: Value, b: Value) -> int:
             if ca != cb:
                 return 1 if ca > cb else -1
         return 0
-    x = a.numerator * b.denominator  # type: ignore[union-attr]
-    y = b.numerator * a.denominator  # type: ignore[union-attr]
+    x = a._numerator * b._denominator  # type: ignore[union-attr]
+    y = b._numerator * a._denominator  # type: ignore[union-attr]
     return (x > y) - (x < y)
 
 
@@ -291,7 +348,7 @@ class GroupElement:
                     r += c * (_POINT_POWERS[slot] if slot < len(_POINT_POWERS)
                               else pow(_HASH_POINT, slot, HASH_MODULUS))
             else:
-                num, den = v.numerator, v.denominator  # type: ignore[union-attr]
+                num, den = v._numerator, v._denominator  # type: ignore[union-attr]
                 if den == 1:
                     r = num
                 elif den % HASH_MODULUS:
@@ -348,9 +405,15 @@ class GroupElement:
             pa, va = ea[i]
             pb, vb = eb[j]
             if pa is pb:
-                s = _poly_add(va, vb) if vb.__class__ is tuple else va + vb  # type: ignore[arg-type, operator]
-                if s:
-                    out.append((pa, s))
+                # a zero sum is dropped; a rational one shows it in its numerator
+                if vb.__class__ is tuple:
+                    s = _poly_add(va, vb)  # type: ignore[arg-type]
+                    if s:
+                        out.append((pa, s))
+                else:
+                    s = _fraction_add(va, vb)  # type: ignore[arg-type]
+                    if s._numerator:
+                        out.append((pa, s))
                 i += 1
                 j += 1
             elif pa.key < pb.key:
@@ -365,7 +428,7 @@ class GroupElement:
         # scale(-1) without the generic multiply: each value negated as is
         h = self._hash
         return _from_canonical(self.construction, tuple([
-            (pos, tuple([(s, -c) for s, c in v]) if v.__class__ is tuple else -v)
+            (pos, tuple([(s, -c) for s, c in v]) if v.__class__ is tuple else _fraction_neg(v))
             for pos, v in self.entries
         ]), None if h is None else -h % HASH_MODULUS)
 
@@ -505,7 +568,7 @@ def _gamma_need(n: int) -> dict[int, int]:
 def _gamma_divisible_by(pos: Position, value: Fraction, need: Mapping[int, int]) -> bool:
     """Whether a GAMMA component is n-divisible, given ``_gamma_need(n)``."""
     p = _local_prime(pos)
-    return need[p] == 0 or _p_val(value.numerator, p) >= need[p]
+    return need[p] == 0 or _p_val(value._numerator, p) >= need[p]
 
 
 # the slot setters write past the immutable __setattr__ without a Python call
@@ -595,6 +658,8 @@ _TERM_RE = re.compile(
 
 
 def _parse_poly(text: str, base: int, body: str) -> dict[int, int]:
+    if not body:
+        raise ParseError(text, base, "expected polynomial term")
     coeffs: dict[int, int] = {}
     i = 0
     first = True

@@ -3,8 +3,11 @@
 A series is a finite sum of ``coeff * t^exponent`` terms ordered by the
 group order of the exponents; ``valuation`` returns the least exponent.
 Coefficients live in a prime field of characteristic p: GF(p), or the
-rationals for p = 0.  A coefficient is a plain Python number, and the
-field's arithmetic is Python's followed by one reduction modulo p.
+rationals for p = 0.  A coefficient is a plain Python number, and each
+field supplies its own sum, product and negation, which the series
+operations call on every coefficient: int arithmetic followed by one
+reduction modulo p over GF(p), and over Q the one-frame ``Fraction``
+helpers of ``oagw.elements``, which skip ``Fraction``'s operators.
 
 Membership predicates classify series by their exponents alone:
 
@@ -22,16 +25,19 @@ ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
-from typing import Iterable, Mapping, Union
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, Mapping, Union
 
 from .elements import (
     Construction,
     ConstructionMismatch,
     GroupElement,
     LAMBDA,
+    _fraction_add,
+    _fraction_mul,
+    _fraction_neg,
     unit,
     zero as group_zero,
 )
@@ -44,30 +50,50 @@ class PrimeField:
     """The prime field of characteristic p: GF(p), or the rationals for p = 0.
 
     A coefficient is a plain number, a ``Fraction`` over Q and an int in
-    ``0..p-1`` over GF(p); sums and products are Python's followed by
-    ``reduce``.
+    ``0..p-1`` over GF(p).  ``add``, ``mul`` and ``neg`` take and return
+    such coefficients: over GF(p) they are int arithmetic followed by
+    ``% p``, over Q ``Fraction``'s results written in one Python frame.
+    ``numerator`` reads a coefficient's numerator without a Python call
+    (an int is its own), so a zero sum shows without ``Fraction.__bool__``.
     """
 
     p: int
+    add: Callable = field(init=False, repr=False, compare=False)
+    mul: Callable = field(init=False, repr=False, compare=False)
+    neg: Callable = field(init=False, repr=False, compare=False)
+    numerator: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p = self.p
         if p and (p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1))):
             raise ValueError(f"{p} is not prime")
+        if p:
+            def add(a, b):
+                return (a + b) % p
+
+            def mul(a, b):
+                return a * b % p
+
+            def neg(a):
+                return -a % p
+
+            ops = (add, mul, neg, attrgetter("numerator"))
+        else:
+            ops = (_fraction_add, _fraction_mul, _fraction_neg, attrgetter("_numerator"))
+        for name, op in zip(("add", "mul", "neg", "numerator"), ops):
+            object.__setattr__(self, name, op)
 
     def __repr__(self) -> str:
         return f"GF({self.p})" if self.p else "Q"
-
-    def reduce(self, x):
-        return x % self.p if self.p else x
 
     def coerce(self, x):
         return int(x) % self.p if self.p else Fraction(x)
 
     def inv(self, a):
-        if not self.reduce(a):
+        p = self.p
+        if not (a % p if p else a):
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.p) if self.p else 1 / Fraction(a)
+        return pow(a, -1, p) if p else 1 / Fraction(a)
 
 
 QQ = PrimeField(0)
@@ -87,9 +113,9 @@ class HahnSeries:
         return self._collect(self.terms + other.terms)
 
     def __neg__(self) -> "HahnSeries":
-        reduce = self.coeff_field.reduce
+        neg = self.coeff_field.neg
         return HahnSeries(
-            self.construction, self.coeff_field, tuple([(g, reduce(-c)) for g, c in self.terms])
+            self.construction, self.coeff_field, tuple([(g, neg(c)) for g, c in self.terms])
         )
 
     def __sub__(self, other: "HahnSeries") -> "HahnSeries":
@@ -97,25 +123,26 @@ class HahnSeries:
 
     def __mul__(self, other: "HahnSeries") -> "HahnSeries":
         _compat(self, other)
-        reduce = self.coeff_field.reduce
+        mul = self.coeff_field.mul
         return self._collect(
-            [(g1 + g2, reduce(c1 * c2)) for g1, c1 in self.terms for g2, c2 in other.terms]
+            [(g1 + g2, mul(c1, c2)) for g1, c1 in self.terms for g2, c2 in other.terms]
         )
 
     def _collect(self, terms: Iterable[tuple[GroupElement, object]]) -> "HahnSeries":
         """The sum of ``terms``, each coefficient reduced and nonzero.
 
         A new exponent stores its coefficient as it comes; a repeated one
-        adds and reduces, and is dropped at zero.  The distinct exponents
-        are then sorted once by the group order.
+        adds in the field, and is dropped when the sum's numerator is
+        zero.  The distinct exponents are then sorted once by the group
+        order.
         """
-        reduce = self.coeff_field.reduce
+        add, numerator = self.coeff_field.add, self.coeff_field.numerator
         acc: dict[GroupElement, object] = {}
         for g, c in terms:
             old = acc.get(g)
             if old is None:
                 acc[g] = c
-            elif s := reduce(old + c):
+            elif numerator(s := add(old, c)):
                 acc[g] = s
             else:
                 del acc[g]

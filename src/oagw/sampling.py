@@ -226,7 +226,7 @@ def random_element(
     comps = {}
     for _ in range(n):
         rank, pos = _position(g)
-        comps[rank] = (pos, random_value(rng, construction, pos))
+        comps[rank] = (pos, _value(g, rats, pos))
     # at least one component, each of a nonzero value: never zero
     return _sampled(construction, comps)
 
@@ -303,7 +303,8 @@ def random_series(
             if e.construction is not construction:
                 raise ConstructionMismatch("exponent from the wrong construction")
             terms.append([e, c])
-    kept = [(e, c) for e, c in terms if c]
+    numerator = coeff_field.numerator  # a zero shows without Fraction.__bool__
+    kept = [(e, c) for e, c in terms if numerator(c)]
     if not kept and not allow_zero:
         kept.append((zero(construction), coeff_field.coerce(1)))
     return HahnSeries(construction, coeff_field, tuple(sorted(kept, key=itemgetter(0))))

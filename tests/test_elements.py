@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oagw.elements import (
+    _fraction_add,
+    _fraction_mul,
+    _fraction_neg,
     ComponentError,
     ConstructionMismatch,
     GAMMA,
@@ -24,7 +27,7 @@ from oagw.elements import (
 from oagw.positions import g1_square, g2_circle, g2_square
 from oagw.sampling import random_element
 
-from conftest import seeded_elements
+from conftest import fraction_calls, seeded_elements
 
 S00 = g1_square(0, 0)
 
@@ -177,6 +180,70 @@ class TestArithmetic:
         assert a.scale(-2) == element(LAMBDA, {S00: {0: -6}})
         with pytest.raises(TypeError):
             a.scale(Fraction(1, 2))
+
+
+# zero, small and shared denominators, and big ints on either side
+_NUMERATORS = st.one_of(st.integers(-12, 12), st.integers(-(2**100), 2**100))
+_DENOMINATORS = st.one_of(st.sampled_from([1, 2, 3, 4, 6, 9, 12]), st.integers(1, 2**100))
+_RATIONALS = st.builds(Fraction, _NUMERATORS, _DENOMINATORS)
+
+
+def _slots(x):
+    return x.__class__, x._numerator, x._denominator
+
+
+class TestRationalHelpers:
+    """The one-frame helpers give exactly Fraction's own results."""
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (Fraction(0), Fraction(0)),
+            (Fraction(0), Fraction(-3, 4)),
+            (Fraction(-1, 2), Fraction(1, 2)),  # a zero sum over a shared denominator
+            (Fraction(1, 6), Fraction(5, 6)),  # a sum that cancels to an integer
+            (Fraction(1, 6), Fraction(1, 6)),
+            (Fraction(2, 3), Fraction(-3, 4)),  # coprime denominators
+            (Fraction(5, 12), Fraction(7, 18)),  # a common factor
+            (Fraction(-7), Fraction(3)),
+            (Fraction(2**100 + 1, 3**70), Fraction(-(3**71), 2**99)),
+        ],
+    )
+    def test_fixed_cases(self, a, b):
+        for x, y in ((a, b), (b, a)):
+            assert _slots(_fraction_add(x, y)) == _slots(x + y)
+            assert _slots(_fraction_mul(x, y)) == _slots(x * y)
+            assert _slots(_fraction_neg(x)) == _slots(-x)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_RATIONALS, _RATIONALS, st.booleans())
+    def test_the_operators_results_slot_for_slot(self, a, b, same_denominator):
+        if same_denominator:
+            b = Fraction(b._numerator * a._denominator + 1, a._denominator)
+        assert _slots(_fraction_add(a, b)) == _slots(a + b)
+        assert _slots(_fraction_mul(a, b)) == _slots(a * b)
+        assert _slots(_fraction_neg(a)) == _slots(-a)
+
+    # -1/3 cancels the shared position
+    @pytest.mark.parametrize("shared", [Fraction(1, 5), Fraction(-1, 3)])
+    def test_gamma_arithmetic_enters_no_fraction_method(self, shared):
+        # two GAMMA elements that share a rational position: the sum
+        # there, negation, hash, comparison and sign read Fraction's slots
+        a = element(GAMMA, {g2_circle(0): Fraction(1, 3), g2_square(1): Fraction(2, 5)})
+        b = element(GAMMA, {g2_circle(0): shared, g2_circle(1): Fraction(-3, 7)})
+
+        out = []
+
+        def run():
+            s = a + b
+            out.extend((s, (-s + s).is_zero(), (a + (-a)).is_zero()))
+            out.extend((hash(a), hash(b), hash(s), a.cmp(b), b.cmp(s), s.sign(), (-a).sign()))
+
+        assert fraction_calls(run) == []
+        s = out[0]
+        assert s.value_at(g2_circle(0)) == (Fraction(1, 3) + shared or None)
+        assert out[1:3] == [True, True]
+        assert out[3:] == [hash(a), hash(b), hash(s), a.cmp(b), b.cmp(s), s.sign(), (-a).sign()]
 
 
 class TestHashAndSign:
@@ -600,6 +667,23 @@ class TestText:
         with pytest.raises(ParseError) as err:
             parse_element(text, LAMBDA)
         assert str(err.value) == f"at index {at}: {message} in {text!r}"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{G2[0].s: }", "expected polynomial term"),
+            ("{G2[0].c: }", "bad rational ''"),
+        ],
+    )
+    def test_an_empty_value_is_a_parse_error_at_its_offset(self, text, message):
+        # a polynomial value with no term is not zero: it fails as a
+        # rational one does, where the value would start
+        with pytest.raises(ParseError) as err:
+            parse_element(text, LAMBDA)
+        assert (err.value.at, err.value.message) == (10, message)
+        with pytest.raises(ParseError) as err:
+            parse_element("{G2[0].c: 1, G1[0].s[0]:}", LAMBDA)
+        assert err.value.at == 24
 
     def test_syntax_errors(self):
         with pytest.raises(ParseError):

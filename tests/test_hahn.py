@@ -18,7 +18,7 @@ from oagw.hahn import (
     subring_escape_witness,
     truncated_inverse,
 )
-from oagw.positions import G1, G2, g1_square, g2_square
+from oagw.positions import G1, G2, g1_square, g2_circle, g2_square
 from oagw.sampling import (
     case_rng,
     random_a_cone_exponent,
@@ -27,6 +27,8 @@ from oagw.sampling import (
     random_series,
     random_valring_exponent,
 )
+
+from conftest import fraction_calls
 
 S00 = g1_square(0, 0)
 
@@ -59,6 +61,32 @@ class TestArithmetic:
         assert (f * g) == series(LAMBDA, {zero(LAMBDA): 1}, F)
         with pytest.raises(ValueError):
             PrimeField(6)
+
+    def test_a_product_over_q_enters_no_fraction_method(self):
+        # rational exponents that share positions, and coefficients that
+        # multiply, add at a repeated exponent and cancel there to zero
+        a = element(LAMBDA, {g2_circle(0): Fraction(1, 2), S00: {0: 1}})
+        b = element(LAMBDA, {g2_circle(0): Fraction(-1, 3)})
+        c = element(LAMBDA, {g2_circle(0): Fraction(1, 5), g2_circle(1): 2})
+        o = zero(LAMBDA)
+        f = series(LAMBDA, {a: Fraction(1, 2), b: Fraction(2, 3), o: -5})
+        g = series(LAMBDA, {a: Fraction(3, 4), c: Fraction(-1, 7), o: Fraction(15, 2)})
+        out = []
+        assert fraction_calls(lambda: out.extend((f * g, -f))) == []
+        want = {a + a: Fraction(3, 8), a + c: Fraction(-1, 14), b + a: Fraction(1, 2),
+                b + c: Fraction(-2, 21), b: 5, c: Fraction(5, 7), o: Fraction(-75, 2)}
+        assert out == [series(LAMBDA, want), series(LAMBDA, {a: Fraction(-1, 2), b: Fraction(-2, 3), o: 5})]
+
+    def test_a_repeated_exponent_built_twice_compares_through_fraction_eq(self):
+        # a + b and b + a are equal exponents whose shared rational was
+        # summed twice, into two Fraction objects: the dict of the
+        # product finds the second one through GroupElement.__eq__, which
+        # compares entry tuples, hence Fraction.__eq__ and its properties
+        a = element(LAMBDA, {g2_circle(0): Fraction(1, 2), S00: {0: 1}})
+        b = element(LAMBDA, {g2_circle(0): Fraction(-1, 3)})
+        f = series(LAMBDA, {a: 1, b: Fraction(1, 2)})
+        calls = fraction_calls(lambda: f * f)
+        assert calls and set(calls) == {"__eq__", "numerator", "denominator"}
 
     def test_field_mismatch(self):
         with pytest.raises(ValueError):
@@ -501,7 +529,13 @@ class TestAgainstThePreviousFields:
                 QQ.inv(a)
         assert PrimeField(5).inv(2) == 3 and PrimeField(5).inv(7) == 3
         assert QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
-        assert (PrimeField(5).reduce(-7), QQ.reduce(Fraction(-7, 2))) == (3, Fraction(-7, 2))
+        F = PrimeField(5)
+        assert (F.add(3, 4), F.mul(3, 4), F.neg(2), F.neg(0)) == (2, 2, 3, 0)
+        half, third = Fraction(1, 2), Fraction(-1, 3)
+        assert (QQ.add(half, third), QQ.mul(half, third), QQ.neg(half)) == (
+            Fraction(1, 6), Fraction(-1, 6), Fraction(-1, 2)
+        )
+        assert (F.numerator(3), QQ.numerator(Fraction(-7, 2))) == (3, -7)
 
     @pytest.mark.xfail(
         strict=True,

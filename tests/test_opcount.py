@@ -1,0 +1,93 @@
+"""The counting mechanism of tools/opcount.py on tiny functions."""
+
+import dis
+import fractions
+import importlib.util
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+# loaded by path: tools/ is not a package
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "opcount.py"
+_SPEC = importlib.util.spec_from_file_location("opcount", _PATH)
+opcount = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(opcount)
+
+
+def _straight(a, b):
+    c = a + b
+    return c * 2
+
+
+def _calls_fractions():
+    return Fraction(1, 2) + Fraction(1, 3)
+
+
+def _twice(fn, *args):
+    # Python 3.12 and later count a function's instructions from its
+    # second traced call on
+    opcount.count_opcodes(fn, *args)
+    return opcount.count_opcodes(fn, *args)
+
+
+def test_a_straight_line_function_counts_each_instruction_once():
+    # every instruction but the opening RESUME, which the call event covers
+    known = sum(1 for i in dis.get_instructions(_straight) if i.opname != "RESUME")
+    result, counts = _twice(_straight, 3, 4)
+    assert result == 14
+    assert counts == {__file__: known}
+
+
+def test_a_loop_counts_its_body_once_per_pass():
+    def loop(n):
+        t = 0
+        for i in range(n):
+            t += i
+        return t
+
+    totals = [_twice(loop, n)[1][__file__] for n in (3, 4, 5, 13)]
+    body = totals[1] - totals[0]
+    assert body > 0 and totals[2] - totals[1] == body and totals[3] - totals[0] == 10 * body
+
+
+def test_instructions_are_split_by_the_file_of_their_code():
+    result, counts = _twice(_calls_fractions)
+    assert result == Fraction(5, 6)
+    assert set(counts) == {__file__, fractions.__file__}
+    assert counts[__file__] < counts[fractions.__file__]
+
+
+def test_tracing_stops_when_the_call_raises():
+    def boom():
+        raise KeyError("x")
+
+    with pytest.raises(KeyError):
+        opcount.count_opcodes(boom)
+    assert sys.gettrace() is None
+
+
+def test_labels_name_checkout_files_by_their_path_and_others_by_name(tmp_path):
+    label = opcount._label
+    assert label(str(tmp_path / "src" / "oagw" / "hahn.py"), tmp_path) == "src/oagw/hahn.py"
+    assert label(str(tmp_path / "perfbench" / "workloads.py"), tmp_path) == "perfbench/workloads.py"
+    assert label(fractions.__file__, tmp_path) == "fractions.py"
+    assert label("<string>", tmp_path) == "<string>"
+
+
+def test_the_table_shows_both_sides_and_each_change():
+    side = {"workload": "series", "seed": 0, "requests": 2, "python": "3.11.7",
+            "problems": [], "setup": 10}
+    a = dict(side, total=1000, files={"src/oagw/hahn.py": 600, "fractions.py": 396, "x.py": 4})
+    b = dict(side, total=800, files={"src/oagw/hahn.py": 700, "fractions.py": 100},
+             problems=["k/1: digest 0f, reference 1e"])
+    lines = opcount.report([a, b]).splitlines()
+    assert lines[0] == "series: seed 0, 2 requests, Python 3.11.7"
+    rows = {line.split()[0]: line.split()[1:] for line in lines[2:-2]}
+    assert rows["pass"] == ["1,000", "800", "-200", "-20.0%"]
+    assert rows["src/oagw/hahn.py"] == ["600", "60.0%", "700", "87.5%", "+100", "+16.7%"]
+    assert rows["fractions.py"] == ["396", "39.6%", "100", "12.5%", "-296", "-74.7%"]
+    # under half a per cent on both sides: summed into the rest
+    assert rows["(other)"] == ["4", "0.4%", "0", "0.0%", "-4", "-100.0%"]
+    assert lines[-2:] == ["problems: 0, 1", "  k/1: digest 0f, reference 1e"]
