@@ -8,6 +8,19 @@ field supplies its own sum, product and negation, which the series
 operations call on every coefficient: int arithmetic followed by one
 reduction modulo p over GF(p), and over Q the one-frame ``Fraction``
 helpers of ``oagw.elements``, which skip ``Fraction``'s operators.
+Fields are interned: each p has exactly one ``PrimeField``, so two
+series share a field exactly when they hold the same object.
+
+Series values follow ``GroupElement``'s design.  ``HahnSeries`` is
+immutable, and its public constructor validates: every exponent is an
+element of the series' construction, the exponents ascend strictly in
+the group order, and every coefficient is canonical and nonzero (a
+``Fraction`` over Q, an int in ``1..p-1`` over GF(p)).  ``series()``
+canonicalizes raw input and, like every operation whose result is
+canonical by construction, builds through the unchecked ``_series``.
+Equality compares fields by identity, exponents with
+``GroupElement.__eq__`` and rational coefficients by their slots, and
+the text form writes rationals from the same slots.
 
 Membership predicates classify series by their exponents alone:
 
@@ -25,10 +38,12 @@ ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .elements import (
     Construction,
@@ -38,16 +53,23 @@ from .elements import (
     _fraction_add,
     _fraction_mul,
     _fraction_neg,
+    format_element,
     unit,
     zero as group_zero,
 )
 from .embeddings import Embedding, apply as apply_embedding
 from .positions import G2, g1_square
 
+# p -> the one PrimeField of characteristic p
+_FIELDS: dict[int, "PrimeField"] = {}
 
-@dataclass(frozen=True)
+
 class PrimeField:
     """The prime field of characteristic p: GF(p), or the rationals for p = 0.
+
+    Interned like ``Position``: ``PrimeField(p)`` checks p once, on first
+    use, and returns the same object ever after, so fields compare and
+    hash by identity; pickle, ``copy`` and ``deepcopy`` return it too.
 
     A coefficient is a plain number, a ``Fraction`` over Q and an int in
     ``0..p-1`` over GF(p).  ``add``, ``mul`` and ``neg`` take and return
@@ -57,15 +79,17 @@ class PrimeField:
     (an int is its own), so a zero sum shows without ``Fraction.__bool__``.
     """
 
-    p: int
-    add: Callable = field(init=False, repr=False, compare=False)
-    mul: Callable = field(init=False, repr=False, compare=False)
-    neg: Callable = field(init=False, repr=False, compare=False)
-    numerator: Callable = field(init=False, repr=False, compare=False)
+    __slots__ = ("p", "add", "mul", "neg", "numerator")
 
-    def __post_init__(self) -> None:
-        p = self.p
-        if p and (p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1))):
+    def __new__(cls, p: int) -> "PrimeField":
+        # before the lookup: 5.0 and True hash like 5 and 1
+        if p.__class__ is not int:
+            raise TypeError(f"the characteristic must be an int, got {p!r}")
+        try:
+            return _FIELDS[p]
+        except KeyError:
+            pass
+        if p and (p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1))):
             raise ValueError(f"{p} is not prime")
         if p:
             def add(a, b):
@@ -80,8 +104,20 @@ class PrimeField:
             ops = (add, mul, neg, attrgetter("numerator"))
         else:
             ops = (_fraction_add, _fraction_mul, _fraction_neg, attrgetter("_numerator"))
-        for name, op in zip(("add", "mul", "neg", "numerator"), ops):
-            object.__setattr__(self, name, op)
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (p, *ops)):
+            object.__setattr__(self, name, value)
+        return _FIELDS.setdefault(p, self)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"PrimeField is immutable: cannot set {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # pickle, copy and deepcopy go back through the intern table
+        return (PrimeField, (self.p,))
+
+    def __hash__(self) -> int:
+        return hash(self.p)
 
     def __repr__(self) -> str:
         return f"GF({self.p})" if self.p else "Q"
@@ -99,11 +135,90 @@ class PrimeField:
 QQ = PrimeField(0)
 
 
-@dataclass(frozen=True)
 class HahnSeries:
+    """Immutable; the constructor validates, ``_series`` does not."""
+
+    __slots__ = ("construction", "coeff_field", "terms")
+
     construction: Construction
     coeff_field: PrimeField
     terms: tuple[tuple[GroupElement, object], ...]  # ascending exponents
+
+    def __init__(
+        self,
+        construction: Construction,
+        coeff_field: PrimeField,
+        terms: Iterable[tuple[GroupElement, object]],
+    ) -> None:
+        if not isinstance(construction, Construction):
+            raise ValueError(f"unknown construction {construction!r}")
+        if coeff_field.__class__ is not PrimeField:
+            raise ValueError(f"expected a PrimeField, got {coeff_field!r}")
+        terms = tuple((g, c) for g, c in terms)
+        p = coeff_field.p
+        prev = None
+        for g, c in terms:
+            if g.__class__ is not GroupElement:
+                raise ValueError(f"expected a group element exponent, got {g!r}")
+            if g.construction is not construction:
+                raise ConstructionMismatch(f"exponent {g} is not a {construction} element")
+            if prev is not None and not prev < g:
+                raise ValueError("exponents must be in strictly ascending group order")
+            # int == Fraction and bool == int, so the class decides first
+            if p:
+                canonical = c.__class__ is int and 0 < c < p
+            else:
+                canonical = (
+                    c.__class__ is Fraction
+                    and c._numerator != 0
+                    and c._denominator > 0
+                    and math.gcd(c._numerator, c._denominator) == 1
+                )
+            if not canonical:
+                raise ValueError(f"{c!r} is not a nonzero coefficient of {coeff_field}")
+            prev = g
+        _set_construction(self, construction)
+        _set_field(self, coeff_field)
+        _set_terms(self, terms)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"HahnSeries is immutable: cannot set {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return (HahnSeries, (self.construction, self.coeff_field, self.terms))
+
+    def __repr__(self) -> str:
+        return (
+            f"HahnSeries(construction={self.construction!r}, "
+            f"coeff_field={self.coeff_field!r}, terms={self.terms!r})"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not HahnSeries:
+            return NotImplemented
+        if self is other:
+            return True
+        ta, tb = self.terms, other.terms
+        if (
+            self.construction is not other.construction
+            or self.coeff_field is not other.coeff_field
+            or len(ta) != len(tb)
+        ):
+            return False
+        if self.coeff_field.p:
+            return ta == tb
+        # canonical rationals are equal exactly when their slots are
+        for (ga, ca), (gb, cb) in zip(ta, tb):
+            if ga is not gb and not ga == gb:
+                return False
+            if ca is not cb and (
+                ca._numerator != cb._numerator or ca._denominator != cb._denominator
+            ):
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        return hash((self.construction, self.coeff_field, self.terms))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -114,7 +229,7 @@ class HahnSeries:
 
     def __neg__(self) -> "HahnSeries":
         neg = self.coeff_field.neg
-        return HahnSeries(
+        return _series(
             self.construction, self.coeff_field, tuple([(g, neg(c)) for g, c in self.terms])
         )
 
@@ -147,7 +262,7 @@ class HahnSeries:
             else:
                 del acc[g]
         items = tuple(sorted(acc.items(), key=itemgetter(0)))
-        return HahnSeries(self.construction, self.coeff_field, items)
+        return _series(self.construction, self.coeff_field, items)
 
     def valuation(self) -> GroupElement:
         if not self.terms:
@@ -162,13 +277,43 @@ class HahnSeries:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        return " + ".join(f"{c} * t^{g}" for g, c in self.terms)
+        # one frame: a rational is written from its slots, as str() writes it
+        parts = []
+        if self.coeff_field.p:
+            for g, c in self.terms:
+                parts.append(f"{c} * t^{format_element(g)}")
+        else:
+            for g, c in self.terms:
+                den = c._denominator
+                if den == 1:
+                    parts.append(f"{c._numerator} * t^{format_element(g)}")
+                else:
+                    parts.append(f"{c._numerator}/{den} * t^{format_element(g)}")
+        return " + ".join(parts)
+
+
+# the slot setters write past the immutable __setattr__ without a Python call
+_set_construction = HahnSeries.construction.__set__  # type: ignore[attr-defined]
+_set_field = HahnSeries.coeff_field.__set__  # type: ignore[attr-defined]
+_set_terms = HahnSeries.terms.__set__  # type: ignore[attr-defined]
+_new_series = object.__new__
+
+
+def _series(
+    construction: Construction, coeff_field: PrimeField, terms: tuple
+) -> HahnSeries:
+    """Unchecked constructor for terms that are canonical by construction."""
+    s = _new_series(HahnSeries)
+    _set_construction(s, construction)
+    _set_field(s, coeff_field)
+    _set_terms(s, terms)
+    return s
 
 
 def _compat(a: HahnSeries, b: HahnSeries) -> None:
     if a.construction is not b.construction:
         raise ConstructionMismatch("series over different constructions")
-    if a.coeff_field != b.coeff_field:
+    if a.coeff_field is not b.coeff_field:
         raise ValueError(f"series over different fields {a.coeff_field} and {b.coeff_field}")
 
 
@@ -179,13 +324,14 @@ def series(
 ) -> HahnSeries:
     # the exponents are distinct keys, so no two coefficients add
     kept = []
+    coerce, numerator = coeff_field.coerce, coeff_field.numerator
     for g, c in terms.items():
         if g.construction is not construction:
             raise ConstructionMismatch("exponent from the wrong construction")
-        c = coeff_field.coerce(c)
-        if c:
+        c = coerce(c)
+        if numerator(c):
             kept.append((g, c))
-    return HahnSeries(construction, coeff_field, tuple(sorted(kept, key=itemgetter(0))))
+    return _series(construction, coeff_field, tuple(sorted(kept, key=itemgetter(0))))
 
 
 def monomial(
@@ -210,12 +356,21 @@ class Membership:
     in_a: bool
 
 
+# the eight flag triples, each built once: membership hands out these values
+_MEMBERSHIPS = {
+    flags: Membership(*flags)
+    for flags in itertools.product((False, True), repeat=3)
+}
+
+
 def membership(f: HahnSeries) -> Membership:
     """Exponent-wise classification; defined on the lambda construction.
 
     One pass over the exponents.  G2 positions sort first, so an
     exponent has a G2 part exactly when its leading entry is at a G2
-    position, and then its sign is the sign of that part.
+    position, and then its sign is the sign of that part.  The sign is
+    read from the lead itself, as ``sign()`` reads it: the least slot's
+    coefficient of a polynomial, or a rational's numerator.
     """
     if f.construction is not LAMBDA:
         raise ConstructionMismatch("membership flags are defined for lambda series")
@@ -223,14 +378,15 @@ def membership(f: HahnSeries) -> Membership:
     for g, _ in f.terms:
         if not g.entries:
             continue  # the zero exponent is in all three
-        negative = g.sign() < 0
+        pos, v = g.entries[0]
+        negative = (v[0][1] if v.__class__ is tuple else v._numerator) < 0
         if negative:
             in_val_ring = False
-        if g.entries[0][0].area == G2:
+        if pos.area == G2:
             in_k_lambda1 = False
             if negative:
                 in_a = False
-    return Membership(in_val_ring, in_k_lambda1, in_a)
+    return _MEMBERSHIPS[in_val_ring, in_k_lambda1, in_a]
 
 
 # -- units ------------------------------------------------------------------
@@ -251,7 +407,8 @@ def truncated_inverse(f: HahnSeries, precision: GroupElement) -> HahnSeries:
     F = f.coeff_field
     v = f.valuation()
     lead_inv = monomial(-v, F.inv(f.lead_coeff()), F)
-    u = lead_inv * f - one(f.construction, F)
+    one_series = one(f.construction, F)
+    u = lead_inv * f - one_series
     if u.is_zero():
         return lead_inv
     err = u.valuation()  # > 0
@@ -264,11 +421,11 @@ def truncated_inverse(f: HahnSeries, precision: GroupElement) -> HahnSeries:
                 f"precision {precision} is unreachable: error valuation {err} "
                 "is infinitesimal relative to it"
             )
-    acc = one(f.construction, F)
-    power = acc
+    acc = power = one_series
+    neg_u = -u
     total = err
     while not (total > precision):
-        power = power * (-u)
+        power = power * neg_u
         acc = acc + power
         total = total + err
     return lead_inv * acc
@@ -286,7 +443,7 @@ def lift_embedding(e: Embedding, f: HahnSeries) -> HahnSeries:
     """
     if f.construction is not LAMBDA:
         raise ConstructionMismatch("lifted embeddings are defined for lambda series")
-    return HahnSeries(
+    return _series(
         f.construction, f.coeff_field, tuple([(apply_embedding(e, g), c) for g, c in f.terms])
     )
 

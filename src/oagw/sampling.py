@@ -41,7 +41,8 @@ validation and go to ``_from_canonical``.  A series takes its
 coefficients already passed through ``PrimeField.coerce``, and keeps
 its at most ``max_terms`` exponents in a short list compared by ``==``,
 not hashed; a repeated exponent takes the later coefficient, as a dict
-assignment would.
+assignment would.  Its nonzero terms, sorted, are canonical, so it too
+skips the validating constructor and goes to ``hahn._series``.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .elements import (
     _from_canonical,
     zero,
 )
-from .hahn import HahnSeries, PrimeField, QQ
+from .hahn import HahnSeries, PrimeField, QQ, _series
 from .positions import G2, Position, g1_circle, g1_square, g2_circle, g2_square
 
 
@@ -307,4 +308,4 @@ def random_series(
     kept = [(e, c) for e, c in terms if numerator(c)]
     if not kept and not allow_zero:
         kept.append((zero(construction), coeff_field.coerce(1)))
-    return HahnSeries(construction, coeff_field, tuple(sorted(kept, key=itemgetter(0))))
+    return _series(construction, coeff_field, tuple(sorted(kept, key=itemgetter(0))))

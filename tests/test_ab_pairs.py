@@ -147,3 +147,47 @@ def test_a_metric_the_benchmark_does_not_list_is_rejected(monkeypatch, capsys):
     assert exc.value.code == 2
     assert "--metric must be one of setup_s, cases_per_s" in capsys.readouterr().err
     assert calls == []
+
+
+def _sides(parent_total, change_total, problems=(0, 0)):
+    """Two sides as ``tools/opcount.py --json`` prints them, files left out."""
+    return [
+        {"python": "3.11.7", "workload": "series", "seed": 0, "requests": 2025,
+         "problems": ["a problem"] * n, "setup": 1, "total": total, "files": {}}
+        for total, n in zip((parent_total, change_total), problems)
+    ]
+
+
+def test_the_opcode_line_shows_both_pass_counts_and_their_change():
+    assert ab_pairs.opcode_line(_sides(39_943_525, 37_853_440)) == (
+        "pass opcodes    parent 39,943,525  change 37,853,440  -5.2%"
+        "  (seed 0, Python 3.11.7, problems 0/0)"
+    )
+    assert ab_pairs.opcode_line(_sides(1000, 1000, (2, 0))).endswith(
+        "parent 1,000  change 1,000  +0.0%  (seed 0, Python 3.11.7, problems 2/0)"
+    )
+
+
+def test_opcodes_prints_the_counts_under_the_medians(monkeypatch, capsys, tmp_path):
+    _fake_runs(monkeypatch)
+    asked = []
+
+    def fake_opcount(parent, change, workload):
+        asked.append((parent.name, change.name, workload))
+        return _sides(200, 150)
+
+    monkeypatch.setattr(ab_pairs, "run_opcount", fake_opcount)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    (parent / "BENCHMARK.json").write_text((_REPO / "BENCHMARK.json").read_text())
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "series", "--pairs", "2"]
+    assert ab_pairs.main(argv) == 0
+    assert "opcodes" not in capsys.readouterr().out and asked == []
+    assert ab_pairs.main(argv + ["--opcodes"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # once for the whole run, after the last metric's row
+    assert asked == [("parent", "change", "series")]
+    assert lines[-2].startswith("peak_rss_mb")
+    assert lines[-1] == (
+        "pass opcodes    parent 200  change 150  -25.0%  (seed 0, Python 3.11.7, problems 0/0)"
+    )

@@ -245,11 +245,12 @@ class TestParseErrors:
 
     @pytest.mark.parametrize(
         "text, at, message",
-        [
+        # ids from the text alone, so a changed offset renames no test
+        [pytest.param(*case, id=case[0]) for case in (
             ("E x. x = {G2[0].c: 1/0}", 19, "zero denominator in '1/0'"),
             ("E x. x = {G9: 1}", 10, "bad position 'G9'"),
             ("E x. x = {G2[0].s: 1/2}", 19, "G2[0].s takes integer polynomials"),
-        ],
+        )],
     )
     def test_a_bad_literal_reports_its_offset_in_the_formula(self, text, at, message):
         err = _parse_error(parse_formula, text)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from operator import itemgetter
 
@@ -106,6 +108,127 @@ class TestArithmetic:
             assert f * g == g * f
 
 
+class TestConstructorContract:
+    """The public constructor accepts exactly the canonical series."""
+
+    def _exponents(self):
+        # G2 positions are more significant: low < high
+        return element(LAMBDA, {S00: {0: 1}}), element(LAMBDA, {g2_square(0): {0: 1}})
+
+    def test_canonical_terms_are_accepted(self):
+        low, high = self._exponents()
+        f = HahnSeries(LAMBDA, QQ, [(low, Fraction(1, 2)), (high, Fraction(-3))])
+        assert f == series(LAMBDA, {high: -3, low: Fraction(1, 2)})
+        assert f.valuation() is low and f.terms == ((low, Fraction(1, 2)), (high, Fraction(-3)))
+        g = HahnSeries(LAMBDA, PrimeField(5), ((low, 4), (high, 1)))
+        assert g == series(LAMBDA, {low: -1, high: 6}, PrimeField(5))
+        assert HahnSeries(GAMMA, QQ, ()).is_zero()
+
+    def test_unsorted_exponents_are_rejected(self):
+        low, high = self._exponents()
+        with pytest.raises(ValueError, match="ascending"):
+            HahnSeries(LAMBDA, QQ, ((high, Fraction(1)), (low, Fraction(1))))
+        # a repeated exponent is not strictly ascending either
+        with pytest.raises(ValueError, match="ascending"):
+            HahnSeries(LAMBDA, QQ, ((low, Fraction(1)), (low, Fraction(2))))
+
+    @pytest.mark.parametrize(
+        "field, coeff",
+        [
+            (QQ, 1),  # an int over Q
+            (QQ, Fraction(0)),
+            (QQ, 0.5),
+            (PrimeField(5), 0),
+            (PrimeField(5), 5),
+            (PrimeField(5), 7),
+            (PrimeField(5), -1),
+            (PrimeField(5), True),
+            (PrimeField(5), Fraction(2)),
+        ],
+        ids=repr,
+    )
+    def test_a_non_canonical_or_zero_coefficient_is_rejected(self, field, coeff):
+        low, _ = self._exponents()
+        with pytest.raises(ValueError, match="coefficient"):
+            HahnSeries(LAMBDA, field, ((low, coeff),))
+
+    def test_an_exponent_of_the_other_construction_is_rejected(self):
+        g = element(GAMMA, {g2_circle(0): 1})
+        with pytest.raises(ConstructionMismatch):
+            HahnSeries(LAMBDA, QQ, ((g, Fraction(1)),))
+        with pytest.raises(ValueError):
+            HahnSeries(LAMBDA, QQ, (("{G2[0].c: 1}", Fraction(1)),))
+        with pytest.raises(ValueError):
+            HahnSeries("lambda", QQ, ())
+        with pytest.raises(ValueError):
+            HahnSeries(LAMBDA, 0, ())
+
+    def test_series_are_immutable(self):
+        f = one(LAMBDA)
+        with pytest.raises(AttributeError):
+            f.terms = ()  # type: ignore[misc]
+        with pytest.raises(AttributeError):
+            QQ.p = 3  # type: ignore[misc]
+
+    def test_fields_are_interned(self):
+        assert PrimeField(5) is PrimeField(5) and PrimeField(0) is QQ
+        assert PrimeField(3) is not PrimeField(5)
+        # 5.0 and True hash like 5 and 1, so they are refused before the lookup
+        for p in (5.0, True, "5"):
+            with pytest.raises(TypeError):
+                PrimeField(p)
+
+    def test_pickle_and_copy_return_the_interned_field_and_an_equal_series(self):
+        for field in (QQ, PrimeField(5), PrimeField(7)):
+            assert pickle.loads(pickle.dumps(field)) is field
+            assert copy.copy(field) is field
+            assert copy.deepcopy(field) is field
+            assert copy.deepcopy([field, field])[0] is field
+            f = random_series(case_rng(3, field.p), GAMMA, field, max_terms=4)
+            for g in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+                assert g == f and g.terms == f.terms and g.coeff_field is field
+                assert str(g) == str(f) and hash(g) == hash(f)
+
+    def test_text_is_the_text_of_each_term(self):
+        for i in range(60):
+            rng = case_rng(73, i)
+            field = QQ if i % 3 else PrimeField(5)
+            f = random_series(rng, rng.choice([GAMMA, LAMBDA]), field, max_terms=4, allow_zero=True)
+            want = " + ".join(f"{c} * t^{g}" for g, c in f.terms) if f.terms else "0"
+            assert str(f) == want
+
+    def test_text_of_a_q_series_enters_no_fraction_method(self):
+        a = element(LAMBDA, {g2_circle(0): Fraction(1, 2), S00: {0: 1}})
+        f = series(LAMBDA, {a: Fraction(-7, 2), zero(LAMBDA): 3})
+        out = []
+        assert fraction_calls(lambda: out.append(str(f))) == []
+        assert out == ["3 * t^0 + -7/2 * t^{G2[0].c: 1/2, G1[0].s[0]: 1}"]
+
+    def test_equal_q_series_compare_without_a_fraction_method(self):
+        # shared exponents, equal coefficients held by distinct Fraction objects
+        a = element(LAMBDA, {g2_circle(0): Fraction(1, 2), S00: {0: 1}})
+        o = zero(LAMBDA)
+        f = HahnSeries(LAMBDA, QQ, ((o, Fraction(-7, 2)), (a, Fraction(2, 3))))
+        g = HahnSeries(LAMBDA, QQ, ((o, Fraction(-7, 2)), (a, Fraction(2, 3))))
+        h = HahnSeries(LAMBDA, QQ, ((o, Fraction(-7, 2)), (a, Fraction(2, 5))))
+        assert f.terms[0][1] is not g.terms[0][1]
+        verdicts = []
+        assert fraction_calls(lambda: verdicts.extend((f == g, f != g, f == h))) == []
+        assert verdicts == [True, False, False]
+
+
+def test_hahn_ring_computes_each_shared_product_once(monkeypatch):
+    from oagw.suites import SuiteOptions, run_suite
+
+    products = []
+    mul = HahnSeries.__mul__
+    monkeypatch.setattr(HahnSeries, "__mul__", lambda a, b: products.append(a) or mul(a, b))
+    report = run_suite("hahn-ring", SuiteOptions(construction=LAMBDA, seed=5, samples=20))
+    assert [c.verdict for c in report.cases] == ["pass"] * 20
+    # fg, fg*h, g*h, f*(g*h), g*f, f*(g+h) and f*h: f*g is not repeated
+    assert len(products) == 7 * 20
+
+
 class TestValuation:
     def test_monomial(self):
         g = gamma_unit()
@@ -195,6 +318,17 @@ class TestTruncatedInverse:
         assert inv == expected
         err = f * inv - one(LAMBDA)
         assert err.valuation() > g.scale(3)
+
+    def test_u_is_negated_once_whatever_the_number_of_steps(self, monkeypatch):
+        g = gamma_unit()
+        f = one(LAMBDA) - monomial(g)
+        negations, products = [], []
+        neg, mul = HahnSeries.__neg__, HahnSeries.__mul__
+        monkeypatch.setattr(HahnSeries, "__neg__", lambda a: negations.append(a) or neg(a))
+        monkeypatch.setattr(HahnSeries, "__mul__", lambda a, b: products.append(a) or mul(a, b))
+        truncated_inverse(f, g.scale(3))
+        # one inside u = lead_inv * f - 1, one of u; three steps of the loop
+        assert (len(negations), len(products)) == (2, 5)
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroDivisionError):

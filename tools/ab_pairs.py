@@ -4,7 +4,7 @@ Usage, from anywhere::
 
     python3 tools/ab_pairs.py --parent PARENT_DIR --change CHANGE_DIR \\
         --workload eval --pairs 10 --seconds 15 --seed 1000 \\
-        --metric request_p50_ms
+        --metric request_p50_ms [--opcodes]
 
 Pair i runs ``perfbench/run.py --workload W --seed SEED+i --seconds S
 --trace 0`` once in each checkout, the parent first in even pairs and
@@ -28,6 +28,11 @@ every change run beats every parent run; else ``unresolved`` when the
 parent's quartiles lie further apart than the bound; else ``worse``
 when the change's median is worse than the parent's by more than the
 bound; else ``within``.
+
+With ``--opcodes`` it then runs ``tools/opcount.py --json`` once on
+both checkouts for the workload and prints, under the medians, the two
+pass counts and their change: exact counts that back a wall-time claim
+from a single run (see that script for what they do and do not count).
 
 Only the standard library is used; the script is not part of the test
 suite and changes nothing in either checkout but the bytecode caches.
@@ -108,6 +113,25 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict[s
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
+def run_opcount(parent: Path, change: Path, workload: str) -> list[dict]:
+    """``tools/opcount.py --json`` on both checkouts: each side's counts."""
+    script = Path(__file__).resolve().with_name("opcount.py")
+    cmd = [sys.executable, str(script), str(parent), str(change), "--workload", workload, "--json"]
+    done = subprocess.run(cmd, capture_output=True, text=True)
+    if done.returncode:
+        raise RuntimeError(f"opcount.py: exit {done.returncode}\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def opcode_line(sides: list[dict]) -> str:
+    """The pass counts of the parent and the change, and their change."""
+    (parent, change), problems = [s["total"] for s in sides], [len(s["problems"]) for s in sides]
+    moved = (change / parent - 1) * 100 if parent else 0.0
+    return (f"{'pass opcodes':<16}parent {parent:,}  change {change:,}  {moved:+.1f}%"
+            f"  (seed {sides[0]['seed']}, Python {sides[0]['python']}, "
+            f"problems {problems[0]}/{problems[1]})")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -118,6 +142,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=1000, help="seed of the first pair")
     parser.add_argument(
         "--metric", default="cases_per_s", help="the end-to-end metric each pair's line shows"
+    )
+    parser.add_argument(
+        "--opcodes", action="store_true", help="also print both sides' opcode counts of one pass"
     )
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -147,6 +174,8 @@ def main(argv: list[str] | None = None) -> int:
               f"{'/'.join(f'{v:.4g}' for v in s.change):>30}{moved:>+8.1f}%"
               f"{s.wins:>4}/{s.pairs:<2}  {'yes' if s.gain else 'no':<4}"
               f"  {bound_verdict(parent, change, better, bound)} ({bound:g})")
+    if args.opcodes:
+        print(opcode_line(run_opcount(args.parent, args.change, args.workload)))
     return 0
 
 
