@@ -148,7 +148,8 @@ def _poly_add(x: Poly, y: Poly) -> Poly:
     # linear merge of the two slot-sorted tuples, zero sums dropped
     out = []
     i = j = 0
-    while i < len(x) and j < len(y):
+    nx, ny = len(x), len(y)
+    while i < nx and j < ny:
         sx, cx = x[i]
         sy, cy = y[j]
         if sx < sy:
@@ -268,7 +269,10 @@ class LeadDescriptor(NamedTuple):
 
     Ordered lexicographically, as a tuple: positions compare by their
     sort key.  The inner slot is 0 at circles and at GAMMA squares,
-    which have no inner structure.
+    which have no inner structure.  Hot paths build one with
+    ``tuple.__new__(LeadDescriptor, (position, slot))``: the value the
+    class call returns, without the Python frame of its generated
+    ``__new__``.
     """
 
     position: Position
@@ -384,7 +388,8 @@ class GroupElement:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
-        _same(self, other)
+        if other.construction is not self.construction:
+            _same(self, other)
         ea, eb = self.entries, other.entries
         if not eb:
             return self
@@ -456,7 +461,8 @@ class GroupElement:
     # -- order ----------------------------------------------------------
 
     def cmp(self, other: "GroupElement") -> int:
-        _same(self, other)
+        if other.construction is not self.construction:
+            _same(self, other)
         # stored values are nonzero: the first position held by one side
         # only decides by its sign, a shared position by the difference
         for (pa, va), (pb, vb) in zip(self.entries, other.entries):
@@ -503,9 +509,7 @@ class GroupElement:
         if not self.entries:
             return None
         pos, v = self.entries[0]
-        if isinstance(v, tuple):
-            return LeadDescriptor(pos, v[0][0])
-        return LeadDescriptor(pos, 0)
+        return tuple.__new__(LeadDescriptor, (pos, v[0][0] if v.__class__ is tuple else 0))
 
     def lead_value(self) -> Union[int, Fraction]:
         """Leading slot value: integer coefficient or rational."""
@@ -531,12 +535,12 @@ class GroupElement:
         # LAMBDA circles are rational, hence n-divisible: need stays None
         need = _gamma_need(n) if self.construction is GAMMA else None
         for pos, v in self.entries:
-            if isinstance(v, tuple):
+            if v.__class__ is tuple:
                 for slot, c in v:
                     if c % n:
-                        return LeadDescriptor(pos, slot)
+                        return tuple.__new__(LeadDescriptor, (pos, slot))
             elif need is not None and not _gamma_divisible_by(pos, v, need):
-                return LeadDescriptor(pos, 0)
+                return tuple.__new__(LeadDescriptor, (pos, 0))
         return None
 
     def __str__(self) -> str:

@@ -127,9 +127,21 @@ class PrimeField:
 
     def inv(self, a):
         p = self.p
-        if not (a % p if p else a):
+        if p:
+            if not a % p:
+                raise ZeroDivisionError("inverse of zero")
+            return pow(a, -1, p)
+        # over Q from the slots, an int read as n/1: numerator and
+        # denominator swap, coprime as they were, and the sign moves up
+        num, den = (a, 1) if a.__class__ is int else (a._numerator, a._denominator)
+        if not num:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, p) if p else 1 / Fraction(a)
+        if num < 0:
+            num, den = -num, -den
+        out = object.__new__(Fraction)
+        out._numerator = den
+        out._denominator = num
+        return out
 
 
 QQ = PrimeField(0)

@@ -6,7 +6,10 @@ block constructions, membership only depends on where the first
 ``n``-indivisible slot of ``a`` sits relative to the leading slot of
 ``b``; the exact rule, including the boundary where both addresses
 coincide, is implemented here and cross-checked against witness search
-by the test suites.
+by the test suites.  The rule is decided in one frame on raw lead
+addresses: a ``LeadDescriptor`` against the first entry of ``b``,
+positions by identity and then by ``Position.key``, then slots, and a
+tie's residue read from ``a``'s polynomial at that slot.
 
 ``tail_set`` computes the canonical cut descriptor for the union of
 congruence-free tails swept out below an element, and membership in
@@ -26,6 +29,7 @@ from typing import Callable, Optional
 from .elements import (
     GAMMA,
     LAMBDA,
+    ComponentError,
     ConstructionMismatch,
     GroupElement,
     LeadDescriptor,
@@ -65,23 +69,34 @@ def cong_free_below_given(
 def _free_below_positive(
     n: int, a: GroupElement, d: Optional[LeadDescriptor], b: GroupElement
 ) -> bool:
-    """``cong_free_below(n, a, b)`` for ``b > 0``, given ``d = a.lead_mod(n)``."""
+    """``cong_free_below(n, a, b)`` for ``b > 0``, given ``d = a.lead_mod(n)``.
+
+    Decided in this one frame on raw lead addresses: ``d`` against b's
+    lead entry, positions by identity and then by ``key``, then slots.
+    """
     if d is None:
         # a is divisible: n * (deep tiny element) lands in (0, b)
         return False
-    beta = b.lead_descriptor()
-    assert beta is not None
-    if d < beta:
-        return True
-    if beta < d:
+    pos, v = b.entries[0]
+    at, slot = d
+    if at is not pos:
+        return at.key < pos.key
+    if v.__class__ is not tuple:
+        # same rational component (slot 0 on both sides): it is dense, so
+        # a witness always fits below b's lead
         return False
-    # same slot: a polynomial slot compares integer residues, rational
-    # components are dense so a witness always fits below the lead
-    lead_val = b.lead_value()
-    if isinstance(lead_val, Fraction):
-        return False
-    k0 = a.coeff_at(d) % n
-    return lead_val < k0
+    lead_slot, lead = v[0]
+    if slot != lead_slot:
+        return slot < lead_slot
+    # same slot: b's lead coefficient against a's least positive residue
+    # there, read from a's polynomial at d (an absent slot holds 0)
+    for p, w in a.entries:
+        if p is at:
+            for s, k in w:
+                if s == slot:
+                    return lead < k % n
+            return lead < 0
+    raise ComponentError(f"{at} holds no polynomial")
 
 
 def index_window(c: GroupElement, b: GroupElement) -> Callable[[GroupElement], bool]:
@@ -89,18 +104,30 @@ def index_window(c: GroupElement, b: GroupElement) -> Callable[[GroupElement], b
 
     ``index_window(c, b)(x)`` holds when ``x > 0``, some n in (2, 3) has
     ``cong_free_below(n, c, x)`` and some n in (2, 3) has
-    ``cong_free_below(n, x, b)``.  The lead slots ``c.lead_mod(n)`` are
-    computed once, when the predicate is built.
+    ``cong_free_below(n, x, b)``.  The lead slots ``c.lead_mod(n)`` and
+    the sign of b, which makes the second half vacuously true when b <=
+    0, are computed once, when the predicate is built.
     """
     _same(c, b)
-    c_leads = [(n, c.lead_mod(n)) for n in (2, 3)]
+    construction = c.construction
+    c2, c3 = c.lead_mod(2), c.lead_mod(3)
+    b_positive = b.sign() > 0
 
     def holds(x: GroupElement) -> bool:
-        _same(c, x)
+        if x.construction is not construction:
+            _same(c, x)
+        if not x.entries:
+            return False
+        # x > 0: the sign of its stored, hence nonzero, lead value
+        v = x.entries[0][1]
         return (
-            x.sign() > 0
-            and any(_free_below_positive(n, c, d, x) for n, d in c_leads)
-            and any(cong_free_below(n, x, b) for n in (2, 3))
+            (v[0][1] if v.__class__ is tuple else v._numerator) > 0
+            and (_free_below_positive(2, c, c2, x) or _free_below_positive(3, c, c3, x))
+            and (
+                not b_positive
+                or _free_below_positive(2, x, x.lead_mod(2), b)
+                or _free_below_positive(3, x, x.lead_mod(3), b)
+            )
         )
 
     return holds
@@ -189,7 +216,9 @@ def cong_witness_below(n: int, a: GroupElement, b: GroupElement) -> Optional[Gro
 
     beta = b.lead_descriptor()
     assert beta is not None
-    if beta < d:
+    # a is not free below b, so d does not precede b's lead: it follows
+    # it or equals it, which the tuples tell without ordering positions
+    if beta != d:
         # y leads strictly after b's lead, hence y < b automatically;
         # only the sign of the leading component matters
         if construction is GAMMA:
@@ -241,10 +270,17 @@ class TailSet:
     cut: Optional[LeadDescriptor]
 
     def contains(self, b: GroupElement) -> bool:
-        if self.cut is None:
+        cut = self.cut
+        if cut is None:
             return False
-        d = b.lead_descriptor()
-        return d is None or self.cut < d
+        if not b.entries:
+            return True
+        # cut < b's lead address, compared as _free_below_positive does
+        pos, v = b.entries[0]
+        at = cut[0]
+        if at is not pos:
+            return at.key < pos.key
+        return cut[1] < (v[0][0] if v.__class__ is tuple else 0)
 
 
 def tail_set(a: GroupElement) -> TailSet:
@@ -263,12 +299,12 @@ def tail_set(a: GroupElement) -> TailSet:
     if a.construction is LAMBDA:
         if pos.is_square:
             assert isinstance(v, tuple)
-            return TailSet(LeadDescriptor(pos, v[0][0]))
-        return TailSet(LeadDescriptor(pos.successor(), 0))
+            return TailSet(tuple.__new__(LeadDescriptor, (pos, v[0][0])))
+        return TailSet(tuple.__new__(LeadDescriptor, (pos.successor(), 0)))
     # GAMMA: modulus-2 obstructions only live at circles
     if pos.is_circle:
-        return TailSet(LeadDescriptor(pos, 0))
-    return TailSet(LeadDescriptor(pos.next_circle(), 0))
+        return TailSet(tuple.__new__(LeadDescriptor, (pos, 0)))
+    return TailSet(tuple.__new__(LeadDescriptor, (pos.next_circle(), 0)))
 
 
 def inner_anchor_below(a: GroupElement) -> Optional[GroupElement]:

@@ -16,7 +16,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .elements import (
     Construction,
@@ -67,6 +67,7 @@ from .hahn import (
 from .positions import CRITICAL_CIRCLE, g1_circle, g1_square, g2_circle, g2_square
 from .predicates import (
     cong_free_below,
+    cong_free_below_given,
     cong_witness_below,
     g1_part_by_formula,
     in_g1_part,
@@ -115,8 +116,7 @@ class SuiteOptions:
             yield case_rng(self.seed, i)
 
 
-@dataclass
-class CaseRecord:
+class CaseRecord(NamedTuple):
     inputs: dict[str, str]
     verdict: str  # pass | fail | unknown
     detail: str = ""
@@ -131,7 +131,10 @@ class SuiteReport:
     wall_ms: float = 0.0
 
     def record(self, verdict: str, detail: str = "", **inputs) -> None:
-        self.cases.append(CaseRecord({k: str(v) for k, v in inputs.items()}, verdict, detail))
+        # the row the class call builds, without the Python frames of its
+        # generated __new__ and of a dict comprehension
+        texts = dict(zip(inputs, map(str, inputs.values())))
+        self.cases.append(tuple.__new__(CaseRecord, (texts, verdict, detail)))
 
     def check(self, ok: bool, detail_fail: str = "", **inputs) -> None:
         self.record("pass" if ok else "fail", "" if ok else detail_fail, **inputs)
@@ -332,8 +335,8 @@ def suite_hprime_descriptor(rep: SuiteReport, opts: SuiteOptions) -> None:
     The union definition holds for a probe b when some t in (0, |a|)
     leaves |b| congruence-free.  Each case enumerates one fragment over
     |a|, the inner anchor and a deep unit, once and before its probes,
-    and every probe reads the same elements t in (0, |a|); a zero ``a``
-    runs no search.
+    and every probe reads the same elements t in (0, |a|) with their
+    leads ``t.lead_mod(2)``, computed once; a zero ``a`` runs no search.
     """
     for rng in opts.case_rngs():
         a = random_element(rng, opts.construction)
@@ -352,9 +355,10 @@ def suite_hprime_descriptor(rep: SuiteReport, opts: SuiteOptions) -> None:
             inside = [
                 t for t in iter_fragment([m], cfg, opts.construction) if t.sign() > 0 and t < m
             ]
+        leads = [(t, t.lead_mod(2)) for t in inside]
         for b in _tail_probes(rng, a):
             target = b.abs()
-            want = any(cong_free_below(2, t, target) for t in inside)
+            want = any(cong_free_below_given(2, t, d, target) for t, d in leads)
             got = ts.contains(b)
             if want != got:
                 ok = False

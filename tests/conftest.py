@@ -17,13 +17,13 @@ def seeded_elements(construction, *, allow_zero=True):
     return st.integers(min_value=0, max_value=2**40).map(build)
 
 
-def fraction_calls(fn) -> list[str]:
-    """The names of the functions defined in ``fractions.py`` that
+def _calls_into(filename: str, fn) -> list[str]:
+    """The names of the functions whose code lives in ``filename`` that
     ``fn()`` enters, in the order entered."""
     entered = []
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+        if event == "call" and frame.f_code.co_filename == filename:
             entered.append(frame.f_code.co_name)
 
     sys.setprofile(profile)
@@ -32,6 +32,19 @@ def fraction_calls(fn) -> list[str]:
     finally:
         sys.setprofile(None)
     return entered
+
+
+def fraction_calls(fn) -> list[str]:
+    """The names of the functions defined in ``fractions.py`` that
+    ``fn()`` enters, in the order entered."""
+    return _calls_into(fractions.__file__, fn)
+
+
+def generated_calls(fn) -> list[str]:
+    """The names of the generated functions (code compiled from a string,
+    such as a dataclass ``__init__`` or a named tuple's ``__new__``) that
+    ``fn()`` enters, in the order entered."""
+    return _calls_into("<string>", fn)
 
 
 @pytest.fixture

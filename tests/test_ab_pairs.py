@@ -149,22 +149,27 @@ def test_a_metric_the_benchmark_does_not_list_is_rejected(monkeypatch, capsys):
     assert calls == []
 
 
-def _sides(parent_total, change_total, problems=(0, 0)):
-    """Two sides as ``tools/opcount.py --json`` prints them, files left out."""
+def _sides(parent_total, change_total, problems=(0, 0), frames=None):
+    """Two sides as ``tools/opcount.py --json`` prints them, files left
+    out; a tenth of the opcodes are frames unless ``frames`` says."""
+    frames = frames or (parent_total // 10, change_total // 10)
     return [
         {"python": "3.11.7", "workload": "series", "seed": 0, "requests": 2025,
-         "problems": ["a problem"] * n, "setup": 1, "total": total, "files": {}}
-        for total, n in zip((parent_total, change_total), problems)
+         "problems": ["a problem"] * n, "setup": 1, "total": total, "files": {},
+         "frames": f, "frame_files": {}}
+        for total, n, f in zip((parent_total, change_total), problems, frames)
     ]
 
 
 def test_the_opcode_line_shows_both_pass_counts_and_their_change():
     assert ab_pairs.opcode_line(_sides(39_943_525, 37_853_440)) == (
         "pass opcodes    parent 39,943,525  change 37,853,440  -5.2%"
+        "  frames parent 3,994,352  change 3,785,344  -5.2%"
         "  (seed 0, Python 3.11.7, problems 0/0)"
     )
-    assert ab_pairs.opcode_line(_sides(1000, 1000, (2, 0))).endswith(
-        "parent 1,000  change 1,000  +0.0%  (seed 0, Python 3.11.7, problems 2/0)"
+    assert ab_pairs.opcode_line(_sides(1000, 1000, (2, 0), frames=(705_614, 560_948))).endswith(
+        "parent 1,000  change 1,000  +0.0%  frames parent 705,614  change 560,948  -20.5%"
+        "  (seed 0, Python 3.11.7, problems 2/0)"
     )
 
 
@@ -189,5 +194,6 @@ def test_opcodes_prints_the_counts_under_the_medians(monkeypatch, capsys, tmp_pa
     assert asked == [("parent", "change", "series")]
     assert lines[-2].startswith("peak_rss_mb")
     assert lines[-1] == (
-        "pass opcodes    parent 200  change 150  -25.0%  (seed 0, Python 3.11.7, problems 0/0)"
+        "pass opcodes    parent 200  change 150  -25.0%  frames parent 20  change 15  -25.0%"
+        "  (seed 0, Python 3.11.7, problems 0/0)"
     )

@@ -671,6 +671,17 @@ class TestAgainstThePreviousFields:
         )
         assert (F.numerator(3), QQ.numerator(Fraction(-7, 2))) == (3, -7)
 
+    def test_an_inverse_over_q_enters_no_fraction_method(self):
+        values = (Fraction(-2, 3), Fraction(7), Fraction(5, 12), Fraction(-1, 9), 3, -4)
+        out = []
+        assert fraction_calls(lambda: out.extend(QQ.inv(a) for a in values)) == []
+        # the operator's result, in lowest terms over a positive denominator
+        assert [(x.__class__, x.numerator, x.denominator) for x in out] == [
+            (Fraction, -3, 2), (Fraction, 1, 7), (Fraction, 12, 5), (Fraction, -9, 1),
+            (Fraction, 1, 3), (Fraction, -1, 4),
+        ]
+        assert out == [1 / Fraction(a) for a in values]
+
     @pytest.mark.xfail(
         strict=True,
         reason="PrimeField.coerce truncates a fraction with int() instead of dividing mod p",

@@ -35,9 +35,10 @@ def _twice(fn, *args):
 def test_a_straight_line_function_counts_each_instruction_once():
     # every instruction but the opening RESUME, which the call event covers
     known = sum(1 for i in dis.get_instructions(_straight) if i.opname != "RESUME")
-    result, counts = _twice(_straight, 3, 4)
+    result, counts, frames = _twice(_straight, 3, 4)
     assert result == 14
     assert counts == {__file__: known}
+    assert frames == {__file__: 1}
 
 
 def test_a_loop_counts_its_body_once_per_pass():
@@ -53,10 +54,27 @@ def test_a_loop_counts_its_body_once_per_pass():
 
 
 def test_instructions_are_split_by_the_file_of_their_code():
-    result, counts = _twice(_calls_fractions)
+    result, counts, frames = _twice(_calls_fractions)
     assert result == Fraction(5, 6)
-    assert set(counts) == {__file__, fractions.__file__}
+    assert set(counts) == set(frames) == {__file__, fractions.__file__}
     assert counts[__file__] < counts[fractions.__file__]
+    assert frames[__file__] == 1 and frames[fractions.__file__] > 2
+
+
+def test_frames_count_every_call_and_each_resumption():
+    def helper(x):
+        return x + 1
+
+    def calls(n):
+        gen = (helper(i) for i in range(n))  # opened once per item, and once to end
+        return sum(gen) + helper(0) + helper(0)
+
+    for n in (0, 3, 7):
+        result, counts, frames = _twice(calls, n)
+        assert result == n * (n + 1) // 2 + 2
+        # calls itself, n + 2 helper calls, n + 1 resumptions of the generator
+        assert frames == {__file__: 1 + (n + 2) + (n + 1)}
+        assert set(counts) == {__file__}
 
 
 def test_tracing_stops_when_the_call_raises():
@@ -79,15 +97,23 @@ def test_labels_name_checkout_files_by_their_path_and_others_by_name(tmp_path):
 def test_the_table_shows_both_sides_and_each_change():
     side = {"workload": "series", "seed": 0, "requests": 2, "python": "3.11.7",
             "problems": [], "setup": 10}
-    a = dict(side, total=1000, files={"src/oagw/hahn.py": 600, "fractions.py": 396, "x.py": 4})
+    a = dict(side, total=1000, files={"src/oagw/hahn.py": 600, "fractions.py": 396, "x.py": 4},
+             frames=90, frame_files={"src/oagw/hahn.py": 40, "fractions.py": 48, "x.py": 2})
     b = dict(side, total=800, files={"src/oagw/hahn.py": 700, "fractions.py": 100},
+             frames=50, frame_files={"src/oagw/hahn.py": 40, "fractions.py": 10},
              problems=["k/1: digest 0f, reference 1e"])
     lines = opcount.report([a, b]).splitlines()
     assert lines[0] == "series: seed 0, 2 requests, Python 3.11.7"
+    assert lines[1].split() == ["opcodes", "share", "frames"] * 2 + ["delta", "change", "frames", "change"]
     rows = {line.split()[0]: line.split()[1:] for line in lines[2:-2]}
-    assert rows["pass"] == ["1,000", "800", "-200", "-20.0%"]
-    assert rows["src/oagw/hahn.py"] == ["600", "60.0%", "700", "87.5%", "+100", "+16.7%"]
-    assert rows["fractions.py"] == ["396", "39.6%", "100", "12.5%", "-296", "-74.7%"]
-    # under half a per cent on both sides: summed into the rest
-    assert rows["(other)"] == ["4", "0.4%", "0", "0.0%", "-4", "-100.0%"]
+    assert rows["setup"] == ["10", "10", "+0", "+0.0%"]
+    assert rows["pass"] == ["1,000", "90", "800", "50", "-200", "-20.0%", "-40", "-44.4%"]
+    assert rows["src/oagw/hahn.py"] == [
+        "600", "60.0%", "40", "700", "87.5%", "40", "+100", "+16.7%", "+0", "+0.0%"
+    ]
+    assert rows["fractions.py"] == [
+        "396", "39.6%", "48", "100", "12.5%", "10", "-296", "-74.7%", "-38", "-79.2%"
+    ]
+    # under half a per cent on both sides: summed into the rest, frames too
+    assert rows["(other)"] == ["4", "0.4%", "2", "0", "0.0%", "0", "-4", "-100.0%", "-2", "-100.0%"]
     assert lines[-2:] == ["problems: 0, 1", "  k/1: digest 0f, reference 1e"]

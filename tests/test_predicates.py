@@ -6,6 +6,7 @@ for refuted cases the explicit certificate must verify by exact
 arithmetic alone.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from oagw.elements import (
     GAMMA,
     LAMBDA,
+    ComponentError,
     ConstructionMismatch,
     GroupElement,
     LeadDescriptor,
@@ -27,6 +29,7 @@ from oagw.positions import CRITICAL_CIRCLE, g1_circle, g1_square, g2_circle, g2_
 from oagw.predicates import (
     TailSet,
     cong_free_below,
+    cong_free_below_given,
     cong_witness_below,
     g1_part_by_formula,
     in_g1_part,
@@ -37,7 +40,7 @@ from oagw.predicates import (
 )
 from oagw.sampling import case_rng, random_element
 
-from conftest import seeded_elements
+from conftest import generated_calls, seeded_elements
 
 S00 = g1_square(0, 0)
 
@@ -199,6 +202,207 @@ class TestIndexWindow:
         window = index_window(zero(LAMBDA), zero(LAMBDA))
         with pytest.raises(ConstructionMismatch):
             window(zero(GAMMA))
+
+
+# -- the closed form against its descriptor-ordered reference ---------------
+
+
+def _reference_free_below_positive(n, a, d, b):
+    """The closed form for b > 0 as written on ``LeadDescriptor`` order:
+    address tuples compared with ``<``, b's lead read through
+    ``lead_descriptor`` and ``lead_value``, a tie's residue through
+    ``coeff_at``."""
+    if d is None:
+        return False
+    beta = b.lead_descriptor()
+    if d < beta:
+        return True
+    if beta < d:
+        return False
+    lead_val = b.lead_value()
+    if isinstance(lead_val, Fraction):
+        return False
+    return lead_val < a.coeff_at(d) % n
+
+
+def _reference_cong_free_below(n, a, b):
+    return b.sign() <= 0 or _reference_free_below_positive(n, a, a.lead_mod(n), b)
+
+
+def _reference_window(c, x, b):
+    return (
+        x.sign() > 0
+        and any(_reference_cong_free_below(n, c, x) for n in (2, 3))
+        and any(_reference_cong_free_below(n, x, b) for n in (2, 3))
+    )
+
+
+def _reference_contains(ts, b):
+    if ts.cut is None:
+        return False
+    d = b.lead_descriptor()
+    return d is None or ts.cut < d
+
+
+MODULI = (2, 3, 4, 6)
+
+# positions in address order, with squares that hold polynomials on lambda
+_TIE_POSITIONS = (
+    g2_circle(1), g2_square(1), g2_circle(0), g2_square(0),
+    S00, g1_square(0, 1), g1_circle(0), g1_square(1, 0),
+)
+
+
+def _tie_values(construction, pos):
+    """Raw values at ``pos`` whose leads fall at several slots, residues
+    and signs, so that equal leads meet every branch of the tie."""
+    if construction is LAMBDA and pos.is_square:
+        return ({0: 1}, {0: -2}, {0: 6, 1: 1}, {0: 4, 1: -3}, {1: 2}, {1: 5, 2: -1},
+                {0: 12, 2: 1}, {2: 3})
+    return (1, -1, 2, 3, Fraction(4, 5), Fraction(-9, 7), 6, 12)
+
+
+def _tie_elements(construction):
+    """One-entry elements, and elements whose first entry is n-divisible
+    for some n, so that lead_mod reads past it."""
+    out = []
+    for pos in _TIE_POSITIONS:
+        for raw in _tie_values(construction, pos):
+            out.append(element(construction, {pos: raw}))
+    deep = element(construction, {g2_square(2): {0: 12} if construction is LAMBDA else 12})
+    return out + [deep + e for e in out[::3]]
+
+
+class TestClosedFormMatchesDescriptorOrder:
+    """The closed form on raw lead addresses equals the reference that
+    orders ``LeadDescriptor`` tuples, which shares none of its code."""
+
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+    def test_constructed_leads_and_ties(self, construction):
+        elems = _tie_elements(construction)
+        kinds = Counter()
+        for a in elems:
+            for n in MODULI:
+                d = a.lead_mod(n)
+                for b in elems:
+                    want = _reference_cong_free_below(n, a, b)
+                    assert cong_free_below(n, a, b) is want, (n, str(a), str(b))
+                    assert cong_free_below_given(n, a, d, b) is want
+                    if d is None or b.sign() <= 0:
+                        continue
+                    beta = b.lead_descriptor()
+                    if d.position is not beta.position:
+                        kinds["other position"] += 1
+                    elif d.inner_slot != beta.inner_slot:
+                        kinds["same position, other slot"] += 1
+                    elif isinstance(b.lead_value(), Fraction):
+                        kinds["same rational component"] += 1
+                    elif b.lead_value() == a.coeff_at(d) % n:
+                        kinds["same slot, equal residue"] += 1
+                    else:
+                        kinds["same slot, unequal residue"] += 1
+        # every kind of comparison the construction has is met, and met often
+        if construction is LAMBDA:
+            expected = {"other position", "same position, other slot",
+                        "same slot, equal residue", "same slot, unequal residue"}
+        else:
+            expected = {"other position", "same rational component"}
+        assert set(kinds) == expected and min(kinds.values()) >= 10, kinds
+
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+    def test_constructed_tail_sets(self, construction):
+        elems = _tie_elements(construction)
+        for a in elems:
+            ts = tail_set(a)
+            for b in elems + [zero(construction)]:
+                assert ts.contains(b) is _reference_contains(ts, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seeded_elements(LAMBDA), seeded_elements(LAMBDA))
+    def test_seeded_lambda(self, a, b):
+        self._check_seeded(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seeded_elements(GAMMA), seeded_elements(GAMMA))
+    def test_seeded_gamma(self, a, b):
+        self._check_seeded(a, b)
+
+    @staticmethod
+    def _check_seeded(a, b):
+        for y in (b, b.abs(), -b.abs()):
+            for n in MODULI:
+                assert cong_free_below(n, a, y) is _reference_cong_free_below(n, a, y)
+            ts = tail_set(a)
+            assert ts.contains(y) is _reference_contains(ts, y)
+
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+    def test_constructed_windows(self, construction):
+        elems = _tie_elements(construction)
+        bounds = elems[::5] + [zero(construction)]
+        held = Counter()
+        for c in elems[::5]:
+            for b in bounds:
+                window = index_window(c, b)
+                for x in elems + [zero(construction)]:
+                    want = _reference_window(c, x, b)
+                    assert window(x) is want, (str(c), str(x), str(b))
+                    held[want, b.sign() > 0] += 1
+        # the window holds and fails both for b > 0 and, vacuously on its
+        # second half, for b <= 0
+        assert len(held) == 4 and min(held.values()) >= 10, held
+
+    @settings(max_examples=200, deadline=None)
+    @given(seeded_elements(LAMBDA), seeded_elements(LAMBDA), seeded_elements(LAMBDA))
+    def test_seeded_windows_lambda(self, c, x, b):
+        for y in (b, b.abs()):
+            assert index_window(c, y)(x) is _reference_window(c, x, y)
+            assert index_window(c, y)(x.abs()) is _reference_window(c, x.abs(), y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seeded_elements(GAMMA), seeded_elements(GAMMA), seeded_elements(GAMMA))
+    def test_seeded_windows_gamma(self, c, x, b):
+        for y in (b, b.abs()):
+            assert index_window(c, y)(x) is _reference_window(c, x, y)
+            assert index_window(c, y)(x.abs()) is _reference_window(c, x.abs(), y)
+
+    def test_a_given_lead_that_a_does_not_hold(self):
+        # read as coeff_at reads it: a position without a polynomial is
+        # rejected, an absent slot of a polynomial holds 0
+        a = element(LAMBDA, {S00: {0: 1}})
+        d = LeadDescriptor(g1_square(0, 1), 0)
+        for call in (_reference_free_below_positive, cong_free_below_given):
+            with pytest.raises(ComponentError):
+                call(2, a, d, element(LAMBDA, {g1_square(0, 1): {0: 1}}))
+        d = LeadDescriptor(S00, 3)
+        for lead in (1, 2, 5):
+            b = element(LAMBDA, {S00: {3: lead}})
+            assert cong_free_below_given(2, a, d, b) is _reference_free_below_positive(2, a, d, b)
+
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+    def test_no_generated_code_runs(self, construction):
+        # the lambda-repair window and elements on each side of its bounds
+        elems = _tie_elements(construction)
+        c, b = unit(construction, g2_square(1)), unit(construction, g2_square(0))
+        window = index_window(c, b)
+        ts = tail_set(c)
+        entered = generated_calls(lambda: [
+            (window(x), cong_free_below(2, x, b), cong_free_below(3, c, x), ts.contains(x))
+            for x in elems
+        ])
+        assert entered == []
+
+    def test_mixed_constructions_still_raise(self):
+        a, b = element(LAMBDA, {S00: {0: 1}}), element(GAMMA, {S00: 1})
+        for call in (
+            lambda: cong_free_below(2, a, b),
+            lambda: cong_free_below_given(2, a, a.lead_mod(2), b),
+            lambda: index_window(a, b),
+            lambda: a + b,
+            lambda: a.cmp(b),
+            lambda: a < b,
+        ):
+            with pytest.raises(ConstructionMismatch):
+                call()
 
 
 def _exhaustive_hits(gens, bound, construction, predicate):

@@ -8,15 +8,49 @@ import pytest
 from hypothesis import given, settings
 
 import oagw
-from conftest import seeded_elements
+from conftest import generated_calls, seeded_elements
 from oagw.cli import build_parser, main
-from oagw.elements import GAMMA, LAMBDA, zero
-from oagw.suites import DEMOS, SUITES, SuiteOptions, _psi_candidates, _psi_fragment, run_suite
+from oagw.elements import GAMMA, LAMBDA, parse_element, zero
+from oagw.suites import (
+    DEMOS,
+    SUITES,
+    CaseRecord,
+    SuiteOptions,
+    SuiteReport,
+    _psi_candidates,
+    _psi_fragment,
+    run_suite,
+)
 
 
 def test_unknown_suite_rejected():
     with pytest.raises(KeyError):
         run_suite("no-such-suite", SuiteOptions())
+
+
+def test_a_row_is_recorded_without_generated_code():
+    rep = SuiteReport("s", "lambda", 1)
+    a = parse_element("{G2[0].c: 1/2, G1[0].s[0]: 3-c1}", LAMBDA)
+    assert generated_calls(lambda: (
+        rep.record("unknown", "why", a=a, k=3),
+        rep.check(True, "unused", x=None),
+        rep.check(False, "bad", y="t", a=a),
+    )) == []
+    text = "{G2[0].c: 1/2, G1[0].s[0]: 3-1*c1}"
+    assert rep.cases == [
+        CaseRecord({"a": text, "k": "3"}, "unknown", "why"),
+        CaseRecord({"x": "None"}, "pass"),
+        CaseRecord({"y": "t", "a": text}, "fail", "bad"),
+    ]
+    assert json.dumps(rep.to_json_dict()) == json.dumps({
+        "suite": "s", "construction": "lambda", "seed": 1,
+        "counts": {"pass": 1, "fail": 1, "unknown": 1},
+        "cases": [
+            {"inputs": {"a": text, "k": "3"}, "verdict": "unknown", "detail": "why"},
+            {"inputs": {"x": "None"}, "verdict": "pass", "detail": ""},
+            {"inputs": {"y": "t", "a": text}, "verdict": "fail", "detail": "bad"},
+        ],
+    })
 
 
 def test_catalog_complete():

@@ -31,8 +31,9 @@ bound; else ``within``.
 
 With ``--opcodes`` it then runs ``tools/opcount.py --json`` once on
 both checkouts for the workload and prints, under the medians, the two
-pass counts and their change: exact counts that back a wall-time claim
-from a single run (see that script for what they do and do not count).
+pass counts of opcodes and of Python frames entered, and their changes:
+exact counts that back a wall-time claim from a single run (see that
+script for what they do and do not count).
 
 Only the standard library is used; the script is not part of the test
 suite and changes nothing in either checkout but the bytecode caches.
@@ -124,10 +125,16 @@ def run_opcount(parent: Path, change: Path, workload: str) -> list[dict]:
 
 
 def opcode_line(sides: list[dict]) -> str:
-    """The pass counts of the parent and the change, and their change."""
-    (parent, change), problems = [s["total"] for s in sides], [len(s["problems"]) for s in sides]
-    moved = (change / parent - 1) * 100 if parent else 0.0
-    return (f"{'pass opcodes':<16}parent {parent:,}  change {change:,}  {moved:+.1f}%"
+    """The pass counts, opcodes and frames, of the parent and the change,
+    and their changes."""
+
+    def counts(key: str) -> str:
+        parent, change = (s[key] for s in sides)
+        moved = (change / parent - 1) * 100 if parent else 0.0
+        return f"parent {parent:,}  change {change:,}  {moved:+.1f}%"
+
+    problems = [len(s["problems"]) for s in sides]
+    return (f"{'pass opcodes':<16}{counts('total')}  frames {counts('frames')}"
             f"  (seed {sides[0]['seed']}, Python {sides[0]['python']}, "
             f"problems {problems[0]}/{problems[1]})")
 

@@ -13,7 +13,10 @@ and its ``Runner``: that is the *setup* count.  It then calls every
 request of the pass once, in order, and counts the bytecode
 instructions each call executes under ``sys.settrace`` with
 ``frame.f_trace_opcodes`` set: that is the *pass* count, split by the
-file each instruction belongs to.  Checking a result against the
+file each instruction belongs to.  Beside it, the pass counts the
+Python frames entered per file (a generator's once per resumption):
+opcodes understate the cost of a call, its frame set-up and tear-down,
+so a saving made by removing calls shows in frames first.  Checking a result against the
 workload's reference digests is not counted; a request whose digest
 differs, or that raises, is reported as a problem.
 
@@ -32,10 +35,10 @@ the opening ``RESUME``; on Python 3.12 and later a function is
 instrumented only during its first traced call, which goes uncounted.
 
 With one checkout, it prints the setup count, the pass total and each
-file's count and share of the pass: every ``src/oagw`` module, then the
-other files that hold at least 0.5 % of either side, the rest summed
-as ``(other)``.  With two, it prints both sides and the change of each
-line.  ``--json`` prints, in place of each table, one JSON line with
+file's count, share of the pass and frames: every ``src/oagw`` module,
+then the other files that hold at least 0.5 % of either side's
+opcodes, the rest summed as ``(other)``.  With two, it prints both
+sides and the change of each line, in opcodes and in frames.  ``--json`` prints, in place of each table, one JSON line with
 each side's counts, so that two runs compare with ``cmp``.
 ``perfbench/workloads.py`` is read, never edited.  Only the standard
 library is used.
@@ -57,13 +60,17 @@ WORKLOADS = ("search", "sweep", "series", "eval")
 MIN_SHARE = 0.005
 
 
-def count_opcodes(fn: Callable, *args) -> tuple[object, dict[str, int]]:
-    """``fn(*args)`` and the instructions it executed, by code file name.
+def count_opcodes(fn: Callable, *args) -> tuple[object, dict[str, int], dict[str, int]]:
+    """``fn(*args)``, the instructions it executed and the Python frames
+    it entered, each by code file name.
 
     The caller's own frame is not traced, only the frames ``fn`` opens.
+    A generator's frame counts once per resumption, as each one opens
+    it again.
     """
     cells: dict[str, list[int]] = {}
     tracers: dict[str, Callable] = {}
+    frames: dict[str, int] = defaultdict(int)
 
     def local_for(filename: str) -> Callable:
         cell = cells[filename] = [0]
@@ -77,6 +84,7 @@ def count_opcodes(fn: Callable, *args) -> tuple[object, dict[str, int]]:
 
     def on_call(frame, event, arg):
         filename = frame.f_code.co_filename
+        frames[filename] += 1
         local = tracers.get(filename)
         if local is None:
             local = tracers[filename] = local_for(filename)
@@ -89,7 +97,7 @@ def count_opcodes(fn: Callable, *args) -> tuple[object, dict[str, int]]:
         result = fn(*args)
     finally:
         sys.settrace(None)
-    return result, {name: cell[0] for name, cell in cells.items()}
+    return result, {name: cell[0] for name, cell in cells.items()}, dict(frames)
 
 
 def _label(filename: str, checkout: Path) -> str:
@@ -117,17 +125,20 @@ def child(checkout: Path, workload: str, seed: int) -> dict:
 
     with tempfile.TemporaryDirectory() as cache:
         sys.pycache_prefix = cache  # empty: every import compiles from source
-        runner, setup = count_opcodes(set_up)
+        runner, setup, _ = count_opcodes(set_up)
     totals: dict[str, int] = defaultdict(int)
+    frame_totals: dict[str, int] = defaultdict(int)
     problems = []
     for req in runner.requests:
         try:
-            result, counts = count_opcodes(runner.call, req)
+            result, counts, frames = count_opcodes(runner.call, req)
             error = None
         except Exception as exc:  # a raised request is a problem, not a crash
-            result, counts, error = None, {}, exc
+            result, counts, frames, error = None, {}, {}, exc
         for filename, n in counts.items():
             totals[_label(filename, checkout)] += n
+        for filename, n in frames.items():
+            frame_totals[_label(filename, checkout)] += n
         problem = runner.check(req, result, error)[1]
         if problem:
             problems.append(problem)
@@ -140,6 +151,8 @@ def child(checkout: Path, workload: str, seed: int) -> dict:
         "setup": sum(setup.values()),
         "total": sum(totals.values()),
         "files": dict(sorted(totals.items())),
+        "frames": sum(frame_totals.values()),
+        "frame_files": dict(sorted(frame_totals.items())),
     }
 
 
@@ -153,8 +166,8 @@ def run_child(checkout: Path, workload: str, seed: int) -> dict:
     return json.loads(done.stdout)
 
 
-def _lines(sides: list[dict]) -> list[tuple[str, list[int]]]:
-    """(label, count per side) for every line of the table."""
+def _lines(sides: list[dict]) -> list[tuple[str, list[int], list[int]]]:
+    """(label, opcodes per side, frames per side) for every line of the table."""
     oagw = sorted({f for s in sides for f in s["files"] if f.startswith("src/oagw/")})
     others = sorted(
         {f for s in sides for f, n in s["files"].items()
@@ -162,34 +175,46 @@ def _lines(sides: list[dict]) -> list[tuple[str, list[int]]]:
         key=lambda f: -max(s["files"].get(f, 0) for s in sides),
     )
     shown = set(oagw) | set(others)
-    rest = [sum(n for f, n in s["files"].items() if f not in shown) for s in sides]
-    return [(f, [s["files"].get(f, 0) for s in sides]) for f in oagw + others] + [("(other)", rest)]
+
+    def per_side(key: str, f: str) -> list[int]:
+        return [s[key].get(f, 0) for s in sides]
+
+    def rest(key: str) -> list[int]:
+        return [sum(n for f, n in s[key].items() if f not in shown) for s in sides]
+
+    return ([(f, per_side("files", f), per_side("frame_files", f)) for f in oagw + others]
+            + [("(other)", rest("files"), rest("frame_files"))])
+
+
+def _delta(a: int, b: int, width: int) -> str:
+    """The change from a to b, absolute and in per cent."""
+    return f"{b - a:>+{width},}" + (f"{100 * (b - a) / a:>+8.1f}%" if a else f"{'':>9}")
 
 
 def report(sides: list[dict]) -> str:
-    """The table of one workload: one column per side, and a delta with two."""
+    """The table of one workload: opcodes, their share of the pass and
+    frames, one column group per side, and both changes with two sides."""
     first = sides[0]
     out = [f"{first['workload']}: seed {first['seed']}, {first['requests']} requests, "
            f"Python {', '.join(dict.fromkeys(s['python'] for s in sides))}"]
-    head = f"{'':<28}" + "".join(f"{'count':>13}{'share':>8}" for _ in sides)
+    head = f"{'':<28}" + "".join(f"{'opcodes':>13}{'share':>8}{'frames':>11}" for _ in sides)
     if len(sides) == 2:
-        head += f"{'delta':>13}{'change':>9}"
+        head += f"{'delta':>13}{'change':>9}{'frames':>11}{'change':>9}"
     out.append(head)
 
-    def row(label: str, counts: list[int], totals: list[int] | None) -> str:
+    def row(label: str, counts: list[int], frames: list[int] | None, totals: list[int] | None) -> str:
         text = f"{label:<28}"
         for i, n in enumerate(counts):
             share = f"{100 * n / totals[i]:.1f}%" if totals and totals[i] else ""
-            text += f"{n:>13,}{share:>8}"
+            text += f"{n:>13,}{share:>8}" + (f"{frames[i]:>11,}" if frames else f"{'':>11}")
         if len(counts) == 2:
-            a, b = counts
-            text += f"{b - a:>+13,}" + (f"{100 * (b - a) / a:>+8.1f}%" if a else f"{'':>9}")
+            text += _delta(*counts, 13) + (_delta(*frames, 11) if frames else "")
         return text
 
-    out.append(row("setup", [s["setup"] for s in sides], None))
+    out.append(row("setup", [s["setup"] for s in sides], None, None))
     totals = [s["total"] for s in sides]
-    out.append(row("pass", totals, None))
-    out.extend(row(f"  {label}", counts, totals) for label, counts in _lines(sides))
+    out.append(row("pass", totals, [s["frames"] for s in sides], None))
+    out.extend(row(f"  {label}", counts, frames, totals) for label, counts, frames in _lines(sides))
     out.append("problems: " + ", ".join(str(len(s["problems"])) for s in sides))
     out.extend(f"  {problem}" for s in sides for problem in s["problems"][:3])
     return "\n".join(out)
