@@ -683,6 +683,8 @@ def _parse_poly(text: str, base: int, body: str) -> dict[int, int]:
 
 
 def parse_element(text: str, construction: Construction) -> GroupElement:
+    """The element ``text`` writes; a fault ``_canon_value`` finds, or a zero
+    denominator, raises ``ParseError`` at its value's offset in ``text``."""
     s = text.strip()
     if s == "0":
         return zero(construction)

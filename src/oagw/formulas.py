@@ -427,7 +427,12 @@ class _Parser:
         exactly when every bound is positive, the anchors (right sides
         that are not own variables) of each class of the union-find
         over the congruences agree mod n, and each anchored bounded
-        variable has its anchor's residue somewhere below its bound.
+        variable has its anchor's residue somewhere below its bound: the
+        conjunction of ``0 < t`` for each bound t, ``cong(n, w, u)`` for
+        each further anchor u of a class whose first anchor is w, and
+        ``~desc_lt(n, w, t)`` for each bounded variable under t whose
+        class has the first anchor w, each conjunct once, where it
+        first appears.  Its negation is ``~`` of that conjunction.
         """
         self.i += 1
         self.expect("(")

@@ -11,10 +11,11 @@ addresses: a ``LeadDescriptor`` against the first entry of ``b``,
 positions by identity and then by ``Position.key``, then slots, and a
 tie's residue read from ``a``'s polynomial at that slot.
 
-``tail_set`` computes the canonical cut descriptor for the union of
-congruence-free tails swept out below an element, and membership in
-those tails drives the formula-based decision of the right-block
-subgroup (``g1_part_by_formula``).
+``tail_set`` computes the cut, a ``LeadDescriptor`` or ``None`` for the
+empty set, of the union of congruence-free tails swept out below an
+element; ``in_tail`` decides membership in the set a cut describes, and
+drives the formula-based decision of the right-block subgroup
+(``g1_part_by_formula``).
 
 On gamma, ``window_positions`` refutes ``index_window`` in the F1 image
 for every coefficient bound, by the positions its witnesses need.
@@ -22,7 +23,6 @@ for every coefficient bound, by the positions its witnesses need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -258,57 +258,50 @@ def cong_witness_below(n: int, a: GroupElement, b: GroupElement) -> Optional[Gro
 # -- tail sets -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TailSet:
-    """Canonical cut form of a congruence-free tail.
+def in_tail(cut: Optional[LeadDescriptor], b: GroupElement) -> bool:
+    """Membership of ``b`` in the tail set whose cut is ``cut``.
 
-    ``cut is None`` denotes the empty set; otherwise the set holds zero
-    and every nonzero element whose leading slot lies strictly after
-    ``cut``.
+    ``None`` is the empty set; any other cut is the set of zero and
+    every nonzero element whose lead address lies strictly after the
+    cut, compared as ``_free_below_positive`` compares it.
     """
-
-    cut: Optional[LeadDescriptor]
-
-    def contains(self, b: GroupElement) -> bool:
-        cut = self.cut
-        if cut is None:
-            return False
-        if not b.entries:
-            return True
-        # cut < b's lead address, compared as _free_below_positive does
-        pos, v = b.entries[0]
-        at = cut[0]
-        if at is not pos:
-            return at.key < pos.key
-        return cut[1] < (v[0][0] if v.__class__ is tuple else 0)
+    if cut is None:
+        return False
+    if not b.entries:
+        return True
+    pos, v = b.entries[0]
+    at = cut[0]
+    if at is not pos:
+        return at.key < pos.key
+    return cut[1] < (v[0][0] if v.__class__ is tuple else 0)
 
 
-def tail_set(a: GroupElement) -> TailSet:
-    """Cut descriptor of the union of congruence-free tails below ``a``.
+def tail_set(a: GroupElement) -> Optional[LeadDescriptor]:
+    """Cut of the union of congruence-free tails below ``a`` (see ``in_tail``).
 
     Depends only on the component at the leading position and is blind
-    to the overall sign; zero yields the empty set.  At a polynomial
-    square the cut is the leading slot itself; at a circle the sweep
-    reaches into the next square (LAMBDA) or stops at the circle
-    (GAMMA, where squares cannot carry a modulus-2 obstruction); a
-    GAMMA square defers to the next circle to its right.
+    to the overall sign; zero yields the empty set, ``None``.  At a
+    polynomial square the cut is the leading slot itself; at a circle
+    the sweep reaches into the next square (LAMBDA) or stops at the
+    circle (GAMMA, where squares cannot carry a modulus-2 obstruction);
+    a GAMMA square defers to the next circle to its right.
     """
     if a.is_zero():
-        return TailSet(None)
+        return None
     pos, v = a.entries[0]
     if a.construction is LAMBDA:
         if pos.is_square:
             assert isinstance(v, tuple)
-            return TailSet(tuple.__new__(LeadDescriptor, (pos, v[0][0])))
-        return TailSet(tuple.__new__(LeadDescriptor, (pos.successor(), 0)))
+            return tuple.__new__(LeadDescriptor, (pos, v[0][0]))
+        return tuple.__new__(LeadDescriptor, (pos.successor(), 0))
     # GAMMA: modulus-2 obstructions only live at circles
     if pos.is_circle:
-        return TailSet(tuple.__new__(LeadDescriptor, (pos, 0)))
-    return TailSet(tuple.__new__(LeadDescriptor, (pos.next_circle(), 0)))
+        return tuple.__new__(LeadDescriptor, (pos, 0))
+    return tuple.__new__(LeadDescriptor, (pos.next_circle(), 0))
 
 
 def inner_anchor_below(a: GroupElement) -> Optional[GroupElement]:
-    """A t with 0 < t < |a| whose modulus-2 lead realizes tail_set(a).cut.
+    """A t with 0 < t < |a| whose modulus-2 lead realizes tail_set(a).
 
     The swept tail below ``a`` is the union over such t of the sets
     they leave congruence-free; this canonical t witnesses that the
@@ -361,9 +354,4 @@ def g1_part_by_formula(a: GroupElement) -> bool:
     """
     if a.construction is not LAMBDA:
         raise ConstructionMismatch(f"expected a {LAMBDA} element")
-    head = TailSet(_G1_HEAD)
-    if a.is_zero():
-        return True
-    if head.contains(a):
-        return True
-    return tail_set(a) == head
+    return in_tail(_G1_HEAD, a) or tail_set(a) == _G1_HEAD

@@ -71,6 +71,7 @@ from .predicates import (
     cong_witness_below,
     g1_part_by_formula,
     in_g1_part,
+    in_tail,
     index_window,
     inner_anchor_below,
     tail_set,
@@ -195,7 +196,10 @@ class Suite:
         Raises ValueError for a construction the suite does not declare,
         for a coefficient bound given to a suite that reads none, and for
         a sample count or coefficient bound that is not an integer of at
-        least 0, before any case runs.
+        least 0, before any case runs.  A fixed-scan suite accepts and
+        ignores a sample count, which the CLI rejects instead: a rejection
+        here would fail each ``lambda-repair`` request of
+        ``perfbench/workloads.py``, which asks every suite for one sample.
         """
         construction = self.constructions[0] if opts.construction is None else opts.construction
         if construction not in self.constructions:
@@ -314,9 +318,9 @@ def _psi_fragment(opts: SuiteOptions, a: GroupElement, b: GroupElement) -> Itera
 def _tail_probes(rng: random.Random, a: GroupElement) -> list[GroupElement]:
     construction = a.construction
     probes = [zero(construction), random_element(rng, construction), -random_positive(rng, construction)]
-    ts = tail_set(a)
-    if ts.cut is not None:
-        pos, slot = ts.cut.position, ts.cut.inner_slot
+    cut = tail_set(a)
+    if cut is not None:
+        pos, slot = cut
         if uses_poly(construction, pos):
             probes.append(element(LAMBDA, {pos: {slot: 1}}))  # at the cut: excluded
             probes.append(element(LAMBDA, {pos: {slot + 1: 2}}))  # just past: included
@@ -342,7 +346,7 @@ def suite_hprime_descriptor(rep: SuiteReport, opts: SuiteOptions) -> None:
         a = random_element(rng, opts.construction)
         m = a.abs()
         anchor = inner_anchor_below(a)
-        ts = tail_set(a)
+        cut = tail_set(a)
         ok = True
         detail = ""
         inside: list[GroupElement] = []
@@ -359,7 +363,7 @@ def suite_hprime_descriptor(rep: SuiteReport, opts: SuiteOptions) -> None:
         for b in _tail_probes(rng, a):
             target = b.abs()
             want = any(cong_free_below_given(2, t, d, target) for t, d in leads)
-            got = ts.contains(b)
+            got = in_tail(cut, b)
             if want != got:
                 ok = False
                 detail = f"probe {b}: descriptor {got} vs union search {want}"
@@ -387,12 +391,12 @@ def suite_hprime_locality(rep: SuiteReport, opts: SuiteOptions) -> None:
         # sampled values are canonical and nonzero
         p = _from_canonical(opts.construction, tuple(sorted(comps.items())))
         a2 = a + p
-        ts, ts2 = tail_set(a), tail_set(a2)
-        ok = ts == ts2
-        detail = "" if ok else f"cut moved: {ts} vs {ts2}"
+        cut, cut2 = tail_set(a), tail_set(a2)
+        ok = cut == cut2
+        detail = "" if ok else f"cut moved: {cut} vs {cut2}"
         if ok:
             for b in _tail_probes(rng, a):
-                if ts.contains(b) != ts2.contains(b):
+                if in_tail(cut, b) != in_tail(cut2, b):
                     ok = False
                     detail = f"membership of {b} changed"
                     break
@@ -494,18 +498,18 @@ def closure_audit(
     """Audit transfer of truths from the full group into an embedding image.
 
     Each corpus entry is (formula, env) with env values inside the
-    image, and every pool generator of ``image_cfg`` lies inside it
-    too, so the image search reaches outside the image only through a
-    constant of the formula.  Each formula is compiled once, with its
-    bound variables renamed apart, and run over the full group with
-    ``full_cfg``; only when that run decides True is it run again with
-    ``image_cfg``.  One row per entry goes into ``rep``, and it fails
-    when the full group decides True but the image search does not, or
-    does with a witness outside the image.  As the bound variables are
-    apart, the image witness holds the binding of every quantifier the
-    verdict rests on, nested or in sibling parts, and a row fails
-    whenever one of those bindings lies outside the image; the row
-    prints the formula as given.  Verdicts stay three-valued: a
+    image, and every pool generator of ``image_cfg`` lies inside it too
+    (else ``ValueError``), so the image search leaves the image only
+    through a constant of the formula.  Each formula is compiled once,
+    with its bound variables renamed apart, and run over the full group
+    with ``full_cfg``; only when that run decides True is it run again
+    with ``image_cfg``.  One row per entry goes into ``rep``, and it
+    fails when the full group decides True but the image search does
+    not, or does with a witness outside the image.  As the bound
+    variables are apart, the image witness holds the binding of every
+    quantifier the verdict rests on, nested or in sibling parts, and a
+    row fails whenever one of those bindings lies outside the image; the
+    row prints the formula as given.  Verdicts stay three-valued: a
     full-group row not decided True is recorded unknown rather than
     failed.
     """
@@ -795,7 +799,7 @@ def suite_hahn_ring(rep: SuiteReport, opts: SuiteOptions) -> None:
 
 @suite("a-membership", samples=1000)
 def suite_a_membership(rep: SuiteReport, opts: SuiteOptions) -> None:
-    """The cone is a subring; the lifted embedding maps the ring into it."""
+    """The cone is a subring; the lifted embedding maps 500 ring samples into it."""
     for rng in opts.case_rngs():
         f = random_series(rng, LAMBDA, QQ, exponents=random_a_cone_exponent)
         g = random_series(rng, LAMBDA, QQ, exponents=random_a_cone_exponent)

@@ -649,7 +649,10 @@ class TestText:
 
     @pytest.mark.parametrize(
         "text, at, message",
-        [
+        # ids from the text alone, every blank spelled "_": a changed
+        # offset renames no test, and texts that differ only in a run of
+        # blanks stay apart in a listing that collapses blanks
+        [pytest.param(*case, id=case[0].replace(" ", "_")) for case in (
             ("  {G9: 1}", 3, "bad position 'G9'"),
             (" {G2[0].c: 1/0}", 11, "zero denominator in '1/0'"),
             ("  nonsense", 2, "expected '{...}' or '0'"),
@@ -661,7 +664,7 @@ class TestText:
             ("{G2[0].s:   1/2}", 12, "G2[0].s takes integer polynomials"),
             ("{G2[0].c:   x}", 12, "bad rational 'x'"),
             ("{G2[0].c:1/0}", 9, "zero denominator in '1/0'"),
-        ],
+        )],
     )
     def test_offsets_count_from_the_start_of_the_text(self, text, at, message):
         with pytest.raises(ParseError) as err:

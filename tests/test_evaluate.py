@@ -137,7 +137,7 @@ class TestQuantifiers:
         # the swept-tail membership of b > 0 below a > 0 is exactly the
         # satisfiability of "some t in (0, a) leaves b congruence-free";
         # decided evaluator verdicts must agree with the cut descriptor
-        from oagw.predicates import inner_anchor_below, tail_set
+        from oagw.predicates import in_tail, inner_anchor_below, tail_set
         from oagw.sampling import random_positive
 
         f = parse_formula("E t. (0 < t & t < a) & desc_lt(2, t, b)")
@@ -148,7 +148,7 @@ class TestQuantifiers:
             anchor = inner_anchor_below(a)
             pool = (anchor,) if anchor is not None else ()
             v = evaluate(LAMBDA, f, {"a": a, "b": b}, FragmentConfig(2, pool, 120, 0))
-            want = tail_set(a).contains(b)
+            want = in_tail(tail_set(a), b)
             if v.truth is Truth.TRUE:
                 assert want is True
             if want is True:

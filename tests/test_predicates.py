@@ -27,12 +27,12 @@ from oagw.fragments import FragmentConfig, iter_fragment
 from oagw.embeddings import Embedding, in_image
 from oagw.positions import CRITICAL_CIRCLE, g1_circle, g1_square, g2_circle, g2_square
 from oagw.predicates import (
-    TailSet,
     cong_free_below,
     cong_free_below_given,
     cong_witness_below,
     g1_part_by_formula,
     in_g1_part,
+    in_tail,
     index_window,
     inner_anchor_below,
     tail_set,
@@ -237,11 +237,11 @@ def _reference_window(c, x, b):
     )
 
 
-def _reference_contains(ts, b):
-    if ts.cut is None:
+def _reference_contains(cut, b):
+    if cut is None:
         return False
     d = b.lead_descriptor()
-    return d is None or ts.cut < d
+    return d is None or cut < d
 
 
 MODULI = (2, 3, 4, 6)
@@ -313,9 +313,9 @@ class TestClosedFormMatchesDescriptorOrder:
     def test_constructed_tail_sets(self, construction):
         elems = _tie_elements(construction)
         for a in elems:
-            ts = tail_set(a)
+            cut = tail_set(a)
             for b in elems + [zero(construction)]:
-                assert ts.contains(b) is _reference_contains(ts, b)
+                assert in_tail(cut, b) is _reference_contains(cut, b)
 
     @settings(max_examples=200, deadline=None)
     @given(seeded_elements(LAMBDA), seeded_elements(LAMBDA))
@@ -332,8 +332,8 @@ class TestClosedFormMatchesDescriptorOrder:
         for y in (b, b.abs(), -b.abs()):
             for n in MODULI:
                 assert cong_free_below(n, a, y) is _reference_cong_free_below(n, a, y)
-            ts = tail_set(a)
-            assert ts.contains(y) is _reference_contains(ts, y)
+            cut = tail_set(a)
+            assert in_tail(cut, y) is _reference_contains(cut, y)
 
     @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
     def test_constructed_windows(self, construction):
@@ -384,9 +384,9 @@ class TestClosedFormMatchesDescriptorOrder:
         elems = _tie_elements(construction)
         c, b = unit(construction, g2_square(1)), unit(construction, g2_square(0))
         window = index_window(c, b)
-        ts = tail_set(c)
+        cut = tail_set(c)
         entered = generated_calls(lambda: [
-            (window(x), cong_free_below(2, x, b), cong_free_below(3, c, x), ts.contains(x))
+            (window(x), cong_free_below(2, x, b), cong_free_below(3, c, x), in_tail(cut, x))
             for x in elems
         ])
         assert entered == []
@@ -511,24 +511,24 @@ class TestWindowPositions:
 class TestTailSets:
     def test_circle_lead_cut(self):
         a = element(LAMBDA, {g2_circle(0): Fraction(5)})
-        assert tail_set(a) == TailSet(LeadDescriptor(g2_square(0), 0))
+        assert tail_set(a) == LeadDescriptor(g2_square(0), 0)
 
     def test_square_lead_cut(self):
         a = element(LAMBDA, {S00: {0: 1, 1: 2}})
-        assert tail_set(a) == TailSet(LeadDescriptor(S00, 0))
+        assert tail_set(a) == LeadDescriptor(S00, 0)
 
     def test_zero_empty(self):
-        assert tail_set(zero(LAMBDA)) == TailSet(None)
-        assert not tail_set(zero(LAMBDA)).contains(zero(LAMBDA))
+        assert tail_set(zero(LAMBDA)) is None
+        assert not in_tail(None, zero(LAMBDA))
 
     def test_membership_boundaries(self):
         a = element(LAMBDA, {S00: {0: 1}})
-        ts = tail_set(a)
-        assert ts.contains(zero(LAMBDA))
-        assert not ts.contains(a)  # at the cut, not after it
-        assert ts.contains(element(LAMBDA, {S00: {1: 1}}))
-        assert ts.contains(-element(LAMBDA, {S00: {3: 1}}))
-        assert not ts.contains(element(LAMBDA, {g2_square(0): {0: 1}}))
+        cut = tail_set(a)
+        assert in_tail(cut, zero(LAMBDA))
+        assert not in_tail(cut, a)  # at the cut, not after it
+        assert in_tail(cut, element(LAMBDA, {S00: {1: 1}}))
+        assert in_tail(cut, -element(LAMBDA, {S00: {3: 1}}))
+        assert not in_tail(cut, element(LAMBDA, {g2_square(0): {0: 1}}))
 
     def test_sign_blind(self):
         a = element(LAMBDA, {g1_circle(1): Fraction(2, 7), g1_square(2, 0): {0: 5}})
@@ -541,18 +541,28 @@ class TestTailSets:
 
     def test_gamma_circle_lead(self):
         a = element(GAMMA, {g2_circle(1): Fraction(1)})
-        ts = tail_set(a)
-        assert ts.cut == LeadDescriptor(g2_circle(1), 0)
-        assert ts.contains(element(GAMMA, {g2_square(1): 1}))
-        assert not ts.contains(element(GAMMA, {g2_circle(1): Fraction(1, 3)}))
+        cut = tail_set(a)
+        assert cut == LeadDescriptor(g2_circle(1), 0)
+        assert in_tail(cut, element(GAMMA, {g2_square(1): 1}))
+        assert not in_tail(cut, element(GAMMA, {g2_circle(1): Fraction(1, 3)}))
 
     def test_gamma_square_lead_defers_to_next_circle(self):
         a = element(GAMMA, {g1_square(0, 2): Fraction(1)})
-        ts = tail_set(a)
-        assert ts.cut == LeadDescriptor(g1_circle(0), 0)
+        cut = tail_set(a)
+        assert cut == LeadDescriptor(g1_circle(0), 0)
         # a deeper square of the same block is swept by no anchor
-        assert not ts.contains(element(GAMMA, {g1_square(0, 5): 1}))
-        assert ts.contains(element(GAMMA, {g1_square(1, 0): 1}))
+        assert not in_tail(cut, element(GAMMA, {g1_square(0, 5): 1}))
+        assert in_tail(cut, element(GAMMA, {g1_square(1, 0): 1}))
+
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+    def test_no_generated_code_runs(self, construction):
+        # a cut is a LeadDescriptor built by tuple.__new__, or None
+        elems = _tie_elements(construction) + [zero(construction)]
+        decide = g1_part_by_formula if construction is LAMBDA else lambda a: None
+        entered = generated_calls(lambda: [
+            (decide(a), [in_tail(tail_set(a), b) for b in elems[::3]]) for a in elems
+        ])
+        assert entered == []
 
     @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
     def test_union_characterization(self, construction):
@@ -561,16 +571,16 @@ class TestTailSets:
             rng = case_rng(7300, i)
             a = random_element(rng, construction)
             anchor = inner_anchor_below(a)
-            ts = tail_set(a)
+            cut = tail_set(a)
             if a.is_zero():
-                assert anchor is None and ts.cut is None
+                assert anchor is None and cut is None
                 continue
             m = a.abs()
             assert anchor is not None
             assert anchor.sign() > 0 and anchor < m
-            assert anchor.lead_mod(2) == ts.cut
+            assert anchor.lead_mod(2) == cut
             probe = random_element(rng, construction)
-            want = ts.contains(probe)
+            want = in_tail(cut, probe)
             # found anchor certifies membership of |probe|
             if not probe.is_zero():
                 got = cong_free_below(2, anchor, probe.abs())

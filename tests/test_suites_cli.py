@@ -425,6 +425,21 @@ def test_out_of_range_counts_rejected(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+def test_a_fixed_scan_suite_takes_samples_only_in_process(capsys):
+    # perfbench/workloads.py runs lambda-repair with samples=1; the scan
+    # ignores it, and the command line rejects it
+    asked = SuiteOptions(LAMBDA, seed=3, samples=1)
+    assert SUITES["lambda-repair"].options(asked).samples == 1
+    assert (
+        run_suite("lambda-repair", asked).to_json_dict()
+        == run_suite("lambda-repair", SuiteOptions(LAMBDA, seed=3)).to_json_dict()
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "lambda-repair", "--samples", "1"])
+    assert exc.value.code == 2
+    assert "lambda-repair runs a fixed scan and takes no --samples" in capsys.readouterr().err
+
+
 def test_zero_samples_means_zero_not_the_default():
     assert SUITES["hahn-ring"].options(SuiteOptions(samples=0)).samples == 0
     assert SUITES["hahn-ring"].options(SuiteOptions()).samples == 1000
