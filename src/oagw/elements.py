@@ -51,7 +51,6 @@ import enum
 import math
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Any, NamedTuple, Optional, Union
@@ -118,15 +117,15 @@ def _canon_value(construction: Construction, pos: Position, raw: Any) -> Value:
             return _canon_poly({0: raw})
         raise ComponentError(f"{pos}: square components take integer polynomials")
     if raw.__class__ is int:
-        return Fraction(raw)
+        return _rational(raw, 1)
     if raw.__class__ is not Fraction:
         # a float or a str would convert, and a bool is an int
         raise ComponentError(f"{pos}: expected a rational value")
     if construction is GAMMA:
         p = _local_prime(pos)
-        if raw.denominator % p == 0:
+        if raw._denominator % p == 0:
             raise ComponentError(
-                f"{pos}: denominator {raw.denominator} not invertible here (prime {p})"
+                f"{pos}: denominator {raw._denominator} not invertible here (prime {p})"
             )
     return raw
 
@@ -175,6 +174,15 @@ def _poly_add(x: Poly, y: Poly) -> Poly:
 # the operator returns: lowest terms over a positive denominator, and
 # 0/1 for zero.  ``Fraction._from_coprime_ints`` writes the slots the
 # same way on Python 3.12.
+
+
+def _rational(num: int, den: int) -> Fraction:
+    """``Fraction(num, den)`` for a positive ``den``."""
+    g = math.gcd(num, den)
+    out = object.__new__(Fraction)
+    out._numerator = num // g
+    out._denominator = den // g
+    return out
 
 
 def _fraction_add(a: Fraction, b: Fraction) -> Fraction:
@@ -629,7 +637,7 @@ def element(
     entries = []
     for pos, raw in components.items():
         v = _canon_value(construction, pos, raw)
-        if v:
+        if v._numerator if v.__class__ is Fraction else v:  # a nonzero value
             entries.append((pos, v))
     entries.sort(key=_entry_key)
     return _from_canonical(construction, tuple(entries))
@@ -726,7 +734,7 @@ def parse_element(text: str, construction: Construction) -> GroupElement:
             if den is None:
                 raw = int(num)
             elif int(den):
-                raw = Fraction(int(num), int(den))
+                raw = _rational(int(num), int(den))
             else:
                 raise ParseError(text, val_base, f"zero denominator in {val_text.strip()!r}")
         try:
@@ -734,7 +742,10 @@ def parse_element(text: str, construction: Construction) -> GroupElement:
         except ComponentError as exc:
             raise ParseError(text, val_base, str(exc)) from None
         offset += len(chunk) + 1
-    entries = [e for e in components.items() if e[1]]
+    entries = []
+    for pos, v in components.items():
+        if v._numerator if v.__class__ is Fraction else v:  # a nonzero value
+            entries.append((pos, v))
     entries.sort(key=_entry_key)
     return _from_canonical(construction, tuple(entries))
 

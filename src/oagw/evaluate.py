@@ -86,7 +86,6 @@ the same elements of G.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import partial, reduce
 from operator import itemgetter
 from typing import Callable, Mapping, Optional
@@ -104,6 +103,7 @@ from .formulas import (
     Exists,
     Forall,
     Formula,
+    Frozen,
     Implies,
     Lt,
     Not,
@@ -120,11 +120,10 @@ class Truth(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    truth: Truth
-    witness: Optional[dict[str, GroupElement]] = None
-    reason: str = ""
+class Verdict(Frozen, fields="truth witness reason", defaults=(None, "")):
+    """A truth, the bindings that witness it, if any, and its reason."""
+
+    __slots__ = ()
 
     @property
     def decided(self) -> bool:
@@ -328,7 +327,8 @@ def _compile_junction(conj: bool, parts: list[_Compiled]) -> _Compiled:
                 if out.witness is not None:
                     # witnessed neutral parts share a reason: "" for a True
                     # existential, "counterexample" for a False universal
-                    v = Verdict(agree, out.witness | v.witness, v.reason)
+                    witness = out.witness | v.witness
+                    v = tuple.__new__(Verdict, ("Verdict", agree, witness, v.reason))
                 out = v
         return out
 
@@ -402,7 +402,8 @@ def _search(
             sub = run_body(env)
             if sub.truth is stop:
                 # the own binding goes last: a shadowed inner one cannot hide it
-                found = Verdict(stop, {var: cand, **(sub.witness or {}), var: cand}, reason)
+                witness = {var: cand, **(sub.witness or {}), var: cand}
+                found = tuple.__new__(Verdict, ("Verdict", stop, witness, reason))
                 break
         if shadowed is None:
             env.pop(var, None)

@@ -6,7 +6,7 @@ modulo n (``cong``), or assert the congruence-avoidance comparison
 (``desc_lt``).  Formulas are built with ``~ & | ->`` and the
 quantifiers ``E v.`` / ``A v.``.  A bounded congruence system
 ``rphi(...)`` is shorthand: the parser expands it into ``<``, ``cong``
-and ``desc_lt``.
+and ``desc_lt``.  Nodes are immutable tuples compared by class and fields.
 
 Concrete syntax examples::
 
@@ -17,8 +17,10 @@ Concrete syntax examples::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import string
+from collections import _tuplegetter  # type: ignore[attr-defined]
 from functools import reduce
+from operator import itemgetter
 from typing import Mapping, Optional, Union
 
 from .elements import (
@@ -31,15 +33,51 @@ from .elements import (
     zero,
 )
 
+
+class Frozen(tuple):
+    """An immutable value: the tuple of its class's name and its fields.
+
+    The name makes ``==``, ``!=`` and ``hash``, which tuples run in C,
+    tell classes apart.  A subclass names its fields in its class
+    statement, ``class Lt(Frozen, fields="lhs rhs")``, with ``defaults``
+    for the last ones, and declares ``__slots__ = ()``; a field reads
+    through the C descriptor of a named tuple's field.  Hot paths build
+    one with ``tuple.__new__(Lt, ("Lt", lhs, rhs))``: the value the class
+    call returns, without the Python frame of ``__new__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: tuple = ()
+
+    def __init_subclass__(cls, fields: str = "", defaults: tuple = ()) -> None:
+        cls._fields, cls._defaults = tuple(fields.split()), defaults
+        for i, name in enumerate(cls._fields, 1):
+            setattr(cls, name, _tuplegetter(i, f"field {name}"))
+
+    def __new__(cls, *args):
+        missing = len(cls._fields) - len(args)
+        if missing:
+            if not 0 < missing <= len(cls._defaults):
+                raise TypeError(f"{cls.__name__} takes {len(cls._fields)} fields, got {len(args)}")
+            args += cls._defaults[-missing:]
+        return tuple.__new__(cls, (cls.__name__, *args))
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self[1:]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self[1:]))
+        return f"{self.__class__.__name__}({fields})"
+
+
 # -- terms -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(Frozen, fields="coeffs const", defaults=((), None)):
     """Collected form: one integer coefficient per variable, plus a constant."""
 
-    coeffs: tuple[tuple[str, int], ...] = ()
-    const: Optional[GroupElement] = None
+    __slots__ = ()
 
     def free_vars(self) -> frozenset[str]:
         return frozenset(v for v, _ in self.coeffs)
@@ -76,62 +114,51 @@ class Term:
 
 
 def term_var(name: str, coeff: int = 1) -> Term:
-    return Term(((name, coeff),), None)
+    return tuple.__new__(Term, ("Term", ((name, coeff),), None))
 
 
 def term_const(value: GroupElement) -> Term:
-    return Term((), value if not value.is_zero() else None)
+    return tuple.__new__(Term, ("Term", (), value if value.entries else None))
 
 
 def _term_make(coeffs: Mapping[str, int], const: Optional[GroupElement]) -> Term:
-    items = tuple(sorted((v, k) for v, k in coeffs.items() if k))
-    if const is not None and const.is_zero():
+    items = tuple(sorted(filter(itemgetter(1), coeffs.items())))
+    if const is not None and not const.entries:
         const = None
-    return Term(items, const)
+    return tuple.__new__(Term, ("Term", items, const))
 
 
 # -- atoms -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Lt:
-    lhs: Term
-    rhs: Term
+class Lt(Frozen, fields="lhs rhs"):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Eq:
-    lhs: Term
-    rhs: Term
+class Eq(Frozen, fields="lhs rhs"):
+    __slots__ = ()
 
 
-def _check_modulus(atom: "Cong | DescLt") -> None:
-    if not isinstance(atom.modulus, int) or atom.modulus < 2:
-        raise ValueError(f"modulus must be an integer >= 2, got {atom.modulus!r}")
+def _new_modular(cls: type, modulus: int, lhs: Term, rhs: Term) -> "Cong | DescLt":
+    if not isinstance(modulus, int) or modulus < 2:
+        raise ValueError(f"modulus must be an integer >= 2, got {modulus!r}")
+    return tuple.__new__(cls, (cls.__name__, modulus, lhs, rhs))
 
 
-@dataclass(frozen=True)
-class Cong:
-    modulus: int
-    lhs: Term
-    rhs: Term
-
-    __post_init__ = _check_modulus
+class Cong(Frozen, fields="modulus lhs rhs"):
+    __slots__ = ()
+    __new__ = _new_modular
 
 
-@dataclass(frozen=True)
-class DescLt:
+class DescLt(Frozen, fields="modulus lhs rhs"):
     """Congruence-avoidance comparison: no y with 0 < y < rhs has y = lhs mod n.
 
     Decided exactly from n-lead descriptors; this is the atomic shape
     the bounded-congruence normal form is written in.
     """
 
-    modulus: int
-    lhs: Term
-    rhs: Term
-
-    __post_init__ = _check_modulus
+    __slots__ = ()
+    __new__ = _new_modular
 
 
 Atom = Union[Lt, Eq, Cong, DescLt]
@@ -142,44 +169,32 @@ ATOMS = (Lt, Eq, Cong, DescLt)
 # -- formulas --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoolC:
-    value: bool
+class BoolC(Frozen, fields="value"):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Not:
-    body: "Formula"
+class Not(Frozen, fields="body"):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class And:
-    lhs: "Formula"
-    rhs: "Formula"
+class And(Frozen, fields="lhs rhs"):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Or:
-    lhs: "Formula"
-    rhs: "Formula"
+class Or(Frozen, fields="lhs rhs"):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Implies:
-    lhs: "Formula"
-    rhs: "Formula"
+class Implies(Frozen, fields="lhs rhs"):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Exists:
-    var: str
-    body: "Formula"
+class Exists(Frozen, fields="var body"):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Forall:
-    var: str
-    body: "Formula"
+class Forall(Frozen, fields="var body"):
+    __slots__ = ()
 
 
 Formula = Union[Atom, BoolC, Not, And, Or, Implies, Exists, Forall]
@@ -187,29 +202,23 @@ _LEAVES = (*ATOMS, BoolC)
 
 
 def free_vars(f: Formula) -> frozenset[str]:
+    return _scan(f, [])
+
+
+def _scan(f: Formula, bound: list[str]) -> frozenset[str]:
+    """The free variables of ``f``; appends the variable of every
+    quantifier in ``f`` to ``bound``, repeats kept."""
     if isinstance(f, ATOMS):
         return f.lhs.free_vars() | f.rhs.free_vars()
     if isinstance(f, BoolC):
         return frozenset()
     if isinstance(f, Not):
-        return free_vars(f.body)
+        return _scan(f.body, bound)
     if isinstance(f, (And, Or, Implies)):
-        return free_vars(f.lhs) | free_vars(f.rhs)
+        return _scan(f.lhs, bound) | _scan(f.rhs, bound)
     if isinstance(f, (Exists, Forall)):
-        return free_vars(f.body) - {f.var}
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _bound_names(f: Formula) -> list[str]:
-    """The variable of every quantifier in ``f``, repeats kept."""
-    if isinstance(f, _LEAVES):
-        return []
-    if isinstance(f, Not):
-        return _bound_names(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return _bound_names(f.lhs) + _bound_names(f.rhs)
-    if isinstance(f, (Exists, Forall)):
-        return [f.var] + _bound_names(f.body)
+        bound.append(f.var)
+        return _scan(f.body, bound) - {f.var}
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -217,12 +226,12 @@ def rename_bound_apart(f: Formula) -> Formula:
     """``f`` with every quantifier binding a name of its own.
 
     Returns ``f`` itself when every bound name is distinct and none is
-    also free.  Otherwise every bound variable is renamed to a fresh
-    name, one used nowhere else in ``f``, so that no two bindings, and
-    no binding and a free variable, share a name.
+    also free, which one walk finds.  Otherwise every bound variable is
+    renamed to a fresh name, one used nowhere else in ``f``, so that no
+    two bindings, and no binding and a free variable, share a name.
     """
-    bound = _bound_names(f)
-    free = free_vars(f)
+    bound: list[str] = []
+    free = _scan(f, bound)
     if len(set(bound)) == len(bound) and free.isdisjoint(bound):
         return f
     used = set(bound) | free
@@ -294,29 +303,45 @@ def _pf(f: Formula, ctx: int) -> str:
 
 # -- parsing ---------------------------------------------------------------
 
-# one named group per token kind: a match's lastgroup is its kind; a
-# character that starts no token starts ``bad``, which runs to the end
+# One alternative per token kind.  A character that starts no token
+# matches empty: the only empty match, since every other alternative
+# takes at least one character.
 _TOKEN_RE = re.compile(
-    r"(?P<literal>\{[^{}]*\})|(?P<arrow>->)|(?P<int>\d+)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<punct>[().,;<=~&|*+-])|(?P<bad>\S.*)",
-    re.DOTALL,
+    r"\{[^{}]*\}|->|\d+|[A-Za-z_][A-Za-z0-9_]*|[().,;<=~&|*+-]|(?=\S)"
 )
 
 _KEYWORDS = {"E", "A", "cong", "desc_lt", "rphi", "true", "false"}
 
-# A token is a tuple (kind, text, at).  The list ends in a token of kind
-# _END, text "" and offset len(text), so the parser reads the token at
-# its index without a bounds check, and no other token's text is "".
-_Tok = tuple[str, str, int]
+# A token is its text.  The list ends in the token "" of kind _END, so
+# the parser reads the token at its index without a bounds check, and
+# no other token is "".  Offsets are worked out only for an error.
 _END = "end"
+_KIND = {
+    "": _END,
+    "{": "literal",
+    **dict.fromkeys("().,;<=~&|*+-", "punct"),
+    **dict.fromkeys(string.digits, "int"),
+    **dict.fromkeys(string.ascii_letters + "_", "name"),
+}
 
 
-def _tokenize(text: str) -> list[_Tok]:
-    toks = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(text)]
-    if toks and toks[-1][0] == "bad":
-        raise ParseError(text, toks[-1][2], "unexpected character")
-    toks.append((_END, "", len(text)))
+def _kind(tok: str) -> str:
+    """The kind of a token, from its first character: a digit that
+    ``\\d`` matches outside ASCII is the only one ``_KIND`` lacks."""
+    return "arrow" if tok == "->" else _KIND.get(tok[:1], "int")
+
+
+def _token_start(text: str, i: int) -> int:
+    """The offset of token i of ``text``, or ``len(text)`` for the end token."""
+    starts = [m.start() for m in _TOKEN_RE.finditer(text)]
+    return starts[i] if i < len(starts) else len(text)
+
+
+def _tokenize(text: str) -> list[str]:
+    toks = _TOKEN_RE.findall(text)
+    if "" in toks:
+        raise ParseError(text, _token_start(text, toks.index("")), "unexpected character")
+    toks.append("")
     return toks
 
 
@@ -327,54 +352,56 @@ class _Parser:
         self.toks = _tokenize(text)
         self.i = 0  # the index of the next token
 
-    def error(self, tok: _Tok, message: str) -> ParseError:
-        """``message`` at ``tok``, or "unexpected end of input" at the end."""
-        if tok[0] == _END:
-            message = "unexpected end of input"
-        return ParseError(self.text, tok[2], message)
+    def fail(self, i: int, message: str) -> ParseError:
+        """``message`` at token i."""
+        return ParseError(self.text, _token_start(self.text, i), message)
 
-    def expect(self, text: str) -> _Tok:
-        tok = self.toks[self.i]
-        if tok[1] != text:
-            raise self.error(tok, f"expected {text!r}, found {tok[1]!r}")
-        self.i += 1
-        return tok
+    def error(self, i: int, message: str) -> ParseError:
+        """``message`` at token i, or "unexpected end of input" at the end."""
+        return self.fail(i, message if self.toks[i] else "unexpected end of input")
+
+    def expect(self, text: str) -> int:
+        """The index of the next token, which must be ``text``."""
+        i = self.i
+        if self.toks[i] != text:
+            raise self.error(i, f"expected {text!r}, found {self.toks[i]!r}")
+        self.i = i + 1
+        return i
 
     def finish(self) -> None:
-        kind, text, at = self.toks[self.i]
-        if kind != _END:
-            raise ParseError(self.text, at, f"trailing input {text!r}")
+        tok = self.toks[self.i]
+        if tok:
+            raise self.fail(self.i, f"trailing input {tok!r}")
 
     # formula := disjunction [-> formula]; a quantifier is a primary whose
     # body is a formula, so it reaches as far right as it can
     def formula(self) -> Formula:
         lhs = self.disjunction()
-        if self.toks[self.i][1] == "->":
+        if self.toks[self.i] == "->":
             self.i += 1
-            return Implies(lhs, self.formula())
+            return tuple.__new__(Implies, ("Implies", lhs, self.formula()))
         return lhs
 
     def disjunction(self) -> Formula:
         f = self.conjunction()
-        while self.toks[self.i][1] == "|":
+        while self.toks[self.i] == "|":
             self.i += 1
-            f = Or(f, self.conjunction())
+            f = tuple.__new__(Or, ("Or", f, self.conjunction()))
         return f
 
     def conjunction(self) -> Formula:
         f = self.primary()
-        while self.toks[self.i][1] == "&":
+        while self.toks[self.i] == "&":
             self.i += 1
-            f = And(f, self.primary())
+            f = tuple.__new__(And, ("And", f, self.primary()))
         return f
 
     def primary(self) -> Formula:
         """A negation, a formula in parentheses, a quantifier or an atom."""
-        tok = self.toks[self.i]
-        head = tok[1]
+        head = self.toks[self.i]
         if head == "~":
             self.i += 1
-            return Not(self.primary())
+            return tuple.__new__(Not, ("Not", self.primary()))
         if head == "(":
             self.i += 1
             f = self.formula()
@@ -382,21 +409,23 @@ class _Parser:
             return f
         if head == "E" or head == "A":
             var = self.toks[self.i + 1]
-            if var[0] != "name" or var[1] in _KEYWORDS:
-                raise self.error(var, "expected a variable after quantifier")
+            if _kind(var) != "name" or var in _KEYWORDS:
+                raise self.error(self.i + 1, "expected a variable after quantifier")
             self.i += 2
             self.expect(".")
             body = self.formula()
-            return Exists(var[1], body) if head == "E" else Forall(var[1], body)
+            if head == "E":
+                return tuple.__new__(Exists, ("Exists", var, body))
+            return tuple.__new__(Forall, ("Forall", var, body))
         if head == "true" or head == "false":
             self.i += 1
-            return BoolC(head == "true")
+            return tuple.__new__(BoolC, ("BoolC", head == "true"))
         if head == "cong" or head == "desc_lt":
             return self.cong_like(head)
         if head == "rphi":
             return self.rphi()
-        if tok[0] == _END:
-            raise self.error(tok, "")
+        if not head:
+            raise self.error(self.i, "")
         return self.comparison()
 
     def cong_like(self, head: str) -> Atom:
@@ -411,14 +440,14 @@ class _Parser:
         try:
             return Cong(n, lhs, rhs) if head == "cong" else DescLt(n, lhs, rhs)
         except ValueError as exc:
-            raise ParseError(self.text, end[2], str(exc)) from None
+            raise self.fail(end, str(exc)) from None
 
     def names(self) -> list[str]:
         """The names up to the next token that is not one."""
         toks, start = self.toks, self.i
-        while toks[self.i][0] == "name":
+        while _kind(toks[self.i]) == "name":
             self.i += 1
-        return [tok[1] for tok in toks[start : self.i]]
+        return toks[start : self.i]
 
     def rphi(self) -> Formula:
         """``rphi(n; bounds; inner; congs)`` as the formula it abbreviates.
@@ -443,28 +472,28 @@ class _Parser:
             group = self.names()
             self.expect("<")
             bounds.append((group, self.term()))
-            if self.toks[self.i][1] != ",":
+            if self.toks[self.i] != ",":
                 break
             self.i += 1
         self.expect(";")
         inner = self.names()
         self.expect(";")
         congs: list[tuple[str, Term]] = []
-        if self.toks[self.i][1] != ")":
+        if self.toks[self.i] != ")":
             while True:
                 v = self.toks[self.i]
-                if v[0] != "name":
-                    raise self.error(v, "expected a variable on the left of ~")
+                if _kind(v) != "name":
+                    raise self.error(self.i, "expected a variable on the left of ~")
                 self.i += 1
                 self.expect("~")
-                congs.append((v[1], self.term()))
-                if self.toks[self.i][1] != ",":
+                congs.append((v, self.term()))
+                if self.toks[self.i] != ",":
                     break
                 self.i += 1
         end = self.expect(")")
 
         def reject(message: str) -> ParseError:
-            return ParseError(self.text, end[2], message)
+            return self.fail(end, message)
 
         if n < 2:
             raise reject(f"modulus must be >= 2, got {n}")
@@ -521,70 +550,72 @@ class _Parser:
         lhs = self.term()
         op = self.toks[self.i]
         self.i += 1
-        if op[1] == "<":
-            return Lt(lhs, self.term())
-        if op[1] == "=":
-            return Eq(lhs, self.term())
-        raise self.error(op, f"expected '<' or '=', found {op[1]!r}")
+        if op == "<":
+            return tuple.__new__(Lt, ("Lt", lhs, self.term()))
+        if op == "=":
+            return tuple.__new__(Eq, ("Eq", lhs, self.term()))
+        raise self.error(self.i - 1, f"expected '<' or '=', found {op!r}")
 
     def integer(self) -> int:
         tok = self.toks[self.i]
-        if tok[0] != "int":
-            raise self.error(tok, "expected an integer")
+        if _kind(tok) != "int":
+            raise self.error(self.i, "expected an integer")
         self.i += 1
-        return int(tok[1])
+        return int(tok)
 
     def term(self) -> Term:
         """Summands, each but the first after its sign: [int *] var,
         [int *] literal, or 0."""
         toks = self.toks
         i = self.i
-        if toks[i][0] == _END:
-            raise ParseError(self.text, toks[i][2], "expected a term")
+        if not toks[i]:
+            raise self.fail(i, "expected a term")
         coeffs: dict[str, int] = {}
         const: Optional[GroupElement] = None
         first = True
         while True:
-            kind, word, at = toks[i]
-            if word == "+" or word == "-":
-                k = 1 if word == "+" else -1
+            tok = toks[i]
+            if tok == "+" or tok == "-":
+                k = 1 if tok == "+" else -1
                 i += 1
-                kind, word, at = toks[i]
+                tok = toks[i]
             elif first:
                 k = 1
             else:
                 break
             first = False
+            kind = _kind(tok)
             if kind == "int":
-                if word == "0" and toks[i + 1][1] != "*":
+                if tok == "0" and toks[i + 1] != "*":
                     i += 1
                     continue  # a summand 0 adds nothing
-                star = toks[i + 1]
-                if star[1] != "*":
-                    raise self.error(star, f"expected '*', found {star[1]!r}")
-                k *= int(word)
+                if toks[i + 1] != "*":
+                    raise self.error(i + 1, f"expected '*', found {toks[i + 1]!r}")
+                k *= int(tok)
                 i += 2
-                kind, word, at = toks[i]
+                tok = toks[i]
+                kind = _kind(tok)
             if kind == "name":
-                if word in _KEYWORDS:
-                    raise ParseError(self.text, at, f"keyword {word!r} used as a variable")
-                coeffs[word] = coeffs.get(word, 0) + k
+                if tok in _KEYWORDS:
+                    raise self.fail(i, f"keyword {tok!r} used as a variable")
+                coeffs[tok] = coeffs.get(tok, 0) + k
             elif kind == "literal":
-                lit = self.literal(word, at).scale(k)
+                lit = self.literal(i).scale(k)
                 const = lit if const is None else const + lit
             else:
-                raise self.error(toks[i], f"expected a term, found {word!r}")
+                raise self.error(i, f"expected a term, found {tok!r}")
             i += 1
         self.i = i
         return _term_make(coeffs, const)
 
-    def literal(self, word: str, at: int) -> GroupElement:
-        """The element a literal at ``at`` writes; its errors give
+    def literal(self, i: int) -> GroupElement:
+        """The element the literal at token i writes; its errors give
         offsets in the whole text."""
         try:
-            return parse_element(word, self.construction)
+            return parse_element(self.toks[i], self.construction)
         except ParseError as exc:
-            raise ParseError(self.text, at + exc.at, exc.message) from None
+            start = _token_start(self.text, i)
+            raise ParseError(self.text, start + exc.at, exc.message) from None
 
 
 def parse_formula(text: str, construction: Construction = LAMBDA) -> Formula:

@@ -6,7 +6,8 @@ polynomial equalities between series terms plus the unary valuation
 ring predicate, with one quantified shape ``E g (ValRing(g) & s = g*t)``
 expressing ``v(s) >= v(t)`` without division.  Both languages build
 boolean structure from the formula layer's ``Not``, ``And`` and ``Or``,
-and one walker decides those connectives for either side.
+and one walker decides those connectives for either side.  Nodes are
+immutable tuples compared by class and fields, as the formula layer's.
 
 The target's quantifier ranges over the full series field, so its
 semantics here is decided by the exact valuation comparison rather than
@@ -16,10 +17,9 @@ finite-support series and compared by the test suites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
-from .formulas import And, Not, Or
+from .formulas import And, Frozen, Not, Or
 from .hahn import HahnSeries, membership
 
 # -- series terms ------------------------------------------------------------
@@ -27,11 +27,10 @@ from .hahn import HahnSeries, membership
 Factor = Union[str, HahnSeries]
 
 
-@dataclass(frozen=True)
-class SeriesTerm:
+class SeriesTerm(Frozen, fields="factors"):
     """Product of series variables and constants."""
 
-    factors: tuple[Factor, ...]
+    __slots__ = ()
 
     def evaluate(self, env: Mapping[str, HahnSeries]) -> HahnSeries:
         if not self.factors:
@@ -44,34 +43,29 @@ class SeriesTerm:
         return acc
 
     def __mul__(self, other: "SeriesTerm") -> "SeriesTerm":
-        return SeriesTerm(self.factors + other.factors)
+        return tuple.__new__(SeriesTerm, ("SeriesTerm", self.factors + other.factors))
 
     def __str__(self) -> str:
         return "*".join(f if isinstance(f, str) else f"({f})" for f in self.factors)
 
 
 def svar(name: str) -> SeriesTerm:
-    return SeriesTerm((name,))
+    return tuple.__new__(SeriesTerm, ("SeriesTerm", (name,)))
 
 
 # -- source: valuation statements ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class VLt:
+class VLt(Frozen, fields="lhs rhs"):
     """v(lhs) < v(rhs)."""
 
-    lhs: SeriesTerm
-    rhs: SeriesTerm
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VSumEq:
+class VSumEq(Frozen, fields="a b c"):
     """v(a) + v(b) = v(c)."""
 
-    a: SeriesTerm
-    b: SeriesTerm
-    c: SeriesTerm
+    __slots__ = ()
 
 
 ValFormula = Union[VLt, VSumEq, Not, And, Or]
@@ -80,21 +74,16 @@ ValFormula = Union[VLt, VSumEq, Not, And, Or]
 # -- target: ring formulas -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RingEq:
-    lhs: SeriesTerm
-    rhs: SeriesTerm
+class RingEq(Frozen, fields="lhs rhs"):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ValRing:
-    arg: SeriesTerm
+class ValRing(Frozen, fields="arg"):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RExists:
-    var: str
-    body: "RingFormula"
+class RExists(Frozen, fields="var body"):
+    __slots__ = ()
 
 
 RingFormula = Union[RingEq, ValRing, RExists, Not, And, Or]
@@ -113,7 +102,10 @@ def _ge_pattern(s: SeriesTerm, t: SeriesTerm) -> RingFormula:
     while g in taken:
         k += 1
         g = f"g{k}"
-    return RExists(g, And(ValRing(svar(g)), RingEq(s, svar(g) * t)))
+    gv = svar(g)
+    valring = tuple.__new__(ValRing, ("ValRing", gv))
+    eq = tuple.__new__(RingEq, ("RingEq", s, gv * t))
+    return tuple.__new__(RExists, ("RExists", g, tuple.__new__(And, ("And", valring, eq))))
 
 
 def translate_to_ring(f: ValFormula) -> RingFormula:
@@ -171,7 +163,7 @@ def _ring_atom(f: RingFormula, env: Mapping[str, HahnSeries]) -> bool:
             eq = body.rhs
             if eq.rhs.factors[:1] == (f.var,):
                 a = eq.lhs.evaluate(env)
-                b = SeriesTerm(eq.rhs.factors[1:]).evaluate(env)
+                b = tuple.__new__(SeriesTerm, ("SeriesTerm", eq.rhs.factors[1:])).evaluate(env)
                 return _divides_in_val_ring(a, b)
         raise NonValuationAtom("only the division-free valuation-ring pattern is evaluable")
     raise NonValuationAtom(f"not a ring formula: {f!r}")

@@ -47,7 +47,6 @@ from .formulas import (
     Eq,
     Exists,
     Lt,
-    Term,
     print_formula,
     rename_bound_apart,
     term_const,
@@ -138,7 +137,10 @@ class SuiteReport:
         self.cases.append(tuple.__new__(CaseRecord, (texts, verdict, detail)))
 
     def check(self, ok: bool, detail_fail: str = "", **inputs) -> None:
-        self.record("pass" if ok else "fail", "" if ok else detail_fail, **inputs)
+        # record's row, without packing the inputs a second time
+        texts = dict(zip(inputs, map(str, inputs.values())))
+        row = (texts, "pass", "") if ok else (texts, "fail", detail_fail)
+        self.cases.append(tuple.__new__(CaseRecord, row))
 
     @property
     def counts(self) -> dict[str, int]:
@@ -542,37 +544,28 @@ def _closure_sentence(rng: random.Random, construction: Construction):
     if shape == 0:
         k = rng.choice([2, 3, 4])
         a = base.scale(k)
-        f = Exists("x", Eq(Term((("x", k),), None), term_const(a)))
-        pools = [base]
-        return f, pools
+        eq = tuple.__new__(Eq, ("Eq", term_var("x", k), term_const(a)))
+        return tuple.__new__(Exists, ("Exists", "x", eq)), [base]
     if shape == 1:
         n = rng.choice([2, 3])
         d = _deep_unit(construction, base)
         lo, hi = base - d, base + d
         r = base - (_deep_unit(construction, base, d)).scale(n)
-        f = Exists(
-            "x",
-            And(
-                And(
-                    Lt(term_const(lo), term_var("x")),
-                    Lt(term_var("x"), term_const(hi)),
-                ),
-                Cong(n, term_var("x"), term_const(r)),
-            ),
-        )
-        return f, [base, d]
+        x = term_var("x")
+        above = tuple.__new__(Lt, ("Lt", term_const(lo), x))
+        below = tuple.__new__(Lt, ("Lt", x, term_const(hi)))
+        cong = tuple.__new__(Cong, ("Cong", n, x, term_const(r)))
+        body = tuple.__new__(And, ("And", tuple.__new__(And, ("And", above, below)), cong))
+        return tuple.__new__(Exists, ("Exists", "x", body)), [base, d]
     n = rng.choice([2, 3])
     c = base
     if c.lead_mod(n) is None:
         c = base + unit(construction, g2_square(1))
     w = _deep_unit(construction, c)
-    f = Exists(
-        "x",
-        And(
-            Lt(term_const(zero(construction)), term_var("x")),
-            DescLt(n, term_const(c), term_var("x")),
-        ),
-    )
+    x = term_var("x")
+    positive = tuple.__new__(Lt, ("Lt", term_const(zero(construction)), x))
+    avoid = tuple.__new__(DescLt, ("DescLt", n, term_const(c), x))
+    f = tuple.__new__(Exists, ("Exists", "x", tuple.__new__(And, ("And", positive, avoid))))
     return f, [c, w]
 
 

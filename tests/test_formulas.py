@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 
@@ -33,9 +35,16 @@ from oagw.formulas import (
     print_formula,
     rename_bound_apart,
 )
+from oagw import formulas
+from oagw.evaluate import Truth, Verdict, compile_formula
 from oagw.positions import g1_square
+from oagw.ringlang import RExists, RingEq, ValRing, VLt, VSumEq, svar, translate_to_ring
 from oagw.sampling import random_nonzero
-from oagw.suites import gen_corpus
+from oagw.suites import _closure_sentence, gen_corpus
+
+from conftest import fraction_calls, generated_calls
+from test_evaluate import POOL_TEXTS, PREFIX_SHAPES
+from test_readme import _examples, _text
 
 S00 = g1_square(0, 0)
 
@@ -152,92 +161,95 @@ def _parse_error(parse, text):
     return err.value
 
 
+_FORMULA_ERRORS = [
+    # unexpected end of input
+    ("", 0, "unexpected end of input"),
+    ("E", 1, "unexpected end of input"),
+    ("E x.", 4, "unexpected end of input"),
+    ("x", 1, "unexpected end of input"),
+    ("x < y & ", 8, "unexpected end of input"),
+    ("(x < y", 6, "unexpected end of input"),
+    ("cong(2, x", 9, "unexpected end of input"),
+    ("x < y +", 7, "unexpected end of input"),
+    ("x < 2", 5, "unexpected end of input"),
+    ("x < 2*", 6, "unexpected end of input"),
+    ("rphi(2; z < a; ; z ~ b", 22, "unexpected end of input"),
+    # expected X, found Y
+    ("cong(2; x, y)", 6, "expected ',', found ';'"),
+    ("desc_lt(2.5, x, y)", 9, "expected ',', found '.'"),
+    ("E x y", 4, "expected '.', found 'y'"),
+    ("x < 2 y", 6, "expected '*', found 'y'"),
+    ("rphi < y", 5, "expected '(', found '<'"),
+    ("rphi(2; z < a, ; ; )", 15, "expected '<', found ';'"),
+    ("rphi(2; z < a; ; z b)", 19, "expected '~', found 'b'"),
+    # expected an integer
+    ("cong(x, y, z)", 5, "expected an integer"),
+    ("rphi(x; z < a; ; )", 5, "expected an integer"),
+    # expected a variable after quantifier
+    ("E 1. x < y", 2, "expected a variable after quantifier"),
+    ("E cong. cong < cong", 2, "expected a variable after quantifier"),
+    ("A (. x < y", 2, "expected a variable after quantifier"),
+    # a keyword used as a variable
+    ("x < E", 4, "keyword 'E' used as a variable"),
+    ("x + cong < y", 4, "keyword 'cong' used as a variable"),
+    ("x < true", 4, "keyword 'true' used as a variable"),
+    # expected '<' or '='
+    ("x , y", 2, "expected '<' or '=', found ','"),
+    ("x y", 2, "expected '<' or '=', found 'y'"),
+    ("0 2", 2, "expected '<' or '=', found '2'"),
+    # expected a term
+    ("x <", 3, "expected a term"),
+    ("x < )", 4, "expected a term, found ')'"),
+    ("rphi(2; z < a; ; z ~ )", 21, "expected a term, found ')'"),
+    # trailing input
+    ("x < y y", 6, "trailing input 'y'"),
+    ("(x < y))", 7, "trailing input ')'"),
+    ("x = y true", 6, "trailing input 'true'"),
+    # unexpected character
+    ("x < $y", 4, "unexpected character"),
+    ("#", 0, "unexpected character"),
+    ("x < {G2[0].c: 1", 4, "unexpected character"),
+    # a bad modulus, at the closing parenthesis
+    ("cong(1, x, y)", 12, "modulus must be an integer >= 2, got 1"),
+    ("desc_lt(0, x, y)", 15, "modulus must be an integer >= 2, got 0"),
+    # the rphi rejections, at the closing parenthesis
+    ("rphi(1; z < a; ; )", 17, "modulus must be >= 2, got 1"),
+    ("rphi(2; < a; ; )", 15, "rphi needs at least one bounded variable per group"),
+    ("rphi(2; z < a; ; 1 ~ z)", 17, "expected a variable on the left of ~"),
+    (
+        "rphi(2; z < a; ; b ~ z)",
+        22,
+        "congruence left side 'b' is not a bound or inner variable",
+    ),
+    ("rphi(2; z < u; u; z ~ u)", 23, "bound u uses a bound or inner variable"),
+    (
+        "rphi(2; z < a; u; z ~ 2*u)",
+        25,
+        "congruence right side 2*u uses a bound or inner variable inside a term",
+    ),
+]
+_TERM_ERRORS = [
+    ("", 0, "expected a term"),
+    ("x +", 3, "unexpected end of input"),
+    ("x y", 2, "trailing input 'y'"),
+]
+_LITERAL_ERRORS = [
+    ("E x. x = {G2[0].c: 1/0}", 19, "zero denominator in '1/0'"),
+    ("E x. x = {G9: 1}", 10, "bad position 'G9'"),
+    ("E x. x = {G2[0].s: 1/2}", 19, "G2[0].s takes integer polynomials"),
+]
+
+
 class TestParseErrors:
     """Every ParseError of the formula parser, by its exact offset and message."""
 
-    @pytest.mark.parametrize(
-        "text, at, message",
-        [
-            # unexpected end of input
-            ("", 0, "unexpected end of input"),
-            ("E", 1, "unexpected end of input"),
-            ("E x.", 4, "unexpected end of input"),
-            ("x", 1, "unexpected end of input"),
-            ("x < y & ", 8, "unexpected end of input"),
-            ("(x < y", 6, "unexpected end of input"),
-            ("cong(2, x", 9, "unexpected end of input"),
-            ("x < y +", 7, "unexpected end of input"),
-            ("x < 2", 5, "unexpected end of input"),
-            ("x < 2*", 6, "unexpected end of input"),
-            ("rphi(2; z < a; ; z ~ b", 22, "unexpected end of input"),
-            # expected X, found Y
-            ("cong(2; x, y)", 6, "expected ',', found ';'"),
-            ("desc_lt(2.5, x, y)", 9, "expected ',', found '.'"),
-            ("E x y", 4, "expected '.', found 'y'"),
-            ("x < 2 y", 6, "expected '*', found 'y'"),
-            ("rphi < y", 5, "expected '(', found '<'"),
-            ("rphi(2; z < a, ; ; )", 15, "expected '<', found ';'"),
-            ("rphi(2; z < a; ; z b)", 19, "expected '~', found 'b'"),
-            # expected an integer
-            ("cong(x, y, z)", 5, "expected an integer"),
-            ("rphi(x; z < a; ; )", 5, "expected an integer"),
-            # expected a variable after quantifier
-            ("E 1. x < y", 2, "expected a variable after quantifier"),
-            ("E cong. cong < cong", 2, "expected a variable after quantifier"),
-            ("A (. x < y", 2, "expected a variable after quantifier"),
-            # a keyword used as a variable
-            ("x < E", 4, "keyword 'E' used as a variable"),
-            ("x + cong < y", 4, "keyword 'cong' used as a variable"),
-            ("x < true", 4, "keyword 'true' used as a variable"),
-            # expected '<' or '='
-            ("x , y", 2, "expected '<' or '=', found ','"),
-            ("x y", 2, "expected '<' or '=', found 'y'"),
-            ("0 2", 2, "expected '<' or '=', found '2'"),
-            # expected a term
-            ("x <", 3, "expected a term"),
-            ("x < )", 4, "expected a term, found ')'"),
-            ("rphi(2; z < a; ; z ~ )", 21, "expected a term, found ')'"),
-            # trailing input
-            ("x < y y", 6, "trailing input 'y'"),
-            ("(x < y))", 7, "trailing input ')'"),
-            ("x = y true", 6, "trailing input 'true'"),
-            # unexpected character
-            ("x < $y", 4, "unexpected character"),
-            ("#", 0, "unexpected character"),
-            ("x < {G2[0].c: 1", 4, "unexpected character"),
-            # a bad modulus, at the closing parenthesis
-            ("cong(1, x, y)", 12, "modulus must be an integer >= 2, got 1"),
-            ("desc_lt(0, x, y)", 15, "modulus must be an integer >= 2, got 0"),
-            # the rphi rejections, at the closing parenthesis
-            ("rphi(1; z < a; ; )", 17, "modulus must be >= 2, got 1"),
-            ("rphi(2; < a; ; )", 15, "rphi needs at least one bounded variable per group"),
-            ("rphi(2; z < a; ; 1 ~ z)", 17, "expected a variable on the left of ~"),
-            (
-                "rphi(2; z < a; ; b ~ z)",
-                22,
-                "congruence left side 'b' is not a bound or inner variable",
-            ),
-            ("rphi(2; z < u; u; z ~ u)", 23, "bound u uses a bound or inner variable"),
-            (
-                "rphi(2; z < a; u; z ~ 2*u)",
-                25,
-                "congruence right side 2*u uses a bound or inner variable inside a term",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("text, at, message", _FORMULA_ERRORS)
     def test_formula_error(self, text, at, message):
         err = _parse_error(parse_formula, text)
         assert err.at == at
         assert str(err) == f"at index {at}: {message} in {text!r}"
 
-    @pytest.mark.parametrize(
-        "text, at, message",
-        [
-            ("", 0, "expected a term"),
-            ("x +", 3, "unexpected end of input"),
-            ("x y", 2, "trailing input 'y'"),
-        ],
-    )
+    @pytest.mark.parametrize("text, at, message", _TERM_ERRORS)
     def test_term_error(self, text, at, message):
         err = _parse_error(parse_term, text)
         assert err.at == at
@@ -246,11 +258,7 @@ class TestParseErrors:
     @pytest.mark.parametrize(
         "text, at, message",
         # ids from the text alone, so a changed offset renames no test
-        [pytest.param(*case, id=case[0]) for case in (
-            ("E x. x = {G2[0].c: 1/0}", 19, "zero denominator in '1/0'"),
-            ("E x. x = {G9: 1}", 10, "bad position 'G9'"),
-            ("E x. x = {G2[0].s: 1/2}", 19, "G2[0].s takes integer polynomials"),
-        )],
+        [pytest.param(*case, id=case[0]) for case in _LITERAL_ERRORS],
     )
     def test_a_bad_literal_reports_its_offset_in_the_formula(self, text, at, message):
         err = _parse_error(parse_formula, text)
@@ -434,3 +442,179 @@ class TestClassify:
     def test_collapse_adjacent(self):
         f = parse_formula("E x. E y. A z. x + y < z")
         assert classify_prefix(f) == "∃∀"
+
+
+# -- nodes ---------------------------------------------------------------------
+
+_S, _T = Term((("x", 1),)), Term((("y", 2),), element(LAMBDA, {S00: {0: 1}}))
+_NODES = [
+    _S,
+    Lt(_S, _T),
+    Eq(_S, _T),
+    Cong(2, _S, _T),
+    DescLt(3, _S, _T),
+    BoolC(True),
+    Not(Lt(_S, _T)),
+    And(Lt(_S, _T), BoolC(False)),
+    Or(Lt(_S, _T), BoolC(False)),
+    Implies(Lt(_S, _T), BoolC(False)),
+    Exists("x", Eq(_S, _T)),
+    Forall("x", Eq(_S, _T)),
+    Verdict(Truth.UNKNOWN, None, "fragment bounds exhausted"),
+    svar("x"),
+    VLt(svar("x"), svar("y")),
+    VSumEq(svar("x"), svar("y"), svar("z")),
+    RingEq(svar("x"), svar("y")),
+    ValRing(svar("x")),
+    RExists("g", ValRing(svar("g"))),
+]
+
+
+class TestNodes:
+    @pytest.mark.parametrize("node", _NODES, ids=lambda n: type(n).__name__)
+    def test_setting_an_attribute_raises(self, node):
+        with pytest.raises(AttributeError):
+            setattr(node, node._fields[0], None)
+        with pytest.raises(AttributeError):
+            node.other = None
+
+    @pytest.mark.parametrize("node", _NODES, ids=lambda n: type(n).__name__)
+    def test_pickle_and_copies_give_back_an_equal_node(self, node):
+        for back in (pickle.loads(pickle.dumps(node)), copy.copy(node), copy.deepcopy(node)):
+            assert back == node and type(back) is type(node)
+
+    @pytest.mark.parametrize("node", _NODES, ids=lambda n: type(n).__name__)
+    def test_repr_names_the_class_and_its_fields(self, node):
+        fields = ", ".join(f"{n}={getattr(node, n)!r}" for n in node._fields)
+        assert repr(node) == f"{type(node).__name__}({fields})"
+
+    @pytest.mark.parametrize(
+        "a, b", [(Lt(_S, _T), Eq(_S, _T)), (Cong(2, _S, _T), DescLt(2, _S, _T)),
+                 (And(BoolC(True), BoolC(True)), Or(BoolC(True), BoolC(True)))],
+        ids=["lt-eq", "cong-desc_lt", "and-or"],
+    )
+    def test_classes_with_equal_fields_differ(self, a, b):
+        assert not a == b and a != b
+        assert len({a, b}) == 2
+
+    def test_equal_nodes_hash_equal(self):
+        text = "E x. A y. (0 < y & y < x) -> ~cong(2, y, {G2[0].c: 1/3})"
+        a, b = parse_formula(text), parse_formula(text)
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert hash(Term((("x", 1),), None)) == hash(_S)
+
+    def test_defaults_fill_the_last_fields(self):
+        assert Term() == Term((), None)
+        assert Verdict(Truth.TRUE) == Verdict(Truth.TRUE, None, "")
+        with pytest.raises(TypeError):
+            Lt(_S)
+
+    def test_an_rphi_keeps_a_cong_and_a_desc_lt_of_the_same_terms(self):
+        f = parse_formula("rphi(2; z < a; ; z ~ c, z ~ a)")
+        assert print_formula(f) == "0 < a & cong(2, c, a) & ~desc_lt(2, c, a)"
+
+
+# -- the tokenizer against the named-group pattern it replaced -----------------
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"(?P<literal>\{[^{}]*\})|(?P<arrow>->)|(?P<int>\d+)"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<punct>[().,;<=~&|*+-])|(?P<bad>\S.*)",
+    re.DOTALL,
+)
+
+
+def _reference_tokens(text):
+    """(kind, text) of every token, then ("end", ""); a character that
+    starts no token starts ``bad``, which runs to the end and raises."""
+    toks = [(m.lastgroup, m.group(), m.start()) for m in _REFERENCE_TOKEN_RE.finditer(text)]
+    if toks and toks[-1][0] == "bad":
+        raise ParseError(text, toks[-1][2], "unexpected character")
+    return [(kind, word) for kind, word, _ in toks] + [("end", "")]
+
+
+_TOKENIZER_INPUTS = {
+    "corpus": lambda: [text for construction in (LAMBDA, GAMMA) for kind in ("exists", "ea")
+                       for text in gen_corpus(kind, 50, 0, construction)],
+    "readme": lambda: [argv[argv.index("--formula") + 1]
+                       for _, argv, _, _ in _examples(_text()) if argv[0] == "eval"],
+    "errors": lambda: [row[0] for row in _FORMULA_ERRORS + _TERM_ERRORS + _LITERAL_ERRORS],
+    "more": lambda: ["  x <\t @", "x < \u0663*y", "{", "x < {G2[0].c: 1} }", "x -> y - z"],
+}
+
+
+@pytest.mark.parametrize("inputs", _TOKENIZER_INPUTS)
+def test_the_tokenizer_agrees_with_the_named_group_pattern(inputs):
+    texts = _TOKENIZER_INPUTS[inputs]()
+    assert texts
+    for text in texts:
+        try:
+            want = _reference_tokens(text)
+        except ParseError as exc:
+            err = _parse_error(formulas._tokenize, text)
+            assert (err.at, err.message) == (exc.at, exc.message), text
+            continue
+        assert [(formulas._kind(tok), tok) for tok in formulas._tokenize(text)] == want, text
+
+
+def test_the_tokenizer_inputs_hold_every_kind():
+    kinds = set()
+    for inputs in _TOKENIZER_INPUTS.values():
+        for text in inputs():
+            try:
+                kinds.update(kind for kind, _ in _reference_tokens(text))
+            except ParseError:
+                pass
+    assert kinds == {"literal", "arrow", "int", "name", "punct", "end"}
+
+
+# -- the front end enters no generated code and no fractions.py ----------------
+
+_POOL = POOL_TEXTS[1]  # holds the fraction 1/5
+
+
+def _template_formulas(construction):
+    texts = [re.sub(r"P(\d)", lambda m: _POOL[int(m.group(1))], text)
+             for text in PREFIX_SHAPES.values()]
+    # a fraction in a literal, a bound name used twice, a desc_lt whose
+    # constant side reads as 0 < y once compiled
+    extra = ["x < {G2[0].c: -3/5}", "A y. E x. y + x = 0 & ~(E x. x = y)", "A y. desc_lt(3, 0, y)"]
+    return texts + extra
+
+
+def _entered(fn):
+    return generated_calls(fn) + fraction_calls(fn)
+
+
+@pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+class TestFrontEndCost:
+    def test_parse_formula(self, construction):
+        texts = _template_formulas(construction)
+        assert _entered(lambda: [parse_formula(t, construction) for t in texts]) == []
+
+    def test_compile_formula(self, construction):
+        fs = [parse_formula(t, construction) for t in _template_formulas(construction)]
+        assert _entered(lambda: [compile_formula(construction, f) for f in fs]) == []
+
+    def test_print_formula(self, construction):
+        fs = [parse_formula(t, construction) for t in _template_formulas(construction)]
+        assert _entered(lambda: [print_formula(f) for f in fs]) == []
+
+    def test_rename_bound_apart(self, construction):
+        fs = [parse_formula(t, construction) for t in _template_formulas(construction)]
+        renamed = []
+        assert _entered(lambda: renamed.extend(rename_bound_apart(f) for f in fs)) == []
+        assert [g is f for f, g in zip(fs, renamed)].count(False) == 1
+
+    def test_closure_sentences(self, construction):
+        rngs = [random.Random(seed) for seed in range(12)]
+        out = []
+        assert _entered(lambda: out.extend(_closure_sentence(r, construction) for r in rngs)) == []
+        assert {type(f.body) for f, _ in out} == {Eq, And}
+
+
+
+def test_translate_to_ring_enters_no_generated_code():
+    x, y, z = svar("x"), svar("y"), svar("z")
+    stmts = [VLt(x, y * z), VSumEq(x, y, z), Not(VLt(x, y)), And(VLt(x, y), VLt(y, z))]
+    assert _entered(lambda: [translate_to_ring(s) for s in stmts]) == []

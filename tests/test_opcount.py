@@ -4,6 +4,7 @@ import dis
 import fractions
 import importlib.util
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -117,3 +118,44 @@ def test_the_table_shows_both_sides_and_each_change():
     # under half a per cent on both sides: summed into the rest, frames too
     assert rows["(other)"] == ["4", "0.4%", "2", "0", "0.0%", "0", "-4", "-100.0%", "-2", "-100.0%"]
     assert lines[-2:] == ["problems: 0, 1", "  k/1: digest 0f, reference 1e"]
+
+
+def test_entries_count_each_frame_under_its_caller():
+    opcount.count_opcodes(_calls_fractions)
+    entries = Counter()
+    opcount.count_opcodes(_calls_fractions, entries=entries)
+    assert entries[__file__, "_calls_fractions", opcount.__file__, "count_opcodes"] == 1
+    # Fraction(1, 2) and Fraction(1, 3); the sum's own Fraction has another caller
+    assert entries[fractions.__file__, "__new__", __file__, "_calls_fractions"] == 2
+    assert sum(n for key, n in entries.items() if key[0] == fractions.__file__) > 2
+
+
+def test_by_caller_keeps_the_frames_of_one_file(tmp_path):
+    hahn = str(tmp_path / "src" / "oagw" / "hahn.py")
+    entries = Counter({
+        (fractions.__file__, "__new__", hahn, "mul"): 3,
+        (fractions.__file__, "__new__", fractions.__file__, "_add"): 2,
+        (hahn, "mul", hahn, "square"): 5,
+    })
+    assert opcount.by_caller(entries, "fractions.py", tmp_path) == {
+        "__new__ <- fractions.py:_add": 2,
+        "__new__ <- src/oagw/hahn.py:mul": 3,
+    }
+    assert opcount.by_caller(entries, "src/oagw/hahn.py", tmp_path) == {
+        "mul <- src/oagw/hahn.py:square": 5
+    }
+
+
+def test_the_table_lists_callers_most_entered_first():
+    side = {"workload": "eval", "seed": 0, "requests": 1, "python": "3.11.7", "problems": [],
+            "setup": 1, "total": 10, "files": {"<string>": 10}, "frames": 4,
+            "frame_files": {"<string>": 4}, "callers_of": "<string>"}
+    a = dict(side, callers={"__init__ <- x.py:f": 1, "__init__ <- x.py:g": 3})
+    b = dict(side, callers={"__init__ <- x.py:f": 1})
+    lines = opcount.report([a, b]).splitlines()
+    at = lines.index("frames of <string> by function <- caller")
+    assert [line.split() for line in lines[at + 1 : at + 3]] == [
+        ["3", "0", "-3", "-100.0%", "__init__", "<-", "x.py:g"],
+        ["1", "1", "+0", "+0.0%", "__init__", "<-", "x.py:f"],
+    ]
+    assert lines[at + 3] == "problems: 0, 0"

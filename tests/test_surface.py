@@ -41,7 +41,6 @@ ALLOWED_UNREFERENCED = {
 ALLOWED_UNPASSED = {
     "main(argv)": "the console script calls main() and reads sys.argv; tests pass argv",
     "parse_term(construction)": "the term grammar mirrors parse_formula, whose callers pass it",
-    "term_var(coeff)": "the term constructor's general form; suites build only bare variables",
 }
 
 

@@ -3,7 +3,7 @@
 Usage, from anywhere::
 
     python3 tools/opcount.py CHECKOUT [OTHER_CHECKOUT] \\
-        [--workload series ...] [--seed 0] [--json]
+        [--workload series ...] [--seed 0] [--callers FILE] [--json]
 
 For each workload (all four unless ``--workload`` names some) and each
 checkout, a fresh interpreter puts the checkout's ``src`` and
@@ -38,7 +38,12 @@ With one checkout, it prints the setup count, the pass total and each
 file's count, share of the pass and frames: every ``src/oagw`` module,
 then the other files that hold at least 0.5 % of either side's
 opcodes, the rest summed as ``(other)``.  With two, it prints both
-sides and the change of each line, in opcodes and in frames.  ``--json`` prints, in place of each table, one JSON line with
+sides and the change of each line, in opcodes and in frames.  With
+``--callers FILE``, a file as the table names it (``<string>``,
+``fractions.py``, ``src/oagw/formulas.py``), the pass also counts the
+frames of FILE's code per (function, caller), the caller as
+``file:function``, and the table lists them under the files, most
+entered first.  ``--json`` prints, in place of each table, one JSON line with
 each side's counts, so that two runs compare with ``cmp``.
 ``perfbench/workloads.py`` is read, never edited.  Only the standard
 library is used.
@@ -51,22 +56,25 @@ import json
 import subprocess
 import sys
 import tempfile
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Optional
 
 WORKLOADS = ("search", "sweep", "series", "eval")
 # a file outside src/oagw gets its own line from this share of a pass up
 MIN_SHARE = 0.005
 
 
-def count_opcodes(fn: Callable, *args) -> tuple[object, dict[str, int], dict[str, int]]:
+def count_opcodes(
+    fn: Callable, *args, entries: Optional[Counter] = None
+) -> tuple[object, dict[str, int], dict[str, int]]:
     """``fn(*args)``, the instructions it executed and the Python frames
     it entered, each by code file name.
 
     The caller's own frame is not traced, only the frames ``fn`` opens.
     A generator's frame counts once per resumption, as each one opens
-    it again.
+    it again.  With ``entries``, each frame also adds one there under
+    (file, function, caller's file, caller's function).
     """
     cells: dict[str, list[int]] = {}
     tracers: dict[str, Callable] = {}
@@ -85,6 +93,9 @@ def count_opcodes(fn: Callable, *args) -> tuple[object, dict[str, int], dict[str
     def on_call(frame, event, arg):
         filename = frame.f_code.co_filename
         frames[filename] += 1
+        if entries is not None:
+            back = frame.f_back.f_code
+            entries[filename, frame.f_code.co_name, back.co_filename, back.co_name] += 1
         local = tracers.get(filename)
         if local is None:
             local = tracers[filename] = local_for(filename)
@@ -110,8 +121,9 @@ def _label(filename: str, checkout: Path) -> str:
     return path.name
 
 
-def child(checkout: Path, workload: str, seed: int) -> dict:
-    """The counts of one workload in ``checkout``, in this interpreter."""
+def child(checkout: Path, workload: str, seed: int, callers: Optional[str] = None) -> dict:
+    """The counts of one workload in ``checkout``, in this interpreter,
+    with the entries into the code of ``callers`` by caller if given."""
     checkout = checkout.resolve()
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
     sys.dont_write_bytecode = True
@@ -128,10 +140,11 @@ def child(checkout: Path, workload: str, seed: int) -> dict:
         runner, setup, _ = count_opcodes(set_up)
     totals: dict[str, int] = defaultdict(int)
     frame_totals: dict[str, int] = defaultdict(int)
+    entries: Optional[Counter] = Counter() if callers else None
     problems = []
     for req in runner.requests:
         try:
-            result, counts, frames = count_opcodes(runner.call, req)
+            result, counts, frames = count_opcodes(runner.call, req, entries=entries)
             error = None
         except Exception as exc:  # a raised request is a problem, not a crash
             result, counts, frames, error = None, {}, {}, exc
@@ -142,7 +155,7 @@ def child(checkout: Path, workload: str, seed: int) -> dict:
         problem = runner.check(req, result, error)[1]
         if problem:
             problems.append(problem)
-    return {
+    out = {
         "python": sys.version.split()[0],
         "workload": workload,
         "seed": seed,
@@ -154,12 +167,27 @@ def child(checkout: Path, workload: str, seed: int) -> dict:
         "frames": sum(frame_totals.values()),
         "frame_files": dict(sorted(frame_totals.items())),
     }
+    if entries is not None:
+        out["callers_of"], out["callers"] = callers, by_caller(entries, callers, checkout)
+    return out
 
 
-def run_child(checkout: Path, workload: str, seed: int) -> dict:
+def by_caller(entries: Counter, file: str, checkout: Path) -> dict[str, int]:
+    """The frames that ``count_opcodes`` put in ``entries`` whose code lives
+    in ``file``, a label, by "function <- caller_file:caller_function"."""
+    out: dict[str, int] = defaultdict(int)
+    for (filename, name, back_file, back_name), n in entries.items():
+        if _label(filename, checkout) == file:
+            out[f"{name} <- {_label(back_file, checkout)}:{back_name}"] += n
+    return dict(sorted(out.items()))
+
+
+def run_child(checkout: Path, workload: str, seed: int, callers: Optional[str] = None) -> dict:
     """``child`` in a fresh interpreter, so imports and caches start cold."""
     cmd = [sys.executable, str(Path(__file__).resolve()), "--child",
            "--workload", workload, "--seed", str(seed), str(checkout)]
+    if callers:
+        cmd += ["--callers", callers]
     done = subprocess.run(cmd, capture_output=True, text=True)
     if done.returncode:
         raise RuntimeError(f"{checkout} {workload}: exit {done.returncode}\n{done.stderr}")
@@ -215,6 +243,14 @@ def report(sides: list[dict]) -> str:
     totals = [s["total"] for s in sides]
     out.append(row("pass", totals, [s["frames"] for s in sides], None))
     out.extend(row(f"  {label}", counts, frames, totals) for label, counts, frames in _lines(sides))
+    if "callers" in first:
+        # the counts first: a caller's label is longer than a file's
+        out.append(f"frames of {first['callers_of']} by function <- caller")
+        keys = {k for s in sides for k in s["callers"]}
+        for key in sorted(keys, key=lambda k: (-max(s["callers"].get(k, 0) for s in sides), k)):
+            counts = [s["callers"].get(key, 0) for s in sides]
+            text = "".join(f"{n:>13,}" for n in counts)
+            out.append(text + (_delta(*counts, 13) if len(counts) == 2 else "") + f"  {key}")
     out.append("problems: " + ", ".join(str(len(s["problems"])) for s in sides))
     out.extend(f"  {problem}" for s in sides for problem in s["problems"][:3])
     return "\n".join(out)
@@ -225,6 +261,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("checkouts", type=Path, nargs="+", metavar="CHECKOUT")
     parser.add_argument("--workload", action="append", choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=0, help="the pass order's seed")
+    parser.add_argument("--callers", metavar="FILE",
+                        help="count the frames of FILE's code per (function, caller)")
     parser.add_argument("--json", action="store_true", help="print each side's counts as JSON")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -234,10 +272,10 @@ def main(argv: list[str] | None = None) -> int:
         if not (checkout / "perfbench" / "workloads.py").is_file():
             parser.error(f"{checkout} has no perfbench/workloads.py")
     if args.child:
-        print(json.dumps(child(args.checkouts[0], args.workload[0], args.seed)))
+        print(json.dumps(child(args.checkouts[0], args.workload[0], args.seed, args.callers)))
         return 0
     for workload in args.workload or WORKLOADS:
-        sides = [run_child(c, workload, args.seed) for c in args.checkouts]
+        sides = [run_child(c, workload, args.seed, args.callers) for c in args.checkouts]
         print(json.dumps(sides) if args.json else report(sides) + "\n", flush=True)
     return 0
 
