@@ -765,7 +765,7 @@ def _format_poly(v: Poly) -> str:
 
 
 def format_element(a: GroupElement) -> str:
-    if a.is_zero():
+    if not a.entries:
         return "0"
     items = []
     for pos, v in a.entries:

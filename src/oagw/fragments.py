@@ -104,20 +104,23 @@ def iter_fragment(
     """
     cfg._check_pool(construction)
     z = zero(construction)
-    # the distinct nonzero params are yielded and are the parameter axes
+    # the distinct nonzero params are yielded and are the parameter axes;
+    # count is len(seen), kept beside it, so one len() per candidate tells
+    # whether the add was new
     seen: set = {z}
+    count = 1
     param_gens: list[GroupElement] = []
     for p in params:
         if p.construction is not construction:
             raise ConstructionMismatch("fragment parameters mix constructions")
-        n = len(seen)
         seen.add(p)
-        if len(seen) > n:
+        if len(seen) > count:
+            count += 1
             param_gens.append(p)
     size_cap = cfg.size_cap
     yield z
     yield from param_gens[: size_cap - 1]
-    if len(seen) >= size_cap:
+    if count >= size_cap:
         return
     # a param that is a pool generator takes that generator's axis
     pool_gens = tuple(dict.fromkeys([g for g in cfg.generator_pool if g not in seen]))
@@ -137,11 +140,11 @@ def iter_fragment(
             ppart = _part(param_parts, param_gens, pvec)
             # a zero parameter part leaves the pool part as the candidate
             for acc in map(ppart.__add__, row) if ppart.entries else row:
-                n = len(seen)
                 seen.add(acc)
-                if len(seen) > n:
+                if len(seen) > count:
+                    count += 1
                     yield acc
-                    if len(seen) >= size_cap:
+                    if count >= size_cap:
                         return
             # past the listed parts, list the layer one vector at a time
             for vec in vecs:
@@ -152,9 +155,9 @@ def iter_fragment(
                 elif row is rim:
                     continue
                 acc = ppart + part if ppart.entries else part
-                n = len(seen)
                 seen.add(acc)
-                if len(seen) > n:
+                if len(seen) > count:
+                    count += 1
                     yield acc
-                    if len(seen) >= size_cap:
+                    if count >= size_cap:
                         return

@@ -29,11 +29,17 @@ Membership predicates classify series by their exponents alone:
 * ``in_a``: every exponent has zero or positive left (G2) part; this
   cone is a subring containing both of the sets above.
 
-A sum or product collects its terms in a dict and sorts them once.
-A negation and a lifted embedding skip that step: a negation keeps the
-exponents, and a lifted embedding keeps their order, because an order
-embedding is strictly increasing and so maps sorted exponents to sorted
-ones.
+Every ring operation builds its terms in ascending order, so no
+exponent is hashed or sorted.  A sum merges the two ascending term
+tuples, one ``cmp`` per step.  A product is a sum of rows, one per term
+c1 * t^g1 of the shorter operand: the row multiplies c1 * t^g1 into
+every term of the other.  A row is ascending and its exponents are distinct, because
+translation by g1 preserves the group order, and its coefficients are
+nonzero, because a field has no zero divisors.  So each row merges into
+the rows before it, and a monomial times a series compares nothing.  A
+negation keeps the exponents, and a lifted embedding keeps their order,
+because an order embedding is strictly increasing and so maps sorted
+exponents to sorted ones.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ from .elements import (
     _fraction_add,
     _fraction_mul,
     _fraction_neg,
+    _rational,
     format_element,
     unit,
     zero as group_zero,
@@ -123,7 +130,14 @@ class PrimeField:
         return f"GF({self.p})" if self.p else "Q"
 
     def coerce(self, x):
-        return int(x) % self.p if self.p else Fraction(x)
+        if self.p:
+            return int(x) % self.p
+        # a Fraction is canonical as it is, and an int is n/1
+        if x.__class__ is Fraction:
+            return x
+        if x.__class__ is int:
+            return _rational(x, 1)
+        return Fraction(x)
 
     def inv(self, a):
         p = self.p
@@ -237,7 +251,8 @@ class HahnSeries:
 
     def __add__(self, other: "HahnSeries") -> "HahnSeries":
         _compat(self, other)
-        return self._collect(self.terms + other.terms)
+        F = self.coeff_field
+        return _series(self.construction, F, _merge(self.terms, other.terms, F.add, F.numerator))
 
     def __neg__(self) -> "HahnSeries":
         neg = self.coeff_field.neg
@@ -250,31 +265,17 @@ class HahnSeries:
 
     def __mul__(self, other: "HahnSeries") -> "HahnSeries":
         _compat(self, other)
-        mul = self.coeff_field.mul
-        return self._collect(
-            [(g1 + g2, mul(c1, c2)) for g1, c1 in self.terms for g2, c2 in other.terms]
-        )
-
-    def _collect(self, terms: Iterable[tuple[GroupElement, object]]) -> "HahnSeries":
-        """The sum of ``terms``, each coefficient reduced and nonzero.
-
-        A new exponent stores its coefficient as it comes; a repeated one
-        adds in the field, and is dropped when the sum's numerator is
-        zero.  The distinct exponents are then sorted once by the group
-        order.
-        """
-        add, numerator = self.coeff_field.add, self.coeff_field.numerator
-        acc: dict[GroupElement, object] = {}
-        for g, c in terms:
-            old = acc.get(g)
-            if old is None:
-                acc[g] = c
-            elif numerator(s := add(old, c)):
-                acc[g] = s
-            else:
-                del acc[g]
-        items = tuple(sorted(acc.items(), key=itemgetter(0)))
-        return _series(self.construction, self.coeff_field, items)
+        F = self.coeff_field
+        mul, add, numerator = F.mul, F.add, F.numerator
+        short, long = self.terms, other.terms
+        if len(long) < len(short):
+            short, long = long, short
+        # the group and the field are commutative, so either operand may
+        # give the rows
+        acc = ()
+        for g1, c1 in short:
+            acc = _merge(acc, [(g1 + g2, mul(c1, c2)) for g2, c2 in long], add, numerator)
+        return _series(self.construction, F, tuple(acc))
 
     def valuation(self) -> GroupElement:
         if not self.terms:
@@ -322,6 +323,38 @@ def _series(
     return s
 
 
+def _merge(a, b, add, numerator) -> tuple:
+    """The sum of two ascending term sequences, as an ascending tuple.
+
+    One ``cmp`` per step, skipped when the two exponents are one object.
+    At an equal exponent the coefficients add in the field, and the term
+    is dropped when the sum's numerator is zero.  An empty side returns
+    the other as it is.
+    """
+    if not a or not b:
+        return a or b
+    out = []
+    append = out.append
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        (ga, ca), (gb, cb) = a[i], b[j]
+        s = 0 if ga is gb else ga.cmp(gb)
+        if s < 0:
+            append(a[i])
+            i += 1
+        elif s:
+            append(b[j])
+            j += 1
+        else:
+            c = add(ca, cb)
+            if numerator(c):
+                append((ga, c))
+            i += 1
+            j += 1
+    return (*out, *a[i:], *b[j:])
+
+
 def _compat(a: HahnSeries, b: HahnSeries) -> None:
     if a.construction is not b.construction:
         raise ConstructionMismatch("series over different constructions")
@@ -351,7 +384,10 @@ def monomial(
     coeff: Union[int, Fraction] = 1,
     coeff_field: PrimeField = QQ,
 ) -> HahnSeries:
-    return series(exponent.construction, {exponent: coeff}, coeff_field)
+    # one term needs no dict and no sort
+    c = coeff_field.coerce(coeff)
+    terms = ((exponent, c),) if coeff_field.numerator(c) else ()
+    return _series(exponent.construction, coeff_field, terms)
 
 
 def one(construction: Construction, coeff_field: PrimeField = QQ) -> HahnSeries:

@@ -38,11 +38,12 @@ set, and the polynomial slots and coefficients.  A rank is the
 position's place in the position order, so sampled entries sort by an
 int, and table values are canonical, so the entries skip ``element()``'s
 validation and go to ``_from_canonical``.  A series takes its
-coefficients already passed through ``PrimeField.coerce``, and keeps
-its at most ``max_terms`` exponents in a short list compared by ``==``,
-not hashed; a repeated exponent takes the later coefficient, as a dict
-assignment would.  Its nonzero terms, sorted, are canonical, so it too
-skips the validating constructor and goes to ``hahn._series``.
+coefficients already passed through ``PrimeField.coerce``, and inserts
+each of its at most ``max_terms`` exponents into a short ascending list
+by ``cmp``, neither hashed nor sorted; a repeated exponent takes the
+later coefficient, as a dict assignment would.  Its nonzero terms are
+canonical as they stand, so it too skips the validating constructor and
+goes to ``hahn._series``.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from .elements import (
     Construction,
@@ -290,22 +291,26 @@ def random_series(
     while n is None:
         n = t[g(k)]
     ck, ct = _coefficients(coeff_field.p)
-    terms: list[list] = []  # [exponent, coefficient], the exponents distinct
+    terms: list = []  # (exponent, coefficient), the exponents ascending
     for _ in range(n):
         e = exponents(rng) if exponents is not None else random_element(rng, construction, 3)
         c = ct[g(ck)]
         while c is None:
             c = ct[g(ck)]
-        for term in terms:
-            if term[0] == e:
-                term[1] = c
+        if e.construction is not construction:
+            raise ConstructionMismatch("exponent from the wrong construction")
+        for i, (f, _) in enumerate(terms):
+            s = 0 if f is e else e.cmp(f)
+            if s < 0:
+                terms.insert(i, (e, c))
+                break
+            if not s:
+                terms[i] = (f, c)  # a repeat: the later coefficient wins
                 break
         else:
-            if e.construction is not construction:
-                raise ConstructionMismatch("exponent from the wrong construction")
-            terms.append([e, c])
+            terms.append((e, c))
     numerator = coeff_field.numerator  # a zero shows without Fraction.__bool__
-    kept = [(e, c) for e, c in terms if numerator(c)]
+    kept = tuple([t for t in terms if numerator(t[1])])
     if not kept and not allow_zero:
-        kept.append((zero(construction), coeff_field.coerce(1)))
-    return _series(construction, coeff_field, tuple(sorted(kept, key=itemgetter(0))))
+        kept = ((zero(construction), coeff_field.coerce(1)),)
+    return _series(construction, coeff_field, kept)

@@ -5,6 +5,7 @@ import sys
 import pytest
 from hypothesis import strategies as st
 
+from oagw import elements
 from oagw.sampling import random_element
 
 
@@ -38,6 +39,12 @@ def fraction_calls(fn) -> list[str]:
     """The names of the functions defined in ``fractions.py`` that
     ``fn()`` enters, in the order entered."""
     return _calls_into(fractions.__file__, fn)
+
+
+def element_calls(fn) -> list[str]:
+    """The names of the functions defined in ``oagw/elements.py`` that
+    ``fn()`` enters, in the order entered."""
+    return _calls_into(elements.__file__, fn)
 
 
 def generated_calls(fn) -> list[str]:

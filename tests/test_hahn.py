@@ -22,6 +22,8 @@ from oagw.hahn import (
 )
 from oagw.positions import G1, G2, g1_square, g2_circle, g2_square
 from oagw.sampling import (
+    _coefficients,
+    _counts,
     case_rng,
     random_a_cone_exponent,
     random_element,
@@ -30,7 +32,7 @@ from oagw.sampling import (
     random_valring_exponent,
 )
 
-from conftest import fraction_calls
+from conftest import element_calls, fraction_calls
 
 S00 = g1_square(0, 0)
 
@@ -79,16 +81,14 @@ class TestArithmetic:
                 b + c: Fraction(-2, 21), b: 5, c: Fraction(5, 7), o: Fraction(-75, 2)}
         assert out == [series(LAMBDA, want), series(LAMBDA, {a: Fraction(-1, 2), b: Fraction(-2, 3), o: 5})]
 
-    def test_a_repeated_exponent_built_twice_compares_through_fraction_eq(self):
+    def test_a_repeated_exponent_built_twice_enters_no_fraction_method(self):
         # a + b and b + a are equal exponents whose shared rational was
-        # summed twice, into two Fraction objects: the dict of the
-        # product finds the second one through GroupElement.__eq__, which
-        # compares entry tuples, hence Fraction.__eq__ and its properties
+        # summed twice, into two Fraction objects: the merge tells them
+        # equal by cmp, which reads the slots, not by Fraction.__eq__
         a = element(LAMBDA, {g2_circle(0): Fraction(1, 2), S00: {0: 1}})
         b = element(LAMBDA, {g2_circle(0): Fraction(-1, 3)})
         f = series(LAMBDA, {a: 1, b: Fraction(1, 2)})
-        calls = fraction_calls(lambda: f * f)
-        assert calls and set(calls) == {"__eq__", "numerator", "denominator"}
+        assert fraction_calls(lambda: f * f) == []
 
     def test_field_mismatch(self):
         with pytest.raises(ValueError):
@@ -682,6 +682,18 @@ class TestAgainstThePreviousFields:
         ]
         assert out == [1 / Fraction(a) for a in values]
 
+    def test_coerce_over_q_enters_no_fraction_method(self):
+        half = Fraction(1, 2)
+        out = []
+        assert fraction_calls(lambda: out.extend(QQ.coerce(x) for x in (half, 3, -4, 0))) == []
+        assert out[0] is half
+        assert [(x.__class__, x.numerator, x.denominator) for x in out[1:]] == [
+            (Fraction, 3, 1), (Fraction, -4, 1), (Fraction, 0, 1),
+        ]
+        # any other input still goes through Fraction()
+        assert [QQ.coerce(x) for x in (True, 0.25, "-5/3")] == [1, Fraction(1, 4), Fraction(-5, 3)]
+        assert all(QQ.coerce(x).__class__ is Fraction for x in (True, 0.25, "-5/3"))
+
     @pytest.mark.xfail(
         strict=True,
         reason="PrimeField.coerce truncates a fraction with int() instead of dividing mod p",
@@ -690,3 +702,149 @@ class TestAgainstThePreviousFields:
         F = PrimeField(5)
         assert F.coerce(Fraction(1, 2)) == 3
         assert F.coerce(Fraction(-5, 3)) == 0
+
+
+# -- the previous sum, product and series sampler, verbatim --------------------
+# A sum or product collected its terms in a dict and sorted the distinct
+# exponents once, and the sampler kept its exponents in a list searched by
+# ``==`` and sorted at the end; the ordered merges and the sampler's
+# ascending insertion must give the same terms, of the same types.
+
+
+def previous_collect(construction, F, terms):
+    add, numerator = F.add, F.numerator
+    acc = {}
+    for g, c in terms:
+        old = acc.get(g)
+        if old is None:
+            acc[g] = c
+        elif numerator(s := add(old, c)):
+            acc[g] = s
+        else:
+            del acc[g]
+    return HahnSeries(construction, F, tuple(sorted(acc.items(), key=itemgetter(0))))
+
+
+def previous_sum(f, g):
+    return previous_collect(f.construction, f.coeff_field, f.terms + g.terms)
+
+
+def previous_product(f, g):
+    mul = f.coeff_field.mul
+    return previous_collect(
+        f.construction, f.coeff_field,
+        [(g1 + g2, mul(c1, c2)) for g1, c1 in f.terms for g2, c2 in g.terms],
+    )
+
+
+def previous_random_series(rng, construction=LAMBDA, coeff_field=QQ, max_terms=3,
+                           allow_zero=False, exponents=None):
+    g = rng.getrandbits
+    k, t = _counts(0 if allow_zero else 1, max_terms)
+    n = t[g(k)]
+    while n is None:
+        n = t[g(k)]
+    ck, ct = _coefficients(coeff_field.p)
+    terms = []  # [exponent, coefficient], the exponents distinct
+    for _ in range(n):
+        e = exponents(rng) if exponents is not None else random_element(rng, construction, 3)
+        c = ct[g(ck)]
+        while c is None:
+            c = ct[g(ck)]
+        for term in terms:
+            if term[0] == e:
+                term[1] = c
+                break
+        else:
+            if e.construction is not construction:
+                raise ConstructionMismatch("exponent from the wrong construction")
+            terms.append([e, c])
+    numerator = coeff_field.numerator
+    kept = [(e, c) for e, c in terms if numerator(c)]
+    if not kept and not allow_zero:
+        kept.append((zero(construction), coeff_field.coerce(1)))
+    return HahnSeries(construction, coeff_field, tuple(sorted(kept, key=itemgetter(0))))
+
+
+def same_terms(got, want):
+    """Equal terms, of the same types, that pass the validating constructor."""
+    HahnSeries(got.construction, got.coeff_field, got.terms)
+    return typed(got) == typed(want) and str(got) == str(want)
+
+
+def _pool(rng, construction):
+    """A few exponents closed enough under + that products repeat them,
+    and a copy of one, equal to it but another object."""
+    a, b = (random_element(rng, construction, 2, allow_zero=False) for _ in range(2))
+    return [zero(construction), a, b, a + b, a.scale(2), -a, b - a, -(-a)]
+
+
+_SERIES_FIELDS = (QQ, PrimeField(3), PrimeField(5))
+
+
+class TestAgainstThePreviousCollect:
+    @pytest.mark.parametrize("field", _SERIES_FIELDS, ids=str)
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA], ids=str)
+    def test_sums_and_products_of_seeded_series(self, construction, field):
+        for i in range(60):
+            rng = case_rng(39, i)
+            pool = _pool(rng, construction)
+
+            def draw(max_terms):
+                return random_series(rng, construction, field, max_terms, True, lambda r: r.choice(pool))
+
+            f, g = draw(6), draw(2)
+            z = HahnSeries(construction, field, ())
+            m = monomial(rng.choice(pool), rng.choice((1, -2, Fraction(1, 2))), field)
+            cases = ((f, g), (g, f), (f, f), (f, -f), (f, z), (z, f), (z, z), (m, f), (f, m))
+            for x, y in cases:
+                assert same_terms(x + y, previous_sum(x, y))
+                assert same_terms(x * y, previous_product(x, y))
+
+    @pytest.mark.parametrize("field", _SERIES_FIELDS, ids=str)
+    def test_a_repeated_exponent_cancels_and_reappears(self, field):
+        a = element(LAMBDA, {g2_circle(0): Fraction(1, 2), S00: {0: 1}})
+        o, two_a = zero(LAMBDA), a.scale(2)
+        # (1 + t^a)(1 - t^a): the cross terms cancel at t^a
+        f = series(LAMBDA, {o: 1, a: 1}, field)
+        g = series(LAMBDA, {o: 1, a: -1}, field)
+        assert f * g == series(LAMBDA, {o: 1, two_a: -1}, field)
+        # t^2a is reached three times: by the first row, cancelled by the
+        # second and brought back by the third
+        f = series(LAMBDA, {o: 1, a: 1, two_a: 1}, field)
+        g = series(LAMBDA, {o: 1, a: -1, two_a: 1}, field)
+        for x, y in ((f, g), (g, f)):
+            got = x * y
+            assert same_terms(got, previous_product(x, y))
+            assert dict(got.terms)[two_a] == field.coerce(1)
+
+    @pytest.mark.parametrize("field", _SERIES_FIELDS, ids=str)
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA], ids=str)
+    def test_random_series_against_the_previous_sampler(self, construction, field):
+        for i in range(200):
+            rng, ref_rng = case_rng(39, i), case_rng(39, i)
+            pool = _pool(rng, construction)
+            assert pool == _pool(ref_rng, construction)
+            for exponents in (None, lambda r: r.choice(pool)):
+                got = random_series(rng, construction, field, 5, i % 2 == 0, exponents)
+                want = previous_random_series(ref_rng, construction, field, 5, i % 2 == 0, exponents)
+                assert same_terms(got, want)
+                assert rng.random() == ref_rng.random()
+
+    def test_sum_and_product_enter_no_hash_eq_lt_or_fraction_method(self):
+        for construction in (LAMBDA, GAMMA):
+            for i in range(20):
+                rng = case_rng(40, i)
+                pool = _pool(rng, construction)
+                f = random_series(rng, construction, QQ, 5, True, lambda r: r.choice(pool))
+                g = random_series(rng, construction, QQ, 3, True, lambda r: r.choice(pool))
+                ops = lambda: (f + g, f * g, g * f, f * f, f + -f)
+                assert fraction_calls(ops) == []
+                assert not {"__hash__", "__eq__", "__lt__"} & set(element_calls(ops))
+
+    def test_a_monomial_times_a_series_compares_nothing(self):
+        rng = case_rng(41, 0)
+        f = random_series(rng, LAMBDA, QQ, 6)
+        m = monomial(random_element(rng, LAMBDA, 3), Fraction(-2, 3))
+        calls = element_calls(lambda: (m * f, f * m))
+        assert "cmp" not in calls and "__add__" in calls
