@@ -86,7 +86,7 @@ the same elements of G.
 from __future__ import annotations
 
 import enum
-from functools import partial, reduce
+from functools import partial
 from operator import itemgetter
 from typing import Callable, Mapping, Optional
 
@@ -436,22 +436,18 @@ def _compile_term(construction: Construction, t: Term) -> _TermFn:
 
 
 def _sum_term(t: Term) -> _TermFn:
-    """``t`` as a closure that adds up its summands afresh at each call,
-    the constant last."""
-    summands = [_summand(v, k) for v, k in t.coeffs]
-    if t.const is not None:
-        const = t.const
-        summands.append(lambda env: const)
-    return reduce(_plus, summands)
+    """``t`` as one closure that adds up its summands afresh at each
+    call, in order, the constant last."""
+    (first, k0), *rest = [(itemgetter(v), k) for v, k in t.coeffs]
+    const = t.const
 
+    def total(env: dict[str, GroupElement]) -> GroupElement:
+        acc = first(env) if k0 == 1 else first(env).scale(k0)
+        for get, k in rest:
+            acc = acc + (get(env) if k == 1 else get(env).scale(k))
+        return acc if const is None else acc + const
 
-def _summand(var: str, k: int) -> _TermFn:
-    get = itemgetter(var)
-    return get if k == 1 else lambda env: get(env).scale(k)
-
-
-def _plus(f: _TermFn, g: _TermFn) -> _TermFn:
-    return lambda env: f(env) + g(env)
+    return total
 
 
 def _compile_atom(construction: Construction, a: Atom, neg: bool) -> _Compiled:

@@ -58,7 +58,7 @@ from .hahn import (
     QQ,
     lift_embedding,
     membership,
-    monomial,
+    one,
     series,
     subring_escape_witness,
     truncated_inverse,
@@ -269,25 +269,18 @@ def suite_psi_vs_search(rep: SuiteReport, opts: SuiteOptions) -> None:
         neg_a = -a
         candidates: Optional[list[GroupElement]] = None
         for n in (2, 3):
-            closed = cong_free_below(n, a, b)
-            ok = True
             detail = ""
-            if closed:
+            if cong_free_below(n, a, b):
                 if candidates is None:
                     candidates = _psi_candidates(opts, a, b)
                 found = next((y for y in candidates if (y + neg_a).is_divisible(n)), None)
                 if found is not None:
-                    ok = False
                     detail = f"search witness {found} despite closed-form truth"
             else:
                 w = cong_witness_below(n, a, b)
-                if (
-                    w is None
-                    or not (w.sign() > 0 and w < b and (w + neg_a).is_divisible(n))
-                ):
-                    ok = False
+                if w is None or not (w.sign() > 0 and w < b and (w + neg_a).is_divisible(n)):
                     detail = f"no verified certificate for closed-form falsity (got {w})"
-            rep.check(ok, detail, n=n, a=a, b=b)
+            rep.check(not detail, detail, n=n, a=a, b=b)
 
 
 def _psi_candidates(opts: SuiteOptions, a: GroupElement, b: GroupElement) -> list[GroupElement]:
@@ -349,12 +342,10 @@ def suite_hprime_descriptor(rep: SuiteReport, opts: SuiteOptions) -> None:
         m = a.abs()
         anchor = inner_anchor_below(a)
         cut = tail_set(a)
-        ok = True
         detail = ""
         inside: list[GroupElement] = []
         if anchor is not None:
             if not (anchor.sign() > 0 and anchor < m):
-                ok = False
                 detail = f"anchor {anchor} not inside (0, |a|)"
             pool = (anchor, _deep_unit(opts.construction, a))
             cfg = FragmentConfig(coeff_bound=2, generator_pool=pool, size_cap=150)
@@ -367,10 +358,9 @@ def suite_hprime_descriptor(rep: SuiteReport, opts: SuiteOptions) -> None:
             want = any(cong_free_below_given(2, t, d, target) for t, d in leads)
             got = in_tail(cut, b)
             if want != got:
-                ok = False
                 detail = f"probe {b}: descriptor {got} vs union search {want}"
                 break
-        rep.check(ok, detail, a=a)
+        rep.check(not detail, detail, a=a)
 
 
 @suite("hprime-locality", constructions=(LAMBDA, GAMMA), samples=500)
@@ -394,15 +384,13 @@ def suite_hprime_locality(rep: SuiteReport, opts: SuiteOptions) -> None:
         p = _from_canonical(opts.construction, tuple(sorted(comps.items())))
         a2 = a + p
         cut, cut2 = tail_set(a), tail_set(a2)
-        ok = cut == cut2
-        detail = "" if ok else f"cut moved: {cut} vs {cut2}"
-        if ok:
+        detail = "" if cut == cut2 else f"cut moved: {cut} vs {cut2}"
+        if not detail:
             for b in _tail_probes(rng, a):
                 if in_tail(cut, b) != in_tail(cut2, b):
-                    ok = False
                     detail = f"membership of {b} changed"
                     break
-        rep.check(ok, detail, a=a, perturbation=p)
+        rep.check(not detail, detail, a=a, perturbation=p)
 
 
 # -- suite: lambda1-formula --------------------------------------------------
@@ -468,22 +456,21 @@ def suite_embedding_laws(rep: SuiteReport, opts: SuiteOptions) -> None:
             b = random_element(rng, opts.construction)
             fa = emb_apply(emb, a)
             fb = emb_apply(emb, b)
-            ok = True
             detail = ""
             if emb_apply(emb, a + b) != fa + fb:
-                ok, detail = False, "additivity failed"
+                detail = "additivity failed"
             elif (a < b) != (fa < fb) or (a == b) != (fa == fb):
-                ok, detail = False, "order preservation failed"
+                detail = "order preservation failed"
             elif preimage(emb, fa) != a:
-                ok, detail = False, "preimage does not invert"
+                detail = "preimage does not invert"
             elif not in_image(emb, fa):
-                ok, detail = False, "image member not recognized"
+                detail = "image member not recognized"
             else:
                 # preimage is the inverse map, computed apart from in_image
                 c = random_element(rng, opts.construction)
                 if in_image(emb, c) != (preimage(emb, c) is not None):
-                    ok, detail = False, f"image characterization failed on {c}"
-            rep.check(ok, detail, embedding=emb, a=a, b=b)
+                    detail = f"image characterization failed on {c}"
+            rep.check(not detail, detail, embedding=emb, a=a, b=b)
 
 
 # -- closure suites ----------------------------------------------------------
@@ -494,39 +481,39 @@ def closure_audit(
     sub: Embedding,
     construction: Construction,
     corpus: Sequence[tuple],
-    full_cfg: FragmentConfig,
-    image_cfg: FragmentConfig,
+    cfg: FragmentConfig,
 ) -> None:
     """Audit transfer of truths from the full group into an embedding image.
 
-    Each corpus entry is (formula, env) with env values inside the
-    image, and every pool generator of ``image_cfg`` lies inside it too
-    (else ``ValueError``), so the image search leaves the image only
-    through a constant of the formula.  Each formula is compiled once,
-    with its bound variables renamed apart, and run over the full group
-    with ``full_cfg``; only when that run decides True is it run again
-    with ``image_cfg``.  One row per entry goes into ``rep``, and it
-    fails when the full group decides True but the image search does
+    Each corpus entry is (formula, env); every env value of every entry
+    must lie inside the image, else ``ValueError`` before any run.  Each
+    formula is compiled once, with its bound variables renamed apart,
+    and run over the full group under ``cfg``; only when that run decides
+    True is it run again under ``cfg`` with just the pool generators
+    inside the image, so the image search leaves the image only through
+    a constant of the formula.  One row per entry goes into ``rep``, and
+    it fails when the full group decides True but the image search does
     not, or does with a witness outside the image.  As the bound
     variables are apart, the image witness holds the binding of every
     quantifier the verdict rests on, nested or in sibling parts, and a
     row fails whenever one of those bindings lies outside the image; the
-    row prints the formula as given.  Verdicts stay three-valued: a
-    full-group row not decided True is recorded unknown rather than
-    failed.
+    row prints the formula as given.  Verdicts stay three-valued: a full
+    run not decided True records an unknown row, not a failed one.
     """
-    for g in image_cfg.generator_pool:
-        if not in_image(sub, g):
-            raise ValueError(f"pool generator {format_element(g)} lies outside the image")
-    for formula, env in corpus:
+    for _, env in corpus:
         for name, value in env.items():
             if not in_image(sub, value):
                 raise ValueError(f"parameter {name!r} lies outside the image")
+    image_cfg: Optional[FragmentConfig] = None
+    for formula, env in corpus:
         program = compile_formula(construction, rename_bound_apart(formula))
-        full = run_program(program, env, full_cfg)
+        full = run_program(program, env, cfg)
         if full.truth is not Truth.TRUE:
             rep.record("unknown", "full-group witness not found", formula=print_formula(formula))
             continue
+        if image_cfg is None:
+            pool = tuple([g for g in cfg.generator_pool if in_image(sub, g)])
+            image_cfg = FragmentConfig(cfg.coeff_bound, pool, cfg.size_cap, cfg.seed)
         image = run_program(program, env, image_cfg)
         if image.truth is not Truth.TRUE:
             detail = "no image witness despite full-group truth"
@@ -571,15 +558,15 @@ def _closure_sentence(rng: random.Random, construction: Construction):
 
 @suite("f1-exists-closure", constructions=(LAMBDA, GAMMA), samples=100)
 def suite_f1_exists_closure(rep: SuiteReport, opts: SuiteOptions) -> None:
-    """Existential sentences true with a fragment witness stay true inside the image."""
+    """Existential sentences true with a fragment witness stay true inside the image.
+
+    The critical unit joins the sentence's pool; the audit's image run leaves it out.
+    """
     critical = unit(opts.construction, CRITICAL_CIRCLE)
     for rng in opts.case_rngs():
         f, pool = _closure_sentence(rng, opts.construction)
-        full_cfg = FragmentConfig(
-            coeff_bound=2, generator_pool=tuple(pool) + (critical,), size_cap=400
-        )
-        img_cfg = FragmentConfig(coeff_bound=2, generator_pool=tuple(pool), size_cap=400)
-        closure_audit(rep, Embedding.F1, opts.construction, [(f, {})], full_cfg, img_cfg)
+        cfg = FragmentConfig(coeff_bound=2, generator_pool=(*pool, critical), size_cap=400)
+        closure_audit(rep, Embedding.F1, opts.construction, [(f, {})], cfg)
 
 
 @suite("f1-ea-closure", samples=100)
@@ -609,17 +596,16 @@ def suite_f1_ea_closure(rep: SuiteReport, opts: SuiteOptions) -> None:
         guarded = cong_free_below(2, guard, w)
         fresh = g1_square(fresh_g1_block(w, *slacks, *(r for _, r in noncongs)) + 4, 0)
         w2 = w + unit(LAMBDA, fresh, {0: 1})
-        ok = in_image(Embedding.F1, w2)
-        detail = "" if ok else "transfer left the image"
+        detail = "" if in_image(Embedding.F1, w2) else "transfer left the image"
         for m, bound, _ in ineqs:
             if not (w2.scale(m) < bound):
-                ok, detail = False, "inequality slack lost"
+                detail = "inequality slack lost"
         for n, r in noncongs:
             if (w2 - r).is_divisible(n):
-                ok, detail = False, f"noncongruence mod {n} not broken"
+                detail = f"noncongruence mod {n} not broken"
         if guarded and not cong_free_below(2, guard, w2):
-            ok, detail = False, "avoidance atom flipped"
-        rep.check(ok, detail, witness=w, transferred=w2)
+            detail = "avoidance atom flipped"
+        rep.check(not detail, detail, witness=w, transferred=w2)
 
 
 @suite("f2-interval", samples=200)
@@ -765,29 +751,27 @@ def suite_hahn_ring(rep: SuiteReport, opts: SuiteOptions) -> None:
         f = random_series(rng, opts.construction, F, allow_zero=True)
         g = random_series(rng, opts.construction, F)
         h = random_series(rng, opts.construction, F)
-        ok = True
         detail = ""
         # each sum and product that several laws read is computed once
         s, gh, fg = f + g, g + h, f * g
         if s + h != f + gh or s != g + f:
-            ok, detail = False, "additive laws failed"
+            detail = "additive laws failed"
         elif fg * h != f * (g * h) or fg != g * f:
-            ok, detail = False, "multiplicative laws failed"
+            detail = "multiplicative laws failed"
         elif f * gh != fg + f * h:
-            ok, detail = False, "distributivity failed"
+            detail = "distributivity failed"
         elif f + (-f) != series(opts.construction, {}, F):
-            ok, detail = False, "negation failed"
-        else:
-            if not f.is_zero():
-                if fg.valuation() != f.valuation() + g.valuation():
-                    ok, detail = False, "valuation not additive"
-                if not s.is_zero():
-                    vmin = min(f.valuation(), g.valuation())
-                    if s.valuation() < vmin:
-                        ok, detail = False, "ultrametric inequality failed"
-                    elif f.valuation() != g.valuation() and s.valuation() != vmin:
-                        ok, detail = False, "ultrametric equality failed"
-        rep.check(ok, detail, f=f, g=g, h=h, field=F)
+            detail = "negation failed"
+        elif not f.is_zero():
+            if fg.valuation() != f.valuation() + g.valuation():
+                detail = "valuation not additive"
+            if not s.is_zero():
+                vmin = min(f.valuation(), g.valuation())
+                if s.valuation() < vmin:
+                    detail = "ultrametric inequality failed"
+                elif f.valuation() != g.valuation() and s.valuation() != vmin:
+                    detail = "ultrametric equality failed"
+        rep.check(not detail, detail, f=f, g=g, h=h, field=F)
 
 
 @suite("a-membership", samples=1000)
@@ -796,24 +780,26 @@ def suite_a_membership(rep: SuiteReport, opts: SuiteOptions) -> None:
     for rng in opts.case_rngs():
         f = random_series(rng, LAMBDA, QQ, exponents=random_a_cone_exponent)
         g = random_series(rng, LAMBDA, QQ, exponents=random_a_cone_exponent)
-        mf, mg = membership(f), membership(g)
-        ok = mf.in_a and mg.in_a
-        detail = "" if ok else "sampler left the cone"
-        if ok:
-            if not membership(f + g).in_a:
-                ok, detail = False, "cone not closed under addition"
-            elif not membership(f * g).in_a:
-                ok, detail = False, "cone not closed under multiplication"
-        rep.check(ok, detail, f=f, g=g)
+        if not (membership(f).in_a and membership(g).in_a):
+            detail = "sampler left the cone"
+        elif not membership(f + g).in_a:
+            detail = "cone not closed under addition"
+        elif not membership(f * g).in_a:
+            detail = "cone not closed under multiplication"
+        else:
+            detail = ""
+        rep.check(not detail, detail, f=f, g=g)
     lifts = 500
     for i in range(lifts):
         rng = case_rng(opts.seed, 10_000 + i)
         f = random_series(rng, LAMBDA, QQ, exponents=random_valring_exponent)
-        ok = membership(f).in_val_ring
-        detail = "" if ok else "sampler left the valuation ring"
-        if ok and not membership(lift_embedding(Embedding.F1, f)).in_a:
-            ok, detail = False, "lift left the cone"
-        rep.check(ok, detail, f=f)
+        if not membership(f).in_val_ring:
+            detail = "sampler left the valuation ring"
+        elif not membership(lift_embedding(Embedding.F1, f)).in_a:
+            detail = "lift left the cone"
+        else:
+            detail = ""
+        rep.check(not detail, detail, f=f)
     x, hx = subring_escape_witness()
     rep.check(
         membership(x).in_a and not membership(hx).in_a,
@@ -863,34 +849,33 @@ def suite_perturbation(rep: SuiteReport, opts: SuiteOptions) -> None:
             for _ in range(rng.randrange(0, 4))
         ]
         t2 = perturb_into_image(t, eps, constraints)
-        diff = t2 - t
-        ok = in_image(Embedding.F1, t2)
-        detail = "" if ok else "left the image"
-        if ok and not (diff.abs() < eps):
-            ok, detail = False, "moved by at least eps"
-        if ok:
+        detail = ""
+        if not in_image(Embedding.F1, t2):
+            detail = "left the image"
+        elif not ((t2 - t).abs() < eps):
+            detail = "moved by at least eps"
+        else:
             for n, r in constraints:
                 if (t2 - r).is_divisible(n):
-                    ok, detail = False, f"congruence mod {n} survived"
+                    detail = f"congruence mod {n} survived"
                     break
-        rep.check(ok, detail, t=t, eps=eps, constraints=len(constraints))
+        rep.check(not detail, detail, t=t, eps=eps, constraints=len(constraints))
 
 
 @suite("truncated-inverse", samples=200)
 def suite_truncated_inverse(rep: SuiteReport, opts: SuiteOptions) -> None:
     """v(f*g - 1) clears the requested precision."""
+    one_series = one(LAMBDA)
     for rng in opts.case_rngs():
         f = random_series(rng, LAMBDA, QQ)
         assert not f.is_zero()
-        lead_inv = monomial(-f.valuation(), QQ.inv(f.lead_coeff()))
-        one_series = monomial(zero(LAMBDA), 1)
-        u = lead_inv * f - one_series
-        if u.is_zero():
+        # a multiple of v(u) for u = f/(c0*t^g0) - 1: u = 0 for a monomial,
+        # else v(u) = g1 - g0, read off f's first two exponents
+        if len(f.terms) == 1:
             precision = random_nonzero(rng, LAMBDA)
         else:
-            precision = u.valuation().scale(rng.randrange(1, 5))
-        g = truncated_inverse(f, precision)
-        err = f * g - one_series
+            precision = (f.terms[1][0] - f.terms[0][0]).scale(rng.randrange(1, 5))
+        err = f * truncated_inverse(f, precision) - one_series
         ok = err.is_zero() or err.valuation() > precision
         rep.check(ok, "residual valuation too small", f=f, precision=precision)
 

@@ -1,6 +1,5 @@
 """Transfer audits between the full groups and embedding images."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -22,18 +21,13 @@ from oagw.suites import (
 )
 
 
-def _audit(construction, corpus, cfg):
-    """A fresh report holding one row per corpus entry; the image search
-    uses ``cfg`` with only the pool generators that lie in the image."""
-    image_pool = tuple(g for g in cfg.generator_pool if in_image(Embedding.F1, g))
-    report = SuiteReport("closure-audit", str(construction), 0)
-    image_cfg = replace(cfg, generator_pool=image_pool)
-    closure_audit(report, Embedding.F1, construction, corpus, cfg, image_cfg)
-    return report
+def _report(construction=LAMBDA):
+    return SuiteReport("closure-audit", str(construction), 0)
 
 
 def test_empty_corpus():
-    report = _audit(LAMBDA, [], FragmentConfig())
+    report = _report()
+    closure_audit(report, Embedding.F1, LAMBDA, [], FragmentConfig())
     assert report.cases == []
     assert report.ok
 
@@ -49,7 +43,8 @@ def test_lambda_existential_corpus_transfers():
         element(LAMBDA, {g1_square(4, 0): {0: 1}}),
         element(LAMBDA, {g2_circle(1): Fraction(1, 2)}),
     )
-    report = _audit(LAMBDA, corpus, FragmentConfig(2, pool, 900, 0))
+    report = _report()
+    closure_audit(report, Embedding.F1, LAMBDA, corpus, FragmentConfig(2, pool, 900, 0))
     assert report.counts["fail"] == 0
 
 
@@ -67,7 +62,8 @@ def test_gamma_window_sentence_flagged():
         unit(GAMMA, g2_circle(1), 1),
         unit(GAMMA, g1_square(0, 0), 1),
     )
-    report = _audit(GAMMA, [(f, {})], FragmentConfig(2, pool, 600, 0))
+    report = _report(GAMMA)
+    closure_audit(report, Embedding.F1, GAMMA, [(f, {})], FragmentConfig(2, pool, 600, 0))
     assert report.counts["fail"] == 1
     assert not report.ok
     assert report.cases[0].detail == "no image witness despite full-group truth"
@@ -77,16 +73,82 @@ def test_parameters_must_lie_inside():
     f = parse_formula("E x. x < y", LAMBDA)
     bad = {"y": unit(LAMBDA, g2_circle(0), Fraction(1))}
     with pytest.raises(ValueError):
-        _audit(LAMBDA, [(f, bad)], FragmentConfig())
+        closure_audit(_report(), Embedding.F1, LAMBDA, [(f, bad)], FragmentConfig())
 
 
-def test_pool_generators_must_lie_inside():
-    f = parse_formula("E x. x < 0", LAMBDA)
-    cfg = FragmentConfig(1, (unit(LAMBDA, g2_circle(0), Fraction(1)),), 10, 0)
-    report = SuiteReport("closure-audit", str(LAMBDA), 0)
-    with pytest.raises(ValueError, match="pool generator"):
-        closure_audit(report, Embedding.F1, LAMBDA, [(f, {})], cfg, cfg)
+def test_a_binding_outside_the_image_raises_before_any_row():
+    # the first entry alone would record a pass
+    corpus = [
+        (parse_formula("E x. x = 0", LAMBDA), {}),
+        (parse_formula("E x. x < y", LAMBDA), {"y": unit(LAMBDA, CRITICAL_CIRCLE)}),
+    ]
+    report = _report()
+    with pytest.raises(ValueError, match="parameter 'y' lies outside the image"):
+        closure_audit(report, Embedding.F1, LAMBDA, corpus, FragmentConfig(1, (), 10))
     assert report.cases == []
+
+
+def test_a_pool_generator_outside_the_image_feeds_the_full_run_only(monkeypatch):
+    runs = []
+    run_program = oagw.suites.run_program
+
+    def recording(program, env, cfg):
+        verdict = run_program(program, env, cfg)
+        runs.append((cfg, verdict.truth))
+        return verdict
+
+    monkeypatch.setattr(oagw.suites, "run_program", recording)
+    outside, inside = unit(LAMBDA, CRITICAL_CIRCLE), unit(LAMBDA, g2_square(0))
+    f = parse_formula("E x. 0 < x", LAMBDA)
+    # alone, the outside generator gives the full run its witness and the
+    # image run none
+    cfg = FragmentConfig(1, (outside,), 10)
+    report = _report()
+    closure_audit(report, Embedding.F1, LAMBDA, [(f, {})], cfg)
+    assert runs == [(cfg, Truth.TRUE), (FragmentConfig(1, (), 10), Truth.UNKNOWN)]
+    assert report.cases[0].detail == "no image witness despite full-group truth"
+    # beside an inside one, the image run keeps the bounds and the inside one
+    runs.clear()
+    cfg = FragmentConfig(1, (outside, inside), 10, 7)
+    report = _report()
+    closure_audit(report, Embedding.F1, LAMBDA, [(f, {}), (f, {})], cfg)
+    image_cfg = FragmentConfig(1, (inside,), 10, 7)
+    assert runs == [(cfg, Truth.TRUE), (image_cfg, Truth.TRUE)] * 2
+    assert report.counts == {"pass": 2, "fail": 0, "unknown": 0}
+
+
+def test_a_pool_generator_of_the_other_construction_raises_at_the_full_run():
+    # gamma generators lie in the F1 image; the full run's fragment, or a
+    # skipped quantifier, rejects them before any row
+    cfg = FragmentConfig(1, _image_pool(GAMMA), 10)
+    for text in ("E x. x = 0", "E x. 0 < x", "E x. 0 < x & x < 0"):
+        report = _report()
+        corpus = [(parse_formula(text, LAMBDA), {}), (parse_formula("E x. x = 0", LAMBDA), {})]
+        with pytest.raises(ConstructionMismatch):
+            closure_audit(report, Embedding.F1, LAMBDA, corpus, cfg)
+        assert report.cases == [], text
+
+
+def test_a_call_whose_full_runs_are_all_unknown_builds_no_image_config(monkeypatch):
+    built = []
+    post_init = FragmentConfig.__post_init__
+    monkeypatch.setattr(
+        FragmentConfig, "__post_init__", lambda cfg: built.append(cfg) or post_init(cfg)
+    )
+    inside = unit(LAMBDA, g2_square(0))
+    cfg = FragmentConfig(2, (unit(LAMBDA, CRITICAL_CIRCLE), inside), 50)
+    image_cfg = FragmentConfig(2, (inside,), 50)
+    undecided = [(parse_formula("E x. 0 < x & x < 0", LAMBDA), {})] * 3
+    decided = [(parse_formula("E x. x = 0", LAMBDA), {})] * 2
+    report = _report()
+    built.clear()
+    closure_audit(report, Embedding.F1, LAMBDA, undecided, cfg)
+    assert report.counts == {"pass": 0, "fail": 0, "unknown": 3}
+    assert built == []
+    # True full runs build the image config once for the call
+    closure_audit(report, Embedding.F1, LAMBDA, undecided + decided, cfg)
+    assert report.counts == {"pass": 2, "fail": 0, "unknown": 6}
+    assert built == [image_cfg]
 
 
 def test_image_witness_outside_the_image_fails():
@@ -94,7 +156,8 @@ def test_image_witness_outside_the_image_fails():
     # in the second, x = 0 lies in the image but the conjunct's y does not
     for text in ("E x. x = {G2[0].c: 1}", "E x. x = 0 & (E y. y = {G2[0].c: 1})"):
         f = parse_formula(text, LAMBDA)
-        report = _audit(LAMBDA, [(f, {})], FragmentConfig(1, (), 10, 0))
+        report = _report()
+        closure_audit(report, Embedding.F1, LAMBDA, [(f, {})], FragmentConfig(1, (), 10, 0))
         assert report.counts == {"pass": 0, "fail": 1, "unknown": 0}, text
         assert report.cases[0].detail == "image witness outside the image"
 
@@ -106,9 +169,8 @@ def test_sibling_binding_of_the_same_name_cannot_hide_an_outside_witness():
     for lhs, rhs in (inner, inner[::-1]):
         text = f"E x. {lhs} & {rhs}"
         f = parse_formula(text, LAMBDA)
-        cfg = FragmentConfig(1, (), 10, 0)
-        report = SuiteReport("closure-audit", str(LAMBDA), 0)
-        closure_audit(report, Embedding.F1, LAMBDA, [(f, {})], cfg, cfg)
+        report = _report()
+        closure_audit(report, Embedding.F1, LAMBDA, [(f, {})], FragmentConfig(1, (), 10, 0))
         assert report.counts == {"pass": 0, "fail": 1, "unknown": 0}, text
         assert report.cases[0].detail == "image witness outside the image"
         assert report.cases[0].inputs["formula"] == print_formula(f)
@@ -117,7 +179,8 @@ def test_sibling_binding_of_the_same_name_cannot_hide_an_outside_witness():
 def test_undecided_full_group_row_is_unknown():
     # no witness exists, so the full-group search ends undecided
     f = parse_formula("E x. 0 < x & x < 0", LAMBDA)
-    report = _audit(LAMBDA, [(f, {})], FragmentConfig(2, (), 100, 0))
+    report = _report()
+    closure_audit(report, Embedding.F1, LAMBDA, [(f, {})], FragmentConfig(2, (), 100, 0))
     assert report.counts == {"pass": 0, "fail": 0, "unknown": 1}
     assert report.ok
     assert report.cases[0].detail == "full-group witness not found"
@@ -134,7 +197,8 @@ def test_lambda_window_sentence_transfers():
         element(LAMBDA, {g2_square(0): {1: 1}}),
         element(LAMBDA, {g1_square(0, 0): {0: 1}}),
     )
-    report = _audit(LAMBDA, [(f, {})], FragmentConfig(2, pool, 600, 0))
+    report = _report()
+    closure_audit(report, Embedding.F1, LAMBDA, [(f, {})], FragmentConfig(2, pool, 600, 0))
     assert report.counts["fail"] == 0
     assert report.counts["pass"] == 1
 
@@ -187,10 +251,9 @@ def test_each_row_compiles_its_sentence_once(monkeypatch):
     corpus = [(parse_formula(text, LAMBDA), {}) for text in gen_corpus("exists", 12, seed=5)]
     corpus.append((parse_formula("E x. 0 < x & x < 0", LAMBDA), {}))  # full run not True
     pool = _image_pool(LAMBDA)
-    full_cfg = FragmentConfig(2, pool + (unit(LAMBDA, CRITICAL_CIRCLE),), 200)
-    report = SuiteReport("closure-audit", str(LAMBDA), 0)
-    image_cfg = replace(full_cfg, generator_pool=pool)
-    closure_audit(report, Embedding.F1, LAMBDA, corpus, full_cfg, image_cfg)
+    cfg = FragmentConfig(2, pool + (unit(LAMBDA, CRITICAL_CIRCLE),), 200)
+    report = _report()
+    closure_audit(report, Embedding.F1, LAMBDA, corpus, cfg)
     assert len(compiled) == len(report.cases) == len(corpus)
     assert report.counts["pass"] > 0 and report.counts["unknown"] > 0
 
@@ -213,31 +276,14 @@ def test_closure_suite_rows_equal_two_evaluate_calls(construction):
 def test_corpus_rows_equal_two_evaluate_calls(construction):
     pool = _image_pool(construction)
     full_cfg = FragmentConfig(2, pool + (unit(construction, CRITICAL_CIRCLE),), 100)
-    image_cfg = replace(full_cfg, generator_pool=pool)
+    image_cfg = FragmentConfig(2, pool, 100)
     verdicts = set()
     for seed in range(3):
         texts = gen_corpus("exists", 20, seed, construction)
         corpus = [(parse_formula(text, construction), {}) for text in texts]
         report = SuiteReport("closure-audit", str(construction), seed)
-        closure_audit(report, Embedding.F1, construction, corpus, full_cfg, image_cfg)
+        closure_audit(report, Embedding.F1, construction, corpus, full_cfg)
         want = _audit_by_evaluate(construction, corpus, full_cfg, image_cfg)
         assert _rows(report) == want
         verdicts.update(verdict for _, verdict, _ in want)
     assert "pass" in verdicts
-
-
-def test_an_image_pool_of_the_other_construction_raises_at_the_image_run():
-    # gamma generators lie in the image, so only the image run can see them
-    full_cfg = FragmentConfig(1, _image_pool(LAMBDA), 10)
-    image_cfg = FragmentConfig(1, _image_pool(GAMMA), 10)
-    report = SuiteReport("closure-audit", str(LAMBDA), 0)
-    # the full run is not True, so the image run never starts
-    undecided = parse_formula("E x. 0 < x & x < 0", LAMBDA)
-    closure_audit(report, Embedding.F1, LAMBDA, [(undecided, {})], full_cfg, image_cfg)
-    assert report.counts == {"pass": 0, "fail": 0, "unknown": 1}
-    # a True full run goes on to the image run, whose fragment rejects the pool
-    for text in ("E x. x = 0", "E x. 0 < x"):
-        corpus = [(parse_formula(text), {})]
-        with pytest.raises(ConstructionMismatch):
-            closure_audit(report, Embedding.F1, LAMBDA, corpus, full_cfg, image_cfg)
-    assert len(report.cases) == 1

@@ -356,6 +356,23 @@ class TestTruncatedInverse:
             err = f * g - one(LAMBDA)
             assert err.is_zero() or err.valuation() > precision
 
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+    @pytest.mark.parametrize("p", [0, 3, 5])
+    def test_v_of_u_is_the_gap_between_the_first_two_exponents(self, construction, p):
+        # the truncated-inverse suite reads v(f/(c0*t^g0) - 1) = g1 - g0 off f
+        F = QQ if p == 0 else PrimeField(p)
+        monomials = 0
+        for i in range(60):
+            f = random_series(case_rng(61, i), construction, F)
+            (g0, c0), *rest = f.terms
+            u = monomial(-g0, F.inv(c0), F) * f - one(construction, F)
+            if rest:
+                assert u.valuation() == rest[0][0] - g0
+            else:
+                monomials += 1
+                assert u.is_zero()
+        assert 0 < monomials < 60
+
 
 class TestLift:
     def test_monomial_functoriality(self):

@@ -159,3 +159,18 @@ def test_the_table_lists_callers_most_entered_first():
         ["1", "1", "+0", "+0.0%", "__init__", "<-", "x.py:f"],
     ]
     assert lines[at + 3] == "problems: 0, 0"
+
+
+def test_the_table_says_when_the_file_entered_no_frame():
+    # a mistyped label, one letter short of src/oagw/elements.py
+    side = {"workload": "series", "seed": 0, "requests": 1, "python": "3.11.7", "problems": [],
+            "setup": 1, "total": 10, "files": {"src/oagw/elements.py": 10}, "frames": 4,
+            "frame_files": {"src/oagw/elements.py": 4}, "callers_of": "src/oagw/element.py",
+            "callers": {}}
+    for sides in ([side], [side, side]):
+        lines = opcount.report(sides).splitlines()
+        at = lines.index("frames of src/oagw/element.py by function <- caller")
+        assert lines[at + 1 : at + 3] == [
+            "(no frame of src/oagw/element.py entered)",
+            "problems: " + ", ".join("0" for _ in sides),
+        ]

@@ -33,7 +33,7 @@ PERFBENCH = ROOT / "perfbench"
 # name -> why it may stay without a caller
 ALLOWED_UNREFERENCED = {
     "parse_term": "entry point of the term grammar, the counterpart of parse_formula",
-    "classify_prefix": "to be recorded by that same ea-corpus suite",
+    "classify_prefix": "to be recorded per row by the prefix-census suite of ROADMAP item 18",
 }
 
 

@@ -43,8 +43,9 @@ sides and the change of each line, in opcodes and in frames.  With
 ``fractions.py``, ``src/oagw/formulas.py``), the pass also counts the
 frames of FILE's code per (function, caller), the caller as
 ``file:function``, and the table lists them under the files, most
-entered first.  ``--json`` prints, in place of each table, one JSON line with
-each side's counts, so that two runs compare with ``cmp``.
+entered first, or says that FILE entered no frame.  ``--json``
+prints, in place of each table, one JSON line with each side's
+counts, so that two runs compare with ``cmp``.
 ``perfbench/workloads.py`` is read, never edited.  Only the standard
 library is used.
 """
@@ -247,6 +248,9 @@ def report(sides: list[dict]) -> str:
         # the counts first: a caller's label is longer than a file's
         out.append(f"frames of {first['callers_of']} by function <- caller")
         keys = {k for s in sides for k in s["callers"]}
+        if not keys:
+            # a mistyped FILE enters nothing; an empty table would read as zero frames
+            out.append(f"(no frame of {first['callers_of']} entered)")
         for key in sorted(keys, key=lambda k: (-max(s["callers"].get(k, 0) for s in sides), k)):
             counts = [s["callers"].get(key, 0) for s in sides]
             text = "".join(f"{n:>13,}" for n in counts)
