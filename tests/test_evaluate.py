@@ -469,18 +469,6 @@ class TestNegRphiNormalize:
                 assert ev(text, env).truth is (Truth.TRUE if direct else Truth.FALSE)
                 assert ev(f"~{text}", env).truth is (Truth.FALSE if direct else Truth.TRUE)
 
-    def test_rphi_inside_formula_evaluation(self):
-        text = "~rphi(2; y < b; ; y ~ a)"
-        for i in range(40):
-            rng = case_rng(23, i)
-            env = {
-                "a": random_element(rng, LAMBDA, 2),
-                "b": random_element(rng, LAMBDA, 2),
-            }
-            v = ev(text, env)
-            want = cong_free_below(2, env["a"], env["b"])
-            assert v.truth is (Truth.TRUE if want else Truth.FALSE)
-
 
 # -- the compiled evaluator against the recursive one it replaced -------------
 

@@ -256,12 +256,17 @@ def test_random_series(construction, max_terms, allow_zero):
 
 # a callback that repeats one exponent: every term lands on it
 _REPEATED = element(LAMBDA, {g1_circle(0): Fraction(1, 2), g1_square(1, 0): {0: 1}})
+# a pool whose draws repeat, with -(-_A) equal to _A but another object
+_A = element(LAMBDA, {g2_circle(0): Fraction(1, 2), g1_square(0, 0): {0: 1}})
+_B = element(LAMBDA, {g2_circle(0): Fraction(-1, 3)})
+_POOL = (zero(LAMBDA), _A, _B, _A + _B, _A.scale(2), -_A, _B - _A, -(-_A))
 
 # sampler callback, reference callback, (max_terms, allow_zero)
 EXPONENTS = {
     "valring": (sampling.random_valring_exponent, random_valring_exponent, (3, False)),
     "a-cone": (sampling.random_a_cone_exponent, random_a_cone_exponent, (3, False)),
     "repeated": (lambda rng: _REPEATED, lambda rng: _REPEATED, (4, True)),
+    "pooled": (lambda rng: rng.choice(_POOL), lambda rng: rng.choice(_POOL), (5, False)),
 }
 
 
