@@ -2,6 +2,7 @@
 
 import dis
 import fractions
+import gc
 import importlib.util
 import sys
 from collections import Counter
@@ -76,6 +77,26 @@ def test_frames_count_every_call_and_each_resumption():
         # calls itself, n + 2 helper calls, n + 1 resumptions of the generator
         assert frames == {__file__: 1 + (n + 2) + (n + 1)}
         assert set(counts) == {__file__}
+
+
+def test_a_gc_callback_is_not_counted_and_stays_installed():
+    seen = []
+
+    def callback(phase, info):
+        seen.append(phase)
+
+    def collect():
+        gc.collect()
+        return 1
+
+    gc.callbacks.append(callback)
+    try:
+        result, counts, frames = _twice(collect)
+        assert gc.callbacks[-1] is callback
+    finally:
+        gc.callbacks.remove(callback)
+    assert result == 1 and seen == []
+    assert frames == {__file__: 1}
 
 
 def test_tracing_stops_when_the_call_raises():

@@ -177,6 +177,13 @@ class TestCongFreeBelow:
         assert outcomes == {(False, True), (True, True), (True, False)}
 
 
+class TestIndexWindow:
+    def test_rejects_mixed_constructions(self):
+        window = index_window(zero(LAMBDA), zero(LAMBDA))
+        with pytest.raises(ConstructionMismatch):
+            window(zero(GAMMA))
+
+
 # -- the closed form against its descriptor-ordered reference ---------------
 
 
@@ -370,7 +377,6 @@ class TestClosedFormMatchesDescriptorOrder:
             lambda: cong_free_below(2, a, b),
             lambda: cong_free_below_given(2, a, a.lead_mod(2), b),
             lambda: index_window(a, b),
-            lambda: index_window(zero(LAMBDA), zero(LAMBDA))(zero(GAMMA)),
             lambda: a + b,
             lambda: a.cmp(b),
             lambda: a < b,

@@ -256,17 +256,21 @@ def test_random_series(construction, max_terms, allow_zero):
 
 # a callback that repeats one exponent: every term lands on it
 _REPEATED = element(LAMBDA, {g1_circle(0): Fraction(1, 2), g1_square(1, 0): {0: 1}})
-# a pool whose draws repeat, with -(-_A) equal to _A but another object
-_A = element(LAMBDA, {g2_circle(0): Fraction(1, 2), g1_square(0, 0): {0: 1}})
-_B = element(LAMBDA, {g2_circle(0): Fraction(-1, 3)})
-_POOL = (zero(LAMBDA), _A, _B, _A + _B, _A.scale(2), -_A, _B - _A, -(-_A))
+
+
+def _pool(construction):
+    """Exponents whose draws repeat, with -(-a) equal to a but another object."""
+    one = {0: 1} if construction is LAMBDA else 1
+    a = element(construction, {g2_circle(0): Fraction(1, 5), g1_square(0, 0): one})
+    b = element(construction, {g2_circle(0): Fraction(-1, 3)})
+    return (zero(construction), a, b, a + b, a.scale(2), -a, b - a, -(-a))
+
 
 # sampler callback, reference callback, (max_terms, allow_zero)
 EXPONENTS = {
     "valring": (sampling.random_valring_exponent, random_valring_exponent, (3, False)),
     "a-cone": (sampling.random_a_cone_exponent, random_a_cone_exponent, (3, False)),
     "repeated": (lambda rng: _REPEATED, lambda rng: _REPEATED, (4, True)),
-    "pooled": (lambda rng: rng.choice(_POOL), lambda rng: rng.choice(_POOL), (5, False)),
 }
 
 
@@ -278,6 +282,17 @@ def test_random_series_exponents(field, exponents):
         lambda rng: sampling.random_series(rng, LAMBDA, field, max_terms, allow_zero, draw),
         lambda rng: random_series(rng, LAMBDA, field, max_terms, allow_zero, ref_draw),
     )
+
+
+@pytest.mark.parametrize("allow_zero", [False, True])
+@pytest.mark.parametrize("construction", [LAMBDA, GAMMA], ids=str)
+def test_random_series_pooled_exponents(construction, allow_zero):
+    pool = _pool(construction)
+    for field in (QQ, PrimeField(3), PrimeField(5)):
+        same_draws(
+            lambda rng: sampling.random_series(rng, construction, field, 5, allow_zero, lambda r: r.choice(pool)),
+            lambda rng: random_series(rng, construction, field, 5, allow_zero, lambda r: r.choice(pool)),
+        )
 
 
 def test_table_draw_draws_what_choice_draws():

@@ -53,6 +53,7 @@ library is used.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import subprocess
 import sys
@@ -104,11 +105,16 @@ def count_opcodes(
         frame.f_trace_opcodes = True
         return local
 
+    # a gc callback (Hypothesis installs one) runs wherever a collection
+    # happens to start, so its frames are not fn's: it is off while counting
+    callbacks = gc.callbacks[:]
+    gc.callbacks.clear()
     sys.settrace(on_call)
     try:
         result = fn(*args)
     finally:
         sys.settrace(None)
+        gc.callbacks[:] = callbacks
     return result, {name: cell[0] for name, cell in cells.items()}, dict(frames)
 
 
