@@ -20,12 +20,13 @@ of ``(slot, coeff)`` pairs with no zero coefficient.
 One function, ``_canon_value``, states which values a position may
 hold: it maps a raw component to its canonical value or raises
 ``ComponentError``.  ``element()`` and ``parse_element()`` pass each raw
-component through it once and hand the result to the unchecked
-``_from_canonical``, which also builds the results that are canonical
-by construction (sums, multiples, zeros, embedding images).  The public
-``GroupElement(construction, entries)`` accepts a stored value exactly
-when its class fits the position, it is nonzero and it canonicalizes
-to itself.  A sum of two elements whose supports do not overlap, every
+component through it once, and ``unit()`` passes its one component
+through it with no mapping, entries list or sort around it; each hands
+the result to the unchecked ``_from_canonical``, which also builds the
+results that are canonical by construction (sums, multiples, zeros,
+embedding images).  The public ``GroupElement(construction, entries)``
+accepts a stored value exactly when its class fits the position, it is
+nonzero and it canonicalizes to itself.  A sum of two elements whose supports do not overlap, every
 position of one before every position of the other, joins their entry
 tuples; any other sum merges them, and positions are interned, so the
 merge tests ``pa is pb`` first.
@@ -63,7 +64,8 @@ class Construction(enum.Enum):
     LAMBDA = "lambda"
 
     def __str__(self) -> str:
-        return self.value
+        # the member's own slot, without the frame of enum's ``value`` property
+        return self._value_
 
 
 GAMMA = Construction.GAMMA
@@ -563,12 +565,20 @@ def _same(a: GroupElement, b: GroupElement) -> None:
 
 
 def fresh_g1_block(*elems: GroupElement) -> int:
-    """Smallest G1 block index beyond every support position given."""
+    """Smallest G1 block index beyond every support position given.
+
+    Reads each element's last entry only: entries are sorted by position
+    key, every G1 position sorts after every G2 one and G1 keys ascend
+    with the block, so the last entry holds the element's greatest G1
+    block when it has any G1 position at all.
+    """
     block = 0
     for e in elems:
-        for pos, _ in e.entries:
-            if pos.area == G1:
-                block = max(block, pos.index + 1)
+        entries = e.entries
+        if entries:
+            pos = entries[-1][0]
+            if pos.area == G1 and pos.index >= block:
+                block = pos.index + 1
     return block
 
 
@@ -648,7 +658,12 @@ def unit(
     pos: Position,
     value: Union[int, Fraction, Mapping[int, int]] = 1,
 ) -> GroupElement:
-    return element(construction, {pos: value})
+    """``element(construction, {pos: value})``: the same validation and
+    ``ComponentError``, and the zero element for a zero value."""
+    v = _canon_value(construction, pos, value)
+    if v._numerator if v.__class__ is Fraction else v:  # a nonzero value
+        return _from_canonical(construction, ((pos, v),))
+    return _from_canonical(construction, ())
 
 
 # -- text form ------------------------------------------------------------
@@ -750,28 +765,25 @@ def parse_element(text: str, construction: Construction) -> GroupElement:
     return _from_canonical(construction, tuple(entries))
 
 
-def _format_poly(v: Poly) -> str:
-    parts = []
-    for slot, c in v:
-        if slot == 0:
-            parts.append(str(c))
-        else:
-            term = f"{abs(c)}*c{slot}"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+{term}" if c > 0 else f"-{term}")
-    return "".join(parts)
-
-
 def format_element(a: GroupElement) -> str:
+    """The text ``parse_element`` reads back, in one Python frame."""
     if not a.entries:
         return "0"
     items = []
     for pos, v in a.entries:
         # a rational is written from Fraction's slots, as str() writes it
         if v.__class__ is tuple:
-            body = _format_poly(v)
+            # slot 0, when held, comes first and is written bare; a later
+            # term carries its sign, a leading one only a minus
+            terms = []
+            for slot, c in v:
+                if not slot:
+                    terms.append(str(c))
+                elif c < 0 or not terms:
+                    terms.append(f"{c}*c{slot}")
+                else:
+                    terms.append(f"+{c}*c{slot}")
+            body = "".join(terms)
         elif v._denominator == 1:
             body = str(v._numerator)
         else:

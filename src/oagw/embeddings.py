@@ -46,7 +46,8 @@ class Embedding(enum.Enum):
     F2 = "f2"
 
     def __str__(self) -> str:
-        return self.value
+        # the member's own slot, without the frame of enum's ``value`` property
+        return self._value_
 
 
 # The four position maps are strictly increasing on ``pos.key`` (that is

@@ -53,6 +53,15 @@ class FragmentConfig:
                 f"generator_pool must be a tuple of GroupElement, got {self.generator_pool!r}"
             )
 
+    def _narrowed(self, pool: tuple[GroupElement, ...]) -> "FragmentConfig":
+        """This config with ``pool``, drawn from its own generator pool, in
+        that pool's place: the value the class call returns, without the
+        frames of the generated ``__init__`` and of the checks this config
+        has passed already."""
+        out = object.__new__(FragmentConfig)
+        out.__dict__.update(self.__dict__, generator_pool=pool)
+        return out
+
     def _check_pool(self, construction: Construction) -> None:
         """Raise ``ConstructionMismatch`` for a pool generator of another
         construction."""

@@ -299,7 +299,7 @@ def _psi_fragment(opts: SuiteOptions, a: GroupElement, b: GroupElement) -> Itera
     """The fragment over a, b and two deep units beyond both."""
     deep = _deep_unit(opts.construction, a, b)
     deep2 = (
-        element(LAMBDA, {g1_square(fresh_g1_block(a, b), 0): {1: 1}})
+        unit(LAMBDA, g1_square(fresh_g1_block(a, b), 0), {1: 1})
         if opts.construction is LAMBDA
         else unit(GAMMA, g1_circle(fresh_g1_block(a, b)), 1)
     )
@@ -312,14 +312,16 @@ def _psi_fragment(opts: SuiteOptions, a: GroupElement, b: GroupElement) -> Itera
 
 def _tail_probes(rng: random.Random, a: GroupElement) -> list[GroupElement]:
     construction = a.construction
-    probes = [zero(construction), random_element(rng, construction), -random_positive(rng, construction)]
+    probes = [zero(construction), random_element(rng, construction)]
+    n = random_nonzero(rng, construction)  # a negative probe: -random_positive's draws
+    probes.append(n if n.sign() < 0 else -n)
     cut = tail_set(a)
     if cut is not None:
         pos, slot = cut
         if uses_poly(construction, pos):
-            probes.append(element(LAMBDA, {pos: {slot: 1}}))  # at the cut: excluded
-            probes.append(element(LAMBDA, {pos: {slot + 1: 2}}))  # just past: included
-            probes.append(-element(LAMBDA, {pos: {slot + 1: 5}}))
+            probes.append(unit(LAMBDA, pos, {slot: 1}))  # at the cut: excluded
+            probes.append(unit(LAMBDA, pos, {slot + 1: 2}))  # just past: included
+            probes.append(unit(LAMBDA, pos, {slot + 1: -5}))
         else:
             probes.append(unit(construction, pos))
             probes.append(unit(construction, pos.successor()))
@@ -396,39 +398,45 @@ def suite_hprime_locality(rep: SuiteReport, opts: SuiteOptions) -> None:
 # -- suite: lambda1-formula --------------------------------------------------
 
 
-def _lambda1_crafted() -> list[GroupElement]:
+def _lambda1_crafted() -> tuple[GroupElement, ...]:
     out = [zero(LAMBDA)]
     head = g1_square(0, 0)
     for sign in (1, -1):
         # leads at the last G2 square, slot 0 and deeper slots
         for slot in (0, 1, 3, 7):
-            out.append(element(LAMBDA, {g2_square(0): {slot: sign}}))
+            out.append(unit(LAMBDA, g2_square(0), {slot: sign}))
         # leads at the head square of the right block, slot 0 and deeper
         for slot in (0, 1, 2, 5):
-            out.append(element(LAMBDA, {head: {slot: sign}}))
+            out.append(unit(LAMBDA, head, {slot: sign}))
         out.extend(
             [
-                element(LAMBDA, {head: {0: sign, 4: -7}}),
-                element(LAMBDA, {head: {1: sign, 2: 9}}),
-                element(LAMBDA, {g1_circle(0): Fraction(sign * 7, 2)}),
-                element(LAMBDA, {g1_circle(0): Fraction(sign)}),
-                element(LAMBDA, {g1_circle(2): Fraction(sign, 3)}),
-                element(LAMBDA, {g1_square(4, 1): {1: sign}}),
-                element(LAMBDA, {g1_square(6, 0): {0: sign}}),
+                unit(LAMBDA, head, {0: sign, 4: -7}),
+                unit(LAMBDA, head, {1: sign, 2: 9}),
+                unit(LAMBDA, g1_circle(0), Fraction(sign * 7, 2)),
+                unit(LAMBDA, g1_circle(0), Fraction(sign)),
+                unit(LAMBDA, g1_circle(2), Fraction(sign, 3)),
+                unit(LAMBDA, g1_square(4, 1), {1: sign}),
+                unit(LAMBDA, g1_square(6, 0), {0: sign}),
                 element(LAMBDA, {g1_square(3, 0): {0: 2 * sign}, g1_circle(3): Fraction(sign)}),
                 element(LAMBDA, {g1_square(1, 2): {3: sign}, g1_square(2, 0): {0: -4}}),
-                element(LAMBDA, {g2_circle(0): Fraction(sign, 2)}),
-                element(LAMBDA, {g2_circle(0): Fraction(sign * 5)}),
-                element(LAMBDA, {g2_circle(2): Fraction(sign * 3)}),
-                element(LAMBDA, {g2_square(2): {0: sign}}),
+                unit(LAMBDA, g2_circle(0), Fraction(sign, 2)),
+                unit(LAMBDA, g2_circle(0), Fraction(sign * 5)),
+                unit(LAMBDA, g2_circle(2), Fraction(sign * 3)),
+                unit(LAMBDA, g2_square(2), {0: sign}),
                 element(LAMBDA, {g2_square(1): {1: sign}, head: {0: 5}}),
                 element(LAMBDA, {g2_square(0): {0: sign}, g1_circle(1): Fraction(1, 5)}),
                 element(LAMBDA, {g2_circle(1): Fraction(sign), head: {1: 1}}),
-                element(LAMBDA, {g1_circle(5): Fraction(sign * 11, 7)}),
+                unit(LAMBDA, g1_circle(5), Fraction(sign * 11, 7)),
                 element(LAMBDA, {g1_square(0, 1): {2: sign}, g1_circle(0): Fraction(sign)}),
             ]
         )
-    return out
+    return tuple(out)
+
+
+# Built once, at import: the crafted cases depend on no option or seed,
+# and elements are immutable, so every run can read the same 53 values
+# instead of building them again.
+_LAMBDA1_CRAFTED = _lambda1_crafted()
 
 
 @suite("lambda1-formula", samples=1000)
@@ -438,7 +446,7 @@ def suite_lambda1_formula(rep: SuiteReport, opts: SuiteOptions) -> None:
         a = random_element(rng, LAMBDA)
         ok = g1_part_by_formula(a) == in_g1_part(a)
         rep.check(ok, "formula route disagrees with support check", a=a)
-    for a in _lambda1_crafted():
+    for a in _LAMBDA1_CRAFTED:
         ok = g1_part_by_formula(a) == in_g1_part(a)
         rep.check(ok, "crafted boundary case disagrees", a=a, crafted=True)
 
@@ -512,8 +520,7 @@ def closure_audit(
             rep.record("unknown", "full-group witness not found", formula=print_formula(formula))
             continue
         if image_cfg is None:
-            pool = tuple([g for g in cfg.generator_pool if in_image(sub, g)])
-            image_cfg = FragmentConfig(cfg.coeff_bound, pool, cfg.size_cap, cfg.seed)
+            image_cfg = cfg._narrowed(tuple([g for g in cfg.generator_pool if in_image(sub, g)]))
         image = run_program(program, env, image_cfg)
         if image.truth is not Truth.TRUE:
             detail = "no image witness despite full-group truth"
@@ -578,6 +585,7 @@ def suite_f1_ea_closure(rep: SuiteReport, opts: SuiteOptions) -> None:
     every requested noncongruence is broken by the fresh slot, and
     congruence-avoidance atoms only see the unchanged lead.
     """
+    guard = unit(LAMBDA, g2_square(2), {0: 1})
     for rng in opts.case_rngs():
         w = emb_apply(Embedding.F1, random_element(rng, LAMBDA, 2))
         ineqs: list[tuple[int, GroupElement, GroupElement]] = []
@@ -592,7 +600,6 @@ def suite_f1_ea_closure(rep: SuiteReport, opts: SuiteOptions) -> None:
             (rng.choice([2, 3, 4]), random_element(rng, LAMBDA, 2))
             for _ in range(rng.randrange(1, 3))
         ]
-        guard = unit(LAMBDA, g2_square(2), {0: 1})
         guarded = cong_free_below(2, guard, w)
         fresh = g1_square(fresh_g1_block(w, *slacks, *(r for _, r in noncongs)) + 4, 0)
         w2 = w + unit(LAMBDA, fresh, {0: 1})
@@ -618,18 +625,18 @@ def suite_f2_interval(rep: SuiteReport, opts: SuiteOptions) -> None:
     element in the window or the image candidate misses it.
     """
     pool = (
-        element(LAMBDA, {g1_square(0, 1): {0: 1}}),  # outside the F2 image
-        element(LAMBDA, {g2_square(0): {0: 1}}),
-        element(LAMBDA, {g1_square(1, 0): {1: 1}}),
+        unit(LAMBDA, g1_square(0, 1), {0: 1}),  # outside the F2 image
+        unit(LAMBDA, g2_square(0), {0: 1}),
+        unit(LAMBDA, g1_square(1, 0), {1: 1}),
     )
     cfg = FragmentConfig(coeff_bound=2, generator_pool=pool, size_cap=200)
     for rng in opts.case_rngs():
         n = rng.choice([2, 3])
-        a = element(LAMBDA, {g2_square(rng.randrange(1, 3)): {rng.randrange(0, 2): 1}})
+        a = unit(LAMBDA, g2_square(rng.randrange(1, 3)), {rng.randrange(0, 2): 1})
         if rng.random() < 0.5:
             a = a + emb_apply(Embedding.F2, random_g1_element(rng, LAMBDA, 1))
         deep_block = rng.randrange(1, 3)
-        b = element(LAMBDA, {g1_square(deep_block, rng.randrange(0, 3)): {rng.randrange(0, 3): 1}})
+        b = unit(LAMBDA, g1_square(deep_block, rng.randrange(0, 3)), {rng.randrange(0, 3): 1})
         da, db = a.lead_mod(n), b.lead_mod(n)
 
         def in_window(dx: Optional[LeadDescriptor]) -> bool:
@@ -637,7 +644,7 @@ def suite_f2_interval(rep: SuiteReport, opts: SuiteOptions) -> None:
 
         found = any(in_window(x.lead_mod(n)) for x in iter_fragment([a, b], cfg, LAMBDA))
         succ = LeadDescriptor(da.position, da.inner_slot + 1)
-        x_img = element(LAMBDA, {succ.position: {succ.inner_slot: 1}})
+        x_img = unit(LAMBDA, succ.position, {succ.inner_slot: 1})
         ok = found and in_window(x_img.lead_mod(n)) and in_image(Embedding.F2, x_img)
         rep.check(ok, "no image solution in the window", n=n, a=a, b=b, x=x_img)
 
@@ -694,14 +701,14 @@ def demo_gamma_counterexample(rep: SuiteReport, opts: SuiteOptions) -> None:
 @suite("lambda-repair", catalogs=("check", "demo"))
 def demo_lambda_repair(rep: SuiteReport, opts: SuiteOptions) -> None:
     """The same index-window schema with inner square slots supplying witnesses."""
-    c = element(LAMBDA, {g2_square(1): {0: 1}})
-    b = element(LAMBDA, {g2_square(0): {2: 1}})
+    c = unit(LAMBDA, g2_square(1), {0: 1})
+    b = unit(LAMBDA, g2_square(0), {2: 1})
     rel = index_window(c, b)
 
     pool_image = (
-        element(LAMBDA, {g2_square(0): {0: 1}}),
-        element(LAMBDA, {g2_square(0): {1: 1}}),
-        element(LAMBDA, {g1_square(0, 0): {0: 1}}),
+        unit(LAMBDA, g2_square(0), {0: 1}),
+        unit(LAMBDA, g2_square(0), {1: 1}),
+        unit(LAMBDA, g1_square(0, 0), {0: 1}),
     )
     cfg = FragmentConfig(coeff_bound=3, generator_pool=pool_image, size_cap=3000)
     witnesses = [

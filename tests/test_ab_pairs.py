@@ -197,3 +197,62 @@ def test_opcodes_prints_the_counts_under_the_medians(monkeypatch, capsys, tmp_pa
         "pass opcodes    parent 200  change 150  -25.0%  frames parent 20  change 15  -25.0%"
         "  (seed 0, Python 3.11.7, problems 0/0)"
     )
+
+
+def test_the_setup_line_shows_each_sides_quartiles_and_the_median_change():
+    parent = [0.160, 0.150, 0.170, 0.165, 0.155]
+    change = [0.150, 0.140, 0.160, 0.155, 0.145]
+    assert ab_pairs.setup_line(parent, change) == (
+        "setup-only s    parent 0.1550/0.1600/0.1650  change 0.1450/0.1500/0.1550"
+        "  median -6.2%  (5 processes a side, q1/median/q3)"
+    )
+
+
+def test_setup_alternates_the_sides_and_prints_one_summary(monkeypatch, capsys, tmp_path):
+    calls = []
+
+    def fake(checkout, workload, seed):
+        calls.append((checkout.name, workload, seed))
+        return 0.2 if checkout.name == "parent" else 0.1
+
+    monkeypatch.setattr(ab_pairs, "setup_once", fake)
+    # no BENCHMARK.json is read: setup-only runs report no metric
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--workload", "sweep", "--seed", "9", "--setup", "3"]
+    assert ab_pairs.main(argv) == 0
+    assert [c[0] for c in calls] == ["parent", "change", "change", "parent", "parent", "change"]
+    assert {c[1:] for c in calls} == {("sweep", 9)}
+    assert capsys.readouterr().out.splitlines() == [
+        "sweep: seed 9",
+        "setup-only s    parent 0.2000/0.2000/0.2000  change 0.1000/0.1000/0.1000"
+        "  median -50.0%  (3 processes a side, q1/median/q3)",
+    ]
+
+
+@pytest.mark.parametrize("extra", [["--setup", "0"], ["--setup", "2", "--opcodes"]])
+def test_setup_rejects_no_processes_and_opcodes(monkeypatch, capsys, extra):
+    calls = []
+    monkeypatch.setattr(ab_pairs, "setup_once", lambda *args: calls.append(args) or 0.1)
+    with pytest.raises(SystemExit) as exc:
+        ab_pairs.main(["--parent", str(_REPO), "--change", str(_REPO), "--workload", "eval", *extra])
+    assert exc.value.code == 2 and calls == []
+    assert "--setup" in capsys.readouterr().err
+
+
+def test_one_setup_process_starts_without_bytecode(monkeypatch, tmp_path):
+    cache = tmp_path / "src" / "oagw" / "__pycache__"
+    cache.mkdir(parents=True)
+    (cache / "elements.cpython-311.pyc").write_bytes(b"")
+    seen = []
+
+    def fake_run(cmd, cwd, **kwargs):
+        seen.append((cmd[1:], cwd, cache.exists()))
+        return ab_pairs.subprocess.CompletedProcess(cmd, len(seen) - 1, "", "boom")
+
+    monkeypatch.setattr(ab_pairs.subprocess, "run", fake_run)
+    assert ab_pairs.setup_once(tmp_path, "series", 4) >= 0
+    assert seen == [(["perfbench/run.py", "--workload", "series", "--seed", "4", "--setup-only"],
+                     tmp_path, False)]
+    # a process that fails is an error, not a time
+    with pytest.raises(RuntimeError, match="setup-only exit 1"):
+        ab_pairs.setup_once(tmp_path, "series", 4)

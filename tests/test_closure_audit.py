@@ -130,10 +130,15 @@ def test_a_pool_generator_of_the_other_construction_raises_at_the_full_run():
 
 
 def test_a_call_whose_full_runs_are_all_unknown_builds_no_image_config(monkeypatch):
+    # a config is built by the class call, which runs __post_init__, or
+    # narrowed from a built one
     built = []
-    post_init = FragmentConfig.__post_init__
+    post_init, narrowed = FragmentConfig.__post_init__, FragmentConfig._narrowed
     monkeypatch.setattr(
         FragmentConfig, "__post_init__", lambda cfg: built.append(cfg) or post_init(cfg)
+    )
+    monkeypatch.setattr(
+        FragmentConfig, "_narrowed", lambda cfg, pool: built.append(narrowed(cfg, pool)) or built[-1]
     )
     inside = unit(LAMBDA, g2_square(0))
     cfg = FragmentConfig(2, (unit(LAMBDA, CRITICAL_CIRCLE), inside), 50)

@@ -12,6 +12,7 @@ from oagw.elements import (
     _fraction_mul,
     _fraction_neg,
     ComponentError,
+    Construction,
     ConstructionMismatch,
     GAMMA,
     GroupElement,
@@ -20,12 +21,14 @@ from oagw.elements import (
     ParseError,
     element,
     format_element,
+    fresh_g1_block,
     parse_element,
     unit,
     zero,
 )
-from oagw.positions import g1_square, g2_circle, g2_square
-from oagw.sampling import random_element
+from oagw.embeddings import Embedding, apply
+from oagw.positions import G1, G2, g1_circle, g1_square, g2_circle, g2_square
+from oagw.sampling import case_rng, random_element
 
 from conftest import fraction_calls, seeded_elements
 
@@ -446,6 +449,51 @@ class TestRawComponents:
         with pytest.raises(ComponentError):
             element(construction, components)
 
+    @pytest.mark.parametrize("construction,components", BAD.values(), ids=list(BAD))
+    def test_unit_rejects_with_the_same_text(self, construction, components):
+        [(pos, raw)] = components.items()
+        with pytest.raises(ComponentError) as want:
+            element(construction, components)
+        with pytest.raises(ComponentError) as got:
+            unit(construction, pos, raw)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+    @pytest.mark.parametrize(
+        "pos,raw",
+        [
+            (g2_circle(1), 3),
+            (g2_circle(1), -1),
+            (g2_circle(1), Fraction(-7, 5)),
+            (g1_circle(2), Fraction(4, 1)),
+            (g2_square(0), 2),
+            (S00, Fraction(1, 2)),
+            (S00, {0: 1, 3: -2, 1: 5}),
+            (g1_square(1, 2), {2: -1}),
+            (g1_square(1, 2), types.MappingProxyType({4: 1, 0: -3})),
+            # a zero value gives the zero element
+            (g2_circle(0), 0),
+            (g2_circle(0), Fraction(0)),
+            (S00, 0),
+            (S00, {}),
+            (S00, {0: 0, 2: 0}),
+        ],
+    )
+    def test_unit_equals_a_one_component_element(self, construction, pos, raw):
+        try:
+            want = element(construction, {pos: raw})
+        except ComponentError as exc:
+            # a mapping at a gamma square or a fraction at a lambda square
+            with pytest.raises(ComponentError) as got:
+                unit(construction, pos, raw)
+            assert str(got.value) == str(exc)
+            return
+        got = unit(construction, pos, raw)
+        assert got == want and got.entries == want.entries and hash(got) == hash(want)
+        assert got.construction is construction
+        assert got.is_zero() == (raw == 0 or isinstance(raw, dict) and not any(raw.values()))
+        assert _revalidated(got) == got
+
     def test_mapping_proxy_polynomial_accepted(self):
         a = element(LAMBDA, {S00: types.MappingProxyType({2: -1, 0: 3, 1: 0})})
         assert a == element(LAMBDA, {S00: {0: 3, 2: -1}})
@@ -504,6 +552,39 @@ class TestCanonicalResults:
         self._check([element(construction, ints)])
         if construction is LAMBDA:
             self._check([element(LAMBDA, {S00: poly, g1_square(1, 0): poly})])
+
+
+def _fresh_block_by_scan(*elems):
+    """fresh_g1_block read off every entry of every element."""
+    return max((pos.index + 1 for e in elems for pos, _ in e.entries if pos.area == G1), default=0)
+
+
+class TestFreshBlock:
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+    def test_last_entry_equals_a_full_scan(self, construction):
+        lasts = set()
+        for i in range(300):
+            rng = case_rng(11, i)
+            elems = [random_element(rng, construction) for _ in range(rng.randrange(0, 4))]
+            # F2 moves G2 pair 0 into G1 and every block one further on
+            elems += [apply(Embedding.F2, e) for e in elems[:1]]
+            lasts.update(e.entries[-1][0].area for e in elems if e.entries)
+            assert fresh_g1_block(*elems) == _fresh_block_by_scan(*elems), elems
+        assert lasts == {G1, G2}
+
+    def test_fixed_cases(self):
+        g2_only = element(LAMBDA, {g2_circle(2): 1, g2_square(0): 3})
+        mixed = element(LAMBDA, {g2_circle(0): 1, g1_square(4, 2): 1, g1_circle(1): 5})
+        assert fresh_g1_block() == 0
+        assert fresh_g1_block(zero(LAMBDA), g2_only) == 0
+        # block 1's circle sorts before block 4's square, the last entry
+        assert fresh_g1_block(mixed) == 5
+        assert fresh_g1_block(g2_only, unit(LAMBDA, g1_circle(6)), mixed) == 7
+
+
+@pytest.mark.parametrize("member", list(Construction))
+def test_construction_text(member):
+    assert str(member) == f"{member}" == {GAMMA: "gamma", LAMBDA: "lambda"}[member]
 
 
 class TestIdentityFastPaths:
@@ -596,6 +677,22 @@ class TestLeads:
                 assert (d < e) == ((d.position.key, d.inner_slot) < (e.position.key, e.inner_slot))
         assert sorted(reversed(descs)) == descs
         assert str(LeadDescriptor(S00, 1)) == "(G1[0].s[0], 1)"
+
+
+def _format_by_terms(a):
+    """The text of ``a`` built from its rules: positions in order, a
+    rational as ``str()`` writes it, a polynomial's terms by slot with
+    slot 0 bare and every later term signed unless it leads."""
+    if a.is_zero():
+        return "0"
+
+    def body(v):
+        if isinstance(v, Fraction):
+            return str(v)
+        terms = [str(c) if slot == 0 else f"{c}*c{slot}" for slot, c in v]
+        return terms[0] + "".join(t if t[0] == "-" else "+" + t for t in terms[1:])
+
+    return "{" + ", ".join(f"{pos}: {body(v)}" for pos, v in a.entries) + "}"
 
 
 class TestText:
@@ -695,6 +792,30 @@ class TestText:
             parse_element("{G2[0].c 1}", LAMBDA)
         with pytest.raises(ParseError):
             parse_element("nonsense", LAMBDA)
+
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+    def test_format_equals_the_reference_and_parses_back(self, construction):
+        seen = set()
+        for i in range(400):
+            a = random_element(case_rng(5, i), construction)
+            text = format_element(a)
+            assert text == _format_by_terms(a) == str(a)
+            assert parse_element(text, construction) == a
+            polys = [v for _, v in a.entries if isinstance(v, tuple)]
+            seen.update(
+                ("later" if i else "lead", c if slot else "slot 0")
+                for v in polys for i, (slot, c) in enumerate(v)
+            )
+        if construction is LAMBDA:
+            # negative and +-1 coefficients, leading and later, and slot 0
+            assert {("lead", "slot 0"), ("lead", 1), ("lead", -1), ("lead", -4),
+                    ("later", 1), ("later", -1), ("later", -6)} <= seen
+
+    def test_format_fixed_polynomials(self):
+        a = element(LAMBDA, {S00: {0: -1, 1: 1, 2: -1, 5: 6}, g1_square(0, 1): {3: -1, 4: 1}})
+        assert format_element(a) == "{G1[0].s[0]: -1+1*c1-1*c2+6*c5, G1[0].s[1]: -1*c3+1*c4}"
+        assert format_element(unit(LAMBDA, S00, {2: 1})) == "{G1[0].s[0]: 1*c2}"
+        assert format_element(unit(LAMBDA, S00, {0: 1})) == "{G1[0].s[0]: 1}"
 
     @settings(max_examples=120, deadline=None)
     @given(seeded_elements(LAMBDA))

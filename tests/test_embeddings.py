@@ -198,3 +198,8 @@ class TestPerturb:
             for n, r in constraints:
                 assert not (t2 - r).is_divisible(n)
 
+
+
+@pytest.mark.parametrize("member", list(Embedding))
+def test_embedding_text(member):
+    assert str(member) == f"{member}" == {F1: "f1", F2: "f2"}[member]

@@ -5,6 +5,8 @@ Usage, from anywhere::
     python3 tools/ab_pairs.py --parent PARENT_DIR --change CHANGE_DIR \\
         --workload eval --pairs 10 --seconds 15 --seed 1000 \\
         --metric request_p50_ms [--opcodes]
+    python3 tools/ab_pairs.py --parent PARENT_DIR --change CHANGE_DIR \\
+        --workload series --setup 30 [--seed 1000]
 
 Pair i runs ``perfbench/run.py --workload W --seed SEED+i --seconds S
 --trace 0`` once in each checkout, the parent first in even pairs and
@@ -35,6 +37,14 @@ pass counts of opcodes and of Python frames entered, and their changes:
 exact counts that back a wall-time claim from a single run (see that
 script for what they do and do not count).
 
+With ``--setup N`` it runs no pairs of benchmark runs.  It runs instead
+``perfbench/run.py --workload W --seed SEED --setup-only`` N times in
+each checkout, alternating as the pairs do and with ``__pycache__``
+removed before each process, and prints the wall time of those
+processes on each side as quartiles and the change of the median.  A
+run's ``setup_s`` is the median of only three such processes, so this
+is the check that tells a setup change from noise.
+
 Only the standard library is used; the script is not part of the test
 suite and changes nothing in either checkout but the bytecode caches.
 """
@@ -47,6 +57,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -114,6 +125,28 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict[s
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
+def setup_once(checkout: Path, workload: str, seed: int) -> float:
+    """Wall seconds of one ``perfbench/run.py --setup-only`` process in ``checkout``."""
+    shutil.rmtree(checkout / "src" / "oagw" / "__pycache__", ignore_errors=True)
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--setup-only"]
+    t0 = time.perf_counter()
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    if done.returncode:
+        raise RuntimeError(f"{checkout}: setup-only exit {done.returncode}\n{done.stderr}")
+    return wall
+
+
+def setup_line(parent: list[float], change: list[float]) -> str:
+    """Each side's setup-only wall times as quartiles, and the change of the median."""
+    p, c = quartiles(parent), quartiles(change)
+    moved = (c[1] / p[1] - 1) * 100 if p[1] else 0.0
+    return (f"setup-only s    parent {'/'.join(f'{v:.4f}' for v in p)}"
+            f"  change {'/'.join(f'{v:.4f}' for v in c)}  median {moved:+.1f}%"
+            f"  ({len(parent)} processes a side, q1/median/q3)")
+
+
 def run_opcount(parent: Path, change: Path, workload: str) -> list[dict]:
     """``tools/opcount.py --json`` on both checkouts: each side's counts."""
     script = Path(__file__).resolve().with_name("opcount.py")
@@ -153,9 +186,26 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--opcodes", action="store_true", help="also print both sides' opcode counts of one pass"
     )
+    parser.add_argument(
+        "--setup", type=int, metavar="N",
+        help="in place of the pairs, time N setup-only processes a side",
+    )
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if args.setup is not None:
+        if args.setup < 1:
+            parser.error("--setup must be at least 1")
+        if args.opcodes:
+            parser.error("--setup runs no pass, so it takes no --opcodes")
+        times: dict[str, list[float]] = {"parent": [], "change": []}
+        for i in range(args.setup):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                checkout = args.parent if side == "parent" else args.change
+                times[side].append(setup_once(checkout, args.workload, args.seed))
+        print(f"{args.workload}: seed {args.seed}")
+        print(setup_line(times["parent"], times["change"]))
+        return 0
 
     with open(args.parent / "BENCHMARK.json") as fh:
         metrics = {m["name"]: (m["better"], m["bound"]) for m in json.load(fh)["end_to_end"]}
