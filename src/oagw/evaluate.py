@@ -46,8 +46,8 @@ part that holds a quantifier stays where it is, since its fragments
 are seeded by every binding around it.  The rule changes no fragment
 and no witness: a quantifier still searches the fragment of its whole
 original body (the bindings, then every constant of the body in order,
-moved out or not), and a moved part carries no witness.  Some
-sentences now decide where they were Unknown: in
+moved out or not), and a moved part carries no witness.  The rule
+decides some sentences that the searches alone leave Unknown: in
 ``E x. A y. (x = y -> false) | b < x`` the disjunct ``b < x`` is
 decided for each x before the search over y, which alone could never
 confirm the universal, so the sentence is True on the first x above b.
@@ -141,23 +141,10 @@ _UNKNOWN = Verdict(Truth.UNKNOWN, None, "fragment bounds exhausted")
 
 # -- three-valued evaluation --------------------------------------------------
 
-# A formula is compiled once into nested closures that take the variable
-# environment and return a Verdict, and the compiled Program runs under
-# any config.  One bottom-up pass turns every subformula into a _Node
-# that knows its free variables, with ~ pushed down to the atoms; the
-# constants are collected in the same pass, in the order the atoms are
-# compiled, and each constant's construction is checked there.  A
-# quantifier splits its body and moves the parts it may decide once into
-# a junction before itself; the rest becomes closures only when the
-# quantifier itself is built and searches, so a skipped quantifier builds
-# none, nor does anything under it.  A moved part is built with the
-# junction it moved into.  A term becomes a closure over the
-# environment: a constant is kept, a lone variable read, and any other
-# term summed from its bindings at each call.  The environment is one
-# dict, extended by each quantifier while its body runs.  A run puts
-# its config into the program's one-slot cell, where every search and
-# skip reads it; the config holds no memo, since each fragment keeps its
-# own.  No run re-enters its own program, so one slot is enough.
+# A term becomes a closure over the environment: a constant is kept, a
+# lone variable read, and any other term summed from its bindings at
+# each call.  The environment is one dict, extended by each quantifier
+# while its body runs.
 _Compiled = Callable[[dict[str, GroupElement]], Verdict]
 _TermFn = Callable[[dict[str, GroupElement]], GroupElement]
 

@@ -445,8 +445,9 @@ def truncated_inverse(f: HahnSeries, precision: GroupElement) -> HahnSeries:
 
     Write f = c * t^v * (1 + u) with v(u) > 0; geometric expansion of
     1/(1+u) accumulates until the error valuation clears the requested
-    precision.  Monomials invert exactly.  Raises when no multiple of
-    v(u) can exceed the precision (incomparable archimedean classes).
+    precision.  Monomials invert exactly.  Raises ``ValueError`` when no
+    multiple of v(u) can exceed the precision (incomparable archimedean
+    classes), and when v(u) is 0, which no correct valuation gives.
     """
     if f.is_zero():
         raise ZeroDivisionError("cannot invert the zero series")
@@ -463,7 +464,11 @@ def truncated_inverse(f: HahnSeries, precision: GroupElement) -> HahnSeries:
     if precision.sign() > 0:
         dp = precision.lead_descriptor()
         de = err.lead_descriptor()
-        assert dp is not None and de is not None
+        if de is None:  # v(u) = 0, which only a wrong valuation gives
+            raise ValueError(
+                f"no truncated inverse of {f} to precision {precision}: "
+                f"error valuation {err} is not positive"
+            )
         if dp < de:
             raise ValueError(
                 f"precision {precision} is unreachable: error valuation {err} "

@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from oagw import elements
 from oagw.sampling import random_element
 
+# the reference models assert in their own module
+pytest.register_assert_rewrite("reference")
+
 
 def seeded_elements(construction, *, allow_zero=True):
     """Hypothesis strategy: deterministic sampler driven by a drawn seed."""

@@ -7,7 +7,7 @@ import pytest
 import oagw.suites
 from oagw.elements import GAMMA, LAMBDA, ConstructionMismatch, element, unit
 from oagw.embeddings import Embedding, in_image
-from oagw.evaluate import Truth, evaluate
+from oagw.evaluate import Truth
 from oagw.formulas import parse_formula, print_formula, rename_bound_apart
 from oagw.fragments import FragmentConfig
 from oagw.positions import CRITICAL_CIRCLE, g1_square, g2_circle, g2_square
@@ -19,6 +19,8 @@ from oagw.suites import (
     gen_corpus,
     run_suite,
 )
+
+import reference
 
 
 def _report(construction=LAMBDA):
@@ -44,7 +46,7 @@ def test_lambda_existential_corpus_transfers():
         element(LAMBDA, {g2_circle(1): Fraction(1, 2)}),
     )
     report = _report()
-    closure_audit(report, Embedding.F1, LAMBDA, corpus, FragmentConfig(2, pool, 900, 0))
+    closure_audit(report, Embedding.F1, LAMBDA, corpus, FragmentConfig(2, pool, 900))
     assert report.counts["fail"] == 0
 
 
@@ -63,7 +65,7 @@ def test_gamma_window_sentence_flagged():
         unit(GAMMA, g1_square(0, 0), 1),
     )
     report = _report(GAMMA)
-    closure_audit(report, Embedding.F1, GAMMA, [(f, {})], FragmentConfig(2, pool, 600, 0))
+    closure_audit(report, Embedding.F1, GAMMA, [(f, {})], FragmentConfig(2, pool, 600))
     assert report.counts["fail"] == 1
     assert not report.ok
     assert report.cases[0].detail == "no image witness despite full-group truth"
@@ -162,7 +164,7 @@ def test_image_witness_outside_the_image_fails():
     for text in ("E x. x = {G2[0].c: 1}", "E x. x = 0 & (E y. y = {G2[0].c: 1})"):
         f = parse_formula(text, LAMBDA)
         report = _report()
-        closure_audit(report, Embedding.F1, LAMBDA, [(f, {})], FragmentConfig(1, (), 10, 0))
+        closure_audit(report, Embedding.F1, LAMBDA, [(f, {})], FragmentConfig(1, (), 10))
         assert report.counts == {"pass": 0, "fail": 1, "unknown": 0}, text
         assert report.cases[0].detail == "image witness outside the image"
 
@@ -175,7 +177,7 @@ def test_sibling_binding_of_the_same_name_cannot_hide_an_outside_witness():
         text = f"E x. {lhs} & {rhs}"
         f = parse_formula(text, LAMBDA)
         report = _report()
-        closure_audit(report, Embedding.F1, LAMBDA, [(f, {})], FragmentConfig(1, (), 10, 0))
+        closure_audit(report, Embedding.F1, LAMBDA, [(f, {})], FragmentConfig(1, (), 10))
         assert report.counts == {"pass": 0, "fail": 1, "unknown": 0}, text
         assert report.cases[0].detail == "image witness outside the image"
         assert report.cases[0].inputs["formula"] == print_formula(f)
@@ -185,7 +187,7 @@ def test_undecided_full_group_row_is_unknown():
     # no witness exists, so the full-group search ends undecided
     f = parse_formula("E x. 0 < x & x < 0", LAMBDA)
     report = _report()
-    closure_audit(report, Embedding.F1, LAMBDA, [(f, {})], FragmentConfig(2, (), 100, 0))
+    closure_audit(report, Embedding.F1, LAMBDA, [(f, {})], FragmentConfig(2, (), 100))
     assert report.counts == {"pass": 0, "fail": 0, "unknown": 1}
     assert report.ok
     assert report.cases[0].detail == "full-group witness not found"
@@ -203,7 +205,7 @@ def test_lambda_window_sentence_transfers():
         element(LAMBDA, {g1_square(0, 0): {0: 1}}),
     )
     report = _report()
-    closure_audit(report, Embedding.F1, LAMBDA, [(f, {})], FragmentConfig(2, pool, 600, 0))
+    closure_audit(report, Embedding.F1, LAMBDA, [(f, {})], FragmentConfig(2, pool, 600))
     assert report.counts["fail"] == 0
     assert report.counts["pass"] == 1
 
@@ -212,16 +214,16 @@ def test_lambda_window_sentence_transfers():
 
 
 def _audit_by_evaluate(construction, corpus, full_cfg, image_cfg):
-    """closure_audit's rows, each from two plain evaluate calls."""
+    """closure_audit's rows, each from two runs of the reference evaluator."""
     rows = []
     for f, env in corpus:
         apart = rename_bound_apart(f)
         formula = {"formula": print_formula(f)}
-        full = evaluate(construction, apart, env, full_cfg)
+        full = reference.evaluate(construction, apart, env, full_cfg)
         if full.truth is not Truth.TRUE:
             rows.append((formula, "unknown", "full-group witness not found"))
             continue
-        image = evaluate(construction, apart, env, image_cfg)
+        image = reference.evaluate(construction, apart, env, image_cfg)
         if image.truth is not Truth.TRUE:
             detail = "no image witness despite full-group truth"
         elif not all(in_image(Embedding.F1, w) for w in (image.witness or {}).values()):

@@ -86,6 +86,19 @@ class TestOrder:
                 if a < b:
                     assert a + c < b + c
 
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+    def test_comparison_operators_agree_with_cmp(self, construction):
+        # seeded pairs, and each element against itself, meet every sign of cmp
+        signs = set()
+        for i in range(200):
+            rng = case_rng(778, i)
+            a = random_element(rng, construction, 3)
+            for b in (random_element(rng, construction, 3), a):
+                c = a.cmp(b)
+                signs.add(c)
+                assert (a < b, a <= b, a > b, a >= b) == (c < 0, c <= 0, c > 0, c >= 0)
+        assert signs == {-1, 0, 1}
+
     def test_mixed_construction_rejected(self):
         with pytest.raises(ConstructionMismatch):
             zero(LAMBDA).cmp(zero(GAMMA))

@@ -5,7 +5,6 @@ import importlib.util
 import json
 import sys
 from fractions import Fraction
-from functools import lru_cache, reduce
 from pathlib import Path
 
 import pytest
@@ -23,10 +22,9 @@ from oagw.elements import (
     parse_element,
     zero,
 )
-from oagw.evaluate import Truth, Verdict, evaluate
+from oagw.evaluate import Truth, evaluate
 from oagw.formulas import (
     And,
-    BoolC,
     Cong,
     DescLt,
     Eq,
@@ -35,9 +33,7 @@ from oagw.formulas import (
     Implies,
     Lt,
     Not,
-    Or,
     Term,
-    free_vars,
     parse_formula,
     parse_term,
     print_formula,
@@ -46,11 +42,13 @@ from oagw.formulas import (
 )
 from oagw.fragments import FragmentConfig, iter_fragment
 from oagw.positions import g1_square, g2_circle, g2_square
-from oagw.predicates import cong_free_below
 from oagw.sampling import case_rng, random_element, random_nonzero
 
+import reference
+from reference import same_verdict
+
 S00 = g1_square(0, 0)
-CFG = FragmentConfig(2, (), 300, 0)
+CFG = FragmentConfig(2, (), 300)
 
 
 def ev(text, env=None, cfg=CFG, construction=LAMBDA):
@@ -81,7 +79,7 @@ class TestAtoms:
             rng = case_rng(5, i)
             a = random_element(rng, LAMBDA)
             b = random_element(rng, LAMBDA)
-            want = cong_free_below(3, a, b)
+            want = reference.cong_free_below(3, a, b)
             got = ev("desc_lt(3, x, y)", {"x": a, "y": b}).truth
             assert got is (Truth.TRUE if want else Truth.FALSE)
 
@@ -93,14 +91,14 @@ class TestAtoms:
 class TestQuantifiers:
     def test_exists_with_halving_generator(self):
         half = element(LAMBDA, {g2_circle(0): Fraction(1, 2)})
-        cfg = FragmentConfig(2, (half,), 100, 0)
+        cfg = FragmentConfig(2, (half,), 100)
         v = ev("E x. x + x = {G2[0].c: 1}", cfg=cfg)
         assert v.truth is Truth.TRUE
         assert v.witness["x"] == half
 
     def test_exists_never_false(self):
         # halving a square unit is impossible, but search cannot know that
-        v = ev("E x. x + x = {G1[0].s[0]: 1}", cfg=FragmentConfig(1, (), 10, 0))
+        v = ev("E x. x + x = {G1[0].s[0]: 1}", cfg=FragmentConfig(1, (), 10))
         assert v.truth is Truth.UNKNOWN
 
     def test_forall_counterexample(self):
@@ -120,14 +118,14 @@ class TestQuantifiers:
             a = random_element(rng, LAMBDA, 2)
             b = random_element(rng, LAMBDA, 2)
             deep = element(LAMBDA, {g1_square(5, 0): {0: 1}})
-            cfg = FragmentConfig(2, (deep,), 250, 0)
+            cfg = FragmentConfig(2, (deep,), 250)
             v = evaluate(
                 LAMBDA,
                 parse_formula("A y. (0 < y & y < b) -> ~cong(2, y, a)"),
                 {"a": a, "b": b},
                 cfg,
             )
-            want = cong_free_below(2, a, b)
+            want = reference.cong_free_below(2, a, b)
             if v.truth is Truth.FALSE:
                 assert want is False
             elif v.truth is Truth.TRUE:
@@ -137,7 +135,7 @@ class TestQuantifiers:
         # the swept-tail membership of b > 0 below a > 0 is exactly the
         # satisfiability of "some t in (0, a) leaves b congruence-free";
         # decided evaluator verdicts must agree with the cut descriptor
-        from oagw.predicates import in_tail, inner_anchor_below, tail_set
+        from oagw.predicates import inner_anchor_below, tail_set
         from oagw.sampling import random_positive
 
         f = parse_formula("E t. (0 < t & t < a) & desc_lt(2, t, b)")
@@ -147,8 +145,8 @@ class TestQuantifiers:
             b = random_positive(rng, LAMBDA)
             anchor = inner_anchor_below(a)
             pool = (anchor,) if anchor is not None else ()
-            v = evaluate(LAMBDA, f, {"a": a, "b": b}, FragmentConfig(2, pool, 120, 0))
-            want = in_tail(tail_set(a), b)
+            v = evaluate(LAMBDA, f, {"a": a, "b": b}, FragmentConfig(2, pool, 120))
+            want = reference.in_tail(tail_set(a), b)
             if v.truth is Truth.TRUE:
                 assert want is True
             if want is True:
@@ -175,28 +173,26 @@ class TestQuantifiers:
 
     def test_quantifier_restores_a_shadowed_binding(self):
         a = element(LAMBDA, {S00: {0: 1}})
-        cfg = FragmentConfig(1, (a,), 20, 0)
+        cfg = FragmentConfig(1, (a,), 20)
         # the outer x is bound again once the inner search is over
         v = ev("(E x. x = a) & x < a", {"x": -a, "a": a}, cfg=cfg)
         assert v.truth is Truth.TRUE
-        v = ev("E x. (E x. a < x) & x = a", {"a": a}, cfg=FragmentConfig(2, (a,), 20, 0))
+        v = ev("E x. (E x. a < x) & x = a", {"a": a}, cfg=FragmentConfig(2, (a,), 20))
         assert v.truth is Truth.TRUE
         assert v.witness == {"x": a}
 
     def test_quantifier_reports_its_own_binding_over_a_shadowed_one(self):
         # the inner x solves the equation; the outer x is the first candidate
-        text = HOISTING_SHAPES[6]
-        for i, lit in enumerate(POOL_TEXTS[1]):
-            text = text.replace(f"P{i}", lit)
-        p0, p1, p2 = (parse_element(t, LAMBDA) for t in POOL_TEXTS[1])
-        v = ev(text, cfg=FragmentConfig(2, (p0, p1, p2), 12))
+        p0, p1, p2 = _pool(POOL_TEXTS[1])
+        f = _with_pool(HOISTING_SHAPES[6], POOL_TEXTS[1])
+        v = evaluate(LAMBDA, f, {}, FragmentConfig(2, (p0, p1, p2), 12))
         assert v.truth is Truth.TRUE
         assert list(v.witness) == ["x", "y"]
         assert v.witness["x"] == zero(LAMBDA)
         assert p1 + p0 - v.witness["y"] != zero(LAMBDA)
 
     def test_agreeing_parts_keep_their_bindings(self):
-        cfg = FragmentConfig(1, (), 10, 0)
+        cfg = FragmentConfig(1, (), 10)
         v = ev("E x. x = 0 & (E y. y = {G2[0].c: 1})", cfg=cfg)
         assert v.truth is Truth.TRUE and v.reason == ""
         assert v.witness == {"x": zero(LAMBDA), "y": element(LAMBDA, {g2_circle(0): 1})}
@@ -210,7 +206,7 @@ class TestQuantifiers:
 
     def test_pool_memo_lives_for_one_call(self, monkeypatch):
         g = element(LAMBDA, {g2_circle(1): 1})
-        cfg = FragmentConfig(2, (g,), 40, 0)
+        cfg = FragmentConfig(2, (g,), 40)
         # a nested search that runs: E y. searches for each x above c
         f = parse_formula("E x. E y. x = y + y & {G2[0].c: 1} < x")
         seen = []
@@ -232,7 +228,7 @@ class TestQuantifiers:
         # every fragment of the call reads the caller's config itself, which
         # keeps nothing: a second call computes every pool part afresh
         assert len(seen) > 1 and all(c is cfg for c in seen)
-        assert vars(cfg) == vars(FragmentConfig(2, (g,), 40, 0))
+        assert vars(cfg) == vars(FragmentConfig(2, (g,), 40))
         once, computed[:] = list(computed), []
         assert evaluate(LAMBDA, f, {}, cfg) == first
         assert computed == once != []
@@ -294,7 +290,7 @@ def reference_rphi(construction, system, env):
         return False
     for z, limit in limits:
         w = anchor[find(z)]
-        if w is not None and cong_free_below(n, w, limit):
+        if w is not None and reference.cong_free_below(n, w, limit):
             return False
     return True
 
@@ -365,43 +361,6 @@ class TestRphi:
         text = "rphi(2; z1 < a1, z2 < a1; u; z1 ~ u, z2 ~ u, z1 ~ b1)"
         assert ev(text, self.bound_env()).truth is Truth.TRUE
 
-    def test_matches_bounded_search(self):
-        text = "rphi(2; z1 < a1, z2 < a2; ; z1 ~ b1, z2 ~ b2, z1 ~ z2)"
-        deep = element(LAMBDA, {g1_square(4, 0): {0: 1}})
-        for i in range(60):
-            rng = case_rng(13, i)
-            env = {
-                "a1": random_element(rng, LAMBDA, 2),
-                "a2": random_element(rng, LAMBDA, 2),
-                "b1": random_element(rng, LAMBDA, 2),
-                "b2": random_element(rng, LAMBDA, 2),
-            }
-            holds = ev(text, env).truth
-            # search for an explicit pair of witnesses
-            cfg = FragmentConfig(2, (deep, deep.scale(2)), 150, 0)
-            found = False
-            cands = list(iter_fragment(list(env.values()), cfg, LAMBDA))
-            for z1 in cands:
-                if not (z1.sign() > 0 and z1 < env["a1"]):
-                    continue
-                if not (z1 - env["b1"]).is_divisible(2):
-                    continue
-                for z2 in cands:
-                    if (
-                        z2.sign() > 0
-                        and z2 < env["a2"]
-                        and (z2 - env["b2"]).is_divisible(2)
-                        and (z1 - z2).is_divisible(2)
-                    ):
-                        found = True
-                        break
-                if found:
-                    break
-            if found:
-                assert holds is Truth.TRUE  # witnesses certify satisfiability
-        # when the exact answer is False the search must never find witnesses
-        # (covered by the assertion above on every refuted sample)
-
     @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
     def test_expansion_matches_saturation(self, construction):
         for k, system in enumerate(RPHI_SYSTEMS):
@@ -453,7 +412,7 @@ class TestNegRphiNormalize:
                 "b": random_element(rng, LAMBDA, 2),
             }
             got = evaluate(LAMBDA, f, env, CFG).truth
-            want = cong_free_below(2, env["a"], env["b"])
+            want = reference.cong_free_below(2, env["a"], env["b"])
             assert got is (Truth.TRUE if want else Truth.FALSE)
 
     def test_complements_rphi_everywhere(self):
@@ -470,164 +429,7 @@ class TestNegRphiNormalize:
                 assert ev(f"~{text}", env).truth is (Truth.FALSE if direct else Truth.TRUE)
 
 
-# -- the compiled evaluator against the recursive one it replaced -------------
-
-_REF_UNKNOWN = Verdict(Truth.UNKNOWN, None, "fragment bounds exhausted")
-
-
-def _reference_nnf(f):
-    """f with ~ pushed down to the atoms, and a -> b as ~a | b.
-
-    ~ goes through & | -> and ~~, and through a quantifier to its dual:
-    ~E v. g is A v. ~g and ~A v. g is E v. ~g.
-    """
-    if isinstance(f, Implies):
-        return Or(_reference_nnf(Not(f.lhs)), _reference_nnf(f.rhs))
-    if isinstance(f, (And, Or)):
-        return type(f)(_reference_nnf(f.lhs), _reference_nnf(f.rhs))
-    if isinstance(f, (Exists, Forall)):
-        return type(f)(f.var, _reference_nnf(f.body))
-    if not isinstance(f, Not):
-        return f
-    g = f.body
-    if isinstance(g, Not):
-        return _reference_nnf(g.body)
-    if isinstance(g, Implies):
-        return And(_reference_nnf(g.lhs), _reference_nnf(Not(g.rhs)))
-    if isinstance(g, (And, Or)):
-        dual = Or if isinstance(g, And) else And
-        return dual(_reference_nnf(Not(g.lhs)), _reference_nnf(Not(g.rhs)))
-    if isinstance(g, (Exists, Forall)):
-        dual = Forall if isinstance(g, Exists) else Exists
-        return dual(g.var, _reference_nnf(Not(g.body)))
-    return f
-
-
-def _reference_atom(construction, a, env):
-    if isinstance(a, Lt):
-        return a.lhs.evaluate(construction, env) < a.rhs.evaluate(construction, env)
-    if isinstance(a, Eq):
-        return a.lhs.evaluate(construction, env) == a.rhs.evaluate(construction, env)
-    if isinstance(a, Cong):
-        d = a.rhs.evaluate(construction, env) - a.lhs.evaluate(construction, env)
-        return d.is_divisible(a.modulus)
-    if isinstance(a, DescLt):
-        return cong_free_below(
-            a.modulus, a.lhs.evaluate(construction, env), a.rhs.evaluate(construction, env)
-        )
-    raise TypeError(f"not an atom: {a!r}")
-
-
-def _reference_constants(f):
-    """Element constants of f, atoms left to right: a separate walk of the tree."""
-    if isinstance(f, (Lt, Eq, Cong, DescLt)):
-        terms = (f.lhs, f.rhs)
-        return [t.const for t in terms if t.const is not None and not t.const.is_zero()]
-    if isinstance(f, (Not, Exists, Forall)):
-        return _reference_constants(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return _reference_constants(f.lhs) + _reference_constants(f.rhs)
-    return []
-
-
-def _quantifier_free(f):
-    if isinstance(f, (And, Or)):
-        return _quantifier_free(f.lhs) and _quantifier_free(f.rhs)
-    return not isinstance(f, (Exists, Forall))
-
-
-def _reference_parts(f, conj):
-    """f, in negation normal form, as conjuncts (conj) or disjuncts.
-
-    A quantifier of the splitting kind (E for conjuncts, A for
-    disjuncts) stands for the parts it moves out, then itself.
-    """
-    if isinstance(f, And if conj else Or):
-        return _reference_parts(f.lhs, conj) + _reference_parts(f.rhs, conj)
-    if isinstance(f, Exists if conj else Forall):
-        return _reference_moved(f) + [f]
-    return [f]
-
-
-def _reference_moved(q):
-    """The parts of q's body that the scoping rule decides before q searches."""
-    parts = _reference_parts(q.body, isinstance(q, Exists))
-    return [p for p in parts if _quantifier_free(p) and q.var not in free_vars(p)]
-
-
-def _reference_eval(construction, f, env, cfg, scoped=True):
-    """Recursive evaluation of f in negation normal form: dispatch on the
-    node at every candidate.
-
-    With ``scoped``, a quantifier first decides the quantifier-free parts
-    of its body that do not mention its variable, and returns at once if
-    they decide it; without, it is the evaluator before that rule.
-    """
-    return _reference_rec(construction, _reference_nnf(f), env, cfg, scoped)
-
-
-def _reference_union(truth, left, right):
-    """The verdict of a junction whose two sides both have ``truth``, the
-    neutral one: it keeps the bindings of both sides, the right side's
-    binding of a name over the left's.  A side that alone has bindings
-    is the verdict as it is."""
-    if left.witness is None:
-        return right if right.witness is not None else Verdict(truth)
-    if right.witness is None:
-        return left
-    return Verdict(truth, {**left.witness, **right.witness}, right.reason)
-
-
-def _reference_binding(var, cand, sub):
-    """A quantifier's witness: its own binding first, then the bindings of
-    its body except an inner one of the same name, which it shadows."""
-    inner = {k: e for k, e in (sub.witness or {}).items() if k != var}
-    return {var: cand, **inner}
-
-
-def _reference_rec(construction, f, env, cfg, scoped):
-    def rec(g, e):
-        return _reference_rec(construction, g, e, cfg, scoped)
-
-    if isinstance(f, Not):
-        # ~ stands only before an atom or true/false
-        holds = rec(f.body, env).truth is Truth.TRUE
-        return Verdict(Truth.FALSE if holds else Truth.TRUE)
-    if isinstance(f, BoolC):
-        return Verdict(Truth.TRUE if f.value else Truth.FALSE)
-    if isinstance(f, (Lt, Eq, Cong, DescLt)):
-        return Verdict(Truth.TRUE if _reference_atom(construction, f, env) else Truth.FALSE)
-    if isinstance(f, (And, Or)):
-        stop, agree = (Truth.FALSE, Truth.TRUE) if isinstance(f, And) else (Truth.TRUE, Truth.FALSE)
-        left = rec(f.lhs, env)
-        if left.truth is stop:
-            return left
-        right = rec(f.rhs, env)
-        if right.truth is stop:
-            return right
-        if left.truth is agree and right.truth is agree:
-            return _reference_union(agree, left, right)
-        return _REF_UNKNOWN
-    if isinstance(f, (Exists, Forall)):
-        if scoped:
-            # the moved parts are quantifier-free, so they are decided
-            moved = _reference_moved(f)
-            if moved:
-                join = And if isinstance(f, Exists) else Or
-                m = rec(reduce(join, moved), env)
-                if m.truth is (Truth.FALSE if isinstance(f, Exists) else Truth.TRUE):
-                    return m
-        params = list(env.values()) + _reference_constants(f)
-        for cand in iter_fragment(params, cfg, construction):
-            sub = rec(f.body, {**env, f.var: cand})
-            if isinstance(f, Exists) and sub.truth is Truth.TRUE:
-                return Verdict(Truth.TRUE, _reference_binding(f.var, cand, sub))
-            if isinstance(f, Forall) and sub.truth is Truth.FALSE:
-                witness = _reference_binding(f.var, cand, sub)
-                return Verdict(Truth.FALSE, witness, "counterexample")
-        return _REF_UNKNOWN
-    raise TypeError(f"not a formula: {f!r}")
-
+# -- the compiled evaluator against the reference model --------------------------
 
 # One formula per template of the benchmark's eval workload, keyed by the
 # template's name, in the workload's order; P0, P1 and P2 stand for the
@@ -667,20 +469,37 @@ HOISTING_SHAPES = [
     "E x. (E y. x + x = y + P0) & (E z. 2*x + z = P1 | z < x + P2)",
     "A x. A y. (A z. x + y < z | z < x - y) & (A w. ~(x + y = w + w))",
 ]
-def _same_verdict(got, want):
-    assert got.truth is want.truth
-    assert got.reason == want.reason
-    if want.witness is None:
-        assert got.witness is None
-    else:
-        assert list(got.witness.items()) == list(want.witness.items())
+
+
+def _pool(pool_text, construction=LAMBDA):
+    return tuple(parse_element(t, construction) for t in pool_text)
+
+
+def _with_pool(text, pool_text, construction=LAMBDA):
+    """The formula of ``text`` with P0, P1 and P2 read as the literals of ``pool_text``."""
+    for i, lit in enumerate(pool_text):
+        text = text.replace(f"P{i}", lit)
+    return parse_formula(text, construction)
 
 
 def _check_against_reference(construction, f, cfg, env=None):
     env = env or {}
     got = evaluate(construction, f, env, cfg)
-    _same_verdict(got, _reference_eval(construction, f, dict(env), cfg))
+    same_verdict(got, reference.evaluate(construction, f, env, cfg))
     return got
+
+
+def _searched_by_reference(monkeypatch, construction, f, cfg, env=None):
+    """The reference verdict, which always searches, and its fragment count."""
+    calls, fragment = [], reference.fragment
+
+    def counting(*args):
+        calls.append(args)
+        return fragment(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(reference, "fragment", counting)
+        return reference.evaluate(construction, f, env or {}, cfg), len(calls)
 
 
 class TestCompiledMatchesReference:
@@ -689,13 +508,9 @@ class TestCompiledMatchesReference:
     def test_prefix_shapes(self, construction, size_cap):
         truths = set()
         for pool_text in POOL_TEXTS:
-            pool = tuple(parse_element(t, construction) for t in pool_text)
-            cfg = FragmentConfig(2, pool, size_cap)
+            cfg = FragmentConfig(2, _pool(pool_text, construction), size_cap)
             for shape in PREFIX_SHAPES.values():
-                text = shape
-                for i, lit in enumerate(pool_text):
-                    text = text.replace(f"P{i}", lit)
-                f = parse_formula(text, construction)
+                f = _with_pool(shape, pool_text, construction)
                 truths.add(_check_against_reference(construction, f, cfg).truth)
         assert truths == {Truth.TRUE, Truth.FALSE, Truth.UNKNOWN}
 
@@ -704,13 +519,9 @@ class TestCompiledMatchesReference:
     def test_hoisting_shapes(self, construction, size_cap):
         truths = set()
         for pool_text in POOL_TEXTS:
-            pool = tuple(parse_element(t, construction) for t in pool_text)
-            cfg = FragmentConfig(2, pool, size_cap)
+            cfg = FragmentConfig(2, _pool(pool_text, construction), size_cap)
             for shape in HOISTING_SHAPES:
-                text = shape
-                for i, lit in enumerate(pool_text):
-                    text = text.replace(f"P{i}", lit)
-                f = parse_formula(text, construction)
+                f = _with_pool(shape, pool_text, construction)
                 truths.add(_check_against_reference(construction, f, cfg).truth)
         assert truths == {Truth.TRUE, Truth.FALSE, Truth.UNKNOWN}
 
@@ -719,7 +530,7 @@ class TestCompiledMatchesReference:
     def test_closure_corpus(self, kind, construction):
         from oagw.suites import gen_corpus
 
-        pool = tuple(parse_element(t, construction) for t in POOL_TEXTS[0])
+        pool = _pool(POOL_TEXTS[0], construction)
         for size_cap in (9, 25):
             cfg = FragmentConfig(2, pool, size_cap)
             for text in gen_corpus(kind, 10, 5, construction):
@@ -806,39 +617,47 @@ def test_prefix_shapes_follow_the_eval_templates(monkeypatch):
 # -- miniscoping --------------------------------------------------------------
 
 VARIABLES = ("x", "y", "z")
+ALL_ATOMS = ("<", "=", "cong", "desc_lt", "true")
+HULL_ATOMS = ("<", "=")  # the atoms the divisible hull reads
 
 
-@lru_cache(maxsize=None)
-def _term_texts(bound):
-    summand = st.tuples(
-        st.sampled_from(["+ ", "- "]),
-        st.sampled_from(["", "2*"]),
-        st.sampled_from(sorted(bound) + ["P0", "P1", "P2"]),
-    ).map("".join)
-    return st.one_of(st.just("0"), st.lists(summand, min_size=1, max_size=2).map(" ".join))
+def _formula_text(pick, atoms, consts=()):
+    """A closed formula text over x, y and z, with at most three
+    quantifiers and four nested connectives or quantifiers.  Its atoms
+    are of the kinds in ``atoms``, between sums of bound variables and
+    the names in ``consts``.  ``pick`` chooses one item of a sequence."""
+
+    def formula(bound, quantifiers, depth):
+        kind = pick(["atom", "~", "&", "|", "->", "Q", "Q", "Q"] if depth else ["atom"])
+        if kind == "Q" and quantifiers:
+            var = pick(VARIABLES)
+            body = formula(bound | {var}, quantifiers - 1, depth - 1)
+            return f"({pick('EA')} {var}. {body})"
+        if kind == "~":
+            return f"~({formula(bound, quantifiers, depth - 1)})"
+        if kind in ("&", "|", "->"):
+            lhs = formula(bound, quantifiers, depth - 1)
+            return f"({lhs}) {kind} ({formula(bound, quantifiers, depth - 1)})"
+        names = sorted(bound) + list(consts)
+
+        def term():
+            if not names:
+                return "0"
+            first = pick(["", "", "-", "2*"]) + pick(names)
+            sign = pick(["", "", " + ", " - "])
+            return first + sign + pick(names) if sign else first
+
+        lhs, op, rhs = term(), pick(atoms), term()
+        if op in ("<", "="):
+            return f"{lhs} {op} {rhs}"
+        return "true" if op == "true" else f"{op}(2, {lhs}, {rhs})"
+
+    return formula(frozenset(), 3, 4)
 
 
-@lru_cache(maxsize=None)
 @st.composite
-def _formula_texts(draw, bound, quantifiers, depth=4):
-    """Closed formula texts over x, y and z: at most ``quantifiers``
-    quantifiers and ``depth`` nested connectives or quantifiers."""
-    kind = draw(st.sampled_from(["atom", "~", "&", "|", "->", "Q", "Q"] if depth else ["atom"]))
-    if kind == "Q" and quantifiers:
-        var = draw(st.sampled_from(VARIABLES))
-        body = draw(_formula_texts(bound | {var}, quantifiers - 1, depth - 1))
-        return f"({draw(st.sampled_from('EA'))} {var}. {body})"
-    if kind == "~":
-        return f"~({draw(_formula_texts(bound, quantifiers, depth - 1))})"
-    if kind in ("&", "|", "->"):
-        lhs = draw(_formula_texts(bound, quantifiers, depth - 1))
-        rhs = draw(_formula_texts(bound, quantifiers, depth - 1))
-        return f"({lhs}) {kind} ({rhs})"
-    lhs, rhs = draw(_term_texts(bound)), draw(_term_texts(bound))
-    op = draw(st.sampled_from(["<", "=", "cong", "desc_lt", "true"]))
-    if op in ("<", "="):
-        return f"{lhs} {op} {rhs}"
-    return "true" if op == "true" else f"{op}(2, {lhs}, {rhs})"
+def _formula_texts(draw, atoms, consts=()):
+    return _formula_text(lambda items: draw(st.sampled_from(list(items))), atoms, consts)
 
 
 @pytest.fixture
@@ -862,7 +681,7 @@ class TestScoping:
     def test_transitivity_searches_z_once_per_ordered_pair(
         self, construction, pool_text, fragment_calls
     ):
-        pool = tuple(parse_element(t, construction) for t in pool_text)
+        pool = _pool(pool_text, construction)
         cfg = FragmentConfig(2, pool, 10)
         # P0 > 0 keeps the sentence true; the constant hides the conclusion
         # from the divisible hull, which would refute A y. without it
@@ -874,8 +693,8 @@ class TestScoping:
         # x < y is decided once per pair, and only a pair with x < y searches z
         pairs = [
             (x, y, p0)
-            for x in iter_fragment([p0], cfg, construction)
-            for y in iter_fragment([x, p0], cfg, construction)
+            for x in reference.fragment(construction, [p0], cfg)
+            for y in reference.fragment(construction, [x, p0], cfg)
             if x < y
         ]
         assert len(pairs) > 10
@@ -903,7 +722,7 @@ class TestScoping:
         cfg = FragmentConfig(1, (c,), 5)
         v = evaluate(LAMBDA, parse_formula(text), {"c": c}, cfg)
         assert v.truth is Truth.UNKNOWN
-        xs = list(iter_fragment([c], cfg, LAMBDA))
+        xs = list(reference.fragment(LAMBDA, [c], cfg))
         assert fragment_calls == [(c,)] + [(c, x) for x in xs]
         assert len(fragment_calls) == 4
 
@@ -914,20 +733,18 @@ class TestScoping:
         f = parse_formula("E x. A y. (x = y -> false) | b < x")
         cfg = FragmentConfig(2, (element(LAMBDA, {g1_square(3, 0): {0: 1}}),), 30)
         assert evaluate(LAMBDA, f, {"b": b}, cfg).truth is Truth.TRUE
-        assert _reference_eval(LAMBDA, f, {"b": b}, cfg, scoped=False).truth is Truth.UNKNOWN
+        assert reference.evaluate(LAMBDA, f, {"b": b}, cfg, scoped=False).truth is Truth.UNKNOWN
 
     @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_decides_whatever_the_unscoped_reference_decides(self, construction, data):
         pool_text = data.draw(st.sampled_from(POOL_TEXTS))
-        text = data.draw(_formula_texts(frozenset(), 3))
-        for i, lit in enumerate(pool_text):
-            text = text.replace(f"P{i}", lit)
-        f = parse_formula(text, construction)
-        cfg = FragmentConfig(1, tuple(parse_element(t, construction) for t in pool_text), 6)
+        text = data.draw(_formula_texts(ALL_ATOMS, ("P0", "P1", "P2")))
+        f = _with_pool(text, pool_text, construction)
+        cfg = FragmentConfig(1, _pool(pool_text, construction), 6)
         got = _check_against_reference(construction, f, cfg)
-        unscoped = _reference_eval(construction, f, {}, cfg, scoped=False)
+        unscoped = reference.evaluate(construction, f, {}, cfg, scoped=False)
         if unscoped.decided:
             assert got.truth is unscoped.truth, text
 
@@ -947,25 +764,12 @@ class TestScoping:
         "A x. (E y. x = y + y) & x < {G2[1].s: 1}",
     )
 
-    @staticmethod
-    def _searched_by_reference(monkeypatch, construction, f, cfg, env=None):
-        """The reference verdict, which always searches, and its fragment count."""
-        calls, enumerate_fragment = [], iter_fragment
-
-        def counting(params, cfg, construction):
-            calls.append(tuple(params))
-            return enumerate_fragment(params, cfg, construction)
-
-        with monkeypatch.context() as m:
-            m.setattr(sys.modules[__name__], "iter_fragment", counting)
-            return _reference_eval(construction, f, dict(env or {}), cfg), len(calls)
-
     def _check_skipped(self, monkeypatch, construction, f, cfg, fragment_calls, env=None):
         got = evaluate(construction, f, env or {}, cfg)
         assert fragment_calls == [], print_formula(f)
-        want, searched = self._searched_by_reference(monkeypatch, construction, f, cfg, env)
+        want, searched = _searched_by_reference(monkeypatch, construction, f, cfg, env)
         assert searched > 0
-        _same_verdict(got, want)
+        same_verdict(got, want)
         assert got.truth is Truth.UNKNOWN
 
     @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
@@ -973,19 +777,16 @@ class TestScoping:
     def test_a_search_that_cannot_stop_is_skipped(
         self, construction, pool_text, fragment_calls, monkeypatch
     ):
-        cfg = FragmentConfig(2, tuple(parse_element(t, construction) for t in pool_text), 10)
+        cfg = FragmentConfig(2, _pool(pool_text, construction), 10)
         for name in self.UNSTOPPABLE:
-            text = PREFIX_SHAPES[name]
-            for i, lit in enumerate(pool_text):
-                text = text.replace(f"P{i}", lit)
-            f = parse_formula(text, construction)
+            f = _with_pool(PREFIX_SHAPES[name], pool_text, construction)
             self._check_skipped(monkeypatch, construction, f, cfg, fragment_calls)
 
     @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
     def test_the_ea_corpus_is_skipped(self, construction, fragment_calls, monkeypatch):
         from oagw.suites import gen_corpus
 
-        cfg = FragmentConfig(2, tuple(parse_element(t, construction) for t in POOL_TEXTS[0]), 10)
+        cfg = FragmentConfig(2, _pool(POOL_TEXTS[0], construction), 10)
         for text in gen_corpus("ea", 20, 42, construction):
             f = parse_formula(text, construction)
             self._check_skipped(monkeypatch, construction, f, cfg, fragment_calls)
@@ -993,7 +794,7 @@ class TestScoping:
     def test_a_disjunct_that_cannot_refute_is_skipped(self, fragment_calls, monkeypatch):
         # E y. can only be True, so the disjunction is never False
         f = parse_formula("A x. (E y. x = y + y) | x < {G2[1].s: 1}")
-        cfg = FragmentConfig(2, tuple(parse_element(t, LAMBDA) for t in POOL_TEXTS[0]), 10)
+        cfg = FragmentConfig(2, _pool(POOL_TEXTS[0]), 10)
         self._check_skipped(monkeypatch, LAMBDA, f, cfg, fragment_calls)
 
     @pytest.mark.parametrize(
@@ -1009,10 +810,10 @@ class TestScoping:
     @pytest.mark.parametrize("text", STILL_SEARCHED)
     def test_a_search_that_can_stop_still_runs(self, text, fragment_calls, monkeypatch):
         f = parse_formula(text)
-        cfg = FragmentConfig(2, tuple(parse_element(t, LAMBDA) for t in POOL_TEXTS[0]), 10)
+        cfg = FragmentConfig(2, _pool(POOL_TEXTS[0]), 10)
         got = evaluate(LAMBDA, f, {}, cfg)
-        want, searched = self._searched_by_reference(monkeypatch, LAMBDA, f, cfg)
-        _same_verdict(got, want)
+        want, searched = _searched_by_reference(monkeypatch, LAMBDA, f, cfg)
+        same_verdict(got, want)
         assert len(fragment_calls) == searched > 0
 
     def test_a_skipped_search_still_rejects_a_pool_of_the_other_construction(self, fragment_calls):
@@ -1054,37 +855,6 @@ def _hull_rows(*atoms):
 def _atom_node(construction, atom, neg=False):
     """The compiled node of one atom, or of its negation if ``neg``."""
     return oagw.evaluate._compile(construction, atom, neg, [None], [])
-
-
-def _hull_formula(pick, bound=frozenset(), quantifiers=3, depth=4):
-    """A closed formula text whose atoms are ``<`` and ``=`` between sums of
-    bound variables, so the hull sees every atom.  ``pick`` chooses one
-    item of a sequence."""
-    kind = pick(["atom", "~", "&", "|", "->", "Q", "Q", "Q"] if depth else ["atom"])
-    if kind == "Q" and quantifiers:
-        var = pick(VARIABLES)
-        body = _hull_formula(pick, bound | {var}, quantifiers - 1, depth - 1)
-        return f"({pick('EA')} {var}. {body})"
-    if kind == "~":
-        return f"~({_hull_formula(pick, bound, quantifiers, depth - 1)})"
-    if kind in ("&", "|", "->"):
-        lhs = _hull_formula(pick, bound, quantifiers, depth - 1)
-        rhs = _hull_formula(pick, bound, quantifiers, depth - 1)
-        return f"({lhs}) {kind} ({rhs})"
-
-    def term():
-        if not bound:
-            return "0"
-        first = pick(["", "", "-", "2*"]) + pick(sorted(bound))
-        sign = pick(["", "", " + ", " - "])
-        return first + sign + pick(sorted(bound)) if sign else first
-
-    return f"{term()} {pick('<=')} {term()}"
-
-
-@st.composite
-def _hull_formula_texts(draw):
-    return _hull_formula(lambda items: draw(st.sampled_from(list(items))))
 
 
 class TestDivisibleHull:
@@ -1136,17 +906,13 @@ class TestDivisibleHull:
         padding = tuple(({f"z{i}": 1}, False) for i in range(cap - 1))
         assert oagw.hull.feasible(rows + padding) is True
 
-    def test_past_the_disjunct_cap_the_search_runs(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(
-            oagw.evaluate, "iter_fragment", lambda *args: calls.append(args) or iter_fragment(*args)
-        )
+    def test_past_the_disjunct_cap_the_search_runs(self, fragment_calls):
         cap = oagw.hull.MAX_DISJUNCTS
         for n, searched in ((cap, False), (cap + 1, True)):
-            calls.clear()
+            fragment_calls.clear()
             f = parse_formula("E x. " + " | ".join(["x < x"] * n))
             assert evaluate(LAMBDA, f, {}, CFG).truth is Truth.UNKNOWN
-            assert bool(calls) is searched
+            assert bool(fragment_calls) is searched
 
     @pytest.mark.parametrize(
         "text",
@@ -1157,44 +923,33 @@ class TestDivisibleHull:
         ],
     )
     def test_a_quantifier_renames_its_variable_apart(self, text):
-        cfg = FragmentConfig(2, tuple(parse_element(t, LAMBDA) for t in POOL_TEXTS[0]), 10)
+        cfg = FragmentConfig(2, _pool(POOL_TEXTS[0]), 10)
         got = _check_against_reference(LAMBDA, parse_formula(text), cfg)
         assert got.decided
 
     @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
     @settings(max_examples=150, deadline=None)
-    @given(text=_hull_formula_texts(), pool_text=st.sampled_from(POOL_TEXTS))
+    @given(text=_formula_texts(HULL_ATOMS), pool_text=st.sampled_from(POOL_TEXTS))
     def test_verdicts_match_the_reference(self, construction, text, pool_text):
-        cfg = FragmentConfig(1, tuple(parse_element(t, construction) for t in pool_text), 6)
+        cfg = FragmentConfig(1, _pool(pool_text, construction), 6)
         _check_against_reference(construction, parse_formula(text, construction), cfg)
 
     @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
-    def test_the_hull_skips_searches_of_a_fixed_corpus(self, construction, monkeypatch):
-        cfg = FragmentConfig(1, tuple(parse_element(t, construction) for t in POOL_TEXTS[0]), 6)
-        calls = []
-
-        def counting(params, cfg, construction):
-            calls.append(params)
-            return iter_fragment(params, cfg, construction)
-
-        def fragments(f, hull):
-            calls.clear()
-            with monkeypatch.context() as m:
-                m.setattr(oagw.evaluate, "iter_fragment", counting)
-                if not hull:
-                    m.setattr(oagw.hull, "feasible", lambda rows: True)
-                return evaluate(construction, f, {}, cfg), len(calls)
-
-        # draws in which the hull skips some search, and all of them
+    def test_the_hull_skips_searches_of_a_fixed_corpus(
+        self, construction, fragment_calls, monkeypatch
+    ):
+        cfg = FragmentConfig(1, _pool(POOL_TEXTS[0], construction), 6)
+        # draws in which the hull skips some search the reference runs, and all of them
         some = every = 0
         for i in range(60):
-            f = parse_formula(_hull_formula(case_rng(28, i).choice), construction)
-            got, searched = fragments(f, hull=True)
-            want, searched_without = fragments(f, hull=False)
-            _same_verdict(got, want)
-            assert searched <= searched_without
-            some += searched < searched_without
-            every += searched == 0 < searched_without
+            f = parse_formula(_formula_text(case_rng(28, i).choice, HULL_ATOMS), construction)
+            fragment_calls.clear()
+            got = evaluate(construction, f, {}, cfg)
+            want, searched = _searched_by_reference(monkeypatch, construction, f, cfg)
+            same_verdict(got, want)
+            assert len(fragment_calls) <= searched
+            some += len(fragment_calls) < searched
+            every += not fragment_calls and searched > 0
         assert some >= 3 and every >= 1
 
 
@@ -1228,15 +983,12 @@ class TestCompileOnce:
         pools = [tuple(parse_element(t, construction) for t in texts) for texts in POOL_TEXTS]
         cfgs = [FragmentConfig(2, pool, cap) for pool in pools for cap in (6, 13)]
         for shape in list(PREFIX_SHAPES.values()) + HOISTING_SHAPES:
-            text = shape
-            for i, lit in enumerate(POOL_TEXTS[0]):
-                text = text.replace(f"P{i}", lit)
-            f = parse_formula(text, construction)
+            f = _with_pool(shape, POOL_TEXTS[0], construction)
             program = oagw.evaluate.compile_formula(construction, f)
             # twice over, so no run leaves state behind for the next one
             for cfg in cfgs + cfgs:
                 got = oagw.evaluate.run_program(program, {}, cfg)
-                _same_verdict(got, evaluate(construction, f, {}, cfg))
+                same_verdict(got, evaluate(construction, f, {}, cfg))
 
 
 class TestLazyBuild:
@@ -1353,7 +1105,7 @@ class TestFixedDescLt:
     @settings(max_examples=150, deadline=None)
     @given(build=_desc_lt_sentences(), pool_text=st.sampled_from(POOL_TEXTS))
     def test_verdicts_match_the_reference(self, construction, build, pool_text):
-        cfg = FragmentConfig(1, tuple(parse_element(t, construction) for t in pool_text), 8)
+        cfg = FragmentConfig(1, _pool(pool_text, construction), 8)
         _check_against_reference(construction, build(construction), cfg)
 
     @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
@@ -1377,7 +1129,7 @@ class TestFixedDescLt:
 
     @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
     def test_a_refuted_case_enumerates_no_fragment(self, construction, fragment_calls, monkeypatch):
-        cfg = FragmentConfig(2, tuple(parse_element(t, construction) for t in POOL_TEXTS[0]), 10)
+        cfg = FragmentConfig(2, _pool(POOL_TEXTS[0], construction), 10)
         c = term_const(random_nonzero(case_rng(30, 0), construction, 2).scale(3))
         x = term_var("x")
         positive = Lt(Term(), x)
@@ -1390,9 +1142,9 @@ class TestFixedDescLt:
             fragment_calls.clear()
             got = evaluate(construction, f, {}, cfg)
             assert fragment_calls == [], print_formula(f)
-            want, searched = TestScoping._searched_by_reference(monkeypatch, construction, f, cfg)
+            want, searched = _searched_by_reference(monkeypatch, construction, f, cfg)
             assert searched > 0
-            _same_verdict(got, want)
+            same_verdict(got, want)
             assert got.truth is Truth.UNKNOWN and got.reason == "fragment bounds exhausted"
         # with s not divisible, or t carrying a constant, the search runs
         s = term_const(_fixed_s(case_rng(30, 1), construction, 3, "indivisible"))
@@ -1437,17 +1189,14 @@ def _rowless_formulas(construction):
             out.append(f)
     assert shapes == {0: 3, 1: 3}
     for name in ("e-scaled", "a-below", "eee-sum", "ae-desc"):
-        text = PREFIX_SHAPES[name]
-        for i, lit in enumerate(POOL_TEXTS[1]):
-            text = text.replace(f"P{i}", lit)
-        out.append(parse_formula(text, construction))
+        out.append(_with_pool(PREFIX_SHAPES[name], POOL_TEXTS[1], construction))
     return out
 
 
 class TestRowFlag:
     @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
     def test_a_body_without_rows_is_never_hulled(self, construction, monkeypatch, fragment_calls):
-        cfg = FragmentConfig(2, tuple(parse_element(t, construction) for t in POOL_TEXTS[1]), 10)
+        cfg = FragmentConfig(2, _pool(POOL_TEXTS[1], construction), 10)
         feasible, original = [], oagw.hull.feasible
         monkeypatch.setattr(oagw.hull, "feasible", lambda rows: feasible.append(rows) or original(rows))
         skipped = 0
@@ -1455,8 +1204,8 @@ class TestRowFlag:
             feasible.clear(), fragment_calls.clear()
             got = evaluate(construction, f, {}, cfg)
             assert feasible == [], print_formula(f)
-            want, searched = TestScoping._searched_by_reference(monkeypatch, construction, f, cfg)
-            _same_verdict(got, want)
+            want, searched = _searched_by_reference(monkeypatch, construction, f, cfg)
+            same_verdict(got, want)
             # a search runs as the reference's, or not at all
             assert len(fragment_calls) in (0, searched), print_formula(f)
             skipped += not fragment_calls

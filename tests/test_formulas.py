@@ -35,7 +35,6 @@ from oagw.formulas import (
     print_formula,
     rename_bound_apart,
 )
-from oagw import formulas
 from oagw.evaluate import Truth, Verdict, compile_formula
 from oagw.positions import g1_square
 from oagw.ringlang import RExists, RingEq, ValRing, VLt, VSumEq, svar, translate_to_ring
@@ -44,7 +43,6 @@ from oagw.suites import _closure_sentence, gen_corpus
 
 from conftest import fraction_calls, generated_calls
 from test_evaluate import POOL_TEXTS, PREFIX_SHAPES
-from test_readme import _examples, _text
 
 S00 = g1_square(0, 0)
 
@@ -69,6 +67,9 @@ class TestParse:
             "rphi(2; z1 < a1, z2 < a2; ; z1 ~ b1, z2 ~ b2, z1 ~ z2)",
             "rphi(3; z1 z2 < a; u1 u2; z1 ~ u1, z2 ~ u2)",
             "true & ~false",
+            # a name may start with _, and a digit outside ASCII reads as an integer
+            "E _x. _x < 0",
+            "x < \u0663*y",
         ]
         for text in cases:
             f = parse_formula(text)
@@ -197,6 +198,7 @@ _FORMULA_ERRORS = [
     ("x , y", 2, "expected '<' or '=', found ','"),
     ("x y", 2, "expected '<' or '=', found 'y'"),
     ("0 2", 2, "expected '<' or '=', found '2'"),
+    ("x -> y - z", 2, "expected '<' or '=', found '->'"),
     # expected a term
     ("x <", 3, "expected a term"),
     ("x < )", 4, "expected a term, found ')'"),
@@ -208,7 +210,9 @@ _FORMULA_ERRORS = [
     # unexpected character
     ("x < $y", 4, "unexpected character"),
     ("#", 0, "unexpected character"),
+    ("{", 0, "unexpected character"),
     ("x < {G2[0].c: 1", 4, "unexpected character"),
+    ("x < {G2[0].c: 1} }", 17, "unexpected character"),
     # a bad modulus, at the closing parenthesis
     ("cong(1, x, y)", 12, "modulus must be an integer >= 2, got 1"),
     ("desc_lt(0, x, y)", 15, "modulus must be an integer >= 2, got 0"),
@@ -512,60 +516,6 @@ class TestNodes:
     def test_an_rphi_keeps_a_cong_and_a_desc_lt_of_the_same_terms(self):
         f = parse_formula("rphi(2; z < a; ; z ~ c, z ~ a)")
         assert print_formula(f) == "0 < a & cong(2, c, a) & ~desc_lt(2, c, a)"
-
-
-# -- the tokenizer against the named-group pattern it replaced -----------------
-
-_REFERENCE_TOKEN_RE = re.compile(
-    r"(?P<literal>\{[^{}]*\})|(?P<arrow>->)|(?P<int>\d+)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<punct>[().,;<=~&|*+-])|(?P<bad>\S.*)",
-    re.DOTALL,
-)
-
-
-def _reference_tokens(text):
-    """(kind, text) of every token, then ("end", ""); a character that
-    starts no token starts ``bad``, which runs to the end and raises."""
-    toks = [(m.lastgroup, m.group(), m.start()) for m in _REFERENCE_TOKEN_RE.finditer(text)]
-    if toks and toks[-1][0] == "bad":
-        raise ParseError(text, toks[-1][2], "unexpected character")
-    return [(kind, word) for kind, word, _ in toks] + [("end", "")]
-
-
-_TOKENIZER_INPUTS = {
-    "corpus": lambda: [text for construction in (LAMBDA, GAMMA) for kind in ("exists", "ea")
-                       for text in gen_corpus(kind, 50, 0, construction)],
-    "readme": lambda: [argv[argv.index("--formula") + 1]
-                       for _, argv, _, _ in _examples(_text()) if argv[0] == "eval"],
-    "errors": lambda: [row[0] for row in _FORMULA_ERRORS + _TERM_ERRORS + _LITERAL_ERRORS],
-    "more": lambda: ["  x <\t @", "x < \u0663*y", "{", "x < {G2[0].c: 1} }", "x -> y - z"],
-}
-
-
-@pytest.mark.parametrize("inputs", _TOKENIZER_INPUTS)
-def test_the_tokenizer_agrees_with_the_named_group_pattern(inputs):
-    texts = _TOKENIZER_INPUTS[inputs]()
-    assert texts
-    for text in texts:
-        try:
-            want = _reference_tokens(text)
-        except ParseError as exc:
-            err = _parse_error(formulas._tokenize, text)
-            assert (err.at, err.message) == (exc.at, exc.message), text
-            continue
-        assert [(formulas._kind(tok), tok) for tok in formulas._tokenize(text)] == want, text
-
-
-def test_the_tokenizer_inputs_hold_every_kind():
-    kinds = set()
-    for inputs in _TOKENIZER_INPUTS.values():
-        for text in inputs():
-            try:
-                kinds.update(kind for kind, _ in _reference_tokens(text))
-            except ParseError:
-                pass
-    assert kinds == {"literal", "arrow", "int", "name", "punct", "end"}
 
 
 # -- the front end enters no generated code and no fractions.py ----------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oagw.fragments
+import reference
 from oagw.elements import ConstructionMismatch, GAMMA, LAMBDA, element, zero
 from oagw.fragments import FragmentConfig, iter_fragment
 from oagw.positions import g1_circle, g1_square, g2_circle, g2_square
@@ -53,7 +54,7 @@ def test_zero_and_params_always_first():
 def test_deterministic():
     a = element(LAMBDA, {S00: {0: 1, 2: -1}})
     g = element(LAMBDA, {g2_circle(1): 1})
-    cfg = FragmentConfig(3, (g,), 500, seed=7)
+    cfg = FragmentConfig(3, (g,), 500)
     assert list(iter_fragment([a], cfg, LAMBDA)) == list(iter_fragment([a], cfg, LAMBDA))
 
 
@@ -129,34 +130,6 @@ def _computed_parts(monkeypatch, gens):
     return computed
 
 
-def _reference_fragment(params, cfg):
-    """Naive enumeration: every vector rescales every generator afresh."""
-    every = tuple(params) + cfg.generator_pool
-    z = zero(every[0].construction)
-    gens = []
-    for g in every:
-        if not g.is_zero() and g not in gens:
-            gens.append(g)
-    out = [z]
-    for p in params:
-        if p not in out and len(out) < cfg.size_cap:
-            out.append(p)
-    for m in range(cfg.coeff_bound + 1):
-        axis = [0] + [s * k for k in range(1, m + 1) for s in (1, -1)]
-        for vec in itertools.product(axis, repeat=len(gens)):
-            if max((abs(k) for k in vec), default=0) != m:
-                continue
-            if len(out) >= cfg.size_cap:
-                return out
-            acc = z
-            for k, g in zip(vec, gens):
-                if k:
-                    acc = acc + g.scale(k)
-            if acc not in out:
-                out.append(acc)
-    return out
-
-
 def _pool_cases():
     a = element(LAMBDA, {S00: {0: 1, 2: -1}})
     b = element(LAMBDA, {S00: {1: 2}, g2_circle(0): Fraction(1, 2)})
@@ -175,9 +148,10 @@ def _pool_cases():
 @pytest.mark.parametrize("coeff_bound,size_cap", [(1, 10_000), (2, 37), (2, 10_000), (3, 200)])
 def test_matches_naive_reference(coeff_bound, size_cap):
     for params, pool in _pool_cases():
+        construction = pool[0].construction
         cfg = FragmentConfig(coeff_bound, pool, size_cap)
-        got = list(iter_fragment(params, cfg, pool[0].construction))
-        assert got == _reference_fragment(params, cfg)
+        got = list(iter_fragment(params, cfg, construction))
+        assert got == list(reference.fragment(construction, params, cfg))
 
 
 @pytest.mark.parametrize("coeff_bound,size_cap", [(1, 10_000), (2, 37), (3, 200)])
@@ -190,7 +164,8 @@ def test_one_config_reused_matches_naive_reference(coeff_bound, size_cap):
         cfg = FragmentConfig(coeff_bound, pool, size_cap)
         calls = [params, [], params[:1], [pool[0]], params, [zero(construction)], []]
         for p in calls:
-            assert list(iter_fragment(p, cfg, construction)) == _reference_fragment(p, cfg)
+            want = list(reference.fragment(construction, p, cfg))
+            assert list(iter_fragment(p, cfg, construction)) == want
         assert vars(cfg) == vars(FragmentConfig(coeff_bound, pool, size_cap))
 
 
@@ -205,7 +180,7 @@ def test_matches_naive_reference_five_generators():
             cfg = FragmentConfig(3, tuple(els[2:]), size_cap)
             got = list(iter_fragment(els[:2], cfg, construction))
             assert len(got) == size_cap
-            assert got == _reference_fragment(els[:2], cfg)
+            assert got == list(reference.fragment(construction, els[:2], cfg))
 
 
 def _shared_calls(construction):
@@ -223,7 +198,7 @@ def test_shared_pool_matches_naive_reference(construction, coeff_bound, size_cap
     cfg = FragmentConfig(coeff_bound, pool, size_cap)
     for params in calls:
         got = list(iter_fragment(params, cfg, construction))
-        assert got == _reference_fragment(params, cfg)
+        assert got == list(reference.fragment(construction, params, cfg))
 
 
 @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
@@ -233,15 +208,17 @@ def test_shared_pool_after_an_abandoned_and_a_suspended_fragment(construction):
     # an existential stops after a few candidates, and a later fragment
     # through the same config starts afresh
     abandoned = iter_fragment([], cfg, construction)
-    assert list(itertools.islice(abandoned, 6)) == _reference_fragment([], cfg)[:6]
+    want = reference.fragment(construction, [], cfg)
+    assert list(itertools.islice(abandoned, 6)) == list(itertools.islice(want, 6))
     abandoned.close()
     # an outer quantifier's fragment stays suspended while inner ones run
     outer = iter_fragment(calls[1], cfg, construction)
     got_outer = list(itertools.islice(outer, 20))
     for params in calls:
-        assert list(iter_fragment(params, cfg, construction)) == _reference_fragment(params, cfg)
+        want = list(reference.fragment(construction, params, cfg))
+        assert list(iter_fragment(params, cfg, construction)) == want
     got_outer += list(outer)
-    assert got_outer == _reference_fragment(calls[1], cfg)
+    assert got_outer == list(reference.fragment(construction, calls[1], cfg))
 
 
 @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
@@ -255,10 +232,10 @@ def test_abandoned_fragment_computes_no_part_it_did_not_reach(construction, call
     for n in (1, 2, 5, 12, 30):
         computed.clear()
         cfg = FragmentConfig(3, pool, 10_000)
-        fragment = iter_fragment(params, cfg, construction)
-        got = list(itertools.islice(fragment, n))
-        fragment.close()
-        assert got == _reference_fragment(params, replace(cfg, size_cap=n))
+        running = iter_fragment(params, cfg, construction)
+        got = list(itertools.islice(running, n))
+        running.close()
+        assert got == list(reference.fragment(construction, params, replace(cfg, size_cap=n)))
         # the parts computed are at most the candidates past zero and params
         assert len(computed) <= len(got[1 + len(params):])
 
@@ -291,8 +268,8 @@ def test_shared_pool_fragments_in_any_interleaving(construction, seed, coeff_bou
         if x is not None:
             got[i].append(x)
     for params, prefix, n in zip(calls, got, wanted):
-        reference = _reference_fragment(params, cfg)
-        assert prefix == reference[:n]
+        want = list(itertools.islice(reference.fragment(construction, params, cfg), n))
+        assert prefix == want
 
 
 def test_shared_empty_pool_serves_both_constructions():
@@ -304,7 +281,7 @@ def test_shared_empty_pool_serves_both_constructions():
     for params in ([a], [c], [a], [c]):
         construction = params[0].construction
         got = list(iter_fragment(params, cfg, construction))
-        assert got == _reference_fragment(params, cfg)
+        assert got == list(reference.fragment(construction, params, cfg))
         assert got[0] is zero(construction)
         assert all(x.construction is construction for x in got)
     assert vars(cfg) == vars(FragmentConfig(2, (), 50))
@@ -319,4 +296,5 @@ def test_pool_of_another_construction_raises_on_every_call():
             next(iter_fragment([a], cfg, LAMBDA))
     assert vars(cfg) == vars(FragmentConfig(2, (c,), 50))
     # the failed calls leave the config serving its own construction
-    assert list(iter_fragment([c.scale(2)], cfg, GAMMA)) == _reference_fragment([c.scale(2)], cfg)
+    want = list(reference.fragment(GAMMA, [c.scale(2)], cfg))
+    assert list(iter_fragment([c.scale(2)], cfg, GAMMA)) == want

@@ -10,10 +10,11 @@ full-group scan and refutes the image for every coefficient bound.
 reason of every prefix shape and hoisting shape of ``test_evaluate`` on
 both pools and both constructions, of the ``exists`` and ``ea``
 closure corpora, and of the bounded congruence sentences in
-``RPHI_SENTENCES``, at three size caps.  The reference evaluator in
-``test_evaluate`` enumerates with the same ``iter_fragment`` as the code
-under test, so it cannot catch a change in the fragments themselves;
-these digests can.
+``RPHI_SENTENCES``, at three size caps.  ``test_evaluate`` checks such
+verdicts against the models of ``tests/reference.py``, which share no
+search code with ``evaluate``, so a change in the fragments fails there
+too; these digests also catch a change that moves the code and its
+model alike.
 
 A change that moves these digests on purpose re-records them with::
 

@@ -213,6 +213,15 @@ class TestConstructorContract:
         assert fraction_calls(lambda: verdicts.extend((f == g, f != g, f == h))) == []
         assert verdicts == [True, False, False]
 
+    @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=str)
+    def test_series_that_differ_in_one_exponent_are_unequal(self, field):
+        # equal length and equal coefficients, so only the exponents tell them apart
+        o, g = zero(LAMBDA), gamma_unit()
+        f, h = series(LAMBDA, {o: 3, g: 2}, field), series(LAMBDA, {o: 3, g.scale(2): 2}, field)
+        assert [c for _, c in f.terms] == [c for _, c in h.terms]
+        assert f != h and h != f
+        assert not f == h and not h == f
+
 
 def test_hahn_ring_computes_each_shared_product_once(monkeypatch):
     from oagw.suites import SuiteOptions, run_suite
@@ -330,6 +339,15 @@ class TestTruncatedInverse:
     def test_zero_rejected(self):
         with pytest.raises(ZeroDivisionError):
             truncated_inverse(series(LAMBDA, {}), zero(LAMBDA))
+
+    def test_an_error_term_without_a_positive_valuation_is_a_named_error(self, monkeypatch):
+        # a valuation that read the last exponent leaves an error term of valuation 0
+        monkeypatch.setattr(HahnSeries, "valuation", lambda s: s.terms[-1][0])
+        g = gamma_unit()
+        f = one(LAMBDA) - monomial(g)
+        with pytest.raises(ValueError, match="no truncated inverse") as err:
+            truncated_inverse(f, g.scale(3))
+        assert str(f) in str(err.value) and str(g.scale(3)) in str(err.value)
 
     def test_unreachable_precision(self):
         # error valuation lives in the right block, precision in the left

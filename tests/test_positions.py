@@ -56,7 +56,7 @@ def test_total_irreflexive_transitive():
 
 
 def test_successor_is_immediate_in_samples():
-    ps = sorted(sample_positions(), key=lambda p: p.sort_key())
+    ps = sorted(sample_positions(), key=lambda p: p.key)
     for a, b in zip(ps, ps[1:]):
         # successor never skips a sampled position
         s = a.successor()

@@ -1,9 +1,9 @@
 """Congruence-gap predicate, tail sets, and the right-block formula.
 
-The reference oracle for the closed form is plain witness search over
-deterministic fragments: any found witness refutes the predicate, and
-for refuted cases the explicit certificate must verify by exact
-arithmetic alone.
+The oracles are the models of ``reference``: the closed form written on
+``LeadDescriptor`` order, and plain witness search over its naive
+fragments, where any witness found refutes the predicate.  A refuted
+case's explicit certificate must verify by exact arithmetic alone.
 """
 
 from collections import Counter
@@ -23,7 +23,7 @@ from oagw.elements import (
     unit,
     zero,
 )
-from oagw.fragments import FragmentConfig, iter_fragment
+from oagw.fragments import FragmentConfig
 from oagw.embeddings import Embedding, in_image
 from oagw.positions import CRITICAL_CIRCLE, g1_circle, g1_square, g2_circle, g2_square
 from oagw.predicates import (
@@ -40,18 +40,17 @@ from oagw.predicates import (
 )
 from oagw.sampling import case_rng, random_element
 
+import reference
 from conftest import generated_calls, seeded_elements
 
 S00 = g1_square(0, 0)
 
 
-def brute_refute(n, a, b, pool, cap=400):
-    """Independent oracle: scan a fragment for y with 0 < y < b, y = a mod n."""
-    cfg = FragmentConfig(3, tuple(pool), cap, 0)
-    for y in iter_fragment([a, b], cfg, a.construction):
-        if y.sign() > 0 and y < b and (y - a).is_divisible(n):
-            return y
-    return None
+def brute_refute(n, a, b, pool):
+    """A y with 0 < y < b and y = a mod n in the model fragment, or None."""
+    cfg = FragmentConfig(3, tuple(pool), 400)
+    ys = reference.fragment(a.construction, [a, b], cfg)
+    return next((y for y in ys if y.sign() > 0 and y < b and (y - a).is_divisible(n)), None)
 
 
 class TestCongFreeBelow:
@@ -111,7 +110,7 @@ class TestCongFreeBelow:
                 da = a.lead_descriptor()
                 db = b.lead_descriptor()
                 assert da is not None and db is not None
-                assert da.position.sort_key() < db.position.sort_key()
+                assert da.position.key < db.position.key
 
     @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -187,43 +186,6 @@ class TestIndexWindow:
 # -- the closed form against its descriptor-ordered reference ---------------
 
 
-def _reference_free_below_positive(n, a, d, b):
-    """The closed form for b > 0 as written on ``LeadDescriptor`` order:
-    address tuples compared with ``<``, b's lead read through
-    ``lead_descriptor`` and ``lead_value``, a tie's residue through
-    ``coeff_at``."""
-    if d is None:
-        return False
-    beta = b.lead_descriptor()
-    if d < beta:
-        return True
-    if beta < d:
-        return False
-    lead_val = b.lead_value()
-    if isinstance(lead_val, Fraction):
-        return False
-    return lead_val < a.coeff_at(d) % n
-
-
-def _reference_cong_free_below(n, a, b):
-    return b.sign() <= 0 or _reference_free_below_positive(n, a, a.lead_mod(n), b)
-
-
-def _reference_window(c, x, b):
-    return (
-        x.sign() > 0
-        and any(_reference_cong_free_below(n, c, x) for n in (2, 3))
-        and any(_reference_cong_free_below(n, x, b) for n in (2, 3))
-    )
-
-
-def _reference_contains(cut, b):
-    if cut is None:
-        return False
-    d = b.lead_descriptor()
-    return d is None or cut < d
-
-
 MODULI = (2, 3, 4, 6)
 
 # positions in address order, with squares that hold polynomials on lambda
@@ -265,7 +227,7 @@ class TestClosedFormMatchesDescriptorOrder:
             for n in MODULI:
                 d = a.lead_mod(n)
                 for b in elems:
-                    want = _reference_cong_free_below(n, a, b)
+                    want = reference.cong_free_below(n, a, b)
                     assert cong_free_below(n, a, b) is want, (n, str(a), str(b))
                     assert cong_free_below_given(n, a, d, b) is want
                     if d is None or b.sign() <= 0:
@@ -295,7 +257,7 @@ class TestClosedFormMatchesDescriptorOrder:
         for a in elems:
             cut = tail_set(a)
             for b in elems + [zero(construction)]:
-                assert in_tail(cut, b) is _reference_contains(cut, b)
+                assert in_tail(cut, b) is reference.in_tail(cut, b)
 
     @settings(max_examples=200, deadline=None)
     @given(seeded_elements(LAMBDA), seeded_elements(LAMBDA))
@@ -311,9 +273,9 @@ class TestClosedFormMatchesDescriptorOrder:
     def _check_seeded(a, b):
         for y in (b, b.abs(), -b.abs()):
             for n in MODULI:
-                assert cong_free_below(n, a, y) is _reference_cong_free_below(n, a, y)
+                assert cong_free_below(n, a, y) is reference.cong_free_below(n, a, y)
             cut = tail_set(a)
-            assert in_tail(cut, y) is _reference_contains(cut, y)
+            assert in_tail(cut, y) is reference.in_tail(cut, y)
 
     @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
     def test_constructed_windows(self, construction):
@@ -324,7 +286,7 @@ class TestClosedFormMatchesDescriptorOrder:
             for b in bounds:
                 window = index_window(c, b)
                 for x in elems + [zero(construction)]:
-                    want = _reference_window(c, x, b)
+                    want = reference.window(c, x, b)
                     assert window(x) is want, (str(c), str(x), str(b))
                     held[want, b.sign() > 0] += 1
         # the window holds and fails both for b > 0 and, vacuously on its
@@ -335,28 +297,28 @@ class TestClosedFormMatchesDescriptorOrder:
     @given(seeded_elements(LAMBDA), seeded_elements(LAMBDA), seeded_elements(LAMBDA))
     def test_seeded_windows_lambda(self, c, x, b):
         for y in (b, b.abs()):
-            assert index_window(c, y)(x) is _reference_window(c, x, y)
-            assert index_window(c, y)(x.abs()) is _reference_window(c, x.abs(), y)
+            assert index_window(c, y)(x) is reference.window(c, x, y)
+            assert index_window(c, y)(x.abs()) is reference.window(c, x.abs(), y)
 
     @settings(max_examples=200, deadline=None)
     @given(seeded_elements(GAMMA), seeded_elements(GAMMA), seeded_elements(GAMMA))
     def test_seeded_windows_gamma(self, c, x, b):
         for y in (b, b.abs()):
-            assert index_window(c, y)(x) is _reference_window(c, x, y)
-            assert index_window(c, y)(x.abs()) is _reference_window(c, x.abs(), y)
+            assert index_window(c, y)(x) is reference.window(c, x, y)
+            assert index_window(c, y)(x.abs()) is reference.window(c, x.abs(), y)
 
     def test_a_given_lead_that_a_does_not_hold(self):
         # read as coeff_at reads it: a position without a polynomial is
         # rejected, an absent slot of a polynomial holds 0
         a = element(LAMBDA, {S00: {0: 1}})
         d = LeadDescriptor(g1_square(0, 1), 0)
-        for call in (_reference_free_below_positive, cong_free_below_given):
+        for call in (reference.cong_free_below_given, cong_free_below_given):
             with pytest.raises(ComponentError):
                 call(2, a, d, element(LAMBDA, {g1_square(0, 1): {0: 1}}))
         d = LeadDescriptor(S00, 3)
         for lead in (1, 2, 5):
             b = element(LAMBDA, {S00: {3: lead}})
-            assert cong_free_below_given(2, a, d, b) is _reference_free_below_positive(2, a, d, b)
+            assert cong_free_below_given(2, a, d, b) is reference.cong_free_below_given(2, a, d, b)
 
     @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
     def test_no_generated_code_runs(self, construction):
@@ -385,26 +347,11 @@ class TestClosedFormMatchesDescriptorOrder:
                 call()
 
 
-def _exhaustive_hits(gens, bound, construction, predicate):
-    """All (combination, max |coefficient|) pairs satisfying the predicate.
-
-    Covers every coefficient vector with entries in [-bound, bound],
-    built incrementally so each vector costs one addition.
-    """
-    scaled = [[g.scale(k) for k in range(-bound, bound + 1)] for g in gens]
-    hits = []
-
-    def rec(i, acc, mx):
-        if i == len(gens):
-            if predicate(acc):
-                hits.append((acc, mx))
-            return
-        row = scaled[i]
-        for k in range(-bound, bound + 1):
-            rec(i + 1, acc if k == 0 else acc + row[k + bound], max(mx, abs(k)))
-
-    rec(0, zero(construction), 0)
-    return hits
+def _hits(gens, bound, predicate):
+    """The sums of every coefficient vector over gens with entries in
+    [-bound, bound] that satisfy the predicate, each sum once."""
+    cfg = FragmentConfig(bound, tuple(gens), (2 * bound + 1) ** len(gens))
+    return [x for x in reference.fragment(GAMMA, [], cfg) if predicate(x)]
 
 
 def _nonzero_at_some(x, positions):
@@ -435,16 +382,16 @@ class TestWindowPositions:
     def test_bound_two_image_scan_agrees(self):
         assert all(in_image(Embedding.F1, g) for g in DEMO_IMAGE_GENS)
         rel = index_window(DEMO_C, DEMO_B)
-        assert _exhaustive_hits(DEMO_IMAGE_GENS, 2, GAMMA, rel) == []
+        assert _hits(DEMO_IMAGE_GENS, 2, rel) == []
 
     def test_critical_circle_generator_gives_witnesses(self):
         # negative control: with the critical circle in the subgroup the
         # certificate no longer refutes, and the scan finds witnesses
         gens = DEMO_IMAGE_GENS + (unit(GAMMA, CRITICAL_CIRCLE),)
         open_positions = window_positions(DEMO_C, DEMO_B)
-        hits = _exhaustive_hits(gens, 1, GAMMA, index_window(DEMO_C, DEMO_B))
+        hits = _hits(gens, 1, index_window(DEMO_C, DEMO_B))
         assert hits
-        assert all(_nonzero_at_some(x, open_positions) for x, _ in hits)
+        assert all(_nonzero_at_some(x, open_positions) for x in hits)
 
     def test_exact_on_seeded_pairs(self):
         pool = tuple(unit(GAMMA, f(m)) for m in (2, 1, 0) for f in (g2_circle, g2_square))
@@ -462,7 +409,7 @@ class TestWindowPositions:
                 assert rel(unit(GAMMA, p)), (c, b, p)
             listed += len(open_positions)
             # sound: every witness is nonzero at a listed position
-            for x in iter_fragment([c, b], cfg, GAMMA):
+            for x in reference.fragment(GAMMA, [c, b], cfg):
                 if rel(x):
                     hits += 1
                     assert _nonzero_at_some(x, open_positions), (c, b, x)
@@ -475,7 +422,7 @@ class TestWindowPositions:
     def test_zero_c_has_no_witness(self):
         assert window_positions(zero(GAMMA), DEMO_B) == ()
         gens = DEMO_IMAGE_GENS + (unit(GAMMA, CRITICAL_CIRCLE),)
-        assert not _exhaustive_hits(gens, 1, GAMMA, index_window(zero(GAMMA), DEMO_B))
+        assert not _hits(gens, 1, index_window(zero(GAMMA), DEMO_B))
 
     def test_bound_leading_in_g1_is_not_finite(self):
         assert window_positions(DEMO_C, unit(GAMMA, g1_square(0, 0))) is None

@@ -111,6 +111,17 @@ def test_exit_code_contract(tmp_path):
     assert main(["demo", "ha-witness"]) == 0
 
 
+def test_check_prints_each_row_that_does_not_pass(capsys):
+    # the 9 Unknown rows of the gamma closure suite at the default seed
+    assert main(["check", "f1-exists-closure", "--construction", "gamma"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("f1-exists-closure [gamma] seed=42: 91 pass, 0 fail, 9 unknown")
+    assert len(lines) == 10
+    for line in lines[1:]:
+        assert line.startswith("  [unknown] formula=E x. ")
+        assert line.endswith("  full-group witness not found")
+
+
 def test_eval_command(capsys):
     rc = main(
         [

@@ -19,6 +19,11 @@ fragments or the evaluator.  ``evaluate.py`` binds ``hull`` as a module
 and imports none of its names, so the benchmark's tracer, which wraps
 every function ``evaluate`` imports by name, keeps hull time inside the
 evaluator's own.
+
+The reference models in ``tests/reference.py`` check the fragments, the
+congruence closed form and the evaluator, so they import none of
+``fragments``, ``predicates``, ``hull`` or ``suites``, and nothing from
+``evaluate`` but ``Truth`` and ``Verdict``.
 """
 
 from __future__ import annotations
@@ -153,6 +158,20 @@ def test_the_hull_imports_only_formulas():
         for module, name in _package_imports(PACKAGE / "hull.py")
     }
     assert reached <= {"oagw.formulas"}, f"hull.py reaches {sorted(reached)}"
+
+
+def test_the_reference_models_share_no_search_code():
+    # the models check the search layers, so they must not run them
+    imports = _package_imports(ROOT / "tests" / "reference.py")
+    searching = {"oagw.fragments", "oagw.predicates", "oagw.hull", "oagw.suites"}
+    reached = sorted(
+        f"{module}.{name}" if name else module
+        for module, name in imports
+        if module in searching
+        or (module == "oagw" and f"oagw.{name}" in searching | {"oagw.evaluate"})
+        or (module == "oagw.evaluate" and name not in {"Truth", "Verdict"})
+    )
+    assert not reached, f"tests/reference.py imports {reached}"
 
 
 def test_evaluate_binds_the_hull_as_a_module():
