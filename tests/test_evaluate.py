@@ -491,14 +491,14 @@ def _check_against_reference(construction, f, cfg, env=None):
 
 def _searched_by_reference(monkeypatch, construction, f, cfg, env=None):
     """The reference verdict, which always searches, and its fragment count."""
-    calls, fragment = [], reference.fragment
+    calls, fragment = [], reference.fragment_models
 
     def counting(*args):
         calls.append(args)
         return fragment(*args)
 
     with monkeypatch.context() as m:
-        m.setattr(reference, "fragment", counting)
+        m.setattr(reference, "fragment_models", counting)
         return reference.evaluate(construction, f, env or {}, cfg), len(calls)
 
 

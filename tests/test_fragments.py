@@ -20,9 +20,14 @@ def test_empty_inputs_give_zero():
     assert out == [zero(LAMBDA)]
 
 
-def test_no_generator_stops_after_zero():
-    # with no nonzero generator every layer spans only zero, so even a
-    # huge coefficient bound walks no layer past the first
+def test_no_generator_stops_after_zero(monkeypatch):
+    # with no nonzero generator every layer spans only zero, so no layer
+    # may be walked, however huge the coefficient bound: a walk fails at
+    # once instead of running for ever
+    def walked(m, n):
+        raise AssertionError(f"walked layer {m}")
+
+    monkeypatch.setattr(oagw.fragments, "_box", walked)
     z = zero(LAMBDA)
     for params, pool in (([], ()), ([z], ()), ([], (z,))):
         cfg = FragmentConfig(coeff_bound=10**6, generator_pool=pool)

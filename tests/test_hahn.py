@@ -1,7 +1,7 @@
 import copy
 import pickle
 from fractions import Fraction
-from operator import itemgetter
+from functools import cmp_to_key
 
 import pytest
 
@@ -29,6 +29,7 @@ from oagw.sampling import (
     random_valring_exponent,
 )
 
+import reference
 from conftest import element_calls, fraction_calls
 
 S00 = g1_square(0, 0)
@@ -495,12 +496,16 @@ class TestFields:
 
 
 # -- one model of the series layer ---------------------------------------------
-# A series is a dict from exponent to nonzero coefficient.  A coefficient is a
+# A series is a dict from exponent, an entry tuple, to nonzero coefficient: a
 # Fraction over Q and an int in 0..p-1 over GF(p), where a/b is a * b^-1 mod p.
-# A sum or product collects its terms in a dict and is sorted once, for the
-# comparison.  Each operation of the series layer must give the model's terms,
-# of the model's coefficient class, as a series the validating constructor
-# accepts.
+# Sums and products collect in a dict, exponents summed in the element model of
+# ``reference``, sorted once by its order.  Each operation must give the model's
+# terms, of its coefficient class, as a series the validating constructor takes.
+
+
+def model_terms(x):
+    """The series x as a model: exponent entries -> coefficient."""
+    return {g.entries: c for g, c in x.terms}
 
 
 def model_coeff(field, c):
@@ -521,7 +526,9 @@ def model_sum(field, f, g):
 
 
 def model_product(field, f, g):
-    return model_collect(field, [(g1 + g2, c1 * c2) for g1, c1 in f.items() for g2, c2 in g.items()])
+    add, m = reference.add, reference.model
+    return model_collect(field, [(reference.entries(add(m(g1), m(g2))), c1 * c2)
+                                 for g1, c1 in f.items() for g2, c2 in g.items()])
 
 
 def model_neg(field, f):
@@ -529,27 +536,26 @@ def model_neg(field, f):
 
 
 def model_lift(e, f):
-    return {apply_embedding(e, g): c for g, c in f.items()}
+    return {apply_embedding(e, GroupElement(LAMBDA, g)).entries: c for g, c in f.items()}
 
 
 def model_flags(f):
     """(in_val_ring, in_k_lambda1, in_a) as ``oagw.hahn`` defines them."""
-    o = zero(LAMBDA)
-
-    def g2_part(g):
-        return GroupElement(LAMBDA, tuple((pos, v) for pos, v in g.entries if pos.area == G2))
-
+    exps = [reference.model(g) for g in f]
     return (
-        all(g >= o for g in f),
-        all(pos.area == G1 for g in f for pos, _ in g.entries),
-        all(g2_part(g) >= o for g in f),
+        all(reference.sign(x) >= 0 for x in exps),
+        all(p.area == G1 for x in exps for p in x),
+        all(reference.sign({p: v for p, v in x.items() if p.area == G2}) >= 0 for x in exps),
     )
+
+
+_BY_EXPONENT = cmp_to_key(lambda s, t: reference.cmp(reference.model(s[0]), reference.model(t[0])))
 
 
 def agrees(got, model, construction, field):
     """``got`` holds the model's terms, ascending, of the model's classes."""
-    want = sorted(model.items(), key=itemgetter(0))
-    assert [(g, c, c.__class__) for g, c in got.terms] == [(g, c, c.__class__) for g, c in want]
+    want = sorted(model.items(), key=_BY_EXPONENT)
+    assert [(g.entries, c, c.__class__) for g, c in got.terms] == [(g, c, c.__class__) for g, c in want]
     assert got.coeff_field is field and got.construction is construction
     HahnSeries(construction, field, got.terms)
 
@@ -601,39 +607,40 @@ class TestAgainstTheModel:
     def test_series(self, construction, field):
         for raws, _ in _raw_terms(construction, field):
             for raw in raws:
-                agrees(series(construction, raw, field), model_collect(field, raw.items()), construction, field)
+                terms = [(g.entries, c) for g, c in raw.items()]
+                agrees(series(construction, raw, field), model_collect(field, terms), construction, field)
 
     @pytest.mark.parametrize("construction", [LAMBDA, GAMMA], ids=str)
     def test_sum(self, construction, field):
         for x, y in _pairs(construction, field):
-            agrees(x + y, model_sum(field, dict(x.terms), dict(y.terms)), construction, field)
+            agrees(x + y, model_sum(field, model_terms(x), model_terms(y)), construction, field)
 
     @pytest.mark.parametrize("construction", [LAMBDA, GAMMA], ids=str)
     def test_product(self, construction, field):
         for x, y in _pairs(construction, field):
-            agrees(x * y, model_product(field, dict(x.terms), dict(y.terms)), construction, field)
+            agrees(x * y, model_product(field, model_terms(x), model_terms(y)), construction, field)
 
     @pytest.mark.parametrize("construction", [LAMBDA, GAMMA], ids=str)
     def test_negation(self, construction, field):
         for xs in _operands(construction, field):
             for x in xs:
-                agrees(-x, model_neg(field, dict(x.terms)), construction, field)
+                agrees(-x, model_neg(field, model_terms(x)), construction, field)
 
     def test_lift_embedding(self, field):
         for xs in _operands(LAMBDA, field):
             for x in xs:
                 for e in Embedding:
-                    agrees(lift_embedding(e, x), model_lift(e, dict(x.terms)), LAMBDA, field)
+                    agrees(lift_embedding(e, x), model_lift(e, model_terms(x)), LAMBDA, field)
         with pytest.raises(ConstructionMismatch):
             lift_embedding(Embedding.F1, one(GAMMA, field))
 
     def test_membership(self, field):
         for x in _membership_inputs(field):
             m = membership(x)
-            assert (m.in_val_ring, m.in_k_lambda1, m.in_a) == model_flags(dict(x.terms))
+            assert (m.in_val_ring, m.in_k_lambda1, m.in_a) == model_flags(model_terms(x))
 
     def test_membership_reaches_every_flag_both_ways(self, field):
-        seen = {model_flags(dict(x.terms)) for x in _membership_inputs(field)}
+        seen = {model_flags(model_terms(x)) for x in _membership_inputs(field)}
         assert all({flags[k] for flags in seen} == {False, True} for k in range(3))
 
 
@@ -652,7 +659,7 @@ class TestOrderedMerge:
         g = series(LAMBDA, {o: 1, a: -1, two_a: 1}, field)
         for x, y in ((f, g), (g, f)):
             got = x * y
-            agrees(got, model_product(field, dict(x.terms), dict(y.terms)), LAMBDA, field)
+            agrees(got, model_product(field, model_terms(x), model_terms(y)), LAMBDA, field)
             assert dict(got.terms)[two_a] == field.coerce(1)
 
     def test_sum_and_product_enter_no_hash_eq_lt_or_fraction_method(self):

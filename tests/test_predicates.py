@@ -1,9 +1,9 @@
 """Congruence-gap predicate, tail sets, and the right-block formula.
 
 The oracles are the models of ``reference``: the closed form written on
-``LeadDescriptor`` order, and plain witness search over its naive
+the element model's leads, and plain witness search over its naive
 fragments, where any witness found refutes the predicate.  A refuted
-case's explicit certificate must verify by exact arithmetic alone.
+case's explicit certificate must verify in the element model.
 """
 
 from collections import Counter
@@ -46,11 +46,20 @@ from conftest import generated_calls, seeded_elements
 S00 = g1_square(0, 0)
 
 
+def _refutes(construction, n, neg_a, neg_b, y):
+    """0 < y < b and y = a (mod n), on element models, given -a and -b."""
+    r = reference
+    return r.sign(y) > 0 and r.lead_mod(construction, r.add(y, neg_a), n) is None and r.sign(r.add(y, neg_b)) < 0
+
+
 def brute_refute(n, a, b, pool):
     """A y with 0 < y < b and y = a mod n in the model fragment, or None."""
     cfg = FragmentConfig(3, tuple(pool), 400)
-    ys = reference.fragment(a.construction, [a, b], cfg)
-    return next((y for y in ys if y.sign() > 0 and y < b and (y - a).is_divisible(n)), None)
+    ma, mb = reference.model(a), reference.model(b)
+    neg_a, neg_b = reference.scale(ma, -1), reference.scale(mb, -1)
+    ys = reference.fragment_models([ma, mb], cfg)
+    y = next((y for y in ys if _refutes(a.construction, n, neg_a, neg_b, y)), None)
+    return None if y is None else reference.to_element(a.construction, y)
 
 
 class TestCongFreeBelow:
@@ -132,7 +141,8 @@ class TestCongFreeBelow:
             if got is False:
                 w = cong_witness_below(n, a, b)
                 assert w is not None
-                assert w.sign() > 0 and w < b and (w - a).is_divisible(n)
+                neg_a, neg_b = (reference.scale(reference.model(e), -1) for e in (a, b))
+                assert _refutes(construction, n, neg_a, neg_b, reference.model(w))
             else:
                 assert cong_witness_below(n, a, b) is None
 
@@ -309,11 +319,12 @@ class TestClosedFormMatchesDescriptorOrder:
 
     def test_a_given_lead_that_a_does_not_hold(self):
         # read as coeff_at reads it: a position without a polynomial is
-        # rejected, an absent slot of a polynomial holds 0
+        # rejected (the model, which imports no ComponentError, raises the
+        # ValueError it derives from), an absent slot of a polynomial holds 0
         a = element(LAMBDA, {S00: {0: 1}})
         d = LeadDescriptor(g1_square(0, 1), 0)
-        for call in (reference.cong_free_below_given, cong_free_below_given):
-            with pytest.raises(ComponentError):
+        for call, error in ((reference.cong_free_below_given, ValueError), (cong_free_below_given, ComponentError)):
+            with pytest.raises(error):
                 call(2, a, d, element(LAMBDA, {g1_square(0, 1): {0: 1}}))
         d = LeadDescriptor(S00, 3)
         for lead in (1, 2, 5):

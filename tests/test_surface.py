@@ -20,16 +20,25 @@ and imports none of its names, so the benchmark's tracer, which wraps
 every function ``evaluate`` imports by name, keeps hull time inside the
 evaluator's own.
 
-The reference models in ``tests/reference.py`` check the fragments, the
-congruence closed form and the evaluator, so they import none of
-``fragments``, ``predicates``, ``hull`` or ``suites``, and nothing from
-``evaluate`` but ``Truth`` and ``Verdict``.
+The reference models in ``tests/reference.py`` check the elements, the
+fragments, the congruence closed form and the evaluator, so they import
+none of ``fragments``, ``predicates``, ``hull`` or ``suites``, nothing
+from ``evaluate`` but ``Truth`` and ``Verdict``, and nothing from
+``elements`` but ``GroupElement``, the two constructions and
+``LeadDescriptor``.  Run on a small fixed corpus, the search models and
+the series model of ``tests/test_hahn.py`` enter no function of
+``elements.py`` but the frames of the validating constructor and
+``__eq__``: they compute in the element model, not with the arithmetic
+they check.
 """
 
 from __future__ import annotations
 
 import ast
+from fractions import Fraction
 from pathlib import Path
+
+from conftest import element_calls
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "oagw"
@@ -161,17 +170,78 @@ def test_the_hull_imports_only_formulas():
 
 
 def test_the_reference_models_share_no_search_code():
-    # the models check the search layers, so they must not run them
+    # the models check the search and element layers, so they must not run them
     imports = _package_imports(ROOT / "tests" / "reference.py")
     searching = {"oagw.fragments", "oagw.predicates", "oagw.hull", "oagw.suites"}
     reached = sorted(
         f"{module}.{name}" if name else module
         for module, name in imports
         if module in searching
-        or (module == "oagw" and f"oagw.{name}" in searching | {"oagw.evaluate"})
+        or (module == "oagw" and f"oagw.{name}" in searching | {"oagw.evaluate", "oagw.elements"})
         or (module == "oagw.evaluate" and name not in {"Truth", "Verdict"})
+        or (module == "oagw.elements" and name not in {"GroupElement", "GAMMA", "LAMBDA", "LeadDescriptor"})
     )
     assert not reached, f"tests/reference.py imports {reached}"
+
+
+# the frames of the validating GroupElement(...) constructor
+VALIDATING_FRAMES = {
+    "__init__", "<genexpr>", "__post_init__", "uses_poly", "_canon_value", "_canon_poly", "_local_prime",
+}
+
+
+def _model_run(construction, elems, formulas):
+    """A call of every search and series model on the elements."""
+    import reference
+    import test_hahn
+    from oagw.fragments import FragmentConfig
+    from oagw.hahn import QQ, series
+
+    a, b, c = elems
+    cfg = FragmentConfig(2, (b, c), 60)
+    f = test_hahn.model_terms(series(construction, {a: 1, b: Fraction(-1, 2), a + b: 3}))
+    g = test_hahn.model_terms(series(construction, {b: 2, c: 1, -c: 1}))
+    return lambda: (
+        list(reference.fragment(construction, [a], cfg)),
+        [reference.cong_free_below(n, x, y) for n in (2, 3) for x in elems for y in elems],
+        [reference.evaluate(construction, h, {"a": a}, cfg) for h in formulas],
+        sorted(test_hahn.model_product(QQ, f, g).items(), key=test_hahn._BY_EXPONENT),
+        test_hahn.model_sum(QQ, f, test_hahn.model_neg(QQ, g)),
+        test_hahn.model_flags(g),
+    )
+
+
+def test_the_reference_models_enter_no_element_method():
+    # the models compute in the element model: of elements.py they enter
+    # only the validating constructor, and == where a caller compares
+    from oagw.elements import GAMMA, LAMBDA, element, unit
+    from oagw.formulas import parse_formula
+    from oagw.positions import g1_circle, g1_square, g2_circle, g2_square
+
+    texts = (
+        "E x. 0 < x & x < a & ~cong(2, x, a) & desc_lt(3, a, x + x)",
+        "A x. (0 < x & x < {G2[0].s: 1}) -> ~x = a",
+        "E x. E y. x = y + y & {G2[0].c: 1} < x",
+    )
+    corpus = {
+        LAMBDA: [
+            element(LAMBDA, {g2_circle(0): Fraction(1, 2), g1_square(0, 0): {0: 1, 1: -2}}),
+            unit(LAMBDA, g2_square(1)),
+            unit(LAMBDA, g1_square(0, 1), {2: 3}),
+        ],
+        GAMMA: [
+            element(GAMMA, {g2_circle(0): Fraction(1, 3), g2_square(0): Fraction(-5, 2)}),
+            unit(GAMMA, g1_circle(0), 2),
+            unit(GAMMA, g2_square(1)),
+        ],
+    }
+    entered = set()
+    for construction, elems in corpus.items():
+        formulas = [parse_formula(text, construction) for text in texts]
+        entered.update(element_calls(_model_run(construction, elems, formulas)))
+    assert "__init__" in entered
+    stray = sorted(entered - VALIDATING_FRAMES - {"__eq__"})
+    assert not stray, f"the reference models enter {stray}"
 
 
 def test_evaluate_binds_the_hull_as_a_module():
