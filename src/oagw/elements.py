@@ -34,16 +34,29 @@ merge tests ``pa is pb`` first.
 The hash is additive: ``hash(e)`` is the sum over components of the
 position's ``weight`` times the value read modulo ``HASH_MODULUS`` (a
 rational ``num/den`` as ``num * den**-1``, a polynomial evaluated at the
-fixed point ``_HASH_POINT``), reduced modulo ``HASH_MODULUS``.  So
-``hash(a + b) == (hash(a) + hash(b)) % HASH_MODULUS`` and ``hash(k * a)
-== k * hash(a) % HASH_MODULUS``: a sum or multiple of elements that
-already know their hash gets its own from them, without reading its
-entries.  Nothing is hashed eagerly; an unknown hash is ``None``.  A
-rational whose denominator the prime modulus divides has no value
-modulo it (every circle and every ``GAMMA`` square can hold one); an
-element holding one gets a fallback hash that is recomputed on every
-call and never carried.  A sum of elements without such a value has
-none, because the modulus is prime.
+fixed point ``_HASH_POINT``), reduced modulo ``HASH_MODULUS``.
+``_HASH_POINT`` is ``0x9E3779B97F4A7C15 % HASH_MODULUS``, that is
+2177342782468422681.  So ``hash(a + b) == (hash(a) + hash(b)) %
+HASH_MODULUS`` and ``hash(k * a) == k * hash(a) % HASH_MODULUS``: a sum
+or multiple of elements that already know their hash gets its own from
+them, without reading its entries.  Nothing is hashed eagerly; an
+unknown hash is ``None``.  A rational whose denominator the prime
+modulus divides has no value modulo it (every circle and every
+``GAMMA`` square can hold one).  An element holding one gets a fallback
+hash: the same sum, with each such value read as Python's tuple hash
+``hash((num, den))``, reduced modulo ``HASH_MODULUS``.  It is recomputed
+on every call and never carried.  A sum of elements without such a
+value has none, because the modulus is prime.
+
+The text form, which ``format_element`` writes and ``parse_element``
+reads back, is ``0`` for zero and otherwise ``{p: v, ...}``, one entry
+per component in position order, joined by ``", "``.  ``p`` is the
+position's text (``G2[m].c``, ``G2[m].s``, ``G1[b].s[k]``, ``G1[b].c``).
+A rational ``v`` is written as ``str()`` writes a ``Fraction``: ``num``
+or ``num/den``.  A polynomial is written term by term, by ascending
+slot: slot 0 as its bare coefficient, slot ``s > 0`` as ``k*cs``, and
+every term after the first with its sign (``+`` or ``-``), the first one
+only with a minus, so ``-1+1*c1-1*c2`` or ``2*c3``.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ for every coefficient bound, by the positions its witnesses need.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from .elements import (
     GAMMA,
@@ -33,9 +33,11 @@ from .elements import (
     ConstructionMismatch,
     GroupElement,
     LeadDescriptor,
+    _from_canonical,
     _gamma_divisible_by,
     _gamma_need,
     _local_prime,
+    _rational,
     _same,
     element,
     fresh_g1_block,
@@ -168,91 +170,99 @@ def window_positions(c: GroupElement, b: GroupElement) -> Optional[tuple[Positio
 
 
 def _tiny_gamma_representative(value: Fraction, p: int, s: int, below: Fraction) -> Fraction:
-    """Element of value + p^s * Z_(p) inside (0, below)."""
+    """Element of value + p^s * Z_(p) inside (0, below), from the slots.
+
+    The step is p^s / q^j, with q the other local prime and j the least
+    that puts the step below ``below / 2``; the result is value minus the
+    multiple of the step that lands it in [below / 2, below / 2 + step).
+    """
     q = 3 if p == 2 else 2
-    step = Fraction(p**s)
-    while step >= below / 2:
-        step /= q
-    k = (value - below / 2) / step
-    shift = k.numerator // k.denominator  # floor
-    return value - step * shift
+    top = p**s
+    vn, vd = value._numerator, value._denominator
+    bn, bd = below._numerator, below._denominator
+    low = 1  # q^j, the step's denominator
+    while 2 * top * bd >= bn * low:
+        low *= q
+    # floor((value - below / 2) / step), over a positive denominator
+    shift = (2 * bd * vn - bn * vd) * low // (2 * bd * vd * top)
+    return _rational(vn * low - top * shift * vd, vd * low)
 
 
-def cong_witness_below(n: int, a: GroupElement, b: GroupElement) -> Optional[GroupElement]:
+#: ``cong_witness_below``'s lead when the caller supplies none; not None,
+#: which is the lead of an n-divisible element.
+_NO_LEAD: Any = object()
+
+
+def cong_witness_below(
+    n: int, a: GroupElement, b: GroupElement, d: Optional[LeadDescriptor] = _NO_LEAD
+) -> Optional[GroupElement]:
     """Explicit y with 0 < y < b and y = a mod n, or None when none exists.
 
     The returned element certifies ``cong_free_below(n, a, b) == False``
-    and is checkable with exact arithmetic alone.
+    and is checkable with exact arithmetic alone.  A caller that decided
+    the closed form with ``cong_free_below_given`` passes the lead it
+    used, ``d = a.lead_mod(n)``, as ``cong_free_below_given`` takes it;
+    without one it is computed here.
     """
     _same(a, b)
     if b.sign() <= 0:
         return None
-    d = a.lead_mod(n)
+    if d is _NO_LEAD:
+        d = a.lead_mod(n)
     if _free_below_positive(n, a, d, b):
         return None
     construction = a.construction
     if d is None:
-        far = g1_square(fresh_g1_block(a, b), 0)
-        return unit(construction, far).scale(n)
+        return unit(construction, g1_square(fresh_g1_block(a, b), 0), n)
 
-    need = _gamma_need(n)
-    # componentwise residue of a from slot d onward, zero before
-    comps: dict[Position, object] = {}
-    for pos, v in a.entries:
-        if pos.key < d.position.key:
-            continue
-        if isinstance(v, tuple):
-            if pos == d.position:
-                kept = {slot: c % n for slot, c in v if slot >= d.inner_slot and c % n}
-            else:
-                kept = {slot: c % n for slot, c in v if c % n}
+    at, slot = d
+    gamma = construction is GAMMA
+    need = _gamma_need(n) if gamma else None
+    # y is the componentwise residue of a from d onward: every slot before
+    # d is n-divisible, so its residue is zero.  The entries come in a's
+    # position order, each value reduced and nonzero, hence canonical.
+    ents = a.entries
+    i = 0
+    while ents[i][0] is not at:
+        i += 1
+    entries = []
+    for pos, v in ents[i:]:
+        if v.__class__ is tuple:
+            kept = tuple([(s, r) for s, c in v if (r := c % n)])
             if kept:
-                comps[pos] = kept
-        else:
-            if construction is LAMBDA:
-                continue  # rational components reduce to zero
-            if not _gamma_divisible_by(pos, v, need):
-                comps[pos] = v
+                entries.append((pos, kept))
+        # a lambda circle holds a rational, which n divides: residue zero
+        elif gamma and not _gamma_divisible_by(pos, v, need):
+            entries.append((pos, v))
 
-    beta = b.lead_descriptor()
-    assert beta is not None
     # a is not free below b, so d does not precede b's lead: it follows
-    # it or equals it, which the tuples tell without ordering positions
-    if beta != d:
+    # it or equals it, which the addresses tell without ordering positions
+    pos0, v0 = b.entries[0]
+    lead = entries[0][1]  # y's value at d, where d's slot is its first
+    if pos0 is not at or (v0[0][0] if v0.__class__ is tuple else 0) != slot:
         # y leads strictly after b's lead, hence y < b automatically;
         # only the sign of the leading component matters
-        if construction is GAMMA:
-            val = comps[d.position]
-            assert isinstance(val, Fraction)
-            if val < 0:
-                p = _local_prime(d.position)
-                step = Fraction(p ** need[p])
-                lift = (-val) / step
-                comps[d.position] = val + step * (lift.numerator // lift.denominator + 1)
-        return element(construction, comps)  # leads at d with positive value
+        if gamma and lead._numerator < 0:
+            # lift by the least multiple of p^need that makes it positive;
+            # the denominator is unchanged, and coprime to the new numerator
+            p = _local_prime(at)
+            step = p ** need[p]
+            num, den = lead._numerator, lead._denominator
+            entries[0] = (at, _rational(num + step * (-num // (den * step) + 1) * den, den))
+        return _from_canonical(construction, tuple(entries))
 
     # shared slot: match b's lead and cut below it
-    assert beta == d
-    if construction is GAMMA:
-        v_lead = b.lead_value()
-        assert isinstance(v_lead, Fraction)
-        p = _local_prime(d.position)
-        cur = comps[d.position]
-        assert isinstance(cur, Fraction)
-        comps[d.position] = _tiny_gamma_representative(cur, p, need[p], v_lead)
-        return element(construction, comps)
-    v_lead = b.lead_value()
-    assert isinstance(v_lead, int)
-    k0 = a.coeff_at(d) % n
-    y = element(construction, comps)
-    if k0 == v_lead:
+    if gamma:
+        p = _local_prime(at)
+        entries[0] = (at, _tiny_gamma_representative(lead, p, need[p], v0))
+    elif lead[0][1] == v0[0][1]:
         # tie at the lead slot: push the next slot below b's
-        next_slot = LeadDescriptor(d.position, d.inner_slot + 1)
-        r1 = y.coeff_at(next_slot)
-        v1 = b.coeff_at(next_slot)
+        nxt = slot + 1
+        r1 = lead[1][1] if len(lead) > 1 and lead[1][0] == nxt else 0
+        v1 = v0[1][1] if len(v0) > 1 and v0[1][0] == nxt else 0
         m = max(1, (r1 - v1) // n + 1)  # smallest m with r1 - n*m < v1
-        y = y + element(construction, {d.position: {next_slot.inner_slot: -n * m}})
-    return y
+        entries[0] = (at, (lead[0], (nxt, r1 - n * m), *lead[2 if r1 else 1:]))
+    return _from_canonical(construction, tuple(entries))
 
 
 # -- tail sets -------------------------------------------------------------

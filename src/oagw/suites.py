@@ -261,26 +261,40 @@ def suite_psi_vs_search(rep: SuiteReport, opts: SuiteOptions) -> None:
     y with 0 < y < b and y = a mod n; the fragment is enumerated at most
     once per case, and only when some n has a True closed form and
     b > 0.  A False closed form is checked by its ``cong_witness_below``
-    certificate alone, with no search.
+    certificate alone, with no search; the certificate takes the lead
+    ``a.lead_mod(n)`` that decided the closed form, so it derives it no
+    second time.  Each case formats a and b once, for both of its rows.
     """
     for rng in opts.case_rngs():
         a = random_element(rng, opts.construction)
         b = random_element(rng, opts.construction)
+        a_text, b_text = format_element(a), format_element(b)
+        if b.sign() <= 0:
+            # no y has 0 < y < b <= 0: each closed form holds vacuously,
+            # with nothing to search and no certificate
+            for n in (2, 3):
+                rep.check(cong_free_below(n, a, b), _NO_CERTIFICATE.format(None),
+                          n=n, a=a_text, b=b_text)
+            continue
         neg_a = -a
         candidates: Optional[list[GroupElement]] = None
         for n in (2, 3):
             detail = ""
-            if cong_free_below(n, a, b):
+            d = a.lead_mod(n)
+            if cong_free_below_given(n, a, d, b):
                 if candidates is None:
                     candidates = _psi_candidates(opts, a, b)
                 found = next((y for y in candidates if (y + neg_a).is_divisible(n)), None)
                 if found is not None:
                     detail = f"search witness {found} despite closed-form truth"
             else:
-                w = cong_witness_below(n, a, b)
+                w = cong_witness_below(n, a, b, d)
                 if w is None or not (w.sign() > 0 and w < b and (w + neg_a).is_divisible(n)):
-                    detail = f"no verified certificate for closed-form falsity (got {w})"
-            rep.check(not detail, detail, n=n, a=a, b=b)
+                    detail = _NO_CERTIFICATE.format(w)
+            rep.check(not detail, detail, n=n, a=a_text, b=b_text)
+
+
+_NO_CERTIFICATE = "no verified certificate for closed-form falsity (got {})"
 
 
 def _psi_candidates(opts: SuiteOptions, a: GroupElement, b: GroupElement) -> list[GroupElement]:

@@ -34,7 +34,7 @@ from oagw.positions import CIRCLE, G1, G2, HASH_MODULUS, SQUARE
 # -- elements ---------------------------------------------------------------------
 # An element: position -> a nonzero Fraction, or at a lambda square slot -> nonzero int.
 
-HASH_POINT = 0x9E3779B97F4A7C15 % HASH_MODULUS  # where the hash evaluates a polynomial
+HASH_POINT = 2177342782468422681  # where the hash evaluates a polynomial: 0x9E3779B97F4A7C15 % HASH_MODULUS
 
 
 def model(e):
@@ -123,8 +123,9 @@ def lead_mod(construction, x, n):
 
 
 def hash_of(x):
-    """The sum of weight times value modulo ``HASH_MODULUS`` over the components;
-    None when a denominator has no inverse there: that fallback hash is unspecified."""
+    """The sum of weight times value modulo ``HASH_MODULUS`` over the components,
+    reduced modulo it; a rational whose denominator the modulus divides has no
+    value there and adds its tuple hash ``hash((num, den))`` in its place."""
     h = 0
     for p, v in x.items():
         if isinstance(v, dict):
@@ -132,23 +133,25 @@ def hash_of(x):
         elif v.denominator % HASH_MODULUS:
             r = v.numerator * pow(v.denominator, -1, HASH_MODULUS)
         else:
-            return None
+            r = hash((v.numerator, v.denominator))
         h += p.weight * r
     return h % HASH_MODULUS
 
 
 def text(x):
-    """"0", or "{position: value, ...}" by rank: a rational as str() writes
-    it, a polynomial's terms by slot, slot 0 bare and any other as c*cS,
-    each term after the first with its sign."""
-    return "{" + ", ".join(f"{p}: {_body(x[p])}" for p in sorted(x, key=rank)) + "}" if x else "0"
+    """"0" for zero, else "{p: v, ...}" by rank, joined by ", ": a rational as
+    str() writes a Fraction; a polynomial's terms by ascending slot, slot 0 as
+    its bare coefficient and slot s as k*cs, every term but the first signed."""
+    if not x:
+        return "0"
+    return "{" + ", ".join(f"{p}: {_body(x[p])}" for p in sorted(x, key=rank)) + "}"
 
 
 def _body(v):
     if not isinstance(v, dict):
         return str(v)
     terms = [f"{v[s]}*c{s}" if s else str(v[s]) for s in sorted(v)]
-    return terms[0] + "".join(t if t[0] == "-" else "+" + t for t in terms[1:])
+    return terms[0] + "".join(t if t.startswith("-") else "+" + t for t in terms[1:])
 
 
 def fresh_block(*xs):

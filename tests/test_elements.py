@@ -65,12 +65,10 @@ def _elements(construction):
 
 def _is_model(r, x, construction):
     """r holds the model x's entries, which the validating constructor takes, and
-    its hash, or hashes as a fresh copy does where the model leaves the hash open."""
+    its hash, the fallback included."""
     assert r.construction is construction
     assert r.entries == reference.entries(x)
-    rebuilt = GroupElement(construction, r.entries)
-    want = reference.hash_of(x)
-    assert hash(r) == (hash(rebuilt) if want is None else want)
+    assert hash(r) == hash(GroupElement(construction, r.entries)) == reference.hash_of(x)
 
 
 class TestOrder:
@@ -271,6 +269,7 @@ class TestHashAndSign:
         for r in sums:
             rebuilt = GroupElement(construction, r.entries)
             assert r == rebuilt and hash(r) == hash(rebuilt) == hash(r)
+            assert hash(r) == reference.hash_of(reference.model(r))  # the documented fallback
         assert (odd + other) - odd == other
         assert hash((odd + other) - odd) == hash(other)
         assert hash(odd - odd) == hash(zero(construction)) == 0

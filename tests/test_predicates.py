@@ -165,6 +165,23 @@ class TestCongFreeBelow:
         assert w == element(LAMBDA, {S00: want})
 
     @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_witness_from_a_given_lead(self, construction, n):
+        # the lead that decided the closed form builds the certificate the
+        # function builds alone, and there is one exactly when the closed
+        # form fails; a multiple of n has no lead, and |a| ties a's lead
+        outcomes = set()
+        for i in range(100):
+            rng = case_rng(9400 + n, i)
+            x, y = random_element(rng, construction), random_element(rng, construction)
+            for a, b in ((x, y), (x, x.abs()), (x.scale(n), y)):
+                w = cong_witness_below(n, a, b)
+                assert cong_witness_below(n, a, b, a.lead_mod(n)) == w
+                assert (w is None) == cong_free_below(n, a, b)
+                outcomes.add((a.lead_mod(n) is None, w is None))
+        assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+
+    @pytest.mark.parametrize("construction", [LAMBDA, GAMMA])
     def test_witness_computes_the_lead_once(self, construction, monkeypatch):
         calls = []
         lead_mod = GroupElement.lead_mod

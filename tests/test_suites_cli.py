@@ -298,6 +298,10 @@ def test_eval_pool_polynomial_error_points_at_the_bad_term(capsys):
     assert captured.err == "error: at index 14: expected polynomial term in '{G2[0].s:   1 + x}'\n"
 
 
+# a hung child fails its test instead of stalling the run
+CHILD_TIMEOUT_S = 120
+
+
 def _eval_in_a_child_process(*args):
     src = str(Path(oagw.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -306,6 +310,7 @@ def _eval_in_a_child_process(*args):
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
+        timeout=CHILD_TIMEOUT_S,
     )
 
 
@@ -364,6 +369,7 @@ def test_entry_point_runs():
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
+        timeout=CHILD_TIMEOUT_S,
     )
     assert proc.returncode == 0
     assert "truncated-inverse" in proc.stdout
@@ -392,7 +398,8 @@ def test_output_independent_of_the_hash_seed(tmp_path):
         run = []
         for args in commands:
             proc = subprocess.run(
-                [sys.executable, *args], capture_output=True, text=True, env=env
+                [sys.executable, *args], capture_output=True, text=True, env=env,
+                timeout=CHILD_TIMEOUT_S,
             )
             assert proc.returncode == 0, proc.stderr
             run.append(proc.stdout)
@@ -501,13 +508,15 @@ def test_zero_coeff_bound_is_honoured(monkeypatch):
 
 def _fragments_per_case(monkeypatch, name, opts):
     """Run a suite; per case, the fragments it enumerated, its psi closed
-    forms and whether the psi bound b is positive."""
+    forms, decided with or without a given lead, and whether the psi
+    bound b is positive."""
     import oagw.suites
 
     cases = []
     real_rng = oagw.suites.case_rng
     real_fragment = oagw.suites.iter_fragment
     real_closed = oagw.suites.cong_free_below
+    real_given = oagw.suites.cong_free_below_given
 
     def case_rng(seed, i):
         cases.append({"fragments": 0, "closed": [], "b_positive": None})
@@ -517,15 +526,21 @@ def _fragments_per_case(monkeypatch, name, opts):
         cases[-1]["fragments"] += 1
         return real_fragment(params, cfg, construction)
 
-    def cong_free_below(n, a, b):
-        result = real_closed(n, a, b)
+    def closed(result, b):
         cases[-1]["closed"].append(result)
         cases[-1]["b_positive"] = b.sign() > 0
         return result
 
+    def cong_free_below(n, a, b):
+        return closed(real_closed(n, a, b), b)
+
+    def cong_free_below_given(n, a, d, b):
+        return closed(real_given(n, a, d, b), b)
+
     monkeypatch.setattr(oagw.suites, "case_rng", case_rng)
     monkeypatch.setattr(oagw.suites, "iter_fragment", iter_fragment)
     monkeypatch.setattr(oagw.suites, "cong_free_below", cong_free_below)
+    monkeypatch.setattr(oagw.suites, "cong_free_below_given", cong_free_below_given)
     assert run_suite(name, opts).ok
     assert len(cases) == opts.samples
     return cases

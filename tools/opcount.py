@@ -3,14 +3,15 @@
 Usage, from anywhere::
 
     python3 tools/opcount.py CHECKOUT [OTHER_CHECKOUT] \\
-        [--workload series ...] [--seed 0] [--callers FILE] [--json]
+        [--workload series ...] [--seed 0] [--callers FILE] [--json] [--requests N]
 
 For each workload (all four unless ``--workload`` names some) and each
 checkout, a fresh interpreter puts the checkout's ``src`` and
 ``perfbench`` first on ``sys.path``, imports ``perfbench/workloads.py``
 and builds the pass of ``--seed`` over the workload's whole universe
 and its ``Runner``: that is the *setup* count.  It then calls every
-request of the pass once, in order, and counts the bytecode
+request of the pass once, in order (only the first N with ``--requests
+N``, for smoke runs), and counts the bytecode
 instructions each call executes under ``sys.settrace`` with
 ``frame.f_trace_opcodes`` set: that is the *pass* count, split by the
 file each instruction belongs to.  Beside it, the pass counts the
@@ -128,9 +129,11 @@ def _label(filename: str, checkout: Path) -> str:
     return path.name
 
 
-def child(checkout: Path, workload: str, seed: int, callers: Optional[str] = None) -> dict:
+def child(checkout: Path, workload: str, seed: int, callers: Optional[str] = None,
+          requests: Optional[int] = None) -> dict:
     """The counts of one workload in ``checkout``, in this interpreter,
-    with the entries into the code of ``callers`` by caller if given."""
+    with the entries into the code of ``callers`` by caller if given, over
+    the first ``requests`` requests of the pass if given."""
     checkout = checkout.resolve()
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
     sys.dont_write_bytecode = True
@@ -138,9 +141,8 @@ def child(checkout: Path, workload: str, seed: int, callers: Optional[str] = Non
     def set_up():
         import workloads
 
-        requests = workloads.one_pass(workload, seed)
         reference = workloads.load_reference(workloads.reference_path(workload))
-        return workloads.Runner(requests, reference)
+        return workloads.Runner(workloads.one_pass(workload, seed)[:requests], reference)
 
     with tempfile.TemporaryDirectory() as cache:
         sys.pycache_prefix = cache  # empty: every import compiles from source
@@ -189,12 +191,15 @@ def by_caller(entries: Counter, file: str, checkout: Path) -> dict[str, int]:
     return dict(sorted(out.items()))
 
 
-def run_child(checkout: Path, workload: str, seed: int, callers: Optional[str] = None) -> dict:
+def run_child(checkout: Path, workload: str, seed: int, callers: Optional[str] = None,
+              requests: Optional[int] = None) -> dict:
     """``child`` in a fresh interpreter, so imports and caches start cold."""
     cmd = [sys.executable, str(Path(__file__).resolve()), "--child",
            "--workload", workload, "--seed", str(seed), str(checkout)]
     if callers:
         cmd += ["--callers", callers]
+    if requests is not None:
+        cmd += ["--requests", str(requests)]
     done = subprocess.run(cmd, capture_output=True, text=True)
     if done.returncode:
         raise RuntimeError(f"{checkout} {workload}: exit {done.returncode}\n{done.stderr}")
@@ -274,18 +279,24 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--callers", metavar="FILE",
                         help="count the frames of FILE's code per (function, caller)")
     parser.add_argument("--json", action="store_true", help="print each side's counts as JSON")
+    parser.add_argument("--requests", type=int, metavar="N",
+                        help="count only the first N requests of the pass (smoke runs)")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if len(args.checkouts) > 2:
         parser.error("give one or two checkouts")
+    if args.requests is not None and args.requests < 1:
+        parser.error("--requests must be at least 1")
     for checkout in args.checkouts:
         if not (checkout / "perfbench" / "workloads.py").is_file():
             parser.error(f"{checkout} has no perfbench/workloads.py")
     if args.child:
-        print(json.dumps(child(args.checkouts[0], args.workload[0], args.seed, args.callers)))
+        print(json.dumps(child(args.checkouts[0], args.workload[0], args.seed, args.callers,
+                               args.requests)))
         return 0
     for workload in args.workload or WORKLOADS:
-        sides = [run_child(c, workload, args.seed, args.callers) for c in args.checkouts]
+        sides = [run_child(c, workload, args.seed, args.callers, args.requests)
+                 for c in args.checkouts]
         print(json.dumps(sides) if args.json else report(sides) + "\n", flush=True)
     return 0
 
