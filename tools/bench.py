@@ -20,8 +20,10 @@ checkout this script sits in unless given).  It holds:
   acceptance size, beside their budgets and verdicts;
 * ``layers``: per construction, nanoseconds per call of each layer the
   north star of ROADMAP.md lists, timed with ``timeit`` on fixed seeded
-  inputs, the least of ``--repeats`` repeats.  No wrapper is installed,
-  so the figures carry no tracing cost;
+  inputs, the least of ``--repeats`` timings of at least 20 ms each.  No
+  wrapper is installed, so the figures carry no tracing cost.  They are
+  raw wall times: a shared host that slows this process for seconds at a
+  time moves them, where ``perfbench/run.py`` rescales its latencies;
 * ``python``, ``nproc``, ``cpu`` and ``commit``, and the settings.
 
 A run at the defaults takes about two minutes on a 2-core box.
@@ -73,9 +75,9 @@ opcount = _load("opcount", ROOT / "tools" / "opcount.py")
 acceptance = _load("acceptance", ROOT / "perfbench" / "acceptance.py")
 
 LAYER_SEED = 2600
-# inputs per timed statement: element operations, series products,
-# fragments and evaluate calls
+# inputs per timed map: element operations, series products, fragments, evaluate calls
 ELEMENTS, SERIES, FRAGMENTS, EVALUATIONS = 256, 64, 8, 8
+TIMED_S = 0.02  # the least wall time of one timed map
 # the eval template timed, and its request index on each construction
 EVAL_TEMPLATE, EVAL_INDEX = "e-cong", {GAMMA: 0, LAMBDA: 1}
 
@@ -110,11 +112,21 @@ def criteria() -> dict:
     return out
 
 
-def _ns_per_call(fn: Callable, args: tuple, repeats: int, calls: int,
-                 setup: Callable = lambda: None) -> dict:
-    """Least time over ``repeats`` of mapping fn over args, per one of ``calls``."""
-    timer = timeit.Timer(lambda: deque(map(fn, *args), maxlen=0), setup)
-    return {"value": min(timer.repeat(repeats, 1)) / calls * 1e9, "unit": "ns"}
+def _ns_per_call(fn: Callable, args: tuple, calls: int, repeats: int,
+                 copy: Optional[Callable] = None) -> dict:
+    """ns per call of mapping fn over the lists ``args``, one map making ``calls``
+    calls.  The lists are repeated k times, k doubling until one map takes
+    ``TIMED_S``, so that no stall of the host of a millisecond sets a figure;
+    the least of ``repeats`` timings counts.  With ``copy``, each timing maps
+    over fresh copies of the inputs, for a result an input keeps (its hash)."""
+    def timing(k: int) -> float:
+        lists = [a * k if copy is None else list(map(copy, a * k)) for a in args]
+        return timeit.Timer(lambda: deque(map(fn, *lists), maxlen=0)).timeit(1)
+
+    k = 1
+    while timing(k) < TIMED_S:
+        k *= 2
+    return {"value": min(timing(k) for _ in range(repeats)) / (calls * k) * 1e9, "unit": "ns"}
 
 
 def layer_costs(construction, repeats: int) -> dict:
@@ -122,12 +134,6 @@ def layer_costs(construction, repeats: int) -> dict:
     rngs = [case_rng(LAYER_SEED, i) for i in range(ELEMENTS)]
     xs = [random_element(rng, construction) for rng in rngs]
     ys = [random_element(rng, construction) for rng in rngs]
-    fresh: list[GroupElement] = []
-
-    def unhashed() -> None:
-        # a hash is kept once computed, so each repeat hashes new copies
-        fresh[:] = [GroupElement(construction, x.entries) for x in xs]
-
     deep = unit(construction, g1_square(9, 0))
 
     def fragment(a: GroupElement, b: GroupElement) -> int:
@@ -140,18 +146,19 @@ def layer_costs(construction, repeats: int) -> dict:
     request = workloads.eval_request(EVAL_TEMPLATE, EVAL_INDEX[construction])
     formula = parse_formula(request.formula, construction)
     runs = ([formula] * EVALUATIONS, [{}] * EVALUATIONS, [request.config()] * EVALUATIONS)
-    n = ELEMENTS
+    n, r = ELEMENTS, repeats
     return {
-        "add": _ns_per_call(operator.add, (xs, ys), repeats, n),
-        "cmp": _ns_per_call(GroupElement.cmp, (xs, ys), repeats, n),
-        "sign": _ns_per_call(GroupElement.sign, (xs,), repeats, n),
-        "hash": _ns_per_call(GroupElement.__hash__, (fresh,), repeats, n, unhashed),
-        "scale": _ns_per_call(GroupElement.scale, (xs, [3] * n), repeats, n),
-        "lead_mod": _ns_per_call(GroupElement.lead_mod, (xs, [2] * n), repeats, n),
-        "cong_free_below": _ns_per_call(cong_free_below, ([2] * n, xs, ys), repeats, n),
-        "fragment_element": _ns_per_call(fragment, pairs, repeats, elements_yielded),
-        "series_mul": _ns_per_call(operator.mul, (series[::2], series[1::2]), repeats, SERIES),
-        "evaluate": _ns_per_call(partial(evaluate, construction), runs, repeats, EVALUATIONS),
+        "add": _ns_per_call(operator.add, (xs, ys), n, r),
+        "cmp": _ns_per_call(GroupElement.cmp, (xs, ys), n, r),
+        "sign": _ns_per_call(GroupElement.sign, (xs,), n, r),
+        "hash": _ns_per_call(GroupElement.__hash__, (xs,), n, r,
+                             lambda x: GroupElement(construction, x.entries)),
+        "scale": _ns_per_call(GroupElement.scale, (xs, [3] * n), n, r),
+        "lead_mod": _ns_per_call(GroupElement.lead_mod, (xs, [2] * n), n, r),
+        "cong_free_below": _ns_per_call(cong_free_below, ([2] * n, xs, ys), n, r),
+        "fragment_element": _ns_per_call(fragment, pairs, elements_yielded, r),
+        "series_mul": _ns_per_call(operator.mul, (series[::2], series[1::2]), SERIES, r),
+        "evaluate": _ns_per_call(partial(evaluate, construction), runs, EVALUATIONS, r),
     }
 
 
