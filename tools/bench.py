@@ -3,43 +3,38 @@
 Usage, from anywhere::
 
     python3 tools/bench.py --label L [--seconds 15] [--seed 0] \\
-        [--repeats 5] [--requests N] [--out DIR]
+        [--repeats 7] [--requests N] [--out DIR]
 
 writes ``BENCH_<L>.json``, with sorted keys, to DIR (the root of the
 checkout this script sits in unless given).  It holds:
 
-* ``workloads``: per workload, the provenance line and the final JSON
-  line of ``perfbench/run.py --workload W --seed N --seconds S --trace
-  0``, each run in a fresh process: its correctness and its end-to-end
-  metrics, each a value with its unit;
-* ``opcodes``: per workload, the setup and pass counts of opcodes and
-  Python frames of one pass at seed 0, by file, from ``run_child`` of
-  ``tools/opcount.py``, whose counts are exact and repeat from run to run;
-* ``criteria``: acceptance criteria 1 and 5 in milliseconds, the suites
-  of ``perfbench/acceptance.py`` called in this process at their
-  acceptance size, beside their budgets and verdicts;
+* ``workloads``: per workload, the provenance, correctness and end-to-end
+  metrics (each a value with its unit) of ``perfbench/run.py --workload W
+  --seed N --seconds S --trace 0``, run in a fresh process;
+* ``opcodes``: per workload, the exact setup and pass counts of opcodes
+  and frames of one pass at seed 0, by file, from ``tools/opcount.py``;
+* ``criteria``: acceptance criteria 1 and 5 in milliseconds, the suites of
+  ``perfbench/acceptance.py`` run in this process, beside budget and verdict;
 * ``layers``: per construction, nanoseconds per call of each layer the
   north star of ROADMAP.md lists, timed with ``timeit`` on fixed seeded
-  inputs, the least of ``--repeats`` timings of at least 20 ms each.  No
-  wrapper is installed, so the figures carry no tracing cost.  They are
-  raw wall times: a shared host that slows this process for seconds at a
-  time moves them, where ``perfbench/run.py`` rescales its latencies;
+  inputs in maps of at least 20 ms, each rescaled to reference speed by
+  ``perfbench/run.py``'s probes, the median of ``--repeats`` rounds.  No
+  wrapper is installed, so the figures carry no tracing cost;
 * ``python``, ``nproc``, ``cpu`` and ``commit``, and the settings.
 
-A run at the defaults takes about two minutes on a 2-core box.
-``--requests N`` limits every pass to its first N requests; with
-``--seconds 0.2 --repeats 1`` that is a smoke run of a few seconds,
-whose figures are not for comparison.  Files under ``perfbench/`` are
-read, never edited.  Only the standard library is used.
+A run at the defaults takes about two minutes on a 2-core box.  With
+``--seconds 0.2 --repeats 1 --requests N`` (every pass cut to its first
+N requests) it is a smoke run of a few seconds, not for comparison.
+Files under ``perfbench/`` are read, never edited.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import operator
 import re
+import statistics
 import subprocess
 import sys
 import time
@@ -50,8 +45,11 @@ from pathlib import Path
 from typing import Callable, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tools")]
 
+import acceptance  # noqa: E402
+import opcount  # noqa: E402
+import run as perfrun  # noqa: E402  (its probe rescales the layer timings)
 import workloads  # noqa: E402
 from oagw.elements import GAMMA, LAMBDA, GroupElement, unit  # noqa: E402
 from oagw.evaluate import evaluate  # noqa: E402
@@ -62,17 +60,6 @@ from oagw.predicates import cong_free_below  # noqa: E402
 from oagw.sampling import case_rng, random_element, random_series  # noqa: E402
 from oagw.suites import run_suite  # noqa: E402
 
-
-def _load(name: str, path: Path):
-    """A module loaded by path: neither tools/ nor perfbench/ is a package."""
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-opcount = _load("opcount", ROOT / "tools" / "opcount.py")
-acceptance = _load("acceptance", ROOT / "perfbench" / "acceptance.py")
 
 LAYER_SEED = 2600
 # inputs per timed map: element operations, series products, fragments, evaluate calls
@@ -112,13 +99,11 @@ def criteria() -> dict:
     return out
 
 
-def _ns_per_call(fn: Callable, args: tuple, calls: int, repeats: int,
-                 copy: Optional[Callable] = None) -> dict:
-    """ns per call of mapping fn over the lists ``args``, one map making ``calls``
-    calls.  The lists are repeated k times, k doubling until one map takes
-    ``TIMED_S``, so that no stall of the host of a millisecond sets a figure;
-    the least of ``repeats`` timings counts.  With ``copy``, each timing maps
-    over fresh copies of the inputs, for a result an input keeps (its hash)."""
+def _timer(fn: Callable, args: tuple, calls: int, copy: Optional[Callable] = None) -> Callable:
+    """A timing of mapping fn over the lists ``args`` (``calls`` calls a map) in
+    ns per call, rescaled by the probes around it as run.py rescales a request.
+    The lists repeat k times, k doubling until a map takes ``TIMED_S``; with
+    ``copy``, over fresh copies, for a result an input keeps (its hash)."""
     def timing(k: int) -> float:
         lists = [a * k if copy is None else list(map(copy, a * k)) for a in args]
         return timeit.Timer(lambda: deque(map(fn, *lists), maxlen=0)).timeit(1)
@@ -126,11 +111,16 @@ def _ns_per_call(fn: Callable, args: tuple, calls: int, repeats: int,
     k = 1
     while timing(k) < TIMED_S:
         k *= 2
-    return {"value": min(timing(k) for _ in range(repeats)) / (calls * k) * 1e9, "unit": "ns"}
+
+    def scaled() -> float:
+        before = perfrun.probe()
+        wall = timing(k)
+        return perfrun.at_reference_speed(wall, before, perfrun.probe()) / (calls * k) * 1e9
+    return scaled
 
 
-def layer_costs(construction, repeats: int) -> dict:
-    """ns per call of each north-star layer on ``construction``."""
+def layer_timers(construction) -> dict[str, Callable]:
+    """A timer of each north-star layer on ``construction``."""
     rngs = [case_rng(LAYER_SEED, i) for i in range(ELEMENTS)]
     xs = [random_element(rng, construction) for rng in rngs]
     ys = [random_element(rng, construction) for rng in rngs]
@@ -146,20 +136,31 @@ def layer_costs(construction, repeats: int) -> dict:
     request = workloads.eval_request(EVAL_TEMPLATE, EVAL_INDEX[construction])
     formula = parse_formula(request.formula, construction)
     runs = ([formula] * EVALUATIONS, [{}] * EVALUATIONS, [request.config()] * EVALUATIONS)
-    n, r = ELEMENTS, repeats
+    n = ELEMENTS
     return {
-        "add": _ns_per_call(operator.add, (xs, ys), n, r),
-        "cmp": _ns_per_call(GroupElement.cmp, (xs, ys), n, r),
-        "sign": _ns_per_call(GroupElement.sign, (xs,), n, r),
-        "hash": _ns_per_call(GroupElement.__hash__, (xs,), n, r,
-                             lambda x: GroupElement(construction, x.entries)),
-        "scale": _ns_per_call(GroupElement.scale, (xs, [3] * n), n, r),
-        "lead_mod": _ns_per_call(GroupElement.lead_mod, (xs, [2] * n), n, r),
-        "cong_free_below": _ns_per_call(cong_free_below, ([2] * n, xs, ys), n, r),
-        "fragment_element": _ns_per_call(fragment, pairs, elements_yielded, r),
-        "series_mul": _ns_per_call(operator.mul, (series[::2], series[1::2]), SERIES, r),
-        "evaluate": _ns_per_call(partial(evaluate, construction), runs, EVALUATIONS, r),
+        "add": _timer(operator.add, (xs, ys), n),
+        "cmp": _timer(GroupElement.cmp, (xs, ys), n),
+        "sign": _timer(GroupElement.sign, (xs,), n),
+        "hash": _timer(GroupElement.__hash__, (xs,), n,
+                       lambda x: GroupElement(construction, x.entries)),
+        "scale": _timer(GroupElement.scale, (xs, [3] * n), n),
+        "lead_mod": _timer(GroupElement.lead_mod, (xs, [2] * n), n),
+        "cong_free_below": _timer(cong_free_below, ([2] * n, xs, ys), n),
+        "fragment_element": _timer(fragment, pairs, elements_yielded),
+        "series_mul": _timer(operator.mul, (series[::2], series[1::2]), SERIES),
+        "evaluate": _timer(partial(evaluate, construction), runs, EVALUATIONS),
     }
+
+
+def layer_costs(repeats: int) -> dict:
+    """ns per call of each layer on each construction, the median of ``repeats``
+    rounds that time every layer once: a slow spell of the host falls on one
+    round, and a probe it slowed makes a timing read fast, so not the least."""
+    timers = {str(c): layer_timers(c) for c in (LAMBDA, GAMMA)}
+    rounds = [{(c, name): timer() for c, layers in timers.items()
+               for name, timer in layers.items()} for _ in range(repeats)]
+    return {c: {name: {"value": statistics.median(r[c, name] for r in rounds), "unit": "ns"}
+                for name in layers} for c, layers in timers.items()}
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -167,7 +168,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
     parser.add_argument("--seconds", type=float, default=15.0, help="per workload run")
     parser.add_argument("--seed", type=int, default=0, help="the workload runs' seed")
-    parser.add_argument("--repeats", type=int, default=5, help="timeit repeats per layer")
+    parser.add_argument("--repeats", type=int, default=7, help="timing rounds of the layers")
     parser.add_argument("--requests", type=int, metavar="N",
                         help="limit every pass to its first N requests (smoke runs)")
     parser.add_argument("--out", type=Path, default=ROOT, help="directory of the file")
@@ -184,7 +185,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         "workloads": {w: run_workload(w, args.seed, args.seconds, args.requests) for w in names},
         "opcodes": {w: opcount.run_child(ROOT, w, 0, requests=args.requests) for w in names},
         "criteria": criteria(),
-        "layers": {str(c): layer_costs(c, args.repeats) for c in (LAMBDA, GAMMA)},
+        "layers": layer_costs(args.repeats),
     }
     # the machine and the commit, as the first run's provenance line names them
     provenance = bench["workloads"][names[0]]["provenance"]
