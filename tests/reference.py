@@ -34,7 +34,8 @@ from oagw.positions import CIRCLE, G1, G2, HASH_MODULUS, SQUARE
 # -- elements ---------------------------------------------------------------------
 # An element: position -> a nonzero Fraction, or at a lambda square slot -> nonzero int.
 
-HASH_POINT = 2177342782468422681  # where the hash evaluates a polynomial: 0x9E3779B97F4A7C15 % HASH_MODULUS
+# where the hash evaluates a polynomial: 0x9E3779B97F4A7C15 % HASH_MODULUS
+HASH_POINT = 2177342782468422681
 
 
 def model(e):

@@ -5,27 +5,24 @@ Usage, from anywhere::
     python3 tools/bench.py --label L [--seconds 15] [--seed 0] \\
         [--repeats 7] [--requests N] [--out DIR]
 
-writes ``BENCH_<L>.json``, with sorted keys, to DIR (the root of the
-checkout this script sits in unless given).  It holds:
+writes ``BENCH_<L>.json`` with sorted keys to DIR (the checkout's root
+unless given): the settings, ``python``, ``nproc``, ``cpu``, ``commit``, and
 
 * ``workloads``: per workload, the provenance, correctness and end-to-end
   metrics (each a value with its unit) of ``perfbench/run.py --workload W
   --seed N --seconds S --trace 0``, run in a fresh process;
 * ``opcodes``: per workload, the exact setup and pass counts of opcodes
   and frames of one pass at seed 0, by file, from ``tools/opcount.py``;
-* ``criteria``: acceptance criteria 1 and 5 in milliseconds, the suites of
-  ``perfbench/acceptance.py`` run in this process, beside budget and verdict;
-* ``layers``: per construction, nanoseconds per call of each layer the
-  north star of ROADMAP.md lists, timed with ``timeit`` on fixed seeded
-  inputs in maps of at least 20 ms, each rescaled to reference speed by
-  ``perfbench/run.py``'s probes, the median of ``--repeats`` rounds.  No
-  wrapper is installed, so the figures carry no tracing cost;
-* ``python``, ``nproc``, ``cpu`` and ``commit``, and the settings.
+* ``criteria``: ms of acceptance criteria 1 and 5, the suites of
+  ``perfbench/acceptance.py`` run in this process as the layers are timed;
+* ``layers``: per construction, ns per call of each layer the north star
+  of ROADMAP.md lists, timed with ``timeit`` on fixed seeded inputs in
+  maps of at least 20 ms, each rescaled to reference speed by
+  ``perfbench/run.py``'s probes, the median of ``--repeats`` rounds.
 
-A run at the defaults takes about two minutes on a 2-core box.  With
-``--seconds 0.2 --repeats 1 --requests N`` (every pass cut to its first
-N requests) it is a smoke run of a few seconds, not for comparison.
-Files under ``perfbench/`` are read, never edited.
+A run at the defaults takes about two minutes on a 2-core box; one with
+``--seconds 0.2 --repeats 1 --requests N`` (passes cut to N requests) is a
+smoke run of seconds, not for comparison.  ``perfbench/`` is only read.
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tools")]
 
 import acceptance  # noqa: E402
 import opcount  # noqa: E402
-import run as perfrun  # noqa: E402  (its probe rescales the layer timings)
+import run as perfrun  # noqa: E402  (its probe rescales every timing here)
 import workloads  # noqa: E402
 from oagw.elements import GAMMA, LAMBDA, GroupElement, unit  # noqa: E402
 from oagw.evaluate import evaluate  # noqa: E402
@@ -59,7 +56,6 @@ from oagw.positions import g1_square  # noqa: E402
 from oagw.predicates import cong_free_below  # noqa: E402
 from oagw.sampling import case_rng, random_element, random_series  # noqa: E402
 from oagw.suites import run_suite  # noqa: E402
-
 
 LAYER_SEED = 2600
 # inputs per timed map: element operations, series products, fragments, evaluate calls
@@ -82,19 +78,23 @@ def run_workload(workload: str, seed: int, seconds: float, requests: Optional[in
     result = json.loads(lines[-1])
     provenance = next(json.loads(line.split(" ", 1)[1]) for line in lines
                       if line.startswith("provenance "))
-    return {"provenance": provenance, "correct": result["correct"],
-            "attempted": result["attempted"], "failed": result["failed"],
-            "metrics": result["metrics"]}
+    return {"provenance": provenance, "metrics": result["metrics"],
+            **{key: result[key] for key in ("correct", "attempted", "failed")}}
 
 
-def criteria() -> dict:
-    """Wall time in ms of each acceptance criterion with a time budget."""
+def criteria(repeats: int) -> dict:
+    """Time in ms of each acceptance criterion with a time budget, the median of
+    ``repeats`` runs, each rescaled by the probes around it as a layer timing is."""
     out = {}
     for name, budget_s, runs in acceptance.CRITERIA:
-        t0 = time.perf_counter()
-        ok = all(run_suite(suite, opts).ok for suite, opts in runs)
+        times, ok = [], True
+        for _ in range(repeats):
+            before, t0 = perfrun.probe(), time.perf_counter()
+            ok &= all(run_suite(suite, opts).ok for suite, opts in runs)
+            wall = time.perf_counter() - t0
+            times.append(perfrun.at_reference_speed(wall, before, perfrun.probe()))
         out[f"criterion_{name.split()[0]}"] = {
-            "name": name, "value": (time.perf_counter() - t0) * 1e3, "unit": "ms",
+            "name": name, "value": statistics.median(times) * 1e3, "unit": "ms",
             "budget_ms": budget_s * 1e3, "pass": ok}
     return out
 
@@ -168,7 +168,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
     parser.add_argument("--seconds", type=float, default=15.0, help="per workload run")
     parser.add_argument("--seed", type=int, default=0, help="the workload runs' seed")
-    parser.add_argument("--repeats", type=int, default=7, help="timing rounds of the layers")
+    parser.add_argument("--repeats", type=int, default=7, help="timing rounds of each figure")
     parser.add_argument("--requests", type=int, metavar="N",
                         help="limit every pass to its first N requests (smoke runs)")
     parser.add_argument("--out", type=Path, default=ROOT, help="directory of the file")
@@ -184,7 +184,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                      "requests": args.requests, "opcount_seed": 0},
         "workloads": {w: run_workload(w, args.seed, args.seconds, args.requests) for w in names},
         "opcodes": {w: opcount.run_child(ROOT, w, 0, requests=args.requests) for w in names},
-        "criteria": criteria(),
+        "criteria": criteria(args.repeats),
         "layers": layer_costs(args.repeats),
     }
     # the machine and the commit, as the first run's provenance line names them
